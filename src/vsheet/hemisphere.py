@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.stats import qmc
 
 from .symbols import (
     Frequency,
@@ -128,6 +128,8 @@ def _unit_square(n: int, strategy: SampleStrategy, seed: int) -> np.ndarray:
         u1 = _van_der_corput(idx)
         u2 = np.mod(idx.astype(np.float64) * GOLDEN_FRAC, 1.0)
         return np.column_stack([u1, u2])
+    from scipy.stats import qmc  # imported here: scipy.stats alone costs about 1 s
+
     engine = qmc.Halton(d=2, scramble=True, seed=seed)
     return engine.random(n)
 
@@ -234,16 +236,37 @@ def _worker_count() -> int | None:
     return count
 
 
-def _eval_chunked(fn, freqs: Frequency) -> np.ndarray:
-    """Evaluate ``fn`` over a large batch, chunked across worker threads."""
-    n = freqs.size
+def _map_chunks(fn, freqs: Frequency) -> list:
+    """``fn(start, freqs[start:start + _CHUNK])`` for every chunk, on the worker pool.
+
+    Chunk boundaries depend only on the sample size and the results come
+    back in chunk order, so a reduction over them does not depend on the
+    number of threads.  A scalar frequency is treated as a one-point batch.
+    """
+    if freqs.is_scalar:
+        freqs = Frequency(*np.atleast_1d(freqs.gamma, freqs.delta, freqs.eta))
+    starts = range(0, freqs.size, _CHUNK)
+
+    def run(start: int):
+        return fn(start, freqs[start : start + _CHUNK])
+
     workers = _worker_count()
-    if n <= _CHUNK or workers == 1:
-        return np.asarray(fn(freqs))
-    slices = [slice(i, min(i + _CHUNK, n)) for i in range(0, n, _CHUNK)]
+    if len(starts) == 1 or workers == 1:
+        return [run(start) for start in starts]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda s: np.asarray(fn(freqs[s])), slices))
-    return np.concatenate(parts)
+        return list(pool.map(run, starts))
+
+
+def _extrema(values: np.ndarray, where=True) -> tuple[int, float, float]:
+    """(count, min, max) of ``values`` where ``where`` holds; empty gives (0, inf, -inf)."""
+    count = values.size if where is True else int(np.count_nonzero(where))
+    return count, np.min(values, where=where, initial=np.inf), np.max(values, where=where, initial=-np.inf)
+
+
+def _merge(parts) -> tuple[int, float, float]:
+    """Combine per-chunk extrema; a NaN anywhere propagates, as in np.min."""
+    counts, mins, maxs = zip(*parts)
+    return int(sum(counts)), float(np.min(mins)), float(np.max(maxs))
 
 
 def _root_factor_distance(freqs: Frequency, params: PhysicalParams) -> np.ndarray:
@@ -254,12 +277,11 @@ def _root_factor_distance(freqs: Frequency, params: PhysicalParams) -> np.ndarra
     return np.minimum(np.abs(tau - 1j * cy * eta), np.abs(tau + 1j * cy * eta))
 
 
-def _angular_root_distance(freqs: Frequency, params: PhysicalParams) -> np.ndarray:
-    pts = np.column_stack(
-        [np.asarray(freqs.gamma).ravel(), np.asarray(freqs.delta).ravel(), np.asarray(freqs.eta).ravel()]
-    )
-    dots = pts @ root_points(params).T
-    return np.arccos(np.clip(dots.max(axis=1), -1.0, 1.0))
+def _in_root_tubes(freqs: Frequency, params: PhysicalParams) -> np.ndarray:
+    """Points within angular distance TUBE_RADIUS of a root point."""
+    g, d, e = freqs.gamma, freqs.delta, freqs.eta
+    dots = functools.reduce(np.maximum, (g * r[0] + d * r[1] + e * r[2] for r in root_points(params)))
+    return np.arccos(np.clip(dots, -1.0, 1.0)) <= TUBE_RADIUS
 
 
 def _power_of_two_scalings(count: int, seed: int) -> np.ndarray:
@@ -272,18 +294,6 @@ def _power_of_two_scalings(count: int, seed: int) -> np.ndarray:
     """
     rng = np.random.default_rng(seed)
     return 2.0 ** rng.integers(-20, 10, size=count).astype(np.float64)
-
-
-def _homogeneity_deviation(sample, ratio_fn, base_min, base_max, n_scalings, seed) -> float:
-    dev = 0.0
-    for k in _power_of_two_scalings(n_scalings, seed):
-        ratios = ratio_fn(sample.freqs.scaled(k))
-        dev = max(
-            dev,
-            abs(float(np.min(ratios)) - base_min) / base_min,
-            abs(float(np.max(ratios)) - base_max) / base_max,
-        )
-    return dev
 
 
 def certify_sandwich(
@@ -300,38 +310,48 @@ def certify_sandwich(
     positive band if and only if every root of Sigma is simple and carried
     by the weight.  The certificate FAILs (rather than raising) when the
     empirical band explodes.
+
+    Homogeneity is checked pointwise in the same pass: point ``i`` is
+    rescaled by the ``i mod n_scalings``-th of ``n_scalings`` random powers
+    of two, and ``homogeneity_deviation`` is the largest relative change of
+    its ratio.
     """
     if params.regime() is not Regime.WEAKLY_STABLE:
         raise ValueError("the sandwich bound is certified in the weakly stable regime only")
+    scalings = _power_of_two_scalings(n_scalings, seed)
 
-    def ratio_fn(freqs: Frequency) -> np.ndarray:
+    def ratios(freqs: Frequency) -> tuple[np.ndarray, np.ndarray]:
         sig = big_sigma(freqs, params)
-        wgt = weight_sigma(freqs, params)
+        wgt = np.abs(weight_sigma(freqs, params))
         lam = np.asarray(freqs.lam)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.abs(sig) / (np.abs(wgt) * lam)
+            return np.abs(sig) / (wgt * lam), wgt / lam
 
-    ratios = _eval_chunked(ratio_fn, sample.freqs)
-    rmin = float(np.min(ratios))
-    rmax = float(np.max(ratios))
-    lam = np.asarray(sample.freqs.lam)
-    weight_over_lam = _eval_chunked(
-        lambda f: np.abs(weight_sigma(f, params)) / np.asarray(f.lam), sample.freqs
-    )
-    near = _angular_root_distance(sample.freqs, params) <= TUBE_RADIUS
+    def chunk(start: int, freqs: Frequency):
+        ratio, weight_over_lam = ratios(freqs)
+        dev = 0.0
+        if n_scalings:
+            k = scalings[np.arange(start, start + freqs.size) % n_scalings]
+            rescaled, _ = ratios(freqs.scaled(k))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                dev = np.max(np.abs(rescaled - ratio) / ratio)
+        near = _in_root_tubes(freqs, params)
+        return _extrema(ratio), _extrema(ratio, near), _extrema(weight_over_lam), dev
+
+    whole, near, weight_over_lam, devs = zip(*_map_chunks(chunk, sample.freqs))
+    _, rmin, rmax = _merge(whole)
+    near_count, near_min, near_max = _merge(near)
     extras = {
-        "weight_over_lambda_max": float(np.max(weight_over_lam)),
-        "near_root_count": int(np.count_nonzero(near)),
+        "weight_over_lambda_max": _merge(weight_over_lam)[2],
+        "near_root_count": near_count,
     }
     ok = math.isfinite(rmax) and rmin > 0.0 and rmax / rmin <= explosion_threshold
-    if np.any(near):
-        near_min = float(np.min(ratios[near]))
-        near_max = float(np.max(ratios[near]))
+    if near_count:
         extras["near_root_min"] = near_min
         extras["near_root_max"] = near_max
         ok = ok and near_min > 0.0 and math.isfinite(near_max)
     if ok:
-        dev = _homogeneity_deviation(sample, ratio_fn, rmin, rmax, n_scalings, seed)
+        dev = float(np.max(devs))
         extras["homogeneity_deviation"] = dev
         ok = dev <= 1e-12
     return BoundCertificate(
@@ -360,15 +380,20 @@ def certify_weight_bounds(
     """
     if params.regime() is not Regime.WEAKLY_STABLE:
         raise ValueError("weight bounds are defined in the weakly stable regime only")
-    freqs = sample.freqs
-    wabs = np.abs(_eval_chunked(lambda f: weight_sigma(f, params), freqs))
-    lam = np.asarray(freqs.lam)
-    gam = np.asarray(freqs.gamma)
-    near = _angular_root_distance(freqs, params) <= TUBE_RADIUS
-    dist = _root_factor_distance(freqs, params)
 
-    def cert(name, values, *, lower=True, upper=False, size=None):
-        if values.size == 0:
+    def chunk(start: int, freqs: Frequency):
+        wabs = np.abs(weight_sigma(freqs, params))
+        near = _in_root_tubes(freqs, params)
+        dist = _root_factor_distance(freqs, params)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            over_gamma = wabs / np.asarray(freqs.gamma)
+            over_lam = wabs / np.asarray(freqs.lam)
+            over_dist = wabs / dist
+        return _extrema(over_gamma), _extrema(over_lam), _extrema(over_dist, near), _extrema(over_lam, ~near)
+
+    def cert(name, parts, *, lower=True, upper=False):
+        count, vmin, vmax = _merge(parts)
+        if count == 0:
             return BoundCertificate(
                 ratio_name=name,
                 empirical_min=math.nan,
@@ -379,8 +404,6 @@ def certify_weight_bounds(
                 passed=False,
                 extras={"reason": "empty stratum"},
             )
-        vmin = float(np.min(values))
-        vmax = float(np.max(values))
         ok = math.isfinite(vmax) or not upper
         if lower:
             ok = ok and vmin > 0.0
@@ -392,22 +415,19 @@ def certify_weight_bounds(
             ratio_name=name,
             empirical_min=vmin,
             empirical_max=vmax,
-            sample_size=int(values.size) if size is None else size,
+            sample_size=count,
             gamma_floor=sample.gamma_floor,
             mach=params.mach,
             passed=bool(ok),
         )
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        over_gamma = wabs / gam
-        over_dist = wabs[near] / dist[near]
-    certs = [
+    over_gamma, over_lam, over_dist, over_lam_far = zip(*_map_chunks(chunk, sample.freqs))
+    return [
         cert("weight_over_gamma", over_gamma, lower=True, upper=False),
-        cert("weight_over_lambda", wabs / lam, lower=True, upper=True),
+        cert("weight_over_lambda", over_lam, lower=True, upper=True),
         cert("weight_over_root_distance", over_dist, lower=True, upper=True),
-        cert("weight_over_lambda_far", (wabs / lam)[~near], lower=True, upper=True),
+        cert("weight_over_lambda_far", over_lam_far, lower=True, upper=True),
     ]
-    return certs
 
 
 def _golden_section(fn, lo: float, hi: float, xtol: float) -> float:

@@ -19,9 +19,8 @@ import dataclasses
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
-from .front import Side, SourceField
+from .front import DECAY_TOL, Side, SourceField
 from .grids import find_mode
 from .symbols import Frequency, PhysicalParams, mu_pm
 
@@ -32,8 +31,6 @@ __all__ = [
     "front_equation_residual",
     "ode_residual",
 ]
-
-DECAY_TOL = 1e-6
 
 
 class DecayViolated(RuntimeError):
@@ -62,9 +59,6 @@ class PressureProfile:
     sound_speed: float
 
 
-_find_mode = find_mode
-
-
 def solve_half_space(
     fplus: SourceField,
     fminus: SourceField,
@@ -89,7 +83,7 @@ def solve_half_space(
         raise ValueError("solve_half_space expects (plus-side, minus-side) fields in that order")
     if fplus.grid != fminus.grid:
         raise ValueError("both sources must share one grid")
-    it, ix = _find_mode(grid, freq)
+    it, ix = find_mode(grid, freq)
     v, c = params.v, params.c
     mup, mum = mu_pm(freq, params)
     y, w = grid.quadrature()
@@ -177,6 +171,8 @@ def _particular_at(
     source_fn: Callable[[float], complex],
 ) -> complex:
     """Free-space particular solution at x, splitting the kernel kink."""
+    from scipy.integrate import quad  # imported here: only this check path needs it
+
     def left(yv: float) -> complex:
         return np.exp(-mu * (x - yv)) * source_fn(yv)
 

@@ -27,7 +27,6 @@ __all__ = [
     "Regime",
     "PhysicalParams",
     "Frequency",
-    "SymbolValue",
     "DegenerateDenominator",
     "mu_pm",
     "big_sigma",
@@ -35,7 +34,6 @@ __all__ = [
     "weight_sigma",
     "root_constants",
     "lambda_power",
-    "evaluate_symbols",
     "weight_bound_constant",
 ]
 
@@ -161,8 +159,9 @@ class Frequency:
         )
         return float(lam) if self.is_scalar else lam
 
-    def scaled(self, k: float) -> "Frequency":
-        if not (np.isfinite(k) and k > 0):
+    def scaled(self, k: ArrayLike) -> "Frequency":
+        """Multiply by ``k > 0``: a scalar, or an array broadcast against the fields."""
+        if not np.all(np.isfinite(k) & (np.asarray(k) > 0)):
             raise ValueError(f"scaling must be positive and finite, got {k!r}")
         return Frequency(k * np.asarray(self.gamma), k * np.asarray(self.delta), k * np.asarray(self.eta))
 
@@ -206,8 +205,10 @@ def _mu_branch(gamma, delta, eta, v, c, sign):
     mu = np.sqrt(z.astype(np.complex128, copy=False))
     on_cut = (z.imag == 0) & (z.real < 0)
     if np.any(on_cut):
-        limit = 1j * np.sign(shifted) * np.sqrt(-z.real)
-        mu = np.where(on_cut, limit, mu)
+        # sqrt(-Re z) only on the cut: elsewhere it is discarded, and evaluating
+        # it where Re z > 0 would warn about an invalid value
+        root = np.sqrt(-z.real, where=on_cut, out=np.zeros(np.shape(z)))
+        mu = np.where(on_cut, 1j * np.sign(shifted) * root, mu)
     return mu
 
 
@@ -323,22 +324,3 @@ def weight_bound_constant(params: PhysicalParams) -> float:
     y2 = root_constants(params)
     return 1.0 + (params.c * y2) ** 2
 
-
-@dataclasses.dataclass(frozen=True)
-class SymbolValue:
-    """All symbol quantities at one frequency (or array of frequencies)."""
-
-    mu_plus: Union[complex, np.ndarray]
-    mu_minus: Union[complex, np.ndarray]
-    sigma_big: Union[complex, np.ndarray]
-    weight: Union[complex, np.ndarray, None]
-
-
-def evaluate_symbols(freq: Frequency, params: PhysicalParams, *, extend: bool = False) -> SymbolValue:
-    """Bundle mu+-, Sigma and (in the weakly stable regime) the weight."""
-    mup, mum = mu_pm(freq, params)
-    sig = big_sigma(freq, params, extend=extend)
-    weight = None
-    if params.regime() is Regime.WEAKLY_STABLE:
-        weight = weight_sigma(freq, params)
-    return SymbolValue(mu_plus=mup, mu_minus=mum, sigma_big=sig, weight=weight)

@@ -1,11 +1,17 @@
 """End-to-end CLI: every study, exit codes, deterministic artifacts."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import vsheet
 from vsheet.cli import main
+from vsheet.hemisphere import _CHUNK
 from vsheet.symbols import SQRT2, Frequency, PhysicalParams, big_sigma, weight_sigma
 
 M2 = PhysicalParams(v=2.0, c=1.0)
@@ -68,6 +74,16 @@ class TestCertify:
         first = (tmp_path / "cert_out" / "certificates.json").read_bytes()
         main(["certify", "--config", cfg])
         assert (tmp_path / "cert_out" / "certificates.json").read_bytes() == first
+
+    def test_thread_count_does_not_change_output(self, tmp_path, monkeypatch):
+        # several full chunks plus a partial one
+        cfg = _certify_cfg(tmp_path, n=2 * _CHUNK + 17)
+        outputs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("VFS_THREADS", threads)
+            assert main(["certify", "--config", cfg]) == 0
+            outputs.append((tmp_path / "cert_out" / "certificates.json").read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_elliptic_config_is_usage_error(self, tmp_path):
         cfg = _write(
@@ -338,3 +354,13 @@ n_eta = 3
     lines = (tmp_path / "hm_out" / "heatmap.csv").read_text().splitlines()
     d, e, val = (float(tok) for tok in lines[1].split(","))
     assert val == pytest.approx(abs(weight_sigma(Frequency(1.25, d, e), M2)), rel=1e-12)
+
+
+def test_import_leaves_scipy_stats_and_integrate_unloaded():
+    # both cost a second at startup and only the Halton sampler and the
+    # pressure ODE check use them
+    src = str(pathlib.Path(vsheet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, vsheet.cli; print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,9 +1,13 @@
 """Hemisphere sampling, bound certificates, root location."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from vsheet import hemisphere, symbols
 from vsheet.hemisphere import (
+    TUBE_RADIUS,
     NoRootFound,
     SampleStrategy,
     certify_sandwich,
@@ -13,7 +17,7 @@ from vsheet.hemisphere import (
     root_points,
     sample_hemisphere,
 )
-from vsheet.symbols import Frequency, PhysicalParams, big_sigma, root_constants
+from vsheet.symbols import Frequency, PhysicalParams, big_sigma, root_constants, weight_sigma
 
 M2 = PhysicalParams(v=2.0, c=1.0)
 ELL = PhysicalParams(v=1.0, c=1.0)
@@ -113,6 +117,64 @@ class TestSandwich:
         for key in ("ratio_name", "empirical_min", "empirical_max", "sample_size", "gamma_floor", "mach", "pass"):
             assert key in rec, f"missing {key}"
         assert isinstance(rec["pass"], bool)
+
+
+class TestStreamingPass:
+    """The chunked single pass against an unchunked NumPy reference."""
+
+    def test_extrema_match_unchunked_reference(self, monkeypatch):
+        monkeypatch.setattr(hemisphere, "_CHUNK", 1000)  # four full chunks and a partial one
+        sample = sample_hemisphere(4321, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6, M2, seed=5)
+        f = sample.freqs
+        g, d, e = np.asarray(f.gamma), np.asarray(f.delta), np.asarray(f.eta)
+        wabs = np.abs(weight_sigma(f, M2))
+        lam = np.asarray(f.lam)
+        ratio = np.abs(big_sigma(f, M2)) / (wabs * lam)
+        dots = np.column_stack([g, d, e]) @ root_points(M2).T
+        near = np.arccos(np.clip(dots.max(axis=1), -1.0, 1.0)) <= TUBE_RADIUS
+        cy = M2.c * root_constants(M2)
+        tau = g + 1j * d
+        dist = np.minimum(np.abs(tau - 1j * cy * e), np.abs(tau + 1j * cy * e))
+        expected = {
+            "abs_sigma_big_over_weight_lambda": ratio,
+            "weight_over_gamma": wabs / g,
+            "weight_over_lambda": wabs / lam,
+            "weight_over_root_distance": wabs[near] / dist[near],
+            "weight_over_lambda_far": (wabs / lam)[~near],
+        }
+        sandwich = certify_sandwich(sample, M2)
+        certs = [sandwich] + certify_weight_bounds(sample, M2)
+        assert [c.ratio_name for c in certs] == list(expected)
+        for cert in certs:
+            values = expected[cert.ratio_name]
+            assert cert.empirical_min == np.min(values), cert.ratio_name
+            assert cert.empirical_max == np.max(values), cert.ratio_name
+            assert cert.sample_size == values.size, cert.ratio_name
+        assert sandwich.extras["near_root_count"] == np.count_nonzero(near)
+        assert sandwich.extras["near_root_min"] == np.min(ratio[near])
+        assert sandwich.extras["near_root_max"] == np.max(ratio[near])
+        assert sandwich.extras["weight_over_lambda_max"] == np.max(wabs / lam)
+        assert sandwich.extras["homogeneity_deviation"] == 0.0
+
+    def test_homogeneity_defect_fails_the_sandwich(self, monkeypatch):
+        def skewed(freq, params, **kwargs):
+            return symbols.big_sigma(freq, params, **kwargs) * (1.0 + 1e-6 * np.log(freq.lam))
+
+        monkeypatch.setattr(hemisphere, "big_sigma", skewed)
+        sample = sample_hemisphere(10_000, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6, M2, seed=0)
+        cert = certify_sandwich(sample, M2)
+        assert not cert.passed
+        assert cert.extras["homogeneity_deviation"] > 1e-12
+        # without rescalings the defect goes unseen
+        assert certify_sandwich(sample, M2, n_scalings=0).extras["homogeneity_deviation"] == 0.0
+
+    def test_gamma_floor_zero_is_warning_free(self):
+        sample = sample_hemisphere(20_000, SampleStrategy.STRATIFIED_NEAR_ROOTS, 0.0, M2, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            cert = certify_sandwich(sample, M2)
+            certify_weight_bounds(sample, M2)
+        assert cert.passed
 
 
 class TestWeightBounds:

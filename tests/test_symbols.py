@@ -17,7 +17,6 @@ from vsheet.symbols import (
     Regime,
     adjoint_sigma,
     big_sigma,
-    evaluate_symbols,
     lambda_power,
     mu_pm,
     root_constants,
@@ -265,9 +264,3 @@ class TestLambdaPower:
         f = Frequency(np.ones(2), np.zeros(2), np.array([0.0, 1.0]))
         np.testing.assert_allclose(lambda_power(f, 2.0), [1.0, 2.0])
 
-
-def test_evaluate_symbols_bundle():
-    out = evaluate_symbols(Frequency(1.0, 0.0, 1.0), M2)
-    assert abs(out.sigma_big - SIGMA_BIG_ORACLE) < 1e-13
-    assert abs(out.weight - WEIGHT_ORACLE) < 1e-13
-    assert abs(out.mu_plus - MU_PLUS_ORACLE) < 1e-13
