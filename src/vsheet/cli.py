@@ -104,11 +104,17 @@ def emit_heatmap(
     fileio.write_csv(path, ["delta", "eta", field], rows)
 
 
-def _load_side(spec: str, grid: GridSpec, side: Side):
-    if spec == "builtin":
-        raw_p, raw_m = builtin_sources(grid)
-        return (raw_p if side is Side.PLUS else raw_m), grid
-    return fileio.read_source(spec)
+def _load_sources(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, GridSpec]:
+    """The configured (raw_plus, raw_minus, grid); ``builtin`` sides come from one builtin pair."""
+    specs = (cfg.solve["source_plus"], cfg.solve["source_minus"])
+    builtin = builtin_sources(cfg.grid) if "builtin" in specs else (None, None)
+    (raw_p, grid_p), (raw_m, grid_m) = (
+        (raw, cfg.grid) if spec == "builtin" else fileio.read_source(spec)
+        for spec, raw in zip(specs, builtin)
+    )
+    if grid_p != grid_m:
+        raise ValueError("plus and minus sources disagree on the grid")
+    return raw_p, raw_m, grid_p
 
 
 def _study_certify(cfg: RunConfig) -> int:
@@ -195,11 +201,7 @@ def _study_roots(cfg: RunConfig) -> int:
 
 
 def _study_solve(cfg: RunConfig) -> int:
-    raw_p, grid_p = _load_side(cfg.solve["source_plus"], cfg.grid, Side.PLUS)
-    raw_m, grid_m = _load_side(cfg.solve["source_minus"], cfg.grid, Side.MINUS)
-    if grid_p != grid_m:
-        raise ValueError("plus and minus sources disagree on the grid")
-    grid = grid_p
+    raw_p, raw_m, grid = _load_sources(cfg)
     fplus = transform_source(raw_p, Side.PLUS, grid)
     fminus = transform_source(raw_m, Side.MINUS, grid)
     g_hat = build_g(fplus, fminus, cfg.params)
@@ -212,12 +214,9 @@ def _study_solve(cfg: RunConfig) -> int:
 
 
 def _study_sweep(cfg: RunConfig) -> int:
-    raw_p, grid_p = _load_side(cfg.solve["source_plus"], cfg.grid, Side.PLUS)
-    raw_m, grid_m = _load_side(cfg.solve["source_minus"], cfg.grid, Side.MINUS)
-    if grid_p != grid_m:
-        raise ValueError("plus and minus sources disagree on the grid")
+    raw_p, raw_m, grid = _load_sources(cfg)
     result = estimate_sweep(
-        raw_p, raw_m, grid_p, cfg.params,
+        raw_p, raw_m, grid, cfg.params,
         gammas=cfg.sweep["gammas"], s=cfg.sweep["s"], slack=cfg.sweep["slack"],
     )
     columns = ["gamma", "front_aniso", "g_over_f", "front_plain"]

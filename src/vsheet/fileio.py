@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import pathlib
 
 import numpy as np
@@ -115,10 +116,11 @@ def read_source_csv(path) -> tuple[np.ndarray, GridSpec]:
 
 
 def read_source(path) -> tuple[np.ndarray, GridSpec]:
-    """Dispatch on extension: .csv for text, anything else binary."""
-    if str(path).endswith(".csv"):
-        return read_source_csv(path)
-    return read_source_bin(path)
+    """Dispatch on extension: .csv for text, anything else binary; rejects non-finite samples."""
+    raw, grid = read_source_csv(path) if str(path).endswith(".csv") else read_source_bin(path)
+    if not np.all(np.isfinite(raw)):
+        raise ValueError(f"source file {path} holds non-finite samples")
+    return raw, grid
 
 
 def write_front_solution(prefix, solution) -> tuple[pathlib.Path, pathlib.Path]:
@@ -152,9 +154,26 @@ def write_front_solution(prefix, solution) -> tuple[pathlib.Path, pathlib.Path]:
     return bin_path, json_path
 
 
+def _strict(obj):
+    """Replace each non-finite float under key k by null plus a ``k_nonfinite`` tag."""
+    if isinstance(obj, dict):
+        out = {}
+        for key, value in obj.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                out[key] = None
+                out[f"{key}_nonfinite"] = "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
+            else:
+                out[key] = _strict(value)
+        return out
+    if isinstance(obj, (list, tuple)):
+        return [_strict(value) for value in obj]
+    return obj
+
+
 def write_json(path, payload) -> None:
+    """Strict JSON (no NaN/Infinity tokens), keys sorted; see ``_strict`` for non-finite floats."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_strict(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

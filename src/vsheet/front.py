@@ -34,6 +34,7 @@ __all__ = [
     "QuadratureUnderResolved",
     "SymbolTooSmall",
     "transform_source",
+    "half_line_terms",
     "source_moment",
     "build_g",
     "solve_front",
@@ -41,6 +42,7 @@ __all__ = [
 ]
 
 DECAY_TOL = 1e-6
+TAIL_TOL = 1e-6
 
 
 class QuadratureUnderResolved(RuntimeError):
@@ -60,13 +62,12 @@ class Side(enum.Enum):
 class SourceField:
     """An interior source on one side of the sheet.
 
-    ``raw`` holds samples on the (t, x1, x2-node) grid; for the MINUS side
-    node j stands for the depth x2 = -y_j.  ``spectral`` holds the weighted
-    transform of each x2 slice.
+    ``spectral`` holds the weighted transform of each x2 slice on the
+    (t, x1, x2-node) grid; for the MINUS side node j stands for the depth
+    x2 = -y_j.
     """
 
     side: Side
-    raw: Optional[np.ndarray]
     spectral: np.ndarray
     grid: GridSpec
 
@@ -74,12 +75,12 @@ class SourceField:
         shape = (self.grid.nt, self.grid.nx, self.grid.ny)
         if self.spectral.shape != shape:
             raise ValueError(f"spectral shape {self.spectral.shape} does not match grid {shape}")
-        if self.raw is not None and self.raw.shape != shape:
-            raise ValueError(f"raw shape {self.raw.shape} does not match grid {shape}")
 
     def decay_ok(self, tol: float = DECAY_TOL) -> bool:
-        """True when the outermost x2 node carries a negligible amplitude."""
+        """True when the outermost x2 node carries a negligible amplitude; a non-finite field raises."""
         peak = float(np.max(np.abs(self.spectral)))
+        if not np.isfinite(peak):
+            raise ValueError(f"{self.side.value}-side source is not finite")
         if peak == 0.0:
             return True
         return float(np.max(np.abs(self.spectral[..., -1]))) <= tol * peak
@@ -88,39 +89,67 @@ class SourceField:
 def transform_source(raw: np.ndarray, side: Side, grid: GridSpec) -> SourceField:
     """Build a SourceField from raw (t, x1, x2-node) samples."""
     raw = np.asarray(raw, dtype=np.complex128)
-    return SourceField(side=Side(side), raw=raw, spectral=forward_transform(raw, grid), grid=grid)
+    return SourceField(side=Side(side), spectral=forward_transform(raw, grid), grid=grid)
 
 
 def source_from_spectral(spectral: np.ndarray, side: Side, grid: GridSpec) -> SourceField:
     """Wrap an already-transformed profile (handy for manufactured cases)."""
-    return SourceField(side=Side(side), raw=None, spectral=np.asarray(spectral, dtype=np.complex128), grid=grid)
+    return SourceField(side=Side(side), spectral=np.asarray(spectral, dtype=np.complex128), grid=grid)
 
 
-def _half_line_integrals(spectral: np.ndarray, grid: "GridSpec", mu: np.ndarray, tail_tol: float):
-    """(1/mu) * integral of exp(-mu y) F(y) dy over [0, Ly], with a tail guard."""
-    y, w = grid.quadrature()
-    kernel = np.exp(-mu[..., None] * y)
-    integral = (kernel * spectral) @ w
-    term = integral / mu
-    # the neglected tail is of the order of the integrand at the cutoff
-    tail_num = float(np.max(np.abs(np.exp(-mu * grid.Ly)) * np.abs(spectral[..., -1]) / np.abs(mu)))
-    term_scale = float(np.max(np.abs(term)))
-    if tail_num > 0.0:
-        rel_tail = tail_num / term_scale if term_scale > 0.0 else np.inf
-        if rel_tail > tail_tol:
-            raise QuadratureUnderResolved(
-                f"half-line truncation tail ~{rel_tail:.3e} (relative) exceeds tolerance {tail_tol:g}; "
-                "increase Ly or the source decay"
+def half_line_terms(fplus: SourceField, fminus: SourceField, mup, mum, index=...):
+    """(T+, T-) = (1/mu+-) int_0^Ly exp(-mu+- y) F+-(., +-y) dy for a (plus, minus) source pair.
+
+    ``index=...`` takes the whole (t, x1) mesh with ``mup``/``mum`` on it;
+    ``index=(it, ix)`` takes one lattice mode.  The front moment is T+ - T-,
+    the pressure boundary values are T+- / (2 c^2).
+    """
+    if fplus.side is not Side.PLUS or fminus.side is not Side.MINUS:
+        raise ValueError("expected (plus-side, minus-side) source fields in that order")
+    if fplus.grid != fminus.grid:
+        raise ValueError("both sources must share one grid")
+    y, w = fplus.grid.quadrature()
+    return tuple(
+        (np.exp(-mu[..., None] * y) * field.spectral[index]) @ w / mu
+        for field, mu in ((fplus, np.asarray(mup)), (fminus, np.asarray(mum)))
+    )
+
+
+def _guarded_terms(
+    fplus: SourceField, fminus: SourceField, freq: Frequency, params: PhysicalParams, tail_tol: float
+):
+    """(mu+, mu-, T+, T-) at ``freq`` behind the decay gate and the tail guard."""
+    for field in (fplus, fminus):
+        if not field.decay_ok():
+            raise ValueError(
+                f"{field.side.value}-side source has not decayed at the truncation depth Ly"
             )
-    return term
+    grid = fplus.grid
+    mup, mum = mu_pm(freq, params)
+    index = find_mode(grid, freq) if freq.is_scalar else ...
+    terms = half_line_terms(fplus, fminus, mup, mum, index=index)
+    for field, mu, term in zip((fplus, fminus), (mup, mum), terms):
+        # the neglected tail is of the order of the integrand at the cutoff
+        edge = np.abs(field.spectral[index][..., -1])
+        tail_num = float(np.max(np.abs(np.exp(-mu * grid.Ly)) * edge / np.abs(mu)))
+        term_scale = float(np.max(np.abs(term)))
+        if tail_num > 0.0:
+            rel_tail = tail_num / term_scale if term_scale > 0.0 else np.inf
+            if rel_tail > tail_tol:
+                raise QuadratureUnderResolved(
+                    f"half-line truncation tail ~{rel_tail:.3e} (relative) exceeds tolerance {tail_tol:g}; "
+                    "increase Ly or the source decay"
+                )
+    return (mup, mum) + terms
 
 
 def source_moment(
     fplus: SourceField,
     fminus: SourceField,
     freq: Optional[Frequency] = None,
-    params: Optional[PhysicalParams] = None,
-    tail_tol: float = 1e-6,
+    *,
+    params: PhysicalParams,
+    tail_tol: float = TAIL_TOL,
 ):
     """Scalar source moment M driving the front equation.
 
@@ -133,44 +162,18 @@ def source_moment(
     returning a plain complex number.  Raises QuadratureUnderResolved when
     the neglected tail at Ly is not small relative to the computed moment.
     """
-    if params is None:
-        raise ValueError("params is required")
-    if fplus.side is not Side.PLUS or fminus.side is not Side.MINUS:
-        raise ValueError("source_moment expects (plus-side, minus-side) fields in that order")
-    if fplus.grid != fminus.grid:
-        raise ValueError("both sources must share one grid")
-    for field in (fplus, fminus):
-        if not field.decay_ok():
-            raise ValueError(
-                f"{field.side.value}-side source has not decayed at the truncation depth Ly"
-            )
-    grid = fplus.grid
     if freq is None:
-        freq = grid.freq_mesh()
-    mup, mum = mu_pm(freq, params)
-    if freq.is_scalar:
-        it, ix = find_mode(grid, freq)
-        term_p = _half_line_integrals(fplus.spectral[it, ix], grid, np.asarray(mup), tail_tol)
-        term_m = _half_line_integrals(fminus.spectral[it, ix], grid, np.asarray(mum), tail_tol)
-        return complex(term_p - term_m)
-    term_p = _half_line_integrals(fplus.spectral, grid, np.asarray(mup), tail_tol)
-    term_m = _half_line_integrals(fminus.spectral, grid, np.asarray(mum), tail_tol)
-    return term_p - term_m
+        freq = fplus.grid.freq_mesh()
+    _, _, term_p, term_m = _guarded_terms(fplus, fminus, freq, params, tail_tol)
+    moment = term_p - term_m
+    return complex(moment) if freq.is_scalar else moment
 
 
-def build_g(
-    fplus: SourceField,
-    fminus: SourceField,
-    params: PhysicalParams,
-    tail_tol: float = 1e-6,
-) -> np.ndarray:
+def build_g(fplus: SourceField, fminus: SourceField, params: PhysicalParams) -> np.ndarray:
     """Right-hand side of the front equation: g = -(mu+ mu- / (mu+ + mu-)) M."""
-    grid = fplus.grid
-    freq = grid.freq_mesh()
-    mup, mum = mu_pm(freq, params)
-    moment = source_moment(fplus, fminus, freq, params, tail_tol=tail_tol)
+    mup, mum, term_p, term_m = _guarded_terms(fplus, fminus, fplus.grid.freq_mesh(), params, TAIL_TOL)
     # Re mu+- >= gamma/c >= 1/c on the grid, so the denominator is safe.
-    return -(mup * mum / (mup + mum)) * moment
+    return -(mup * mum / (mup + mum)) * (term_p - term_m)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -260,7 +263,6 @@ def estimate_sweep(
     gammas: tuple,
     s: float = 0.0,
     slack: float = 0.1,
-    tail_tol: float = 1e-6,
 ) -> SweepResult:
     """Re-solve the front problem along a gamma sweep and report estimate ratios.
 
@@ -282,7 +284,7 @@ def estimate_sweep(
         g_grid = dataclasses.replace(grid, gamma=float(gamma))
         fp = transform_source(raw_plus, Side.PLUS, g_grid)
         fm = transform_source(raw_minus, Side.MINUS, g_grid)
-        g_hat = build_g(fp, fm, params, tail_tol=tail_tol)
+        g_hat = build_g(fp, fm, params)
         sol = solve_front(g_hat, g_grid, params, s=s)
         rhs = (
             half_line_norm(fp.spectral, g_grid, s) ** 2

@@ -391,7 +391,7 @@ def certify_weight_bounds(
             over_dist = wabs / dist
         return _extrema(over_gamma), _extrema(over_lam), _extrema(over_dist, near), _extrema(over_lam, ~near)
 
-    def cert(name, parts, *, lower=True, upper=False):
+    def cert(name, parts, upper):
         count, vmin, vmax = _merge(parts)
         if count == 0:
             return BoundCertificate(
@@ -404,13 +404,7 @@ def certify_weight_bounds(
                 passed=False,
                 extras={"reason": "empty stratum"},
             )
-        ok = math.isfinite(vmax) or not upper
-        if lower:
-            ok = ok and vmin > 0.0
-        if upper:
-            ok = ok and math.isfinite(vmax)
-        if lower and upper:
-            ok = ok and vmax / vmin <= explosion_threshold
+        ok = vmin > 0.0 and (not upper or (math.isfinite(vmax) and vmax / vmin <= explosion_threshold))
         return BoundCertificate(
             ratio_name=name,
             empirical_min=vmin,
@@ -423,10 +417,10 @@ def certify_weight_bounds(
 
     over_gamma, over_lam, over_dist, over_lam_far = zip(*_map_chunks(chunk, sample.freqs))
     return [
-        cert("weight_over_gamma", over_gamma, lower=True, upper=False),
-        cert("weight_over_lambda", over_lam, lower=True, upper=True),
-        cert("weight_over_root_distance", over_dist, lower=True, upper=True),
-        cert("weight_over_lambda_far", over_lam_far, lower=True, upper=True),
+        cert("weight_over_gamma", over_gamma, upper=False),
+        cert("weight_over_lambda", over_lam, upper=True),
+        cert("weight_over_root_distance", over_dist, upper=True),
+        cert("weight_over_lambda_far", over_lam_far, upper=True),
     ]
 
 

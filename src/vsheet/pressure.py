@@ -16,11 +16,11 @@ from the same sources.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .front import DECAY_TOL, Side, SourceField
+from .front import DECAY_TOL, Side, SourceField, half_line_terms
 from .grids import find_mode
 from .symbols import Frequency, PhysicalParams, mu_pm
 
@@ -50,9 +50,7 @@ class PressureProfile:
     mu: complex
     amplitude: complex
     nodes: np.ndarray
-    particular: np.ndarray
     values: np.ndarray
-    f_nodes: np.ndarray
     p0: complex
     dp0: complex
     depth: float
@@ -79,31 +77,25 @@ def solve_half_space(
     resulting profile is not negligible at the truncation depth.
     """
     grid = fplus.grid
-    if fplus.side is not Side.PLUS or fminus.side is not Side.MINUS:
-        raise ValueError("solve_half_space expects (plus-side, minus-side) fields in that order")
-    if fplus.grid != fminus.grid:
-        raise ValueError("both sources must share one grid")
     it, ix = find_mode(grid, freq)
     v, c = params.v, params.c
     mup, mum = mu_pm(freq, params)
     y, w = grid.quadrature()
-    prof_p = np.ascontiguousarray(fplus.spectral[it, ix, :])
-    prof_m = np.ascontiguousarray(fminus.spectral[it, ix, :])
-
-    ip = np.dot(w, np.exp(-mup * y) * prof_p) / (2.0 * mup * c * c)
-    im = np.dot(w, np.exp(-mum * y) * prof_m) / (2.0 * mum * c * c)
+    term_p, term_m = half_line_terms(fplus, fminus, mup, mum, index=(it, ix))
+    ip = term_p / (2.0 * c * c)
+    im = term_m / (2.0 * c * c)
     coupling = 4.0 * v * freq.tau * 1j * freq.eta * fhat / (c * c)
     den = mup + mum
     a_p = ((mup - mum) * ip + 2.0 * mum * im + coupling) / den
     a_m = (2.0 * mup * ip + (mum - mup) * im + coupling) / den
 
     profiles = []
-    for side, mu, amp, prof, i0 in (
-        (Side.PLUS, mup, a_p, prof_p, ip),
-        (Side.MINUS, mum, a_m, prof_m, im),
+    for side, mu, amp, field, i0 in (
+        (Side.PLUS, mup, a_p, fplus, ip),
+        (Side.MINUS, mum, a_m, fminus, im),
     ):
         kernel = np.exp(-mu * np.abs(y[:, None] - y[None, :]))
-        particular = (kernel * prof[None, :]) @ w / (2.0 * mu * c * c)
+        particular = (kernel * field.spectral[it, ix][None, :]) @ w / (2.0 * mu * c * c)
         values = amp * np.exp(-mu * y) + particular
         peak = float(np.max(np.abs(values)))
         if peak > 0.0 and abs(values[-1]) > decay_tol * peak:
@@ -122,9 +114,7 @@ def solve_half_space(
                 mu=complex(mu),
                 amplitude=complex(amp),
                 nodes=y,
-                particular=particular,
                 values=values,
-                f_nodes=prof,
                 p0=complex(amp + i0),
                 dp0=complex(dp0),
                 depth=grid.Ly,

@@ -231,6 +231,32 @@ source_minus = {tmp_path / 'm.csv'}
         for key, val in meta["norms"].items():
             assert val == pytest.approx(meta_b["norms"][key], rel=1e-5)
 
+    def test_nan_source_file_is_a_one_line_usage_error(self, tmp_path, capsys):
+        from vsheet import fileio
+        from vsheet.cli import builtin_sources
+        from vsheet.config import load_config
+
+        cfg_text = f"""
+[run]
+study = solve
+out = {tmp_path / 'solve_nan'}
+
+[params]
+v = 2.0
+c = 1.0
+{GRID_BLOCK}
+[solve]
+source_plus = {tmp_path / 'p.bin'}
+"""
+        cfg = _write(tmp_path, "solve_nan.cfg", cfg_text)
+        grid = load_config(cfg).grid
+        raw_p, _ = builtin_sources(grid)
+        raw_p[2, 3, 4] = np.nan
+        fileio.write_source_bin(tmp_path / "p.bin", raw_p, grid)
+        assert main(["solve", "--config", cfg]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(tmp_path / "p.bin") in err[0] and "non-finite" in err[0]
+
     def test_sweep_pass_and_csv(self, tmp_path, capsys):
         cfg = _write(
             tmp_path,
@@ -293,6 +319,30 @@ m_step = 0.05
         # root constants populated and positive on both sides of the flip
         for mach, regime, y in rows:
             assert float(y) > 0
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+@pytest.mark.parametrize("study", ["certify", "roots"])
+def test_artifacts_are_strict_json(tmp_path, study):
+    # gamma_floor = 0 makes |sigma|/gamma infinite; M = sqrt(2) has no roots
+    if study == "certify":
+        cfg = _certify_cfg(tmp_path, extra="gamma_floor = 0")
+        name, key = "certificates.json", "empirical_max"
+    else:
+        cfg = _write(
+            tmp_path,
+            "roots.cfg",
+            f"[run]\nstudy = roots\nout = {tmp_path / 'cert_out'}\n\n[params]\nv = 2.0\nc = 1.0\n\n"
+            f"[roots]\nmachs = {SQRT2!r}\n",
+        )
+        name, key = "roots.json", "closed_form"
+    main([study, "--config", cfg])
+    records = json.loads((tmp_path / "cert_out" / name).read_text(), parse_constant=_reject_constant)
+    tagged = [r for r in records if f"{key}_nonfinite" in r]
+    assert tagged and all(r[key] is None for r in tagged)
 
 
 class TestUsageErrors:

@@ -72,6 +72,17 @@ class TestCsvFormat:
         assert first.startswith("# vfs-source ")
         assert f"ny={g.ny}" in first
 
+    @pytest.mark.parametrize("name", ["s.bin", "s.csv"])
+    def test_non_finite_payload_rejected_with_file_name(self, tmp_path, name):
+        g = _grid(ny=8)
+        raw = _raw(g, seed=2)
+        raw[1, 2, 3] = np.nan
+        path = tmp_path / name
+        write = fileio.write_source_csv if name.endswith(".csv") else fileio.write_source_bin
+        write(path, raw, g)
+        with pytest.raises(ValueError, match=f"{path}.*non-finite"):
+            fileio.read_source(path)
+
     def test_dispatch_by_extension(self, tmp_path):
         g = _grid(ny=8)
         raw = _raw(g, seed=4)
@@ -103,6 +114,20 @@ class TestSolutionFiles:
         assert meta["grid"]["nt"] == 8
         assert "front_aniso_over_g" in meta["report"]
 
+    def test_binary_holds_the_physical_front_as_complex64(self, tmp_path):
+        sol = self._solution()
+        bin_path, _ = fileio.write_front_solution(tmp_path / "front", sol)
+        blob = bin_path.read_bytes()
+        header_dtype = np.dtype(
+            [("nt", "<i4"), ("nx", "<i4"), ("Lt", "<f8"), ("Lx", "<f8"), ("gamma", "<f8")]
+        )
+        header = np.frombuffer(blob[: header_dtype.itemsize], dtype=header_dtype)[0]
+        g = sol.grid
+        assert (int(header["nt"]), int(header["nx"])) == (g.nt, g.nx)
+        assert (float(header["Lt"]), float(header["Lx"]), float(header["gamma"])) == (g.Lt, g.Lx, g.gamma)
+        payload = np.frombuffer(blob[header_dtype.itemsize :], dtype="<c8").reshape(g.nt, g.nx)
+        assert np.array_equal(payload, sol.f.astype(np.complex64))
+
     def test_solution_binary_deterministic(self, tmp_path):
         sol = self._solution()
         p1, _ = fileio.write_front_solution(tmp_path / "one", sol)
@@ -117,6 +142,24 @@ class TestJsonCsvHelpers:
         text = path.read_text()
         assert text.index('"a"') < text.index('"b"')
         assert text.endswith("\n")
+
+    def test_json_is_strict_with_tagged_non_finite_values(self, tmp_path):
+        path = tmp_path / "x.json"
+        fileio.write_json(path, [{"a": float("inf"), "b": {"c": float("nan"), "d": -np.inf}, "e": 1.0}])
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        assert json.loads(path.read_text(), parse_constant=reject) == [
+            {"a": None, "a_nonfinite": "inf", "b": {"c": None, "c_nonfinite": "nan", "d": None,
+                                                     "d_nonfinite": "-inf"}, "e": 1.0}
+        ]
+
+    def test_finite_json_unchanged(self, tmp_path):
+        payload = {"rows": [{"x": 0.1, "y": None}, (1, 2.5)], "flag": True, "name": "z"}
+        path = tmp_path / "x.json"
+        fileio.write_json(path, payload)
+        assert path.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def test_csv_repr_floats(self, tmp_path):
         path = tmp_path / "x.csv"

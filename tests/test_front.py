@@ -6,18 +6,21 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from vsheet import front
 from vsheet.front import (
     QuadratureUnderResolved,
     Side,
     SymbolTooSmall,
     build_g,
     estimate_sweep,
+    half_line_terms,
     solve_front,
     source_from_spectral,
     source_moment,
     transform_source,
 )
 from vsheet.grids import GridSpec, Space, forward_transform, weighted_norm
+from vsheet.pressure import solve_half_space
 from vsheet.symbols import Frequency, PhysicalParams, big_sigma, mu_pm
 
 M2 = PhysicalParams(v=2.0, c=1.0)
@@ -165,6 +168,65 @@ class TestBuildG:
         want = -(mp * mm / (mp + mm)) * moment
         got = build_g(fp, fm, M2)[2, 1]
         assert abs(got - want) < 1e-13 * max(abs(want), 1.0)
+
+
+    def test_one_mu_pm_call_over_the_mesh(self, monkeypatch):
+        calls = []
+
+        def counting(freq, params):
+            calls.append(np.shape(freq.gamma))
+            return mu_pm(freq, params)
+
+        monkeypatch.setattr(front, "mu_pm", counting)
+        g = _grid()
+        fp, fm = _exp_pair(g)
+        build_g(fp, fm, M2)
+        assert calls == [(g.nt, g.nx)]
+
+    def test_non_finite_source_is_named_not_blamed_on_decay(self):
+        g = _grid()
+        raw = _band_limited_real(g, seed=1)
+        raw[3, 4, 5] = np.nan
+        fp = transform_source(raw, Side.PLUS, g)
+        fm = transform_source(np.zeros_like(raw), Side.MINUS, g)
+        with pytest.raises(ValueError, match="^plus-side source is not finite$"):
+            build_g(fp, fm, M2)
+
+
+class TestHalfLineLayer:
+    @pytest.mark.parametrize("pair, message", [
+        ("swapped", "in that order"),
+        ("mismatched", "share one grid"),
+    ])
+    @pytest.mark.parametrize("caller", ["source_moment", "solve_half_space"])
+    def test_pair_check_is_shared(self, caller, pair, message):
+        g = _grid()
+        fp, fm = _exp_pair(g)
+        if pair == "swapped":
+            fp, fm = fm, fp
+        else:
+            fm = source_from_spectral(np.zeros((16, 16, 32), dtype=complex), Side.MINUS, _grid(ny=32))
+        with pytest.raises(ValueError, match=message):
+            if caller == "source_moment":
+                source_moment(fp, fm, params=M2)
+            else:
+                solve_half_space(fp, fm, g.freq_mesh()[1, 2], 0.5, M2)
+
+    def test_moment_and_pressure_share_the_plus_term(self):
+        # zero minus-side source: M = T+, and the plus-side particular
+        # boundary value p0 - A+ is T+ / (2 c^2)
+        params = PhysicalParams(v=2.6, c=1.3)
+        g = _grid()
+        fp, _ = _exp_pair(g, it=2, ix=3)
+        fm = source_from_spectral(np.zeros_like(fp.spectral), Side.MINUS, g)
+        freq = g.freq_mesh()[2, 3]
+        mp, mm = mu_pm(freq, params)
+        t_plus, t_minus = half_line_terms(fp, fm, mp, mm, index=(2, 3))
+        assert t_minus == 0.0
+        assert source_moment(fp, fm, freq=freq, params=params) == t_plus
+        pp, _ = solve_half_space(fp, fm, freq, 0.0, params)
+        want = t_plus / (2.0 * params.c**2)
+        assert abs((pp.p0 - pp.amplitude) - want) <= 1e-14 * abs(want)
 
 
 class TestSolveFront:
