@@ -170,6 +170,7 @@ def _study_roots(cfg: RunConfig) -> int:
         if regime is Regime.DEGENERATE:
             rows.append((mach, regime.value, math.nan, math.nan, math.nan, False))
             ok = False
+            print(f"roots: mach={mach:g}: degenerate regime (mach = sqrt(2)); no root to locate", file=sys.stderr)
             continue
         closed = c * root_constants(params)
         try:

@@ -24,6 +24,7 @@ __all__ = [
     "read_source_csv",
     "read_source",
     "write_front_solution",
+    "read_front_solution",
     "write_json",
     "write_csv",
 ]
@@ -152,6 +153,27 @@ def write_front_solution(prefix, solution) -> tuple[pathlib.Path, pathlib.Path]:
     json_path = prefix.with_suffix(".json")
     write_json(json_path, sidecar)
     return bin_path, json_path
+
+
+def read_front_solution(prefix) -> tuple[dict, np.ndarray]:
+    """Read back ``PREFIX.bin`` as written by :func:`write_front_solution`.
+
+    Returns the header as a dict (``nt``, ``nx``, ``Lt``, ``Lx``, ``gamma``)
+    and the physical-space front ``f`` as a complex64 array of shape
+    (nt, nx).  A file whose size does not match its header is rejected.
+    """
+    path = pathlib.Path(prefix).with_suffix(".bin")
+    blob = path.read_bytes()
+    size = _SOLUTION_HEADER.itemsize
+    if len(blob) < size:
+        raise ValueError(f"solution file {path} holds {len(blob)} bytes, shorter than its {size}-byte header")
+    record = np.frombuffer(blob[:size], dtype=_SOLUTION_HEADER)[0]
+    header = {name: record[name].item() for name in _SOLUTION_HEADER.names}
+    nt, nx = header["nt"], header["nx"]
+    expected = size + nt * nx * np.dtype("<c8").itemsize
+    if nt < 0 or nx < 0 or len(blob) != expected:
+        raise ValueError(f"solution file {path} holds {len(blob)} bytes, expected {expected} for nt={nt}, nx={nx}")
+    return header, np.frombuffer(blob[size:], dtype="<c8").astype(np.complex64).reshape(nt, nx)
 
 
 def _strict(obj):

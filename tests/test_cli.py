@@ -1,6 +1,8 @@
 """End-to-end CLI: every study, exit codes, deterministic artifacts."""
 
+import csv
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -169,6 +171,33 @@ machs = {SQRT2!r}
 """,
         )
         assert main(["roots", "--config", cfg]) == 1
+
+    def _roots_cfg(self, tmp_path, machs):
+        return _write(
+            tmp_path,
+            "roots.cfg",
+            f"[run]\nstudy = roots\nout = {tmp_path / 'roots_out'}\n\n[params]\nv = 2.0\nc = 1.0\n\n"
+            f"[roots]\nmachs = {machs}\n",
+        )
+
+    def test_degenerate_mach_says_why_on_stderr(self, tmp_path, capsys):
+        assert main(["roots", "--config", self._roots_cfg(tmp_path, repr(SQRT2))]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["roots: mach=1.41421: degenerate regime (mach = sqrt(2)); no root to locate"]
+
+    def test_csv_writes_nan_where_json_writes_null(self, tmp_path):
+        main(["roots", "--config", self._roots_cfg(tmp_path, f"2.0 {SQRT2!r}")])
+        out = tmp_path / "roots_out"
+        records = json.loads((out / "roots.json").read_text())
+        with open(out / "roots.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(records) == 2
+        numeric = ("mach", "closed_form", "located", "rel_error")
+        for row, record in zip(rows, records):
+            for key in numeric:
+                assert math.isnan(float(row[key])) == (record[key] is None), key
+        assert [key for key in numeric if records[1][key] is None] == ["closed_form", "located", "rel_error"]
+        assert not any(records[0][key] is None for key in numeric)
 
 
 class TestSolveAndSweep:

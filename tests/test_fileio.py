@@ -128,6 +128,24 @@ class TestSolutionFiles:
         payload = np.frombuffer(blob[header_dtype.itemsize :], dtype="<c8").reshape(g.nt, g.nx)
         assert np.array_equal(payload, sol.f.astype(np.complex64))
 
+    def test_read_front_solution_round_trip(self, tmp_path):
+        sol = self._solution()
+        fileio.write_front_solution(tmp_path / "front", sol)
+        header, f = fileio.read_front_solution(tmp_path / "front")
+        g = sol.grid
+        assert header == {"nt": g.nt, "nx": g.nx, "Lt": g.Lt, "Lx": g.Lx, "gamma": g.gamma}
+        assert f.dtype == np.complex64 and f.shape == (g.nt, g.nx)
+        assert np.array_equal(f, sol.f.astype(np.complex64))
+
+    @pytest.mark.parametrize("keep", [20, -8])
+    def test_read_front_solution_rejects_truncated_file(self, tmp_path, keep):
+        bin_path, _ = fileio.write_front_solution(tmp_path / "front", self._solution())
+        bin_path.write_bytes(bin_path.read_bytes()[:keep])
+        with pytest.raises(ValueError) as err:
+            fileio.read_front_solution(tmp_path / "front")
+        message = str(err.value)
+        assert str(bin_path) in message and "\n" not in message
+
     def test_solution_binary_deterministic(self, tmp_path):
         sol = self._solution()
         p1, _ = fileio.write_front_solution(tmp_path / "one", sol)

@@ -1,5 +1,8 @@
 """Half-space pressure reconstruction: jump conditions, ODE residuals."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -108,6 +111,71 @@ class TestSolveHalfSpace:
         fp, fm = _zero_fields(g)
         with pytest.raises(ValueError):
             solve_half_space(fp, fm, Frequency(1.0, 0.5, 1.0), 1.0, M2)
+
+
+def _random_fields(grid, seed):
+    """Seeded complex sources on every mode, under a Gaussian depth envelope."""
+    rng = np.random.default_rng(seed)
+    y, _ = grid.quadrature()
+    envelope = np.exp(-(((y - 0.15 * grid.Ly) / (0.06 * grid.Ly)) ** 2))
+    shape = (grid.nt, grid.nx, grid.ny)
+    return tuple(
+        source_from_spectral((rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * envelope, side, grid)
+        for side in (Side.PLUS, Side.MINUS)
+    )
+
+
+def _dense_values(prof, field, mode):
+    """The profile with its particular solution summed through the dense exp(-mu|y_i - y_j|) kernel."""
+    y, w = field.grid.quadrature()
+    kernel = np.exp(-prof.mu * np.abs(y[:, None] - y[None, :]))
+    particular = (kernel * field.spectral[mode][None, :]) @ w / (2.0 * prof.mu * prof.sound_speed**2)
+    return prof.amplitude * np.exp(-prof.mu * y) + particular
+
+
+def _assert_matches_dense(pair, fields, mode):
+    for prof, field in zip(pair, fields):
+        ref = _dense_values(prof, field, mode)
+        dev = np.max(np.abs(prof.values - ref)) / np.max(np.abs(ref))
+        assert dev <= 1e-13, f"{prof.side.value} side at mode {mode}: deviation {dev:.3e} of the peak"
+
+
+class TestParticularSolution:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_dense_kernel_sum(self, seed):
+        g = _grid(ny=96, Ly=30.0, nt=8, nx=16)
+        fields = _random_fields(g, seed)
+        mesh = g.freq_mesh()
+        for mode in [(0, 0), (1, 2), (3, 5), (4, 8), (7, 15)]:
+            pair = solve_half_space(*fields, mesh[mode], 0.3 - 0.7j, M2)
+            _assert_matches_dense(pair, fields, mode)
+
+    def test_steep_mode_is_exact_and_warning_free(self):
+        # Re(mu) Ly > 1000 on both sides: a sum factored through exp(+mu y) would overflow
+        slow = PhysicalParams(v=0.5, c=1.0)
+        g = _grid(ny=96, Ly=40.0, nt=4, nx=64)
+        fields = _random_fields(g, 7)
+        mode = (1, 32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                pair = solve_half_space(*fields, g.freq_mesh()[mode], 0.5 + 0.5j, slow)
+        assert min(prof.mu.real for prof in pair) * g.Ly > 1000
+        _assert_matches_dense(pair, fields, mode)
+
+    def test_memory_is_linear_in_ny(self):
+        # at ny = 2048 the dense complex kernel alone would take 64 MiB
+        g = _grid(ny=2048, Ly=30.0, nt=4, nx=4)
+        fp, fm = _exp_fields(g, it=1, ix=2)
+        freq = g.freq_mesh()[1, 2]
+        g.quadrature()  # fill the grid's cached rule outside the traced call
+        tracemalloc.start()
+        try:
+            solve_half_space(fp, fm, freq, 0.3 + 0.1j, M2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000, f"one mode at ny = 2048 peaked at {peak / 1e6:.2f} MB"
 
 
 class TestOdeResidual:
