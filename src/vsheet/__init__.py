@@ -41,6 +41,7 @@ from .pressure import (
 from .symbols import (
     DegenerateDenominator,
     Frequency,
+    NumericalGuard,
     PhysicalParams,
     Regime,
     adjoint_sigma,
@@ -63,6 +64,7 @@ __all__ = [
     "GridSpec",
     "HemisphereSample",
     "NoRootFound",
+    "NumericalGuard",
     "PhysicalParams",
     "PressureProfile",
     "QuadratureUnderResolved",

@@ -2,9 +2,10 @@
 
 Every subcommand takes ``--config FILE`` plus optional ``--out DIR`` and
 ``--seed N`` overrides, writes its artifacts (JSON/CSV/binary) into the
-output directory, prints a short human-readable summary and exits nonzero
-when a certificate or check fails.  Outputs are deterministic for a fixed
-config and seed.
+output directory and prints a short human-readable summary.  Outputs are
+deterministic for a fixed config and seed.  Exit codes: 0 pass, 1 a
+certificate or check failed, 2 usage or config error, 3 a numerical guard
+tripped; codes 2 and 3 come with one ``vfs: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .front import Side, build_g, estimate_sweep, solve_front, transform_source
 from .grids import GridSpec
 from .hemisphere import (
     NoRootFound,
-    SampleStrategy,
     certify_sandwich,
     certify_simple_root,
     certify_weight_bounds,
@@ -30,6 +30,7 @@ from .hemisphere import (
 )
 from .symbols import (
     Frequency,
+    NumericalGuard,
     PhysicalParams,
     Regime,
     big_sigma,
@@ -120,14 +121,9 @@ def _load_sources(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, GridSpec]:
 def _study_certify(cfg: RunConfig) -> int:
     params = cfg.params
     if params.regime() is not Regime.WEAKLY_STABLE:
-        print("certify: the bound certificates require mach > sqrt(2)", file=sys.stderr)
-        return 2
+        raise ValueError("certify: the bound certificates require mach > sqrt(2)")
     sample = sample_hemisphere(
-        cfg.sample["n"],
-        SampleStrategy(cfg.sample["strategy"]),
-        cfg.sample["gamma_floor"],
-        params,
-        seed=cfg.seed,
+        cfg.sample["n"], cfg.sample["strategy"], cfg.sample["gamma_floor"], params, seed=cfg.seed
     )
     certs = [certify_sandwich(sample, params, cfg.sample["explosion_threshold"], seed=cfg.seed)]
     certs.extend(certify_weight_bounds(sample, params, cfg.sample["explosion_threshold"]))
@@ -160,7 +156,7 @@ def _study_certify(cfg: RunConfig) -> int:
 
 
 def _study_roots(cfg: RunConfig) -> int:
-    c = cfg.roots["c"]
+    c = cfg.params.c
     tol = cfg.roots["tolerance"]
     rows = []
     ok = True
@@ -242,9 +238,7 @@ def _study_sweep(cfg: RunConfig) -> int:
 
 
 def _study_diagram(cfg: RunConfig) -> int:
-    rows = stability_diagram(
-        cfg.diagram["c"], cfg.diagram["m_min"], cfg.diagram["m_max"], cfg.diagram["m_step"]
-    )
+    rows = stability_diagram(cfg.params.c, **cfg.diagram)
     fileio.write_csv(cfg.out_dir / "diagram.csv", ["mach", "regime", "root_constant"], rows)
     flips = [
         (rows[i][0], rows[i + 1][0])
@@ -288,6 +282,9 @@ def main(argv=None) -> int:
     except (ValueError, FileNotFoundError) as exc:
         print(f"vfs: {exc}", file=sys.stderr)
         return 2
+    except NumericalGuard as exc:
+        print(f"vfs: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -13,27 +13,58 @@ Example::
 
     [sample]
     n = 100000
-    strategy = stratified_near_roots
+    strategy = stratified_near_roots   ; or uniform_angular, quasi_random
     gamma_floor = 1e-6
 
-See the README for the full set of recognized sections and keys.
+``SCHEMA`` is the one list of sections and keys.  Each key's default fixes
+its type; a bare type marks a required key.  An unknown section or key, a
+non-empty ``[DEFAULT]``, a value that does not parse, a missing required key
+and a malformed file are each rejected with one ``ValueError`` naming the
+file and the ``[section] key``.  ``#`` and ``;`` start comments, also after
+a value.
 """
 
 from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 import pathlib
 
 from .grids import GridSpec
+from .hemisphere import SampleStrategy
 from .symbols import PhysicalParams
 
-__all__ = ["RunConfig", "load_config", "STUDIES"]
+__all__ = ["RunConfig", "load_config", "SCHEMA", "STUDIES"]
 
 STUDIES = ("certify", "roots", "solve", "sweep", "diagram")
 
-_DEFAULT_GRID = {"nt": 64, "nx": 64, "ny": 32, "Lt": 6.283185307179586,
-                 "Lx": 6.283185307179586, "Ly": 20.0, "gamma": 1.0}
+SCHEMA = {
+    "run": {"study": "", "seed": 0, "out": "out"},
+    "params": {"v": float, "c": float},
+    "sample": {
+        "n": 20000,
+        "strategy": SampleStrategy.STRATIFIED_NEAR_ROOTS,
+        "gamma_floor": 1e-6,
+        "explosion_threshold": 1e8,
+    },
+    "grid": {
+        "nt": 64, "nx": 64, "ny": 32,
+        "lt": math.tau, "lx": math.tau, "ly": 20.0, "gamma": 1.0,
+    },
+    "solve": {"s": 0.0, "sigma_floor": 1e-12, "source_plus": "builtin", "source_minus": "builtin"},
+    "sweep": {"gammas": (1.0, 2.0, 4.0, 8.0), "s": 0.0, "slack": 0.1},
+    "roots": {"machs": (0.5, 1.0, 1.5, 2.0, 3.0), "tolerance": 1e-8},
+    "diagram": {"m_min": 0.5, "m_max": 3.5, "m_step": 0.05},
+    "heatmap": {
+        "field": "ratio", "gamma": 1.0,
+        "delta_min": -3.0, "delta_max": 3.0, "n_delta": 41,
+        "eta_min": -3.0, "eta_max": 3.0, "n_eta": 41,
+    },
+    "simple_root": {"radius": 1e-3, "n_points": 360},
+}
+
+_EXPECTED = {int: "an integer", float: "a number", tuple: "a list of numbers"}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -52,8 +83,50 @@ class RunConfig:
     simple_root: dict
 
 
-def _floats_list(raw: str) -> tuple:
-    return tuple(float(tok) for tok in raw.replace(",", " ").split())
+def _convert(kind: type, raw: str):
+    if kind is tuple:
+        return tuple(float(tok) for tok in raw.replace(",", " ").split())
+    return kind(raw)
+
+
+def _read(path: pathlib.Path) -> tuple[dict, set]:
+    """Every ``SCHEMA`` section as a dict of typed values, plus the names of the sections present."""
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"config file {path} cannot be read: {getattr(exc, 'strerror', None) or exc}") from None
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    try:
+        cp.read_string(text, source=str(path))
+        if cp.defaults():
+            raise ValueError(f"{path}: [DEFAULT] must be empty; put each key under its own section")
+        given = {section: dict(cp[section]) for section in cp.sections()}
+    except configparser.Error as exc:
+        message = " ".join(str(exc).split())
+        raise ValueError(message if str(path) in message else f"{path}: {message}") from None
+    for section, keys in given.items():
+        if section not in SCHEMA:
+            raise ValueError(f"{path}: unknown section [{section}]; known sections: {', '.join(SCHEMA)}")
+        for key in keys:
+            if key not in SCHEMA[section]:
+                raise ValueError(f"{path}: unknown key [{section}] {key}; known keys: {', '.join(SCHEMA[section])}")
+    values = {}
+    for section, keys in SCHEMA.items():
+        values[section] = {}
+        for key, default in keys.items():
+            kind = default if isinstance(default, type) else type(default)
+            raw = given.get(section, {}).get(key)
+            if raw is None:
+                if kind is default:
+                    raise ValueError(f"{path}: [{section}] {key} is required")
+                values[section][key] = default
+                continue
+            try:
+                values[section][key] = _convert(kind, raw)
+            except ValueError:
+                expected = _EXPECTED.get(kind) or "one of " + ", ".join(m.value for m in kind)
+                raise ValueError(f"{path}: [{section}] {key} = {raw!r} is not {expected}") from None
+    return values, set(given)
 
 
 def load_config(
@@ -62,110 +135,34 @@ def load_config(
     out_override: str | None = None,
     seed_override: int | None = None,
 ) -> RunConfig:
-    """Parse and validate a run configuration file."""
+    """Parse and validate a run configuration file against ``SCHEMA``."""
     path = pathlib.Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"config file {path} does not exist")
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    cp.read(path)
-
-    run = cp["run"] if cp.has_section("run") else {}
-    cfg_study = run.get("study", "").strip() or None
+    sections, present = _read(path)
+    run = sections["run"]
+    cfg_study = run["study"] or None
     if study and cfg_study and study != cfg_study:
         raise ValueError(f"config requests study {cfg_study!r} but the command line says {study!r}")
     chosen = study or cfg_study
     if chosen not in STUDIES:
         raise ValueError(f"study must be one of {STUDIES}, got {chosen!r}")
-
-    seed = seed_override if seed_override is not None else int(run.get("seed", "0"))
-    out_dir = pathlib.Path(out_override or run.get("out", "out"))
-
-    if not cp.has_section("params"):
-        raise ValueError("config needs a [params] section with v and c")
-    params = PhysicalParams(v=cp.getfloat("params", "v"), c=cp.getfloat("params", "c"))
-
-    sample_sec = cp["sample"] if cp.has_section("sample") else {}
-    sample = {
-        "n": int(sample_sec.get("n", "20000")),
-        "strategy": sample_sec.get("strategy", "stratified_near_roots"),
-        "gamma_floor": float(sample_sec.get("gamma_floor", "1e-6")),
-        "explosion_threshold": float(sample_sec.get("explosion_threshold", "1e8")),
-    }
-
-    grid_sec = dict(cp["grid"]) if cp.has_section("grid") else {}
-    grid_kwargs = dict(_DEFAULT_GRID)
-    for key in ("nt", "nx", "ny"):
-        if key in grid_sec:
-            grid_kwargs[key] = int(grid_sec[key])
-    for key in ("Lt", "Lx", "Ly", "gamma"):
-        if key.lower() in {k.lower() for k in grid_sec}:
-            lookup = {k.lower(): v for k, v in grid_sec.items()}
-            grid_kwargs[key] = float(lookup[key.lower()])
-    grid = GridSpec(**grid_kwargs)
-
-    solve_sec = cp["solve"] if cp.has_section("solve") else {}
-    solve = {
-        "s": float(solve_sec.get("s", "0.0")),
-        "sigma_floor": float(solve_sec.get("sigma_floor", "1e-12")),
-        "source_plus": solve_sec.get("source_plus", "builtin").strip(),
-        "source_minus": solve_sec.get("source_minus", "builtin").strip(),
-    }
-
-    sweep_sec = cp["sweep"] if cp.has_section("sweep") else {}
-    sweep = {
-        "gammas": _floats_list(sweep_sec.get("gammas", "1 2 4 8")),
-        "s": float(sweep_sec.get("s", "0.0")),
-        "slack": float(sweep_sec.get("slack", "0.1")),
-    }
-
-    roots_sec = cp["roots"] if cp.has_section("roots") else {}
-    roots = {
-        "machs": _floats_list(roots_sec.get("machs", "0.5 1.0 1.5 2.0 3.0")),
-        "tolerance": float(roots_sec.get("tolerance", "1e-8")),
-        "c": float(roots_sec.get("c", str(params.c))),
-    }
-
-    diagram_sec = cp["diagram"] if cp.has_section("diagram") else {}
-    diagram = {
-        "m_min": float(diagram_sec.get("m_min", "0.5")),
-        "m_max": float(diagram_sec.get("m_max", "3.5")),
-        "m_step": float(diagram_sec.get("m_step", "0.05")),
-        "c": float(diagram_sec.get("c", str(params.c))),
-    }
-    if diagram["m_step"] <= 0:
-        raise ValueError("diagram m_step must be positive")
-
-    heatmap = None
-    if cp.has_section("heatmap"):
-        hm = cp["heatmap"]
-        heatmap = {
-            "field": hm.get("field", "ratio"),
-            "gamma": float(hm.get("gamma", "1.0")),
-            "delta_min": float(hm.get("delta_min", "-3.0")),
-            "delta_max": float(hm.get("delta_max", "3.0")),
-            "n_delta": int(hm.get("n_delta", "41")),
-            "eta_min": float(hm.get("eta_min", "-3.0")),
-            "eta_max": float(hm.get("eta_max", "3.0")),
-            "n_eta": int(hm.get("n_eta", "41")),
-        }
-
-    sr_sec = cp["simple_root"] if cp.has_section("simple_root") else {}
-    simple_root = {
-        "radius": float(sr_sec.get("radius", "1e-3")),
-        "n_points": int(sr_sec.get("n_points", "360")),
-    }
-
+    diagram = sections["diagram"]
+    if not (diagram["m_step"] > 0 and all(map(math.isfinite, diagram.values()))):
+        raise ValueError(f"{path}: [diagram] m_min, m_max and m_step must be finite, m_step positive")
+    grid = sections["grid"]
     return RunConfig(
         study=chosen,
-        seed=seed,
-        out_dir=out_dir,
-        params=params,
-        sample=sample,
-        grid=grid,
-        solve=solve,
-        sweep=sweep,
-        roots=roots,
+        seed=run["seed"] if seed_override is None else seed_override,
+        out_dir=pathlib.Path(out_override or run["out"]),
+        params=PhysicalParams(**sections["params"]),
+        sample=sections["sample"],
+        grid=GridSpec(
+            nt=grid["nt"], nx=grid["nx"], ny=grid["ny"],
+            Lt=grid["lt"], Lx=grid["lx"], Ly=grid["ly"], gamma=grid["gamma"],
+        ),
+        solve=sections["solve"],
+        sweep=sections["sweep"],
+        roots=sections["roots"],
         diagram=diagram,
-        heatmap=heatmap,
-        simple_root=simple_root,
+        heatmap=sections["heatmap"] if "heatmap" in present else None,
+        simple_root=sections["simple_root"],
     )

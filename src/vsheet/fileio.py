@@ -61,18 +61,24 @@ def write_source_bin(path, raw: np.ndarray, grid: GridSpec) -> None:
 
 
 def read_source_bin(path) -> tuple[np.ndarray, GridSpec]:
+    """Read a binary source file; a file whose size does not match its header is rejected."""
     blob = pathlib.Path(path).read_bytes()
-    header = np.frombuffer(blob[: _HEADER.itemsize], dtype=_HEADER)[0]
+    size = _HEADER.itemsize
+    if len(blob) < size:
+        raise ValueError(f"source file {path} holds {len(blob)} bytes, shorter than its {size}-byte header")
+    header = np.frombuffer(blob[:size], dtype=_HEADER)[0]
     nt, nx, ny = int(header["nt"]), int(header["nx"]), int(header["ny"])
+    expected = size + nt * nx * ny * np.dtype("<c8").itemsize
+    if min(nt, nx, ny) < 0 or len(blob) != expected:
+        raise ValueError(
+            f"source file {path} holds {len(blob)} bytes, expected {expected} for nt={nt}, nx={nx}, ny={ny}"
+        )
     grid = GridSpec(
         nt=nt, nx=nx, ny=ny,
         Lt=float(header["Lt"]), Lx=float(header["Lx"]), Ly=float(header["Ly"]),
         gamma=float(header["gamma"]),
     )
-    expected = nt * nx * ny
-    data = np.frombuffer(blob[_HEADER.itemsize :], dtype="<c8")
-    if data.size != expected:
-        raise ValueError(f"payload holds {data.size} samples, expected {expected}")
+    data = np.frombuffer(blob[size:], dtype="<c8")
     return data.astype(np.complex128).reshape(nt, nx, ny), grid
 
 
@@ -95,24 +101,42 @@ def write_source_csv(path, raw: np.ndarray, grid: GridSpec) -> None:
 
 
 def read_source_csv(path) -> tuple[np.ndarray, GridSpec]:
+    """Read a CSV source file; every (it, ix, iy) of the grid must appear exactly once."""
     with open(path, newline="") as fh:
         meta_line = fh.readline().strip()
         if not meta_line.startswith("# vfs-source"):
-            raise ValueError("missing '# vfs-source ...' metadata line")
-        meta = dict(tok.split("=", 1) for tok in meta_line.split()[2:])
-        grid = GridSpec(
-            nt=int(meta["nt"]), nx=int(meta["nx"]), ny=int(meta["ny"]),
-            Lt=float(meta["Lt"]), Lx=float(meta["Lx"]), Ly=float(meta["Ly"]),
-            gamma=float(meta["gamma"]),
-        )
-        raw = np.zeros((grid.nt, grid.nx, grid.ny), dtype=np.complex128)
+            raise ValueError(f"source file {path} lacks the '# vfs-source ...' metadata line")
+        try:
+            meta = dict(tok.split("=", 1) for tok in meta_line.split()[2:])
+            grid = GridSpec(
+                nt=int(meta["nt"]), nx=int(meta["nx"]), ny=int(meta["ny"]),
+                Lt=float(meta["Lt"]), Lx=float(meta["Lx"]), Ly=float(meta["Ly"]),
+                gamma=float(meta["gamma"]),
+            )
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"source file {path}: bad metadata line ({exc!r})") from None
+        shape = (grid.nt, grid.nx, grid.ny)
+        raw = np.zeros(shape, dtype=np.complex128)
+        seen = np.zeros(shape, dtype=bool)
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != ["it", "ix", "iy", "re", "im"]:
-            raise ValueError(f"unexpected CSV columns {header}")
+            raise ValueError(f"source file {path}: unexpected CSV columns {header}")
         for row in reader:
-            it, ix, iy = int(row[0]), int(row[1]), int(row[2])
-            raw[it, ix, iy] = float(row[3]) + 1j * float(row[4])
+            try:
+                it, ix, iy, re_part, im_part = row
+                index = (int(it), int(ix), int(iy))
+                value = float(re_part) + 1j * float(im_part)
+            except ValueError:
+                raise ValueError(f"source file {path} line {reader.line_num + 1}: malformed row {row}") from None
+            if not all(0 <= i < n for i, n in zip(index, shape)):
+                raise ValueError(f"source file {path} line {reader.line_num + 1}: index {index} outside the grid {shape}")
+            if seen[index]:
+                raise ValueError(f"source file {path} line {reader.line_num + 1}: sample {index} appears twice")
+            seen[index] = True
+            raw[index] = value
+    if not seen.all():
+        raise ValueError(f"source file {path} holds {int(seen.sum())} of {seen.size} samples")
     return raw, grid
 
 

@@ -24,7 +24,7 @@ from .grids import (
     inverse_transform,
     weighted_norm,
 )
-from .symbols import Frequency, PhysicalParams, Regime, big_sigma, mu_pm
+from .symbols import Frequency, NumericalGuard, PhysicalParams, Regime, big_sigma, mu_pm
 
 __all__ = [
     "Side",
@@ -45,11 +45,11 @@ DECAY_TOL = 1e-6
 TAIL_TOL = 1e-6
 
 
-class QuadratureUnderResolved(RuntimeError):
+class QuadratureUnderResolved(NumericalGuard, RuntimeError):
     """The truncated half-line integral cannot be trusted at the requested tolerance."""
 
 
-class SymbolTooSmall(ArithmeticError):
+class SymbolTooSmall(NumericalGuard, ArithmeticError):
     """|Sigma| dipped below the safety floor somewhere on the frequency grid."""
 
 

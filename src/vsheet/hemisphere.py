@@ -73,9 +73,7 @@ class HemisphereSample:
     """A batch of unit-modulus frequencies with gamma >= gamma_floor."""
 
     freqs: Frequency
-    strategy: SampleStrategy
     gamma_floor: float
-    seed: int
 
     def __len__(self) -> int:
         return self.freqs.size
@@ -223,14 +221,17 @@ def sample_hemisphere(
         pts = _zone_points(u, gamma_floor)
     freqs = Frequency(pts[:, 0], pts[:, 1], pts[:, 2])
     assert np.all(np.abs(freqs.lam - 1.0) <= 1e-12)
-    return HemisphereSample(freqs=freqs, strategy=strategy, gamma_floor=gamma_floor, seed=seed)
+    return HemisphereSample(freqs=freqs, gamma_floor=gamma_floor)
 
 
 def _worker_count() -> int | None:
     raw = os.environ.get("VFS_THREADS", "").strip()
     if not raw:
         return None
-    count = int(raw)
+    try:
+        count = int(raw)
+    except ValueError:
+        count = 0
     if count < 1:
         raise ValueError(f"VFS_THREADS must be a positive integer, got {raw!r}")
     return count

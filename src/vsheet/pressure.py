@@ -24,7 +24,7 @@ import numpy as np
 
 from .front import DECAY_TOL, Side, SourceField, half_line_terms
 from .grids import find_mode
-from .symbols import Frequency, PhysicalParams, mu_pm
+from .symbols import Frequency, NumericalGuard, PhysicalParams, mu_pm
 
 __all__ = [
     "PressureProfile",
@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 
-class DecayViolated(RuntimeError):
+class DecayViolated(NumericalGuard, RuntimeError):
     """The reconstructed pressure has not decayed at the truncation depth."""
 
 

@@ -27,6 +27,7 @@ __all__ = [
     "Regime",
     "PhysicalParams",
     "Frequency",
+    "NumericalGuard",
     "DegenerateDenominator",
     "mu_pm",
     "big_sigma",
@@ -52,7 +53,16 @@ DEGENERATE_TOL = 1e-10
 ArrayLike = Union[float, np.ndarray]
 
 
-class DegenerateDenominator(ArithmeticError):
+class NumericalGuard(Exception):
+    """A numerical guard refused to return an untrustworthy value.
+
+    Base of :class:`DegenerateDenominator`, ``front.SymbolTooSmall``,
+    ``front.QuadratureUnderResolved`` and ``pressure.DecayViolated``; ``vfs``
+    reports any of them in one line with exit code 3.
+    """
+
+
+class DegenerateDenominator(NumericalGuard, ArithmeticError):
     """The symbol was evaluated where mu+ + mu- vanishes.
 
     This only happens on the boundary gamma = 0 at tau = 0 when the jump is
@@ -167,13 +177,8 @@ class Frequency:
 
     def normalized(self) -> tuple["Frequency", ArrayLike]:
         """Project onto the unit sphere; returns (unit frequency, modulus)."""
-        lam = self.lam
-        unit = Frequency(
-            np.asarray(self.gamma) / lam,
-            np.asarray(self.delta) / lam,
-            np.asarray(self.eta) / lam,
-        )
-        return unit, lam
+        g, d, e, lam = _unit_parts(self)
+        return Frequency(g, d, e), (float(lam) if self.is_scalar else lam)
 
     def __getitem__(self, idx) -> "Frequency":
         return Frequency(
@@ -181,6 +186,17 @@ class Frequency:
             np.asarray(self.delta)[idx],
             np.asarray(self.eta)[idx],
         )
+
+
+def _unit_parts(freq: Frequency):
+    """The unit-sphere components (gamma, delta, eta) of ``freq`` as arrays, and Lambda.
+
+    The symbol kernels normalize through this instead of building a second,
+    re-validated :class:`Frequency`.
+    """
+    g, d, e = np.asarray(freq.gamma), np.asarray(freq.delta), np.asarray(freq.eta)
+    lam = np.sqrt(g**2 + d**2 + e**2)
+    return g / lam, d / lam, e / lam, lam
 
 
 def _match(freq: Frequency, value: np.ndarray):
@@ -220,8 +236,7 @@ def mu_pm(freq: Frequency, params: PhysicalParams):
     by ``exp(-mu * x2)`` decay away from the sheet on either side.
     Homogeneous of degree one.
     """
-    unit, lam = freq.normalized()
-    g, d, e = np.asarray(unit.gamma), np.asarray(unit.delta), np.asarray(unit.eta)
+    g, d, e, lam = _unit_parts(freq)
     mup = _mu_branch(g, d, e, params.v, params.c, +1.0)
     mum = _mu_branch(g, d, e, params.v, params.c, -1.0)
     positive = np.where(g > 0, (mup.real > 0) & (mum.real > 0), (mup.real >= 0) & (mum.real >= 0))
@@ -229,9 +244,8 @@ def mu_pm(freq: Frequency, params: PhysicalParams):
     return _match(freq, lam * mup), _match(freq, lam * mum)
 
 
-def _sigma_unit(unit: Frequency, params: PhysicalParams, extend: bool):
+def _sigma_unit(g, d, e, params: PhysicalParams, extend: bool):
     v, c = params.v, params.c
-    g, d, e = np.asarray(unit.gamma), np.asarray(unit.delta), np.asarray(unit.eta)
     mup = _mu_branch(g, d, e, v, c, +1.0)
     mum = _mu_branch(g, d, e, v, c, -1.0)
     den = mup + mum
@@ -267,9 +281,9 @@ def big_sigma(freq: Frequency, params: PhysicalParams, *, extend: bool = False):
     points where mu+ + mu- vanishes (tau = 0, supersonic jump); the default
     is to raise :class:`DegenerateDenominator` there.
     """
-    unit, lam = freq.normalized()
-    val = _sigma_unit(unit, params, extend)
-    return _match(freq, np.asarray(lam) ** 2 * val)
+    g, d, e, lam = _unit_parts(freq)
+    val = _sigma_unit(g, d, e, params, extend)
+    return _match(freq, lam**2 * val)
 
 
 def adjoint_sigma(freq: Frequency, params: PhysicalParams):
@@ -306,11 +320,11 @@ def weight_sigma(freq: Frequency, params: PhysicalParams):
     if params.regime() is not Regime.WEAKLY_STABLE:
         raise ValueError("weight_sigma requires the weakly stable regime (mach > sqrt(2))")
     y2 = root_constants(params)
-    unit, lam = freq.normalized()
-    tau = np.asarray(unit.gamma) + 1j * np.asarray(unit.delta)
-    shift = 1j * (params.c * y2) * np.asarray(unit.eta)
+    g, d, e, lam = _unit_parts(freq)
+    tau = g + 1j * d
+    shift = 1j * (params.c * y2) * e
     val = (tau - shift) * (tau + shift)
-    return _match(freq, np.asarray(lam) * val)
+    return _match(freq, lam * val)
 
 
 def lambda_power(freq: Frequency, s: float):

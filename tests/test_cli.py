@@ -1,19 +1,25 @@
 """End-to-end CLI: every study, exit codes, deterministic artifacts."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vsheet
+from vsheet import cli
 from vsheet.cli import main
-from vsheet.hemisphere import _CHUNK
+from vsheet.hemisphere import _CHUNK, NoRootFound
 from vsheet.symbols import SQRT2, Frequency, PhysicalParams, big_sigma, weight_sigma
 
 M2 = PhysicalParams(v=2.0, c=1.0)
@@ -443,3 +449,127 @@ def test_import_leaves_scipy_stats_and_integrate_unloaded():
     code = "import sys, vsheet.cli; print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+class TestExitCodes:
+    """0 pass, 1 check failed, 2 usage or config, 3 numerical guard; 2 and 3 print one ``vfs:`` line."""
+
+    def _one_vfs_line(self, capsys) -> str:
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("vfs: "), err
+        return err[0]
+
+    def test_symbol_floor_trip_is_exit_3(self, tmp_path, capsys):
+        cfg = _write(
+            tmp_path,
+            "floor.cfg",
+            f"[run]\nstudy = solve\nout = {tmp_path / 'o'}\n\n[params]\nv = 2.0\nc = 1.0\n{GRID_BLOCK}\n"
+            "[solve]\nsigma_floor = 10\n",
+        )
+        assert main(["solve", "--config", cfg]) == 3
+        assert self._one_vfs_line(capsys).startswith("vfs: SymbolTooSmall: ")
+
+    @pytest.mark.parametrize(
+        "guard, base",
+        [
+            (vsheet.DegenerateDenominator, ArithmeticError),
+            (vsheet.SymbolTooSmall, ArithmeticError),
+            (vsheet.QuadratureUnderResolved, RuntimeError),
+            (vsheet.DecayViolated, RuntimeError),
+        ],
+    )
+    def test_every_guard_is_exit_3(self, tmp_path, capsys, monkeypatch, guard, base):
+        assert issubclass(guard, vsheet.NumericalGuard) and issubclass(guard, base)
+
+        def trip(cfg):
+            raise guard("tripped")
+
+        monkeypatch.setattr(cli, "run", trip)
+        cfg = _write(tmp_path, "r.cfg", f"[run]\nout = {tmp_path / 'o'}\n\n[params]\nv = 2.0\nc = 1.0\n")
+        assert main(["roots", "--config", cfg]) == 3
+        assert self._one_vfs_line(capsys) == f"vfs: {guard.__name__}: tripped"
+
+    def test_no_root_found_stays_a_check_failure(self, tmp_path, capsys, monkeypatch):
+        def no_root(params, tolerance):
+            raise NoRootFound("bracket exhausted")
+
+        monkeypatch.setattr(cli, "locate_roots", no_root)
+        cfg = _write(tmp_path, "r.cfg", f"[run]\nout = {tmp_path / 'o'}\n\n[params]\nv = 2.0\nc = 1.0\n\n[roots]\nmachs = 2.0\n")
+        assert main(["roots", "--config", cfg]) == 1
+        assert capsys.readouterr().err.splitlines() == ["roots: mach=2: bracket exhausted"]
+
+    def test_bad_thread_count_names_the_variable(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("VFS_THREADS", "abc")
+        assert main(["certify", "--config", _certify_cfg(tmp_path)]) == 2
+        assert self._one_vfs_line(capsys) == "vfs: VFS_THREADS must be a positive integer, got 'abc'"
+
+    def test_certify_below_sqrt2_is_one_vfs_line(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "ell.cfg", f"[run]\nout = {tmp_path / 'o'}\n\n[params]\nv = 1.0\nc = 1.0\n")
+        assert main(["certify", "--config", cfg]) == 2
+        assert "mach > sqrt(2)" in self._one_vfs_line(capsys)
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False).map(repr)
+
+
+# valid raw values for the keys the property varies; every other key keeps its default
+_VALID = {
+    "params": {"v": _floats(0.5, 4.0), "c": _floats(0.5, 2.0)},
+    "sample": {
+        "n": st.integers(1, 2000).map(str),
+        "strategy": st.sampled_from(["stratified_near_roots", "uniform_angular", "quasi_random"]),
+        "gamma_floor": st.sampled_from(["0", "1e-6", "0.01", "0.5"]),
+        "explosion_threshold": st.sampled_from(["1e8", "100", "1.5"]),
+    },
+    "roots": {"machs": st.lists(_floats(0.3, 4.0), min_size=1, max_size=3).map(" ".join)},
+    "diagram": {"m_min": _floats(0.1, 2.0), "m_max": _floats(0.1, 4.0), "m_step": _floats(0.05, 1.0)},
+}
+_MALFORMED = st.sampled_from(["many", "", "1..2", "2.5.", "bogus", "1 two"])
+
+
+@st.composite
+def _cli_configs(draw):
+    study = draw(st.sampled_from(["roots", "diagram", "certify"]))
+    sections = {"run": {"study": study}}
+    for section, keys in _VALID.items():
+        chosen = draw(st.sets(st.sampled_from(sorted(keys))))
+        sections[section] = {key: draw(keys[key]) for key in sorted(chosen)}
+    sections["params"].setdefault("v", "2.0")
+    sections["params"].setdefault("c", "1.0")
+    mutation = draw(st.sampled_from(["none", "none", "unknown_section", "unknown_key", "malformed", "missing", "duplicate"]))
+    section = draw(st.sampled_from(sorted(_VALID)))
+    if mutation == "unknown_key":
+        sections[section][draw(st.sampled_from(["gama_floor", "c", "nn", "Lt"]))] = "1"
+    elif mutation == "malformed":
+        sections[section][draw(st.sampled_from(sorted(_VALID[section])))] = draw(_MALFORMED)
+    elif mutation == "missing":
+        del sections["params"][draw(st.sampled_from(["v", "c"]))]
+    text = "".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in body.items()) for name, body in sections.items()
+    )
+    if mutation == "unknown_section":
+        text += f"[{draw(st.sampled_from(['sampel', 'Params', 'root']))}]\nn = 1\n"
+    elif mutation == "duplicate":
+        text += f"[{section}]\n"
+    return study, text
+
+
+@settings(max_examples=40)
+@given(_cli_configs())
+def test_any_config_gives_a_clean_exit_or_strict_artifacts(case):
+    study, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "run.cfg"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main([study, "--config", str(path), "--out", str(pathlib.Path(tmp) / "out")])
+        assert rc in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if rc in (2, 3):
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("vfs: "), (text, lines)
+        if rc == 0:
+            for artifact in (pathlib.Path(tmp) / "out").glob("*.json"):
+                json.loads(artifact.read_text(), parse_constant=_reject_constant)

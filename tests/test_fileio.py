@@ -95,6 +95,63 @@ class TestCsvFormat:
         assert np.max(np.abs(from_bin - from_csv)) < 1e-6
 
 
+class TestSourceFilesAreWhole:
+    """A cut or partial source file is rejected in one line naming the path."""
+
+    @pytest.mark.parametrize("keep", [20, -8])
+    def test_truncated_binary_names_the_path(self, tmp_path, keep):
+        g = _grid()
+        path = tmp_path / "cut.bin"
+        fileio.write_source_bin(path, _raw(g), g)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(ValueError) as err:
+            fileio.read_source(path)
+        assert str(path) in str(err.value) and "\n" not in str(err.value)
+
+    def _csv_lines(self, tmp_path):
+        g = _grid(ny=8)
+        path = tmp_path / "m.csv"
+        fileio.write_source_csv(path, _raw(g, seed=5), g)
+        return path, path.read_text().splitlines(keepends=True)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda lines: lines[:100], "holds 98 of 512 samples"),
+            (lambda lines: lines + lines[2:3], "line 515: sample \\(0, 0, 0\\) appears twice"),
+            (lambda lines: lines[:2] + ["-1" + lines[-1][lines[-1].index(","):]] + lines[2:-1], "outside the grid"),
+            (lambda lines: lines[:5] + ["0,0,x,1.0,0.0\n"] + lines[5:], "line 6: malformed row"),
+            (lambda lines: lines[:1], "unexpected CSV columns"),
+            (lambda lines: ["# vfs-source nt=8\n"] + lines[1:], "bad metadata line"),
+        ],
+    )
+    def test_partial_csv_names_the_path(self, tmp_path, edit, match):
+        path, lines = self._csv_lines(tmp_path)
+        path.write_text("".join(edit(lines)))
+        with pytest.raises(ValueError, match=match) as err:
+            fileio.read_source(path)
+        assert str(path) in str(err.value) and "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("name", ["plus.bin", "minus.csv"])
+    def test_vfs_solve_on_a_cut_file_is_one_line_exit_2(self, tmp_path, capsys, name):
+        from vsheet.cli import main
+
+        g = _grid()
+        path = tmp_path / name
+        write = fileio.write_source_csv if name.endswith(".csv") else fileio.write_source_bin
+        write(path, _raw(g), g)
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        cfg = tmp_path / "solve.cfg"
+        cfg.write_text(
+            f"[run]\nstudy = solve\nout = {tmp_path / 'o'}\n\n[params]\nv = 2.0\nc = 1.0\n\n"
+            f"[solve]\nsource_plus = {path}\nsource_minus = {path}\n"
+        )
+        assert main(["solve", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("vfs: source file ") and str(path) in err[0]
+
+
 class TestSolutionFiles:
     def _solution(self):
         g = _grid()

@@ -97,6 +97,24 @@ class TestFrequency:
         assert back.delta == pytest.approx(f.delta)
 
 
+    @pytest.mark.parametrize("kernel", [mu_pm, big_sigma, weight_sigma])
+    def test_kernels_normalize_without_a_second_frequency(self, monkeypatch, kernel):
+        points = [Frequency(0.5, -1.0, 2.0), Frequency(np.full(3, 0.5), np.arange(3.0), 1.0)]
+        built = []
+        original = Frequency.__post_init__
+        monkeypatch.setattr(Frequency, "__post_init__", lambda self: built.append(self) or original(self))
+        for freq in points:
+            kernel(freq, M2)
+        assert built == []
+
+    def test_normalized_matches_the_kernels_scaling(self):
+        f = Frequency(np.array([0.5, 3.0]), np.array([-1.0, 0.0]), 2.0)
+        unit, lam = f.normalized()
+        assert np.array_equal(lam, f.lam)
+        assert np.allclose(big_sigma(f, M2), lam**2 * big_sigma(unit, M2), rtol=1e-14, atol=0)
+        assert Frequency(1.0, 2.0, 2.0).normalized()[1] == 3.0 and Frequency(1.0, 2.0, 2.0).size == 1
+
+
 class TestMu:
     def test_oracle_point(self):
         mp, mm = mu_pm(Frequency(1.0, 0.0, 1.0), M2)
