@@ -35,7 +35,6 @@ from .pressure import (
     DecayViolated,
     PressureProfile,
     front_equation_residual,
-    ode_residual,
     solve_half_space,
 )
 from .symbols import (
@@ -44,9 +43,7 @@ from .symbols import (
     NumericalGuard,
     PhysicalParams,
     Regime,
-    adjoint_sigma,
     big_sigma,
-    lambda_power,
     mu_pm,
     root_constants,
     weight_bound_constant,
@@ -75,7 +72,6 @@ __all__ = [
     "Space",
     "SweepResult",
     "SymbolTooSmall",
-    "adjoint_sigma",
     "big_sigma",
     "build_g",
     "certify_sandwich",
@@ -86,10 +82,8 @@ __all__ = [
     "front_equation_residual",
     "half_line_norm",
     "inverse_transform",
-    "lambda_power",
     "locate_roots",
     "mu_pm",
-    "ode_residual",
     "root_constants",
     "sample_hemisphere",
     "solve_front",

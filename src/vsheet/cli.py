@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import fileio
-from .config import RunConfig, STUDIES, load_config
+from .config import HeatmapField, RunConfig, STUDIES, load_config
 from .front import Side, build_g, estimate_sweep, solve_front, transform_source
 from .grids import GridSpec
 from .hemisphere import (
@@ -39,8 +39,6 @@ from .symbols import (
 )
 
 __all__ = ["main", "run", "emit_heatmap", "stability_diagram", "builtin_sources"]
-
-HEATMAP_FIELDS = ("abs_sigma_big", "abs_weight_sigma", "ratio")
 
 
 def builtin_sources(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -74,7 +72,7 @@ def stability_diagram(c: float, m_min: float, m_max: float, m_step: float) -> li
 
 
 def emit_heatmap(
-    field: str,
+    field: HeatmapField | str,
     params: PhysicalParams,
     gamma: float,
     delta_range: tuple[float, float],
@@ -83,17 +81,16 @@ def emit_heatmap(
     path,
 ) -> None:
     """Rectangular (delta, eta) scan of a symbol field at fixed gamma > 0, as CSV."""
-    if field not in HEATMAP_FIELDS:
-        raise ValueError(f"field must be one of {HEATMAP_FIELDS}, got {field!r}")
+    field = HeatmapField(field)
     if not gamma > 0:
         raise ValueError("heatmaps are drawn at fixed gamma > 0")
     deltas = np.linspace(delta_range[0], delta_range[1], shape[0])
     etas = np.linspace(eta_range[0], eta_range[1], shape[1])
     dd, ee = np.meshgrid(deltas, etas, indexing="ij")
     freqs = Frequency(np.full_like(dd, gamma), dd, ee)
-    if field == "abs_sigma_big":
+    if field is HeatmapField.ABS_SIGMA_BIG:
         vals = np.abs(big_sigma(freqs, params))
-    elif field == "abs_weight_sigma":
+    elif field is HeatmapField.ABS_WEIGHT_SIGMA:
         vals = np.abs(weight_sigma(freqs, params))
     else:
         vals = np.abs(big_sigma(freqs, params)) / (np.abs(weight_sigma(freqs, params)) * freqs.lam)
@@ -102,7 +99,7 @@ def emit_heatmap(
         for i in range(shape[0])
         for j in range(shape[1])
     ]
-    fileio.write_csv(path, ["delta", "eta", field], rows)
+    fileio.write_csv(path, ["delta", "eta", field.value], rows)
 
 
 def _load_sources(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, GridSpec]:

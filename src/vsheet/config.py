@@ -21,13 +21,14 @@ its type; a bare type marks a required key.  An unknown section or key, a
 non-empty ``[DEFAULT]``, a value that does not parse, a missing required key
 and a malformed file are each rejected with one ``ValueError`` naming the
 file and the ``[section] key``.  ``#`` and ``;`` start comments, also after
-a value.
+a value; every other character, ``%`` included, is taken literally.
 """
 
 from __future__ import annotations
 
 import configparser
 import dataclasses
+import enum
 import math
 import pathlib
 
@@ -35,9 +36,18 @@ from .grids import GridSpec
 from .hemisphere import SampleStrategy
 from .symbols import PhysicalParams
 
-__all__ = ["RunConfig", "load_config", "SCHEMA", "STUDIES"]
+__all__ = ["RunConfig", "load_config", "HeatmapField", "SCHEMA", "STUDIES"]
 
 STUDIES = ("certify", "roots", "solve", "sweep", "diagram")
+
+
+class HeatmapField(str, enum.Enum):
+    """Symbol fields a ``[heatmap]`` scan can draw."""
+
+    ABS_SIGMA_BIG = "abs_sigma_big"
+    ABS_WEIGHT_SIGMA = "abs_weight_sigma"
+    RATIO = "ratio"
+
 
 SCHEMA = {
     "run": {"study": "", "seed": 0, "out": "out"},
@@ -57,7 +67,7 @@ SCHEMA = {
     "roots": {"machs": (0.5, 1.0, 1.5, 2.0, 3.0), "tolerance": 1e-8},
     "diagram": {"m_min": 0.5, "m_max": 3.5, "m_step": 0.05},
     "heatmap": {
-        "field": "ratio", "gamma": 1.0,
+        "field": HeatmapField.RATIO, "gamma": 1.0,
         "delta_min": -3.0, "delta_max": 3.0, "n_delta": 41,
         "eta_min": -3.0, "eta_max": 3.0, "n_eta": 41,
     },
@@ -95,7 +105,7 @@ def _read(path: pathlib.Path) -> tuple[dict, set]:
         text = path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"config file {path} cannot be read: {getattr(exc, 'strerror', None) or exc}") from None
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         cp.read_string(text, source=str(path))
         if cp.defaults():
@@ -148,6 +158,12 @@ def load_config(
     diagram = sections["diagram"]
     if not (diagram["m_step"] > 0 and all(map(math.isfinite, diagram.values()))):
         raise ValueError(f"{path}: [diagram] m_min, m_max and m_step must be finite, m_step positive")
+    heatmap = sections["heatmap"]
+    ranges = [heatmap[key] for key in ("gamma", "delta_min", "delta_max", "eta_min", "eta_max")]
+    if not (all(map(math.isfinite, ranges)) and heatmap["gamma"] > 0):
+        raise ValueError(f"{path}: [heatmap] gamma and the delta and eta ranges must be finite, gamma positive")
+    if min(heatmap["n_delta"], heatmap["n_eta"]) < 1:
+        raise ValueError(f"{path}: [heatmap] n_delta and n_eta must be at least 1")
     grid = sections["grid"]
     return RunConfig(
         study=chosen,
@@ -163,6 +179,6 @@ def load_config(
         sweep=sections["sweep"],
         roots=sections["roots"],
         diagram=diagram,
-        heatmap=sections["heatmap"] if "heatmap" in present else None,
+        heatmap=heatmap if "heatmap" in present else None,
         simple_root=sections["simple_root"],
     )

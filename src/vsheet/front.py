@@ -11,20 +11,11 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Optional
 
 import numpy as np
 
-from .grids import (
-    GridSpec,
-    Space,
-    find_mode,
-    forward_transform,
-    half_line_norm,
-    inverse_transform,
-    weighted_norm,
-)
-from .symbols import Frequency, NumericalGuard, PhysicalParams, Regime, big_sigma, mu_pm
+from .grids import GridSpec, Space, forward_transform, half_line_norm, inverse_transform, weighted_norm
+from .symbols import NumericalGuard, PhysicalParams, Regime, big_sigma, mu_pm
 
 __all__ = [
     "Side",
@@ -115,22 +106,19 @@ def half_line_terms(fplus: SourceField, fminus: SourceField, mup, mum, index=...
     )
 
 
-def _guarded_terms(
-    fplus: SourceField, fminus: SourceField, freq: Frequency, params: PhysicalParams, tail_tol: float
-):
-    """(mu+, mu-, T+, T-) at ``freq`` behind the decay gate and the tail guard."""
+def _guarded_terms(fplus: SourceField, fminus: SourceField, params: PhysicalParams, tail_tol: float):
+    """(mu+, mu-, T+, T-) on the grid's frequency mesh behind the decay gate and the tail guard."""
     for field in (fplus, fminus):
         if not field.decay_ok():
             raise ValueError(
                 f"{field.side.value}-side source has not decayed at the truncation depth Ly"
             )
     grid = fplus.grid
-    mup, mum = mu_pm(freq, params)
-    index = find_mode(grid, freq) if freq.is_scalar else ...
-    terms = half_line_terms(fplus, fminus, mup, mum, index=index)
+    mup, mum = mu_pm(grid.freq_mesh(), params)
+    terms = half_line_terms(fplus, fminus, mup, mum)
     for field, mu, term in zip((fplus, fminus), (mup, mum), terms):
         # the neglected tail is of the order of the integrand at the cutoff
-        edge = np.abs(field.spectral[index][..., -1])
+        edge = np.abs(field.spectral[..., -1])
         tail_num = float(np.max(np.abs(np.exp(-mu * grid.Ly)) * edge / np.abs(mu)))
         term_scale = float(np.max(np.abs(term)))
         if tail_num > 0.0:
@@ -143,35 +131,24 @@ def _guarded_terms(
     return (mup, mum) + terms
 
 
-def source_moment(
-    fplus: SourceField,
-    fminus: SourceField,
-    freq: Optional[Frequency] = None,
-    *,
-    params: PhysicalParams,
-    tail_tol: float = TAIL_TOL,
-):
-    """Scalar source moment M driving the front equation.
+def source_moment(fplus: SourceField, fminus: SourceField, *, params: PhysicalParams, tail_tol: float = TAIL_TOL):
+    """Scalar source moment M driving the front equation, on the grid's (nt, nx) frequency mesh.
 
     M = (1/mu+) int_0^inf exp(-mu+ y) F+(., y) dy
       - (1/mu-) int_0^inf exp(-mu- y) F-(., -y) dy,
 
-    evaluated by the grid's composite Gauss-Legendre rule on [0, Ly].
-    ``freq`` defaults to the full grid frequency mesh; a single frequency
-    must sit on the grid lattice and picks out that mode's profiles,
-    returning a plain complex number.  Raises QuadratureUnderResolved when
-    the neglected tail at Ly is not small relative to the computed moment.
+    evaluated by the grid's composite Gauss-Legendre rule on [0, Ly]; one
+    mode is ``source_moment(...)[it, ix]``.  Raises QuadratureUnderResolved
+    when the neglected tail at Ly is not small relative to the computed
+    moment.
     """
-    if freq is None:
-        freq = fplus.grid.freq_mesh()
-    _, _, term_p, term_m = _guarded_terms(fplus, fminus, freq, params, tail_tol)
-    moment = term_p - term_m
-    return complex(moment) if freq.is_scalar else moment
+    _, _, term_p, term_m = _guarded_terms(fplus, fminus, params, tail_tol)
+    return term_p - term_m
 
 
 def build_g(fplus: SourceField, fminus: SourceField, params: PhysicalParams) -> np.ndarray:
     """Right-hand side of the front equation: g = -(mu+ mu- / (mu+ + mu-)) M."""
-    mup, mum, term_p, term_m = _guarded_terms(fplus, fminus, fplus.grid.freq_mesh(), params, TAIL_TOL)
+    mup, mum, term_p, term_m = _guarded_terms(fplus, fminus, params, TAIL_TOL)
     # Re mu+- >= gamma/c >= 1/c on the grid, so the denominator is safe.
     return -(mup * mum / (mup + mum)) * (term_p - term_m)
 
@@ -243,9 +220,6 @@ class SweepResult:
     passed: bool
     slack: float
     s: float
-
-    def series(self, key: str) -> list:
-        return [row[key] for row in self.rows]
 
 
 def _no_growth(values: list, slack: float) -> bool:

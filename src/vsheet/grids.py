@@ -30,6 +30,9 @@ __all__ = [
     "half_line_norm",
 ]
 
+# Gauss-Legendre nodes per panel of the half-line rule
+QUAD_ORDER = 8
+
 
 class Space(enum.Enum):
     """Weight applied inside a frequency-space norm."""
@@ -76,7 +79,6 @@ class GridSpec:
     Lx: float
     Ly: float
     gamma: float = 1.0
-    quad_order: int = 8
 
     def __post_init__(self) -> None:
         if not (_is_power_of_two(self.nt) and _is_power_of_two(self.nx)):
@@ -89,9 +91,7 @@ class GridSpec:
                 raise ValueError(f"{name} must be positive and finite, got {val!r}")
         if not (np.isfinite(self.gamma) and self.gamma >= 1.0):
             raise ValueError(f"gamma must be >= 1, got {self.gamma!r}")
-        if self.quad_order < 1:
-            raise ValueError("quad_order must be positive")
-        order = min(self.quad_order, self.ny)
+        order = min(QUAD_ORDER, self.ny)
         if self.ny % order:
             raise ValueError(f"ny={self.ny} must be a multiple of the panel order {order}")
 
@@ -116,7 +116,7 @@ class GridSpec:
 
     @functools.cache
     def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
-        return composite_gauss_legendre(self.ny, self.Ly, self.quad_order)
+        return composite_gauss_legendre(self.ny, self.Ly, QUAD_ORDER)
 
     @property
     def cell(self) -> float:
@@ -197,20 +197,14 @@ def weighted_norm(
     return float(np.sqrt(total))
 
 
-def half_line_norm(
-    spectral: np.ndarray,
-    grid: GridSpec,
-    s: float,
-    space: Space = Space.PLAIN,
-    params: PhysicalParams | None = None,
-) -> float:
-    """L^2(half-line; H^s) norm of a source: quadrature in x2 of squared trace norms."""
+def half_line_norm(spectral: np.ndarray, grid: GridSpec, s: float) -> float:
+    """L^2(half-line; H^s) norm of a source: quadrature in x2 of squared plain trace norms."""
     spectral = np.asarray(spectral)
     if spectral.shape != (grid.nt, grid.nx, grid.ny):
         raise ValueError(
             f"expected shape ({grid.nt}, {grid.nx}, {grid.ny}), got {spectral.shape}"
         )
     _, wq = grid.quadrature()
-    w = _norm_weight(grid, s, space, params)
+    w = _norm_weight(grid, s, Space.PLAIN, None)
     per_node = np.sum((w[..., None] * np.abs(spectral)) ** 2, axis=(0, 1)) / (grid.Lt * grid.Lx)
     return float(np.sqrt(np.dot(wq, per_node)))

@@ -57,6 +57,14 @@ _STRATUM_EVERY = 4
 
 _CHUNK = 131072
 
+# golden-section bracket (relative half width) and x tolerance of the root search
+_BRACKET_FRAC = 0.2
+_ROOT_XTOL = 1e-12
+
+# largest band ratio max/min and relative level drift of a simple-root certificate
+_BAND_LIMIT = 2.0
+_DRIFT_LIMIT = 0.05
+
 
 class NoRootFound(RuntimeError):
     """The bracketed search did not produce a zero of the symbol."""
@@ -448,8 +456,6 @@ def locate_roots(
     eta_sign: float = 1.0,
     tolerance: float = 1e-8,
     zero_threshold: float = 1e-6,
-    bracket_frac: float = 0.2,
-    xtol: float = 1e-12,
 ) -> float:
     """Find the root of |Sigma| at |eta| = 1 by bracketed golden section.
 
@@ -473,8 +479,8 @@ def locate_roots(
         def objective(x: float) -> float:
             return abs(big_sigma(Frequency(x, 0.0, eta), params))
 
-    lo, hi = (1.0 - bracket_frac) * cy, (1.0 + bracket_frac) * cy
-    best = _golden_section(objective, lo, hi, xtol * cy)
+    lo, hi = (1.0 - _BRACKET_FRAC) * cy, (1.0 + _BRACKET_FRAC) * cy
+    best = _golden_section(objective, lo, hi, _ROOT_XTOL * cy)
     lam2 = best * best + 1.0
     if objective(best) > zero_threshold * lam2:
         raise NoRootFound(
@@ -494,16 +500,13 @@ def certify_simple_root(
     radius: float = 1e-3,
     n_points: int = 360,
     shrink: float = 0.5,
-    band_limit: float = 2.0,
-    drift_limit: float = 0.05,
-    center: Frequency | None = None,
-    eta_sign: float = 1.0,
 ) -> BoundCertificate:
     """Certify that the marginal root of Sigma is simple.
 
     Evaluates the quotient |Sigma| / |tau - i c Y2 eta| on arcs of radius
-    ``radius`` and ``radius * shrink`` around the root point (restricted to
-    the admissible half-plane gamma >= 0).  A simple root keeps the
+    ``radius`` and ``radius * shrink`` around the root point
+    (0, c Y2, 1) / sqrt(1 + (c Y2)^2) on the unit sphere (restricted to the
+    admissible half-plane gamma >= 0).  A simple root keeps the
     quotient inside a narrow band whose level does not move as the radius
     shrinks; a higher-order zero drags the level down proportionally to the
     radius, which fails the drift check.
@@ -511,17 +514,8 @@ def certify_simple_root(
     if params.regime() is not Regime.WEAKLY_STABLE:
         raise ValueError("the imaginary root pair exists in the weakly stable regime only")
     cy = params.c * root_constants(params)
-    if center is None:
-        eta0 = float(np.sign(eta_sign) or 1.0) / math.sqrt(1.0 + cy * cy)
-        delta0 = cy * eta0
-    else:
-        if not center.is_scalar:
-            raise ValueError("center must be a single frequency")
-        unit, _ = center.normalized()
-        eta0, delta0, g0 = float(unit.eta), float(unit.delta), float(unit.gamma)
-        if min(abs(delta0 - cy * eta0), abs(delta0 + cy * eta0)) > 1e-9 or g0 > 1e-9:
-            raise ValueError("center does not lie on a root curve of the symbol")
-        delta0 = math.copysign(cy * abs(eta0), delta0)
+    eta0 = 1.0 / math.sqrt(1.0 + cy * cy)
+    delta0 = cy * eta0
     phi = np.linspace(-0.5 * np.pi, 0.5 * np.pi, n_points)
 
     def band(r: float) -> tuple[float, float]:
@@ -537,9 +531,9 @@ def certify_simple_root(
     ok = (
         qmin > 0.0
         and smin > 0.0
-        and qmax / qmin <= band_limit
-        and smax / smin <= band_limit
-        and drift <= drift_limit
+        and qmax / qmin <= _BAND_LIMIT
+        and smax / smin <= _BAND_LIMIT
+        and drift <= _DRIFT_LIMIT
     )
     return BoundCertificate(
         ratio_name="simple_root_quotient",

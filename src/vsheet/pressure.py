@@ -12,13 +12,13 @@ particular solution on the quadrature nodes is formed by two sweeps over
 the nodes, in O(ny) per mode, with no ny x ny kernel.  Plugging
 the reconstructed normal derivatives back into the front equation gives an
 end-to-end consistency residual that vanishes when the front was solved
-from the same sources.
+from the same sources.  An independent check of the ODE itself, by
+adaptive quadrature and finite differences, lives in the test suite.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "DecayViolated",
     "solve_half_space",
     "front_equation_residual",
-    "ode_residual",
 ]
 
 
@@ -55,8 +54,6 @@ class PressureProfile:
     values: np.ndarray
     p0: complex
     dp0: complex
-    depth: float
-    sound_speed: float
 
 
 def solve_half_space(
@@ -120,8 +117,6 @@ def solve_half_space(
                 values=values,
                 p0=complex(amp + i0),
                 dp0=complex(dp0),
-                depth=grid.Ly,
-                sound_speed=c,
             )
         )
     return profiles[0], profiles[1]
@@ -188,76 +183,3 @@ def front_equation_residual(
     if den == 0.0:
         return 0.0
     return num / den
-
-
-def _particular_at(
-    x: float,
-    mu: complex,
-    depth: float,
-    c: float,
-    source_fn: Callable[[float], complex],
-) -> complex:
-    """Free-space particular solution at x, splitting the kernel kink."""
-    from scipy.integrate import quad  # imported here: only this check path needs it
-
-    def left(yv: float) -> complex:
-        return np.exp(-mu * (x - yv)) * source_fn(yv)
-
-    def right(yv: float) -> complex:
-        return np.exp(-mu * (yv - x)) * source_fn(yv)
-
-    total = 0.0 + 0.0j
-    if x > 0.0:
-        total += quad(left, 0.0, x, complex_func=True, limit=200, epsabs=1e-13, epsrel=1e-13)[0]
-    if x < depth:
-        total += quad(right, x, depth, complex_func=True, limit=200, epsabs=1e-13, epsrel=1e-13)[0]
-    return total / (2.0 * mu * c * c)
-
-
-def ode_residual(
-    profile: PressureProfile,
-    source_fn: Callable[[float], complex],
-    h: float = 1e-2,
-    order: int = 2,
-    n_check: int = 16,
-) -> np.ndarray:
-    """Finite-difference residual of c^2 mu^2 P - c^2 P'' = F at interior points.
-
-    ``source_fn`` must be the analytic source profile in the mirrored
-    variable xi (so F(-xi) for the MINUS side); the particular solution is
-    re-evaluated by adaptive quadrature with the kernel kink split out.
-    ``order`` selects the 3-point (order 2) or 5-point (order 4) stencil;
-    the returned residuals are normalized by the natural size of the terms
-    and converge at the stencil order as h shrinks.
-    """
-    if order not in (2, 4):
-        raise ValueError("order must be 2 or 4")
-    mu, c, depth = profile.mu, profile.sound_speed, profile.depth
-    reach = 2 * h if order == 4 else h
-    interior = profile.nodes[(profile.nodes > reach) & (profile.nodes < depth - reach)]
-    if interior.size == 0:
-        raise ValueError("no interior nodes available for the requested stencil")
-    stride = max(1, interior.size // n_check)
-    checks = interior[::stride]
-
-    def total(x: float) -> complex:
-        return profile.amplitude * np.exp(-mu * x) + _particular_at(x, mu, depth, c, source_fn)
-
-    scale = max(abs(source_fn(float(x))) for x in checks)
-    scale += abs(c * c * mu * mu) * float(np.max(np.abs(profile.values)))
-    out = np.empty(checks.size, dtype=np.float64)
-    for j, x in enumerate(checks):
-        x = float(x)
-        if order == 2:
-            second = (total(x - h) - 2.0 * total(x) + total(x + h)) / (h * h)
-        else:
-            second = (
-                -total(x + 2 * h)
-                + 16.0 * total(x + h)
-                - 30.0 * total(x)
-                + 16.0 * total(x - h)
-                - total(x - 2 * h)
-            ) / (12.0 * h * h)
-        res = c * c * mu * mu * total(x) - c * c * second - source_fn(x)
-        out[j] = abs(res) / scale
-    return out

@@ -4,9 +4,9 @@ After a Laplace transform in time (dual variable ``tau = gamma + i*delta``,
 ``gamma >= 0``) and a Fourier transform along the sheet (dual variable
 ``eta``), the evolution of the front reduces to multiplication by a scalar
 second-order symbol.  This module evaluates that symbol, the two vertical
-decay exponents ``mu_pm`` that enter it, and the degree-one weight that
-measures the distance to the marginal zeros of the symbol in the weakly
-stable regime.
+decay exponents ``mu_pm`` that enter it, the closed-form root constants,
+and the degree-one weight that measures the distance to the marginal zeros
+of the symbol in the weakly stable regime.
 
 Every quantity here is positively homogeneous in ``(gamma, delta, eta)``.
 Evaluation therefore normalizes the frequency onto the unit sphere first
@@ -31,10 +31,8 @@ __all__ = [
     "DegenerateDenominator",
     "mu_pm",
     "big_sigma",
-    "adjoint_sigma",
     "weight_sigma",
     "root_constants",
-    "lambda_power",
     "weight_bound_constant",
 ]
 
@@ -175,17 +173,12 @@ class Frequency:
             raise ValueError(f"scaling must be positive and finite, got {k!r}")
         return Frequency(k * np.asarray(self.gamma), k * np.asarray(self.delta), k * np.asarray(self.eta))
 
-    def normalized(self) -> tuple["Frequency", ArrayLike]:
-        """Project onto the unit sphere; returns (unit frequency, modulus)."""
-        g, d, e, lam = _unit_parts(self)
-        return Frequency(g, d, e), (float(lam) if self.is_scalar else lam)
-
     def __getitem__(self, idx) -> "Frequency":
-        return Frequency(
-            np.asarray(self.gamma)[idx],
-            np.asarray(self.delta)[idx],
-            np.asarray(self.eta)[idx],
-        )
+        # every point of a validated batch is admissible: skip __post_init__
+        part = object.__new__(Frequency)
+        for name in ("gamma", "delta", "eta"):
+            object.__setattr__(part, name, _as_field(np.asarray(getattr(self, name))[idx]))
+        return part
 
 
 def _unit_parts(freq: Frequency):
@@ -286,12 +279,6 @@ def big_sigma(freq: Frequency, params: PhysicalParams, *, extend: bool = False):
     return _match(freq, lam**2 * val)
 
 
-def adjoint_sigma(freq: Frequency, params: PhysicalParams):
-    """Symbol of the adjoint problem: Sigma*(tau, eta) = Sigma(conj(tau), eta)."""
-    conj_freq = Frequency(freq.gamma, -np.asarray(freq.delta), freq.eta)
-    return big_sigma(conj_freq, params)
-
-
 def root_constants(params: PhysicalParams) -> float:
     """The positive root constant of the symbol for the current regime.
 
@@ -325,12 +312,6 @@ def weight_sigma(freq: Frequency, params: PhysicalParams):
     shift = 1j * (params.c * y2) * e
     val = (tau - shift) * (tau + shift)
     return _match(freq, lam * val)
-
-
-def lambda_power(freq: Frequency, s: float):
-    """Lambda^s = (gamma^2 + delta^2 + eta^2)^(s/2)."""
-    lam = np.asarray(freq.lam) ** s
-    return float(lam) if freq.is_scalar else lam
 
 
 def weight_bound_constant(params: PhysicalParams) -> float:

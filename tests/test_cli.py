@@ -17,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vsheet
-from vsheet import cli
+from vsheet import cli, fileio
 from vsheet.cli import main
+from vsheet.grids import GridSpec
 from vsheet.hemisphere import _CHUNK, NoRootFound
 from vsheet.symbols import SQRT2, Frequency, PhysicalParams, big_sigma, weight_sigma
 
@@ -513,7 +514,9 @@ def _floats(lo, hi):
     return st.floats(lo, hi, allow_nan=False).map(repr)
 
 
-# valid raw values for the keys the property varies; every other key keeps its default
+# raw values that parse, for the keys the property varies; every other key
+# keeps its default.  Some are rejected after parsing (nt = 6, ny = 12,
+# [grid] gamma = 0.5, [heatmap] field = bogus, gamma = 0, n_delta = -1, ...).
 _VALID = {
     "params": {"v": _floats(0.5, 4.0), "c": _floats(0.5, 2.0)},
     "sample": {
@@ -524,20 +527,39 @@ _VALID = {
     },
     "roots": {"machs": st.lists(_floats(0.3, 4.0), min_size=1, max_size=3).map(" ".join)},
     "diagram": {"m_min": _floats(0.1, 2.0), "m_max": _floats(0.1, 4.0), "m_step": _floats(0.05, 1.0)},
+    "grid": {
+        "nt": st.sampled_from(["4", "8", "6"]),
+        "nx": st.sampled_from(["4", "8"]),
+        "ny": st.sampled_from(["8", "16", "12"]),
+        "ly": st.sampled_from(["10.0", "14.0"]),
+        "gamma": st.sampled_from(["1.0", "2.0", "0.5"]),
+    },
+    "solve": {
+        "source_plus": st.sampled_from(["builtin", "@DIR@/p.bin", "@DIR@/p.csv"]),
+        "source_minus": st.sampled_from(["builtin", "@DIR@/m.bin", "@DIR@/m.csv"]),
+    },
+    "sweep": {"gammas": st.sampled_from(["1 2", "1 2 4", "1", "0.5 1"]), "slack": st.sampled_from(["0.1", "-0.99"])},
+    "heatmap": {
+        "field": st.sampled_from(["ratio", "abs_sigma_big", "abs_weight_sigma", "bogus"]),
+        "gamma": st.sampled_from(["1.0", "0.25", "0", "-1", "nan"]),
+        "delta_max": st.sampled_from(["3", "0.5", "inf"]),
+        "n_delta": st.sampled_from(["1", "3", "0", "-1"]),
+        "n_eta": st.sampled_from(["1", "4", "0"]),
+    },
 }
 _MALFORMED = st.sampled_from(["many", "", "1..2", "2.5.", "bogus", "1 two"])
 
 
 @st.composite
 def _cli_configs(draw):
-    study = draw(st.sampled_from(["roots", "diagram", "certify"]))
+    study = draw(st.sampled_from(["roots", "diagram", "certify", "solve", "sweep"]))
     sections = {"run": {"study": study}}
     for section, keys in _VALID.items():
-        chosen = draw(st.sets(st.sampled_from(sorted(keys))))
-        sections[section] = {key: draw(keys[key]) for key in sorted(chosen)}
+        sections[section] = {key: draw(keys[key]) for key in sorted(keys) if draw(st.booleans())}
     sections["params"].setdefault("v", "2.0")
     sections["params"].setdefault("c", "1.0")
-    mutation = draw(st.sampled_from(["none", "none", "unknown_section", "unknown_key", "malformed", "missing", "duplicate"]))
+    mutations = ["unknown_section", "unknown_key", "malformed", "missing", "duplicate"]
+    mutation = draw(st.sampled_from(["none"] * len(mutations) + mutations))
     section = draw(st.sampled_from(sorted(_VALID)))
     if mutation == "unknown_key":
         sections[section][draw(st.sampled_from(["gama_floor", "c", "nn", "Lt"]))] = "1"
@@ -552,24 +574,42 @@ def _cli_configs(draw):
         text += f"[{draw(st.sampled_from(['sampel', 'Params', 'root']))}]\nn = 1\n"
     elif mutation == "duplicate":
         text += f"[{section}]\n"
-    return study, text
+    # the source files the config may name, each on its own small grid
+    file_grids = {
+        name: GridSpec(nt=draw(st.sampled_from([4, 8])), nx=8, ny=8, Lt=math.tau, Lx=math.tau, Ly=10.0)
+        for name in ("p", "m")
+    }
+    return study, text, file_grids
 
 
-@settings(max_examples=40)
+def _write_sources(directory: pathlib.Path, file_grids: dict) -> None:
+    for name, grid in file_grids.items():
+        raw = cli.builtin_sources(grid)[name == "m"]
+        fileio.write_source_bin(directory / f"{name}.bin", raw, grid)
+        fileio.write_source_csv(directory / f"{name}.csv", raw, grid)
+
+
+@settings(max_examples=150)
 @given(_cli_configs())
 def test_any_config_gives_a_clean_exit_or_strict_artifacts(case):
-    study, text = case
+    study, text, file_grids = case
     with tempfile.TemporaryDirectory() as tmp:
-        path = pathlib.Path(tmp) / "run.cfg"
-        path.write_text(text)
+        tmp = pathlib.Path(tmp)
+        (tmp / "src").mkdir()
+        _write_sources(tmp / "src", file_grids)
+        path = tmp / "run.cfg"
+        path.write_text(text.replace("@DIR@", str(tmp / "src")))
+        out_dir = tmp / "out"
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main([study, "--config", str(path), "--out", str(pathlib.Path(tmp) / "out")])
+            rc = main([study, "--config", str(path), "--out", str(out_dir)])
         assert rc in (0, 1, 2, 3)
         assert "Traceback" not in err.getvalue()
         if rc in (2, 3):
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("vfs: "), (text, lines)
-        if rc == 0:
-            for artifact in (pathlib.Path(tmp) / "out").glob("*.json"):
+        if rc == 2:
+            assert not (out_dir.exists() and any(out_dir.iterdir())), (text, sorted(out_dir.iterdir()))
+        if rc in (0, 1):
+            for artifact in out_dir.glob("*.json"):
                 json.loads(artifact.read_text(), parse_constant=_reject_constant)

@@ -85,6 +85,35 @@ def test_bad_config_is_one_line_exit_2(tmp_path, capsys, case):
     assert not (tmp_path / "out").exists()
 
 
+CERTIFY = "[run]\nstudy = certify\n[params]\nv = 2.0\nc = 1.0\n[sample]\nn = 500\n[heatmap]\n"
+
+
+# Each of these computed and wrote certificates.json before [heatmap] was checked at load time.
+@pytest.mark.parametrize(
+    "line, named",
+    [
+        ("field = bogus", "[heatmap] field = 'bogus' is not one of abs_sigma_big, abs_weight_sigma, ratio"),
+        ("gamma = 0", "[heatmap] gamma"),
+        ("gamma = nan", "[heatmap] gamma"),
+        ("delta_max = inf", "[heatmap] gamma and the delta and eta ranges must be finite"),
+        ("n_delta = -1", "[heatmap] n_delta and n_eta must be at least 1"),
+        ("n_eta = 0", "[heatmap] n_delta and n_eta must be at least 1"),
+    ],
+    ids=["bogus_field", "zero_gamma", "nan_gamma", "infinite_range", "negative_n_delta", "zero_n_eta"],
+)
+def test_heatmap_is_checked_before_anything_is_written(tmp_path, capsys, line, named):
+    path = _write(tmp_path, CERTIFY + line + "\n")
+    assert main(["certify", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"vfs: {path}: ") and named in err[0], err
+    assert not (tmp_path / "out").exists()
+
+
+def test_percent_in_a_value_is_literal(tmp_path):
+    cfg = load_config(_write(tmp_path, "[run]\nout = runs/50%\n[params]\nv = 2.0\nc = 1.0\n"), study="roots")
+    assert cfg.out_dir == pathlib.Path("runs/50%")
+
+
 @pytest.mark.parametrize(
     "text, match",
     [

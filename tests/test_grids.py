@@ -36,7 +36,7 @@ class TestGridSpec:
 
     def test_rejects_indivisible_quadrature(self):
         with pytest.raises(ValueError):
-            GridSpec(nt=8, nx=8, ny=12, Lt=1.0, Lx=1.0, Ly=1.0, gamma=1.0, quad_order=8)
+            GridSpec(nt=8, nx=8, ny=12, Lt=1.0, Lx=1.0, Ly=1.0, gamma=1.0)
 
     def test_axes_shapes(self):
         g = _grid()

@@ -262,15 +262,6 @@ class TestSimpleRoot:
         slope = abs(big_sigma(probe, M2)) / r
         assert level == pytest.approx(slope, rel=1e-2)
 
-    def test_off_curve_center_rejected(self):
-        with pytest.raises(ValueError):
-            certify_simple_root(M2, center=Frequency(0.0, 0.5, 0.8))
-
-    def test_on_curve_center_accepted(self):
-        eta0 = 0.25
-        cert = certify_simple_root(M2, center=Frequency(0.0, Y2_M2 * eta0, eta0))
-        assert cert.passed
-
     def test_rejects_elliptic(self):
         with pytest.raises(ValueError):
             certify_simple_root(ELL)

@@ -9,15 +9,14 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from vsheet.grids import GridSpec
 from vsheet.symbols import (
     SQRT2,
     DegenerateDenominator,
     Frequency,
     PhysicalParams,
     Regime,
-    adjoint_sigma,
     big_sigma,
-    lambda_power,
     mu_pm,
     root_constants,
     weight_bound_constant,
@@ -89,7 +88,8 @@ class TestFrequency:
 
     def test_normalized_round_trip(self):
         f = Frequency(2.0, -3.0, 6.0)
-        unit, lam = f.normalized()
+        lam = f.lam
+        unit = f.scaled(1.0 / lam)
         assert lam == pytest.approx(7.0)
         assert abs(unit.lam - 1.0) < 1e-15
         back = unit.scaled(lam)
@@ -109,10 +109,21 @@ class TestFrequency:
 
     def test_normalized_matches_the_kernels_scaling(self):
         f = Frequency(np.array([0.5, 3.0]), np.array([-1.0, 0.0]), 2.0)
-        unit, lam = f.normalized()
-        assert np.array_equal(lam, f.lam)
+        lam = f.lam
+        unit = f.scaled(1.0 / lam)
         assert np.allclose(big_sigma(f, M2), lam**2 * big_sigma(unit, M2), rtol=1e-14, atol=0)
-        assert Frequency(1.0, 2.0, 2.0).normalized()[1] == 3.0 and Frequency(1.0, 2.0, 2.0).size == 1
+        assert Frequency(1.0, 2.0, 2.0).lam == 3.0 and Frequency(1.0, 2.0, 2.0).size == 1
+
+    def test_mesh_slice_is_not_revalidated(self, monkeypatch):
+        mesh = GridSpec(nt=8, nx=4, ny=8, Lt=1.0, Lx=1.0, Ly=1.0).freq_mesh()
+        built = []
+        original = Frequency.__post_init__
+        monkeypatch.setattr(Frequency, "__post_init__", lambda self: built.append(self) or original(self))
+        point, row = mesh[3, 1], mesh[2]
+        assert built == []
+        assert all(type(getattr(point, k)) is float for k in ("gamma", "delta", "eta"))
+        assert point == Frequency(float(mesh.gamma[3, 1]), float(mesh.delta[3, 1]), float(mesh.eta[3, 1]))
+        assert row.size == 4 and np.array_equal(row.eta, mesh.eta[2])
 
 
 class TestMu:
@@ -186,8 +197,8 @@ class TestBigSigma:
 
     @given(_scalar_freqs(), _params())
     def test_adjoint_route(self, freq, params):
-        # Sigma(conj(tau), eta) == conj(Sigma(tau, -eta)): two routes, one value
-        direct = adjoint_sigma(freq, params)
+        # the adjoint symbol Sigma(conj(tau), eta) == conj(Sigma(tau, -eta)): two routes, one value
+        direct = big_sigma(Frequency(freq.gamma, -freq.delta, freq.eta), params)
         flipped = np.conj(big_sigma(Frequency(freq.gamma, freq.delta, -freq.eta), params))
         assert abs(direct - flipped) <= 1e-13 * max(abs(direct), 1.0)
 
@@ -273,12 +284,14 @@ class TestWeight:
 
 
 class TestLambdaPower:
+    """Lambda^s, the plain norm weight, is ``Frequency.lam ** s``."""
+
     def test_values(self):
-        assert lambda_power(Frequency(3.0, 4.0, 0.0), 1.0) == pytest.approx(5.0)
-        assert lambda_power(Frequency(1.0, 2.0, 2.0), -1.0) == pytest.approx(1.0 / 3.0)
-        assert lambda_power(Frequency(1.0, 2.0, 2.0), 0.0) == 1.0
+        assert Frequency(3.0, 4.0, 0.0).lam ** 1.0 == pytest.approx(5.0)
+        assert Frequency(1.0, 2.0, 2.0).lam ** -1.0 == pytest.approx(1.0 / 3.0)
+        assert Frequency(1.0, 2.0, 2.0).lam ** 0.0 == 1.0
 
     def test_array(self):
         f = Frequency(np.ones(2), np.zeros(2), np.array([0.0, 1.0]))
-        np.testing.assert_allclose(lambda_power(f, 2.0), [1.0, 2.0])
+        np.testing.assert_allclose(f.lam ** 2.0, [1.0, 2.0])
 
