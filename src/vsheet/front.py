@@ -187,7 +187,7 @@ def solve_front(
         raise ValueError(f"expected g_hat of shape ({grid.nt}, {grid.nx}), got {g_hat.shape}")
     freq = grid.freq_mesh()
     sig = big_sigma(freq, params)
-    lam2 = np.asarray(freq.lam) ** 2
+    lam2 = freq.lam**2
     floor_ratio = np.abs(sig) / lam2
     worst = float(np.min(floor_ratio))
     if worst < sigma_floor:

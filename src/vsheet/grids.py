@@ -152,22 +152,23 @@ def inverse_transform(spectral: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 def find_mode(grid: GridSpec, freq: Frequency) -> tuple[int, int]:
     """Lattice indices (it, ix) of a single frequency; it must sit on the grid."""
-    if not freq.is_scalar:
+    if freq.size != 1:
         raise ValueError("mode lookup works one frequency at a time")
-    if freq.gamma != grid.gamma:
-        raise ValueError(f"frequency gamma {freq.gamma!r} differs from grid gamma {grid.gamma!r}")
+    gamma, delta, eta = freq.gamma.item(), freq.delta.item(), freq.eta.item()
+    if gamma != grid.gamma:
+        raise ValueError(f"frequency gamma {gamma!r} differs from grid gamma {grid.gamma!r}")
     deltas, etas = grid.delta(), grid.eta()
-    it = int(np.argmin(np.abs(deltas - freq.delta)))
-    ix = int(np.argmin(np.abs(etas - freq.eta)))
-    scale = max(abs(freq.delta), abs(freq.eta), 1.0)
-    if abs(deltas[it] - freq.delta) > 1e-9 * scale or abs(etas[ix] - freq.eta) > 1e-9 * scale:
+    it = int(np.argmin(np.abs(deltas - delta)))
+    ix = int(np.argmin(np.abs(etas - eta)))
+    scale = max(abs(delta), abs(eta), 1.0)
+    if abs(deltas[it] - delta) > 1e-9 * scale or abs(etas[ix] - eta) > 1e-9 * scale:
         raise ValueError("frequency does not sit on the grid lattice")
     return it, ix
 
 
 def _norm_weight(grid: GridSpec, s: float, space: Space, params: PhysicalParams | None) -> np.ndarray:
     freq = grid.freq_mesh()
-    lam_s = np.asarray(freq.lam) ** s
+    lam_s = freq.lam**s
     if Space(space) is Space.PLAIN:
         return lam_s
     if params is None:

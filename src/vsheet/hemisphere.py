@@ -31,6 +31,7 @@ from .symbols import (
     Regime,
     big_sigma,
     root_constants,
+    weight_bound_constant,
     weight_sigma,
 )
 
@@ -61,7 +62,8 @@ _CHUNK = 131072
 _BRACKET_FRAC = 0.2
 _ROOT_XTOL = 1e-12
 
-# largest band ratio max/min and relative level drift of a simple-root certificate
+# simple-root certificate: inner/outer arc radius, largest band max/min, level drift
+_SHRINK = 0.5
 _BAND_LIMIT = 2.0
 _DRIFT_LIMIT = 0.05
 
@@ -250,10 +252,8 @@ def _map_chunks(fn, freqs: Frequency) -> list:
 
     Chunk boundaries depend only on the sample size and the results come
     back in chunk order, so a reduction over them does not depend on the
-    number of threads.  A scalar frequency is treated as a one-point batch.
+    number of threads.  ``freqs`` is a one-dimensional batch.
     """
-    if freqs.is_scalar:
-        freqs = Frequency(*np.atleast_1d(freqs.gamma, freqs.delta, freqs.eta))
     starts = range(0, freqs.size, _CHUNK)
 
     def run(start: int):
@@ -281,8 +281,7 @@ def _merge(parts) -> tuple[int, float, float]:
 def _root_factor_distance(freqs: Frequency, params: PhysicalParams) -> np.ndarray:
     """min(|tau - i c Y2 eta|, |tau + i c Y2 eta|) pointwise."""
     cy = params.c * root_constants(params)
-    tau = np.asarray(freqs.tau)
-    eta = np.asarray(freqs.eta)
+    tau, eta = freqs.tau, freqs.eta
     return np.minimum(np.abs(tau - 1j * cy * eta), np.abs(tau + 1j * cy * eta))
 
 
@@ -332,7 +331,7 @@ def certify_sandwich(
     def ratios(freqs: Frequency) -> tuple[np.ndarray, np.ndarray]:
         sig = big_sigma(freqs, params)
         wgt = np.abs(weight_sigma(freqs, params))
-        lam = np.asarray(freqs.lam)
+        lam = freqs.lam
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.abs(sig) / (wgt * lam), wgt / lam
 
@@ -383,7 +382,8 @@ def certify_weight_bounds(
     """Certify the pointwise comparisons satisfied by the weight.
 
     Four ratios are recorded: |sigma|/gamma (bounded below by the certified
-    C), |sigma|/Lambda (bounded above), |sigma|/dist near the root tubes
+    C), |sigma|/Lambda (bounded above, by the Cauchy-Schwarz constant of
+    :func:`weight_bound_constant` too), |sigma|/dist near the root tubes
     (dist the distance to the nearest root line), and |sigma|/Lambda away
     from the tubes (bounded above and below: sigma is elliptic there).
     """
@@ -395,12 +395,12 @@ def certify_weight_bounds(
         near = _in_root_tubes(freqs, params)
         dist = _root_factor_distance(freqs, params)
         with np.errstate(divide="ignore", invalid="ignore"):
-            over_gamma = wabs / np.asarray(freqs.gamma)
-            over_lam = wabs / np.asarray(freqs.lam)
+            over_gamma = wabs / freqs.gamma
+            over_lam = wabs / freqs.lam
             over_dist = wabs / dist
         return _extrema(over_gamma), _extrema(over_lam), _extrema(over_dist, near), _extrema(over_lam, ~near)
 
-    def cert(name, parts, upper):
+    def cert(name, parts, upper, bound=math.inf):
         count, vmin, vmax = _merge(parts)
         if count == 0:
             return BoundCertificate(
@@ -413,7 +413,8 @@ def certify_weight_bounds(
                 passed=False,
                 extras={"reason": "empty stratum"},
             )
-        ok = vmin > 0.0 and (not upper or (math.isfinite(vmax) and vmax / vmin <= explosion_threshold))
+        ok = vmin > 0.0 and vmax <= bound
+        ok = ok and (not upper or (math.isfinite(vmax) and vmax / vmin <= explosion_threshold))
         return BoundCertificate(
             ratio_name=name,
             empirical_min=vmin,
@@ -427,7 +428,7 @@ def certify_weight_bounds(
     over_gamma, over_lam, over_dist, over_lam_far = zip(*_map_chunks(chunk, sample.freqs))
     return [
         cert("weight_over_gamma", over_gamma, upper=False),
-        cert("weight_over_lambda", over_lam, upper=True),
+        cert("weight_over_lambda", over_lam, upper=True, bound=weight_bound_constant(params)),
         cert("weight_over_root_distance", over_dist, upper=True),
         cert("weight_over_lambda_far", over_lam_far, upper=True),
     ]
@@ -453,31 +454,29 @@ def _golden_section(fn, lo: float, hi: float, xtol: float) -> float:
 
 def locate_roots(
     params: PhysicalParams,
-    eta_sign: float = 1.0,
     tolerance: float = 1e-8,
     zero_threshold: float = 1e-6,
 ) -> float:
-    """Find the root of |Sigma| at |eta| = 1 by bracketed golden section.
+    """Find the root of |Sigma| at eta = 1 by bracketed golden section.
 
     Weakly stable regime: searches delta around the closed form c*Y2 on the
-    boundary gamma = 0 and returns the root coordinate delta* (signed like
-    ``eta_sign``).  Elliptic regime: searches the real axis delta = 0 and
-    returns the root abscissa gamma* near c*Y1.  Raises NoRootFound when
-    the bracketed minimum is not an actual zero or disagrees with the
-    closed form beyond ``tolerance`` (relative).
+    boundary gamma = 0 and returns the root coordinate delta*.  Elliptic
+    regime: searches the real axis delta = 0 and returns the root abscissa
+    gamma* near c*Y1.  Raises NoRootFound when the bracketed minimum is not
+    an actual zero or disagrees with the closed form beyond ``tolerance``
+    (relative).
     """
     regime = params.regime()
     if regime is Regime.DEGENERATE:
         raise ValueError("roots are not isolated at mach = sqrt(2)")
-    eta = float(np.sign(eta_sign)) or 1.0
     cy = params.c * root_constants(params)
 
     if regime is Regime.WEAKLY_STABLE:
         def objective(x: float) -> float:
-            return abs(big_sigma(Frequency(0.0, x * eta, eta), params))
+            return abs(big_sigma(Frequency(0.0, x, 1.0), params))
     else:
         def objective(x: float) -> float:
-            return abs(big_sigma(Frequency(x, 0.0, eta), params))
+            return abs(big_sigma(Frequency(x, 0.0, 1.0), params))
 
     lo, hi = (1.0 - _BRACKET_FRAC) * cy, (1.0 + _BRACKET_FRAC) * cy
     best = _golden_section(objective, lo, hi, _ROOT_XTOL * cy)
@@ -492,19 +491,18 @@ def locate_roots(
             f"located root {best:.15g} disagrees with closed form {cy:.15g} "
             f"beyond relative tolerance {tolerance:g}"
         )
-    return best * eta if regime is Regime.WEAKLY_STABLE else best
+    return best
 
 
 def certify_simple_root(
     params: PhysicalParams,
     radius: float = 1e-3,
     n_points: int = 360,
-    shrink: float = 0.5,
 ) -> BoundCertificate:
     """Certify that the marginal root of Sigma is simple.
 
     Evaluates the quotient |Sigma| / |tau - i c Y2 eta| on arcs of radius
-    ``radius`` and ``radius * shrink`` around the root point
+    ``radius`` and ``radius / 2`` around the root point
     (0, c Y2, 1) / sqrt(1 + (c Y2)^2) on the unit sphere (restricted to the
     admissible half-plane gamma >= 0).  A simple root keeps the
     quotient inside a narrow band whose level does not move as the radius
@@ -513,9 +511,7 @@ def certify_simple_root(
     """
     if params.regime() is not Regime.WEAKLY_STABLE:
         raise ValueError("the imaginary root pair exists in the weakly stable regime only")
-    cy = params.c * root_constants(params)
-    eta0 = 1.0 / math.sqrt(1.0 + cy * cy)
-    delta0 = cy * eta0
+    _, delta0, eta0 = root_points(params)[0]
     phi = np.linspace(-0.5 * np.pi, 0.5 * np.pi, n_points)
 
     def band(r: float) -> tuple[float, float]:
@@ -524,7 +520,7 @@ def certify_simple_root(
         return float(np.min(q)), float(np.max(q))
 
     qmin, qmax = band(radius)
-    smin, smax = band(radius * shrink)
+    smin, smax = band(radius * _SHRINK)
     center_outer = math.sqrt(qmin * qmax)
     center_inner = math.sqrt(smin * smax)
     drift = abs(center_inner / center_outer - 1.0)

@@ -12,6 +12,10 @@ Every quantity here is positively homogeneous in ``(gamma, delta, eta)``.
 Evaluation therefore normalizes the frequency onto the unit sphere first
 and rescales the result afterwards, which keeps huge and tiny frequencies
 well conditioned and makes rescaling checks exact.
+
+A :class:`Frequency` is always a batch of float64 arrays; a single point
+is a 0-d batch.  Every function here is elementwise, so a point gives
+numpy scalars (``np.complex128``, a subclass of ``complex``).
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
-from typing import Union
 
 import numpy as np
 
@@ -41,14 +44,8 @@ SQRT2 = math.sqrt(2.0)
 # Half-width of the band around mach = sqrt(2) that is reported as Degenerate.
 REGIME_TOL = 1e-9
 
-# Relative gamma shift used when the continuous extension of the symbol is
-# requested at a point where mu+ + mu- vanishes (tau = 0, supersonic jump).
-BRANCH_EPS = 1e-9
-
 # |mu+ + mu-| below this threshold (on the unit sphere) counts as vanishing.
 DEGENERATE_TOL = 1e-10
-
-ArrayLike = Union[float, np.ndarray]
 
 
 class NumericalGuard(Exception):
@@ -64,8 +61,7 @@ class DegenerateDenominator(NumericalGuard, ArithmeticError):
     """The symbol was evaluated where mu+ + mu- vanishes.
 
     This only happens on the boundary gamma = 0 at tau = 0 when the jump is
-    supersonic.  Pass ``extend=True`` to evaluate the continuous extension
-    instead of raising.
+    supersonic.
     """
 
 
@@ -107,96 +103,71 @@ class PhysicalParams:
         return Regime.ELLIPTIC if m < SQRT2 else Regime.WEAKLY_STABLE
 
 
-def _as_field(x) -> ArrayLike:
-    arr = np.asarray(x, dtype=np.float64)
-    return float(arr) if arr.ndim == 0 else arr
-
-
 @dataclasses.dataclass(frozen=True)
 class Frequency:
-    """A point ``(gamma, delta, eta)`` of the frequency domain, or an array of them.
+    """A batch of points ``(gamma, delta, eta)`` of the frequency domain.
 
     ``gamma >= 0`` is the Laplace abscissa, ``delta`` the time frequency and
-    ``eta`` the tangential wave number.  The origin is excluded.  Fields may
-    be scalars or broadcast-compatible numpy arrays; all symbol evaluations
-    are elementwise.
+    ``eta`` the tangential wave number.  The origin is excluded.  The fields
+    are broadcast to float64 arrays of one shape; a single point, such as
+    ``Frequency(1.0, 0.0, 1.0)`` or ``mesh[it, ix]``, is a 0-d batch.  All
+    symbol evaluations are elementwise.
     """
 
-    gamma: ArrayLike
-    delta: ArrayLike
-    eta: ArrayLike
+    gamma: np.ndarray
+    delta: np.ndarray
+    eta: np.ndarray
 
     def __post_init__(self) -> None:
-        g, d, e = (_as_field(v) for v in (self.gamma, self.delta, self.eta))
-        if any(isinstance(x, np.ndarray) for x in (g, d, e)):
-            g, d, e = np.broadcast_arrays(
-                np.asarray(g, dtype=np.float64),
-                np.asarray(d, dtype=np.float64),
-                np.asarray(e, dtype=np.float64),
-            )
+        g, d, e = np.broadcast_arrays(
+            *(np.asarray(v, dtype=np.float64) for v in (self.gamma, self.delta, self.eta))
+        )
         object.__setattr__(self, "gamma", g)
         object.__setattr__(self, "delta", d)
         object.__setattr__(self, "eta", e)
-        if np.any(np.asarray(g) < 0):
+        if np.any(g < 0):
             raise ValueError("gamma must be nonnegative")
-        lam2 = np.asarray(g) ** 2 + np.asarray(d) ** 2 + np.asarray(e) ** 2
+        lam2 = g**2 + d**2 + e**2
         if not np.all(np.isfinite(lam2)):
             raise ValueError("frequency components must be finite")
         if np.any(lam2 == 0.0):
             raise ValueError("the origin (0, 0, 0) is not an admissible frequency")
 
     @property
-    def is_scalar(self) -> bool:
-        return not isinstance(self.gamma, np.ndarray)
-
-    @property
     def size(self) -> int:
-        return 1 if self.is_scalar else self.gamma.size
+        return self.gamma.size
 
     @property
-    def tau(self) -> Union[complex, np.ndarray]:
-        return self.gamma + 1j * np.asarray(self.delta)
+    def tau(self):
+        return self.gamma + 1j * self.delta
 
     @property
-    def lam(self) -> ArrayLike:
+    def lam(self):
         """Frequency modulus Lambda = sqrt(gamma^2 + delta^2 + eta^2)."""
-        lam = np.sqrt(
-            np.asarray(self.gamma) ** 2
-            + np.asarray(self.delta) ** 2
-            + np.asarray(self.eta) ** 2
-        )
-        return float(lam) if self.is_scalar else lam
+        return np.sqrt(self.gamma**2 + self.delta**2 + self.eta**2)
 
-    def scaled(self, k: ArrayLike) -> "Frequency":
+    def scaled(self, k) -> "Frequency":
         """Multiply by ``k > 0``: a scalar, or an array broadcast against the fields."""
         if not np.all(np.isfinite(k) & (np.asarray(k) > 0)):
             raise ValueError(f"scaling must be positive and finite, got {k!r}")
-        return Frequency(k * np.asarray(self.gamma), k * np.asarray(self.delta), k * np.asarray(self.eta))
+        return Frequency(k * self.gamma, k * self.delta, k * self.eta)
 
     def __getitem__(self, idx) -> "Frequency":
         # every point of a validated batch is admissible: skip __post_init__
         part = object.__new__(Frequency)
         for name in ("gamma", "delta", "eta"):
-            object.__setattr__(part, name, _as_field(np.asarray(getattr(self, name))[idx]))
+            object.__setattr__(part, name, np.asarray(getattr(self, name)[idx]))
         return part
 
 
 def _unit_parts(freq: Frequency):
-    """The unit-sphere components (gamma, delta, eta) of ``freq`` as arrays, and Lambda.
+    """The unit-sphere components (gamma, delta, eta) of ``freq``, and Lambda.
 
     The symbol kernels normalize through this instead of building a second,
     re-validated :class:`Frequency`.
     """
-    g, d, e = np.asarray(freq.gamma), np.asarray(freq.delta), np.asarray(freq.eta)
-    lam = np.sqrt(g**2 + d**2 + e**2)
-    return g / lam, d / lam, e / lam, lam
-
-
-def _match(freq: Frequency, value: np.ndarray):
-    """Return plain complex for scalar frequencies, ndarray otherwise."""
-    if freq.is_scalar:
-        return complex(np.asarray(value).reshape(()))
-    return value
+    lam = freq.lam
+    return freq.gamma / lam, freq.delta / lam, freq.eta / lam, lam
 
 
 def _mu_branch(gamma, delta, eta, v, c, sign):
@@ -234,49 +205,31 @@ def mu_pm(freq: Frequency, params: PhysicalParams):
     mum = _mu_branch(g, d, e, params.v, params.c, -1.0)
     positive = np.where(g > 0, (mup.real > 0) & (mum.real > 0), (mup.real >= 0) & (mum.real >= 0))
     assert np.all(positive), "branch selection produced a negative real part"
-    return _match(freq, lam * mup), _match(freq, lam * mum)
+    return lam * mup, lam * mum
 
 
-def _sigma_unit(g, d, e, params: PhysicalParams, extend: bool):
+def _sigma_unit(g, d, e, params: PhysicalParams):
     v, c = params.v, params.c
-    mup = _mu_branch(g, d, e, v, c, +1.0)
-    mum = _mu_branch(g, d, e, v, c, -1.0)
-    den = mup + mum
+    den = _mu_branch(g, d, e, v, c, +1.0) + _mu_branch(g, d, e, v, c, -1.0)
+    if np.any(np.abs(den) < DEGENERATE_TOL):
+        raise DegenerateDenominator("mu+ + mu- vanishes at tau = 0 for a supersonic jump")
     tau = g + 1j * d
-    vanishing = np.abs(den) < DEGENERATE_TOL
-    if np.any(vanishing):
-        if not extend:
-            raise DegenerateDenominator(
-                "mu+ + mu- vanishes at tau = 0 for a supersonic jump; "
-                "pass extend=True to evaluate the continuous extension"
-            )
-        # Continuous extension: step inward to gamma = BRANCH_EPS (the
-        # sample sits on the unit sphere, so this is a relative shift) and
-        # evaluate the full symbol there.  tau/(mu+ + mu-) has a finite
-        # limit, which the shifted evaluation approaches to O(BRANCH_EPS).
-        g_ext = np.where(vanishing, g + BRANCH_EPS, g)
-        mup_e = _mu_branch(g_ext, d, e, v, c, +1.0)
-        mum_e = _mu_branch(g_ext, d, e, v, c, -1.0)
-        tau = np.where(vanishing, g_ext + 1j * d, tau)
-        den = np.where(vanishing, mup_e + mum_e, den)
     ratio = (tau / c) / den
     return tau * tau + (v * e) ** 2 * (8.0 * ratio * ratio - 1.0)
 
 
-def big_sigma(freq: Frequency, params: PhysicalParams, *, extend: bool = False):
+def big_sigma(freq: Frequency, params: PhysicalParams):
     """The front symbol Sigma(tau, eta), homogeneous of degree two.
 
     Sigma = tau^2 + v^2 eta^2 * (8 * ((tau/c) / (mu+ + mu-))^2 - 1).
 
     Its zeros decide stability: a real root tau = c*Y1*|eta| below
     mach = sqrt(2), a pair of simple imaginary roots tau = +-i*c*Y2*eta
-    above.  ``extend=True`` enables the continuous extension at the lone
-    points where mu+ + mu- vanishes (tau = 0, supersonic jump); the default
-    is to raise :class:`DegenerateDenominator` there.
+    above.  At the lone points where mu+ + mu- vanishes (tau = 0,
+    supersonic jump) it raises :class:`DegenerateDenominator`.
     """
     g, d, e, lam = _unit_parts(freq)
-    val = _sigma_unit(g, d, e, params, extend)
-    return _match(freq, lam**2 * val)
+    return lam**2 * _sigma_unit(g, d, e, params)
 
 
 def root_constants(params: PhysicalParams) -> float:
@@ -311,7 +264,7 @@ def weight_sigma(freq: Frequency, params: PhysicalParams):
     tau = g + 1j * d
     shift = 1j * (params.c * y2) * e
     val = (tau - shift) * (tau + shift)
-    return _match(freq, lam * val)
+    return lam * val
 
 
 def weight_bound_constant(params: PhysicalParams) -> float:

@@ -17,7 +17,14 @@ from vsheet.hemisphere import (
     root_points,
     sample_hemisphere,
 )
-from vsheet.symbols import Frequency, PhysicalParams, big_sigma, root_constants, weight_sigma
+from vsheet.symbols import (
+    Frequency,
+    PhysicalParams,
+    big_sigma,
+    root_constants,
+    weight_bound_constant,
+    weight_sigma,
+)
 
 M2 = PhysicalParams(v=2.0, c=1.0)
 ELL = PhysicalParams(v=1.0, c=1.0)
@@ -92,7 +99,7 @@ class TestSandwich:
     def test_trivial_direction(self):
         # at (1,0,0): Sigma = 1, weight = 1, Lambda = 1 -> ratio exactly 1
         sample = sample_hemisphere(1, SampleStrategy.UNIFORM_ANGULAR, 1e-6, M2, seed=0)
-        object.__setattr__(sample, "freqs", Frequency(1.0, 0.0, 0.0))
+        object.__setattr__(sample, "freqs", Frequency([1.0], [0.0], [0.0]))
         cert = certify_sandwich(sample, M2)
         assert cert.empirical_min == pytest.approx(1.0, rel=1e-12)
         assert cert.empirical_max == pytest.approx(1.0, rel=1e-12)
@@ -157,8 +164,8 @@ class TestStreamingPass:
         assert sandwich.extras["homogeneity_deviation"] == 0.0
 
     def test_homogeneity_defect_fails_the_sandwich(self, monkeypatch):
-        def skewed(freq, params, **kwargs):
-            return symbols.big_sigma(freq, params, **kwargs) * (1.0 + 1e-6 * np.log(freq.lam))
+        def skewed(freq, params):
+            return symbols.big_sigma(freq, params) * (1.0 + 1e-6 * np.log(freq.lam))
 
         monkeypatch.setattr(hemisphere, "big_sigma", skewed)
         sample = sample_hemisphere(10_000, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6, M2, seed=0)
@@ -209,6 +216,14 @@ class TestWeightBounds:
         assert cert.passed
         assert cert.empirical_max / cert.empirical_min < 10.0
 
+    def test_weight_over_lambda_fails_above_the_cauchy_schwarz_constant(self, monkeypatch):
+        # |sigma| <= (1 + (c Y2)^2) Lambda; a weight twice too large breaks it (max 2 > 1.877)
+        sample = sample_hemisphere(2000, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6, M2, seed=0)
+        monkeypatch.setattr(hemisphere, "weight_sigma", lambda freq, params: 2.0 * weight_sigma(freq, params))
+        cert = next(c for c in certify_weight_bounds(sample, M2) if c.ratio_name == "weight_over_lambda")
+        assert cert.empirical_max > weight_bound_constant(M2)
+        assert not cert.passed
+
 
 class TestLocateRoots:
     @pytest.mark.parametrize("mach,y2", [(1.5, 0.2961795736232002), (2.0, Y2_M2), (3.0, 1.9792012201142612)])
@@ -224,9 +239,10 @@ class TestLocateRoots:
         assert abs(found - y1) / y1 < 1e-8
 
     def test_eta_sign_flips_root(self):
-        up = locate_roots(M2, eta_sign=1.0)
-        down = locate_roots(M2, eta_sign=-1.0)
-        assert up == pytest.approx(-down, rel=1e-10)
+        # Sigma(gamma, -delta, -eta) = conj Sigma(gamma, delta, eta): the mirrored point is a zero too
+        found = locate_roots(M2)
+        mirrored = big_sigma(Frequency(0.0, -found, -1.0), M2)
+        assert abs(mirrored) <= 1e-6 * (found * found + 1.0)  # locate_roots' zero threshold
 
     def test_scales_with_sound_speed(self):
         fast = PhysicalParams(v=6.0, c=3.0)

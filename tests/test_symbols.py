@@ -4,6 +4,8 @@ High-precision reference values were generated once with mpmath at 40
 significant digits and are frozen here as literals.
 """
 
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -24,6 +26,7 @@ from vsheet.symbols import (
 )
 
 M2 = PhysicalParams(v=2.0, c=1.0)
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 # mpmath 40-dps oracles
 MU_PLUS_ORACLE = 1.111785940502842 + 1.798907439947867j
@@ -31,7 +34,7 @@ SIGMA_BIG_ORACLE = 3.4721359549995794  # == 2*sqrt(5) - 1
 WEIGHT_ORACLE = 1.327164739696635
 Y1_ORACLE = {0.5: 0.40523272618718129, 1.0: 0.48586827175664568}
 Y2_ORACLE = {1.5: 0.2961795736232002, 2.0: 0.93642638492427126, 3.0: 1.9792012201142612}
-EXTENSION_ORACLE = 2.0  # c^2 eta^2 (M^2 - 2) at M=2, c=1, eta=1
+EXTENSION_ORACLE = 2.0  # c^2 eta^2 (M^2 - 2) at M=2, c=1, eta=1: the limit of Sigma as tau -> 0
 
 
 def _scalar_freqs():
@@ -121,9 +124,32 @@ class TestFrequency:
         monkeypatch.setattr(Frequency, "__post_init__", lambda self: built.append(self) or original(self))
         point, row = mesh[3, 1], mesh[2]
         assert built == []
-        assert all(type(getattr(point, k)) is float for k in ("gamma", "delta", "eta"))
-        assert point == Frequency(float(mesh.gamma[3, 1]), float(mesh.delta[3, 1]), float(mesh.eta[3, 1]))
+        assert all(x.shape == () and x.dtype == np.float64 for x in (point.gamma, point.delta, point.eta))
+        assert point == Frequency(mesh.gamma[3, 1], mesh.delta[3, 1], mesh.eta[3, 1])
         assert row.size == 4 and np.array_equal(row.eta, mesh.eta[2])
+
+    def test_fields_are_float64_arrays(self):
+        mesh = GridSpec(nt=8, nx=4, ny=8, Lt=1.0, Lx=1.0, Ly=1.0).freq_mesh()
+        batch = Frequency(np.ones(4), np.arange(4), -1)
+        shapes = {
+            (): [Frequency(1.0, 0.0, 1.0), Frequency(1, 0, 2), Frequency(np.float32(0.5), 1.0, 0.0)]
+            + [mesh[3, 1], batch[2]],
+            (4,): [batch, batch.scaled(2.0), mesh[2], mesh[:, 1][4:]],
+            (8, 4): [mesh, mesh.scaled(np.full((8, 4), 0.5))],
+        }
+        for shape, freqs in shapes.items():
+            for f in freqs:
+                for x in (f.gamma, f.delta, f.eta):
+                    assert type(x) is np.ndarray and x.dtype == np.float64 and x.shape == shape
+                assert f.size == np.prod(shape)
+
+    @pytest.mark.parametrize("kernel", [mu_pm, big_sigma, weight_sigma])
+    def test_a_point_gives_complex128_scalars(self, kernel):
+        mesh = GridSpec(nt=8, nx=4, ny=8, Lt=1.0, Lx=1.0, Ly=1.0).freq_mesh()
+        for point in (Frequency(1.0, 0.0, 1.0), mesh[3, 1]):
+            out = kernel(point, M2)
+            for value in out if kernel is mu_pm else (out,):
+                assert type(value) is np.complex128
 
 
 class TestMu:
@@ -170,12 +196,24 @@ class TestBigSigma:
             big_sigma(Frequency(0.0, 0.0, 1.0), M2)
 
     def test_degenerate_point_extends(self):
-        val = big_sigma(Frequency(0.0, 0.0, 1.0), M2, extend=True)
-        assert abs(val - EXTENSION_ORACLE) < 1e-6, f"extension limit off: {val}"
+        # the symbol raises at the degenerate point but has a limit there: approach it from gamma > 0
+        val = big_sigma(Frequency(1e-9, 0.0, 1.0), M2)
+        assert abs(val - EXTENSION_ORACLE) <= 1e-12 * EXTENSION_ORACLE, f"extension limit off: {val}"
 
     def test_extension_scales_with_eta(self):
-        val = big_sigma(Frequency(0.0, 0.0, 3.0), M2, extend=True)
-        assert abs(val - 9.0 * EXTENSION_ORACLE) < 9e-6
+        cases = [(3.0, M2), (-2.0, M2), (3.0, PhysicalParams(v=6.0, c=3.0)), (0.5, PhysicalParams(v=1.5, c=1.0))]
+        for eta, params in cases:
+            limit = params.c**2 * eta**2 * (params.mach**2 - 2.0)
+            val = big_sigma(Frequency(1e-9 * abs(eta), 0.0, eta), params)
+            assert abs(val - limit) <= 1e-12 * abs(limit), (eta, params, val)
+
+    def test_readme_sketch_shows_the_computed_value(self):
+        call = "big_sigma(Frequency(1.0, 0.0, 1.0), params)"
+        line = next(line for line in README.read_text().splitlines() if line.startswith(call))
+        val = big_sigma(Frequency(1.0, 0.0, 1.0), M2)
+        exact = 2.0 * np.sqrt(5.0) - 1.0
+        assert abs(val - exact) <= 1e-15 * exact
+        assert line.split("#", 1)[1].strip() == repr(val)
 
     def test_subsonic_has_no_degeneracy(self):
         # for M < 1 the denominator has positive real part even at tau=0
