@@ -154,44 +154,28 @@ def _study_certify(cfg: RunConfig) -> int:
 
 def _study_roots(cfg: RunConfig) -> int:
     c = cfg.params.c
-    tol = cfg.roots["tolerance"]
+    columns = ["mach", "regime", "closed_form", "located", "rel_error", "ok"]
     rows = []
-    ok = True
     for mach in cfg.roots["machs"]:
         params = PhysicalParams(v=mach * c, c=c)
         regime = params.regime()
+        row = dict.fromkeys(columns, math.nan) | {"mach": mach, "regime": regime.value, "ok": False}
+        rows.append(row)
         if regime is Regime.DEGENERATE:
-            rows.append((mach, regime.value, math.nan, math.nan, math.nan, False))
-            ok = False
             print(f"roots: mach={mach:g}: degenerate regime (mach = sqrt(2)); no root to locate", file=sys.stderr)
             continue
-        closed = c * root_constants(params)
+        row["closed_form"] = closed = c * root_constants(params)
         try:
-            located = locate_roots(params, tolerance=tol)
-            err = abs(abs(located) - closed) / closed
-            rows.append((mach, regime.value, closed, located, err, True))
+            located = locate_roots(params, tolerance=cfg.roots["tolerance"])
         except NoRootFound as exc:
-            rows.append((mach, regime.value, closed, math.nan, math.nan, False))
-            ok = False
             print(f"roots: mach={mach:g}: {exc}", file=sys.stderr)
-    fileio.write_csv(
-        cfg.out_dir / "roots.csv",
-        ["mach", "regime", "closed_form", "located", "rel_error", "ok"],
-        rows,
-    )
-    fileio.write_json(
-        cfg.out_dir / "roots.json",
-        [
-            {
-                "mach": r[0], "regime": r[1], "closed_form": r[2],
-                "located": r[3], "rel_error": r[4], "ok": r[5],
-            }
-            for r in rows
-        ],
-    )
-    for r in rows:
-        print(f"root mach={r[0]:g} [{r[1]}]: located={r[3]:.12g} closed={r[2]:.12g}")
-    return 0 if ok else 1
+            continue
+        row.update(located=located, rel_error=abs(abs(located) - closed) / closed, ok=True)
+    fileio.write_csv(cfg.out_dir / "roots.csv", columns, [list(row.values()) for row in rows])
+    fileio.write_json(cfg.out_dir / "roots.json", rows)
+    for row in rows:
+        print(f"root mach={row['mach']:g} [{row['regime']}]: located={row['located']:.12g} closed={row['closed_form']:.12g}")
+    return 0 if all(row["ok"] for row in rows) else 1
 
 
 def _study_solve(cfg: RunConfig) -> int:
@@ -213,12 +197,7 @@ def _study_sweep(cfg: RunConfig) -> int:
         raw_p, raw_m, grid, cfg.params,
         gammas=cfg.sweep["gammas"], s=cfg.sweep["s"], slack=cfg.sweep["slack"],
     )
-    columns = ["gamma", "front_aniso", "g_over_f", "front_plain"]
-    rows = [
-        tuple(row[k] if row[k] is not None else math.nan for k in columns)
-        for row in result.rows
-    ]
-    fileio.write_csv(cfg.out_dir / "sweep.csv", columns, rows)
+    fileio.write_csv(cfg.out_dir / "sweep.csv", list(result.rows[0]), [list(row.values()) for row in result.rows])
     fileio.write_json(
         cfg.out_dir / "sweep.json",
         {"rows": [dict(r) for r in result.rows], "passed": result.passed,

@@ -164,17 +164,13 @@ def load_config(
         raise ValueError(f"{path}: [heatmap] gamma and the delta and eta ranges must be finite, gamma positive")
     if min(heatmap["n_delta"], heatmap["n_eta"]) < 1:
         raise ValueError(f"{path}: [heatmap] n_delta and n_eta must be at least 1")
-    grid = sections["grid"]
     return RunConfig(
         study=chosen,
         seed=run["seed"] if seed_override is None else seed_override,
         out_dir=pathlib.Path(out_override or run["out"]),
         params=PhysicalParams(**sections["params"]),
         sample=sections["sample"],
-        grid=GridSpec(
-            nt=grid["nt"], nx=grid["nx"], ny=grid["ny"],
-            Lt=grid["lt"], Lx=grid["lx"], Ly=grid["ly"], gamma=grid["gamma"],
-        ),
+        grid=GridSpec(**{f.name: sections["grid"][f.name.lower()] for f in dataclasses.fields(GridSpec)}),
         solve=sections["solve"],
         sweep=sections["sweep"],
         roots=sections["roots"],

@@ -1,9 +1,13 @@
 """On-disk formats: binary/CSV source fields, solution dumps, certificates.
 
-Binary source layout (little endian): int32 nt, nx, ny; float64 Lt, Lx,
-Ly, gamma; then the complex64 samples in C order with t as the leading
-(major) axis, shape (nt, nx, ny).  The CSV variant keeps the same metadata
-on a leading comment line and one ``it,ix,iy,re,im`` row per sample.
+``_HEADER`` declares the source grid record and ``_SOLUTION_HEADER`` the
+solution's: field names, little-endian types and order.  A ``.bin`` file is
+its packed record (44 and 32 bytes) followed by the complex64 samples in C
+order with t as the leading (major) axis, of shape (nt, nx, ny) for a
+source and (nt, nx) for a solution.  The CSV source keeps the source
+record on a leading ``# vfs-source`` comment line and one
+``it,ix,iy,re,im`` row per sample; a solution's JSON sidecar holds it as
+``"grid"``.
 """
 
 from __future__ import annotations
@@ -29,73 +33,69 @@ __all__ = [
     "write_csv",
 ]
 
+# field names are GridSpec's; the int fields give the payload's shape
 _HEADER = np.dtype(
-    [
-        ("nt", "<i4"),
-        ("nx", "<i4"),
-        ("ny", "<i4"),
-        ("Lt", "<f8"),
-        ("Lx", "<f8"),
-        ("Ly", "<f8"),
-        ("gamma", "<f8"),
-    ]
+    [("nt", "<i4"), ("nx", "<i4"), ("ny", "<i4"), ("Lt", "<f8"), ("Lx", "<f8"), ("Ly", "<f8"), ("gamma", "<f8")]
 )
-
-_SOLUTION_HEADER = np.dtype(
-    [("nt", "<i4"), ("nx", "<i4"), ("Lt", "<f8"), ("Lx", "<f8"), ("gamma", "<f8")]
-)
+_SOLUTION_HEADER = np.dtype([("nt", "<i4"), ("nx", "<i4"), ("Lt", "<f8"), ("Lx", "<f8"), ("gamma", "<f8")])
+_CSV_COLUMNS = ["it", "ix", "iy", "re", "im"]
 
 
-def _grid_fields(grid: GridSpec) -> tuple:
-    return (grid.nt, grid.nx, grid.ny, grid.Lt, grid.Lx, grid.Ly, grid.gamma)
+def _record(grid: GridSpec, header: np.dtype) -> dict:
+    return {name: getattr(grid, name) for name in header.names}
+
+
+def _write_packed(path, header: np.dtype, grid: GridSpec, payload: np.ndarray) -> None:
+    """The grid record packed as ``header``, then ``payload`` as complex64 in C order."""
+    with open(path, "wb") as fh:
+        fh.write(np.array([tuple(_record(grid, header).values())], dtype=header).tobytes())
+        fh.write(np.ascontiguousarray(payload, dtype=np.complex64).tobytes())
+
+
+def _read_packed(path, header: np.dtype, kind: str) -> tuple[dict, np.ndarray]:
+    """The header record as a dict and the read-only complex64 payload, shaped by the record's int fields.
+
+    A file whose size does not match its header is rejected in one line naming ``kind`` and the path.
+    """
+    blob = pathlib.Path(path).read_bytes()
+    size = header.itemsize
+    if len(blob) < size:
+        raise ValueError(f"{kind} file {path} holds {len(blob)} bytes, shorter than its {size}-byte header")
+    record = np.frombuffer(blob[:size], dtype=header)[0]
+    fields = {name: record[name].item() for name in header.names}
+    shape = {name: value for name, value in fields.items() if header[name].kind == "i"}
+    expected = size + math.prod(shape.values()) * np.dtype("<c8").itemsize
+    if min(shape.values()) < 0 or len(blob) != expected:
+        dims = ", ".join(f"{name}={n}" for name, n in shape.items())
+        raise ValueError(f"{kind} file {path} holds {len(blob)} bytes, expected {expected} for {dims}")
+    return fields, np.frombuffer(blob[size:], dtype="<c8").reshape(tuple(shape.values()))
 
 
 def write_source_bin(path, raw: np.ndarray, grid: GridSpec) -> None:
     raw = np.asarray(raw)
     if raw.shape != (grid.nt, grid.nx, grid.ny):
         raise ValueError(f"raw shape {raw.shape} does not match the grid")
-    header = np.array([_grid_fields(grid)], dtype=_HEADER)
-    with open(path, "wb") as fh:
-        fh.write(header.tobytes())
-        fh.write(np.ascontiguousarray(raw, dtype=np.complex64).tobytes())
+    _write_packed(path, _HEADER, grid, raw)
 
 
 def read_source_bin(path) -> tuple[np.ndarray, GridSpec]:
     """Read a binary source file; a file whose size does not match its header is rejected."""
-    blob = pathlib.Path(path).read_bytes()
-    size = _HEADER.itemsize
-    if len(blob) < size:
-        raise ValueError(f"source file {path} holds {len(blob)} bytes, shorter than its {size}-byte header")
-    header = np.frombuffer(blob[:size], dtype=_HEADER)[0]
-    nt, nx, ny = int(header["nt"]), int(header["nx"]), int(header["ny"])
-    expected = size + nt * nx * ny * np.dtype("<c8").itemsize
-    if min(nt, nx, ny) < 0 or len(blob) != expected:
-        raise ValueError(
-            f"source file {path} holds {len(blob)} bytes, expected {expected} for nt={nt}, nx={nx}, ny={ny}"
-        )
-    grid = GridSpec(
-        nt=nt, nx=nx, ny=ny,
-        Lt=float(header["Lt"]), Lx=float(header["Lx"]), Ly=float(header["Ly"]),
-        gamma=float(header["gamma"]),
-    )
-    data = np.frombuffer(blob[size:], dtype="<c8")
-    return data.astype(np.complex128).reshape(nt, nx, ny), grid
+    fields, data = _read_packed(path, _HEADER, "source")
+    return data.astype(np.complex128), GridSpec(**fields)
 
 
 def write_source_csv(path, raw: np.ndarray, grid: GridSpec) -> None:
     raw = np.asarray(raw)
     if raw.shape != (grid.nt, grid.nx, grid.ny):
         raise ValueError(f"raw shape {raw.shape} does not match the grid")
-    nt, nx, ny, lt, lx, ly, gamma = _grid_fields(grid)
+    meta = " ".join(f"{name}={value}" for name, value in _record(grid, _HEADER).items())
     with open(path, "w", newline="") as fh:
-        fh.write(
-            f"# vfs-source nt={nt} nx={nx} ny={ny} Lt={lt!r} Lx={lx!r} Ly={ly!r} gamma={gamma!r}\n"
-        )
+        fh.write(f"# vfs-source {meta}\n")
         writer = csv.writer(fh)
-        writer.writerow(["it", "ix", "iy", "re", "im"])
-        for it in range(nt):
-            for ix in range(nx):
-                for iy in range(ny):
+        writer.writerow(_CSV_COLUMNS)
+        for it in range(grid.nt):
+            for ix in range(grid.nx):
+                for iy in range(grid.ny):
                     z = raw[it, ix, iy]
                     writer.writerow([it, ix, iy, repr(float(z.real)), repr(float(z.imag))])
 
@@ -109,9 +109,7 @@ def read_source_csv(path) -> tuple[np.ndarray, GridSpec]:
         try:
             meta = dict(tok.split("=", 1) for tok in meta_line.split()[2:])
             grid = GridSpec(
-                nt=int(meta["nt"]), nx=int(meta["nx"]), ny=int(meta["ny"]),
-                Lt=float(meta["Lt"]), Lx=float(meta["Lx"]), Ly=float(meta["Ly"]),
-                gamma=float(meta["gamma"]),
+                **{name: (int if _HEADER[name].kind == "i" else float)(meta[name]) for name in _HEADER.names}
             )
         except (KeyError, ValueError) as exc:
             raise ValueError(f"source file {path}: bad metadata line ({exc!r})") from None
@@ -120,7 +118,7 @@ def read_source_csv(path) -> tuple[np.ndarray, GridSpec]:
         seen = np.zeros(shape, dtype=bool)
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header != ["it", "ix", "iy", "re", "im"]:
+        if header != _CSV_COLUMNS:
             raise ValueError(f"source file {path}: unexpected CSV columns {header}")
         for row in reader:
             try:
@@ -151,28 +149,14 @@ def read_source(path) -> tuple[np.ndarray, GridSpec]:
 def write_front_solution(prefix, solution) -> tuple[pathlib.Path, pathlib.Path]:
     """Dump f as complex64 binary plus a JSON sidecar; returns both paths."""
     prefix = pathlib.Path(prefix)
-    grid = solution.grid
     bin_path = prefix.with_suffix(".bin")
-    header = np.array(
-        [(grid.nt, grid.nx, grid.Lt, grid.Lx, grid.gamma)], dtype=_SOLUTION_HEADER
-    )
-    with open(bin_path, "wb") as fh:
-        fh.write(header.tobytes())
-        fh.write(np.ascontiguousarray(solution.f, dtype=np.complex64).tobytes())
+    _write_packed(bin_path, _SOLUTION_HEADER, solution.grid, solution.f)
     sidecar = {
         "s": solution.s,
         "regime": solution.regime.value,
-        "norms": {
-            f"{space.value}_s{order:g}": value
-            for (order, space), value in sorted(
-                solution.norms.items(), key=lambda kv: (kv[0][0], kv[0][1].value)
-            )
-        },
+        "norms": {f"{space.value}_s{order:g}": value for (order, space), value in solution.norms.items()},
         "report": solution.report,
-        "grid": {
-            "nt": grid.nt, "nx": grid.nx, "ny": grid.ny,
-            "Lt": grid.Lt, "Lx": grid.Lx, "Ly": grid.Ly, "gamma": grid.gamma,
-        },
+        "grid": _record(solution.grid, _HEADER),
     }
     json_path = prefix.with_suffix(".json")
     write_json(json_path, sidecar)
@@ -186,18 +170,8 @@ def read_front_solution(prefix) -> tuple[dict, np.ndarray]:
     and the physical-space front ``f`` as a complex64 array of shape
     (nt, nx).  A file whose size does not match its header is rejected.
     """
-    path = pathlib.Path(prefix).with_suffix(".bin")
-    blob = path.read_bytes()
-    size = _SOLUTION_HEADER.itemsize
-    if len(blob) < size:
-        raise ValueError(f"solution file {path} holds {len(blob)} bytes, shorter than its {size}-byte header")
-    record = np.frombuffer(blob[:size], dtype=_SOLUTION_HEADER)[0]
-    header = {name: record[name].item() for name in _SOLUTION_HEADER.names}
-    nt, nx = header["nt"], header["nx"]
-    expected = size + nt * nx * np.dtype("<c8").itemsize
-    if nt < 0 or nx < 0 or len(blob) != expected:
-        raise ValueError(f"solution file {path} holds {len(blob)} bytes, expected {expected} for nt={nt}, nx={nx}")
-    return header, np.frombuffer(blob[size:], dtype="<c8").astype(np.complex64).reshape(nt, nx)
+    header, data = _read_packed(pathlib.Path(prefix).with_suffix(".bin"), _SOLUTION_HEADER, "solution")
+    return header, data.astype(np.complex64)
 
 
 def _strict(obj):
@@ -224,9 +198,9 @@ def write_json(path, payload) -> None:
 
 
 def write_csv(path, columns: list, rows: list) -> None:
-    """Write rows of mixed scalars with repr'd floats (deterministic output)."""
+    """Write rows of mixed scalars with repr'd floats (deterministic output); ``None`` is written ``nan``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+            writer.writerow(["nan" if v is None else repr(v) if isinstance(v, float) else v for v in row])

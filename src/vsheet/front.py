@@ -67,14 +67,14 @@ class SourceField:
         if self.spectral.shape != shape:
             raise ValueError(f"spectral shape {self.spectral.shape} does not match grid {shape}")
 
-    def decay_ok(self, tol: float = DECAY_TOL) -> bool:
+    def decay_ok(self) -> bool:
         """True when the outermost x2 node carries a negligible amplitude; a non-finite field raises."""
         peak = float(np.max(np.abs(self.spectral)))
         if not np.isfinite(peak):
             raise ValueError(f"{self.side.value}-side source is not finite")
         if peak == 0.0:
             return True
-        return float(np.max(np.abs(self.spectral[..., -1]))) <= tol * peak
+        return float(np.max(np.abs(self.spectral[..., -1]))) <= DECAY_TOL * peak
 
 
 def transform_source(raw: np.ndarray, side: Side, grid: GridSpec) -> SourceField:
@@ -106,7 +106,7 @@ def half_line_terms(fplus: SourceField, fminus: SourceField, mup, mum, index=...
     )
 
 
-def _guarded_terms(fplus: SourceField, fminus: SourceField, params: PhysicalParams, tail_tol: float):
+def _guarded_terms(fplus: SourceField, fminus: SourceField, params: PhysicalParams):
     """(mu+, mu-, T+, T-) on the grid's frequency mesh behind the decay gate and the tail guard."""
     for field in (fplus, fminus):
         if not field.decay_ok():
@@ -123,15 +123,15 @@ def _guarded_terms(fplus: SourceField, fminus: SourceField, params: PhysicalPara
         term_scale = float(np.max(np.abs(term)))
         if tail_num > 0.0:
             rel_tail = tail_num / term_scale if term_scale > 0.0 else np.inf
-            if rel_tail > tail_tol:
+            if rel_tail > TAIL_TOL:
                 raise QuadratureUnderResolved(
-                    f"half-line truncation tail ~{rel_tail:.3e} (relative) exceeds tolerance {tail_tol:g}; "
+                    f"half-line truncation tail ~{rel_tail:.3e} (relative) exceeds tolerance {TAIL_TOL:g}; "
                     "increase Ly or the source decay"
                 )
     return (mup, mum) + terms
 
 
-def source_moment(fplus: SourceField, fminus: SourceField, *, params: PhysicalParams, tail_tol: float = TAIL_TOL):
+def source_moment(fplus: SourceField, fminus: SourceField, *, params: PhysicalParams):
     """Scalar source moment M driving the front equation, on the grid's (nt, nx) frequency mesh.
 
     M = (1/mu+) int_0^inf exp(-mu+ y) F+(., y) dy
@@ -142,13 +142,13 @@ def source_moment(fplus: SourceField, fminus: SourceField, *, params: PhysicalPa
     when the neglected tail at Ly is not small relative to the computed
     moment.
     """
-    _, _, term_p, term_m = _guarded_terms(fplus, fminus, params, tail_tol)
+    _, _, term_p, term_m = _guarded_terms(fplus, fminus, params)
     return term_p - term_m
 
 
 def build_g(fplus: SourceField, fminus: SourceField, params: PhysicalParams) -> np.ndarray:
     """Right-hand side of the front equation: g = -(mu+ mu- / (mu+ + mu-)) M."""
-    mup, mum, term_p, term_m = _guarded_terms(fplus, fminus, params, TAIL_TOL)
+    mup, mum, term_p, term_m = _guarded_terms(fplus, fminus, params)
     # Re mu+- >= gamma/c >= 1/c on the grid, so the denominator is safe.
     return -(mup * mum / (mup + mum)) * (term_p - term_m)
 

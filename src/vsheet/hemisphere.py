@@ -58,9 +58,15 @@ _STRATUM_EVERY = 4
 
 _CHUNK = 131072
 
+# random powers of two cycled over the sample by the homogeneity check
+_N_SCALINGS = 10
+
 # golden-section bracket (relative half width) and x tolerance of the root search
 _BRACKET_FRAC = 0.2
 _ROOT_XTOL = 1e-12
+
+# a located minimum counts as a root when |Sigma| <= this times Lambda^2
+_ZERO_THRESHOLD = 1e-6
 
 # simple-root certificate: inner/outer arc radius, largest band max/min, level drift
 _SHRINK = 0.5
@@ -85,6 +91,10 @@ class HemisphereSample:
     freqs: Frequency
     gamma_floor: float
 
+    def __post_init__(self) -> None:
+        if self.freqs.gamma.ndim != 1:
+            raise ValueError(f"a hemisphere sample is a 1-d batch of frequencies, got shape {self.freqs.gamma.shape}")
+
     def __len__(self) -> int:
         return self.freqs.size
 
@@ -103,17 +113,11 @@ class BoundCertificate:
     extras: dict = dataclasses.field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        rec = {
-            "ratio_name": self.ratio_name,
-            "empirical_min": self.empirical_min,
-            "empirical_max": self.empirical_max,
-            "sample_size": self.sample_size,
-            "gamma_floor": self.gamma_floor,
-            "mach": self.mach,
-            "pass": self.passed,
-        }
-        if self.extras:
-            rec["extras"] = self.extras
+        """The fields as a dict, ``passed`` written as ``pass``; empty ``extras`` are left out."""
+        rec = dataclasses.asdict(self)
+        rec["pass"] = rec.pop("passed")
+        if not self.extras:
+            del rec["extras"]
         return rec
 
 
@@ -201,7 +205,7 @@ def _near_root_points(u: np.ndarray, roots: np.ndarray, gamma_floor: float) -> n
 
 def sample_hemisphere(
     n: int,
-    strategy: SampleStrategy = SampleStrategy.QUASI_RANDOM,
+    strategy: SampleStrategy,
     gamma_floor: float = 1e-6,
     params: PhysicalParams | None = None,
     seed: int = 0,
@@ -308,7 +312,6 @@ def certify_sandwich(
     sample: HemisphereSample,
     params: PhysicalParams,
     explosion_threshold: float = 1e8,
-    n_scalings: int = 10,
     seed: int = 0,
 ) -> BoundCertificate:
     """Certify |sigma| * Lambda <= C1 |Sigma| <= C2 |sigma| * Lambda on the sample.
@@ -320,13 +323,12 @@ def certify_sandwich(
     empirical band explodes.
 
     Homogeneity is checked pointwise in the same pass: point ``i`` is
-    rescaled by the ``i mod n_scalings``-th of ``n_scalings`` random powers
-    of two, and ``homogeneity_deviation`` is the largest relative change of
-    its ratio.
+    rescaled by the ``i mod 10``-th of ten random powers of two, and
+    ``homogeneity_deviation`` is the largest relative change of its ratio.
     """
     if params.regime() is not Regime.WEAKLY_STABLE:
         raise ValueError("the sandwich bound is certified in the weakly stable regime only")
-    scalings = _power_of_two_scalings(n_scalings, seed)
+    scalings = _power_of_two_scalings(_N_SCALINGS, seed)
 
     def ratios(freqs: Frequency) -> tuple[np.ndarray, np.ndarray]:
         sig = big_sigma(freqs, params)
@@ -337,12 +339,9 @@ def certify_sandwich(
 
     def chunk(start: int, freqs: Frequency):
         ratio, weight_over_lam = ratios(freqs)
-        dev = 0.0
-        if n_scalings:
-            k = scalings[np.arange(start, start + freqs.size) % n_scalings]
-            rescaled, _ = ratios(freqs.scaled(k))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                dev = np.max(np.abs(rescaled - ratio) / ratio)
+        rescaled, _ = ratios(freqs.scaled(scalings[np.arange(start, start + freqs.size) % _N_SCALINGS]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dev = np.max(np.abs(rescaled - ratio) / ratio)
         near = _in_root_tubes(freqs, params)
         return _extrema(ratio), _extrema(ratio, near), _extrema(weight_over_lam), dev
 
@@ -455,7 +454,6 @@ def _golden_section(fn, lo: float, hi: float, xtol: float) -> float:
 def locate_roots(
     params: PhysicalParams,
     tolerance: float = 1e-8,
-    zero_threshold: float = 1e-6,
 ) -> float:
     """Find the root of |Sigma| at eta = 1 by bracketed golden section.
 
@@ -481,10 +479,10 @@ def locate_roots(
     lo, hi = (1.0 - _BRACKET_FRAC) * cy, (1.0 + _BRACKET_FRAC) * cy
     best = _golden_section(objective, lo, hi, _ROOT_XTOL * cy)
     lam2 = best * best + 1.0
-    if objective(best) > zero_threshold * lam2:
+    if objective(best) > _ZERO_THRESHOLD * lam2:
         raise NoRootFound(
             f"minimum |Sigma| = {objective(best):.3e} at coordinate {best:.12g} "
-            f"is above the zero threshold {zero_threshold * lam2:.3e}"
+            f"is above the zero threshold {_ZERO_THRESHOLD * lam2:.3e}"
         )
     if abs(best - cy) > tolerance * cy:
         raise NoRootFound(

@@ -62,7 +62,6 @@ def solve_half_space(
     freq: Frequency,
     fhat: complex,
     params: PhysicalParams,
-    decay_tol: float = DECAY_TOL,
 ) -> tuple[PressureProfile, PressureProfile]:
     """Reconstruct the two one-sided pressure profiles at one grid frequency.
 
@@ -98,7 +97,7 @@ def solve_half_space(
     ):
         values = amp * np.exp(-mu * y) + free / (2.0 * mu * c * c)
         peak = float(np.max(np.abs(values)))
-        if peak > 0.0 and abs(values[-1]) > decay_tol * peak:
+        if peak > 0.0 and abs(values[-1]) > DECAY_TOL * peak:
             raise DecayViolated(
                 f"{side.value}-side pressure retains {abs(values[-1]) / peak:.3e} of its peak "
                 f"at depth Ly = {grid.Ly:g}"

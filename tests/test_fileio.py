@@ -1,11 +1,14 @@
 """Binary/CSV source formats and solution serialization round trips."""
 
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
 from vsheet import fileio
+from vsheet.hemisphere import BoundCertificate
 from vsheet.front import Side, build_g, solve_front, transform_source
 from vsheet.grids import GridSpec
 from vsheet.symbols import PhysicalParams
@@ -169,6 +172,7 @@ class TestSolutionFiles:
         assert "plain_s0.5" in meta["norms"]
         assert "aniso_s1.5" in meta["norms"]
         assert meta["grid"]["nt"] == 8
+        assert set(meta["grid"]) == set(fileio._HEADER.names)
         assert "front_aniso_over_g" in meta["report"]
 
     def test_binary_holds_the_physical_front_as_complex64(self, tmp_path):
@@ -243,3 +247,45 @@ class TestJsonCsvHelpers:
         assert lines[0] == "u,v"
         u, v = lines[1].split(",")
         assert float(u) == 0.1 and float(v) == 1.0 / 3.0
+
+
+class TestReadmeFileFormats:
+    """README's "File formats" section states what the declarations in ``fileio`` write."""
+
+    @staticmethod
+    def _section() -> str:
+        text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+        start = text.index("## File formats")
+        return " ".join(text[start : text.index("\n## ", start + 1)].split())
+
+    @pytest.mark.parametrize(
+        "label, header", [("Source", fileio._HEADER), ("Solution", fileio._SOLUTION_HEADER)], ids=["source", "solution"]
+    )
+    def test_packed_headers(self, label, header):
+        entry = re.search(rf"\*\*{label} `\.bin`\*\* — little-endian packed header `(.*?)` \((\d+) bytes\)", self._section())
+        assert entry, f"README gives no packed header with its size for {label} .bin"
+        documented = [
+            (name, kind)
+            for names, kind in re.findall(r"\(([^)]*)\) (\w+)", entry.group(1))
+            for name in names.split(", ")
+        ]
+        assert documented == [(name, header[name].name) for name in header.names]
+        assert all(header[name].str[0] == "<" for name in header.names)
+        assert int(entry.group(2)) == header.itemsize
+
+    def test_csv_first_line(self, tmp_path):
+        g = _grid(ny=8)
+        path = tmp_path / "src.csv"
+        fileio.write_source_csv(path, _raw(g), g)
+        first = path.read_text().splitlines()[0]
+        documented = re.search(r"first line `(# vfs-source [^`]*)`", self._section()).group(1)
+        assert re.fullmatch(documented.replace("..", r"\S+"), first)
+        assert [tok.split("=")[0] for tok in first.split()[2:]] == list(fileio._HEADER.names)
+
+    def test_certificate_keys(self):
+        documented = re.search(r"\*\*Certificates `\.json`\*\* — a list of records `\{([^}]*)\}`", self._section())
+        keys = documented.group(1).split(", ")
+        cert = BoundCertificate("r", 0.5, 2.0, 10, 1e-6, 2.0, True, extras={"radius": 1e-3})
+        assert sorted(cert.to_json_dict()) == sorted(keys)
+        bare = BoundCertificate("r", 0.5, 2.0, 10, 1e-6, 2.0, True)
+        assert sorted(bare.to_json_dict()) == sorted(set(keys) - {"extras"})

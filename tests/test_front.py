@@ -121,7 +121,8 @@ class TestSourceMoment:
         mref = source_moment(fp1, source_from_spectral(np.zeros_like(spec2), Side.MINUS, g), params=M2)
         np.testing.assert_allclose(m2 - m1, 2.5 * mref, atol=1e-13)
 
-    def test_under_resolved_tail_raises(self):
+    def test_under_resolved_tail_raises(self, monkeypatch):
+        monkeypatch.setattr(front, "TAIL_TOL", 1e-10)
         # decays enough to pass the truncation-depth gate (~1.5e-7 at Ly)
         # but the neglected mu-weighted tail is far above 1e-10
         g = _grid(ny=8, Ly=2.0)
@@ -132,7 +133,7 @@ class TestSourceMoment:
         fm = source_from_spectral(np.zeros_like(spec), Side.MINUS, g)
         assert fp.decay_ok()
         with pytest.raises(QuadratureUnderResolved):
-            source_moment(fp, fm, params=M2, tail_tol=1e-10)
+            source_moment(fp, fm, params=M2)
 
     def test_single_mode_from_the_mesh(self):
         # one mode of the moment is mesh indexing; it is T+ - T- with mu on the mesh

@@ -8,6 +8,7 @@ import pytest
 from vsheet import hemisphere, symbols
 from vsheet.hemisphere import (
     TUBE_RADIUS,
+    HemisphereSample,
     NoRootFound,
     SampleStrategy,
     certify_sandwich,
@@ -74,6 +75,14 @@ class TestSampling:
         a = sample_hemisphere(64, SampleStrategy.QUASI_RANDOM, 1e-6, M2, seed=0)
         b = sample_hemisphere(64, SampleStrategy.QUASI_RANDOM, 1e-6, M2, seed=1)
         assert not np.allclose(np.asarray(a.freqs.delta), np.asarray(b.freqs.delta))
+
+    @pytest.mark.parametrize("shape", [(), (2, hemisphere._CHUNK // 2 + 5)], ids=["0-d", "2-d"])
+    def test_a_sample_is_a_one_dimensional_batch(self, shape):
+        # a 0-d or 2-D batch would be chunked along an axis that does not count its points
+        freqs = Frequency(np.ones(shape), np.zeros(shape), np.zeros(shape))
+        with pytest.raises(ValueError, match=rf"1-d batch of frequencies, got shape \({shape[0] if shape else ''}") as err:
+            HemisphereSample(freqs, 1e-6)
+        assert "\n" not in str(err.value)
 
     def test_stratified_needs_params(self):
         with pytest.raises(ValueError):
@@ -172,8 +181,6 @@ class TestStreamingPass:
         cert = certify_sandwich(sample, M2)
         assert not cert.passed
         assert cert.extras["homogeneity_deviation"] > 1e-12
-        # without rescalings the defect goes unseen
-        assert certify_sandwich(sample, M2, n_scalings=0).extras["homogeneity_deviation"] == 0.0
 
     def test_gamma_floor_zero_is_warning_free(self):
         sample = sample_hemisphere(20_000, SampleStrategy.STRATIFIED_NEAR_ROOTS, 0.0, M2, seed=0)
@@ -242,16 +249,17 @@ class TestLocateRoots:
         # Sigma(gamma, -delta, -eta) = conj Sigma(gamma, delta, eta): the mirrored point is a zero too
         found = locate_roots(M2)
         mirrored = big_sigma(Frequency(0.0, -found, -1.0), M2)
-        assert abs(mirrored) <= 1e-6 * (found * found + 1.0)  # locate_roots' zero threshold
+        assert abs(mirrored) <= hemisphere._ZERO_THRESHOLD * (found * found + 1.0)
 
     def test_scales_with_sound_speed(self):
         fast = PhysicalParams(v=6.0, c=3.0)
         found = locate_roots(fast)
         assert abs(abs(found) - 3.0 * Y2_M2) / (3.0 * Y2_M2) < 1e-8
 
-    def test_no_root_when_threshold_absurd(self):
+    def test_no_root_when_threshold_absurd(self, monkeypatch):
+        monkeypatch.setattr(hemisphere, "_ZERO_THRESHOLD", 1e-30)
         with pytest.raises(NoRootFound):
-            locate_roots(M2, zero_threshold=1e-30)
+            locate_roots(M2)
 
     def test_search_really_found_a_zero(self):
         found = locate_roots(M2)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from vsheet import pressure
 from vsheet.front import Side, source_from_spectral
 from vsheet.grids import GridSpec
 from vsheet.pressure import DecayViolated, front_equation_residual, solve_half_space
@@ -140,12 +141,13 @@ class TestSolveHalfSpace:
             curvature = abs(prof.mu) ** 2 * float(np.max(np.abs(prof.values)))
             assert abs(prof.values[0] - taylor) < 2.0 * curvature * y0**2
 
-    def test_decay_guard(self):
+    def test_decay_guard(self, monkeypatch):
+        monkeypatch.setattr(pressure, "DECAY_TOL", 1e-30)
         g = _grid(ny=8, Ly=2.0)
         fp, fm = _zero_fields(g)
         freq = g.freq_mesh()[1, 1]
         with pytest.raises(DecayViolated):
-            solve_half_space(fp, fm, freq, 1.0, M2, decay_tol=1e-30)
+            solve_half_space(fp, fm, freq, 1.0, M2)
 
     def test_off_lattice_frequency_rejected(self):
         g = _grid()
