@@ -54,8 +54,14 @@ def builtin_sources(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return (tt * xx * yy).astype(np.complex128), (0.7 * tt2 * xx2 * yy2).astype(np.complex128)
 
 
-def stability_diagram(c: float, m_min: float, m_max: float, m_step: float) -> list[tuple]:
-    """(mach, regime, root constant) rows over a mach sweep at fixed sound speed."""
+_DIAGRAM_COLUMNS = ["mach", "regime", "root_constant"]
+
+
+def stability_diagram(c: float, m_min: float, m_max: float, m_step: float) -> list[dict]:
+    """One row per mach of a sweep at fixed sound speed, keyed by ``_DIAGRAM_COLUMNS``.
+
+    The root constant is nan in the degenerate regime (mach = sqrt(2)).
+    """
     rows = []
     count = int(round((m_max - m_min) / m_step))
     for i in range(count + 1):
@@ -64,10 +70,8 @@ def stability_diagram(c: float, m_min: float, m_max: float, m_step: float) -> li
             continue
         params = PhysicalParams(v=mach * c, c=c)
         regime = params.regime()
-        if regime is Regime.DEGENERATE:
-            rows.append((mach, regime.value, math.nan))
-        else:
-            rows.append((mach, regime.value, root_constants(params)))
+        root = math.nan if regime is Regime.DEGENERATE else root_constants(params)
+        rows.append(dict(zip(_DIAGRAM_COLUMNS, (mach, regime.value, root))))
     return rows
 
 
@@ -215,12 +219,8 @@ def _study_sweep(cfg: RunConfig) -> int:
 
 def _study_diagram(cfg: RunConfig) -> int:
     rows = stability_diagram(cfg.params.c, **cfg.diagram)
-    fileio.write_csv(cfg.out_dir / "diagram.csv", ["mach", "regime", "root_constant"], rows)
-    flips = [
-        (rows[i][0], rows[i + 1][0])
-        for i in range(len(rows) - 1)
-        if rows[i][1] != rows[i + 1][1]
-    ]
+    fileio.write_csv(cfg.out_dir / "diagram.csv", _DIAGRAM_COLUMNS, [list(row.values()) for row in rows])
+    flips = [(a["mach"], b["mach"]) for a, b in zip(rows, rows[1:]) if a["regime"] != b["regime"]]
     print(f"diagram: {len(rows)} rows, regime changes at {flips}")
     return 0
 

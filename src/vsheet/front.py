@@ -14,6 +14,7 @@ import enum
 
 import numpy as np
 
+from .chunks import map_chunks
 from .grids import GridSpec, Space, forward_transform, half_line_norm, inverse_transform, weighted_norm
 from .symbols import NumericalGuard, PhysicalParams, Regime, big_sigma, mu_pm
 
@@ -34,6 +35,9 @@ __all__ = [
 
 DECAY_TOL = 1e-6
 TAIL_TOL = 1e-6
+
+# first-axis rows per chunk of the mesh half-line kernel
+_KERNEL_ROWS = 12
 
 
 class QuadratureUnderResolved(NumericalGuard, RuntimeError):
@@ -94,16 +98,36 @@ def half_line_terms(fplus: SourceField, fminus: SourceField, mup, mum, index=...
     ``index=...`` takes the whole (t, x1) mesh with ``mup``/``mum`` on it;
     ``index=(it, ix)`` takes one lattice mode.  The front moment is T+ - T-,
     the pressure boundary values are T+- / (2 c^2).
+
+    Node ``p * order + j`` of the grid's rule is ``o_p + x_j``, so the
+    kernel factors per panel, exp(-mu y) = exp(-mu o_p) exp(-mu x_j): each
+    mode takes panels + order complex exponentials instead of ny.  On a
+    mesh the rows of the first axis run in fixed chunks on the
+    ``VFS_THREADS`` pool; a single mode runs inline.
     """
     if fplus.side is not Side.PLUS or fminus.side is not Side.MINUS:
         raise ValueError("expected (plus-side, minus-side) source fields in that order")
     if fplus.grid != fminus.grid:
         raise ValueError("both sources must share one grid")
-    y, w = fplus.grid.quadrature()
-    return tuple(
-        (np.exp(-mu[..., None] * y) * field.spectral[index]) @ w / mu
-        for field, mu in ((fplus, np.asarray(mup)), (fminus, np.asarray(mum)))
-    )
+    offsets, local, weights = fplus.grid.panels()
+    pairs = ((fplus.spectral[index], np.asarray(mup)), (fminus.spectral[index], np.asarray(mum)))
+
+    def kernel(spectral: np.ndarray, mu: np.ndarray):
+        near = np.exp(-mu[..., None] * local) * weights
+        far = np.exp(-mu[..., None] * offsets)
+        per_panel = spectral.reshape(mu.shape + (offsets.size, local.size)) @ near[..., None]
+        return (far[..., None, :] @ per_panel)[..., 0, 0] / mu
+
+    if pairs[0][1].ndim == 0:
+        return tuple(kernel(spectral, mu) for spectral, mu in pairs)
+    terms = tuple(np.empty(mu.shape, dtype=complex) for _, mu in pairs)
+
+    def rows(start: int, stop: int) -> None:
+        for (spectral, mu), term in zip(pairs, terms):
+            term[start:stop] = kernel(spectral[start:stop], mu[start:stop])
+
+    map_chunks(rows, len(terms[0]), _KERNEL_ROWS)
+    return terms
 
 
 def _guarded_terms(fplus: SourceField, fminus: SourceField, params: PhysicalParams):
@@ -119,7 +143,7 @@ def _guarded_terms(fplus: SourceField, fminus: SourceField, params: PhysicalPara
     for field, mu, term in zip((fplus, fminus), (mup, mum), terms):
         # the neglected tail is of the order of the integrand at the cutoff
         edge = np.abs(field.spectral[..., -1])
-        tail_num = float(np.max(np.abs(np.exp(-mu * grid.Ly)) * edge / np.abs(mu)))
+        tail_num = float(np.max(np.exp(-grid.Ly * mu.real) * edge / np.abs(mu)))
         term_scale = float(np.max(np.abs(term)))
         if tail_num > 0.0:
             rel_tail = tail_num / term_scale if term_scale > 0.0 else np.inf

@@ -17,6 +17,7 @@ import functools
 
 import numpy as np
 
+from .chunks import map_chunks
 from .symbols import Frequency, PhysicalParams, weight_sigma
 
 __all__ = [
@@ -33,6 +34,10 @@ __all__ = [
 # Gauss-Legendre nodes per panel of the half-line rule
 QUAD_ORDER = 8
 
+# trailing-axis columns per task of forward_transform: 128 bytes of each
+# complex128 row, so neighbouring tasks do not keep writing into one cache line
+_FFT_COLUMNS = 8
+
 
 class Space(enum.Enum):
     """Weight applied inside a frequency-space norm."""
@@ -41,11 +46,10 @@ class Space(enum.Enum):
     ANISOTROPIC = "aniso"    # |sigma| * Lambda^s
 
 
-def composite_gauss_legendre(n_nodes: int, length: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of a composite Gauss-Legendre rule on [0, length].
+def _gauss_legendre_panels(n_nodes: int, length: float, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Panel offsets o_p, local nodes x_j and local weights of :func:`composite_gauss_legendre`.
 
-    The interval is split into equal panels of ``order`` nodes each;
-    ``n_nodes`` must be a multiple of the effective panel order.
+    Node ``p * order + j`` of the composite rule is ``o_p + x_j``.
     """
     order = min(order, n_nodes)
     if n_nodes % order:
@@ -53,10 +57,17 @@ def composite_gauss_legendre(n_nodes: int, length: float, order: int) -> tuple[n
     panels = n_nodes // order
     xg, wg = np.polynomial.legendre.leggauss(order)
     width = length / panels
-    offsets = width * np.arange(panels)
-    nodes = (offsets[:, None] + 0.5 * width * (xg + 1.0)[None, :]).ravel()
-    weights = np.tile(0.5 * width * wg, panels)
-    return nodes, weights
+    return width * np.arange(panels), 0.5 * width * (xg + 1.0), 0.5 * width * wg
+
+
+def composite_gauss_legendre(n_nodes: int, length: float, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of a composite Gauss-Legendre rule on [0, length].
+
+    The interval is split into equal panels of ``order`` nodes each;
+    ``n_nodes`` must be a multiple of the effective panel order.
+    """
+    offsets, local, weights = _gauss_legendre_panels(n_nodes, length, order)
+    return (offsets[:, None] + local[None, :]).ravel(), np.tile(weights, offsets.size)
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -116,7 +127,13 @@ class GridSpec:
 
     @functools.cache
     def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes and weights of the half-line rule on [0, Ly]."""
         return composite_gauss_legendre(self.ny, self.Ly, QUAD_ORDER)
+
+    @functools.cache
+    def panels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The half-line rule per panel: offsets, local nodes and local weights."""
+        return _gauss_legendre_panels(self.ny, self.Ly, QUAD_ORDER)
 
     @property
     def cell(self) -> float:
@@ -130,13 +147,22 @@ def forward_transform(raw: np.ndarray, grid: GridSpec) -> np.ndarray:
     Values approximate the continuum transform with kernel
     exp(-i(delta t + eta x1)) at the grid frequencies; the inverse carries
     the 1/(2 pi)^2 factor.  Trailing axes (e.g. the x2 node axis) ride
-    along untouched.
+    along untouched.  The 2-D transform of each trailing index is
+    independent, so they run in fixed slices on the ``VFS_THREADS`` pool;
+    the result does not depend on the slicing.
     """
     raw = np.asarray(raw)
     if raw.shape[:2] != (grid.nt, grid.nx):
         raise ValueError(f"leading axes {raw.shape[:2]} do not match the grid ({grid.nt}, {grid.nx})")
-    damp = np.exp(-grid.gamma * grid.t()).reshape((grid.nt,) + (1,) * (raw.ndim - 1))
-    return grid.cell * np.fft.fft2(damp * raw, axes=(0, 1))
+    damp = np.exp(-grid.gamma * grid.t())[:, None, None]
+    layers = raw.reshape(grid.nt, grid.nx, -1)
+    out = np.empty(layers.shape, dtype=np.result_type(damp, raw, 1j))
+
+    def transform(start: int, stop: int) -> None:
+        np.multiply(grid.cell, np.fft.fft2(damp * layers[..., start:stop], axes=(0, 1)), out=out[..., start:stop])
+
+    map_chunks(transform, layers.shape[2], _FFT_COLUMNS)
+    return out.reshape(raw.shape)
 
 
 def inverse_transform(spectral: np.ndarray, grid: GridSpec) -> np.ndarray:

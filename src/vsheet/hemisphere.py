@@ -20,11 +20,10 @@ import dataclasses
 import enum
 import functools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from .chunks import map_chunks
 from .symbols import (
     Frequency,
     PhysicalParams,
@@ -56,6 +55,7 @@ TUBE_RADIUS = 0.05
 # fraction of stratified samples forced into the root tubes (every 4th point)
 _STRATUM_EVERY = 4
 
+# sample points per chunk of a certificate scan
 _CHUNK = 131072
 
 # random powers of two cycled over the sample by the homogeneity check
@@ -238,38 +238,6 @@ def sample_hemisphere(
     return HemisphereSample(freqs=freqs, gamma_floor=gamma_floor)
 
 
-def _worker_count() -> int | None:
-    raw = os.environ.get("VFS_THREADS", "").strip()
-    if not raw:
-        return None
-    try:
-        count = int(raw)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ValueError(f"VFS_THREADS must be a positive integer, got {raw!r}")
-    return count
-
-
-def _map_chunks(fn, freqs: Frequency) -> list:
-    """``fn(start, freqs[start:start + _CHUNK])`` for every chunk, on the worker pool.
-
-    Chunk boundaries depend only on the sample size and the results come
-    back in chunk order, so a reduction over them does not depend on the
-    number of threads.  ``freqs`` is a one-dimensional batch.
-    """
-    starts = range(0, freqs.size, _CHUNK)
-
-    def run(start: int):
-        return fn(start, freqs[start : start + _CHUNK])
-
-    workers = _worker_count()
-    if len(starts) == 1 or workers == 1:
-        return [run(start) for start in starts]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, starts))
-
-
 def _extrema(values: np.ndarray, where=True) -> tuple[int, float, float]:
     """(count, min, max) of ``values`` where ``where`` holds; empty gives (0, inf, -inf)."""
     count = values.size if where is True else int(np.count_nonzero(where))
@@ -337,15 +305,16 @@ def certify_sandwich(
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.abs(sig) / (wgt * lam), wgt / lam
 
-    def chunk(start: int, freqs: Frequency):
+    def chunk(start: int, stop: int):
+        freqs = sample.freqs[start:stop]
         ratio, weight_over_lam = ratios(freqs)
-        rescaled, _ = ratios(freqs.scaled(scalings[np.arange(start, start + freqs.size) % _N_SCALINGS]))
+        rescaled, _ = ratios(freqs.scaled(scalings[np.arange(start, stop) % _N_SCALINGS]))
         with np.errstate(divide="ignore", invalid="ignore"):
             dev = np.max(np.abs(rescaled - ratio) / ratio)
         near = _in_root_tubes(freqs, params)
         return _extrema(ratio), _extrema(ratio, near), _extrema(weight_over_lam), dev
 
-    whole, near, weight_over_lam, devs = zip(*_map_chunks(chunk, sample.freqs))
+    whole, near, weight_over_lam, devs = zip(*map_chunks(chunk, len(sample), _CHUNK))
     _, rmin, rmax = _merge(whole)
     near_count, near_min, near_max = _merge(near)
     extras = {
@@ -389,7 +358,8 @@ def certify_weight_bounds(
     if params.regime() is not Regime.WEAKLY_STABLE:
         raise ValueError("weight bounds are defined in the weakly stable regime only")
 
-    def chunk(start: int, freqs: Frequency):
+    def chunk(start: int, stop: int):
+        freqs = sample.freqs[start:stop]
         wabs = np.abs(weight_sigma(freqs, params))
         near = _in_root_tubes(freqs, params)
         dist = _root_factor_distance(freqs, params)
@@ -424,7 +394,7 @@ def certify_weight_bounds(
             passed=bool(ok),
         )
 
-    over_gamma, over_lam, over_dist, over_lam_far = zip(*_map_chunks(chunk, sample.freqs))
+    over_gamma, over_lam, over_dist, over_lam_far = zip(*map_chunks(chunk, len(sample), _CHUNK))
     return [
         cert("weight_over_gamma", over_gamma, upper=False),
         cert("weight_over_lambda", over_lam, upper=True, bound=weight_bound_constant(params)),

@@ -170,14 +170,13 @@ def front_equation_residual(
     are mutually consistent.
     """
     v, c = params.v, params.c
-    tau, eta = freq.tau, freq.eta
+    tau, eta, lam2 = complex(freq.tau), float(freq.eta), float(freq.lam) ** 2
     terms = (
         tau * tau * fhat,
         -(v * eta) ** 2 * fhat,
         0.5 * c * c * (prof_plus.dp0 + prof_minus.dp0),
     )
     num = abs(sum(terms))
-    lam2 = freq.lam**2
     den = lam2 * abs(fhat) + sum(abs(t) for t in terms)
     if den == 0.0:
         return 0.0

@@ -239,9 +239,9 @@ def test_criterion_10_embedding_chain(dense_certificates):
 def test_criterion_11_dichotomy_flip():
     rows = stability_diagram(1.0, 0.5, 3.5, 0.05)
     flips = [
-        (rows[i][0], rows[i + 1][0])
+        (rows[i]["mach"], rows[i + 1]["mach"])
         for i in range(len(rows) - 1)
-        if rows[i][1] != rows[i + 1][1]
+        if rows[i]["regime"] != rows[i + 1]["regime"]
     ]
     ok = len(flips) == 1 and flips[0][0] < SQRT2 <= flips[0][1]
     detail = f"flip cell ({flips[0][0]:.2f}, {flips[0][1]:.2f}]" if flips else "no flip found"

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vsheet
-from vsheet import cli, fileio
+from vsheet import cli, fileio, front, grids
 from vsheet.cli import main
 from vsheet.grids import GridSpec
 from vsheet.hemisphere import _CHUNK, NoRootFound
@@ -320,6 +320,42 @@ gammas = 1 2 4
         assert payload["passed"] is True
         assert [row["gamma"] for row in payload["rows"]] == [1.0, 2.0, 4.0]
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("study, artifacts", [
+        ("solve", ("front.bin", "front.json")),
+        ("sweep", ("sweep.json", "sweep.csv")),
+    ])
+    def test_thread_count_does_not_change_output(self, tmp_path, monkeypatch, study, artifacts):
+        # 32 mesh rows are half-line kernel chunks of 12, 12 and 8 rows;
+        # 24 depth nodes are three source-transform slices
+        assert 32 % front._KERNEL_ROWS and 24 // grids._FFT_COLUMNS == 3
+        sweep = "[sweep]\ngammas = 1 2 4\n" if study == "sweep" else ""
+        cfg = _write(
+            tmp_path,
+            f"{study}.cfg",
+            f"""
+[run]
+study = {study}
+out = {tmp_path / 'out'}
+
+[params]
+v = 2.0
+c = 1.0
+
+[grid]
+nt = 32
+nx = 16
+ny = 24
+Ly = 14.0
+
+{sweep}""",
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("VFS_THREADS", threads)
+            assert main([study, "--config", cfg]) == 0
+            outputs.append([(tmp_path / "out" / name).read_bytes() for name in artifacts])
+        assert outputs[0] == outputs[1]
 
 
 class TestDiagram:

@@ -195,7 +195,53 @@ class TestBuildG:
             build_g(fp, fm, M2)
 
 
+def _oracle_terms(fplus, fminus, mup, mum, index=...):
+    """The unfactored kernel (exp(-mu y) F) @ w / mu per side, with its scale sum_j w_j |exp(-mu y_j) F_j| / |mu|."""
+    y, w = fplus.grid.quadrature()
+    out = []
+    for field, mu in ((fplus, np.asarray(mup)), (fminus, np.asarray(mum))):
+        integrand = np.exp(-mu[..., None] * y) * field.spectral[index]
+        out.append((integrand @ w / mu, np.abs(integrand) @ w / np.abs(mu)))
+    return out
+
+
+def _random_pair(grid, seed):
+    """Random complex spectral sources with an exp(-y/2) depth profile."""
+    rng = np.random.default_rng(seed)
+    y, _ = grid.quadrature()
+    shape = (grid.nt, grid.nx, grid.ny)
+    spectra = [(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.exp(-0.5 * y) for _ in range(2)]
+    return source_from_spectral(spectra[0], Side.PLUS, grid), source_from_spectral(spectra[1], Side.MINUS, grid)
+
+
 class TestHalfLineLayer:
+    # ny = 4 is a single panel of four nodes; 32 and 96 are 4 and 12 panels of eight.
+    # The 64 mesh rows are six kernel chunks, the last one short.
+    @pytest.mark.parametrize("ny", [4, 32, 96])
+    def test_panel_kernel_matches_the_oracle_on_the_mesh(self, ny):
+        g = _grid(nt=64, nx=16, ny=ny)
+        assert g.nt % front._KERNEL_ROWS
+        fp, fm = _random_pair(g, seed=ny)
+        mus = mu_pm(g.freq_mesh(), M2)
+        for got, (want, scale) in zip(half_line_terms(fp, fm, *mus), _oracle_terms(fp, fm, *mus)):
+            assert got.shape == (g.nt, g.nx)
+            assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+    @pytest.mark.parametrize("ny", [4, 32, 96])
+    def test_panel_kernel_matches_the_oracle_on_single_modes(self, ny, monkeypatch):
+        def no_pool(*args):
+            raise AssertionError("a single mode must not go to the worker pool")
+
+        monkeypatch.setattr(front, "map_chunks", no_pool)
+        g = _grid(nt=16, nx=16, ny=ny)
+        fp, fm = _random_pair(g, seed=ny + 1)
+        for it, ix in ((0, 0), (1, 2), (8, 8), (15, 3), (5, 15)):
+            mus = mu_pm(g.freq_mesh()[it, ix], M2)
+            terms = half_line_terms(fp, fm, *mus, index=(it, ix))
+            for got, (want, scale) in zip(terms, _oracle_terms(fp, fm, *mus, index=(it, ix))):
+                assert np.ndim(got) == 0
+                assert abs(got - want) <= 1e-14 * scale
+
     @pytest.mark.parametrize("pair, message", [
         ("swapped", "in that order"),
         ("mismatched", "share one grid"),

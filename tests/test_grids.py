@@ -103,6 +103,21 @@ class TestTransforms:
         back = inverse_transform(forward_transform(raw, g), g)
         assert np.max(np.abs(back - raw)) < 1e-13
 
+    @pytest.mark.parametrize("trailing", [(13,), (3, 5), ()], ids=["13", "3x5", "none"])
+    def test_slices_match_one_transform(self, trailing, monkeypatch):
+        # 13 trailing columns are slices of 8 and 5; (3, 5) collapses to 15 columns
+        g = _grid()
+        rng = np.random.default_rng(3)
+        shape = (16, 16) + trailing
+        raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        damp = np.exp(-g.gamma * g.t()).reshape((16,) + (1,) * (raw.ndim - 1))
+        want = g.cell * np.fft.fft2(damp * raw, axes=(0, 1))
+        for threads in ("1", "2"):
+            monkeypatch.setenv("VFS_THREADS", threads)
+            got = forward_transform(raw, g)
+            assert got.shape == shape and got.dtype == np.complex128
+            assert got.tobytes() == want.tobytes()
+
     def test_single_mode_spike(self):
         g = _grid()
         t, x = g.t(), g.x1()
