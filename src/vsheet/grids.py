@@ -2,7 +2,10 @@
 
 Time and the tangential direction live on a torus [0, Lt) x [0, Lx); the
 normal direction is a truncated half-line [0, Ly] carrying a composite
-Gauss-Legendre rule.  The forward transform multiplies by exp(-gamma*t)
+Gauss-Legendre rule of equal panels.  A grid builds that rule (once, in
+panel form; the flat nodes and weights are the panels flattened) and its
+frequency mesh on first use and keeps them on the instance, so they are
+freed with the grid.  The forward transform multiplies by exp(-gamma*t)
 and applies an FFT calibrated to the continuum transform with kernel
 exp(-i(delta*t + eta*x1)), so discrete norms approximate the continuum
 weighted norms (with their 1/(2*pi) normalization) by plain Riemann sums
@@ -23,7 +26,6 @@ from .symbols import Frequency, PhysicalParams, weight_sigma
 __all__ = [
     "GridSpec",
     "Space",
-    "composite_gauss_legendre",
     "find_mode",
     "forward_transform",
     "inverse_transform",
@@ -44,30 +46,6 @@ class Space(enum.Enum):
 
     PLAIN = "plain"          # Lambda^s
     ANISOTROPIC = "aniso"    # |sigma| * Lambda^s
-
-
-def _gauss_legendre_panels(n_nodes: int, length: float, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Panel offsets o_p, local nodes x_j and local weights of :func:`composite_gauss_legendre`.
-
-    Node ``p * order + j`` of the composite rule is ``o_p + x_j``.
-    """
-    order = min(order, n_nodes)
-    if n_nodes % order:
-        raise ValueError(f"n_nodes={n_nodes} is not a multiple of the panel order {order}")
-    panels = n_nodes // order
-    xg, wg = np.polynomial.legendre.leggauss(order)
-    width = length / panels
-    return width * np.arange(panels), 0.5 * width * (xg + 1.0), 0.5 * width * wg
-
-
-def composite_gauss_legendre(n_nodes: int, length: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of a composite Gauss-Legendre rule on [0, length].
-
-    The interval is split into equal panels of ``order`` nodes each;
-    ``n_nodes`` must be a multiple of the effective panel order.
-    """
-    offsets, local, weights = _gauss_legendre_panels(n_nodes, length, order)
-    return (offsets[:, None] + local[None, :]).ravel(), np.tile(weights, offsets.size)
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -119,21 +97,39 @@ class GridSpec:
     def eta(self) -> np.ndarray:
         return 2.0 * np.pi * np.fft.fftfreq(self.nx, d=self.Lx / self.nx)
 
-    @functools.cache
     def freq_mesh(self) -> Frequency:
         """All grid frequencies (gamma, delta_j, eta_k) as an (nt, nx) batch."""
+        return self._mesh
+
+    def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes and weights of the half-line rule on [0, Ly]: :meth:`panels`, flattened."""
+        return self._nodes_weights
+
+    def panels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The half-line rule per panel: offsets o_p, local nodes x_j and local weights.
+
+        Node ``p * order + j`` of the rule is ``o_p + x_j``.
+        """
+        return self._panels
+
+    # Each rule and mesh is built on first use and kept on the instance, so it is freed with the grid.
+    @functools.cached_property
+    def _mesh(self) -> Frequency:
         d, e = np.meshgrid(self.delta(), self.eta(), indexing="ij")
         return Frequency(np.full_like(d, self.gamma), d, e)
 
-    @functools.cache
-    def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes and weights of the half-line rule on [0, Ly]."""
-        return composite_gauss_legendre(self.ny, self.Ly, QUAD_ORDER)
+    @functools.cached_property
+    def _panels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        order = min(QUAD_ORDER, self.ny)
+        count = self.ny // order
+        xg, wg = np.polynomial.legendre.leggauss(order)
+        width = self.Ly / count
+        return width * np.arange(count), 0.5 * width * (xg + 1.0), 0.5 * width * wg
 
-    @functools.cache
-    def panels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The half-line rule per panel: offsets, local nodes and local weights."""
-        return _gauss_legendre_panels(self.ny, self.Ly, QUAD_ORDER)
+    @functools.cached_property
+    def _nodes_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        offsets, local, weights = self._panels
+        return (offsets[:, None] + local[None, :]).ravel(), np.tile(weights, offsets.size)
 
     @property
     def cell(self) -> float:

@@ -71,9 +71,12 @@ def solve_half_space(
         mu+ A+ + mu- A-     = mu+ I+ + mu- I- + 4 v tau i eta fhat / c^2
 
     where I+- are the particular boundary values; the system's determinant
-    is mu+ + mu-, nonzero for gamma >= 1.  Raises DecayViolated when the
-    resulting profile is not negligible at the truncation depth.
+    is mu+ + mu-, nonzero for gamma >= 1.  Raises ValueError for a
+    non-finite ``fhat`` and DecayViolated when the resulting profile is not
+    negligible at the truncation depth (or not finite).
     """
+    if not np.isfinite(fhat):
+        raise ValueError(f"fhat must be finite, got {fhat!r}")
     grid = fplus.grid
     it, ix = find_mode(grid, freq)
     v, c = params.v, params.c
@@ -97,7 +100,7 @@ def solve_half_space(
     ):
         values = amp * np.exp(-mu * y) + free / (2.0 * mu * c * c)
         peak = float(np.max(np.abs(values)))
-        if peak > 0.0 and abs(values[-1]) > DECAY_TOL * peak:
+        if not (peak == 0.0 or abs(values[-1]) <= DECAY_TOL * peak):  # a NaN profile fails too
             raise DecayViolated(
                 f"{side.value}-side pressure retains {abs(values[-1]) / peak:.3e} of its peak "
                 f"at depth Ly = {grid.Ly:g}"

@@ -1,14 +1,18 @@
 """Grids, windowed transforms, weighted norms, half-line quadrature."""
 
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from vsheet import grids
 from vsheet.grids import (
     GridSpec,
     Space,
-    composite_gauss_legendre,
     forward_transform,
     half_line_norm,
     inverse_transform,
@@ -61,31 +65,62 @@ class TestGridSpec:
         np.testing.assert_allclose(np.sort(g.delta()), np.arange(-8, 8), atol=1e-12)
 
 
+def _rule(ny, Ly):
+    """Nodes and weights of the half-line rule of a grid with ``ny`` nodes on [0, Ly]."""
+    return GridSpec(nt=1, nx=1, ny=ny, Lt=1.0, Lx=1.0, Ly=Ly).quadrature()
+
+
 class TestQuadrature:
     def test_weights_integrate_constants(self):
-        y, w = composite_gauss_legendre(32, 7.0, 8)
+        y, w = _rule(32, 7.0)
         assert np.sum(w) == pytest.approx(7.0, rel=1e-14)
         assert np.all((y > 0) & (y < 7.0))
 
     def test_monotone_nodes(self):
-        y, _ = composite_gauss_legendre(24, 3.0, 8)
+        y, _ = _rule(24, 3.0)
         assert np.all(np.diff(y) > 0)
 
     def test_exact_for_polynomials(self):
         # order-8 panels integrate degree-15 polynomials exactly
-        y, w = composite_gauss_legendre(16, 2.0, 8)
+        y, w = _rule(16, 2.0)
         val = np.sum(w * y**15)
         assert val == pytest.approx(2.0**16 / 16.0, rel=1e-13)
 
-    def test_exponential_convergence(self):
+    def test_exponential_convergence(self, monkeypatch):
+        monkeypatch.setattr(grids, "QUAD_ORDER", 2)
         exact = 1.0 - np.exp(-20.0 * 0.8)
         errs = []
         for ny in (8, 16, 32):
-            y, w = composite_gauss_legendre(ny, 20.0, 2)
+            y, w = _rule(ny, 20.0)
             errs.append(abs(np.sum(w * 0.8 * np.exp(-0.8 * y)) - exact))
         # 2-point panels -> order 4 in the panel width
         rate = np.log2(errs[0] / errs[1])
         assert 3.0 < rate < 5.0, f"unexpected convergence rate {rate}"
+
+    def test_flat_rule_is_the_panels_flattened(self):
+        offsets, local, weights = GridSpec(nt=1, nx=1, ny=24, Lt=1.0, Lx=1.0, Ly=3.0).panels()
+        y, w = _rule(24, 3.0)
+        np.testing.assert_array_equal(y, (offsets[:, None] + local).ravel())
+        np.testing.assert_array_equal(w, np.tile(weights, 3))
+
+
+class TestGridCaches:
+    def test_arrays_are_kept_per_grid(self):
+        g = _grid()
+        assert g.freq_mesh() is g.freq_mesh()
+        assert g.quadrature() is g.quadrature()
+        assert g.panels() is g.panels()
+        other = dataclasses.replace(g, gamma=2.0)
+        assert other.freq_mesh() is not g.freq_mesh()
+        assert np.all(other.freq_mesh().gamma == 2.0) and np.all(g.freq_mesh().gamma == 1.0)
+
+    def test_mesh_is_freed_with_the_grid(self):
+        g = _grid()
+        mesh = weakref.ref(g.freq_mesh())
+        rule = weakref.ref(g.quadrature()[0])
+        del g
+        gc.collect()
+        assert mesh() is None and rule() is None
 
 
 class TestTransforms:

@@ -294,3 +294,111 @@ class TestSimpleRoot:
         wide = certify_simple_root(M2, radius=1e-2)
         tight = certify_simple_root(M2, radius=1e-3)
         assert tight.extras["band_ratio"] <= wide.extras["band_ratio"] + 1e-12
+
+
+def _patched_weight(monkeypatch, edit):
+    """Make the certificates see ``edit(freqs, |sigma|)`` as the weight."""
+    monkeypatch.setattr(hemisphere, "weight_sigma", lambda freqs, params: edit(freqs, np.abs(weight_sigma(freqs, params))))
+
+
+def _by_name(certs):
+    return {c.ratio_name: c for c in certs}
+
+
+class TestPassRule:
+    """Each way the one pass rule can fail, driven through the public certificates."""
+
+    SAMPLE = dict(n=4000, strategy=SampleStrategy.STRATIFIED_NEAR_ROOTS, gamma_floor=1e-6, params=M2, seed=0)
+
+    def test_a_zero_minimum_fails(self, monkeypatch):
+        _patched_weight(monkeypatch, lambda freqs, w: np.where(freqs.eta > 0.5, 0.0, w))
+        certs = _by_name(certify_weight_bounds(sample_hemisphere(**self.SAMPLE), M2))
+        # weight_over_gamma carries no band: only min > 0 can fail it
+        assert certs["weight_over_gamma"].empirical_min == 0.0
+        assert not certs["weight_over_gamma"].passed
+        assert not certs["weight_over_lambda_far"].passed
+
+    def test_a_nan_fails(self, monkeypatch):
+        sample = sample_hemisphere(**self.SAMPLE)
+        first = sample.freqs.gamma[0]
+        _patched_weight(monkeypatch, lambda freqs, w: np.where(freqs.gamma == first, np.nan, w))
+        certs = _by_name(certify_weight_bounds(sample, M2))
+        assert np.isnan(certs["weight_over_gamma"].empirical_min)
+        assert not certs["weight_over_gamma"].passed
+        assert not certs["weight_over_lambda"].passed
+
+    def test_an_infinite_maximum_fails_under_a_band(self, monkeypatch):
+        sample = sample_hemisphere(**self.SAMPLE)
+        far = ~hemisphere._in_root_tubes(sample.freqs, M2)
+        marked = sample.freqs.gamma[np.flatnonzero(far)[0]]
+        _patched_weight(monkeypatch, lambda freqs, w: np.where(freqs.gamma == marked, np.inf, w))
+        certs = _by_name(certify_weight_bounds(sample, M2))
+        assert certs["weight_over_lambda_far"].empirical_max == np.inf
+        assert not certs["weight_over_lambda_far"].passed
+        # an unbounded band still needs a finite maximum
+        assert not _by_name(certify_weight_bounds(sample, M2, np.inf))["weight_over_lambda_far"].passed
+        # without a band an infinite maximum is allowed
+        assert certs["weight_over_gamma"].empirical_max == np.inf
+        assert certs["weight_over_gamma"].passed
+
+    def test_a_band_wider_than_the_explosion_threshold_fails(self):
+        sample = sample_hemisphere(**self.SAMPLE)
+        sandwich = certify_sandwich(sample, M2, explosion_threshold=1.5)
+        assert sandwich.empirical_max / sandwich.empirical_min > 1.5
+        assert not sandwich.passed
+        assert "homogeneity_deviation" not in sandwich.extras
+        certs = _by_name(certify_weight_bounds(sample, M2, explosion_threshold=1.5))
+        assert not certs["weight_over_lambda_far"].passed
+        # a band inside the threshold (max/min ~ 1.003 near the roots) and no band at all still pass
+        assert certs["weight_over_root_distance"].passed
+        assert certs["weight_over_gamma"].passed
+        assert all(c.passed for c in certify_weight_bounds(sample, M2))
+
+    def test_an_empty_stratum_fails_with_a_reason(self):
+        sample = sample_hemisphere(64, SampleStrategy.UNIFORM_ANGULAR, 0.5, M2, seed=0)
+        certs = _by_name(certify_weight_bounds(sample, M2))
+        empty = certs["weight_over_root_distance"]
+        assert not empty.passed
+        assert empty.sample_size == 0
+        assert np.isnan(empty.empirical_min) and np.isnan(empty.empirical_max)
+        assert empty.extras == {"reason": "empty stratum"}
+        assert all(c.passed for name, c in certs.items() if name != "weight_over_root_distance")
+        # the sandwich has no stratum of its own to lose: an empty near-root band is recorded, not failed
+        sandwich = certify_sandwich(sample, M2)
+        assert sandwich.passed and sandwich.extras["near_root_count"] == 0
+
+    def test_the_sandwich_near_root_band_fails(self, monkeypatch):
+        def flattened(freqs, params):
+            return np.where(hemisphere._in_root_tubes(freqs, params), 0.0, symbols.big_sigma(freqs, params))
+
+        monkeypatch.setattr(hemisphere, "big_sigma", flattened)
+        cert = certify_sandwich(sample_hemisphere(**self.SAMPLE), M2)
+        assert cert.extras["near_root_count"] > 0
+        assert cert.extras["near_root_min"] == 0.0
+        assert not cert.passed
+        assert "homogeneity_deviation" not in cert.extras
+
+    def test_the_simple_root_band_fails(self, monkeypatch):
+        delta0 = root_points(M2)[0][1]
+
+        def lopsided(freqs, params):
+            return symbols.big_sigma(freqs, params) * np.where(freqs.delta > delta0, 3.0, 1.0)
+
+        monkeypatch.setattr(hemisphere, "big_sigma", lopsided)
+        cert = certify_simple_root(M2)
+        assert cert.extras["band_ratio"] > hemisphere._BAND_LIMIT
+        assert cert.extras["center_drift"] <= hemisphere._DRIFT_LIMIT
+        assert not cert.passed
+
+    def test_the_simple_root_drift_fails(self, monkeypatch):
+        # an extra factor sqrt(distance to the root) mimics a zero of order 3/2
+        _, delta0, _ = root_points(M2)[0]
+
+        def steeper(freqs, params):
+            return symbols.big_sigma(freqs, params) * np.sqrt(np.hypot(freqs.gamma, freqs.delta - delta0) / 1e-3)
+
+        monkeypatch.setattr(hemisphere, "big_sigma", steeper)
+        cert = certify_simple_root(M2)
+        assert cert.extras["band_ratio"] <= hemisphere._BAND_LIMIT
+        assert cert.extras["center_drift"] > hemisphere._DRIFT_LIMIT
+        assert not cert.passed

@@ -149,6 +149,26 @@ class TestSolveHalfSpace:
         with pytest.raises(DecayViolated):
             solve_half_space(fp, fm, freq, 1.0, M2)
 
+    @pytest.mark.parametrize("fhat", [complex("nan"), complex("inf"), complex(0.0, float("-inf"))])
+    def test_non_finite_fhat_is_rejected(self, fhat):
+        g = _grid(ny=16, nt=16, nx=16)
+        fp, fm = _exp_fields(g)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^fhat must be finite, got ") as err:
+                solve_half_space(fp, fm, g.freq_mesh()[1, 2], fhat, M2)
+        assert "\n" not in str(err.value)
+
+    def test_decay_guard_trips_on_a_nan_profile(self):
+        # `nan > x` is False: a guard written as "fail when larger" would let this profile through
+        g = _grid(ny=16, nt=16, nx=16)
+        fp, fm = _exp_fields(g)
+        spectral = fp.spectral.copy()
+        spectral[1, 2, 3] = np.nan
+        nan_plus = source_from_spectral(spectral, Side.PLUS, g)
+        with pytest.raises(DecayViolated, match="plus-side"):
+            solve_half_space(nan_plus, fm, g.freq_mesh()[1, 2], 0.3 + 0.1j, M2)
+
     def test_off_lattice_frequency_rejected(self):
         g = _grid()
         fp, fm = _zero_fields(g)
