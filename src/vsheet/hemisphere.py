@@ -10,7 +10,10 @@ enough to check them on the compact hemisphere
 This module samples that hemisphere (optionally stratifying near the
 marginal root curves, which is where the comparisons are delicate),
 evaluates the ratios on the sample and packages the empirical extrema as
-certificates.  One rule, :func:`_passes`, decides every certificate, and
+certificates.  The sample points come from low-discrepancy sequences
+computed here, one chunk at a time: the Owen-scrambled Halton sequence in
+bases 2 and 3, or the base-2 van der Corput sequence beside the golden-ratio
+sequence.  One rule, :func:`_passes`, decides every certificate, and
 one constructor, :func:`_certificate`, turns the extrema of a sample scan into
 its record.  Certificates are evidence obtained by dense sampling, not
 proofs.
@@ -21,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -57,8 +61,11 @@ TUBE_RADIUS = 0.05
 # fraction of stratified samples forced into the root tubes (every 4th point)
 _STRATUM_EVERY = 4
 
-# sample points per chunk of a certificate scan
-_CHUNK = 131072
+# sample points per chunk of a certificate scan and of the sampler
+_CHUNK = 2**17
+
+# low digits of the scrambled sequence tabulated per base: 2**17 and 3**11 entries
+_TABLE_DIGITS = {2: 17, 3: 11}
 
 # random powers of two cycled over the sample by the homogeneity check
 _N_SCALINGS = 10
@@ -123,29 +130,71 @@ class BoundCertificate:
         return rec
 
 
-def _van_der_corput(idx: np.ndarray) -> np.ndarray:
-    """Base-2 radical inverse of the given indices (vectorized)."""
-    x = idx.astype(np.uint64)
-    out = np.zeros(x.shape, dtype=np.float64)
-    denom = 2.0
-    while np.any(x > 0):
-        out += (x & 1) / denom
-        x >>= 1
-        denom *= 2.0
-    return out
+def _digit_sums(perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(table, tail)`` of the radical inverse whose digit ``j`` is scrambled by ``perms[j]``.
+
+    Digit ``j`` of an index adds ``perms[j, digit] * b**-(j + 1)``, the power
+    rounded as ``1/b`` divided by ``b`` ``j`` times; the terms are summed from
+    0.0 in digit order.  ``table`` holds these sums over the low ``k`` digits
+    (:data:`_TABLE_DIGITS`) of each index below ``b**k``; ``tail[j, d]`` is the
+    term of digit ``d`` at position ``k + j``.
+    """
+    base, k = perms.shape[1], _TABLE_DIGITS[perms.shape[1]]
+    powers = list(itertools.accumulate(range(len(perms)), lambda x, _: x / base, initial=1.0))[1:]
+    terms = perms * np.array(powers)[:, None]
+    table = np.zeros(1)
+    for row in terms[:k]:
+        table = np.concatenate([table + term for term in row])
+    return table, terms[k:]
+
+
+def _radical_inverse(sums: tuple[np.ndarray, np.ndarray], first: int, out: np.ndarray) -> None:
+    """Fill ``out`` with the points of indices ``first, first + 1, ...`` under :func:`_digit_sums`.
+
+    A run of indices sharing their digits above the table starts from one
+    table slice and adds the remaining terms one at a time, in digit order;
+    adding a 0.0 term is exact, so it is skipped.
+    """
+    table, tail = sums
+    size, base = len(table), tail.shape[1]
+    stop = first + len(out)
+    for high in range(first // size, (stop - 1) // size + 1):
+        lo, hi = max(first, high * size), min(stop, (high + 1) * size)
+        run = out[lo - first : hi - first]
+        run[:] = table[lo - high * size : hi - high * size]
+        digits = high
+        for row in tail:
+            digits, digit = divmod(digits, base)
+            if row[digit]:
+                run += row[digit]
 
 
 def _unit_square(n: int, strategy: SampleStrategy, seed: int) -> np.ndarray:
-    """(n, 2) low-discrepancy points; prefixes are nested for a fixed seed."""
-    if strategy is SampleStrategy.UNIFORM_ANGULAR:
-        idx = np.arange(1, n + 1, dtype=np.uint64)
-        u1 = _van_der_corput(idx)
-        u2 = np.mod(idx.astype(np.float64) * GOLDEN_FRAC, 1.0)
-        return np.column_stack([u1, u2])
-    from scipy.stats import qmc  # imported here: scipy.stats alone costs about 1 s
+    """(n, 2) low-discrepancy points, made chunk by chunk; point i depends only on i and the seed.
 
-    engine = qmc.Halton(d=2, scramble=True, seed=seed)
-    return engine.random(n)
+    QUASI_RANDOM and STRATIFIED_NEAR_ROOTS take the Owen-scrambled Halton
+    sequence in bases 2 and 3 from index 0; ``default_rng(seed)`` shuffles
+    the digit permutations of base 2, then of base 3.  UNIFORM_ANGULAR pairs
+    the plain base-2 sequence from index 1 with ``i * GOLDEN_FRAC mod 1``.
+    """
+    uniform = strategy is SampleStrategy.UNIFORM_ANGULAR
+    # one arange(b) per digit position k with b**-k > 2**-54, the digits a double resolves
+    perms = [np.repeat(np.arange(b)[None], math.ceil(54 / math.log2(b)) - 1, axis=0) for b in (2, 3)]
+    if not uniform:
+        rng = np.random.default_rng(seed)
+        for row in (*perms[0], *perms[1]):
+            rng.shuffle(row)
+    first, axes = (1, [_digit_sums(perms[0])]) if uniform else (0, [_digit_sums(p) for p in perms])
+    u = np.empty((2, n))
+
+    def chunk(start: int, stop: int) -> None:
+        for row, sums in zip(u, axes):
+            _radical_inverse(sums, first + start, row[start:stop])
+        if uniform:
+            np.mod(np.arange(first + start, first + stop, dtype=np.float64) * GOLDEN_FRAC, 1.0, out=u[1, start:stop])
+
+    map_chunks(chunk, n, _CHUNK)
+    return u.T
 
 
 def _zone_points(u: np.ndarray, gamma_floor: float) -> np.ndarray:
@@ -466,23 +515,13 @@ def certify_simple_root(
 
     qmin, qmax = band(radius)
     smin, smax = band(radius * _SHRINK)
+    record = functools.partial(BoundCertificate, "simple_root_quotient", qmin, qmax, 2 * n_points, 0.0, params.mach)
+    for r, low in ((radius, qmin), (radius * _SHRINK, smin)):
+        if low == 0.0:
+            return record(False, {"radius": radius, "reason": f"zero band: |Sigma| vanishes on the arc of radius {r:g}"})
     center_outer = math.sqrt(qmin * qmax)
     center_inner = math.sqrt(smin * smax)
     drift = abs(center_inner / center_outer - 1.0)
     ok = _passes(qmin, qmax, limit=_BAND_LIMIT) and _passes(smin, smax, limit=_BAND_LIMIT) and drift <= _DRIFT_LIMIT
-    return BoundCertificate(
-        ratio_name="simple_root_quotient",
-        empirical_min=qmin,
-        empirical_max=qmax,
-        sample_size=2 * n_points,
-        gamma_floor=0.0,
-        mach=params.mach,
-        passed=ok,
-        extras={
-            "radius": radius,
-            "band_ratio": qmax / qmin,
-            "shrunk_band_ratio": smax / smin,
-            "center_drift": drift,
-            "quotient_level": center_outer,
-        },
-    )
+    extras = dict(radius=radius, band_ratio=qmax / qmin, shrunk_band_ratio=smax / smin)
+    return record(ok, dict(extras, center_drift=drift, quotient_level=center_outer))

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vsheet
-from vsheet import cli, fileio, front, grids
+from vsheet import cli, fileio, front, grids, hemisphere
 from vsheet.cli import main
 from vsheet.grids import GridSpec
 from vsheet.hemisphere import _CHUNK, NoRootFound
@@ -33,7 +33,7 @@ def _write(tmp_path, name, text):
     return str(path)
 
 
-def _certify_cfg(tmp_path, out="cert_out", n=2000, extra=""):
+def _certify_cfg(tmp_path, out="cert_out", n=2000, extra="", strategy="stratified_near_roots"):
     return _write(
         tmp_path,
         "certify.cfg",
@@ -49,7 +49,7 @@ c = 1.0
 
 [sample]
 n = {n}
-strategy = stratified_near_roots
+strategy = {strategy}
 {extra}
 """,
     )
@@ -479,14 +479,35 @@ n_eta = 3
     assert val == pytest.approx(abs(weight_sigma(Frequency(1.25, d, e), M2)), rel=1e-12)
 
 
-def test_import_leaves_scipy_stats_and_integrate_unloaded():
-    # both cost a second at startup and only the Halton sampler and the
-    # pressure ODE check use them
+# an import hook that refuses scipy and every scipy.* module, then one certify run
+_WITHOUT_SCIPY = """
+import importlib.abc, sys
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+from vsheet.cli import main
+
+code = main(["certify", "--config", sys.argv[1]])
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("strategy", ["uniform_angular", "stratified_near_roots", "quasi_random"])
+def test_certify_runs_without_scipy(tmp_path, strategy):
     src = str(pathlib.Path(vsheet.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, vsheet.cli; print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    blocked = _certify_cfg(tmp_path, out="blocked", n=3000, strategy=strategy)
+    out = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, blocked], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"
+    assert main(["certify", "--config", _certify_cfg(tmp_path, out="free", n=3000, strategy=strategy)]) == 0
+    certificates = [(tmp_path / run / "certificates.json").read_bytes() for run in ("blocked", "free")]
+    assert certificates[0] == certificates[1]
 
 
 class TestExitCodes:
@@ -540,6 +561,21 @@ class TestExitCodes:
         monkeypatch.setenv("VFS_THREADS", "abc")
         assert main(["certify", "--config", _certify_cfg(tmp_path)]) == 2
         assert self._one_vfs_line(capsys) == "vfs: VFS_THREADS must be a positive integer, got 'abc'"
+
+    def test_a_zero_simple_root_band_is_a_check_failure(self, tmp_path, capsys, monkeypatch):
+        # |Sigma| vanishes at the first point of the default outer arc (radius 1e-3, 360 points)
+        _, delta0, _ = hemisphere.root_points(M2)[0]
+        phi = np.linspace(-0.5 * np.pi, 0.5 * np.pi, 360)
+        gamma, delta = (1e-3 * np.cos(phi))[0], (delta0 + 1e-3 * np.sin(phi))[0]
+
+        def vanishing(freqs, params):
+            return np.where((freqs.gamma == gamma) & (freqs.delta == delta), 0.0, big_sigma(freqs, params))
+
+        monkeypatch.setattr(hemisphere, "big_sigma", vanishing)
+        assert main(["certify", "--config", _certify_cfg(tmp_path)]) == 1
+        assert "certificate simple_root_quotient: FAIL (min=0," in capsys.readouterr().out
+        recs = json.loads((tmp_path / "cert_out" / "certificates.json").read_text())
+        assert recs[-1]["extras"]["reason"] == "zero band: |Sigma| vanishes on the arc of radius 0.001"
 
     def test_certify_below_sqrt2_is_one_vfs_line(self, tmp_path, capsys):
         cfg = _write(tmp_path, "ell.cfg", f"[run]\nout = {tmp_path / 'o'}\n\n[params]\nv = 1.0\nc = 1.0\n")

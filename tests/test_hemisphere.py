@@ -1,5 +1,6 @@
 """Hemisphere sampling, bound certificates, root location."""
 
+import functools
 import warnings
 
 import numpy as np
@@ -102,6 +103,65 @@ class TestSampling:
         for g, d, e in pts:
             assert d == 0.0 and g > 0
             assert abs(g - Y1_M1 * abs(e)) < 1e-12
+
+
+class TestOwnedSequence:
+    """The scrambled sequence is scipy's ``qmc.Halton(d=2, scramble=True, seed=seed)``, computed in numpy."""
+
+    # both table widths (2**17 in base 2, 3**11 in base 3) and the chunk seams
+    SIZES = [1, 7, 2**17 - 1, 2**17, 2**17 + 1, 3**11 + 1, 4 * 2**17 + 5, 10**6]
+
+    @staticmethod
+    @functools.cache
+    def _scipy_points(seed: int) -> np.ndarray:
+        from scipy.stats import qmc
+
+        try:
+            engine = qmc.Halton(d=2, scramble=True, seed=seed)
+        except TypeError:
+            pytest.skip("scipy's qmc.Halton no longer accepts seed=, the keyword whose points are reproduced")
+        return engine.random(max(TestOwnedSequence.SIZES))
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("seed", [0, 1, 2, 102])
+    def test_equals_scipy_halton_bit_for_bit(self, seed, n):
+        # a fresh engine's random(n) is the head of its random(10**6): point i depends on i alone
+        got = hemisphere._unit_square(n, SampleStrategy.QUASI_RANDOM, seed)
+        ref = self._scipy_points(seed)[:n]
+        assert got.shape == (n, 2)
+        np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    def test_first_points_are_pinned(self):
+        pinned = [
+            ["0x1.3b5fbfb83847cp-3", "0x1.58ec7ebfd04fep-1"],
+            ["0x1.4ed7efee0e11fp-1", "0x1.5c83a82a4b49ep-2"],
+            ["0x1.9dafdfdc1c23ep-2", "0x1.cb94b53d7d29ep-8"],
+            ["0x1.ced7efee0e11fp-1", "0x1.cab39b31976c5p-1"],
+        ]
+        got = hemisphere._unit_square(4, SampleStrategy.QUASI_RANDOM, 1)
+        assert [[x.hex() for x in row] for row in got.tolist()] == pinned
+
+    @pytest.mark.parametrize("n, m", [(2**17 - 1, 2**17 + 1), (3**11 - 1, 3**11 + 2), (5, 2 * 2**17 + 3)])
+    @pytest.mark.parametrize("strategy", list(SampleStrategy))
+    def test_prefixes_are_nested_across_the_seams(self, strategy, n, m):
+        small = sample_hemisphere(n, strategy, 1e-6, M2, seed=2)
+        big = sample_hemisphere(m, strategy, 1e-6, M2, seed=2)
+        for a, b in zip(_rows(small), _rows(big)):
+            np.testing.assert_array_equal(a.view(np.uint64), b[:n].view(np.uint64))
+
+    @pytest.mark.parametrize("strategy", list(SampleStrategy))
+    def test_samples_do_not_depend_on_the_thread_count(self, strategy, monkeypatch):
+        n = 3 * 2**17 + 3**11 + 1
+        samples = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("VFS_THREADS", threads)
+            samples.append(_rows(sample_hemisphere(n, strategy, 1e-6, M2, seed=102)))
+        for a, b in zip(*samples):
+            np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _rows(sample: HemisphereSample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return sample.freqs.gamma, sample.freqs.delta, sample.freqs.eta
 
 
 class TestSandwich:
@@ -301,6 +361,19 @@ def _patched_weight(monkeypatch, edit):
     monkeypatch.setattr(hemisphere, "weight_sigma", lambda freqs, params: edit(freqs, np.abs(weight_sigma(freqs, params))))
 
 
+def _vanishing_on_one_arc_point(monkeypatch, radius: float) -> None:
+    """Make ``hemisphere.big_sigma`` vanish at one point of the default 360-point simple-root arc of ``radius``."""
+    _, delta0, _ = root_points(M2)[0]
+    # the arc as certify_simple_root lays it out, so the chosen point matches bit for bit
+    phi = np.linspace(-0.5 * np.pi, 0.5 * np.pi, 360)
+    gamma, delta = (radius * np.cos(phi))[120], (delta0 + radius * np.sin(phi))[120]
+
+    def vanishing(freqs, params):
+        return np.where((freqs.gamma == gamma) & (freqs.delta == delta), 0.0, symbols.big_sigma(freqs, params))
+
+    monkeypatch.setattr(hemisphere, "big_sigma", vanishing)
+
+
 def _by_name(certs):
     return {c.ratio_name: c for c in certs}
 
@@ -402,3 +475,11 @@ class TestPassRule:
         assert cert.extras["band_ratio"] <= hemisphere._BAND_LIMIT
         assert cert.extras["center_drift"] > hemisphere._DRIFT_LIMIT
         assert not cert.passed
+
+    @pytest.mark.parametrize("shrink", [1.0, hemisphere._SHRINK], ids=["outer", "inner"])
+    def test_a_zero_simple_root_band_fails_with_a_reason(self, monkeypatch, shrink):
+        _vanishing_on_one_arc_point(monkeypatch, 1e-3 * shrink)
+        cert = certify_simple_root(M2, radius=1e-3)
+        assert not cert.passed
+        assert cert.extras == {"radius": 1e-3, "reason": f"zero band: |Sigma| vanishes on the arc of radius {1e-3 * shrink:g}"}
+        assert (cert.empirical_min == 0.0) == (shrink == 1.0)
