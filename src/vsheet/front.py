@@ -87,44 +87,65 @@ def transform_source(raw: np.ndarray, side: Side, grid: GridSpec) -> SourceField
     return SourceField(side=Side(side), spectral=forward_transform(raw, grid), grid=grid)
 
 
-def source_from_spectral(spectral: np.ndarray, side: Side, grid: GridSpec) -> SourceField:
-    """Wrap an already-transformed profile (handy for manufactured cases)."""
-    return SourceField(side=Side(side), spectral=np.asarray(spectral, dtype=np.complex128), grid=grid)
-
-
-def half_line_terms(fplus: SourceField, fminus: SourceField, mup, mum, index=...):
-    """(T+, T-) = (1/mu+-) int_0^Ly exp(-mu+- y) F+-(., +-y) dy for a (plus, minus) source pair.
-
-    ``index=...`` takes the whole (t, x1) mesh with ``mup``/``mum`` on it;
-    ``index=(it, ix)`` takes one lattice mode.  The front moment is T+ - T-,
-    the pressure boundary values are T+- / (2 c^2).
-
-    Node ``p * order + j`` of the grid's rule is ``o_p + x_j``, so the
-    kernel factors per panel, exp(-mu y) = exp(-mu o_p) exp(-mu x_j): each
-    mode takes panels + order complex exponentials instead of ny.  On a
-    mesh the rows of the first axis run in fixed chunks on the
-    ``VFS_THREADS`` pool; a single mode runs inline.
-    """
+def _source_grid(fplus: SourceField, fminus: SourceField) -> GridSpec:
+    """The grid of a (plus, minus) source pair; ValueError for the wrong order or two grids."""
     if fplus.side is not Side.PLUS or fminus.side is not Side.MINUS:
         raise ValueError("expected (plus-side, minus-side) source fields in that order")
     if fplus.grid != fminus.grid:
         raise ValueError("both sources must share one grid")
-    offsets, local, weights = fplus.grid.panels()
-    pairs = ((fplus.spectral[index], np.asarray(mup)), (fminus.spectral[index], np.asarray(mum)))
+    return fplus.grid
 
-    def kernel(spectral: np.ndarray, mu: np.ndarray):
-        near = np.exp(-mu[..., None] * local) * weights
-        far = np.exp(-mu[..., None] * offsets)
-        per_panel = spectral.reshape(mu.shape + (offsets.size, local.size)) @ near[..., None]
-        return (far[..., None, :] @ per_panel)[..., 0, 0] / mu
 
-    if pairs[0][1].ndim == 0:
-        return tuple(kernel(spectral, mu) for spectral, mu in pairs)
+def _panel_exponentials(grid: GridSpec, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-mu x_j) and exp(-mu o_p) for ``mu`` of any shape, from one exponential call.
+
+    The local nodes x_j come last on the trailing axis of the first array,
+    the panel offsets o_p on that of the second.
+    """
+    offsets, local, _ = grid.panels()
+    both = np.exp(-mu[..., None] * np.concatenate((local, offsets)))
+    return both[..., : local.size], both[..., local.size :]
+
+
+def _panel_terms(spectral: np.ndarray, mu: np.ndarray, near: np.ndarray, far: np.ndarray):
+    """T = (1/mu) sum_p far_p sum_j near_j F_pj and the per-panel sums sum_j near_j F_pj.
+
+    ``near`` is exp(-mu x_j) times the local weights and ``far`` is
+    exp(-mu o_p), both as :func:`_panel_exponentials` lays them out, so
+    node ``p * order + j`` of ``spectral`` is panel p, local node j.  Any
+    batch shape of ``mu`` works; the per-panel sums have shape
+    ``mu.shape + (panels, 1)``.
+    """
+    per_panel = spectral.reshape(mu.shape + (far.shape[-1], near.shape[-1])) @ near[..., None]
+    return (far[..., None, :] @ per_panel)[..., 0, 0] / mu, per_panel
+
+
+def half_line_terms(fplus: SourceField, fminus: SourceField, mup: np.ndarray, mum: np.ndarray):
+    """(T+, T-) = (1/mu+-) int_0^Ly exp(-mu+- y) F+-(., +-y) dy on the (t, x1) mesh of a (plus, minus) pair.
+
+    ``mup``/``mum`` hold mu+- on the grid's frequency mesh.  The front
+    moment is T+ - T-, the pressure boundary values are T+- / (2 c^2).
+
+    Node ``p * order + j`` of the grid's rule is ``o_p + x_j``, so the
+    kernel factors per panel, exp(-mu y) = exp(-mu o_p) exp(-mu x_j): each
+    mode takes panels + order complex exponentials instead of ny, all of
+    modulus at most 1 since Re mu > 0.  The pressure closure runs the same
+    two steps (:func:`_panel_exponentials`, :func:`_panel_terms`) and
+    builds its whole profile from those exponentials and per-panel sums:
+    the Gauss-Legendre nodes are symmetric, h - x_j = x_{order-1-j} for
+    panel width h, so the kernel between two panels is a power of
+    exp(-mu h) times a local and a mirrored local exponential.  The rows
+    of the first axis run in fixed chunks on the ``VFS_THREADS`` pool.
+    """
+    grid = _source_grid(fplus, fminus)
+    weights = grid.panels()[2]
+    pairs = ((fplus.spectral, np.asarray(mup)), (fminus.spectral, np.asarray(mum)))
     terms = tuple(np.empty(mu.shape, dtype=complex) for _, mu in pairs)
 
     def rows(start: int, stop: int) -> None:
         for (spectral, mu), term in zip(pairs, terms):
-            term[start:stop] = kernel(spectral[start:stop], mu[start:stop])
+            near, far = _panel_exponentials(grid, mu[start:stop])
+            term[start:stop] = _panel_terms(spectral[start:stop], mu[start:stop], near * weights, far)[0]
 
     map_chunks(rows, len(terms[0]), _KERNEL_ROWS)
     return terms

@@ -3,10 +3,11 @@
 Time and the tangential direction live on a torus [0, Lt) x [0, Lx); the
 normal direction is a truncated half-line [0, Ly] carrying a composite
 Gauss-Legendre rule of equal panels.  A grid builds that rule (once, in
-panel form; the flat nodes and weights are the panels flattened) and its
-frequency mesh on first use and keeps them on the instance, so they are
-freed with the grid.  The forward transform multiplies by exp(-gamma*t)
-and applies an FFT calibrated to the continuum transform with kernel
+panel form; the flat nodes and weights are the panels flattened), the
+static tables of the panel-factored kernel, and its frequency axes and
+mesh on first use and keeps them on the instance, so they are freed with
+the grid.  The forward transform multiplies by exp(-gamma*t) and applies
+an FFT calibrated to the continuum transform with kernel
 exp(-i(delta*t + eta*x1)), so discrete norms approximate the continuum
 weighted norms (with their 1/(2*pi) normalization) by plain Riemann sums
 in frequency.
@@ -112,10 +113,23 @@ class GridSpec:
         """
         return self._panels
 
-    # Each rule and mesh is built on first use and kept on the instance, so it is freed with the grid.
+    def panel_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Static tables of the panel-factored free-space kernel: panel lags and in-panel distances.
+
+        ``lags[p, q]`` is ``p - q`` below the diagonal and 0 elsewhere, and
+        ``distances[i, j]`` is ``|x_i - x_j|`` for the local nodes.
+        """
+        return self._panel_tables
+
+    # Each rule, table, axis pair and mesh is built on first use and kept on the instance,
+    # so it is freed with the grid.
+    @functools.cached_property
+    def _axes(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.delta(), self.eta()
+
     @functools.cached_property
     def _mesh(self) -> Frequency:
-        d, e = np.meshgrid(self.delta(), self.eta(), indexing="ij")
+        d, e = np.meshgrid(*self._axes, indexing="ij")
         return Frequency(np.full_like(d, self.gamma), d, e)
 
     @functools.cached_property
@@ -125,6 +139,12 @@ class GridSpec:
         xg, wg = np.polynomial.legendre.leggauss(order)
         width = self.Ly / count
         return width * np.arange(count), 0.5 * width * (xg + 1.0), 0.5 * width * wg
+
+    @functools.cached_property
+    def _panel_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        offsets, local, _ = self._panels
+        lags = np.subtract.outer(np.arange(offsets.size), np.arange(offsets.size))
+        return np.maximum(lags, 0), np.abs(np.subtract.outer(local, local))
 
     @functools.cached_property
     def _nodes_weights(self) -> tuple[np.ndarray, np.ndarray]:
@@ -179,9 +199,10 @@ def find_mode(grid: GridSpec, freq: Frequency) -> tuple[int, int]:
     gamma, delta, eta = freq.gamma.item(), freq.delta.item(), freq.eta.item()
     if gamma != grid.gamma:
         raise ValueError(f"frequency gamma {gamma!r} differs from grid gamma {grid.gamma!r}")
-    deltas, etas = grid.delta(), grid.eta()
-    it = int(np.argmin(np.abs(deltas - delta)))
-    ix = int(np.argmin(np.abs(etas - eta)))
+    deltas, etas = grid._axes
+    # the nearest lattice point, in FFT order: k = round(delta Lt / 2 pi) sits at index k mod nt
+    it = round(delta * grid.Lt / (2.0 * np.pi)) % grid.nt
+    ix = round(eta * grid.Lx / (2.0 * np.pi)) % grid.nx
     scale = max(abs(delta), abs(eta), 1.0)
     if abs(deltas[it] - delta) > 1e-9 * scale or abs(etas[ix] - eta) > 1e-9 * scale:
         raise ValueError("frequency does not sit on the grid lattice")

@@ -7,12 +7,20 @@ Per frequency, the transformed pressure on either side of the sheet obeys
 with continuity of P across the sheet and a jump of c^2 P' proportional
 to the front.  The bounded solution is the decaying homogeneous mode plus
 the free-space particular solution with kernel exp(-mu |x2 - y|) / (2 mu);
-the two homogeneous amplitudes come from the 2x2 jump system.  The
-particular solution on the quadrature nodes is formed by two sweeps over
-the nodes, in O(ny) per mode, with no ny x ny kernel.  Plugging
-the reconstructed normal derivatives back into the front equation gives an
-end-to-end consistency residual that vanishes when the front was solved
-from the same sources.  An independent check of the ODE itself, by
+the two homogeneous amplitudes come from the 2x2 jump system.  Per mode,
+both sides take one set of panel exponentials in one call, exp(-mu x_j)
+at the local Gauss-Legendre nodes and exp(-mu o_p) at the panel offsets
+(o_k = k h for panel width h).  The boundary terms T+-, the homogeneous
+profile exp(-mu y) = exp(-mu o_p) exp(-mu x_j) and the particular
+solution all come from that set.  The particular solution adds the
+in-panel block exp(-mu |x_i - x_j|), and between panels it uses the
+symmetry of the Gauss-Legendre nodes, h - x_j = x_{order-1-j}, so two
+nodes k >= 1 panels apart see each other through exp(-mu h)^(k-1) =
+exp(-mu o_{k-1}) times a local and a mirrored local exponential.  Since
+Re mu > 0, every factor has modulus at most 1: no exp(+mu y) is formed,
+and there is no ny x ny kernel.  Plugging the reconstructed normal
+derivatives back into the front equation gives an end-to-end consistency
+residual that vanishes when the front was solved from the same sources.  An independent check of the ODE itself, by
 adaptive quadrature and finite differences, lives in the test suite.
 """
 
@@ -22,8 +30,8 @@ import dataclasses
 
 import numpy as np
 
-from .front import DECAY_TOL, Side, SourceField, half_line_terms
-from .grids import find_mode
+from .front import DECAY_TOL, Side, SourceField, _panel_exponentials, _panel_terms, _source_grid
+from .grids import GridSpec, find_mode
 from .symbols import Frequency, NumericalGuard, PhysicalParams, mu_pm
 
 __all__ = [
@@ -77,28 +85,25 @@ def solve_half_space(
     """
     if not np.isfinite(fhat):
         raise ValueError(f"fhat must be finite, got {fhat!r}")
-    grid = fplus.grid
+    grid = _source_grid(fplus, fminus)
     it, ix = find_mode(grid, freq)
     v, c = params.v, params.c
     mup, mum = mu_pm(freq, params)
-    y, w = grid.quadrature()
-    term_p, term_m = half_line_terms(fplus, fminus, mup, mum, index=(it, ix))
-    ip = term_p / (2.0 * c * c)
-    im = term_m / (2.0 * c * c)
+    sources = np.array((fplus.spectral[it, ix], fminus.spectral[it, ix]))
+    terms, homogeneous, free = _half_line_sums(grid, sources, np.array((mup, mum)))
+    ip, im = terms / (2.0 * c * c)
     coupling = 4.0 * v * freq.tau * 1j * freq.eta * fhat / (c * c)
     den = mup + mum
     a_p = ((mup - mum) * ip + 2.0 * mum * im + coupling) / den
     a_m = (2.0 * mup * ip + (mum - mup) * im + coupling) / den
 
-    sources = np.stack((fplus.spectral[it, ix], fminus.spectral[it, ix]))
-    sums = _free_space(np.array([mup, mum]), y, w * sources)
-
+    nodes = grid.quadrature()[0]
     profiles = []
-    for side, mu, amp, free, i0 in (
-        (Side.PLUS, mup, a_p, sums[0], ip),
-        (Side.MINUS, mum, a_m, sums[1], im),
+    for side, mu, amp, i0, hom, part in (
+        (Side.PLUS, mup, a_p, ip, homogeneous[0], free[0]),
+        (Side.MINUS, mum, a_m, im, homogeneous[1], free[1]),
     ):
-        values = amp * np.exp(-mu * y) + free / (2.0 * mu * c * c)
+        values = amp * hom + part / (2.0 * mu * c * c)
         peak = float(np.max(np.abs(values)))
         if not (peak == 0.0 or abs(values[-1]) <= DECAY_TOL * peak):  # a NaN profile fails too
             raise DecayViolated(
@@ -115,7 +120,7 @@ def solve_half_space(
                 side=side,
                 mu=complex(mu),
                 amplitude=complex(amp),
-                nodes=y,
+                nodes=nodes,
                 values=values,
                 p0=complex(amp + i0),
                 dp0=complex(dp0),
@@ -124,38 +129,34 @@ def solve_half_space(
     return profiles[0], profiles[1]
 
 
-def _free_space(mu: np.ndarray, y: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row k of the result is sum_j exp(-mu[k] |y_i - y_j|) b[k, j] on the ordered nodes ``y``.
+def _half_line_sums(grid: GridSpec, spectral: np.ndarray, mu: np.ndarray):
+    """T, exp(-mu y_i) and sum_j exp(-mu |y_i - y_j|) w_j F_j on the grid's nodes, for ``mu`` of any shape.
 
-    Two sweeps replace the dense kernel, with e_i = exp(-mu (y_i - y_{i-1})):
-
-        L_i = e_i L_{i-1} + b_i            (terms j <= i, forward)
-        Q_i = e_{i+1} Q_{i+1} + b_i        (terms j >= i, backward)
-
-    and the sum is L_i + e_{i+1} Q_{i+1}.  Every factor has modulus <= 1
-    because Re mu > 0, so no exp(+mu y) is ever formed.  Both sweeps of all
-    rows run as one log-depth doubling (Hillis-Steele) scan along the node
-    axis: ceil(log2 ny) array steps, no loop over nodes.
+    ``spectral`` has shape ``mu.shape + (ny,)``; T has the shape of ``mu``,
+    the other two that of ``spectral``.  With panel width h and mirrored
+    local nodes h - x_j = x_{order-1-j}, node i of panel p sees node j of a
+    deeper panel q > p through exp(-mu h)^(q-p-1) exp(-mu x_{order-1-i})
+    exp(-mu x_j), which reuses the per-panel sums of T, and node j of a
+    shallower panel q < p through exp(-mu h)^(p-q-1) exp(-mu x_i)
+    exp(-mu x_{order-1-j}), the mirrored sums.
     """
-    n = y.size
-    rows = b.shape[0]
-    e = np.exp(-np.multiply.outer(mu, np.diff(y)))
-    # rows [rows:] hold the backward sweeps, run forward on the reversed nodes;
-    # coef[:, 0] multiplies nothing but must be finite
-    coef = np.empty((2 * rows, n), dtype=complex)
-    coef[:, 0] = 0.0
-    coef[:rows, 1:] = e
-    coef[rows:, 1:] = e[:, ::-1]
-    acc = np.concatenate((b, b[:, ::-1]), dtype=complex)
-    k = 1
-    while k < n:
-        acc[:, k:] += coef[:, k:] * acc[:, :-k]
-        if 2 * k < n:
-            coef[:, k:] *= coef[:, :-k]
-        k *= 2
-    out = acc[:rows]
-    out[:, :-1] += e * acc[rows:, -2::-1]
-    return out
+    lags, distances = grid.panel_tables()
+    weights = grid.panels()[2]
+    near, far = _panel_exponentials(grid, mu)
+    weighted = near * weights
+    terms, sums = _panel_terms(spectral, mu, weighted, far)
+    panels = spectral.reshape(sums.shape[:-1] + (-1,))
+    mirrored = panels @ weighted[..., ::-1, None]
+    # powers[p, q] = exp(-mu h)^(p-q-1) = exp(-mu o_{p-q-1}) for q < p, 0 on and above the diagonal
+    powers = np.concatenate((np.zeros_like(far[..., :1]), far), axis=-1)[..., lags]
+    block = np.exp(-mu[..., None, None] * distances)
+    free = (
+        (panels * weights) @ block
+        + (powers @ mirrored) * near[..., None, :]
+        + (np.swapaxes(powers, -1, -2) @ sums) * near[..., None, ::-1]
+    )
+    homogeneous = far[..., :, None] * near[..., None, :]
+    return terms, homogeneous.reshape(spectral.shape), free.reshape(spectral.shape)
 
 
 def front_equation_residual(

@@ -1,4 +1,7 @@
 import hypothesis
+import numpy as np
+
+from vsheet.front import Side, SourceField
 
 hypothesis.settings.register_profile(
     "default",
@@ -7,3 +10,8 @@ hypothesis.settings.register_profile(
     derandomize=True,
 )
 hypothesis.settings.load_profile("default")
+
+
+def source_from_spectral(spectral, side, grid) -> SourceField:
+    """Wrap an already-transformed profile as a SourceField (for manufactured cases)."""
+    return SourceField(side=Side(side), spectral=np.asarray(spectral, dtype=np.complex128), grid=grid)

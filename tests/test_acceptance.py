@@ -9,8 +9,9 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import source_from_spectral
 from vsheet.cli import stability_diagram
-from vsheet.front import Side, build_g, estimate_sweep, solve_front, source_from_spectral
+from vsheet.front import Side, build_g, estimate_sweep, solve_front
 from vsheet.grids import GridSpec, Space, weighted_norm
 from vsheet.hemisphere import (
     SampleStrategy,

@@ -13,12 +13,13 @@ from vsheet import grids
 from vsheet.grids import (
     GridSpec,
     Space,
+    find_mode,
     forward_transform,
     half_line_norm,
     inverse_transform,
     weighted_norm,
 )
-from vsheet.symbols import PhysicalParams, weight_sigma
+from vsheet.symbols import Frequency, PhysicalParams, weight_sigma
 
 M2 = PhysicalParams(v=2.0, c=1.0)
 
@@ -110,6 +111,7 @@ class TestGridCaches:
         assert g.freq_mesh() is g.freq_mesh()
         assert g.quadrature() is g.quadrature()
         assert g.panels() is g.panels()
+        assert g.panel_tables() is g.panel_tables()
         other = dataclasses.replace(g, gamma=2.0)
         assert other.freq_mesh() is not g.freq_mesh()
         assert np.all(other.freq_mesh().gamma == 2.0) and np.all(g.freq_mesh().gamma == 1.0)
@@ -118,9 +120,39 @@ class TestGridCaches:
         g = _grid()
         mesh = weakref.ref(g.freq_mesh())
         rule = weakref.ref(g.quadrature()[0])
+        lags = weakref.ref(g.panel_tables()[0])
         del g
         gc.collect()
-        assert mesh() is None and rule() is None
+        assert mesh() is None and rule() is None and lags() is None
+
+
+class TestFindMode:
+    # periods that are not 2*pi, so the lookup's delta Lt / (2 pi) is not the integer it rounds to
+    grid = GridSpec(nt=16, nx=8, ny=8, Lt=3.0, Lx=5.0, Ly=1.0, gamma=1.5)
+
+    def test_every_lattice_point_round_trips(self):
+        mesh = self.grid.freq_mesh()
+        # FFT order puts the negative Nyquist frequency in row nt/2 and column nx/2
+        assert mesh.delta[8, 0] == -8 * 2 * np.pi / 3.0 and mesh.eta[0, 4] == -4 * 2 * np.pi / 5.0
+        for it, ix in np.ndindex(16, 8):
+            assert find_mode(self.grid, mesh[it, ix]) == (it, ix)
+
+    @pytest.mark.parametrize("dt, dx", [(0.5, 0.0), (0.0, 0.5), (-0.5, -0.5)])
+    @pytest.mark.parametrize("it, ix", [(0, 0), (3, 5), (8, 4), (15, 7)])
+    def test_a_point_half_a_spacing_off_is_rejected(self, it, ix, dt, dx):
+        point = self.grid.freq_mesh()[it, ix]
+        off = Frequency(1.5, point.delta + dt * 2 * np.pi / 3.0, point.eta + dx * 2 * np.pi / 5.0)
+        with pytest.raises(ValueError, match="^frequency does not sit on the grid lattice$"):
+            find_mode(self.grid, off)
+
+    def test_the_positive_nyquist_point_is_not_on_the_lattice(self):
+        with pytest.raises(ValueError, match="^frequency does not sit on the grid lattice$"):
+            find_mode(self.grid, Frequency(1.5, 8 * 2 * np.pi / 3.0, 0.0))
+
+    def test_a_point_of_another_gamma_is_rejected(self):
+        point = self.grid.freq_mesh()[3, 5]
+        with pytest.raises(ValueError, match=r"^frequency gamma 2\.0 differs from grid gamma 1\.5$"):
+            find_mode(self.grid, Frequency(2.0, point.delta, point.eta))
 
 
 class TestTransforms:

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from conftest import source_from_spectral
 from vsheet import pressure
-from vsheet.front import Side, source_from_spectral
+from vsheet.front import Side, half_line_terms
 from vsheet.grids import GridSpec
 from vsheet.pressure import DecayViolated, front_equation_residual, solve_half_space
 from vsheet.symbols import Frequency, PhysicalParams, mu_pm
@@ -239,6 +240,23 @@ class TestParticularSolution:
         finally:
             tracemalloc.stop()
         assert peak < 8_000_000, f"one mode at ny = 2048 peaked at {peak / 1e6:.2f} MB"
+
+
+class TestSharedKernel:
+    @pytest.mark.parametrize("ny", [32, 96])
+    def test_mesh_call_equals_mode_calls_and_half_line_terms(self, ny):
+        g = _grid(ny=ny, nt=16, nx=8)
+        fields = _random_fields(g, ny)
+        spectral = np.array([field.spectral for field in fields])
+        mus = np.array(mu_pm(g.freq_mesh(), M2))
+        mesh = pressure._half_line_sums(g, spectral, mus)
+        assert [part.shape for part in mesh] == [mus.shape, spectral.shape, spectral.shape]
+        for got, want in zip(mesh[0], half_line_terms(*fields, *mus)):
+            assert np.array_equal(got, want)
+        for it, ix in np.ndindex(g.nt, g.nx):
+            mode = pressure._half_line_sums(g, spectral[:, it, ix], mus[:, it, ix])
+            for got, want in zip(mode, mesh):
+                assert np.array_equal(got, want[:, it, ix])
 
 
 class TestOdeResidual:
