@@ -164,6 +164,18 @@ def load_config(
         raise ValueError(f"{path}: [heatmap] gamma and the delta and eta ranges must be finite, gamma positive")
     if min(heatmap["n_delta"], heatmap["n_eta"]) < 1:
         raise ValueError(f"{path}: [heatmap] n_delta and n_eta must be at least 1")
+    # a comparison written as "in range" is False for NaN, so NaN is rejected with the rest
+    for section, key, ok, requirement in (
+        ("sample", "explosion_threshold", lambda x: x >= 1.0, "at least 1 (inf allowed)"),
+        ("solve", "sigma_floor", lambda x: 0.0 <= x < math.inf, "finite and nonnegative"),
+        ("sweep", "slack", lambda x: -1.0 < x < math.inf, "finite and greater than -1"),
+        ("roots", "tolerance", lambda x: 0.0 < x < math.inf, "finite and positive"),
+        ("simple_root", "radius", lambda x: 0.0 < x < math.inf, "finite and positive"),
+        ("simple_root", "n_points", lambda x: x >= 1, "at least 1"),
+    ):
+        value = sections[section][key]
+        if not ok(value):
+            raise ValueError(f"{path}: [{section}] {key} must be {requirement}, got {value!r}")
     return RunConfig(
         study=chosen,
         seed=run["seed"] if seed_override is None else seed_override,

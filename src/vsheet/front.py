@@ -15,7 +15,7 @@ import enum
 import numpy as np
 
 from .chunks import map_chunks
-from .grids import GridSpec, Space, forward_transform, half_line_norm, inverse_transform, weighted_norm
+from .grids import GridSpec, Space, boundary_terms, forward_transform, half_line_norm, inverse_transform, weighted_norm
 from .symbols import NumericalGuard, PhysicalParams, Regime, big_sigma, mu_pm
 
 __all__ = [
@@ -96,56 +96,21 @@ def _source_grid(fplus: SourceField, fminus: SourceField) -> GridSpec:
     return fplus.grid
 
 
-def _panel_exponentials(grid: GridSpec, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """exp(-mu x_j) and exp(-mu o_p) for ``mu`` of any shape, from one exponential call.
-
-    The local nodes x_j come last on the trailing axis of the first array,
-    the panel offsets o_p on that of the second.
-    """
-    offsets, local, _ = grid.panels()
-    both = np.exp(-mu[..., None] * np.concatenate((local, offsets)))
-    return both[..., : local.size], both[..., local.size :]
-
-
-def _panel_terms(spectral: np.ndarray, mu: np.ndarray, near: np.ndarray, far: np.ndarray):
-    """T = (1/mu) sum_p far_p sum_j near_j F_pj and the per-panel sums sum_j near_j F_pj.
-
-    ``near`` is exp(-mu x_j) times the local weights and ``far`` is
-    exp(-mu o_p), both as :func:`_panel_exponentials` lays them out, so
-    node ``p * order + j`` of ``spectral`` is panel p, local node j.  Any
-    batch shape of ``mu`` works; the per-panel sums have shape
-    ``mu.shape + (panels, 1)``.
-    """
-    per_panel = spectral.reshape(mu.shape + (far.shape[-1], near.shape[-1])) @ near[..., None]
-    return (far[..., None, :] @ per_panel)[..., 0, 0] / mu, per_panel
-
-
 def half_line_terms(fplus: SourceField, fminus: SourceField, mup: np.ndarray, mum: np.ndarray):
     """(T+, T-) = (1/mu+-) int_0^Ly exp(-mu+- y) F+-(., +-y) dy on the (t, x1) mesh of a (plus, minus) pair.
 
     ``mup``/``mum`` hold mu+- on the grid's frequency mesh.  The front
     moment is T+ - T-, the pressure boundary values are T+- / (2 c^2).
-
-    Node ``p * order + j`` of the grid's rule is ``o_p + x_j``, so the
-    kernel factors per panel, exp(-mu y) = exp(-mu o_p) exp(-mu x_j): each
-    mode takes panels + order complex exponentials instead of ny, all of
-    modulus at most 1 since Re mu > 0.  The pressure closure runs the same
-    two steps (:func:`_panel_exponentials`, :func:`_panel_terms`) and
-    builds its whole profile from those exponentials and per-panel sums:
-    the Gauss-Legendre nodes are symmetric, h - x_j = x_{order-1-j} for
-    panel width h, so the kernel between two panels is a power of
-    exp(-mu h) times a local and a mirrored local exponential.  The rows
-    of the first axis run in fixed chunks on the ``VFS_THREADS`` pool.
+    Each side is :func:`grids.boundary_terms`, run on the rows of the first
+    axis in fixed chunks on the ``VFS_THREADS`` pool.
     """
     grid = _source_grid(fplus, fminus)
-    weights = grid.panels()[2]
     pairs = ((fplus.spectral, np.asarray(mup)), (fminus.spectral, np.asarray(mum)))
     terms = tuple(np.empty(mu.shape, dtype=complex) for _, mu in pairs)
 
     def rows(start: int, stop: int) -> None:
         for (spectral, mu), term in zip(pairs, terms):
-            near, far = _panel_exponentials(grid, mu[start:stop])
-            term[start:stop] = _panel_terms(spectral[start:stop], mu[start:stop], near * weights, far)[0]
+            term[start:stop] = boundary_terms(grid, spectral[start:stop], mu[start:stop])
 
     map_chunks(rows, len(terms[0]), _KERNEL_ROWS)
     return terms
@@ -224,9 +189,11 @@ def solve_front(
     s+1 is reported together with the plain norms and the ratio against
     the plain norm of g (the shape of the closed estimate).  In the
     elliptic regime only plain norms are reported and the run is tagged.
-    Raises SymbolTooSmall when |Sigma| < sigma_floor * Lambda^2 anywhere
-    on the grid.
+    Raises ValueError for a non-finite ``s`` and SymbolTooSmall when
+    |Sigma| < sigma_floor * Lambda^2 anywhere on the grid.
     """
+    if not np.isfinite(s):
+        raise ValueError(f"s must be finite, got {s!r}")
     g_hat = np.asarray(g_hat, dtype=np.complex128)
     if g_hat.shape != (grid.nt, grid.nx):
         raise ValueError(f"expected g_hat of shape ({grid.nt}, {grid.nx}), got {g_hat.shape}")

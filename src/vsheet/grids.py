@@ -1,16 +1,35 @@
-"""Discrete grids, weighted transforms and weighted norms.
+"""Discrete grids, weighted transforms, weighted norms and the half-line kernel.
 
 Time and the tangential direction live on a torus [0, Lt) x [0, Lx); the
 normal direction is a truncated half-line [0, Ly] carrying a composite
 Gauss-Legendre rule of equal panels.  A grid builds that rule (once, in
 panel form; the flat nodes and weights are the panels flattened), the
-static tables of the panel-factored kernel, and its frequency axes and
-mesh on first use and keeps them on the instance, so they are freed with
-the grid.  The forward transform multiplies by exp(-gamma*t) and applies
-an FFT calibrated to the continuum transform with kernel
+static tables of the kernel below, and its frequency axes and mesh on
+first use and keeps them on the instance, so they are freed with the
+grid.  The forward transform multiplies by exp(-gamma*t) and applies an
+FFT calibrated to the continuum transform with kernel
 exp(-i(delta*t + eta*x1)), so discrete norms approximate the continuum
 weighted norms (with their 1/(2*pi) normalization) by plain Riemann sums
 in frequency.
+
+The half-line kernel exp(-mu y) on that rule lives here and only here.
+:func:`boundary_terms` gives T = (1/mu) int_0^Ly exp(-mu y) F(y) dy, which
+the front moment and the pressure boundary values are made of, and
+:func:`closure_sums` adds what the pressure closure needs: the homogeneous
+profile exp(-mu y_i) and the free-space sums
+sum_j exp(-mu |y_i - y_j|) w_j F_j.  Node ``p * order + j`` of the rule is
+o_p + x_j (panel offset plus local node), so the kernel factors per panel,
+exp(-mu y) = exp(-mu o_p) exp(-mu x_j): one mode takes panels + order
+complex exponentials instead of ny.  The Gauss-Legendre nodes are
+symmetric, h - x_j = x_{order-1-j} for panel width h, so node i of panel
+p sees node j of a deeper panel q > p through exp(-mu o_{q-p-1})
+exp(-mu x_{order-1-i}) exp(-mu x_j), which reuses T's per-panel sums, and
+node j of a shallower panel q < p through exp(-mu o_{p-q-1}) exp(-mu x_i)
+exp(-mu x_{order-1-j}), the mirrored sums; within a panel the block
+exp(-mu |x_i - x_j|) is taken as it is.  The panel lags form one
+(ny/order)^2 matrix of exp(-mu o_k) per mode.  Since Re mu > 0, every
+factor has modulus at most 1: no exp(+mu y) is formed, and there is no
+ny x ny kernel.
 """
 
 from __future__ import annotations
@@ -32,6 +51,8 @@ __all__ = [
     "inverse_transform",
     "weighted_norm",
     "half_line_norm",
+    "boundary_terms",
+    "closure_sums",
 ]
 
 # Gauss-Legendre nodes per panel of the half-line rule
@@ -103,23 +124,8 @@ class GridSpec:
         return self._mesh
 
     def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes and weights of the half-line rule on [0, Ly]: :meth:`panels`, flattened."""
+        """Nodes and weights of the half-line rule on [0, Ly]: the panels, flattened."""
         return self._nodes_weights
-
-    def panels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The half-line rule per panel: offsets o_p, local nodes x_j and local weights.
-
-        Node ``p * order + j`` of the rule is ``o_p + x_j``.
-        """
-        return self._panels
-
-    def panel_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Static tables of the panel-factored free-space kernel: panel lags and in-panel distances.
-
-        ``lags[p, q]`` is ``p - q`` below the diagonal and 0 elsewhere, and
-        ``distances[i, j]`` is ``|x_i - x_j|`` for the local nodes.
-        """
-        return self._panel_tables
 
     # Each rule, table, axis pair and mesh is built on first use and kept on the instance,
     # so it is freed with the grid.
@@ -134,6 +140,7 @@ class GridSpec:
 
     @functools.cached_property
     def _panels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Panel offsets o_p, local nodes x_j and local weights."""
         order = min(QUAD_ORDER, self.ny)
         count = self.ny // order
         xg, wg = np.polynomial.legendre.leggauss(order)
@@ -142,6 +149,7 @@ class GridSpec:
 
     @functools.cached_property
     def _panel_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Panel lags max(p - q, 0) and in-panel distances |x_i - x_j|."""
         offsets, local, _ = self._panels
         lags = np.subtract.outer(np.arange(offsets.size), np.arange(offsets.size))
         return np.maximum(lags, 0), np.abs(np.subtract.outer(local, local))
@@ -207,6 +215,54 @@ def find_mode(grid: GridSpec, freq: Frequency) -> tuple[int, int]:
     if abs(deltas[it] - delta) > 1e-9 * scale or abs(etas[ix] - eta) > 1e-9 * scale:
         raise ValueError("frequency does not sit on the grid lattice")
     return it, ix
+
+
+def _panel_sums(grid: GridSpec, spectral: np.ndarray, mu: np.ndarray):
+    """The step both kernels share, for ``mu`` of any batch shape.
+
+    Returns T, the per-panel sums sum_j exp(-mu x_j) w_j F_pj (shape
+    ``mu.shape + (panels, 1)``), exp(-mu x_j) on the last axis,
+    exp(-mu o_p) on the last axis, and exp(-mu x_j) w_j.  The exponentials
+    come from one ``np.exp`` call.
+    """
+    offsets, local, weights = grid._panels
+    both = np.exp(-mu[..., None] * np.concatenate((local, offsets)))
+    near, far = both[..., : local.size], both[..., local.size :]
+    weighted = near * weights
+    sums = spectral.reshape(mu.shape + (offsets.size, local.size)) @ weighted[..., None]
+    return (far[..., None, :] @ sums)[..., 0, 0] / mu, sums, near, far, weighted
+
+
+def boundary_terms(grid: GridSpec, spectral: np.ndarray, mu) -> np.ndarray:
+    """T = (1/mu) int_0^Ly exp(-mu y) F(y) dy on the grid's rule, with the shape of ``mu``.
+
+    ``spectral`` holds F on the rule's nodes, with shape ``mu.shape + (ny,)``.
+    """
+    return _panel_sums(grid, spectral, np.asarray(mu))[0]
+
+
+def closure_sums(grid: GridSpec, spectral: np.ndarray, mu):
+    """T, exp(-mu y_i) and sum_j exp(-mu |y_i - y_j|) w_j F_j on the grid's rule.
+
+    ``spectral`` has shape ``mu.shape + (ny,)``; T has the shape of ``mu``,
+    the other two that of ``spectral``.  T is :func:`boundary_terms`' value
+    bit for bit.
+    """
+    mu = np.asarray(mu)
+    terms, sums, near, far, weighted = _panel_sums(grid, spectral, mu)
+    lags, distances = grid._panel_tables
+    panels = spectral.reshape(sums.shape[:-1] + (-1,))
+    mirrored = panels @ weighted[..., ::-1, None]
+    # powers[p, q] = exp(-mu o_{p-q-1}) for q < p, 0 on and above the diagonal
+    powers = np.concatenate((np.zeros_like(far[..., :1]), far), axis=-1)[..., lags]
+    block = np.exp(-mu[..., None, None] * distances)
+    free = (
+        (panels * grid._panels[2]) @ block
+        + (powers @ mirrored) * near[..., None, :]
+        + (np.swapaxes(powers, -1, -2) @ sums) * near[..., None, ::-1]
+    )
+    homogeneous = far[..., :, None] * near[..., None, :]
+    return terms, homogeneous.reshape(spectral.shape), free.reshape(spectral.shape)
 
 
 def _norm_weight(grid: GridSpec, s: float, space: Space, params: PhysicalParams | None) -> np.ndarray:

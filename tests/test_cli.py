@@ -10,6 +10,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import warnings
 import zlib
 
 import numpy as np
@@ -577,6 +578,39 @@ class TestExitCodes:
         recs = json.loads((tmp_path / "cert_out" / "certificates.json").read_text())
         assert recs[-1]["extras"]["reason"] == "zero band: |Sigma| vanishes on the arc of radius 0.001"
 
+    @pytest.mark.parametrize(
+        "study, section, line",
+        [
+            ("certify", "simple_root", "radius = 0"),
+            ("certify", "simple_root", "radius = -1"),
+            ("certify", "simple_root", "n_points = 0"),
+            ("certify", "sample", "explosion_threshold = nan"),
+            ("certify", "sample", "explosion_threshold = 0.5"),
+            ("sweep", "sweep", "slack = nan"),
+            ("sweep", "sweep", "slack = -1"),
+            ("solve", "solve", "sigma_floor = nan"),
+            ("solve", "solve", "sigma_floor = -1"),
+            ("roots", "roots", "tolerance = nan"),
+            ("roots", "roots", "tolerance = 0"),
+            ("solve", "solve", "s = nan"),
+            ("solve", "solve", "s = inf"),
+            ("sweep", "sweep", "s = nan"),
+            ("sweep", "sweep", "s = -inf"),
+        ],
+    )
+    def test_an_out_of_range_number_is_one_vfs_line(self, tmp_path, capsys, study, section, line):
+        cfg = _write(
+            tmp_path,
+            "r.cfg",
+            f"[run]\nout = {tmp_path / 'o'}\n\n[params]\nv = 2.0\nc = 1.0\n{GRID_BLOCK}\n[{section}]\n{line}\n",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([study, "--config", cfg]) == 2
+        key = line.split(" = ")[0]
+        named = "s must be finite, got" if key == "s" else f"[{section}] {key} must be"
+        assert named in self._one_vfs_line(capsys)
+
     def test_certify_below_sqrt2_is_one_vfs_line(self, tmp_path, capsys):
         cfg = _write(tmp_path, "ell.cfg", f"[run]\nout = {tmp_path / 'o'}\n\n[params]\nv = 1.0\nc = 1.0\n")
         assert main(["certify", "--config", cfg]) == 2
@@ -589,16 +623,20 @@ def _floats(lo, hi):
 
 # raw values that parse, for the keys the property varies; every other key
 # keeps its default.  Some are rejected after parsing (nt = 6, ny = 12,
-# [grid] gamma = 0.5, [heatmap] field = bogus, gamma = 0, n_delta = -1, ...).
+# [grid] gamma = 0.5, [heatmap] field = bogus, gamma = 0, n_delta = -1,
+# explosion_threshold = nan, slack = -1, s = nan, radius = 0, ...).
 _VALID = {
     "params": {"v": _floats(0.5, 4.0), "c": _floats(0.5, 2.0)},
     "sample": {
         "n": st.integers(1, 2000).map(str),
         "strategy": st.sampled_from(["stratified_near_roots", "uniform_angular", "quasi_random"]),
         "gamma_floor": st.sampled_from(["0", "1e-6", "0.01", "0.5"]),
-        "explosion_threshold": st.sampled_from(["1e8", "100", "1.5"]),
+        "explosion_threshold": st.sampled_from(["1e8", "100", "1.5", "inf", "nan", "0.5"]),
     },
-    "roots": {"machs": st.lists(_floats(0.3, 4.0), min_size=1, max_size=3).map(" ".join)},
+    "roots": {
+        "machs": st.lists(_floats(0.3, 4.0), min_size=1, max_size=3).map(" ".join),
+        "tolerance": st.sampled_from(["1e-8", "nan", "0", "-1"]),
+    },
     "diagram": {"m_min": _floats(0.1, 2.0), "m_max": _floats(0.1, 4.0), "m_step": _floats(0.05, 1.0)},
     "grid": {
         "nt": st.sampled_from(["4", "8", "6"]),
@@ -610,8 +648,14 @@ _VALID = {
     "solve": {
         "source_plus": st.sampled_from(["builtin", "@DIR@/p.bin", "@DIR@/p.csv"]),
         "source_minus": st.sampled_from(["builtin", "@DIR@/m.bin", "@DIR@/m.csv"]),
+        "s": st.sampled_from(["0", "0.5", "nan", "inf"]),
+        "sigma_floor": st.sampled_from(["1e-12", "0", "nan", "-1"]),
     },
-    "sweep": {"gammas": st.sampled_from(["1 2", "1 2 4", "1", "0.5 1"]), "slack": st.sampled_from(["0.1", "-0.99"])},
+    "sweep": {
+        "gammas": st.sampled_from(["1 2", "1 2 4", "1", "0.5 1"]),
+        "slack": st.sampled_from(["0.1", "-0.99", "nan", "-1"]),
+        "s": st.sampled_from(["0", "nan", "-inf"]),
+    },
     "heatmap": {
         "field": st.sampled_from(["ratio", "abs_sigma_big", "abs_weight_sigma", "bogus"]),
         "gamma": st.sampled_from(["1.0", "0.25", "0", "-1", "nan"]),
@@ -619,6 +663,7 @@ _VALID = {
         "n_delta": st.sampled_from(["1", "3", "0", "-1"]),
         "n_eta": st.sampled_from(["1", "4", "0"]),
     },
+    "simple_root": {"radius": st.sampled_from(["1e-3", "0", "-1", "nan"]), "n_points": st.sampled_from(["360", "1", "0"])},
 }
 _MALFORMED = st.sampled_from(["many", "", "1..2", "2.5.", "bogus", "1 two"])
 
@@ -643,7 +688,7 @@ _CLEAN = {
         "ly": st.sampled_from(["10.0", "14.0"]),
         "gamma": st.sampled_from(["1.0", "2.0"]),
     },
-    "solve": _VALID["solve"],
+    "solve": {key: _VALID["solve"][key] for key in ("source_plus", "source_minus")},
     "sweep": {"gammas": st.sampled_from(["1 2", "1 2 4"]), "slack": st.just("0.1")},
     "heatmap": {
         "field": st.sampled_from(["ratio", "abs_sigma_big", "abs_weight_sigma"]),

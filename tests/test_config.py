@@ -139,6 +139,12 @@ def test_diagram_range_must_be_finite(tmp_path, line):
         load_config(path, study="diagram")
 
 
+def test_an_infinite_explosion_threshold_loads(tmp_path):
+    # the band limit may be switched off; NaN and values below 1 are rejected (test_cli)
+    path = _write(tmp_path, "[params]\nv = 2.0\nc = 1.0\n[sample]\nexplosion_threshold = inf\n")
+    assert load_config(path, study="certify").sample["explosion_threshold"] == math.inf
+
+
 def test_unreadable_config_is_a_value_error(tmp_path):
     with pytest.raises(ValueError, match="cannot be read"):
         load_config(tmp_path, study="roots")

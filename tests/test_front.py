@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import source_from_spectral
-from vsheet import front, pressure
+from vsheet import front, grids
 from vsheet.front import (
     QuadratureUnderResolved,
     Side,
@@ -232,11 +232,11 @@ class TestHalfLineLayer:
         def no_pool(*args):
             raise AssertionError("the closure kernel must not go to the worker pool")
 
-        monkeypatch.setattr(front, "map_chunks", no_pool)
+        monkeypatch.setattr(grids, "map_chunks", no_pool)
         g = _grid(nt=16, nx=16, ny=ny)
         fp, fm = _random_pair(g, seed=ny + 1)
         mus = np.array(mu_pm(g.freq_mesh(), M2))
-        terms = pressure._half_line_sums(g, np.array((fp.spectral, fm.spectral)), mus)[0]
+        terms = grids.closure_sums(g, np.array((fp.spectral, fm.spectral)), mus)[0]
         for it, ix in ((0, 0), (1, 2), (8, 8), (15, 3), (5, 15)):
             oracle = _oracle_terms(fp, fm, *mus[:, it, ix], index=(it, ix))
             for got, (want, scale) in zip(terms[:, it, ix], oracle):

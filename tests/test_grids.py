@@ -99,7 +99,7 @@ class TestQuadrature:
         assert 3.0 < rate < 5.0, f"unexpected convergence rate {rate}"
 
     def test_flat_rule_is_the_panels_flattened(self):
-        offsets, local, weights = GridSpec(nt=1, nx=1, ny=24, Lt=1.0, Lx=1.0, Ly=3.0).panels()
+        offsets, local, weights = GridSpec(nt=1, nx=1, ny=24, Lt=1.0, Lx=1.0, Ly=3.0)._panels
         y, w = _rule(24, 3.0)
         np.testing.assert_array_equal(y, (offsets[:, None] + local).ravel())
         np.testing.assert_array_equal(w, np.tile(weights, 3))
@@ -110,8 +110,8 @@ class TestGridCaches:
         g = _grid()
         assert g.freq_mesh() is g.freq_mesh()
         assert g.quadrature() is g.quadrature()
-        assert g.panels() is g.panels()
-        assert g.panel_tables() is g.panel_tables()
+        assert g._panels is g._panels
+        assert g._panel_tables is g._panel_tables
         other = dataclasses.replace(g, gamma=2.0)
         assert other.freq_mesh() is not g.freq_mesh()
         assert np.all(other.freq_mesh().gamma == 2.0) and np.all(g.freq_mesh().gamma == 1.0)
@@ -120,7 +120,7 @@ class TestGridCaches:
         g = _grid()
         mesh = weakref.ref(g.freq_mesh())
         rule = weakref.ref(g.quadrature()[0])
-        lags = weakref.ref(g.panel_tables()[0])
+        lags = weakref.ref(g._panel_tables[0])
         del g
         gc.collect()
         assert mesh() is None and rule() is None and lags() is None

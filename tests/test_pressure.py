@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import source_from_spectral
-from vsheet import pressure
+from vsheet import grids, pressure
 from vsheet.front import Side, half_line_terms
 from vsheet.grids import GridSpec
 from vsheet.pressure import DecayViolated, front_equation_residual, solve_half_space
@@ -170,6 +170,17 @@ class TestSolveHalfSpace:
         with pytest.raises(DecayViolated, match="plus-side"):
             solve_half_space(nan_plus, fm, g.freq_mesh()[1, 2], 0.3 + 0.1j, M2)
 
+    def test_decay_guard_trips_on_a_nan_minus_profile(self):
+        # the jump system couples the sides: both profiles are NaN, and the message names both
+        g = _grid(ny=16, nt=16, nx=16)
+        fp, fm = _exp_fields(g)
+        spectral = fm.spectral.copy()
+        spectral[1, 2, 3] = np.nan
+        nan_minus = source_from_spectral(spectral, Side.MINUS, g)
+        with pytest.raises(DecayViolated, match="minus-side") as err:
+            solve_half_space(fp, nan_minus, g.freq_mesh()[1, 2], 0.3 + 0.1j, M2)
+        assert "\n" not in str(err.value)
+
     def test_off_lattice_frequency_rejected(self):
         g = _grid()
         fp, fm = _zero_fields(g)
@@ -249,12 +260,12 @@ class TestSharedKernel:
         fields = _random_fields(g, ny)
         spectral = np.array([field.spectral for field in fields])
         mus = np.array(mu_pm(g.freq_mesh(), M2))
-        mesh = pressure._half_line_sums(g, spectral, mus)
+        mesh = grids.closure_sums(g, spectral, mus)
         assert [part.shape for part in mesh] == [mus.shape, spectral.shape, spectral.shape]
         for got, want in zip(mesh[0], half_line_terms(*fields, *mus)):
             assert np.array_equal(got, want)
         for it, ix in np.ndindex(g.nt, g.nx):
-            mode = pressure._half_line_sums(g, spectral[:, it, ix], mus[:, it, ix])
+            mode = grids.closure_sums(g, spectral[:, it, ix], mus[:, it, ix])
             for got, want in zip(mode, mesh):
                 assert np.array_equal(got, want[:, it, ix])
 
