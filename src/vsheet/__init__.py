@@ -16,7 +16,6 @@ from .front import (
     build_g,
     estimate_sweep,
     solve_front,
-    source_moment,
     transform_source,
 )
 from .grids import GridSpec, Space, forward_transform, half_line_norm, inverse_transform, weighted_norm
@@ -88,7 +87,6 @@ __all__ = [
     "sample_hemisphere",
     "solve_front",
     "solve_half_space",
-    "source_moment",
     "transform_source",
     "weight_bound_constant",
     "weight_sigma",

@@ -166,8 +166,12 @@ def load_config(
         raise ValueError(f"{path}: [heatmap] n_delta and n_eta must be at least 1")
     # a comparison written as "in range" is False for NaN, so NaN is rejected with the rest
     for section, key, ok, requirement in (
+        ("sample", "n", lambda x: x >= 1, "at least 1"),
+        ("sample", "gamma_floor", lambda x: 0.0 <= x < 1.0, "in [0, 1)"),
         ("sample", "explosion_threshold", lambda x: x >= 1.0, "at least 1 (inf allowed)"),
         ("solve", "sigma_floor", lambda x: 0.0 <= x < math.inf, "finite and nonnegative"),
+        ("sweep", "gammas", lambda x: len(x) >= 2 and all(1.0 <= g < math.inf for g in x),
+         "a list of at least two values, each finite and at least 1"),
         ("sweep", "slack", lambda x: -1.0 < x < math.inf, "finite and greater than -1"),
         ("roots", "tolerance", lambda x: 0.0 < x < math.inf, "finite and positive"),
         ("simple_root", "radius", lambda x: 0.0 < x < math.inf, "finite and positive"),

@@ -27,7 +27,6 @@ __all__ = [
     "SymbolTooSmall",
     "transform_source",
     "half_line_terms",
-    "source_moment",
     "build_g",
     "solve_front",
     "estimate_sweep",
@@ -76,8 +75,6 @@ class SourceField:
         peak = float(np.max(np.abs(self.spectral)))
         if not np.isfinite(peak):
             raise ValueError(f"{self.side.value}-side source is not finite")
-        if peak == 0.0:
-            return True
         return float(np.max(np.abs(self.spectral[..., -1]))) <= DECAY_TOL * peak
 
 
@@ -116,51 +113,32 @@ def half_line_terms(fplus: SourceField, fminus: SourceField, mup: np.ndarray, mu
     return terms
 
 
-def _guarded_terms(fplus: SourceField, fminus: SourceField, params: PhysicalParams):
-    """(mu+, mu-, T+, T-) on the grid's frequency mesh behind the decay gate and the tail guard."""
+def build_g(fplus: SourceField, fminus: SourceField, params: PhysicalParams) -> np.ndarray:
+    """Right-hand side of the front equation on the grid's (nt, nx) frequency mesh.
+
+    g = -(mu+ mu- / (mu+ + mu-)) M, with the source moment M = T+ - T- of
+    :func:`half_line_terms`.  Raises ValueError when a source has not
+    decayed at the truncation depth Ly, and QuadratureUnderResolved when
+    the neglected tail at Ly is not small relative to a side's term.
+    """
     for field in (fplus, fminus):
         if not field.decay_ok():
-            raise ValueError(
-                f"{field.side.value}-side source has not decayed at the truncation depth Ly"
-            )
+            raise ValueError(f"{field.side.value}-side source has not decayed at the truncation depth Ly")
     grid = fplus.grid
     mup, mum = mu_pm(grid.freq_mesh(), params)
     terms = half_line_terms(fplus, fminus, mup, mum)
     for field, mu, term in zip((fplus, fminus), (mup, mum), terms):
         # the neglected tail is of the order of the integrand at the cutoff
-        edge = np.abs(field.spectral[..., -1])
-        tail_num = float(np.max(np.exp(-grid.Ly * mu.real) * edge / np.abs(mu)))
+        tail_num = float(np.max(np.exp(-grid.Ly * mu.real) * np.abs(field.spectral[..., -1]) / np.abs(mu)))
         term_scale = float(np.max(np.abs(term)))
-        if tail_num > 0.0:
+        if tail_num > TAIL_TOL * term_scale:
             rel_tail = tail_num / term_scale if term_scale > 0.0 else np.inf
-            if rel_tail > TAIL_TOL:
-                raise QuadratureUnderResolved(
-                    f"half-line truncation tail ~{rel_tail:.3e} (relative) exceeds tolerance {TAIL_TOL:g}; "
-                    "increase Ly or the source decay"
-                )
-    return (mup, mum) + terms
-
-
-def source_moment(fplus: SourceField, fminus: SourceField, *, params: PhysicalParams):
-    """Scalar source moment M driving the front equation, on the grid's (nt, nx) frequency mesh.
-
-    M = (1/mu+) int_0^inf exp(-mu+ y) F+(., y) dy
-      - (1/mu-) int_0^inf exp(-mu- y) F-(., -y) dy,
-
-    evaluated by the grid's composite Gauss-Legendre rule on [0, Ly]; one
-    mode is ``source_moment(...)[it, ix]``.  Raises QuadratureUnderResolved
-    when the neglected tail at Ly is not small relative to the computed
-    moment.
-    """
-    _, _, term_p, term_m = _guarded_terms(fplus, fminus, params)
-    return term_p - term_m
-
-
-def build_g(fplus: SourceField, fminus: SourceField, params: PhysicalParams) -> np.ndarray:
-    """Right-hand side of the front equation: g = -(mu+ mu- / (mu+ + mu-)) M."""
-    mup, mum, term_p, term_m = _guarded_terms(fplus, fminus, params)
+            raise QuadratureUnderResolved(
+                f"half-line truncation tail ~{rel_tail:.3e} (relative) exceeds tolerance {TAIL_TOL:g}; "
+                "increase Ly or the source decay"
+            )
     # Re mu+- >= gamma/c >= 1/c on the grid, so the denominator is safe.
-    return -(mup * mum / (mup + mum)) * (term_p - term_m)
+    return -(mup * mum / (mup + mum)) * (terms[0] - terms[1])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -235,10 +213,9 @@ class SweepResult:
 
 
 def _no_growth(values: list, slack: float) -> bool:
-    vals = [v for v in values if v is not None]
-    if not all(np.isfinite(v) for v in vals):
+    if not all(np.isfinite(v) for v in values):
         return False
-    return all(b <= (1.0 + slack) * a for a, b in zip(vals, vals[1:]))
+    return all(b <= (1.0 + slack) * a for a, b in zip(values, values[1:]))
 
 
 def estimate_sweep(

@@ -13,7 +13,9 @@ evaluates the ratios on the sample and packages the empirical extrema as
 certificates.  The sample points come from low-discrepancy sequences
 computed here, one chunk at a time: the Owen-scrambled Halton sequence in
 bases 2 and 3, or the base-2 van der Corput sequence beside the golden-ratio
-sequence.  One rule, :func:`_passes`, decides every certificate, and
+sequence.  A stratified sample takes its root-tube points and its zone
+points from two prefixes of one sequence, interleaved one tube point to
+three zone points.  One rule, :func:`_passes`, decides every certificate, and
 one constructor, :func:`_certificate`, turns the extrema of a sample scan into
 its record.  Certificates are evidence obtained by dense sampling, not
 proofs.
@@ -58,7 +60,9 @@ GOLDEN_FRAC = (math.sqrt(5.0) - 1.0) / 2.0
 # angular radius of the tubes around the root curves used for stratification
 TUBE_RADIUS = 0.05
 
-# fraction of stratified samples forced into the root tubes (every 4th point)
+# stratified samples come in blocks of this many positions: the first is a
+# root-tube point, the rest are zone points; the two kinds are two prefixes
+# of one sequence, so neither aliases with the other's positions
 _STRATUM_EVERY = 4
 
 # sample points per chunk of a certificate scan and of the sampler
@@ -197,17 +201,18 @@ def _unit_square(n: int, strategy: SampleStrategy, seed: int) -> np.ndarray:
     return u.T
 
 
-def _zone_points(u: np.ndarray, gamma_floor: float) -> np.ndarray:
-    """Map unit-square points to the spherical zone gamma in [floor, 1]; the rows are gamma, delta, eta.
+def _zone_points(u: np.ndarray, gamma_floor: float, out: np.ndarray) -> np.ndarray:
+    """Map unit-square points, the last axis of ``u``, to the spherical zone gamma in [floor, 1] in ``out``.
 
-    The rows share one block: three separately allocated coordinate arrays
-    kept the freed temporaries of the map resident under them, raising the
-    peak RSS of a 1e6-point certify by about 15 %.
+    ``out[0]``, ``out[1]`` and ``out[2]`` receive gamma, delta and eta.  The
+    rows share one block: three separately allocated coordinate arrays kept
+    the freed temporaries of the map resident under them, raising the peak
+    RSS of a 1e6-point certify by about 15 %.
     """
-    z = gamma_floor + (1.0 - gamma_floor) * u[:, 0]
+    z = gamma_floor + (1.0 - gamma_floor) * u[..., 0]
     r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-    phi = 2.0 * np.pi * u[:, 1]
-    return np.stack([z, r * np.cos(phi), r * np.sin(phi)])
+    phi = 2.0 * np.pi * u[..., 1]
+    return np.stack([z, r * np.cos(phi), r * np.sin(phi)], out=out)
 
 
 def root_points(params: PhysicalParams) -> np.ndarray:
@@ -236,7 +241,7 @@ def root_points(params: PhysicalParams) -> np.ndarray:
 
 
 def _near_root_points(u: np.ndarray, roots: np.ndarray, gamma_floor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(gamma, delta, eta) within angular distance TUBE_RADIUS of the root points, taken in turn."""
+    """(gamma, delta, eta) within angular distance TUBE_RADIUS of the root points; point i goes to root i mod R."""
     # orthonormal tangent frame at each root point; the gamma axis is never parallel to one
     e1 = np.cross(roots, [1.0, 0.0, 0.0])
     e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
@@ -264,20 +269,30 @@ def sample_hemisphere(
 
     Prefixes are nested: for a fixed strategy and seed, the first n points
     of a 2n-point sample are the n-point sample, so refining can only widen
-    empirical ranges.  STRATIFIED_NEAR_ROOTS places every 4th point inside
-    the angular-0.05 tubes around the root curves and needs ``params``.
+    empirical ranges.  STRATIFIED_NEAR_ROOTS needs ``params`` and draws two
+    prefixes of one sequence: position ``4q`` is tube point ``q``, inside
+    the angular-0.05 tube around root ``q mod R`` and made from sequence
+    point ``q // R``, and position ``4q + r`` (r = 1, 2, 3) is zone point
+    ``m = 3q + r - 1``, made from sequence point ``m``.  Each root thus
+    gets the sequence from its start, and so does the zone.
     """
     if n < 1:
         raise ValueError("sample size must be positive")
     if not (0.0 <= gamma_floor < 1.0):
         raise ValueError("gamma_floor must lie in [0, 1)")
     strategy = SampleStrategy(strategy)
-    if strategy is SampleStrategy.STRATIFIED_NEAR_ROOTS and params is None:
-        raise ValueError("stratified sampling needs params to locate the root curves")
-    u = _unit_square(n, strategy, seed)
-    points = _zone_points(u, gamma_floor)
     if strategy is SampleStrategy.STRATIFIED_NEAR_ROOTS:
-        points[:, ::_STRATUM_EVERY] = _near_root_points(u[::_STRATUM_EVERY], root_points(params), gamma_floor)
+        if params is None:
+            raise ValueError("stratified sampling needs params to locate the root curves")
+        roots = root_points(params)
+        tubes = -(-n // _STRATUM_EVERY)
+        u = _unit_square((_STRATUM_EVERY - 1) * tubes, strategy, seed)
+        block = np.empty((3, tubes, _STRATUM_EVERY))
+        _zone_points(u.reshape(tubes, _STRATUM_EVERY - 1, 2), gamma_floor, block[:, :, 1:])
+        block[:, :, 0] = _near_root_points(u[np.arange(tubes) // len(roots)], roots, gamma_floor)
+        points = block.reshape(3, -1)[:, :n]
+    else:
+        points = _zone_points(_unit_square(n, strategy, seed), gamma_floor, np.empty((3, n)))
     freqs = Frequency(*points)
     assert np.all(np.abs(freqs.lam - 1.0) <= 1e-12)
     return HemisphereSample(freqs=freqs, gamma_floor=gamma_floor)

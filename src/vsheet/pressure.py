@@ -71,17 +71,22 @@ def solve_half_space(
 
     where I+- are the particular boundary values; the system's determinant
     is mu+ + mu-, nonzero for gamma >= 1.  Raises ValueError for a
-    non-finite ``fhat`` and DecayViolated when the resulting profile is not
-    negligible at the truncation depth (or not finite).
+    non-finite ``fhat`` or source sample at the mode, and DecayViolated when
+    the resulting profile is not negligible at the truncation depth (or not
+    finite).
     """
     if not np.isfinite(fhat):
         raise ValueError(f"fhat must be finite, got {fhat!r}")
     grid = _source_grid(fplus, fminus)
     it, ix = find_mode(grid, freq)
+    sources = np.array((fplus.spectral[it, ix], fminus.spectral[it, ix]))
+    finite = np.isfinite(sources)
+    if not finite.all():
+        side, node = np.argwhere(~finite)[0]
+        raise ValueError(f"{list(Side)[side].value}-side source is not finite at mode ({it}, {ix}), node {node}")
     v, c = params.v, params.c
     mup, mum = mu_pm(freq, params)
     mus = np.array((mup, mum))
-    sources = np.array((fplus.spectral[it, ix], fminus.spectral[it, ix]))
     terms, homogeneous, free = closure_sums(grid, sources, mus)
     ip, im = terms / (2.0 * c * c)
     coupling = 4.0 * v * freq.tau * 1j * freq.eta * fhat / (c * c)

@@ -586,6 +586,15 @@ class TestExitCodes:
             ("certify", "simple_root", "n_points = 0"),
             ("certify", "sample", "explosion_threshold = nan"),
             ("certify", "sample", "explosion_threshold = 0.5"),
+            ("certify", "sample", "n = 0"),
+            ("certify", "sample", "n = -3"),
+            ("certify", "sample", "gamma_floor = nan"),
+            ("certify", "sample", "gamma_floor = 1"),
+            ("certify", "sample", "gamma_floor = -0.1"),
+            ("sweep", "sweep", "gammas = 2"),
+            ("sweep", "sweep", "gammas = 1 nan"),
+            ("sweep", "sweep", "gammas = 1 inf"),
+            ("sweep", "sweep", "gammas = 0.5 1"),
             ("sweep", "sweep", "slack = nan"),
             ("sweep", "sweep", "slack = -1"),
             ("solve", "solve", "sigma_floor = nan"),

@@ -160,6 +160,37 @@ class TestOwnedSequence:
             np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+class TestStratifiedCoverage:
+    """Tube and zone points are two prefixes of one sequence, so neither aliases with the stride of 4."""
+
+    N = 200_000
+
+    @staticmethod
+    @functools.cache
+    def _sample(seed: int, mach: float) -> HemisphereSample:
+        return sample_hemisphere(TestStratifiedCoverage.N, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6,
+                                 PhysicalParams(v=mach, c=1.0), seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 102])
+    def test_zone_points_fill_every_gamma_band(self, seed):
+        # gamma is the zone map of the base-2 coordinate; a zone drawn at every
+        # 4th index but one would leave whole eighths of [0, 1] empty
+        zone = np.ones(self.N, dtype=bool)
+        zone[:: hemisphere._STRATUM_EVERY] = False
+        counts, _ = np.histogram(self._sample(seed, 2.0).freqs.gamma[zone], bins=8, range=(0.0, 1.0))
+        assert np.all(np.abs(counts - counts.mean()) <= 0.1 * counts.mean()), counts
+
+    @pytest.mark.parametrize("mach", [2.0, 1.0], ids=["weakly_stable", "elliptic"])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 102])
+    def test_each_root_tube_is_filled_out_to_its_radius(self, seed, mach):
+        sample, roots = self._sample(seed, mach), root_points(PhysicalParams(v=mach, c=1.0))
+        tube = np.column_stack([row[:: hemisphere._STRATUM_EVERY] for row in _rows(sample)])
+        owner = np.arange(len(tube)) % len(roots)
+        rho = np.arccos(np.clip(np.sum(tube * roots[owner], axis=1), -1.0, 1.0)) / TUBE_RADIUS
+        reach = [float(np.max(rho[owner == k])) for k in range(len(roots))]
+        assert min(reach) > 0.95, reach
+
+
 def _rows(sample: HemisphereSample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return sample.freqs.gamma, sample.freqs.delta, sample.freqs.eta
 

@@ -160,26 +160,48 @@ class TestSolveHalfSpace:
                 solve_half_space(fp, fm, g.freq_mesh()[1, 2], fhat, M2)
         assert "\n" not in str(err.value)
 
-    def test_decay_guard_trips_on_a_nan_profile(self):
+    @staticmethod
+    def _poison_closure(monkeypatch, part, side):
+        """Make ``closure_sums`` return NaN for ``side`` in ``part``: 0 is the terms T, 2 the free-space sums."""
+
+        def poisoned(*args):
+            sums = list(grids.closure_sums(*args))
+            sums[part] = sums[part].copy()
+            sums[part][side] = np.nan
+            return tuple(sums)
+
+        monkeypatch.setattr(pressure, "closure_sums", poisoned)
+
+    def test_decay_guard_trips_on_a_nan_profile(self, monkeypatch):
         # `nan > x` is False: a guard written as "fail when larger" would let this profile through
         g = _grid(ny=16, nt=16, nx=16)
         fp, fm = _exp_fields(g)
-        spectral = fp.spectral.copy()
-        spectral[1, 2, 3] = np.nan
-        nan_plus = source_from_spectral(spectral, Side.PLUS, g)
-        with pytest.raises(DecayViolated, match="plus-side"):
-            solve_half_space(nan_plus, fm, g.freq_mesh()[1, 2], 0.3 + 0.1j, M2)
+        self._poison_closure(monkeypatch, 2, 0)
+        with pytest.raises(DecayViolated, match="^plus-side pressure retains nan of its peak"):
+            solve_half_space(fp, fm, g.freq_mesh()[1, 2], 0.3 + 0.1j, M2)
 
-    def test_decay_guard_trips_on_a_nan_minus_profile(self):
-        # the jump system couples the sides: both profiles are NaN, and the message names both
+    def test_decay_guard_trips_on_a_nan_minus_profile(self, monkeypatch):
+        # the jump system couples the sides: a NaN minus term makes both profiles NaN, and the message names both
         g = _grid(ny=16, nt=16, nx=16)
         fp, fm = _exp_fields(g)
-        spectral = fm.spectral.copy()
-        spectral[1, 2, 3] = np.nan
-        nan_minus = source_from_spectral(spectral, Side.MINUS, g)
-        with pytest.raises(DecayViolated, match="minus-side") as err:
-            solve_half_space(fp, nan_minus, g.freq_mesh()[1, 2], 0.3 + 0.1j, M2)
+        self._poison_closure(monkeypatch, 0, 1)
+        with pytest.raises(DecayViolated, match="^plus-side pressure retains nan and minus-side") as err:
+            solve_half_space(fp, fm, g.freq_mesh()[1, 2], 0.3 + 0.1j, M2)
         assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)], ids=["nan", "inf", "-inf_j"])
+    @pytest.mark.parametrize("side", list(Side), ids=lambda side: side.value)
+    def test_a_non_finite_source_sample_is_named(self, side, value):
+        # checked before the jump system couples the sides, so the message can name the side, the mode and the node
+        g = _grid(ny=16, nt=16, nx=16)
+        fields = dict(zip(Side, _exp_fields(g)))
+        spectral = fields[side].spectral.copy()
+        spectral[1, 2, 3] = value
+        fields[side] = source_from_spectral(spectral, side, g)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^{side.value}-side source is not finite at mode \(1, 2\), node 3$"):
+                solve_half_space(fields[Side.PLUS], fields[Side.MINUS], g.freq_mesh()[1, 2], 0.3 + 0.1j, M2)
 
     def test_off_lattice_frequency_rejected(self):
         g = _grid()
