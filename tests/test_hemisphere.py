@@ -1,6 +1,7 @@
 """Hemisphere sampling, bound certificates, root location."""
 
 import functools
+import hashlib
 import warnings
 
 import numpy as np
@@ -193,6 +194,60 @@ class TestStratifiedCoverage:
 
 def _rows(sample: HemisphereSample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return sample.freqs.gamma, sample.freqs.delta, sample.freqs.eta
+
+
+class TestPinnedCertifyOutput:
+    """Samples and sample certificates at n = 2**17 + 5, seed 3, M = 2, pinned bit for bit."""
+
+    N = 2**17 + 5
+
+    # sha256 of the gamma, delta and eta bytes, in that order
+    SAMPLES = {
+        SampleStrategy.UNIFORM_ANGULAR: "10e9ef58ac52d6903d0918750c3a9764ea54284d76fab2727936045f197ac701",
+        SampleStrategy.STRATIFIED_NEAR_ROOTS: "a03a22d1af512e6f873acdebcd4bc8d6d9713b4394c65bd1b06253304d22b59f",
+        SampleStrategy.QUASI_RANDOM: "5759e7c460b4aa531da9e000ef2c47e3de1e1d4b2a24e2748e6d8be8ee174c09",
+    }
+
+    # (empirical_min, empirical_max, sample_size) of the five sample certificates;
+    # the sandwich's near_root_count is listed separately
+    CERTS = {
+        SampleStrategy.UNIFORM_ANGULAR: (325, [
+            ("0x1.9029400346cb8p-3", "0x1.e65d9739f9dd4p+2", 131077),
+            ("0x1.0000684bb7d4fp+0", "0x1.4fab053fb841ep+17", 131077),
+            ("0x1.84304418be7f8p-9", "0x1.ffffffff8dee0p-1", 131077),
+            ("0x1.5c69708d1ec7ep+0", "0x1.5eab0992d0b83p+0", 325),
+            ("0x1.1df1cd01d8a63p-4", "0x1.ffffffff8dee0p-1", 130752),
+        ]),
+        SampleStrategy.STRATIFIED_NEAR_ROOTS: (33022, [
+            ("0x1.3c90a9ebfc64bp-3", "0x1.03b47ccc649d6p+3", 131077),
+            ("0x1.00006b8b25719p+0", "0x1.6ca81788d118cp+16", 131077),
+            ("0x1.610b16e63a763p-19", "0x1.ffffffff73447p-1", 131077),
+            ("0x1.5c621dd310d8ap+0", "0x1.5eacf3a60c42cp+0", 33022),
+            ("0x1.1d40af7a4089fp-4", "0x1.ffffffff73447p-1", 98055),
+        ]),
+        SampleStrategy.QUASI_RANDOM: (331, [
+            ("0x1.3c90a9ebfc64bp-3", "0x1.ef35fca19c083p+2", 131077),
+            ("0x1.00006b8b25719p+0", "0x1.07c6169ee3063p+18", 131077),
+            ("0x1.5bc67d6cf35c4p-8", "0x1.ffffffff73447p-1", 131077),
+            ("0x1.5c621e7cd209bp+0", "0x1.5ea8a5c6141f1p+0", 331),
+            ("0x1.1ab7958ba8444p-4", "0x1.ffffffff73447p-1", 130746),
+        ]),
+    }
+
+    @pytest.mark.parametrize("strategy", list(SampleStrategy))
+    def test_sample_and_certificates_are_pinned(self, strategy):
+        sample = sample_hemisphere(self.N, strategy, 1e-6, M2, seed=3)
+        digest = hashlib.sha256()
+        for row in _rows(sample):
+            digest.update(np.ascontiguousarray(row).tobytes())
+        assert digest.hexdigest() == self.SAMPLES[strategy]
+        sandwich = certify_sandwich(sample, M2, seed=3)
+        certs = [sandwich] + certify_weight_bounds(sample, M2)
+        near_count, pinned = self.CERTS[strategy]
+        assert [(c.empirical_min.hex(), c.empirical_max.hex(), c.sample_size) for c in certs] == pinned
+        assert all(c.passed for c in certs)
+        assert sandwich.extras["near_root_count"] == near_count
+        assert sandwich.extras["homogeneity_deviation"] == 0.0
 
 
 class TestSandwich:
