@@ -11,14 +11,14 @@ This module samples that hemisphere (optionally stratifying near the
 marginal root curves, which is where the comparisons are delicate),
 evaluates the ratios on the sample and packages the empirical extrema as
 certificates.  The sample points come from low-discrepancy sequences
-computed here, one chunk at a time: the Owen-scrambled Halton sequence in
-bases 2 and 3, or the base-2 van der Corput sequence beside the golden-ratio
-sequence.  A stratified sample takes its root-tube points and its zone
-points from two prefixes of one sequence, interleaved one tube point to
-three zone points.  One rule, :func:`_passes`, decides every certificate, and
-one constructor, :func:`_certificate`, turns the extrema of a sample scan into
-its record.  Certificates are evidence obtained by dense sampling, not
-proofs.
+computed here: the Owen-scrambled Halton sequence in bases 2 and 3, or the
+base-2 van der Corput sequence beside the golden-ratio sequence.  Each chunk
+of a sample makes its own slice of the sequence on the worker pool.  A
+stratified sample takes its root-tube points and its zone points from two
+prefixes of one sequence, interleaved one tube point to three zone points.
+One rule, :func:`_passes`, decides every certificate, and one constructor,
+:func:`_certificate`, turns the extrema of a sample scan into its record.
+Certificates are evidence obtained by dense sampling, not proofs.
 """
 
 from __future__ import annotations
@@ -71,8 +71,9 @@ _CHUNK = 2**17
 # low digits of the scrambled sequence tabulated per base: 2**17 and 3**11 entries
 _TABLE_DIGITS = {2: 17, 3: 11}
 
-# random powers of two cycled over the sample by the homogeneity check
+# random powers of two cycled over the probe of the homogeneity check, and the probe's size
 _N_SCALINGS = 10
+_HOMOGENEITY_PROBE = 4096
 
 # golden-section bracket (relative half width) and x tolerance of the root search
 _BRACKET_FRAC = 0.2
@@ -173,13 +174,15 @@ def _radical_inverse(sums: tuple[np.ndarray, np.ndarray], first: int, out: np.nd
                 run += row[digit]
 
 
-def _unit_square(n: int, strategy: SampleStrategy, seed: int) -> np.ndarray:
-    """(n, 2) low-discrepancy points, made chunk by chunk; point i depends only on i and the seed.
+def _sequence(strategy: SampleStrategy, seed: int):
+    """``draw(first, count)``: the (2, count) points of indices ``first, ..., first + count - 1``.
 
-    QUASI_RANDOM and STRATIFIED_NEAR_ROOTS take the Owen-scrambled Halton
-    sequence in bases 2 and 3 from index 0; ``default_rng(seed)`` shuffles
-    the digit permutations of base 2, then of base 3.  UNIFORM_ANGULAR pairs
-    the plain base-2 sequence from index 1 with ``i * GOLDEN_FRAC mod 1``.
+    Point i depends only on i and the seed, so any slice of the sequence can
+    be made on its own.  QUASI_RANDOM and STRATIFIED_NEAR_ROOTS take the
+    Owen-scrambled Halton sequence in bases 2 and 3 from index 0;
+    ``default_rng(seed)`` shuffles the digit permutations of base 2, then of
+    base 3.  UNIFORM_ANGULAR pairs the plain base-2 sequence from index 1
+    with ``i * GOLDEN_FRAC mod 1``.
     """
     uniform = strategy is SampleStrategy.UNIFORM_ANGULAR
     # one arange(b) per digit position k with b**-k > 2**-54, the digits a double resolves
@@ -188,17 +191,23 @@ def _unit_square(n: int, strategy: SampleStrategy, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
         for row in (*perms[0], *perms[1]):
             rng.shuffle(row)
-    first, axes = (1, [_digit_sums(perms[0])]) if uniform else (0, [_digit_sums(p) for p in perms])
-    u = np.empty((2, n))
+    offset, axes = (1, [_digit_sums(perms[0])]) if uniform else (0, [_digit_sums(p) for p in perms])
 
-    def chunk(start: int, stop: int) -> None:
+    def draw(first: int, count: int) -> np.ndarray:
+        first += offset
+        u = np.empty((2, count))
         for row, sums in zip(u, axes):
-            _radical_inverse(sums, first + start, row[start:stop])
+            _radical_inverse(sums, first, row)
         if uniform:
-            np.mod(np.arange(first + start, first + stop, dtype=np.float64) * GOLDEN_FRAC, 1.0, out=u[1, start:stop])
+            np.mod(np.arange(first, first + count, dtype=np.float64) * GOLDEN_FRAC, 1.0, out=u[1])
+        return u
 
-    map_chunks(chunk, n, _CHUNK)
-    return u.T
+    return draw
+
+
+def _unit_square(n: int, strategy: SampleStrategy, seed: int) -> np.ndarray:
+    """(n, 2) points of :func:`_sequence` from index 0, in one call."""
+    return _sequence(strategy, seed)(0, n).T
 
 
 def _zone_points(u: np.ndarray, gamma_floor: float, out: np.ndarray) -> np.ndarray:
@@ -240,13 +249,15 @@ def root_points(params: PhysicalParams) -> np.ndarray:
     return np.array([[g0, 0.0, eta0], [g0, 0.0, -eta0]])
 
 
-def _near_root_points(u: np.ndarray, roots: np.ndarray, gamma_floor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(gamma, delta, eta) within angular distance TUBE_RADIUS of the root points; point i goes to root i mod R."""
+def _near_root_points(
+    u: np.ndarray, roots: np.ndarray, gamma_floor: float, first: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(gamma, delta, eta) within angular distance TUBE_RADIUS of the root points; point i goes to root (first + i) mod R."""
     # orthonormal tangent frame at each root point; the gamma axis is never parallel to one
     e1 = np.cross(roots, [1.0, 0.0, 0.0])
     e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
     e2 = np.cross(roots, e1)
-    k = np.arange(u.shape[0]) % len(roots)
+    k = np.arange(first, first + u.shape[0]) % len(roots)
     rho = TUBE_RADIUS * np.sqrt(u[:, 0])
     alpha = 2.0 * np.pi * u[:, 1]
     cos_rho, sin_rho, cos_alpha, sin_alpha = np.cos(rho), np.sin(rho), np.cos(alpha), np.sin(alpha)
@@ -281,21 +292,40 @@ def sample_hemisphere(
     if not (0.0 <= gamma_floor < 1.0):
         raise ValueError("gamma_floor must lie in [0, 1)")
     strategy = SampleStrategy(strategy)
+    draw = _sequence(strategy, seed)
     if strategy is SampleStrategy.STRATIFIED_NEAR_ROOTS:
         if params is None:
             raise ValueError("stratified sampling needs params to locate the root curves")
         roots = root_points(params)
-        tubes = -(-n // _STRATUM_EVERY)
-        u = _unit_square((_STRATUM_EVERY - 1) * tubes, strategy, seed)
-        block = np.empty((3, tubes, _STRATUM_EVERY))
-        _zone_points(u.reshape(tubes, _STRATUM_EVERY - 1, 2), gamma_floor, block[:, :, 1:])
-        block[:, :, 0] = _near_root_points(u[np.arange(tubes) // len(roots)], roots, gamma_floor)
+        zones = _STRATUM_EVERY - 1
+        block = np.empty((3, -(-n // _STRATUM_EVERY), _STRATUM_EVERY))
+
+        def chunk(start: int, stop: int) -> None:
+            # strata q = start..stop-1: zone points zones*q.. and tube point q, made from sequence point q // R
+            u = draw(zones * start, zones * (stop - start))
+            _zone_points(u.T.reshape(stop - start, zones, 2), gamma_floor, block[:, start:stop, 1:])
+            lo = start // len(roots)
+            u = draw(lo, (stop - 1) // len(roots) + 1 - lo)
+            tube = _near_root_points(u.T[np.arange(start, stop) // len(roots) - lo], roots, gamma_floor, start)
+            np.stack(tube, out=block[:, start:stop, 0])
+            _assert_unit(block[:, start:stop].reshape(3, -1))
+
+        map_chunks(chunk, block.shape[1], _CHUNK // _STRATUM_EVERY)
         points = block.reshape(3, -1)[:, :n]
     else:
-        points = _zone_points(_unit_square(n, strategy, seed), gamma_floor, np.empty((3, n)))
-    freqs = Frequency(*points)
-    assert np.all(np.abs(freqs.lam - 1.0) <= 1e-12)
-    return HemisphereSample(freqs=freqs, gamma_floor=gamma_floor)
+        points = np.empty((3, n))
+
+        def chunk(start: int, stop: int) -> None:
+            _assert_unit(_zone_points(draw(start, stop - start).T, gamma_floor, points[:, start:stop]))
+
+        map_chunks(chunk, n, _CHUNK)
+    return HemisphereSample(freqs=Frequency(*points), gamma_floor=gamma_floor)
+
+
+def _assert_unit(points: np.ndarray) -> None:
+    """Every column of ``points`` (rows gamma, delta, eta) has modulus 1 to within 1e-12."""
+    g, d, e = points
+    assert np.all(np.abs(np.sqrt(g**2 + d**2 + e**2) - 1.0) <= 1e-12)
 
 
 def _extrema(values: np.ndarray, where=True) -> tuple[int, float, float]:
@@ -338,9 +368,14 @@ def _root_factor_distance(freqs: Frequency, params: PhysicalParams) -> np.ndarra
 
 
 def _in_root_tubes(freqs: Frequency, params: PhysicalParams) -> np.ndarray:
-    """Points within angular distance TUBE_RADIUS of a root point."""
-    g, d, e = freqs.gamma, freqs.delta, freqs.eta
-    dots = functools.reduce(np.maximum, (g * r[0] + d * r[1] + e * r[2] for r in root_points(params)))
+    """Points within angular distance TUBE_RADIUS of a weakly stable root point (0, +-d0, +-e0).
+
+    The largest of the four dot products is ``|delta| d0 + |eta| e0``, bit
+    for bit: ``gamma * 0`` adds an exact 0.0, sign flips are exact and
+    rounding is symmetric and monotone.
+    """
+    _, d0, e0 = root_points(params)[0]
+    dots = np.abs(freqs.delta) * d0 + np.abs(freqs.eta) * e0
     return np.arccos(np.clip(dots, -1.0, 1.0)) <= TUBE_RADIUS
 
 
@@ -370,13 +405,15 @@ def certify_sandwich(
     by the weight.  The certificate FAILs (rather than raising) when the
     empirical band explodes.
 
-    Homogeneity is checked pointwise in the same pass: point ``i`` is
-    rescaled by the ``i mod 10``-th of ten random powers of two, and
-    ``homogeneity_deviation`` is the largest relative change of its ratio.
+    Once the band passes, homogeneity is checked on a probe, the first 4096
+    points: point ``i`` is rescaled by the ``i mod 10``-th of ten random
+    powers of two, and ``homogeneity_deviation`` is the largest relative
+    change of its ratio.  The symbols normalize onto the unit sphere and a
+    power of two scales exactly, so the deviation of the real symbols is 0;
+    their homogeneity at generic scalings is tested on the symbols themselves.
     """
     if params.regime() is not Regime.WEAKLY_STABLE:
         raise ValueError("the sandwich bound is certified in the weakly stable regime only")
-    scalings = _power_of_two_scalings(_N_SCALINGS, seed)
 
     def ratios(freqs: Frequency) -> tuple[np.ndarray, np.ndarray]:
         sig = big_sigma(freqs, params)
@@ -388,13 +425,10 @@ def certify_sandwich(
     def chunk(start: int, stop: int):
         freqs = sample.freqs[start:stop]
         ratio, weight_over_lam = ratios(freqs)
-        rescaled, _ = ratios(freqs.scaled(scalings[np.arange(start, stop) % _N_SCALINGS]))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dev = np.max(np.abs(rescaled - ratio) / ratio)
         near = _in_root_tubes(freqs, params)
-        return _extrema(ratio), _extrema(ratio, near), _extrema(weight_over_lam), dev
+        return _extrema(ratio), _extrema(ratio, near), _extrema(weight_over_lam)
 
-    whole, near, weight_over_lam, devs = zip(*map_chunks(chunk, len(sample), _CHUNK))
+    whole, near, weight_over_lam = zip(*map_chunks(chunk, len(sample), _CHUNK))
     cert = _certificate("abs_sigma_big_over_weight_lambda", whole, sample, params, limit=explosion_threshold)
     near_count, near_min, near_max = _merge(near)
     cert.extras = {"weight_over_lambda_max": _merge(weight_over_lam)[2], "near_root_count": near_count}
@@ -402,7 +436,11 @@ def certify_sandwich(
         # a subset of the sample: its band lies inside the whole band, so it needs no check of its own
         cert.extras.update(near_root_min=near_min, near_root_max=near_max)
     if cert.passed:
-        dev = float(np.max(devs))
+        probe = sample.freqs[:_HOMOGENEITY_PROBE]
+        scalings = _power_of_two_scalings(_N_SCALINGS, seed)
+        ratio, _ = ratios(probe)
+        rescaled, _ = ratios(probe.scaled(scalings[np.arange(probe.size) % _N_SCALINGS]))
+        dev = float(np.max(np.abs(rescaled - ratio) / ratio))
         cert.extras["homogeneity_deviation"] = dev
         cert.passed = dev <= 1e-12
     return cert

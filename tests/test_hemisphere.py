@@ -150,6 +150,16 @@ class TestOwnedSequence:
         for a, b in zip(_rows(small), _rows(big)):
             np.testing.assert_array_equal(a.view(np.uint64), b[:n].view(np.uint64))
 
+    @pytest.mark.parametrize("chunk", [1000, 777], ids=["chunk1000", "chunk777"])
+    @pytest.mark.parametrize("strategy", list(SampleStrategy))
+    def test_samples_do_not_depend_on_the_chunk(self, strategy, chunk, monkeypatch):
+        # 1000 and 777 give stratified chunks of 250 and 194 strata, whose offsets are not multiples of R = 4
+        n = 10_007
+        reference = _rows(sample_hemisphere(n, strategy, 1e-6, M2, seed=102))
+        monkeypatch.setattr(hemisphere, "_CHUNK", chunk)
+        for a, b in zip(reference, _rows(sample_hemisphere(n, strategy, 1e-6, M2, seed=102))):
+            np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
     @pytest.mark.parametrize("strategy", list(SampleStrategy))
     def test_samples_do_not_depend_on_the_thread_count(self, strategy, monkeypatch):
         n = 3 * 2**17 + 3**11 + 1
@@ -248,6 +258,28 @@ class TestPinnedCertifyOutput:
         assert all(c.passed for c in certs)
         assert sandwich.extras["near_root_count"] == near_count
         assert sandwich.extras["homogeneity_deviation"] == 0.0
+
+
+class TestRootTubeMask:
+    """``_in_root_tubes`` against its definition: arccos of the largest dot product with a root point."""
+
+    @staticmethod
+    @functools.cache
+    def _sample(mach: float) -> HemisphereSample:
+        return sample_hemisphere(10**6, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6, PhysicalParams(v=mach, c=1.0), seed=1)
+
+    @pytest.mark.parametrize("mach", [1.415, 2.0, 3.0])
+    def test_equals_the_arccos_of_the_largest_dot_product(self, mach, monkeypatch):
+        params, sample = PhysicalParams(v=mach, c=1.0), self._sample(mach)
+        g, d, e = _rows(sample)
+        dots = functools.reduce(np.maximum, (g * r[0] + d * r[1] + e * r[2] for r in root_points(params)))
+        angle = np.arccos(np.clip(dots, -1.0, 1.0))
+        # the tube radius, then radii that put sample points exactly on the boundary of the tube
+        for radius in [TUBE_RADIUS, *np.quantile(angle, [0.01, 0.1, 0.25], method="nearest")]:
+            monkeypatch.setattr(hemisphere, "TUBE_RADIUS", radius)
+            mask = hemisphere._in_root_tubes(sample.freqs, params)
+            np.testing.assert_array_equal(mask, angle <= radius)
+            assert 0 < np.count_nonzero(mask) < len(mask)
 
 
 class TestSandwich:
