@@ -415,31 +415,29 @@ def certify_sandwich(
     if params.regime() is not Regime.WEAKLY_STABLE:
         raise ValueError("the sandwich bound is certified in the weakly stable regime only")
 
-    def ratios(freqs: Frequency) -> tuple[np.ndarray, np.ndarray]:
+    def ratios(freqs: Frequency) -> np.ndarray:
         sig = big_sigma(freqs, params)
         wgt = np.abs(weight_sigma(freqs, params))
-        lam = freqs.lam
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.abs(sig) / (wgt * lam), wgt / lam
+            return np.abs(sig) / (wgt * freqs.lam)
 
     def chunk(start: int, stop: int):
         freqs = sample.freqs[start:stop]
-        ratio, weight_over_lam = ratios(freqs)
-        near = _in_root_tubes(freqs, params)
-        return _extrema(ratio), _extrema(ratio, near), _extrema(weight_over_lam)
+        ratio = ratios(freqs)
+        return _extrema(ratio), _extrema(ratio, _in_root_tubes(freqs, params))
 
-    whole, near, weight_over_lam = zip(*map_chunks(chunk, len(sample), _CHUNK))
+    whole, near = zip(*map_chunks(chunk, len(sample), _CHUNK))
     cert = _certificate("abs_sigma_big_over_weight_lambda", whole, sample, params, limit=explosion_threshold)
     near_count, near_min, near_max = _merge(near)
-    cert.extras = {"weight_over_lambda_max": _merge(weight_over_lam)[2], "near_root_count": near_count}
+    cert.extras = {"near_root_count": near_count}
     if near_count:
         # a subset of the sample: its band lies inside the whole band, so it needs no check of its own
         cert.extras.update(near_root_min=near_min, near_root_max=near_max)
     if cert.passed:
         probe = sample.freqs[:_HOMOGENEITY_PROBE]
         scalings = _power_of_two_scalings(_N_SCALINGS, seed)
-        ratio, _ = ratios(probe)
-        rescaled, _ = ratios(probe.scaled(scalings[np.arange(probe.size) % _N_SCALINGS]))
+        ratio = ratios(probe)
+        rescaled = ratios(probe.scaled(scalings[np.arange(probe.size) % _N_SCALINGS]))
         dev = float(np.max(np.abs(rescaled - ratio) / ratio))
         cert.extras["homogeneity_deviation"] = dev
         cert.passed = dev <= 1e-12

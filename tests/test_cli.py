@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -127,6 +128,34 @@ n_eta = 3
             d, e, val = (float(tok) for tok in row.split(","))
             want = abs(big_sigma(Frequency(0.75, d, e), M2))
             assert val == pytest.approx(want, rel=1e-12)
+
+    def test_ratio_heatmap_and_certificates_are_pinned(self, tmp_path):
+        # sha256 of both artifacts at seed 3, n = 3001, stratified; certificates.json
+        # without the sandwich's former duplicate key weight_over_lambda_max
+        cfg = _certify_cfg(
+            tmp_path,
+            n=3001,
+            extra="""
+[heatmap]
+field = ratio
+gamma = 0.25
+delta_min = -2
+delta_max = 2
+n_delta = 41
+eta_min = -1.5
+eta_max = 1.5
+n_eta = 31
+""",
+        )
+        assert main(["certify", "--config", cfg, "--seed", "3"]) == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / "cert_out" / name).read_bytes()).hexdigest()
+            for name in ("heatmap.csv", "certificates.json")
+        }
+        assert digests == {
+            "heatmap.csv": "fcc8cc242cc5002549dd85016e2d0fd84fb5556ffdccf3ece017f4bf4b6dda71",
+            "certificates.json": "bb13abbd7ad791525a4545af245107373623b9312936133623f40f0a8dd9eeb8",
+        }
 
     def test_seed_override_changes_sample(self, tmp_path):
         cfg = _certify_cfg(tmp_path)
