@@ -27,6 +27,7 @@ from .hemisphere import (
     certify_weight_bounds,
     locate_roots,
     sample_hemisphere,
+    sandwich_ratio,
 )
 from .symbols import (
     Frequency,
@@ -97,7 +98,7 @@ def emit_heatmap(
     elif field is HeatmapField.ABS_WEIGHT_SIGMA:
         vals = np.abs(weight_sigma(freqs, params))
     else:
-        vals = np.abs(big_sigma(freqs, params)) / (np.abs(weight_sigma(freqs, params)) * freqs.lam)
+        vals = sandwich_ratio(freqs, params)
     rows = [
         (float(dd[i, j]), float(ee[i, j]), float(vals[i, j]))
         for i in range(shape[0])

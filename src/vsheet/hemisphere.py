@@ -12,10 +12,11 @@ marginal root curves, which is where the comparisons are delicate),
 evaluates the ratios on the sample and packages the empirical extrema as
 certificates.  The sample points come from low-discrepancy sequences
 computed here: the Owen-scrambled Halton sequence in bases 2 and 3, or the
-base-2 van der Corput sequence beside the golden-ratio sequence.  Each chunk
-of a sample makes its own slice of the sequence on the worker pool.  A
-stratified sample takes its root-tube points and its zone points from two
-prefixes of one sequence, interleaved one tube point to three zone points.
+base-2 van der Corput sequence beside the golden-ratio sequence.  Every
+sample is a run of strata, made chunk by chunk on the worker pool, each
+chunk from its own slice of the sequence.  A stratum of a stratified sample
+is one root-tube point and three zone points, taken from two prefixes of one
+sequence; the other strategies have strata of one zone point.
 One rule, :func:`_passes`, decides every certificate, and one constructor,
 :func:`_certificate`, turns the extrema of a sample scan into its record.
 Certificates are evidence obtained by dense sampling, not proofs.
@@ -49,6 +50,7 @@ __all__ = [
     "NoRootFound",
     "root_points",
     "sample_hemisphere",
+    "sandwich_ratio",
     "certify_sandwich",
     "certify_weight_bounds",
     "locate_roots",
@@ -60,7 +62,7 @@ GOLDEN_FRAC = (math.sqrt(5.0) - 1.0) / 2.0
 # angular radius of the tubes around the root curves used for stratification
 TUBE_RADIUS = 0.05
 
-# stratified samples come in blocks of this many positions: the first is a
+# a stratified sample comes in strata of this many positions: the first is a
 # root-tube point, the rest are zone points; the two kinds are two prefixes
 # of one sequence, so neither aliases with the other's positions
 _STRATUM_EVERY = 4
@@ -205,11 +207,6 @@ def _sequence(strategy: SampleStrategy, seed: int):
     return draw
 
 
-def _unit_square(n: int, strategy: SampleStrategy, seed: int) -> np.ndarray:
-    """(n, 2) points of :func:`_sequence` from index 0, in one call."""
-    return _sequence(strategy, seed)(0, n).T
-
-
 def _zone_points(u: np.ndarray, gamma_floor: float, out: np.ndarray) -> np.ndarray:
     """Map unit-square points, the last axis of ``u``, to the spherical zone gamma in [floor, 1] in ``out``.
 
@@ -280,12 +277,16 @@ def sample_hemisphere(
 
     Prefixes are nested: for a fixed strategy and seed, the first n points
     of a 2n-point sample are the n-point sample, so refining can only widen
-    empirical ranges.  STRATIFIED_NEAR_ROOTS needs ``params`` and draws two
-    prefixes of one sequence: position ``4q`` is tube point ``q``, inside
-    the angular-0.05 tube around root ``q mod R`` and made from sequence
-    point ``q // R``, and position ``4q + r`` (r = 1, 2, 3) is zone point
-    ``m = 3q + r - 1``, made from sequence point ``m``.  Each root thus
-    gets the sequence from its start, and so does the zone.
+    empirical ranges.  Every strategy fills strata, chunk by chunk.  For
+    QUASI_RANDOM and UNIFORM_ANGULAR, stratum ``q`` is zone point ``q``,
+    made from sequence point ``q``.  STRATIFIED_NEAR_ROOTS needs ``params``
+    and draws two prefixes of one sequence: position ``4q`` is tube point
+    ``q``, inside the angular-0.05 tube around root ``q mod R`` and made
+    from sequence point ``q // R``, and position ``4q + r`` (r = 1, 2, 3)
+    is zone point ``m = 3q + r - 1``, made from sequence point ``m``.  Each
+    root thus gets the sequence from its start, and so does the zone.
+    Every chunk checks that its points are unit vectors with
+    ``gamma >= gamma_floor``, and raises ``RuntimeError`` if one is not.
     """
     if n < 1:
         raise ValueError("sample size must be positive")
@@ -293,39 +294,36 @@ def sample_hemisphere(
         raise ValueError("gamma_floor must lie in [0, 1)")
     strategy = SampleStrategy(strategy)
     draw = _sequence(strategy, seed)
-    if strategy is SampleStrategy.STRATIFIED_NEAR_ROOTS:
+    # a stratum is `tubes` tube points (one or none), then `zones` zone points
+    tubes, zones = (1, _STRATUM_EVERY - 1) if strategy is SampleStrategy.STRATIFIED_NEAR_ROOTS else (0, 1)
+    if tubes:
         if params is None:
             raise ValueError("stratified sampling needs params to locate the root curves")
         roots = root_points(params)
-        zones = _STRATUM_EVERY - 1
-        block = np.empty((3, -(-n // _STRATUM_EVERY), _STRATUM_EVERY))
+    block = np.empty((3, -(-n // (tubes + zones)), tubes + zones))
 
-        def chunk(start: int, stop: int) -> None:
-            # strata q = start..stop-1: zone points zones*q.. and tube point q, made from sequence point q // R
-            u = draw(zones * start, zones * (stop - start))
-            _zone_points(u.T.reshape(stop - start, zones, 2), gamma_floor, block[:, start:stop, 1:])
+    def chunk(start: int, stop: int) -> None:
+        # strata q = start..stop-1: zone points zones*q.., then any tube point q, made from sequence point q // R
+        u = draw(zones * start, zones * (stop - start))
+        _zone_points(u.T.reshape(stop - start, zones, 2), gamma_floor, block[:, start:stop, tubes:])
+        if tubes:
             lo = start // len(roots)
             u = draw(lo, (stop - 1) // len(roots) + 1 - lo)
             tube = _near_root_points(u.T[np.arange(start, stop) // len(roots) - lo], roots, gamma_floor, start)
             np.stack(tube, out=block[:, start:stop, 0])
-            _assert_unit(block[:, start:stop].reshape(3, -1))
+        _check_points(block[:, start:stop].reshape(3, -1), gamma_floor)
 
-        map_chunks(chunk, block.shape[1], _CHUNK // _STRATUM_EVERY)
-        points = block.reshape(3, -1)[:, :n]
-    else:
-        points = np.empty((3, n))
-
-        def chunk(start: int, stop: int) -> None:
-            _assert_unit(_zone_points(draw(start, stop - start).T, gamma_floor, points[:, start:stop]))
-
-        map_chunks(chunk, n, _CHUNK)
-    return HemisphereSample(freqs=Frequency(*points), gamma_floor=gamma_floor)
+    map_chunks(chunk, block.shape[1], _CHUNK // (tubes + zones))
+    return HemisphereSample(freqs=Frequency(*block.reshape(3, -1)[:, :n]), gamma_floor=gamma_floor)
 
 
-def _assert_unit(points: np.ndarray) -> None:
-    """Every column of ``points`` (rows gamma, delta, eta) has modulus 1 to within 1e-12."""
+def _check_points(points: np.ndarray, gamma_floor: float) -> None:
+    """Raise unless each column of ``points`` (gamma, delta, eta) has modulus 1 to 1e-12 and gamma >= gamma_floor."""
     g, d, e = points
-    assert np.all(np.abs(np.sqrt(g**2 + d**2 + e**2) - 1.0) <= 1e-12)
+    if not np.all(np.abs(np.sqrt(g**2 + d**2 + e**2) - 1.0) <= 1e-12):
+        raise RuntimeError("the hemisphere sampler made a point off the unit sphere")
+    if not np.all(g >= gamma_floor):
+        raise RuntimeError(f"the hemisphere sampler made a point below gamma_floor = {gamma_floor!r}")
 
 
 def _extrema(values: np.ndarray, where=True) -> tuple[int, float, float]:
@@ -391,6 +389,12 @@ def _power_of_two_scalings(count: int, seed: int) -> np.ndarray:
     return 2.0 ** rng.integers(-20, 10, size=count).astype(np.float64)
 
 
+def sandwich_ratio(freqs: Frequency, params: PhysicalParams) -> np.ndarray:
+    """|Sigma| / (|sigma| * Lambda), homogeneous of degree zero; inf or nan where the weight vanishes."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.abs(big_sigma(freqs, params)) / (np.abs(weight_sigma(freqs, params)) * freqs.lam)
+
+
 def certify_sandwich(
     sample: HemisphereSample,
     params: PhysicalParams,
@@ -415,15 +419,9 @@ def certify_sandwich(
     if params.regime() is not Regime.WEAKLY_STABLE:
         raise ValueError("the sandwich bound is certified in the weakly stable regime only")
 
-    def ratios(freqs: Frequency) -> np.ndarray:
-        sig = big_sigma(freqs, params)
-        wgt = np.abs(weight_sigma(freqs, params))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.abs(sig) / (wgt * freqs.lam)
-
     def chunk(start: int, stop: int):
         freqs = sample.freqs[start:stop]
-        ratio = ratios(freqs)
+        ratio = sandwich_ratio(freqs, params)
         return _extrema(ratio), _extrema(ratio, _in_root_tubes(freqs, params))
 
     whole, near = zip(*map_chunks(chunk, len(sample), _CHUNK))
@@ -436,8 +434,8 @@ def certify_sandwich(
     if cert.passed:
         probe = sample.freqs[:_HOMOGENEITY_PROBE]
         scalings = _power_of_two_scalings(_N_SCALINGS, seed)
-        ratio = ratios(probe)
-        rescaled = ratios(probe.scaled(scalings[np.arange(probe.size) % _N_SCALINGS]))
+        ratio = sandwich_ratio(probe, params)
+        rescaled = sandwich_ratio(probe.scaled(scalings[np.arange(probe.size) % _N_SCALINGS]), params)
         dev = float(np.max(np.abs(rescaled - ratio) / ratio))
         cert.extras["homogeneity_deviation"] = dev
         cert.passed = dev <= 1e-12

@@ -204,7 +204,8 @@ def mu_pm(freq: Frequency, params: PhysicalParams):
     mup = _mu_branch(g, d, e, params.v, params.c, +1.0)
     mum = _mu_branch(g, d, e, params.v, params.c, -1.0)
     positive = np.where(g > 0, (mup.real > 0) & (mum.real > 0), (mup.real >= 0) & (mum.real >= 0))
-    assert np.all(positive), "branch selection produced a negative real part"
+    if not np.all(positive):
+        raise RuntimeError("branch selection produced a negative real part")
     return lam * mup, lam * mum
 
 

@@ -127,7 +127,7 @@ class TestOwnedSequence:
     @pytest.mark.parametrize("seed", [0, 1, 2, 102])
     def test_equals_scipy_halton_bit_for_bit(self, seed, n):
         # a fresh engine's random(n) is the head of its random(10**6): point i depends on i alone
-        got = hemisphere._unit_square(n, SampleStrategy.QUASI_RANDOM, seed)
+        got = hemisphere._sequence(SampleStrategy.QUASI_RANDOM, seed)(0, n).T
         ref = self._scipy_points(seed)[:n]
         assert got.shape == (n, 2)
         np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
@@ -139,7 +139,7 @@ class TestOwnedSequence:
             ["0x1.9dafdfdc1c23ep-2", "0x1.cb94b53d7d29ep-8"],
             ["0x1.ced7efee0e11fp-1", "0x1.cab39b31976c5p-1"],
         ]
-        got = hemisphere._unit_square(4, SampleStrategy.QUASI_RANDOM, 1)
+        got = hemisphere._sequence(SampleStrategy.QUASI_RANDOM, 1)(0, 4).T
         assert [[x.hex() for x in row] for row in got.tolist()] == pinned
 
     @pytest.mark.parametrize("n, m", [(2**17 - 1, 2**17 + 1), (3**11 - 1, 3**11 + 2), (5, 2 * 2**17 + 3)])
@@ -169,6 +169,39 @@ class TestOwnedSequence:
             samples.append(_rows(sample_hemisphere(n, strategy, 1e-6, M2, seed=102)))
         for a, b in zip(*samples):
             np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestSampleCheck:
+    """Each sampler chunk raises on a point off the unit sphere or below the floor, also under python -O."""
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda g, d, e: (1.01 * g, 1.01 * d, 1.01 * e), "off the unit sphere"),
+            (lambda g, d, e: (-g, d, e), "below gamma_floor"),
+        ],
+        ids=["off-sphere", "below-floor"],
+    )
+    @pytest.mark.parametrize(
+        "strategy, mapper",
+        [(s, "_zone_points") for s in SampleStrategy] + [(SampleStrategy.STRATIFIED_NEAR_ROOTS, "_near_root_points")],
+    )
+    def test_a_bad_point_raises(self, strategy, mapper, edit, message, monkeypatch):
+        real = getattr(hemisphere, mapper)
+
+        def zone(u, floor, out):
+            real(u, floor, out)
+            out[:, -1, -1] = edit(*out[:, -1, -1])
+            return out
+
+        def tube(*args):
+            g, d, e = (np.array(x) for x in real(*args))
+            g[-1], d[-1], e[-1] = edit(g[-1], d[-1], e[-1])
+            return g, d, e
+
+        monkeypatch.setattr(hemisphere, mapper, zone if mapper == "_zone_points" else tube)
+        with pytest.raises(RuntimeError, match=message):
+            sample_hemisphere(1001, strategy, 1e-6, M2, seed=0)
 
 
 class TestStratifiedCoverage:

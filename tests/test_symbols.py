@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from vsheet import symbols
 from vsheet.grids import GridSpec
 from vsheet.hemisphere import root_points
 from vsheet.symbols import (
@@ -169,6 +170,14 @@ class TestMu:
         floor = freq.gamma / params.c * (1.0 - 1e-12)
         assert mp.real >= floor, f"mu+ branch left the half-plane: {mp}"
         assert mm.real >= floor
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.0], ids=["interior", "boundary"])
+    def test_a_negative_real_part_raises(self, gamma, monkeypatch):
+        # an explicit raise, so the check holds under python -O too
+        branch = symbols._mu_branch
+        monkeypatch.setattr(symbols, "_mu_branch", lambda *args: -branch(*args) - 1e-3)
+        with pytest.raises(RuntimeError, match="branch selection produced a negative real part"):
+            mu_pm(Frequency(gamma, 0.5, 1.0), M2)
 
     @given(_scalar_freqs(), _params())
     def test_defining_quadratic(self, freq, params):
