@@ -218,27 +218,6 @@ def _no_growth(values: list, slack: float) -> bool:
     return all(b <= (1.0 + slack) * a for a, b in zip(values, values[1:]))
 
 
-def _sweep_row(raw_plus: np.ndarray, raw_minus: np.ndarray, grid: GridSpec, params: PhysicalParams, s: float) -> dict:
-    """The estimate ratios of one rung of :func:`estimate_sweep`, at ``grid.gamma``.
-
-    A rung's spectral fields die when it returns, so a sweep holds one rung's at a time.
-    """
-    gamma = grid.gamma
-    fp = transform_source(raw_plus, Side.PLUS, grid)
-    fm = transform_source(raw_minus, Side.MINUS, grid)
-    sol = solve_front(build_g(fp, fm, params), grid, params, s=s)
-    rhs = half_line_norm(fp.spectral, grid, s) ** 2 + half_line_norm(fm.spectral, grid, s) ** 2
-    row = {
-        "gamma": gamma,
-        "front_aniso": None,
-        "g_over_f": gamma * sol.report["g_plain_norm"] ** 2 / rhs,
-        "front_plain": gamma**3 * sol.norms[(s + 1.0, Space.PLAIN)] ** 2 / rhs,
-    }
-    if sol.regime is Regime.WEAKLY_STABLE:
-        row["front_aniso"] = gamma * sol.norms[(s + 1.0, Space.ANISOTROPIC)] ** 2 / rhs
-    return row
-
-
 def estimate_sweep(
     raw_plus: np.ndarray,
     raw_minus: np.ndarray,
@@ -263,7 +242,29 @@ def estimate_sweep(
     if any(g < 1.0 for g in gammas):
         raise ValueError("sweep gammas must be >= 1")
     weakly_stable = params.regime() is Regime.WEAKLY_STABLE
-    rows = [_sweep_row(raw_plus, raw_minus, dataclasses.replace(grid, gamma=float(g)), params, s) for g in gammas]
+    rows = []
+    for gamma in gammas:
+        g_grid = dataclasses.replace(grid, gamma=float(gamma))
+        fp = transform_source(raw_plus, Side.PLUS, g_grid)
+        fm = transform_source(raw_minus, Side.MINUS, g_grid)
+        g_hat = build_g(fp, fm, params)
+        sol = solve_front(g_hat, g_grid, params, s=s)
+        rhs = (
+            half_line_norm(fp.spectral, g_grid, s) ** 2
+            + half_line_norm(fm.spectral, g_grid, s) ** 2
+        )
+        g_norm = sol.report["g_plain_norm"]
+        plain = sol.norms[(s + 1.0, Space.PLAIN)]
+        row = {
+            "gamma": float(gamma),
+            "front_aniso": None,
+            "g_over_f": gamma * g_norm**2 / rhs,
+            "front_plain": gamma**3 * plain**2 / rhs,
+        }
+        if weakly_stable:
+            aniso = sol.norms[(s + 1.0, Space.ANISOTROPIC)]
+            row["front_aniso"] = gamma * aniso**2 / rhs
+        rows.append(row)
     keys = ["g_over_f", "front_plain"] + (["front_aniso"] if weakly_stable else [])
     passed = all(_no_growth([row[k] for row in rows], slack) for k in keys)
     return SweepResult(rows=tuple(rows), passed=passed, slack=slack, s=s)
