@@ -39,6 +39,7 @@ from .pressure import (
 from .symbols import (
     DegenerateDenominator,
     Frequency,
+    InternalCheckFailed,
     NumericalGuard,
     PhysicalParams,
     Regime,
@@ -59,6 +60,7 @@ __all__ = [
     "FrontSolution",
     "GridSpec",
     "HemisphereSample",
+    "InternalCheckFailed",
     "NoRootFound",
     "NumericalGuard",
     "PhysicalParams",

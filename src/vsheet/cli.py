@@ -4,7 +4,8 @@ Every subcommand takes ``--config FILE`` plus optional ``--out DIR`` and
 ``--seed N`` overrides, writes its artifacts (JSON/CSV/binary) into the
 output directory and prints a short human-readable summary.  Outputs are
 deterministic for a fixed config and seed.  Exit codes: 0 pass, 1 a
-certificate or check failed, 2 usage or config error, 3 a numerical guard
+certificate or check failed, 2 usage or config error (an ``OSError`` on an
+output or source path included), 3 a numerical guard or internal check
 tripped; codes 2 and 3 come with one ``vfs: ...`` line on stderr.
 """
 
@@ -256,7 +257,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, study=args.study, out_override=args.out, seed_override=args.seed)
         return run(cfg)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"vfs: {exc}", file=sys.stderr)
         return 2
     except NumericalGuard as exc:

@@ -166,6 +166,7 @@ def load_config(
         raise ValueError(f"{path}: [heatmap] n_delta and n_eta must be at least 1")
     # a comparison written as "in range" is False for NaN, so NaN is rejected with the rest
     for section, key, ok, requirement in (
+        ("run", "seed", lambda x: x >= 0, "nonnegative"),
         ("sample", "n", lambda x: x >= 1, "at least 1"),
         ("sample", "gamma_floor", lambda x: 0.0 <= x < 1.0, "in [0, 1)"),
         ("sample", "explosion_threshold", lambda x: x >= 1.0, "at least 1 (inf allowed)"),
@@ -180,6 +181,8 @@ def load_config(
         value = sections[section][key]
         if not ok(value):
             raise ValueError(f"{path}: [{section}] {key} must be {requirement}, got {value!r}")
+    if seed_override is not None and seed_override < 0:
+        raise ValueError(f"--seed must be nonnegative, got {seed_override!r}")
     return RunConfig(
         study=chosen,
         seed=run["seed"] if seed_override is None else seed_override,

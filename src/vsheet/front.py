@@ -70,13 +70,6 @@ class SourceField:
         if self.spectral.shape != shape:
             raise ValueError(f"spectral shape {self.spectral.shape} does not match grid {shape}")
 
-    def decay_ok(self) -> bool:
-        """True when the outermost x2 node carries a negligible amplitude; a non-finite field raises."""
-        peak = float(np.max(np.abs(self.spectral)))
-        if not np.isfinite(peak):
-            raise ValueError(f"{self.side.value}-side source is not finite")
-        return float(np.max(np.abs(self.spectral[..., -1]))) <= DECAY_TOL * peak
-
 
 def transform_source(raw: np.ndarray, side: Side, grid: GridSpec) -> SourceField:
     """Build a SourceField from raw (t, x1, x2-node) samples."""
@@ -117,19 +110,25 @@ def build_g(fplus: SourceField, fminus: SourceField, params: PhysicalParams) -> 
     """Right-hand side of the front equation on the grid's (nt, nx) frequency mesh.
 
     g = -(mu+ mu- / (mu+ + mu-)) M, with the source moment M = T+ - T- of
-    :func:`half_line_terms`.  Raises ValueError when a source has not
-    decayed at the truncation depth Ly, and QuadratureUnderResolved when
-    the neglected tail at Ly is not small relative to a side's term.
+    :func:`half_line_terms`.  Raises ValueError when a source is not finite
+    or has not decayed at the truncation depth Ly, and QuadratureUnderResolved
+    when the neglected tail at Ly is not small relative to a side's term.
     """
+    edges = []
     for field in (fplus, fminus):
-        if not field.decay_ok():
+        peak = float(np.max(np.abs(field.spectral)))
+        if not np.isfinite(peak):
+            raise ValueError(f"{field.side.value}-side source is not finite")
+        edges.append(np.abs(field.spectral[..., -1]))
+        if float(np.max(edges[-1])) > DECAY_TOL * peak:
             raise ValueError(f"{field.side.value}-side source has not decayed at the truncation depth Ly")
     grid = fplus.grid
     mup, mum = mu_pm(grid.freq_mesh(), params)
+    # the neglected tail is of the order of the integrand at the cutoff; the edges are freed before the kernel
+    tails = [float(np.max(np.exp(-grid.Ly * mu.real) * edge / np.abs(mu))) for edge, mu in zip(edges, (mup, mum))]
+    del edges
     terms = half_line_terms(fplus, fminus, mup, mum)
-    for field, mu, term in zip((fplus, fminus), (mup, mum), terms):
-        # the neglected tail is of the order of the integrand at the cutoff
-        tail_num = float(np.max(np.exp(-grid.Ly * mu.real) * np.abs(field.spectral[..., -1]) / np.abs(mu)))
+    for tail_num, term in zip(tails, terms):
         term_scale = float(np.max(np.abs(term)))
         if tail_num > TAIL_TOL * term_scale:
             rel_tail = tail_num / term_scale if term_scale > 0.0 else np.inf
@@ -143,7 +142,7 @@ def build_g(fplus: SourceField, fminus: SourceField, params: PhysicalParams) -> 
 
 @dataclasses.dataclass(frozen=True)
 class FrontSolution:
-    """Front in both representations plus its norm report."""
+    """Front in both representations, its norms and a ``report`` of diagnostics."""
 
     f_hat: np.ndarray
     f: np.ndarray
@@ -189,12 +188,9 @@ def solve_front(
     f_hat = g_hat / sig
     f = inverse_transform(f_hat, grid)
     regime = params.regime()
-    norms = {
-        (s, Space.PLAIN): weighted_norm(f_hat, grid, s, Space.PLAIN),
-        (s + 1.0, Space.PLAIN): weighted_norm(f_hat, grid, s + 1.0, Space.PLAIN),
-    }
+    norms = {(order, Space.PLAIN): weighted_norm(f_hat, grid, order) for order in (s, s + 1.0)}
     g_norm = weighted_norm(g_hat, grid, s, Space.PLAIN)
-    report = {"regime": regime.value, "g_plain_norm": g_norm, "symbol_floor": worst}
+    report = {"g_plain_norm": g_norm, "symbol_floor": worst}
     if regime is Regime.WEAKLY_STABLE:
         aniso = weighted_norm(f_hat, grid, s + 1.0, Space.ANISOTROPIC, params)
         norms[(s + 1.0, Space.ANISOTROPIC)] = aniso
@@ -213,9 +209,8 @@ class SweepResult:
 
 
 def _no_growth(values: list, slack: float) -> bool:
-    if not all(np.isfinite(v) for v in values):
-        return False
-    return all(b <= (1.0 + slack) * a for a, b in zip(values, values[1:]))
+    finite = all(np.isfinite(v) for v in values)
+    return finite and all(b <= (1.0 + slack) * a for a, b in zip(values, values[1:]))
 
 
 def estimate_sweep(
@@ -249,10 +244,7 @@ def estimate_sweep(
         fm = transform_source(raw_minus, Side.MINUS, g_grid)
         g_hat = build_g(fp, fm, params)
         sol = solve_front(g_hat, g_grid, params, s=s)
-        rhs = (
-            half_line_norm(fp.spectral, g_grid, s) ** 2
-            + half_line_norm(fm.spectral, g_grid, s) ** 2
-        )
+        rhs = sum(half_line_norm(field.spectral, g_grid, s) ** 2 for field in (fp, fm))
         g_norm = sol.report["g_plain_norm"]
         plain = sol.norms[(s + 1.0, Space.PLAIN)]
         row = {

@@ -265,14 +265,16 @@ def closure_sums(grid: GridSpec, spectral: np.ndarray, mu):
     return terms, homogeneous.reshape(spectral.shape), free.reshape(spectral.shape)
 
 
-def _norm_weight(grid: GridSpec, s: float, space: Space, params: PhysicalParams | None) -> np.ndarray:
+def _weighted_squares(u_hat: np.ndarray, grid: GridSpec, s: float, space: Space, params: PhysicalParams | None):
+    """Sum over (delta, eta) of (w |u_hat|)^2 / (Lt Lx) per trailing index; w = Lambda^s or |sigma| Lambda^s."""
     freq = grid.freq_mesh()
-    lam_s = freq.lam**s
-    if Space(space) is Space.PLAIN:
-        return lam_s
-    if params is None:
-        raise ValueError("the anisotropic norm needs params (the weight depends on mach)")
-    return np.abs(weight_sigma(freq, params)) * lam_s
+    w = freq.lam**s
+    if Space(space) is not Space.PLAIN:
+        if params is None:
+            raise ValueError("the anisotropic norm needs params (the weight depends on mach)")
+        w = np.abs(weight_sigma(freq, params)) * w
+    w = w.reshape(w.shape + (1,) * (u_hat.ndim - 2))
+    return np.sum((w * np.abs(u_hat)) ** 2, axis=(0, 1)) / (grid.Lt * grid.Lx)
 
 
 def weighted_norm(
@@ -292,19 +294,13 @@ def weighted_norm(
     u_hat = np.asarray(u_hat)
     if u_hat.shape != (grid.nt, grid.nx):
         raise ValueError(f"expected shape ({grid.nt}, {grid.nx}), got {u_hat.shape}")
-    w = _norm_weight(grid, s, space, params)
-    total = np.sum((w * np.abs(u_hat)) ** 2) / (grid.Lt * grid.Lx)
-    return float(np.sqrt(total))
+    return float(np.sqrt(_weighted_squares(u_hat, grid, s, space, params)))
 
 
 def half_line_norm(spectral: np.ndarray, grid: GridSpec, s: float) -> float:
     """L^2(half-line; H^s) norm of a source: quadrature in x2 of squared plain trace norms."""
     spectral = np.asarray(spectral)
     if spectral.shape != (grid.nt, grid.nx, grid.ny):
-        raise ValueError(
-            f"expected shape ({grid.nt}, {grid.nx}, {grid.ny}), got {spectral.shape}"
-        )
+        raise ValueError(f"expected shape ({grid.nt}, {grid.nx}, {grid.ny}), got {spectral.shape}")
     _, wq = grid.quadrature()
-    w = _norm_weight(grid, s, Space.PLAIN, None)
-    per_node = np.sum((w[..., None] * np.abs(spectral)) ** 2, axis=(0, 1)) / (grid.Lt * grid.Lx)
-    return float(np.sqrt(np.dot(wq, per_node)))
+    return float(np.sqrt(np.dot(wq, _weighted_squares(spectral, grid, s, Space.PLAIN, None))))

@@ -35,6 +35,7 @@ import numpy as np
 from .chunks import map_chunks
 from .symbols import (
     Frequency,
+    InternalCheckFailed,
     PhysicalParams,
     Regime,
     big_sigma,
@@ -286,7 +287,7 @@ def sample_hemisphere(
     is zone point ``m = 3q + r - 1``, made from sequence point ``m``.  Each
     root thus gets the sequence from its start, and so does the zone.
     Every chunk checks that its points are unit vectors with
-    ``gamma >= gamma_floor``, and raises ``RuntimeError`` if one is not.
+    ``gamma >= gamma_floor``, and raises ``InternalCheckFailed`` if one is not.
     """
     if n < 1:
         raise ValueError("sample size must be positive")
@@ -321,9 +322,9 @@ def _check_points(points: np.ndarray, gamma_floor: float) -> None:
     """Raise unless each column of ``points`` (gamma, delta, eta) has modulus 1 to 1e-12 and gamma >= gamma_floor."""
     g, d, e = points
     if not np.all(np.abs(np.sqrt(g**2 + d**2 + e**2) - 1.0) <= 1e-12):
-        raise RuntimeError("the hemisphere sampler made a point off the unit sphere")
+        raise InternalCheckFailed("the hemisphere sampler made a point off the unit sphere")
     if not np.all(g >= gamma_floor):
-        raise RuntimeError(f"the hemisphere sampler made a point below gamma_floor = {gamma_floor!r}")
+        raise InternalCheckFailed(f"the hemisphere sampler made a point below gamma_floor = {gamma_floor!r}")
 
 
 def _extrema(values: np.ndarray, where=True) -> tuple[int, float, float]:

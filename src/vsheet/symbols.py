@@ -32,6 +32,7 @@ __all__ = [
     "Frequency",
     "NumericalGuard",
     "DegenerateDenominator",
+    "InternalCheckFailed",
     "mu_pm",
     "big_sigma",
     "weight_sigma",
@@ -51,9 +52,8 @@ DEGENERATE_TOL = 1e-10
 class NumericalGuard(Exception):
     """A numerical guard refused to return an untrustworthy value.
 
-    Base of :class:`DegenerateDenominator`, ``front.SymbolTooSmall``,
-    ``front.QuadratureUnderResolved`` and ``pressure.DecayViolated``; ``vfs``
-    reports any of them in one line with exit code 3.
+    Every guard and internal check of vsheet derives from it; ``vfs``
+    reports each in one line with exit code 3.
     """
 
 
@@ -63,6 +63,10 @@ class DegenerateDenominator(NumericalGuard, ArithmeticError):
     This only happens on the boundary gamma = 0 at tau = 0 when the jump is
     supersonic.
     """
+
+
+class InternalCheckFailed(NumericalGuard, RuntimeError):
+    """A result broke an invariant the code guarantees: a sample point off the hemisphere, or Re mu < 0."""
 
 
 class Regime(enum.Enum):
@@ -205,7 +209,7 @@ def mu_pm(freq: Frequency, params: PhysicalParams):
     mum = _mu_branch(g, d, e, params.v, params.c, -1.0)
     positive = np.where(g > 0, (mup.real > 0) & (mum.real > 0), (mup.real >= 0) & (mum.real >= 0))
     if not np.all(positive):
-        raise RuntimeError("branch selection produced a negative real part")
+        raise InternalCheckFailed("branch selection produced a negative real part")
     return lam * mup, lam * mum
 
 

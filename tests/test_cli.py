@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vsheet
-from vsheet import cli, fileio, front, grids, hemisphere
+from vsheet import cli, fileio, front, grids, hemisphere, symbols
 from vsheet.cli import main
 from vsheet.grids import GridSpec
 from vsheet.hemisphere import _CHUNK, NoRootFound
@@ -258,6 +258,10 @@ c = 1.0
         assert (tmp_path / "solve_out" / "front.bin").exists()
         meta = json.loads((tmp_path / "solve_out" / "front.json").read_text())
         assert meta["regime"] == "WeaklyStable"
+        # the regime is printed once, in the header line; the report lines are diagnostics
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("solve [WeaklyStable]: wrote ") and "WeaklyStable" not in "".join(out[1:])
+        assert [line.split(" = ")[0].strip() for line in out[1:]] == sorted(meta["report"])
 
     def test_solve_reads_source_files(self, tmp_path):
         from vsheet import fileio
@@ -565,6 +569,7 @@ class TestExitCodes:
             (vsheet.SymbolTooSmall, ArithmeticError),
             (vsheet.QuadratureUnderResolved, RuntimeError),
             (vsheet.DecayViolated, RuntimeError),
+            (vsheet.InternalCheckFailed, RuntimeError),
         ],
     )
     def test_every_guard_is_exit_3(self, tmp_path, capsys, monkeypatch, guard, base):
@@ -653,6 +658,57 @@ class TestExitCodes:
         cfg = _write(tmp_path, "ell.cfg", f"[run]\nout = {tmp_path / 'o'}\n\n[params]\nv = 1.0\nc = 1.0\n")
         assert main(["certify", "--config", cfg]) == 2
         assert "mach > sqrt(2)" in self._one_vfs_line(capsys)
+
+    @pytest.mark.parametrize(
+        "study, out, solve, errno_text",
+        [
+            ("certify", "taken", "", "File exists"),
+            ("certify", "taken/sub", "", "Not a directory"),
+            ("solve", "o", "[solve]\nsource_plus = {tmp}\n", "Is a directory"),
+        ],
+        ids=["out-is-a-file", "out-under-a-file", "source-is-a-directory"],
+    )
+    def test_an_unusable_path_is_a_usage_error(self, tmp_path, capsys, study, out, solve, errno_text):
+        (tmp_path / "taken").write_text("")
+        cfg = _write(
+            tmp_path,
+            "p.cfg",
+            f"[params]\nv = 2.0\nc = 1.0\n{GRID_BLOCK}\n[sample]\nn = 100\n" + solve.format(tmp=tmp_path),
+        )
+        assert main([study, "--config", cfg, "--out", str(tmp_path / out)]) == 2
+        assert errno_text in self._one_vfs_line(capsys)
+
+    @pytest.mark.parametrize(
+        "study, point",
+        [("certify", "_zone_points"), ("solve", "_mu_branch")],
+    )
+    def test_a_failed_internal_check_is_exit_3(self, tmp_path, capsys, monkeypatch, study, point):
+        zone_points, branch = hemisphere._zone_points, symbols._mu_branch
+
+        def below_floor(u, floor, out):
+            zone_points(u, floor, out)
+            out[0, -1, -1] = -out[0, -1, -1]
+            return out
+
+        if point == "_zone_points":
+            monkeypatch.setattr(hemisphere, point, below_floor)
+        else:
+            monkeypatch.setattr(symbols, point, lambda *args: -branch(*args) - 1e-3)
+        cfg = _write(tmp_path, "c.cfg", f"[params]\nv = 2.0\nc = 1.0\n{GRID_BLOCK}\n[sample]\nn = 100\n")
+        assert main([study, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        message = "a point below gamma_floor" if study == "certify" else "a negative real part"
+        line = self._one_vfs_line(capsys)
+        assert line.startswith("vfs: InternalCheckFailed: ") and message in line
+
+    @pytest.mark.parametrize("study", ["certify", "solve", "sweep"])
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_a_negative_seed_is_rejected_by_name(self, tmp_path, capsys, study, where):
+        seed, argv = ("seed = -1", []) if where == "config" else ("seed = 0", ["--seed", "-1"])
+        cfg = _write(tmp_path, "s.cfg", f"[run]\n{seed}\nout = {tmp_path / 'o'}\n\n[params]\nv = 2.0\nc = 1.0\n")
+        assert main([study, "--config", cfg, *argv]) == 2
+        named = "[run] seed must be nonnegative, got -1" if where == "config" else "vfs: --seed must be nonnegative, got -1"
+        assert named in self._one_vfs_line(capsys)
+        assert not (tmp_path / "o").exists()
 
 
 def _floats(lo, hi):

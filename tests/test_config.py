@@ -109,6 +109,14 @@ def test_heatmap_is_checked_before_anything_is_written(tmp_path, capsys, line, n
     assert not (tmp_path / "out").exists()
 
 
+def test_a_negative_seed_is_rejected_by_name(tmp_path):
+    with pytest.raises(ValueError, match=r"\[run\] seed must be nonnegative, got -1$"):
+        load_config(_write(tmp_path, ROOTS.replace("[run]\n", "[run]\nseed = -1\n")))
+    with pytest.raises(ValueError, match=r"^--seed must be nonnegative, got -2$"):
+        load_config(_write(tmp_path, ROOTS), seed_override=-2)
+    assert load_config(_write(tmp_path, ROOTS), seed_override=0).seed == 0
+
+
 def test_percent_in_a_value_is_literal(tmp_path):
     cfg = load_config(_write(tmp_path, "[run]\nout = runs/50%\n[params]\nv = 2.0\nc = 1.0\n"), study="roots")
     assert cfg.out_dir == pathlib.Path("runs/50%")

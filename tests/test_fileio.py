@@ -14,6 +14,7 @@ from vsheet.grids import GridSpec
 from vsheet.symbols import PhysicalParams
 
 M2 = PhysicalParams(v=2.0, c=1.0)
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _grid(ny=16):
@@ -156,12 +157,27 @@ class TestSourceFilesAreWhole:
 
 
 class TestSolutionFiles:
-    def _solution(self):
+    def _solution(self, params=M2):
         g = _grid()
         raw = _raw(g, seed=5)
         fp = transform_source(raw, Side.PLUS, g)
         fm = transform_source(0.3 * raw, Side.MINUS, g)
-        return solve_front(build_g(fp, fm, M2), g, M2, s=0.5)
+        return solve_front(build_g(fp, fm, params), g, params, s=0.5)
+
+    @pytest.mark.parametrize("mach, aniso", [(2.0, True), (1.0, False)])
+    def test_sidecar_keys_are_the_readme_set(self, tmp_path, mach, aniso):
+        _, json_path = fileio.write_front_solution(tmp_path / "front", self._solution(PhysicalParams(v=mach, c=1.0)))
+        meta = json.loads(json_path.read_text())
+        norms = {"plain_s0.5", "plain_s1.5"} | ({"aniso_s1.5"} if aniso else set())
+        report = {"g_plain_norm", "symbol_floor"} | ({"front_aniso_over_g"} if aniso else set())
+        assert set(meta) == {"s", "regime", "grid", "norms", "report"}
+        assert (set(meta["norms"]), set(meta["report"])) == (norms, report)
+        text = README.read_text()
+        formats = text[text.index("## File formats") :]
+        sidecar = formats[formats.index("`front.json`") : formats.index("- **Certificates")]
+        named = {"s", "regime", "grid", "norms", "report", "plain_s<s>", "plain_s<s+1>", "aniso_s<s+1>",
+                 "g_plain_norm", "symbol_floor", "front_aniso_over_g"}
+        assert named <= set(re.findall(r"`([^`]+)`", sidecar))
 
     def test_round_trip_and_sidecar(self, tmp_path):
         sol = self._solution()

@@ -20,7 +20,7 @@ from vsheet.front import (
 )
 from vsheet.grids import GridSpec, Space, forward_transform, weighted_norm
 from vsheet.pressure import solve_half_space
-from vsheet.symbols import PhysicalParams, big_sigma, mu_pm
+from vsheet.symbols import PhysicalParams, Regime, big_sigma, mu_pm
 
 M2 = PhysicalParams(v=2.0, c=1.0)
 ELL = PhysicalParams(v=1.0, c=1.0)
@@ -69,14 +69,24 @@ class TestSourceField:
         with pytest.raises(ValueError):
             transform_source(np.zeros((8, 16, 64)), Side.PLUS, g)
 
-    def test_decay_flag(self):
+    def test_decay_flag(self, monkeypatch):
         g = _grid(Ly=26.0)
         y, _ = g.quadrature()
         good = np.broadcast_to(np.exp(-y), (16, 16, 64)).copy()
         flat = np.ones((16, 16, 64))
-        assert transform_source(good, Side.PLUS, g).decay_ok()
-        assert not transform_source(flat, Side.PLUS, g).decay_ok()
-        assert transform_source(np.zeros((16, 16, 64)), Side.PLUS, g).decay_ok()
+        zero = np.zeros((16, 16, 64))
+
+        def g_of(plus, minus):
+            return build_g(transform_source(plus, Side.PLUS, g), transform_source(minus, Side.MINUS, g), M2)
+
+        g_hat = g_of(good, 0.5 * good)
+        assert np.all(np.isfinite(g_hat)) and np.any(g_hat != 0.0)
+        assert np.all(g_of(zero, zero) == 0.0)
+        # both decay gates run before mu_pm, plus side first
+        monkeypatch.setattr(front, "mu_pm", None)
+        for plus, minus, side in ((flat, good, "plus"), (good, flat, "minus"), (flat, flat, "plus")):
+            with pytest.raises(ValueError, match=f"^{side}-side source has not decayed at the truncation depth Ly$"):
+                g_of(plus, minus)
 
     def test_transform_matches_grid_transform(self):
         g = _grid()
@@ -128,7 +138,6 @@ class TestSourceMoment:
         np.testing.assert_allclose(m2 - m1, 2.5 * mref, atol=1e-13)
 
     def test_under_resolved_tail_raises(self, monkeypatch):
-        monkeypatch.setattr(front, "TAIL_TOL", 1e-10)
         # decays enough to pass the truncation-depth gate (~1.5e-7 at Ly)
         # but the neglected mu-weighted tail is far above 1e-10
         g = _grid(ny=8, Ly=2.0)
@@ -137,7 +146,9 @@ class TestSourceMoment:
         spec[1, 1, :] = np.exp(-8.0 * y)
         fp = source_from_spectral(spec, Side.PLUS, g)
         fm = source_from_spectral(np.zeros_like(spec), Side.MINUS, g)
-        assert fp.decay_ok()
+        monkeypatch.setattr(front, "TAIL_TOL", np.inf)
+        assert np.all(np.isfinite(build_g(fp, fm, M2)))
+        monkeypatch.setattr(front, "TAIL_TOL", 1e-10)
         with pytest.raises(QuadratureUnderResolved):
             build_g(fp, fm, M2)
 
@@ -323,7 +334,8 @@ class TestSolveFront:
         fp, fm = _exp_pair(g)
         sol = solve_front(build_g(fp, fm, ELL), g, ELL, s=0.0)
         assert all(space is Space.PLAIN for _, space in sol.norms)
-        assert sol.report["regime"] == "Elliptic"
+        assert sol.regime is Regime.ELLIPTIC
+        assert set(sol.report) == {"g_plain_norm", "symbol_floor"}
 
     def test_symbol_floor_guard(self):
         g = _grid()
