@@ -242,6 +242,14 @@ def run(cfg: RunConfig) -> int:
     return _RUNNERS[cfg.study](cfg)
 
 
+def _make_out_dir(path, origin: str) -> None:
+    """Make the output directory; a path that cannot be one is a ValueError naming ``origin``."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"{origin} {str(path)!r} cannot be made a directory: {exc.strerror or exc}") from None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="vfs",
@@ -256,6 +264,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, study=args.study, out_override=args.out, seed_override=args.seed)
+        _make_out_dir(cfg.out_dir, "--out" if args.out else f"{args.config}: [run] out")
         return run(cfg)
     except (ValueError, OSError) as exc:
         print(f"vfs: {exc}", file=sys.stderr)

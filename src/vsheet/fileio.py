@@ -68,7 +68,7 @@ def _read_packed(path, header: np.dtype, kind: str) -> tuple[dict, np.ndarray]:
     if min(shape.values()) < 0 or len(blob) != expected:
         dims = ", ".join(f"{name}={n}" for name, n in shape.items())
         raise ValueError(f"{kind} file {path} holds {len(blob)} bytes, expected {expected} for {dims}")
-    return fields, np.frombuffer(blob[size:], dtype="<c8").reshape(tuple(shape.values()))
+    return fields, np.frombuffer(blob, dtype="<c8", offset=size).reshape(tuple(shape.values()))
 
 
 def write_source_bin(path, raw: np.ndarray, grid: GridSpec) -> None:
@@ -79,9 +79,12 @@ def write_source_bin(path, raw: np.ndarray, grid: GridSpec) -> None:
 
 
 def read_source_bin(path) -> tuple[np.ndarray, GridSpec]:
-    """Read a binary source file; a file whose size does not match its header is rejected."""
+    """Read a binary source file as its stored read-only complex64 payload, without a copy.
+
+    A file whose size does not match its header is rejected.
+    """
     fields, data = _read_packed(path, _HEADER, "source")
-    return data.astype(np.complex128), GridSpec(**fields)
+    return data, GridSpec(**fields)
 
 
 def write_source_csv(path, raw: np.ndarray, grid: GridSpec) -> None:
@@ -139,7 +142,10 @@ def read_source_csv(path) -> tuple[np.ndarray, GridSpec]:
 
 
 def read_source(path) -> tuple[np.ndarray, GridSpec]:
-    """Dispatch on extension: .csv for text, anything else binary; rejects non-finite samples."""
+    """Dispatch on extension: .csv for text (complex128), anything else binary (read-only complex64).
+
+    Rejects non-finite samples.
+    """
     raw, grid = read_source_csv(path) if str(path).endswith(".csv") else read_source_bin(path)
     if not np.all(np.isfinite(raw)):
         raise ValueError(f"source file {path} holds non-finite samples")

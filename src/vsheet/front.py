@@ -35,7 +35,7 @@ __all__ = [
 DECAY_TOL = 1e-6
 TAIL_TOL = 1e-6
 
-# first-axis rows per chunk of the mesh half-line kernel
+# first-axis rows per chunk of the mesh half-line kernel and per block of a source's peak
 _KERNEL_ROWS = 12
 
 
@@ -72,8 +72,10 @@ class SourceField:
 
 
 def transform_source(raw: np.ndarray, side: Side, grid: GridSpec) -> SourceField:
-    """Build a SourceField from raw (t, x1, x2-node) samples."""
-    raw = np.asarray(raw, dtype=np.complex128)
+    """Build a SourceField from raw (t, x1, x2-node) samples of any real or complex dtype.
+
+    The spectral field is complex128; ``raw`` is not copied or upcast as a whole.
+    """
     return SourceField(side=Side(side), spectral=forward_transform(raw, grid), grid=grid)
 
 
@@ -116,7 +118,9 @@ def build_g(fplus: SourceField, fminus: SourceField, params: PhysicalParams) -> 
     """
     edges = []
     for field in (fplus, fminus):
-        peak = float(np.max(np.abs(field.spectral)))
+        # max |F| in row blocks, so no temporary of the field's size is made
+        blocks = range(0, len(field.spectral), _KERNEL_ROWS)
+        peak = float(np.max([np.max(np.abs(field.spectral[i : i + _KERNEL_ROWS])) for i in blocks]))
         if not np.isfinite(peak):
             raise ValueError(f"{field.side.value}-side source is not finite")
         edges.append(np.abs(field.spectral[..., -1]))
@@ -243,8 +247,10 @@ def estimate_sweep(
         fp = transform_source(raw_plus, Side.PLUS, g_grid)
         fm = transform_source(raw_minus, Side.MINUS, g_grid)
         g_hat = build_g(fp, fm, params)
-        sol = solve_front(g_hat, g_grid, params, s=s)
         rhs = sum(half_line_norm(field.spectral, g_grid, s) ** 2 for field in (fp, fm))
+        # one rung's spectral fields at a time: freed before the front is solved and the next rung built
+        del fp, fm
+        sol = solve_front(g_hat, g_grid, params, s=s)
         g_norm = sol.report["g_plain_norm"]
         plain = sol.norms[(s + 1.0, Space.PLAIN)]
         row = {

@@ -62,6 +62,10 @@ QUAD_ORDER = 8
 # complex128 row, so neighbouring tasks do not keep writing into one cache line
 _FFT_COLUMNS = 8
 
+# leading-axis rows per block of the weighted sum over a source field, so that
+# no temporary of the field's size is made
+_REDUCE_ROWS = 8
+
 
 class Space(enum.Enum):
     """Weight applied inside a frequency-space norm."""
@@ -173,20 +177,25 @@ def forward_transform(raw: np.ndarray, grid: GridSpec) -> np.ndarray:
     the 1/(2 pi)^2 factor.  Trailing axes (e.g. the x2 node axis) ride
     along untouched.  The 2-D transform of each trailing index is
     independent, so they run in fixed slices on the ``VFS_THREADS`` pool;
-    the result does not depend on the slicing.
+    the result does not depend on the slicing.  The damping, each slice's
+    FFT and the scaling all write in place into the output, so no temporary
+    of the output's size, or of a slice's, is made; a complex64 ``raw`` is
+    upcast exactly as it is damped.  The damping and the scaling run over
+    the whole contiguous output on the calling thread: on a strided slice
+    numpy's elementwise loops are several times slower.
     """
     raw = np.asarray(raw)
     if raw.shape[:2] != (grid.nt, grid.nx):
         raise ValueError(f"leading axes {raw.shape[:2]} do not match the grid ({grid.nt}, {grid.nx})")
     damp = np.exp(-grid.gamma * grid.t())[:, None, None]
     layers = raw.reshape(grid.nt, grid.nx, -1)
-    out = np.empty(layers.shape, dtype=np.result_type(damp, raw, 1j))
+    out = np.multiply(damp, layers, out=np.empty(layers.shape, dtype=np.result_type(damp, raw, 1j)))
 
     def transform(start: int, stop: int) -> None:
-        np.multiply(grid.cell, np.fft.fft2(damp * layers[..., start:stop], axes=(0, 1)), out=out[..., start:stop])
+        np.fft.fft2(out[..., start:stop], axes=(0, 1), out=out[..., start:stop])
 
     map_chunks(transform, layers.shape[2], _FFT_COLUMNS)
-    return out.reshape(raw.shape)
+    return np.multiply(grid.cell, out, out=out).reshape(raw.shape)
 
 
 def inverse_transform(spectral: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -266,15 +275,28 @@ def closure_sums(grid: GridSpec, spectral: np.ndarray, mu):
 
 
 def _weighted_squares(u_hat: np.ndarray, grid: GridSpec, s: float, space: Space, params: PhysicalParams | None):
-    """Sum over (delta, eta) of (w |u_hat|)^2 / (Lt Lx) per trailing index; w = Lambda^s or |sigma| Lambda^s."""
+    """Sum over (delta, eta) of (w |u_hat|)^2 / (Lt Lx) per trailing index; w = Lambda^s or |sigma| Lambda^s.
+
+    A 2-D ``u_hat`` is one (pairwise) ``np.sum``.  A 3-D one is summed in
+    blocks of ``_REDUCE_ROWS`` rows, each with the running total as its first
+    row: that adds the squares one (delta, eta) after the other, exactly as
+    ``np.sum(..., axis=(0, 1))`` does over a C-ordered 3-D array, without a
+    temporary of ``u_hat``'s size.
+    """
     freq = grid.freq_mesh()
     w = freq.lam**s
     if Space(space) is not Space.PLAIN:
         if params is None:
             raise ValueError("the anisotropic norm needs params (the weight depends on mach)")
         w = np.abs(weight_sigma(freq, params)) * w
-    w = w.reshape(w.shape + (1,) * (u_hat.ndim - 2))
-    return np.sum((w * np.abs(u_hat)) ** 2, axis=(0, 1)) / (grid.Lt * grid.Lx)
+    if u_hat.ndim == 2:
+        return np.sum((w * np.abs(u_hat)) ** 2, axis=(0, 1)) / (grid.Lt * grid.Lx)
+    total = np.zeros(u_hat.shape[2:])
+    for start in range(0, grid.nt, _REDUCE_ROWS):
+        rows = slice(start, start + _REDUCE_ROWS)
+        squares = (w[rows, :, None] * np.abs(u_hat[rows])) ** 2
+        total = np.sum(np.concatenate((total[None], squares.reshape((-1,) + total.shape))), axis=0)
+    return total / (grid.Lt * grid.Lx)
 
 
 def weighted_norm(

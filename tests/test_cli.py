@@ -391,6 +391,51 @@ Ly = 14.0
             outputs.append([(tmp_path / "out" / name).read_bytes() for name in artifacts])
         assert outputs[0] == outputs[1]
 
+    # sha256 of the solve and sweep artifacts on a 32x32x16 grid, computed while the
+    # sources were still upcast to complex128 as they were read
+    PINNED = {
+        "bin": {
+            "front.bin": "6ece653d1155566e17c07ea1e6430b80ad7d0e15b6604e3d8c6bfa97aef98168",
+            "front.json": "8b6ec0675b5a0e1e14912ad84ed202cfe4c7e8716b243261a0756651d9bfdb5a",
+            "sweep.json": "ea52cf99756381236542427c4ef778651847739a36fbec3ba8b13dfbf51c963d",
+            "sweep.csv": "1c40481ca827f2583113a74109d28730497c7a45309ef207f3ad772717c63a25",
+        },
+        "builtin": {
+            "front.bin": "850089b88b5109657ba6ddeb33cb15f5b66298a72a013535c680943801883a0f",
+            "front.json": "2baf5a20e310a8c7a5bd08e8b0cdb6ed475a8e4f8b09aa84dd5ef45f1917c5bd",
+            "sweep.json": "39983b3bfffafc02eeb100a315a0e3bdaac2af0e9157e5a4927bc853ceb90da7",
+            "sweep.csv": "dc768e5d109fa410ab4094d6e1c357d0d1cdd9d736a3ee11deffbd09e2cd84f4",
+        },
+    }
+
+    @pytest.mark.parametrize("source", ["bin", "builtin"])
+    def test_solve_and_sweep_artifacts_are_pinned(self, tmp_path, source):
+        grid = GridSpec(nt=32, nx=32, ny=16, Lt=2 * math.pi, Lx=2 * math.pi, Ly=14.0)
+        solve = ""
+        if source == "bin":
+            # a seeded complex pair: a Gaussian envelope in (t, x1, x2) times complex noise
+            rng = np.random.default_rng(5)
+            t, x, (y, _) = grid.t(), grid.x1(), grid.quadrature()
+            for side, centre in (("plus", 0.12), ("minus", 0.18)):
+                envelope = (
+                    np.exp(-(((t - 0.4 * grid.Lt) / (0.1 * grid.Lt)) ** 2))[:, None, None]
+                    * (1.0 + 0.5 * np.cos(x))[None, :, None]
+                    * np.exp(-(((y - centre * grid.Ly) / (0.06 * grid.Ly)) ** 2))[None, None, :]
+                )
+                noise = rng.standard_normal(envelope.shape) + 1j * rng.standard_normal(envelope.shape)
+                fileio.write_source_bin(tmp_path / f"{side}.bin", envelope * (1.0 + 0.1 * noise), grid)
+                solve += f"source_{side} = {tmp_path / f'{side}.bin'}\n"
+        cfg = _write(
+            tmp_path,
+            "pin.cfg",
+            f"[params]\nv = 2.0\nc = 1.0\n\n[grid]\nnt = 32\nnx = 32\nny = 16\nLy = 14.0\n\n[solve]\n{solve}",
+        )
+        digests = {}
+        for study, names in (("solve", ("front.bin", "front.json")), ("sweep", ("sweep.json", "sweep.csv"))):
+            assert main([study, "--config", cfg, "--out", str(tmp_path / study)]) == 0
+            digests.update({name: hashlib.sha256((tmp_path / study / name).read_bytes()).hexdigest() for name in names})
+        assert digests == self.PINNED[source]
+
 
 class TestDiagram:
     def test_flip_at_sqrt2_cell(self, tmp_path):
@@ -677,6 +722,16 @@ class TestExitCodes:
         )
         assert main([study, "--config", cfg, "--out", str(tmp_path / out)]) == 2
         assert errno_text in self._one_vfs_line(capsys)
+
+    @pytest.mark.parametrize("given", ["--out", "[run] out"], ids=["flag", "config"])
+    def test_an_unusable_output_path_names_where_it_came_from(self, tmp_path, capsys, given):
+        cfg = tmp_path / "c.cfg"
+        run = f"[run]\nout = {cfg}\n\n" if given == "[run] out" else ""
+        cfg.write_text(f"{run}[params]\nv = 2.0\nc = 1.0\n")
+        argv = ["certify", "--config", str(cfg)] + (["--out", str(cfg)] if given == "--out" else [])
+        assert main(argv) == 2
+        origin = "--out" if given == "--out" else f"{cfg}: [run] out"
+        assert self._one_vfs_line(capsys) == f"vfs: {origin} {str(cfg)!r} cannot be made a directory: File exists"
 
     @pytest.mark.parametrize(
         "study, point",

@@ -170,15 +170,20 @@ class TestTransforms:
         back = inverse_transform(forward_transform(raw, g), g)
         assert np.max(np.abs(back - raw)) < 1e-13
 
-    @pytest.mark.parametrize("trailing", [(13,), (3, 5), ()], ids=["13", "3x5", "none"])
-    def test_slices_match_one_transform(self, trailing, monkeypatch):
-        # 13 trailing columns are slices of 8 and 5; (3, 5) collapses to 15 columns
+    @pytest.mark.parametrize(
+        "trailing, dtype",
+        [(shape, dtype) for dtype in (np.complex128, np.complex64) for shape in ((13,), (3, 5), ())],
+        ids=["13", "3x5", "none", "13-complex64", "3x5-complex64", "none-complex64"],
+    )
+    def test_slices_match_one_transform(self, trailing, dtype, monkeypatch):
+        # 13 trailing columns are slices of 8 and 5; (3, 5) collapses to 15 columns.
+        # A complex64 source transforms bit for bit as its complex128 cast.
         g = _grid()
         rng = np.random.default_rng(3)
         shape = (16, 16) + trailing
-        raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        raw = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(dtype)
         damp = np.exp(-g.gamma * g.t()).reshape((16,) + (1,) * (raw.ndim - 1))
-        want = g.cell * np.fft.fft2(damp * raw, axes=(0, 1))
+        want = g.cell * np.fft.fft2(damp * raw.astype(np.complex128), axes=(0, 1))
         for threads in ("1", "2"):
             monkeypatch.setenv("VFS_THREADS", threads)
             got = forward_transform(raw, g)
@@ -256,6 +261,18 @@ class TestNorms:
         rng = np.random.default_rng(5)
         u = rng.standard_normal((16, 16))
         assert weighted_norm(u, g, s + 0.5) >= weighted_norm(u, g, s) * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("shape", [(4, 8, 2), (32, 16, 8), (64, 8, 24)], ids=["4x8x2", "32x16x8", "64x8x24"])
+    @pytest.mark.parametrize("s", [0.0, 1.5])
+    def test_blocked_squares_equal_one_sum(self, shape, s):
+        # the row-blocked sum against the one np.sum over (delta, eta) it replaces
+        g = _grid(*shape)
+        rng = np.random.default_rng(5)
+        u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        w = g.freq_mesh().lam ** s
+        want = np.sum((w[:, :, None] * np.abs(u)) ** 2, axis=(0, 1)) / (g.Lt * g.Lx)
+        assert grids._weighted_squares(u, g, s, Space.PLAIN, None).tobytes() == want.tobytes()
+        assert half_line_norm(u, g, s) == float(np.sqrt(np.dot(g.quadrature()[1], want)))
 
     def test_half_line_norm_combines_layers(self):
         g = _grid(ny=8)
