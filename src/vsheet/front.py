@@ -16,7 +16,7 @@ import numpy as np
 
 from .chunks import map_chunks
 from .grids import GridSpec, Space, boundary_terms, forward_transform, half_line_norm, inverse_transform, weighted_norm
-from .symbols import NumericalGuard, PhysicalParams, Regime, big_sigma, mu_pm
+from .symbols import NumericalGuard, PhysicalParams, Regime, big_sigma, mu_pm  # big_sigma, mu_pm: perfbench/tracing.py
 
 __all__ = [
     "Side",
@@ -127,7 +127,8 @@ def build_g(fplus: SourceField, fminus: SourceField, params: PhysicalParams) -> 
         if float(np.max(edges[-1])) > DECAY_TOL * peak:
             raise ValueError(f"{field.side.value}-side source has not decayed at the truncation depth Ly")
     grid = fplus.grid
-    mup, mum = mu_pm(grid.freq_mesh(), params)
+    table = grid.symbol_table(params)
+    mup, mum = table.mup, table.mum
     # the neglected tail is of the order of the integrand at the cutoff; the edges are freed before the kernel
     tails = [float(np.max(np.exp(-grid.Ly * mu.real) * edge / np.abs(mu))) for edge, mu in zip(edges, (mup, mum))]
     del edges
@@ -178,10 +179,8 @@ def solve_front(
     g_hat = np.asarray(g_hat, dtype=np.complex128)
     if g_hat.shape != (grid.nt, grid.nx):
         raise ValueError(f"expected g_hat of shape ({grid.nt}, {grid.nx}), got {g_hat.shape}")
-    freq = grid.freq_mesh()
-    sig = big_sigma(freq, params)
-    lam2 = freq.lam**2
-    floor_ratio = np.abs(sig) / lam2
+    table = grid.symbol_table(params)
+    floor_ratio = np.abs(table.sigma_big) / table.lam**2
     worst = float(np.min(floor_ratio))
     if worst < sigma_floor:
         idx = np.unravel_index(int(np.argmin(floor_ratio)), floor_ratio.shape)
@@ -189,7 +188,7 @@ def solve_front(
             f"|Sigma|/Lambda^2 = {worst:.3e} < floor {sigma_floor:g} at "
             f"(delta, eta) = ({grid.delta()[idx[0]]:.6g}, {grid.eta()[idx[1]]:.6g})"
         )
-    f_hat = g_hat / sig
+    f_hat = g_hat / table.sigma_big
     f = inverse_transform(f_hat, grid)
     regime = params.regime()
     norms = {(order, Space.PLAIN): weighted_norm(f_hat, grid, order) for order in (s, s + 1.0)}
@@ -244,6 +243,7 @@ def estimate_sweep(
     rows = []
     for gamma in gammas:
         g_grid = dataclasses.replace(grid, gamma=float(gamma))
+        g_grid.symbol_table(params)  # before the rung's fields, so its temporaries do not add to their peak
         fp = transform_source(raw_plus, Side.PLUS, g_grid)
         fm = transform_source(raw_minus, Side.MINUS, g_grid)
         g_hat = build_g(fp, fm, params)
@@ -263,6 +263,7 @@ def estimate_sweep(
             aniso = sol.norms[(s + 1.0, Space.ANISOTROPIC)]
             row["front_aniso"] = gamma * aniso**2 / rhs
         rows.append(row)
+        del sol, g_hat  # and with them the rung's grid and symbol table, before the next rung
     keys = ["g_over_f", "front_plain"] + (["front_aniso"] if weakly_stable else [])
     passed = all(_no_growth([row[k] for row in rows], slack) for k in keys)
     return SweepResult(rows=tuple(rows), passed=passed, slack=slack, s=s)

@@ -41,7 +41,7 @@ import functools
 import numpy as np
 
 from .chunks import map_chunks
-from .symbols import Frequency, PhysicalParams, weight_sigma
+from .symbols import Frequency, PhysicalParams, SymbolTable, _require_weakly_stable, weight_sigma  # weight_sigma: perfbench/tracing.py
 
 __all__ = [
     "GridSpec",
@@ -127,12 +127,18 @@ class GridSpec:
         """All grid frequencies (gamma, delta_j, eta_k) as an (nt, nx) batch."""
         return self._mesh
 
+    def symbol_table(self, params: PhysicalParams) -> SymbolTable:
+        """mu+-, Sigma, |sigma| and Lambda of ``params`` on the frequency mesh, built on first use."""
+        if params not in self._tables:
+            self._tables[params] = SymbolTable.on_mesh(self._mesh, self._lam, params)
+        return self._tables[params]
+
     def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
         """Nodes and weights of the half-line rule on [0, Ly]: the panels, flattened."""
         return self._nodes_weights
 
-    # Each rule, table, axis pair and mesh is built on first use and kept on the instance,
-    # so it is freed with the grid.
+    # Each rule, table, axis pair and mesh, Lambda and symbol table is built on first use
+    # and kept on the instance, so it is freed with the grid.
     @functools.cached_property
     def _axes(self) -> tuple[np.ndarray, np.ndarray]:
         return self.delta(), self.eta()
@@ -141,6 +147,14 @@ class GridSpec:
     def _mesh(self) -> Frequency:
         d, e = np.meshgrid(*self._axes, indexing="ij")
         return Frequency(np.full_like(d, self.gamma), d, e)
+
+    @functools.cached_property
+    def _lam(self) -> np.ndarray:
+        return self._mesh.lam
+
+    @functools.cached_property
+    def _tables(self) -> dict:
+        return {}
 
     @functools.cached_property
     def _panels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -283,12 +297,12 @@ def _weighted_squares(u_hat: np.ndarray, grid: GridSpec, s: float, space: Space,
     ``np.sum(..., axis=(0, 1))`` does over a C-ordered 3-D array, without a
     temporary of ``u_hat``'s size.
     """
-    freq = grid.freq_mesh()
-    w = freq.lam**s
+    w = grid._lam**s
     if Space(space) is not Space.PLAIN:
         if params is None:
             raise ValueError("the anisotropic norm needs params (the weight depends on mach)")
-        w = np.abs(weight_sigma(freq, params)) * w
+        _require_weakly_stable(params)
+        w = grid.symbol_table(params).abs_weight * w
     if u_hat.ndim == 2:
         return np.sum((w * np.abs(u_hat)) ** 2, axis=(0, 1)) / (grid.Lt * grid.Lx)
     total = np.zeros(u_hat.shape[2:])

@@ -23,7 +23,7 @@ import numpy as np
 
 from .front import DECAY_TOL, Side, SourceField, _source_grid
 from .grids import closure_sums, find_mode
-from .symbols import Frequency, NumericalGuard, PhysicalParams, mu_pm
+from .symbols import Frequency, NumericalGuard, PhysicalParams, mu_pm  # mu_pm: perfbench/tracing.py wraps it
 
 __all__ = [
     "PressureProfile",
@@ -85,7 +85,8 @@ def solve_half_space(
         side, node = np.argwhere(~finite)[0]
         raise ValueError(f"{list(Side)[side].value}-side source is not finite at mode ({it}, {ix}), node {node}")
     v, c = params.v, params.c
-    mup, mum = mu_pm(freq, params)
+    table = grid.symbol_table(params)
+    mup, mum = table.mup[it, ix], table.mum[it, ix]
     mus = np.array((mup, mum))
     terms, homogeneous, free = closure_sums(grid, sources, mus)
     ip, im = terms / (2.0 * c * c)

@@ -164,13 +164,12 @@ class Frequency:
         return part
 
 
-def _unit_parts(freq: Frequency):
-    """The unit-sphere components (gamma, delta, eta) of ``freq``, and Lambda.
+def _unit_parts(freq: Frequency, lam):
+    """The unit-sphere components (gamma, delta, eta) of ``freq``, whose Lambda is ``lam``, and ``lam``.
 
     The symbol kernels normalize through this instead of building a second,
     re-validated :class:`Frequency`.
     """
-    lam = freq.lam
     return freq.gamma / lam, freq.delta / lam, freq.eta / lam, lam
 
 
@@ -204,18 +203,22 @@ def mu_pm(freq: Frequency, params: PhysicalParams):
     by ``exp(-mu * x2)`` decay away from the sheet on either side.
     Homogeneous of degree one.
     """
-    g, d, e, lam = _unit_parts(freq)
+    g, d, e, lam = _unit_parts(freq, freq.lam)
+    mup, mum = _mu_unit(g, d, e, params)
+    return lam * mup, lam * mum
+
+
+def _mu_unit(g, d, e, params: PhysicalParams):
     mup = _mu_branch(g, d, e, params.v, params.c, +1.0)
     mum = _mu_branch(g, d, e, params.v, params.c, -1.0)
     positive = np.where(g > 0, (mup.real > 0) & (mum.real > 0), (mup.real >= 0) & (mum.real >= 0))
     if not np.all(positive):
         raise InternalCheckFailed("branch selection produced a negative real part")
-    return lam * mup, lam * mum
+    return mup, mum
 
 
-def _sigma_unit(g, d, e, params: PhysicalParams):
+def _sigma_unit(g, d, e, den, params: PhysicalParams):
     v, c = params.v, params.c
-    den = _mu_branch(g, d, e, v, c, +1.0) + _mu_branch(g, d, e, v, c, -1.0)
     if np.any(np.abs(den) < DEGENERATE_TOL):
         raise DegenerateDenominator("mu+ + mu- vanishes at tau = 0 for a supersonic jump")
     tau = g + 1j * d
@@ -233,8 +236,9 @@ def big_sigma(freq: Frequency, params: PhysicalParams):
     above.  At the lone points where mu+ + mu- vanishes (tau = 0,
     supersonic jump) it raises :class:`DegenerateDenominator`.
     """
-    g, d, e, lam = _unit_parts(freq)
-    return lam**2 * _sigma_unit(g, d, e, params)
+    g, d, e, lam = _unit_parts(freq, freq.lam)
+    den = _mu_branch(g, d, e, params.v, params.c, +1.0) + _mu_branch(g, d, e, params.v, params.c, -1.0)
+    return lam**2 * _sigma_unit(g, d, e, den, params)
 
 
 def root_constants(params: PhysicalParams) -> float:
@@ -262,14 +266,43 @@ def weight_sigma(freq: Frequency, params: PhysicalParams):
     the weakly stable regime.  Comparable to gamma from below and to Lambda
     from above, which is what makes the weighted estimates close.
     """
+    _require_weakly_stable(params)
+    g, d, e, lam = _unit_parts(freq, freq.lam)
+    return lam * _weight_unit(g, d, e, params)
+
+
+def _require_weakly_stable(params: PhysicalParams) -> None:
     if params.regime() is not Regime.WEAKLY_STABLE:
         raise ValueError("weight_sigma requires the weakly stable regime (mach > sqrt(2))")
-    y2 = root_constants(params)
-    g, d, e, lam = _unit_parts(freq)
+
+
+def _weight_unit(g, d, e, params: PhysicalParams):
+    shift = 1j * (params.c * root_constants(params)) * e
     tau = g + 1j * d
-    shift = 1j * (params.c * y2) * e
-    val = (tau - shift) * (tau + shift)
-    return lam * val
+    return (tau - shift) * (tau + shift)
+
+
+@dataclasses.dataclass(frozen=True)
+class SymbolTable:
+    """mu+-, Sigma, |sigma| (None unless weakly stable) and Lambda on one mesh, one per grid and params.
+
+    Each branch is evaluated once and Sigma is fed their sum, so every array equals :func:`mu_pm`,
+    :func:`big_sigma`, ``abs(weight_sigma)`` or ``lam`` on the mesh bit for bit.
+    """
+
+    mup: np.ndarray
+    mum: np.ndarray
+    sigma_big: np.ndarray
+    abs_weight: np.ndarray | None
+    lam: np.ndarray
+
+    @classmethod
+    def on_mesh(cls, mesh: Frequency, lam, params: PhysicalParams) -> "SymbolTable":
+        g, d, e, lam = _unit_parts(mesh, lam)
+        mup, mum = _mu_unit(g, d, e, params)
+        sigma_big = lam**2 * _sigma_unit(g, d, e, mup + mum, params)
+        abs_weight = np.abs(lam * _weight_unit(g, d, e, params)) if params.regime() is Regime.WEAKLY_STABLE else None
+        return cls(lam * mup, lam * mum, sigma_big, abs_weight, lam)
 
 
 def weight_bound_constant(params: PhysicalParams) -> float:

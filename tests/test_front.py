@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import source_from_spectral
-from vsheet import front, grids
+from vsheet import front, grids, symbols
 from vsheet.front import (
     QuadratureUnderResolved,
     Side,
@@ -82,8 +82,10 @@ class TestSourceField:
         g_hat = g_of(good, 0.5 * good)
         assert np.all(np.isfinite(g_hat)) and np.any(g_hat != 0.0)
         assert np.all(g_of(zero, zero) == 0.0)
-        # both decay gates run before mu_pm, plus side first
-        monkeypatch.setattr(front, "mu_pm", None)
+        # both decay gates run before any symbol is evaluated, plus side first: a fresh grid has no
+        # symbol table yet, and a branch evaluation would fail with a TypeError
+        g = _grid(Ly=26.0)
+        monkeypatch.setattr(symbols, "_mu_branch", None)
         for plus, minus, side in ((flat, good, "plus"), (good, flat, "minus"), (flat, flat, "plus")):
             with pytest.raises(ValueError, match=f"^{side}-side source has not decayed at the truncation depth Ly$"):
                 g_of(plus, minus)
@@ -189,18 +191,24 @@ class TestBuildG:
         assert abs(got - want) < 1e-13 * max(abs(want), 1.0)
 
 
-    def test_one_mu_pm_call_over_the_mesh(self, monkeypatch):
+    def test_each_mu_branch_runs_once_per_rung_on_the_mesh(self, monkeypatch):
         calls = []
+        branch = symbols._mu_branch
 
-        def counting(freq, params):
-            calls.append(np.shape(freq.gamma))
-            return mu_pm(freq, params)
+        def counting(gamma, *args):
+            calls.append(np.shape(gamma))
+            return branch(gamma, *args)
 
-        monkeypatch.setattr(front, "mu_pm", counting)
+        monkeypatch.setattr(symbols, "_mu_branch", counting)
         g = _grid()
         fp, fm = _exp_pair(g)
-        build_g(fp, fm, M2)
-        assert calls == [(g.nt, g.nx)]
+        sol = solve_front(build_g(fp, fm, M2), g, M2)
+        assert (1.0, Space.ANISOTROPIC) in sol.norms
+        mesh = g.freq_mesh()
+        for it, ix in np.ndindex(g.nt, g.nx):
+            solve_half_space(fp, fm, mesh[it, ix], complex(sol.f_hat[it, ix]), M2)
+        # build_g, solve_front, the anisotropic norm and the closure read one table
+        assert calls == [(g.nt, g.nx)] * 2
 
     def test_non_finite_source_is_named_not_blamed_on_decay(self):
         g = _grid()

@@ -19,7 +19,7 @@ from vsheet.grids import (
     inverse_transform,
     weighted_norm,
 )
-from vsheet.symbols import Frequency, PhysicalParams, weight_sigma
+from vsheet.symbols import Frequency, PhysicalParams, Regime, big_sigma, mu_pm, weight_sigma
 
 M2 = PhysicalParams(v=2.0, c=1.0)
 
@@ -124,6 +124,28 @@ class TestGridCaches:
         del g
         gc.collect()
         assert mesh() is None and rule() is None and lags() is None
+
+
+    def test_symbol_table_is_freed_with_the_grid(self):
+        g = _grid()
+        table = weakref.ref(g.symbol_table(PhysicalParams(v=2.0, c=1.0)))
+        del g
+        gc.collect()
+        assert table() is None
+
+    @pytest.mark.parametrize("mach", [0.5, 2.0])
+    def test_symbol_table_equals_the_kernels_bit_for_bit(self, mach):
+        g, params = _grid(), PhysicalParams(v=mach, c=1.0)
+        table, mesh = g.symbol_table(params), g.freq_mesh()
+        assert g.symbol_table(PhysicalParams(v=mach, c=1.0)) is table
+        for got, want in zip((table.mup, table.mum), mu_pm(mesh, params)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(table.sigma_big, big_sigma(mesh, params))
+        assert np.array_equal(table.lam, mesh.lam)
+        if params.regime() is Regime.WEAKLY_STABLE:
+            assert np.array_equal(table.abs_weight, np.abs(weight_sigma(mesh, params)))
+        else:
+            assert table.abs_weight is None
 
 
 class TestFindMode:

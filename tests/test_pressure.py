@@ -203,6 +203,17 @@ class TestSolveHalfSpace:
             with pytest.raises(ValueError, match=rf"^{side.value}-side source is not finite at mode \(1, 2\), node 3$"):
                 solve_half_space(fields[Side.PLUS], fields[Side.MINUS], g.freq_mesh()[1, 2], 0.3 + 0.1j, M2)
 
+    def test_mu_is_the_symbol_table_entry_bit_for_bit(self):
+        g = _grid(ny=96, Ly=30.0, nt=64, nx=64)
+        fp, fm = _zero_fields(g)
+        table, mesh = g.symbol_table(M2), g.freq_mesh()
+        differ = []
+        for it, ix in np.ndindex(g.nt, g.nx):
+            pp, pm = solve_half_space(fp, fm, mesh[it, ix], 0.0, M2)
+            if (pp.mu, pm.mu) != (table.mup[it, ix], table.mum[it, ix]):
+                differ.append((it, ix))
+        assert not differ, f"{len(differ)} modes, first {differ[0]}"
+
     def test_off_lattice_frequency_rejected(self):
         g = _grid()
         fp, fm = _zero_fields(g)
