@@ -53,7 +53,7 @@ def builtin_sources(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     xx2 = (0.5 + 0.5 * np.sin(2.0 * np.pi * x / grid.Lx)) [None, :, None]
     yy = np.exp(-(((y - 0.12 * grid.Ly) / (0.06 * grid.Ly)) ** 2))[None, None, :]
     yy2 = np.exp(-(((y - 0.18 * grid.Ly) / (0.08 * grid.Ly)) ** 2))[None, None, :]
-    return (tt * xx * yy).astype(np.complex128), (0.7 * tt2 * xx2 * yy2).astype(np.complex128)
+    return tt * xx * yy, 0.7 * tt2 * xx2 * yy2
 
 
 _DIAGRAM_COLUMNS = ["mach", "regime", "root_constant"]

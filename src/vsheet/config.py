@@ -158,6 +158,12 @@ def load_config(
     diagram = sections["diagram"]
     if not (diagram["m_step"] > 0 and all(map(math.isfinite, diagram.values()))):
         raise ValueError(f"{path}: [diagram] m_min, m_max and m_step must be finite, m_step positive")
+    if not 0.0 < diagram["m_max"] >= diagram["m_min"]:
+        # such a range gives no row with mach > 0
+        raise ValueError(
+            f"{path}: [diagram] m_max must be positive and at least m_min, "
+            f"got m_min = {diagram['m_min']!r}, m_max = {diagram['m_max']!r}"
+        )
     heatmap = sections["heatmap"]
     ranges = [heatmap[key] for key in ("gamma", "delta_min", "delta_max", "eta_min", "eta_max")]
     if not (all(map(math.isfinite, ranges)) and heatmap["gamma"] > 0):

@@ -85,6 +85,9 @@ _ROOT_XTOL = 1e-12
 # a located minimum counts as a root when |Sigma| <= this times Lambda^2
 _ZERO_THRESHOLD = 1e-6
 
+# relative rounding allowed above a closed-form bound that the sample attains
+_BOUND_ROUNDING = 1e-12
+
 # simple-root certificate: inner/outer arc radius, largest band max/min, level drift
 _SHRINK = 0.5
 _BAND_LIMIT = 2.0
@@ -451,8 +454,9 @@ def certify_weight_bounds(
     """Certify the pointwise comparisons satisfied by the weight.
 
     Four ratios are recorded: |sigma|/gamma (bounded below by the certified
-    C), |sigma|/Lambda (bounded above, by the Cauchy-Schwarz constant of
-    :func:`weight_bound_constant` too), |sigma|/dist near the root tubes
+    C), |sigma|/Lambda (bounded above by :func:`weight_bound_constant`, its
+    exact sup, which the sample reaches: the maximum may exceed it by a
+    relative rounding allowance of 1e-12), |sigma|/dist near the root tubes
     (dist the distance to the nearest root line), and |sigma|/Lambda away
     from the tubes (bounded above and below: sigma is elliptic there).
     """
@@ -473,7 +477,10 @@ def certify_weight_bounds(
     over_gamma, over_lam, over_dist, over_lam_far = zip(*map_chunks(chunk, len(sample), _CHUNK))
     return [
         _certificate("weight_over_gamma", over_gamma, sample, params),
-        _certificate("weight_over_lambda", over_lam, sample, params, weight_bound_constant(params), explosion_threshold),
+        _certificate(
+            "weight_over_lambda", over_lam, sample, params,
+            weight_bound_constant(params) * (1.0 + _BOUND_ROUNDING), explosion_threshold,
+        ),
         _certificate("weight_over_root_distance", over_dist, sample, params, limit=explosion_threshold),
         _certificate("weight_over_lambda_far", over_lam_far, sample, params, limit=explosion_threshold),
     ]

@@ -306,7 +306,10 @@ class SymbolTable:
 
 
 def weight_bound_constant(params: PhysicalParams) -> float:
-    """Certified constant K with |sigma| <= K * Lambda (Cauchy-Schwarz bound)."""
-    y2 = root_constants(params)
-    return 1.0 + (params.c * y2) ** 2
+    """The least K with |sigma| <= K * Lambda: max(1, (c Y2)^2).
+
+    |tau^2 + (c Y2 eta)^2| <= |tau|^2 + (c Y2)^2 eta^2 <= K Lambda^2, with
+    equality at eta = 0 (ratio 1) and at tau = 0 (ratio (c Y2)^2).
+    """
+    return max(1.0, (params.c * root_constants(params)) ** 2)
 

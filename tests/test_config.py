@@ -147,6 +147,20 @@ def test_diagram_range_must_be_finite(tmp_path, line):
         load_config(path, study="diagram")
 
 
+@pytest.mark.parametrize(
+    "lines, given",
+    [("m_min = 3\nm_max = 1", "m_min = 3.0, m_max = 1.0"), ("m_min = -2\nm_max = 0", "m_min = -2.0, m_max = 0.0")],
+    ids=["reversed", "nonpositive"],
+)
+def test_a_diagram_range_with_no_row_is_rejected(tmp_path, lines, given):
+    path = _write(tmp_path, f"[params]\nv = 2.0\nc = 1.0\n[diagram]\n{lines}\n")
+    with pytest.raises(ValueError) as err:
+        load_config(path, study="diagram")
+    assert str(err.value) == (
+        f"{path}: [diagram] m_max must be positive and at least m_min, got {given}"
+    )
+
+
 def test_an_infinite_explosion_threshold_loads(tmp_path):
     # the band limit may be switched off; NaN and values below 1 are rejected (test_cli)
     path = _write(tmp_path, "[params]\nv = 2.0\nc = 1.0\n[sample]\nexplosion_threshold = inf\n")

@@ -436,12 +436,30 @@ class TestWeightBounds:
         assert cert.empirical_max / cert.empirical_min < 10.0
 
     def test_weight_over_lambda_fails_above_the_cauchy_schwarz_constant(self, monkeypatch):
-        # |sigma| <= (1 + (c Y2)^2) Lambda; a weight twice too large breaks it (max 2 > 1.877)
+        # |sigma| <= max(1, (c Y2)^2) Lambda; a weight twice too large breaks it (max 2 > 1)
         sample = sample_hemisphere(2000, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6, M2, seed=0)
         monkeypatch.setattr(hemisphere, "weight_sigma", lambda freq, params: 2.0 * weight_sigma(freq, params))
         cert = next(c for c in certify_weight_bounds(sample, M2) if c.ratio_name == "weight_over_lambda")
         assert cert.empirical_max > weight_bound_constant(M2)
         assert not cert.passed
+
+    def test_weight_over_lambda_bound_is_the_exact_sup(self, monkeypatch):
+        # at M = 2 the sup is 1 and the sample reaches it; 1.5 times the weight stays below the
+        # Cauchy-Schwarz 1 + (c Y2)^2 = 1.877 but not below the exact bound
+        assert weight_bound_constant(M2) == 1.0 and (M2.c * Y2_M2) ** 2 < 1.0
+        sample = sample_hemisphere(2000, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6, M2, seed=0)
+        cert = next(c for c in certify_weight_bounds(sample, M2) if c.ratio_name == "weight_over_lambda")
+        assert cert.passed and 1.0 - 1e-6 < cert.empirical_max <= 1.0 + 1e-12
+        monkeypatch.setattr(hemisphere, "weight_sigma", lambda freq, params: 1.5 * weight_sigma(freq, params))
+        cert = next(c for c in certify_weight_bounds(sample, M2) if c.ratio_name == "weight_over_lambda")
+        assert 1.0 < cert.empirical_max < 1.0 + (M2.c * Y2_M2) ** 2
+        assert not cert.passed
+
+    def test_weight_bound_above_one_is_the_tau_zero_ratio(self):
+        # at M = 3, (c Y2)^2 > 1 is attained at tau = 0
+        params = PhysicalParams(v=3.0, c=1.0)
+        assert weight_bound_constant(params) == (params.c * root_constants(params)) ** 2 > 1.0
+        assert abs(weight_sigma(Frequency(0.0, 0.0, 1.0), params)) == pytest.approx(weight_bound_constant(params), rel=1e-14)
 
 
 class TestLocateRoots:
