@@ -16,7 +16,7 @@ import numpy as np
 
 from .chunks import map_chunks
 from .grids import GridSpec, Space, boundary_terms, forward_transform, half_line_norm, inverse_transform, weighted_norm
-from .symbols import NumericalGuard, PhysicalParams, Regime, big_sigma, mu_pm  # big_sigma, mu_pm: perfbench/tracing.py
+from .symbols import NumericalGuard, PhysicalParams, Regime, big_sigma, mu_pm  # big_sigma, mu_pm: kept for perfbench/tracing.py
 
 __all__ = [
     "Side",

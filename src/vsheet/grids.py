@@ -4,9 +4,11 @@ Time and the tangential direction live on a torus [0, Lt) x [0, Lx); the
 normal direction is a truncated half-line [0, Ly] carrying a composite
 Gauss-Legendre rule of equal panels.  A grid builds that rule (once, in
 panel form; the flat nodes and weights are the panels flattened), the
-static tables of the kernel below, and its frequency axes and mesh on
-first use and keeps them on the instance, so they are freed with the
-grid.  The forward transform multiplies by exp(-gamma*t) and applies an
+static tables of the kernel below, its frequency axes, mesh and Lambda,
+and one :class:`symbols.SymbolTable` per background state on first use
+and keeps them on the instance, so they are freed with the grid.  Every
+caller that needs mu+-, Sigma, |sigma| or Lambda on the mesh reads them
+there.  The forward transform multiplies by exp(-gamma*t) and applies an
 FFT calibrated to the continuum transform with kernel
 exp(-i(delta*t + eta*x1)), so discrete norms approximate the continuum
 weighted norms (with their 1/(2*pi) normalization) by plain Riemann sums
@@ -41,7 +43,7 @@ import functools
 import numpy as np
 
 from .chunks import map_chunks
-from .symbols import Frequency, PhysicalParams, SymbolTable, _require_weakly_stable, weight_sigma  # weight_sigma: perfbench/tracing.py
+from .symbols import Frequency, PhysicalParams, SymbolTable, _require_weakly_stable, weight_sigma  # weight_sigma: kept for perfbench/tracing.py
 
 __all__ = [
     "GridSpec",

@@ -23,7 +23,7 @@ import numpy as np
 
 from .front import DECAY_TOL, Side, SourceField, _source_grid
 from .grids import closure_sums, find_mode
-from .symbols import Frequency, NumericalGuard, PhysicalParams, mu_pm  # mu_pm: perfbench/tracing.py wraps it
+from .symbols import Frequency, NumericalGuard, PhysicalParams, mu_pm  # mu_pm: kept for perfbench/tracing.py
 
 __all__ = [
     "PressureProfile",
@@ -69,8 +69,9 @@ def solve_half_space(
         A+ - A-             = I- - I+
         mu+ A+ + mu- A-     = mu+ I+ + mu- I- + 4 v tau i eta fhat / c^2
 
-    where I+- are the particular boundary values; the system's determinant
-    is mu+ + mu-, nonzero for gamma >= 1.  Raises ValueError for a
+    where I+- are the particular boundary values, and mu+- the grid's symbol
+    table at the mode, as :func:`front.build_g` used them; the system's
+    determinant is mu+ + mu-, nonzero for gamma >= 1.  Raises ValueError for a
     non-finite ``fhat`` or source sample at the mode, and DecayViolated when
     the resulting profile is not negligible at the truncation depth (or not
     finite).
