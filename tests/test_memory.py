@@ -10,7 +10,11 @@ sweep peaked at 5.8 to 7.3 fields, and undoing any one of them alone breaks
 the bound: upcasting the sources as they are read (3.89 to 3.97), a
 temporary per FFT slice (3.82 to 5.29), keeping the previous rung's fields
 while the next is built (3.35 to 3.38) or squaring a whole field in
-``half_line_norm`` (3.43 to 3.46).
+``half_line_norm`` (3.43 to 3.46).  Since each grid keeps its symbol table,
+a rung builds it before its source fields and frees its solution, with the
+grid and table, before the next rung: 2.67 (one thread) to 2.85 (two).
+Keeping the previous rung's solution while the next rung is built gave 3.21
+to 3.34.
 """
 
 import math
