@@ -180,7 +180,7 @@ def solve_front(
     if g_hat.shape != (grid.nt, grid.nx):
         raise ValueError(f"expected g_hat of shape ({grid.nt}, {grid.nx}), got {g_hat.shape}")
     table = grid.symbol_table(params)
-    floor_ratio = np.abs(table.sigma_big) / table.lam**2
+    floor_ratio = np.abs(table.sigma_big) / grid.freq_mesh().lam**2
     worst = float(np.min(floor_ratio))
     if worst < sigma_floor:
         idx = np.unravel_index(int(np.argmin(floor_ratio)), floor_ratio.shape)

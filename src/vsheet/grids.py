@@ -130,17 +130,17 @@ class GridSpec:
         return self._mesh
 
     def symbol_table(self, params: PhysicalParams) -> SymbolTable:
-        """mu+-, Sigma, |sigma| and Lambda of ``params`` on the frequency mesh, built on first use."""
+        """mu+-, Sigma and |sigma| of ``params`` on the frequency mesh, built on first use."""
         if params not in self._tables:
-            self._tables[params] = SymbolTable.on_mesh(self._mesh, self._lam, params)
+            self._tables[params] = SymbolTable.on_mesh(self._mesh, params)
         return self._tables[params]
 
     def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
         """Nodes and weights of the half-line rule on [0, Ly]: the panels, flattened."""
         return self._nodes_weights
 
-    # Each rule, table, axis pair and mesh, Lambda and symbol table is built on first use
-    # and kept on the instance, so it is freed with the grid.
+    # Each rule, table, axis pair, mesh (with its Lambda and unit point) and symbol table is
+    # built on first use and kept on the instance, so it is freed with the grid.
     @functools.cached_property
     def _axes(self) -> tuple[np.ndarray, np.ndarray]:
         return self.delta(), self.eta()
@@ -149,10 +149,6 @@ class GridSpec:
     def _mesh(self) -> Frequency:
         d, e = np.meshgrid(*self._axes, indexing="ij")
         return Frequency(np.full_like(d, self.gamma), d, e)
-
-    @functools.cached_property
-    def _lam(self) -> np.ndarray:
-        return self._mesh.lam
 
     @functools.cached_property
     def _tables(self) -> dict:
@@ -299,7 +295,7 @@ def _weighted_squares(u_hat: np.ndarray, grid: GridSpec, s: float, space: Space,
     ``np.sum(..., axis=(0, 1))`` does over a C-ordered 3-D array, without a
     temporary of ``u_hat``'s size.
     """
-    w = grid._lam**s
+    w = grid.freq_mesh().lam**s
     if Space(space) is not Space.PLAIN:
         if params is None:
             raise ValueError("the anisotropic norm needs params (the weight depends on mach)")

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
 
 import numpy as np
@@ -145,10 +146,17 @@ class Frequency:
     def tau(self):
         return self.gamma + 1j * self.delta
 
-    @property
+    # Lambda and the unit-sphere point are computed on first use and kept, so every
+    # kernel that reads one batch shares them
+    @functools.cached_property
     def lam(self):
         """Frequency modulus Lambda = sqrt(gamma^2 + delta^2 + eta^2)."""
         return np.sqrt(self.gamma**2 + self.delta**2 + self.eta**2)
+
+    @functools.cached_property
+    def unit(self):
+        """The unit-sphere point (gamma, delta, eta) / Lambda, as three arrays."""
+        return self.gamma / self.lam, self.delta / self.lam, self.eta / self.lam
 
     def scaled(self, k) -> "Frequency":
         """Multiply by ``k > 0``: a scalar, or an array broadcast against the fields."""
@@ -162,15 +170,6 @@ class Frequency:
         for name in ("gamma", "delta", "eta"):
             object.__setattr__(part, name, np.asarray(getattr(self, name)[idx]))
         return part
-
-
-def _unit_parts(freq: Frequency, lam):
-    """The unit-sphere components (gamma, delta, eta) of ``freq``, whose Lambda is ``lam``, and ``lam``.
-
-    The symbol kernels normalize through this instead of building a second,
-    re-validated :class:`Frequency`.
-    """
-    return freq.gamma / lam, freq.delta / lam, freq.eta / lam, lam
 
 
 def _mu_branch(gamma, delta, eta, v, c, sign):
@@ -203,9 +202,8 @@ def mu_pm(freq: Frequency, params: PhysicalParams):
     by ``exp(-mu * x2)`` decay away from the sheet on either side.
     Homogeneous of degree one.
     """
-    g, d, e, lam = _unit_parts(freq, freq.lam)
-    mup, mum = _mu_unit(g, d, e, params)
-    return lam * mup, lam * mum
+    mup, mum = _mu_unit(*freq.unit, params)
+    return freq.lam * mup, freq.lam * mum
 
 
 def _mu_unit(g, d, e, params: PhysicalParams):
@@ -236,9 +234,8 @@ def big_sigma(freq: Frequency, params: PhysicalParams):
     above.  At the lone points where mu+ + mu- vanishes (tau = 0,
     supersonic jump) it raises :class:`DegenerateDenominator`.
     """
-    g, d, e, lam = _unit_parts(freq, freq.lam)
-    den = _mu_branch(g, d, e, params.v, params.c, +1.0) + _mu_branch(g, d, e, params.v, params.c, -1.0)
-    return lam**2 * _sigma_unit(g, d, e, den, params)
+    mup, mum = _mu_unit(*freq.unit, params)
+    return freq.lam**2 * _sigma_unit(*freq.unit, mup + mum, params)
 
 
 def root_constants(params: PhysicalParams) -> float:
@@ -267,8 +264,7 @@ def weight_sigma(freq: Frequency, params: PhysicalParams):
     from above, which is what makes the weighted estimates close.
     """
     _require_weakly_stable(params)
-    g, d, e, lam = _unit_parts(freq, freq.lam)
-    return lam * _weight_unit(g, d, e, params)
+    return freq.lam * _weight_unit(*freq.unit, params)
 
 
 def _require_weakly_stable(params: PhysicalParams) -> None:
@@ -284,25 +280,24 @@ def _weight_unit(g, d, e, params: PhysicalParams):
 
 @dataclasses.dataclass(frozen=True)
 class SymbolTable:
-    """mu+-, Sigma, |sigma| (None unless weakly stable) and Lambda on one mesh, one per grid and params.
+    """mu+-, Sigma and |sigma| (None unless weakly stable) on one mesh, one per grid and params.
 
     Each branch is evaluated once and Sigma is fed their sum, so every array equals :func:`mu_pm`,
-    :func:`big_sigma`, ``abs(weight_sigma)`` or ``lam`` on the mesh bit for bit.
+    :func:`big_sigma` or ``abs(weight_sigma)`` on the mesh bit for bit; Lambda is the mesh's own.
     """
 
     mup: np.ndarray
     mum: np.ndarray
     sigma_big: np.ndarray
     abs_weight: np.ndarray | None
-    lam: np.ndarray
 
     @classmethod
-    def on_mesh(cls, mesh: Frequency, lam, params: PhysicalParams) -> "SymbolTable":
-        g, d, e, lam = _unit_parts(mesh, lam)
-        mup, mum = _mu_unit(g, d, e, params)
-        sigma_big = lam**2 * _sigma_unit(g, d, e, mup + mum, params)
-        abs_weight = np.abs(lam * _weight_unit(g, d, e, params)) if params.regime() is Regime.WEAKLY_STABLE else None
-        return cls(lam * mup, lam * mum, sigma_big, abs_weight, lam)
+    def on_mesh(cls, mesh: Frequency, params: PhysicalParams) -> "SymbolTable":
+        lam = mesh.lam
+        mup, mum = _mu_unit(*mesh.unit, params)
+        sigma_big = lam**2 * _sigma_unit(*mesh.unit, mup + mum, params)
+        abs_weight = np.abs(weight_sigma(mesh, params)) if params.regime() is Regime.WEAKLY_STABLE else None
+        return cls(lam * mup, lam * mum, sigma_big, abs_weight)
 
 
 def weight_bound_constant(params: PhysicalParams) -> float:

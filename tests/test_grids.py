@@ -133,6 +133,16 @@ class TestGridCaches:
         gc.collect()
         assert table() is None
 
+    def test_mesh_lambda_and_unit_point_are_freed_with_the_grid(self):
+        g = _grid()
+        g.symbol_table(PhysicalParams(v=2.0, c=1.0))
+        mesh = g.freq_mesh()
+        assert {"lam", "unit"} <= vars(mesh).keys()
+        lam, unit = weakref.ref(mesh.lam), weakref.ref(mesh.unit[0])
+        del g, mesh
+        gc.collect()
+        assert lam() is None and unit() is None
+
     @pytest.mark.parametrize("mach", [0.5, 2.0])
     def test_symbol_table_equals_the_kernels_bit_for_bit(self, mach):
         g, params = _grid(), PhysicalParams(v=mach, c=1.0)
@@ -141,7 +151,7 @@ class TestGridCaches:
         for got, want in zip((table.mup, table.mum), mu_pm(mesh, params)):
             assert np.array_equal(got, want)
         assert np.array_equal(table.sigma_big, big_sigma(mesh, params))
-        assert np.array_equal(table.lam, mesh.lam)
+        assert not hasattr(table, "lam")  # Lambda is the mesh's own
         if params.regime() is Regime.WEAKLY_STABLE:
             assert np.array_equal(table.abs_weight, np.abs(weight_sigma(mesh, params)))
         else:

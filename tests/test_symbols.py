@@ -102,6 +102,16 @@ class TestFrequency:
         assert back.delta == pytest.approx(f.delta)
 
 
+    def test_lambda_and_unit_point_are_computed_once_per_batch(self):
+        f = Frequency(np.array([0.5, 3.0, 0.0]), np.array([-1.0, 0.0, 2.0]), 2.0)
+        lam, unit = f.lam, f.unit
+        assert f.lam is lam and f.unit is unit
+        big_sigma(f, M2), weight_sigma(f, M2), mu_pm(f, M2)
+        assert f.lam is lam and f.unit is unit
+        assert np.array_equal(lam, np.sqrt(f.gamma**2 + f.delta**2 + f.eta**2))
+        for got, part in zip(unit, (f.gamma, f.delta, f.eta)):
+            assert np.array_equal(got, part / lam)
+
     @pytest.mark.parametrize("kernel", [mu_pm, big_sigma, weight_sigma])
     def test_kernels_normalize_without_a_second_frequency(self, monkeypatch, kernel):
         points = [Frequency(0.5, -1.0, 2.0), Frequency(np.full(3, 0.5), np.arange(3.0), 1.0)]
@@ -176,8 +186,9 @@ class TestMu:
         # an explicit raise, so the check holds under python -O too
         branch = symbols._mu_branch
         monkeypatch.setattr(symbols, "_mu_branch", lambda *args: -branch(*args) - 1e-3)
-        with pytest.raises(RuntimeError, match="branch selection produced a negative real part"):
-            mu_pm(Frequency(gamma, 0.5, 1.0), M2)
+        for kernel in (mu_pm, big_sigma):
+            with pytest.raises(RuntimeError, match="branch selection produced a negative real part"):
+                kernel(Frequency(gamma, 0.5, 1.0), M2)
 
     @given(_scalar_freqs(), _params())
     def test_defining_quadratic(self, freq, params):
