@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import fileio
-from .config import HeatmapField, RunConfig, STUDIES, load_config
+from .config import HeatmapField, RunConfig, STUDIES, load_config, mach_ladder
 from .front import Side, build_g, estimate_sweep, solve_front, transform_source
 from .grids import GridSpec
 from .hemisphere import (
@@ -62,14 +62,11 @@ _DIAGRAM_COLUMNS = ["mach", "regime", "root_constant"]
 def stability_diagram(c: float, m_min: float, m_max: float, m_step: float) -> list[dict]:
     """One row per mach of a sweep at fixed sound speed, keyed by ``_DIAGRAM_COLUMNS``.
 
-    The root constant is nan in the degenerate regime (mach = sqrt(2)).
+    The machs are :func:`~vsheet.config.mach_ladder`'s.  The root constant is
+    nan in the degenerate regime (mach = sqrt(2)).
     """
     rows = []
-    count = int(round((m_max - m_min) / m_step))
-    for i in range(count + 1):
-        mach = m_min + i * m_step
-        if mach <= 0:
-            continue
+    for mach in mach_ladder(m_min, m_max, m_step):
         params = PhysicalParams(v=mach * c, c=c)
         regime = params.regime()
         root = math.nan if regime is Regime.DEGENERATE else root_constants(params)

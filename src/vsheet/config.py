@@ -36,7 +36,7 @@ from .grids import GridSpec
 from .hemisphere import SampleStrategy
 from .symbols import PhysicalParams
 
-__all__ = ["RunConfig", "load_config", "HeatmapField", "SCHEMA", "STUDIES"]
+__all__ = ["RunConfig", "load_config", "mach_ladder", "HeatmapField", "SCHEMA", "STUDIES"]
 
 STUDIES = ("certify", "roots", "solve", "sweep", "diagram")
 
@@ -75,6 +75,23 @@ SCHEMA = {
 }
 
 _EXPECTED = {int: "an integer", float: "a number", tuple: "a list of numbers"}
+
+# A [diagram] range of more steps than this is rejected, before any mach is made.
+_MAX_DIAGRAM_STEPS = 1_000_000
+
+
+def mach_ladder(m_min: float, m_max: float, m_step: float) -> list[float]:
+    """The positive machs ``m_min + i * m_step``, ``i = 0 .. round((m_max - m_min) / m_step)``, of a diagram."""
+    machs = (m_min + i * m_step for i in range(int(round((m_max - m_min) / m_step)) + 1))
+    return [mach for mach in machs if mach > 0]
+
+
+def _build(path: pathlib.Path, section: str, make, fields: dict):
+    """``make(**fields)``, whose ValueError is reported with the file and ``[section]``."""
+    try:
+        return make(**fields)
+    except ValueError as exc:
+        raise ValueError(f"{path}: [{section}] {exc}") from None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -164,6 +181,14 @@ def load_config(
             f"{path}: [diagram] m_max must be positive and at least m_min, "
             f"got m_min = {diagram['m_min']!r}, m_max = {diagram['m_max']!r}"
         )
+    if not (diagram["m_max"] - diagram["m_min"]) / diagram["m_step"] <= _MAX_DIAGRAM_STEPS:
+        raise ValueError(f"{path}: [diagram] (m_max - m_min) / m_step must be at most {_MAX_DIAGRAM_STEPS}")
+    if not mach_ladder(**diagram):
+        # m_max > 0, but the ladder's last rung rounds to a mach <= 0
+        raise ValueError(
+            f"{path}: [diagram] the ladder m_min + i * m_step has no positive mach up to m_max, "
+            f"got m_min = {diagram['m_min']!r}, m_max = {diagram['m_max']!r}, m_step = {diagram['m_step']!r}"
+        )
     heatmap = sections["heatmap"]
     ranges = [heatmap[key] for key in ("gamma", "delta_min", "delta_max", "eta_min", "eta_max")]
     if not (all(map(math.isfinite, ranges)) and heatmap["gamma"] > 0):
@@ -180,6 +205,8 @@ def load_config(
         ("sweep", "gammas", lambda x: len(x) >= 2 and all(1.0 <= g < math.inf for g in x),
          "a list of at least two values, each finite and at least 1"),
         ("sweep", "slack", lambda x: -1.0 < x < math.inf, "finite and greater than -1"),
+        ("roots", "machs", lambda x: len(x) >= 1 and all(0.0 < m < math.inf for m in x),
+         "a list of at least one value, each finite and positive"),
         ("roots", "tolerance", lambda x: 0.0 < x < math.inf, "finite and positive"),
         ("simple_root", "radius", lambda x: 0.0 < x < math.inf, "finite and positive"),
         ("simple_root", "n_points", lambda x: x >= 1, "at least 1"),
@@ -193,9 +220,11 @@ def load_config(
         study=chosen,
         seed=run["seed"] if seed_override is None else seed_override,
         out_dir=pathlib.Path(out_override or run["out"]),
-        params=PhysicalParams(**sections["params"]),
+        params=_build(path, "params", PhysicalParams, sections["params"]),
         sample=sections["sample"],
-        grid=GridSpec(**{f.name: sections["grid"][f.name.lower()] for f in dataclasses.fields(GridSpec)}),
+        grid=_build(
+            path, "grid", GridSpec, {f.name: sections["grid"][f.name.lower()] for f in dataclasses.fields(GridSpec)}
+        ),
         solve=sections["solve"],
         sweep=sections["sweep"],
         roots=sections["roots"],

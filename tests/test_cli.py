@@ -521,7 +521,13 @@ class TestUsageErrors:
             f"[run]\nstudy = solve\nout = {tmp_path / 'x'}\n\n[params]\nv = -1.0\nc = 1.0\n",
         )
         assert main(["solve", "--config", cfg]) == 2
-        assert capsys.readouterr().err
+        assert capsys.readouterr().err == f"vfs: {cfg}: [params] v must be positive and finite, got -1.0\n"
+
+    def test_bad_grid_reported(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "bad.cfg", f"[run]\nout = {tmp_path / 'x'}\n\n[params]\nv = 2.0\nc = 1.0\n\n[grid]\nnt = 12\n")
+        assert main(["solve", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"vfs: {cfg}: [grid] nt and nx must be powers of two, got 12, 64\n"
+        assert not (tmp_path / "x").exists()
 
 
 def test_weight_heatmap_field(tmp_path):
@@ -678,6 +684,9 @@ class TestExitCodes:
             ("sweep", "sweep", "slack = -1"),
             ("solve", "solve", "sigma_floor = nan"),
             ("solve", "solve", "sigma_floor = -1"),
+            ("roots", "roots", "machs = "),
+            ("roots", "roots", "machs = 0 2"),
+            ("roots", "roots", "machs = 2 nan"),
             ("roots", "roots", "tolerance = nan"),
             ("roots", "roots", "tolerance = 0"),
             ("solve", "solve", "s = nan"),

@@ -6,8 +6,8 @@ import re
 
 import pytest
 
-from vsheet.cli import main
-from vsheet.config import SCHEMA, load_config
+from vsheet.cli import main, stability_diagram
+from vsheet.config import SCHEMA, load_config, mach_ladder
 from vsheet.hemisphere import SampleStrategy
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -159,6 +159,34 @@ def test_a_diagram_range_with_no_row_is_rejected(tmp_path, lines, given):
     assert str(err.value) == (
         f"{path}: [diagram] m_max must be positive and at least m_min, got {given}"
     )
+
+
+def test_a_rounded_mach_ladder_with_no_positive_mach_is_rejected(tmp_path):
+    # m_max > 0, but the ladder rounds to the machs -1 and 0
+    path = _write(tmp_path, "[params]\nv = 2.0\nc = 1.0\n[diagram]\nm_min = -1\nm_max = 0.1\nm_step = 1\n")
+    assert mach_ladder(-1.0, 0.1, 1.0) == []
+    with pytest.raises(ValueError) as err:
+        load_config(path, study="diagram")
+    assert str(err.value) == (
+        f"{path}: [diagram] the ladder m_min + i * m_step has no positive mach up to m_max, "
+        "got m_min = -1.0, m_max = 0.1, m_step = 1.0"
+    )
+
+
+@pytest.mark.parametrize("step", ["1e-7", "1e-310"])
+def test_a_diagram_range_of_too_many_steps_is_rejected(tmp_path, step):
+    path = _write(tmp_path, f"[params]\nv = 2.0\nc = 1.0\n[diagram]\nm_step = {step}\n")
+    with pytest.raises(ValueError, match=r"\[diagram\] \(m_max - m_min\) / m_step must be at most 1000000$"):
+        load_config(path, study="diagram")
+
+
+def test_the_diagram_rows_are_the_mach_ladder(tmp_path):
+    path = _write(tmp_path, "[params]\nv = 2.0\nc = 1.0\n[diagram]\nm_min = -0.3\n")
+    diagram = load_config(path, study="diagram").diagram
+    machs = mach_ladder(**diagram)
+    # rungs -0.3 + i * 0.05 up to m_max = 3.5, the nonpositive ones dropped
+    assert machs == [m for m in (-0.3 + i * 0.05 for i in range(77)) if m > 0]
+    assert [row["mach"] for row in stability_diagram(1.0, **diagram)] == machs
 
 
 def test_an_infinite_explosion_threshold_loads(tmp_path):
