@@ -234,8 +234,9 @@ def big_sigma(freq: Frequency, params: PhysicalParams):
     above.  At the lone points where mu+ + mu- vanishes (tau = 0,
     supersonic jump) it raises :class:`DegenerateDenominator`.
     """
-    mup, mum = _mu_unit(*freq.unit, params)
-    return freq.lam**2 * _sigma_unit(*freq.unit, mup + mum, params)
+    # the branches are freed once summed, before Sigma's temporaries are made
+    den = np.add(*_mu_unit(*freq.unit, params))
+    return freq.lam**2 * _sigma_unit(*freq.unit, den, params)
 
 
 def root_constants(params: PhysicalParams) -> float:
