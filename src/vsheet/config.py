@@ -21,8 +21,9 @@ its type; a bare type marks a required key.  An unknown section or key, a
 non-empty ``[DEFAULT]``, a value that does not parse, a missing required key
 and a malformed file are each rejected with one ``ValueError`` naming the
 file and the ``[section] key``; a ``[params]`` or ``[grid]`` value that
-``PhysicalParams`` or ``GridSpec`` refuses, with the file and the section.  ``#`` and ``;`` start comments, also after
-a value; every other character, ``%`` included, is taken literally.
+``PhysicalParams`` or ``GridSpec`` refuses is reported with the file and
+the section.  ``#`` and ``;`` start comments, also after a value; every
+other character, ``%`` included, is taken literally.
 """
 
 from __future__ import annotations
