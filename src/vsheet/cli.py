@@ -115,7 +115,8 @@ def _load_sources(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, GridSpec]:
     )
     if grid_p != grid_m:
         raise ValueError("plus and minus sources disagree on the grid")
-    return raw_p, raw_m, grid_p
+    # read_source has rejected a non-zero imaginary part; the real parts are views
+    return raw_p.real, raw_m.real, grid_p
 
 
 def _study_certify(cfg: RunConfig) -> int:
@@ -168,6 +169,9 @@ def _study_roots(cfg: RunConfig) -> int:
             print(f"roots: mach={mach:g}: degenerate regime (mach = sqrt(2)); no root to locate", file=sys.stderr)
             continue
         row["closed_form"] = closed = c * root_constants(params)
+        if not closed > 0.0:
+            # the relative error below has no scale
+            raise ValueError(f"roots: mach={mach:g}: the closed-form root cancels to {closed:g} in double precision")
         try:
             located = locate_roots(params, tolerance=cfg.roots["tolerance"])
         except NoRootFound as exc:

@@ -19,7 +19,7 @@ import pathlib
 
 import numpy as np
 
-from .grids import GridSpec
+from .grids import GridSpec, real_source
 
 __all__ = [
     "write_source_bin",
@@ -144,11 +144,13 @@ def read_source_csv(path) -> tuple[np.ndarray, GridSpec]:
 def read_source(path) -> tuple[np.ndarray, GridSpec]:
     """Dispatch on extension: .csv for text (complex128), anything else binary (read-only complex64).
 
-    Rejects non-finite samples.
+    Rejects non-finite samples and, since sources are real, a non-zero
+    imaginary part; the stored complex payload is returned as it is.
     """
     raw, grid = read_source_csv(path) if str(path).endswith(".csv") else read_source_bin(path)
     if not np.all(np.isfinite(raw)):
         raise ValueError(f"source file {path} holds non-finite samples")
+    real_source(raw, f"source file {path}")
     return raw, grid
 
 

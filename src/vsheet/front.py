@@ -15,7 +15,16 @@ import enum
 import numpy as np
 
 from .chunks import map_chunks
-from .grids import GridSpec, Space, boundary_terms, forward_transform, half_line_norm, inverse_transform, weighted_norm
+from .grids import (
+    GridSpec,
+    Space,
+    boundary_terms,
+    forward_transform,
+    half_line_norm,
+    inverse_transform,
+    real_source,
+    weighted_norm,
+)
 from .symbols import NumericalGuard, PhysicalParams, Regime, big_sigma, mu_pm  # big_sigma, mu_pm: kept for perfbench/tracing.py
 
 __all__ = [
@@ -57,8 +66,9 @@ class SourceField:
     """An interior source on one side of the sheet.
 
     ``spectral`` holds the weighted transform of each x2 slice on the
-    (t, x1, x2-node) grid; for the MINUS side node j stands for the depth
-    x2 = -y_j.
+    (t, x1, x2-node) grid, on the grid's half mesh: shape
+    (nt, nx/2 + 1, ny), see :meth:`GridSpec.mirror` for the other columns.
+    For the MINUS side node j stands for the depth x2 = -y_j.
     """
 
     side: Side
@@ -66,17 +76,21 @@ class SourceField:
     grid: GridSpec
 
     def __post_init__(self) -> None:
-        shape = (self.grid.nt, self.grid.nx, self.grid.ny)
+        shape = (self.grid.nt, self.grid.half_nx, self.grid.ny)
         if self.spectral.shape != shape:
-            raise ValueError(f"spectral shape {self.spectral.shape} does not match grid {shape}")
+            raise ValueError(f"spectral shape {self.spectral.shape} does not match the grid's half mesh {shape}")
 
 
 def transform_source(raw: np.ndarray, side: Side, grid: GridSpec) -> SourceField:
-    """Build a SourceField from raw (t, x1, x2-node) samples of any real or complex dtype.
+    """Build a SourceField from real raw (t, x1, x2-node) samples of any real dtype.
 
-    The spectral field is complex128; ``raw`` is not copied or upcast as a whole.
+    A complex ``raw`` is taken as its real part when the imaginary part is
+    zero and is a ValueError naming the side otherwise.  The spectral field
+    is complex128 on the half mesh; ``raw`` is not copied or upcast as a whole.
     """
-    return SourceField(side=Side(side), spectral=forward_transform(raw, grid), grid=grid)
+    side = Side(side)
+    raw = real_source(raw, f"{side.value}-side source")
+    return SourceField(side=side, spectral=forward_transform(raw, grid), grid=grid)
 
 
 def _source_grid(fplus: SourceField, fminus: SourceField) -> GridSpec:
@@ -89,12 +103,13 @@ def _source_grid(fplus: SourceField, fminus: SourceField) -> GridSpec:
 
 
 def half_line_terms(fplus: SourceField, fminus: SourceField, mup: np.ndarray, mum: np.ndarray):
-    """(T+, T-) = (1/mu+-) int_0^Ly exp(-mu+- y) F+-(., +-y) dy on the (t, x1) mesh of a (plus, minus) pair.
+    """(T+, T-) = (1/mu+-) int_0^Ly exp(-mu+- y) F+-(., +-y) dy on the half mesh of a (plus, minus) pair.
 
-    ``mup``/``mum`` hold mu+- on the grid's frequency mesh.  The front
-    moment is T+ - T-, the pressure boundary values are T+- / (2 c^2).
-    Each side is :func:`grids.boundary_terms`, run on the rows of the first
-    axis in fixed chunks on the ``VFS_THREADS`` pool.
+    ``mup``/``mum`` hold mu+- on the grid's half mesh, e.g. ``grid.half``
+    of the symbol table's.  The front moment is T+ - T-, the pressure
+    boundary values are T+- / (2 c^2).  Each side is
+    :func:`grids.boundary_terms`, run on the rows of the first axis in
+    fixed chunks on the ``VFS_THREADS`` pool.
     """
     grid = _source_grid(fplus, fminus)
     pairs = ((fplus.spectral, np.asarray(mup)), (fminus.spectral, np.asarray(mum)))
@@ -109,31 +124,36 @@ def half_line_terms(fplus: SourceField, fminus: SourceField, mup: np.ndarray, mu
 
 
 def build_g(fplus: SourceField, fminus: SourceField, params: PhysicalParams) -> np.ndarray:
-    """Right-hand side of the front equation on the grid's (nt, nx) frequency mesh.
+    """Right-hand side of the front equation on the grid's full (nt, nx) frequency mesh.
 
     g = -(mu+ mu- / (mu+ + mu-)) M, with the source moment M = T+ - T- of
-    :func:`half_line_terms`.  Raises ValueError when a source is not finite
-    or has not decayed at the truncation depth Ly, and QuadratureUnderResolved
-    when the neglected tail at Ly is not small relative to a side's term.
+    :func:`half_line_terms`.  T+- are computed on the half mesh and
+    expanded by :meth:`GridSpec.expand`; past column nx/2 the Nyquist row,
+    which the mirror does not carry, is computed from the mirrored sources
+    (see :attr:`GridSpec.nyquist_row`).  Raises ValueError when a source is
+    not finite or has not decayed at the truncation depth Ly, and
+    QuadratureUnderResolved when the neglected tail at Ly is not small
+    relative to a side's term.
     """
-    edges = []
-    for field in (fplus, fminus):
+    grid = _source_grid(fplus, fminus)
+    fields = (fplus, fminus)
+    for field in fields:
         # max |F| in row blocks, so no temporary of the field's size is made
         blocks = range(0, len(field.spectral), _KERNEL_ROWS)
         peak = float(np.max([np.max(np.abs(field.spectral[i : i + _KERNEL_ROWS])) for i in blocks]))
         if not np.isfinite(peak):
             raise ValueError(f"{field.side.value}-side source is not finite")
-        edges.append(np.abs(field.spectral[..., -1]))
-        if float(np.max(edges[-1])) > DECAY_TOL * peak:
+        if float(np.max(np.abs(field.spectral[..., -1]))) > DECAY_TOL * peak:
             raise ValueError(f"{field.side.value}-side source has not decayed at the truncation depth Ly")
-    grid = fplus.grid
     table = grid.symbol_table(params)
-    mup, mum = table.mup, table.mum
-    # the neglected tail is of the order of the integrand at the cutoff; the edges are freed before the kernel
-    tails = [float(np.max(np.exp(-grid.Ly * mu.real) * edge / np.abs(mu))) for edge, mu in zip(edges, (mup, mum))]
-    del edges
-    terms = half_line_terms(fplus, fminus, mup, mum)
-    for tail_num, term in zip(tails, terms):
+    mus = (table.mup, table.mum)
+    terms = [grid.expand(term) for term in half_line_terms(fplus, fminus, *map(grid.half, mus))]
+    row, rest = grid.nyquist_row, slice(grid.half_nx, None)
+    for field, mu, term in zip(fields, mus, terms):
+        term[row, rest] = boundary_terms(grid, grid.expand(field.spectral, [row])[0, rest], mu[row, rest])
+        # the neglected tail is of the order of the integrand at the cutoff
+        edge = grid.expand(np.abs(field.spectral[..., -1]))
+        tail_num = float(np.max(np.exp(-grid.Ly * mu.real) * edge / np.abs(mu)))
         term_scale = float(np.max(np.abs(term)))
         if tail_num > TAIL_TOL * term_scale:
             rel_tail = tail_num / term_scale if term_scale > 0.0 else np.inf
@@ -142,7 +162,7 @@ def build_g(fplus: SourceField, fminus: SourceField, params: PhysicalParams) -> 
                 "increase Ly or the source decay"
             )
     # Re mu+- >= gamma/c >= 1/c on the grid, so the denominator is safe.
-    return -(mup * mum / (mup + mum)) * (terms[0] - terms[1])
+    return -(table.mup * table.mum / (table.mup + table.mum)) * (terms[0] - terms[1])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -234,12 +254,18 @@ def estimate_sweep(
       front_aniso   gamma   * ||f||^2_{s+1, aniso} / sum ||F||^2_{L2 H^s}
       g_over_f      gamma   * ||g||^2_{s}          / sum ||F||^2_{L2 H^s}
       front_plain   gamma^3 * ||f||^2_{s+1}        / sum ||F||^2_{L2 H^s}
+
+    The sources are real; a complex one is taken as its real part when
+    its imaginary part is zero and is a ValueError naming the side otherwise.
     """
     if len(gammas) < 2:
         raise ValueError("a sweep needs at least two gamma values")
     if any(g < 1.0 for g in gammas):
         raise ValueError("sweep gammas must be >= 1")
     weakly_stable = params.regime() is Regime.WEAKLY_STABLE
+    # each source is checked and viewed as real once, not once per rung
+    raw_plus = real_source(raw_plus, "plus-side source")
+    raw_minus = real_source(raw_minus, "minus-side source")
     rows = []
     for gamma in gammas:
         g_grid = dataclasses.replace(grid, gamma=float(gamma))

@@ -8,17 +8,25 @@ static tables of the kernel below, its frequency axes, mesh and Lambda,
 and one :class:`symbols.SymbolTable` per background state on first use
 and keeps them on the instance, so they are freed with the grid.  Every
 caller that needs mu+-, Sigma, |sigma| or Lambda on the mesh reads them
-there.  The forward transform multiplies by exp(-gamma*t) and applies an
-FFT calibrated to the continuum transform with kernel
-exp(-i(delta*t + eta*x1)), so discrete norms approximate the continuum
-weighted norms (with their 1/(2*pi) normalization) by plain Riemann sums
-in frequency.
+there.  The forward transform takes a real field, multiplies it by
+exp(-gamma*t) and applies a real FFT calibrated to the continuum transform
+with kernel exp(-i(delta*t + eta*x1)), so discrete norms approximate the
+continuum weighted norms (with their 1/(2*pi) normalization) by plain
+Riemann sums in frequency.
 
-The half-line kernel exp(-mu y) on that rule lives here and only here.
-:func:`boundary_terms` gives T = (1/mu) int_0^Ly exp(-mu y) F(y) dy, which
-the front moment and the pressure boundary values are made of, and
-:func:`closure_sums` adds what the pressure closure needs: the homogeneous
-profile exp(-mu y_i) and the free-space sums
+The transform of a real field is Hermitian, F(-delta, -eta) = conj
+F(delta, eta), so it is kept on the half mesh: all nt rows and the first
+nx/2 + 1 columns, eta >= 0 and the last column, whose eta = -pi nx / Lx is
+fftfreq's (rfft2's bin nx/2 is fft2's column nx/2).  Mode (it, ix) with
+ix > nx/2 is the conjugate of its mirror (-it mod nt, nx - ix).
+:class:`GridSpec` holds that rule: the half columns, the mirror, the
+column multiplicities and the expansion of a half array to the full mesh.
+
+The half-line kernel exp(-mu y) on the half-line rule lives here and only
+here.  :func:`boundary_terms` gives T = (1/mu) int_0^Ly exp(-mu y) F(y)
+dy, which the front moment and the pressure boundary values are made of,
+and :func:`closure_sums` adds what the pressure closure needs: the
+homogeneous profile exp(-mu y_i) and the free-space sums
 sum_j exp(-mu |y_i - y_j|) w_j F_j.  Node ``p * order + j`` of the rule is
 o_p + x_j (panel offset plus local node), so the kernel factors per panel,
 exp(-mu y) = exp(-mu o_p) exp(-mu x_j): one mode takes panels + order
@@ -50,6 +58,7 @@ __all__ = [
     "Space",
     "find_mode",
     "forward_transform",
+    "real_source",
     "inverse_transform",
     "weighted_norm",
     "half_line_norm",
@@ -61,7 +70,8 @@ __all__ = [
 QUAD_ORDER = 8
 
 # trailing-axis columns per task of forward_transform: 128 bytes of each
-# complex128 row, so neighbouring tasks do not keep writing into one cache line
+# complex128 output row, so neighbouring tasks do not keep writing into one
+# cache line
 _FFT_COLUMNS = 8
 
 # leading-axis rows per block of the weighted sum over a source field, so that
@@ -129,6 +139,47 @@ class GridSpec:
         """All grid frequencies (gamma, delta_j, eta_k) as an (nt, nx) batch."""
         return self._mesh
 
+    @property
+    def half_nx(self) -> int:
+        """Columns of the half mesh: eta_0 .. eta_{nx/2}, the last at fftfreq's eta = -pi nx / Lx."""
+        return self.nx // 2 + 1
+
+    @property
+    def nyquist_row(self) -> int:
+        """Row nt/2, whose delta = -pi nt / Lt is also its mirror's.
+
+        Past column nx/2 a mode of this row mirrors a mode of the same
+        delta, not its negated frequency, so what the symbols make there
+        (the front's right-hand side, say) is not its mirror's conjugate.
+        """
+        return self.nt // 2
+
+    def half(self, full: np.ndarray) -> np.ndarray:
+        """The half-mesh columns of an (nt, nx, ...) array, as a view."""
+        return full[:, : self.half_nx]
+
+    def mirror(self, it: int, ix: int) -> tuple[int, int, bool]:
+        """Half-mesh index of mode (it, ix) of a Hermitian field, and whether its value is conjugated there."""
+        if ix <= self.nx // 2:
+            return it, ix, False
+        return -it % self.nt, self.nx - ix, True
+
+    def expand(self, half: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """Rows ``rows`` of the full (nt, nx, ...) mesh of a Hermitian field, from its half mesh.
+
+        Column ix > nx/2 of row it is the conjugate of (-it mod nt, nx - ix).
+        """
+        its = np.arange(self.nt)[rows]
+        mirrored = np.conj(half[-its % self.nt, self.half_nx - 2 : 0 : -1])
+        return np.concatenate((half[its], mirrored), axis=1)
+
+    @functools.cached_property
+    def column_counts(self) -> np.ndarray:
+        """Full-mesh columns that each half-mesh column stands for: 1 at eta = 0 and at nx/2, else 2."""
+        counts = np.full(self.half_nx, 2.0)
+        counts[[0, -1]] = 1.0
+        return counts
+
     def symbol_table(self, params: PhysicalParams) -> SymbolTable:
         """mu+-, Sigma and |sigma| of ``params`` on the frequency mesh, built on first use."""
         if params not in self._tables:
@@ -181,33 +232,45 @@ class GridSpec:
         return (self.Lt / self.nt) * (self.Lx / self.nx)
 
 
+def real_source(raw, what: str) -> np.ndarray:
+    """``raw`` as a real array, without a copy; a ValueError naming ``what`` for a non-zero imaginary part."""
+    raw = np.asarray(raw)
+    if not np.iscomplexobj(raw):
+        return raw
+    if np.any(raw.imag):
+        raise ValueError(f"{what} has a non-zero imaginary part; sources are real")
+    return raw.real
+
+
 def forward_transform(raw: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """exp(-gamma t)-weighted DFT over (t, x1), calibrated to the continuum.
+    """exp(-gamma t)-weighted DFT over (t, x1) of a real field, on the half mesh.
 
     Values approximate the continuum transform with kernel
-    exp(-i(delta t + eta x1)) at the grid frequencies; the inverse carries
-    the 1/(2 pi)^2 factor.  Trailing axes (e.g. the x2 node axis) ride
-    along untouched.  The 2-D transform of each trailing index is
-    independent, so they run in fixed slices on the ``VFS_THREADS`` pool;
-    the result does not depend on the slicing.  The damping, each slice's
-    FFT and the scaling all write in place into the output, so no temporary
-    of the output's size, or of a slice's, is made; a complex64 ``raw`` is
-    upcast exactly as it is damped.  The damping and the scaling run over
-    the whole contiguous output on the calling thread: on a strided slice
-    numpy's elementwise loops are several times slower.
+    exp(-i(delta t + eta x1)) at the half mesh's frequencies; the result
+    has shape (nt, nx/2 + 1) + the trailing axes, which (e.g. the x2 node
+    axis) ride along untouched.  The 2-D transform of each trailing index
+    is independent, so they run in fixed slices on the ``VFS_THREADS``
+    pool; the result does not depend on the slicing.  Each task damps its
+    own slice, with the cell measure folded into the damping, and writes
+    its ``rfft2`` into its slice of the output, so the largest temporary
+    is one slice of the real field; a float32 ``raw`` is upcast exactly as
+    it is damped.  ValueError for a complex ``raw``: see :func:`real_source`.
     """
     raw = np.asarray(raw)
+    if np.iscomplexobj(raw):
+        raise ValueError(f"the forward transform takes a real field, got {raw.dtype}")
     if raw.shape[:2] != (grid.nt, grid.nx):
         raise ValueError(f"leading axes {raw.shape[:2]} do not match the grid ({grid.nt}, {grid.nx})")
-    damp = np.exp(-grid.gamma * grid.t())[:, None, None]
+    damp = grid.cell * np.exp(-grid.gamma * grid.t())[:, None, None]
     layers = raw.reshape(grid.nt, grid.nx, -1)
-    out = np.multiply(damp, layers, out=np.empty(layers.shape, dtype=np.result_type(damp, raw, 1j)))
+    out = np.empty((grid.nt, grid.half_nx, layers.shape[2]), dtype=complex)
 
     def transform(start: int, stop: int) -> None:
-        np.fft.fft2(out[..., start:stop], axes=(0, 1), out=out[..., start:stop])
+        damped = np.multiply(damp, layers[..., start:stop], dtype=np.float64)
+        np.fft.rfft2(damped, axes=(0, 1), out=out[..., start:stop])
 
     map_chunks(transform, layers.shape[2], _FFT_COLUMNS)
-    return np.multiply(grid.cell, out, out=out).reshape(raw.shape)
+    return out.reshape((grid.nt, grid.half_nx) + raw.shape[2:])
 
 
 def inverse_transform(spectral: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -286,31 +349,6 @@ def closure_sums(grid: GridSpec, spectral: np.ndarray, mu):
     return terms, homogeneous.reshape(spectral.shape), free.reshape(spectral.shape)
 
 
-def _weighted_squares(u_hat: np.ndarray, grid: GridSpec, s: float, space: Space, params: PhysicalParams | None):
-    """Sum over (delta, eta) of (w |u_hat|)^2 / (Lt Lx) per trailing index; w = Lambda^s or |sigma| Lambda^s.
-
-    A 2-D ``u_hat`` is one (pairwise) ``np.sum``.  A 3-D one is summed in
-    blocks of ``_REDUCE_ROWS`` rows, each with the running total as its first
-    row: that adds the squares one (delta, eta) after the other, exactly as
-    ``np.sum(..., axis=(0, 1))`` does over a C-ordered 3-D array, without a
-    temporary of ``u_hat``'s size.
-    """
-    w = grid.freq_mesh().lam**s
-    if Space(space) is not Space.PLAIN:
-        if params is None:
-            raise ValueError("the anisotropic norm needs params (the weight depends on mach)")
-        _require_weakly_stable(params)
-        w = grid.symbol_table(params).abs_weight * w
-    if u_hat.ndim == 2:
-        return np.sum((w * np.abs(u_hat)) ** 2, axis=(0, 1)) / (grid.Lt * grid.Lx)
-    total = np.zeros(u_hat.shape[2:])
-    for start in range(0, grid.nt, _REDUCE_ROWS):
-        rows = slice(start, start + _REDUCE_ROWS)
-        squares = (w[rows, :, None] * np.abs(u_hat[rows])) ** 2
-        total = np.sum(np.concatenate((total[None], squares.reshape((-1,) + total.shape))), axis=0)
-    return total / (grid.Lt * grid.Lx)
-
-
 def weighted_norm(
     u_hat: np.ndarray,
     grid: GridSpec,
@@ -328,13 +366,33 @@ def weighted_norm(
     u_hat = np.asarray(u_hat)
     if u_hat.shape != (grid.nt, grid.nx):
         raise ValueError(f"expected shape ({grid.nt}, {grid.nx}), got {u_hat.shape}")
-    return float(np.sqrt(_weighted_squares(u_hat, grid, s, space, params)))
+    w = grid.freq_mesh().lam**s
+    if Space(space) is not Space.PLAIN:
+        if params is None:
+            raise ValueError("the anisotropic norm needs params (the weight depends on mach)")
+        _require_weakly_stable(params)
+        w = grid.symbol_table(params).abs_weight * w
+    return float(np.sqrt(np.sum((w * np.abs(u_hat)) ** 2, axis=(0, 1)) / (grid.Lt * grid.Lx)))
 
 
 def half_line_norm(spectral: np.ndarray, grid: GridSpec, s: float) -> float:
-    """L^2(half-line; H^s) norm of a source: quadrature in x2 of squared plain trace norms."""
+    """L^2(half-line; H^s) norm of a source: quadrature in x2 of squared plain trace norms.
+
+    ``spectral`` is the source's half mesh, shape (nt, nx/2 + 1, ny).  Each
+    column is weighted by the full-mesh columns it stands for, so the sum
+    is the full mesh's.  The squares are summed in blocks of
+    ``_REDUCE_ROWS`` rows, each one matrix-vector product of the weights
+    Lambda^(2s) with the squared real and imaginary parts, so no temporary
+    of the field's size is made.
+    """
     spectral = np.asarray(spectral)
-    if spectral.shape != (grid.nt, grid.nx, grid.ny):
-        raise ValueError(f"expected shape ({grid.nt}, {grid.nx}, {grid.ny}), got {spectral.shape}")
+    shape = (grid.nt, grid.half_nx, grid.ny)
+    if spectral.shape != shape:
+        raise ValueError(f"expected shape {shape}, got {spectral.shape}")
+    weights = grid.half(grid.freq_mesh().lam) ** (2.0 * s) * grid.column_counts
+    total = np.zeros(2 * grid.ny)
+    for start in range(0, grid.nt, _REDUCE_ROWS):
+        parts = np.ascontiguousarray(spectral[start : start + _REDUCE_ROWS], dtype=complex).view(np.float64)
+        total += weights[start : start + _REDUCE_ROWS].ravel() @ (parts * parts).reshape(-1, total.size)
     _, wq = grid.quadrature()
-    return float(np.sqrt(np.dot(wq, _weighted_squares(spectral, grid, s, Space.PLAIN, None))))
+    return float(np.sqrt(np.dot(wq, total[0::2] + total[1::2]) / (grid.Lt * grid.Lx)))

@@ -70,7 +70,9 @@ def solve_half_space(
         mu+ A+ + mu- A-     = mu+ I+ + mu- I- + 4 v tau i eta fhat / c^2
 
     where I+- are the particular boundary values, and mu+- the grid's symbol
-    table at the mode, as :func:`front.build_g` used them; the system's
+    table at the mode, as :func:`front.build_g` used them; a mode past
+    column nx/2 takes its sources from the conjugated mirror on the half
+    mesh (:meth:`GridSpec.mirror`); the system's
     determinant is mu+ + mu-, nonzero for gamma >= 1.  Raises ValueError for a
     non-finite ``fhat`` or source sample at the mode, and DecayViolated when
     the resulting profile is not negligible at the truncation depth (or not
@@ -80,7 +82,10 @@ def solve_half_space(
         raise ValueError(f"fhat must be finite, got {fhat!r}")
     grid = _source_grid(fplus, fminus)
     it, ix = find_mode(grid, freq)
-    sources = np.array((fplus.spectral[it, ix], fminus.spectral[it, ix]))
+    half_it, half_ix, conj = grid.mirror(it, ix)
+    sources = np.array((fplus.spectral[half_it, half_ix], fminus.spectral[half_it, half_ix]))
+    if conj:
+        sources = sources.conj()
     finite = np.isfinite(sources)
     if not finite.all():
         side, node = np.argwhere(~finite)[0]

@@ -246,15 +246,22 @@ def root_constants(params: PhysicalParams) -> float:
     root of Sigma at real tau = c * Y1 * |eta|.
     Weakly stable (mach > sqrt(2)): Y2 = sqrt(M^2 + 1 - sqrt(4 M^2 + 1)),
     simple roots at tau = +-i * c * Y2 * eta.
+
+    ValueError where M^2 overflows a double (M above ~1e153).  Below
+    M ~ 1e-8 the elliptic square cancels, and Y1 is 0.
     """
     regime = params.regime()
     if regime is Regime.DEGENERATE:
         raise ValueError("root constant is not defined at mach = sqrt(2)")
-    m2 = params.mach**2
+    try:
+        m2 = params.mach**2
+    except OverflowError:
+        m2 = math.inf
     disc = math.sqrt(4.0 * m2 + 1.0)
-    if regime is Regime.ELLIPTIC:
-        return math.sqrt(disc - (m2 + 1.0))
-    return math.sqrt(m2 + 1.0 - disc)
+    square = disc - (m2 + 1.0) if regime is Regime.ELLIPTIC else m2 + 1.0 - disc
+    if not math.isfinite(square):
+        raise ValueError(f"the root constant at mach {params.mach:g} overflows double precision")
+    return math.sqrt(square)
 
 
 def weight_sigma(freq: Frequency, params: PhysicalParams):

@@ -135,13 +135,13 @@ def test_criterion_06_source_moment_closed_form():
     a = 0.9
     grid = GridSpec(nt=8, nx=8, ny=128, Lt=2 * np.pi, Lx=2 * np.pi, Ly=26.0, gamma=1.0)
     y, _ = grid.quadrature()
-    spec = np.zeros((8, 8, 128), dtype=complex)
+    spec = np.zeros((8, grid.half_nx, 128), dtype=complex)
     spec[1, 2, :] = np.exp(-a * y)
     fplus = source_from_spectral(spec, Side.PLUS, grid)
     fminus = source_from_spectral(np.zeros_like(spec), Side.MINUS, grid)
     freq = grid.freq_mesh()[1, 2]
     mp, _ = mu_pm(freq, M2)
-    t_plus, t_minus = half_line_terms(fplus, fminus, *mu_pm(grid.freq_mesh(), M2))
+    t_plus, t_minus = half_line_terms(fplus, fminus, *map(grid.half, mu_pm(grid.freq_mesh(), M2)))
     got = (t_plus - t_minus)[1, 2]
     want = 1.0 / (mp * (mp + a))
     err = abs(got - want) / abs(want)
@@ -196,12 +196,15 @@ def test_criterion_09_end_to_end_residual():
         a = float(rng.uniform(0.6, 1.6))
         b = float(rng.uniform(0.6, 1.6))
         y, _ = grid.quadrature()
-        spec_p = np.zeros((8, 8, 96), dtype=complex)
+        spec_p = np.zeros((8, grid.half_nx, 96), dtype=complex)
         spec_m = np.zeros_like(spec_p)
         amp_p = complex(rng.standard_normal(), rng.standard_normal())
         amp_m = complex(rng.standard_normal(), rng.standard_normal())
-        spec_p[it, ix, :] = amp_p * np.exp(-a * y)
-        spec_m[it, ix, :] = amp_m * np.exp(-b * y)
+        # the half-mesh entry that holds mode (it, ix): the mode itself, or its conjugated mirror
+        hit, hix, conj = grid.mirror(it, ix)
+        amp_p, amp_m = (np.conj(amp) if conj else amp for amp in (amp_p, amp_m))
+        spec_p[hit, hix, :] = amp_p * np.exp(-a * y)
+        spec_m[hit, hix, :] = amp_m * np.exp(-b * y)
         fp = source_from_spectral(spec_p, Side.PLUS, grid)
         fm = source_from_spectral(spec_m, Side.MINUS, grid)
         sol = solve_front(build_g(fp, fm, M2), grid, M2)

@@ -223,6 +223,19 @@ machs = {SQRT2!r}
         err = capsys.readouterr().err.splitlines()
         assert err == ["roots: mach=1.41421: degenerate regime (mach = sqrt(2)); no root to locate"]
 
+    def test_a_mach_whose_square_overflows_is_a_one_line_usage_error(self, tmp_path, capsys):
+        assert main(["roots", "--config", self._roots_cfg(tmp_path, "2.0 1e300")]) == 2
+        assert capsys.readouterr().err.splitlines() == ["vfs: the root constant at mach 1e+300 overflows double precision"]
+        assert not (tmp_path / "roots_out" / "roots.json").exists()
+
+    def test_a_mach_whose_root_cancels_to_zero_is_a_one_line_usage_error(self, tmp_path, capsys):
+        # the relative error of the located root would divide by zero
+        assert main(["roots", "--config", self._roots_cfg(tmp_path, "2.0 1e-300")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "vfs: roots: mach=1e-300: the closed-form root cancels to 0 in double precision"
+        ]
+        assert not (tmp_path / "roots_out" / "roots.json").exists()
+
     def test_csv_writes_nan_where_json_writes_null(self, tmp_path):
         main(["roots", "--config", self._roots_cfg(tmp_path, f"2.0 {SQRT2!r}")])
         out = tmp_path / "roots_out"
@@ -391,50 +404,69 @@ Ly = 14.0
             outputs.append([(tmp_path / "out" / name).read_bytes() for name in artifacts])
         assert outputs[0] == outputs[1]
 
-    # sha256 of the solve and sweep artifacts on a 32x32x16 grid, computed while the
-    # sources were still upcast to complex128 as they were read
+    # sha256 of the solve and sweep artifacts on a 32x32x16 grid, computed with real sources
+    # transformed onto the half mesh
     PINNED = {
         "bin": {
-            "front.bin": "6ece653d1155566e17c07ea1e6430b80ad7d0e15b6604e3d8c6bfa97aef98168",
-            "front.json": "8b6ec0675b5a0e1e14912ad84ed202cfe4c7e8716b243261a0756651d9bfdb5a",
-            "sweep.json": "ea52cf99756381236542427c4ef778651847739a36fbec3ba8b13dfbf51c963d",
-            "sweep.csv": "1c40481ca827f2583113a74109d28730497c7a45309ef207f3ad772717c63a25",
+            "front.bin": "7d388adf18081bcb70972df533573617ba29b560d6507484cc0eac39eeb5144f",
+            "front.json": "c1c4744cd16f41d989a318c2b6ba580f4f2d8ed959bf4484082ad014119895bc",
+            "sweep.json": "0d6e05fe01aab8a3c01a9aaaab69eb0e3b23f6d01a957cd239a1848091571a5d",
+            "sweep.csv": "c765cf8e334307bb9fb77d71e9e64dd696dcc31fda72672b625f43f79f3f1db6",
         },
         "builtin": {
-            "front.bin": "850089b88b5109657ba6ddeb33cb15f5b66298a72a013535c680943801883a0f",
-            "front.json": "2baf5a20e310a8c7a5bd08e8b0cdb6ed475a8e4f8b09aa84dd5ef45f1917c5bd",
-            "sweep.json": "39983b3bfffafc02eeb100a315a0e3bdaac2af0e9157e5a4927bc853ceb90da7",
-            "sweep.csv": "dc768e5d109fa410ab4094d6e1c357d0d1cdd9d736a3ee11deffbd09e2cd84f4",
+            "front.bin": "a6f2d3e142b136ee2cb5969e5f566748c37652d4b44c06b265fe570f475b020b",
+            "front.json": "646fd98c35cd120f2862619cac5ac69c24ac13ca841b47a2891c7458df55b23a",
+            "sweep.json": "186be090beb5c3e011e1c9d66b3c00f110244d0968346600d313104dbc44e9fb",
+            "sweep.csv": "bd6d7fd011c0949aef6c2723eed522301d96e006fe18cc070499c52374ae5e7d",
         },
     }
+    PIN_GRID = GridSpec(nt=32, nx=32, ny=16, Lt=2 * math.pi, Lx=2 * math.pi, Ly=14.0)
+    PIN_CFG = "[params]\nv = 2.0\nc = 1.0\n\n[grid]\nnt = 32\nnx = 32\nny = 16\nLy = 14.0\n\n[solve]\n"
+
+    @staticmethod
+    def _seeded_pair(tmp_path, grid, imaginary=False, suffix=".bin") -> str:
+        """A seeded source pair written to files; returns the [solve] lines that name them.
+
+        Each side is a Gaussian envelope in (t, x1, x2) times 1 + 0.1 noise.  The noise is real, or
+        with ``imaginary`` complex: the pair the digests below were pinned on before sources were real.
+        """
+        rng = np.random.default_rng(5)
+        t, x, (y, _) = grid.t(), grid.x1(), grid.quadrature()
+        write = fileio.write_source_csv if suffix == ".csv" else fileio.write_source_bin
+        solve = ""
+        for side, centre in (("plus", 0.12), ("minus", 0.18)):
+            envelope = (
+                np.exp(-(((t - 0.4 * grid.Lt) / (0.1 * grid.Lt)) ** 2))[:, None, None]
+                * (1.0 + 0.5 * np.cos(x))[None, :, None]
+                * np.exp(-(((y - centre * grid.Ly) / (0.06 * grid.Ly)) ** 2))[None, None, :]
+            )
+            noise = rng.standard_normal(envelope.shape)
+            if imaginary:
+                noise = noise + 1j * rng.standard_normal(envelope.shape)
+            write(tmp_path / f"{side}{suffix}", envelope * (1.0 + 0.1 * noise), grid)
+            solve += f"source_{side} = {tmp_path / f'{side}{suffix}'}\n"
+        return solve
 
     @pytest.mark.parametrize("source", ["bin", "builtin"])
     def test_solve_and_sweep_artifacts_are_pinned(self, tmp_path, source):
-        grid = GridSpec(nt=32, nx=32, ny=16, Lt=2 * math.pi, Lx=2 * math.pi, Ly=14.0)
-        solve = ""
-        if source == "bin":
-            # a seeded complex pair: a Gaussian envelope in (t, x1, x2) times complex noise
-            rng = np.random.default_rng(5)
-            t, x, (y, _) = grid.t(), grid.x1(), grid.quadrature()
-            for side, centre in (("plus", 0.12), ("minus", 0.18)):
-                envelope = (
-                    np.exp(-(((t - 0.4 * grid.Lt) / (0.1 * grid.Lt)) ** 2))[:, None, None]
-                    * (1.0 + 0.5 * np.cos(x))[None, :, None]
-                    * np.exp(-(((y - centre * grid.Ly) / (0.06 * grid.Ly)) ** 2))[None, None, :]
-                )
-                noise = rng.standard_normal(envelope.shape) + 1j * rng.standard_normal(envelope.shape)
-                fileio.write_source_bin(tmp_path / f"{side}.bin", envelope * (1.0 + 0.1 * noise), grid)
-                solve += f"source_{side} = {tmp_path / f'{side}.bin'}\n"
-        cfg = _write(
-            tmp_path,
-            "pin.cfg",
-            f"[params]\nv = 2.0\nc = 1.0\n\n[grid]\nnt = 32\nnx = 32\nny = 16\nLy = 14.0\n\n[solve]\n{solve}",
-        )
+        solve = self._seeded_pair(tmp_path, self.PIN_GRID) if source == "bin" else ""
+        cfg = _write(tmp_path, "pin.cfg", self.PIN_CFG + solve)
         digests = {}
         for study, names in (("solve", ("front.bin", "front.json")), ("sweep", ("sweep.json", "sweep.csv"))):
             assert main([study, "--config", cfg, "--out", str(tmp_path / study)]) == 0
             digests.update({name: hashlib.sha256((tmp_path / study / name).read_bytes()).hexdigest() for name in names})
         assert digests == self.PINNED[source]
+
+    @pytest.mark.parametrize("suffix", [".bin", ".csv"])
+    @pytest.mark.parametrize("study", ["solve", "sweep"])
+    def test_a_complex_source_file_is_a_one_line_usage_error(self, tmp_path, capsys, study, suffix):
+        # the complex pair the digests were first pinned on; the plus side is read, and named, first
+        cfg = _write(tmp_path, "complex.cfg", self.PIN_CFG + self._seeded_pair(tmp_path, self.PIN_GRID, True, suffix))
+        assert main([study, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"vfs: source file {tmp_path / f'plus{suffix}'} has a non-zero imaginary part; sources are real"
+        ]
+        assert not any((tmp_path / "out").iterdir())
 
 
 class TestDiagram:

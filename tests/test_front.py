@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import source_from_spectral
+from conftest import half_mus, half_zeros, source_from_spectral
 from vsheet import front, grids, symbols
 from vsheet.front import (
     QuadratureUnderResolved,
@@ -31,9 +31,9 @@ def _grid(nt=16, nx=16, ny=64, Ly=26.0, gamma=1.0):
 
 
 def _exp_pair(grid, a=0.9, b=0.7, it=1, ix=2):
-    """Single-mode sources with exponential y-profiles e^{-a y}, e^{-b y}."""
+    """Single-mode half-mesh sources with exponential y-profiles e^{-a y}, e^{-b y}."""
     y, _ = grid.quadrature()
-    spec_p = np.zeros((grid.nt, grid.nx, grid.ny), dtype=complex)
+    spec_p = half_zeros(grid)
     spec_m = np.zeros_like(spec_p)
     spec_p[it, ix, :] = np.exp(-a * y)
     spec_m[it, ix, :] = np.exp(-b * y)
@@ -44,8 +44,8 @@ def _exp_pair(grid, a=0.9, b=0.7, it=1, ix=2):
 
 
 def _moment(fplus, fminus, params=M2):
-    """The source moment M = T+ - T- on the grid's frequency mesh."""
-    t_plus, t_minus = half_line_terms(fplus, fminus, *mu_pm(fplus.grid.freq_mesh(), params))
+    """The source moment M = T+ - T- on the grid's half mesh."""
+    t_plus, t_minus = half_line_terms(fplus, fminus, *half_mus(fplus.grid, params))
     return t_plus - t_minus
 
 
@@ -100,15 +100,15 @@ class TestSourceField:
 class TestSourceMoment:
     def test_zero_sources(self):
         g = _grid()
-        zp = source_from_spectral(np.zeros((16, 16, 64), dtype=complex), Side.PLUS, g)
-        zm = source_from_spectral(np.zeros((16, 16, 64), dtype=complex), Side.MINUS, g)
+        zp = source_from_spectral(half_zeros(g), Side.PLUS, g)
+        zm = source_from_spectral(half_zeros(g), Side.MINUS, g)
         assert np.max(np.abs(_moment(zp, zm))) == 0.0
 
     def test_exponential_closed_form(self):
         a = 0.9
         g = _grid(ny=128, Ly=26.0)
         fp, fm = _exp_pair(g, a=a)
-        fm = source_from_spectral(np.zeros((16, 16, 128), dtype=complex), Side.MINUS, g)
+        fm = source_from_spectral(half_zeros(g), Side.MINUS, g)
         freq = g.freq_mesh()[1, 2]
         mp, _ = mu_pm(freq, M2)
         got = _moment(fp, fm)[1, 2]
@@ -144,7 +144,7 @@ class TestSourceMoment:
         # but the neglected mu-weighted tail is far above 1e-10
         g = _grid(ny=8, Ly=2.0)
         y, _ = g.quadrature()
-        spec = np.zeros((16, 16, 8), dtype=complex)
+        spec = half_zeros(g)
         spec[1, 1, :] = np.exp(-8.0 * y)
         fp = source_from_spectral(spec, Side.PLUS, g)
         fm = source_from_spectral(np.zeros_like(spec), Side.MINUS, g)
@@ -158,7 +158,7 @@ class TestSourceMoment:
         # one mode of g is mesh indexing; it is -(mu+ mu- / (mu+ + mu-)) (T+ - T-) with mu on the mesh
         g = _grid()
         fp, fm = _exp_pair(g)
-        mup, mum = mu_pm(g.freq_mesh(), M2)
+        mup, mum = half_mus(g, M2)
         val = build_g(fp, fm, M2)[1, 2]
         assert val == (-(mup * mum / (mup + mum)) * _moment(fp, fm))[1, 2] and np.isfinite(val)
 
@@ -166,19 +166,19 @@ class TestSourceMoment:
 class TestBuildG:
     def test_zero_gives_zero(self):
         g = _grid()
-        zp = source_from_spectral(np.zeros((16, 16, 64), dtype=complex), Side.PLUS, g)
-        zm = source_from_spectral(np.zeros((16, 16, 64), dtype=complex), Side.MINUS, g)
+        zp = source_from_spectral(half_zeros(g), Side.PLUS, g)
+        zm = source_from_spectral(half_zeros(g), Side.MINUS, g)
         assert np.max(np.abs(build_g(zp, zm, M2))) == 0.0
 
     def test_mode_locality(self):
-        # single-mode sources produce a single-mode right-hand side
+        # single-mode sources produce a single-mode right-hand side: the mode and its mirror
         g = _grid()
         fp, fm = _exp_pair(g, it=3, ix=5)
         ghat = build_g(fp, fm, M2)
         mask = np.zeros_like(ghat, dtype=bool)
-        mask[3, 5] = True
+        mask[3, 5] = mask[13, 11] = True
         assert np.max(np.abs(ghat[~mask])) == 0.0
-        assert abs(ghat[3, 5]) > 0
+        assert abs(ghat[3, 5]) > 0 and ghat[13, 11] == np.conj(ghat[3, 5])
 
     def test_prefactor_against_moment(self):
         g = _grid()
@@ -220,21 +220,21 @@ class TestBuildG:
             build_g(fp, fm, M2)
 
 
-def _oracle_terms(fplus, fminus, mup, mum, index=...):
+def _oracle_terms(grid, spectra, mup, mum, index=...):
     """The unfactored kernel (exp(-mu y) F) @ w / mu per side, with its scale sum_j w_j |exp(-mu y_j) F_j| / |mu|."""
-    y, w = fplus.grid.quadrature()
+    y, w = grid.quadrature()
     out = []
-    for field, mu in ((fplus, np.asarray(mup)), (fminus, np.asarray(mum))):
-        integrand = np.exp(-mu[..., None] * y) * field.spectral[index]
+    for spectral, mu in zip(spectra, (np.asarray(mup), np.asarray(mum))):
+        integrand = np.exp(-mu[..., None] * y) * spectral[index]
         out.append((integrand @ w / mu, np.abs(integrand) @ w / np.abs(mu)))
     return out
 
 
 def _random_pair(grid, seed):
-    """Random complex spectral sources with an exp(-y/2) depth profile."""
+    """Random complex half-mesh spectral sources with an exp(-y/2) depth profile."""
     rng = np.random.default_rng(seed)
     y, _ = grid.quadrature()
-    shape = (grid.nt, grid.nx, grid.ny)
+    shape = (grid.nt, grid.half_nx, grid.ny)
     spectra = [(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.exp(-0.5 * y) for _ in range(2)]
     return source_from_spectral(spectra[0], Side.PLUS, grid), source_from_spectral(spectra[1], Side.MINUS, grid)
 
@@ -247,9 +247,9 @@ class TestHalfLineLayer:
         g = _grid(nt=64, nx=16, ny=ny)
         assert g.nt % front._KERNEL_ROWS
         fp, fm = _random_pair(g, seed=ny)
-        mus = mu_pm(g.freq_mesh(), M2)
-        for got, (want, scale) in zip(half_line_terms(fp, fm, *mus), _oracle_terms(fp, fm, *mus)):
-            assert got.shape == (g.nt, g.nx)
+        mus = half_mus(g, M2)
+        for got, (want, scale) in zip(half_line_terms(fp, fm, *mus), _oracle_terms(g, (fp.spectral, fm.spectral), *mus)):
+            assert got.shape == (g.nt, g.half_nx)
             assert np.all(np.abs(got - want) <= 1e-14 * scale)
 
     @pytest.mark.parametrize("ny", [4, 32, 96])
@@ -260,10 +260,12 @@ class TestHalfLineLayer:
         monkeypatch.setattr(grids, "map_chunks", no_pool)
         g = _grid(nt=16, nx=16, ny=ny)
         fp, fm = _random_pair(g, seed=ny + 1)
+        # the kernel runs on the full mesh of the pair here, as the closure takes any mode
+        spectra = np.array((g.expand(fp.spectral), g.expand(fm.spectral)))
         mus = np.array(mu_pm(g.freq_mesh(), M2))
-        terms = grids.closure_sums(g, np.array((fp.spectral, fm.spectral)), mus)[0]
+        terms = grids.closure_sums(g, spectra, mus)[0]
         for it, ix in ((0, 0), (1, 2), (8, 8), (15, 3), (5, 15)):
-            oracle = _oracle_terms(fp, fm, *mus[:, it, ix], index=(it, ix))
+            oracle = _oracle_terms(g, spectra, *mus[:, it, ix], index=(it, ix))
             for got, (want, scale) in zip(terms[:, it, ix], oracle):
                 assert np.ndim(got) == 0
                 assert abs(got - want) <= 1e-14 * scale
@@ -279,7 +281,7 @@ class TestHalfLineLayer:
         if pair == "swapped":
             fp, fm = fm, fp
         else:
-            fm = source_from_spectral(np.zeros((16, 16, 32), dtype=complex), Side.MINUS, _grid(ny=32))
+            fm = source_from_spectral(half_zeros(_grid(ny=32)), Side.MINUS, _grid(ny=32))
         with pytest.raises(ValueError, match=message):
             if caller == "build_g":
                 build_g(fp, fm, M2)
@@ -294,9 +296,9 @@ class TestHalfLineLayer:
         fp, _ = _exp_pair(g, it=2, ix=3)
         fm = source_from_spectral(np.zeros_like(fp.spectral), Side.MINUS, g)
         mup, mum = mu_pm(g.freq_mesh(), params)
-        t_plus, t_minus = half_line_terms(fp, fm, mup, mum)
+        t_plus, t_minus = half_line_terms(fp, fm, g.half(mup), g.half(mum))
         assert np.all(t_minus == 0.0)
-        assert np.array_equal(build_g(fp, fm, params), -(mup * mum / (mup + mum)) * t_plus)
+        assert np.array_equal(build_g(fp, fm, params), -(mup * mum / (mup + mum)) * g.expand(t_plus))
         pp, _ = solve_half_space(fp, fm, g.freq_mesh()[2, 3], 0.0, params)
         # the pressure takes scalar mu: scalar and ufunc paths may differ by an ulp
         want = t_plus[2, 3] / (2.0 * params.c**2)

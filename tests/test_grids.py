@@ -187,52 +187,88 @@ class TestFindMode:
             find_mode(self.grid, Frequency(2.0, point.delta, point.eta))
 
 
+class TestHalfMesh:
+    @pytest.mark.parametrize("nt, nx", [(1, 1), (2, 2), (4, 1), (8, 16), (16, 4)])
+    def test_mirror_expand_and_counts_agree(self, nt, nx):
+        g = _grid(nt=nt, nx=nx)
+        assert g.half_nx == nx // 2 + 1 and g.column_counts.shape == (g.half_nx,)
+        rng = np.random.default_rng(nt * nx)
+        half = rng.standard_normal((nt, g.half_nx, 3)) + 1j * rng.standard_normal((nt, g.half_nx, 3))
+        full = g.expand(half)
+        assert full.shape == (nt, nx, 3) and np.array_equal(g.half(full), half)
+        for it, ix in np.ndindex(nt, nx):
+            hit, hix, conj = g.mirror(it, ix)
+            assert conj == (ix > nx // 2) and 0 <= hix < g.half_nx
+            assert np.array_equal(full[it, ix], np.conj(half[hit, hix]) if conj else half[hit, hix])
+        # every half-mesh column stands for as many full-mesh columns as mirror onto it
+        hits = np.bincount([g.mirror(0, ix)[1] for ix in range(nx)], minlength=g.half_nx)
+        assert np.array_equal(g.column_counts, hits)
+        assert np.array_equal(g.expand(half, [nt // 2]), full[[nt // 2]])
+
+    def test_the_mirror_is_the_negated_frequency_off_the_nyquist_row(self):
+        g = _grid(nt=8, nx=16)
+        deltas, etas = g.delta(), g.eta()
+        for it, ix in np.ndindex(g.nt, g.nx):
+            hit, hix, conj = g.mirror(it, ix)
+            if conj:
+                assert etas[hix] == -etas[ix]
+                assert (deltas[hit] == -deltas[it]) == (it != g.nyquist_row)
+        # the last half-mesh column keeps fftfreq's eta = -pi nx / Lx
+        assert etas[g.half_nx - 1] == -np.pi * g.nx / g.Lx
+
+
 class TestTransforms:
     def test_round_trip(self):
         g = _grid()
         rng = np.random.default_rng(0)
-        raw = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-        back = inverse_transform(forward_transform(raw, g), g)
+        raw = rng.standard_normal((16, 16))
+        back = inverse_transform(g.expand(forward_transform(raw, g)), g)
         assert np.max(np.abs(back - raw)) < 1e-13
 
     def test_round_trip_with_trailing_axis(self):
         g = _grid()
         rng = np.random.default_rng(1)
         raw = rng.standard_normal((16, 16, 5))
-        back = inverse_transform(forward_transform(raw, g), g)
+        back = inverse_transform(g.expand(forward_transform(raw, g)), g)
         assert np.max(np.abs(back - raw)) < 1e-13
 
     @pytest.mark.parametrize(
         "trailing, dtype",
-        [(shape, dtype) for dtype in (np.complex128, np.complex64) for shape in ((13,), (3, 5), ())],
-        ids=["13", "3x5", "none", "13-complex64", "3x5-complex64", "none-complex64"],
+        [(shape, dtype) for dtype in (np.float64, np.float32) for shape in ((13,), (3, 5), ())],
+        ids=["13", "3x5", "none", "13-float32", "3x5-float32", "none-float32"],
     )
     def test_slices_match_one_transform(self, trailing, dtype, monkeypatch):
         # 13 trailing columns are slices of 8 and 5; (3, 5) collapses to 15 columns.
-        # A complex64 source transforms bit for bit as its complex128 cast.
+        # A float32 source transforms bit for bit as its float64 cast.
         g = _grid()
         rng = np.random.default_rng(3)
         shape = (16, 16) + trailing
-        raw = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(dtype)
-        damp = np.exp(-g.gamma * g.t()).reshape((16,) + (1,) * (raw.ndim - 1))
-        want = g.cell * np.fft.fft2(damp * raw.astype(np.complex128), axes=(0, 1))
+        raw = rng.standard_normal(shape).astype(dtype)
+        damp = g.cell * np.exp(-g.gamma * g.t()).reshape((16,) + (1,) * (raw.ndim - 1))
+        want = np.fft.rfft2(damp * raw.astype(np.float64), axes=(0, 1))
         for threads in ("1", "2"):
             monkeypatch.setenv("VFS_THREADS", threads)
             got = forward_transform(raw, g)
-            assert got.shape == shape and got.dtype == np.complex128
+            assert got.shape == (16, 9) + trailing and got.dtype == np.complex128
             assert got.tobytes() == want.tobytes()
+
+    def test_a_complex_field_is_rejected(self):
+        g = _grid()
+        with pytest.raises(ValueError, match="^the forward transform takes a real field, got complex128$"):
+            forward_transform(np.zeros((16, 16), dtype=complex), g)
 
     def test_single_mode_spike(self):
         g = _grid()
         t, x = g.t(), g.x1()
-        # e^{gamma t} cancels the window; mode (2, -3) lands on one bin
-        raw = np.exp(g.gamma * t)[:, None] * np.exp(1j * (2 * t[:, None] + -3 * x[None, :]))
-        hat = forward_transform(raw, g)
+        # e^{gamma t} cancels the window; the real mode 2 cos(2 t - 3 x) lands on bin (2, -3) and its mirror
+        raw = np.exp(g.gamma * t)[:, None] * 2.0 * np.cos(2 * t[:, None] + -3 * x[None, :])
+        hat = g.expand(forward_transform(raw, g))
         it = list(np.round(g.delta()).astype(int)).index(2)
         ix = list(np.round(g.eta()).astype(int)).index(-3)
         expected = g.Lt * g.Lx
-        assert abs(hat[it, ix] - expected) < 1e-9 * expected
-        hat[it, ix] = 0.0
+        for mode in ((it, ix), (-it % g.nt, -ix % g.nx)):
+            assert abs(hat[mode] - expected) < 1e-9 * expected
+            hat[mode] = 0.0
         assert np.max(np.abs(hat)) < 1e-9 * expected
 
     def test_parseval(self):
@@ -240,7 +276,7 @@ class TestTransforms:
         rng = np.random.default_rng(2)
         raw = rng.standard_normal((16, 16))
         windowed = np.exp(-g.gamma * g.t())[:, None] * raw
-        hat = forward_transform(raw, g)
+        hat = g.expand(forward_transform(raw, g))
         lhs = np.sum(np.abs(windowed) ** 2) * g.cell
         rhs = np.sum(np.abs(hat) ** 2) / (g.Lt * g.Lx)
         assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -294,23 +330,24 @@ class TestNorms:
         u = rng.standard_normal((16, 16))
         assert weighted_norm(u, g, s + 0.5) >= weighted_norm(u, g, s) * (1.0 - 1e-12)
 
-    @pytest.mark.parametrize("shape", [(4, 8, 2), (32, 16, 8), (64, 8, 24)], ids=["4x8x2", "32x16x8", "64x8x24"])
+    @pytest.mark.parametrize("shape", [(4, 8, 2), (32, 16, 8), (64, 8, 24), (8, 1, 8), (8, 2, 8)])
     @pytest.mark.parametrize("s", [0.0, 1.5])
-    def test_blocked_squares_equal_one_sum(self, shape, s):
-        # the row-blocked sum against the one np.sum over (delta, eta) it replaces
+    def test_half_line_norm_is_the_full_mesh_sum(self, shape, s):
+        # the half mesh, weighted by column counts, against one np.sum over the full mesh it stands for
         g = _grid(*shape)
         rng = np.random.default_rng(5)
-        u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        half_shape = (g.nt, g.half_nx, g.ny)
+        u = rng.standard_normal(half_shape) + 1j * rng.standard_normal(half_shape)
         w = g.freq_mesh().lam ** s
-        want = np.sum((w[:, :, None] * np.abs(u)) ** 2, axis=(0, 1)) / (g.Lt * g.Lx)
-        assert grids._weighted_squares(u, g, s, Space.PLAIN, None).tobytes() == want.tobytes()
-        assert half_line_norm(u, g, s) == float(np.sqrt(np.dot(g.quadrature()[1], want)))
+        squares = np.sum((w[:, :, None] * np.abs(g.expand(u))) ** 2, axis=(0, 1)) / (g.Lt * g.Lx)
+        want = float(np.sqrt(np.dot(g.quadrature()[1], squares)))
+        assert half_line_norm(u, g, s) == pytest.approx(want, rel=1e-14)
 
     def test_half_line_norm_combines_layers(self):
         g = _grid(ny=8)
         y, w = g.quadrature()
-        u = np.zeros((16, 16, 8), dtype=complex)
+        u = np.zeros((16, 9, 8), dtype=complex)
         u[0, 0, :] = 1.0  # constant profile in y at one frequency bin
         total = half_line_norm(u, g, 0.0)
-        per_layer = weighted_norm(u[:, :, 0], g, 0.0)
+        per_layer = weighted_norm(g.expand(u)[:, :, 0], g, 0.0)
         assert total == pytest.approx(per_layer * np.sqrt(np.sum(w)), rel=1e-12)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import source_from_spectral
+from conftest import half_mus, half_zeros, source_from_spectral
 from vsheet import grids, pressure
 from vsheet.front import Side, half_line_terms
 from vsheet.grids import GridSpec
@@ -68,7 +68,7 @@ def _grid(ny=96, Ly=30.0, nt=8, nx=8):
 
 def _exp_fields(grid, a=0.9, b=0.7, it=1, ix=2, scale_m=1.0):
     y, _ = grid.quadrature()
-    spec_p = np.zeros((grid.nt, grid.nx, grid.ny), dtype=complex)
+    spec_p = half_zeros(grid)
     spec_m = np.zeros_like(spec_p)
     spec_p[it, ix, :] = np.exp(-a * y)
     spec_m[it, ix, :] = scale_m * np.exp(-b * y)
@@ -79,7 +79,7 @@ def _exp_fields(grid, a=0.9, b=0.7, it=1, ix=2, scale_m=1.0):
 
 
 def _zero_fields(grid):
-    z = np.zeros((grid.nt, grid.nx, grid.ny), dtype=complex)
+    z = half_zeros(grid)
     return (
         source_from_spectral(z, Side.PLUS, grid),
         source_from_spectral(z.copy(), Side.MINUS, grid),
@@ -222,11 +222,11 @@ class TestSolveHalfSpace:
 
 
 def _random_fields(grid, seed):
-    """Seeded complex sources on every mode, under a Gaussian depth envelope."""
+    """Seeded complex sources on every mode of the half mesh, under a Gaussian depth envelope."""
     rng = np.random.default_rng(seed)
     y, _ = grid.quadrature()
     envelope = np.exp(-(((y - 0.15 * grid.Ly) / (0.06 * grid.Ly)) ** 2))
-    shape = (grid.nt, grid.nx, grid.ny)
+    shape = (grid.nt, grid.half_nx, grid.ny)
     return tuple(
         source_from_spectral((rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * envelope, side, grid)
         for side in (Side.PLUS, Side.MINUS)
@@ -234,10 +234,13 @@ def _random_fields(grid, seed):
 
 
 def _dense_values(prof, field, mode, c):
-    """The profile with its particular solution summed through the dense exp(-mu|y_i - y_j|) kernel."""
+    """The profile with its particular solution summed through the dense exp(-mu|y_i - y_j|) kernel.
+
+    The source at ``mode`` is read from the field's full mesh, so a mode past column nx/2 is its mirror's conjugate.
+    """
     y, w = field.grid.quadrature()
     kernel = np.exp(-prof.mu * np.abs(y[:, None] - y[None, :]))
-    particular = (kernel * field.spectral[mode][None, :]) @ w / (2.0 * prof.mu * c**2)
+    particular = (kernel * field.grid.expand(field.spectral)[mode][None, :]) @ w / (2.0 * prof.mu * c**2)
     return prof.amplitude * np.exp(-prof.mu * y) + particular
 
 
@@ -292,12 +295,12 @@ class TestSharedKernel:
         g = _grid(ny=ny, nt=16, nx=8)
         fields = _random_fields(g, ny)
         spectral = np.array([field.spectral for field in fields])
-        mus = np.array(mu_pm(g.freq_mesh(), M2))
+        mus = np.array(half_mus(g, M2))
         mesh = grids.closure_sums(g, spectral, mus)
         assert [part.shape for part in mesh] == [mus.shape, spectral.shape, spectral.shape]
         for got, want in zip(mesh[0], half_line_terms(*fields, *mus)):
             assert np.array_equal(got, want)
-        for it, ix in np.ndindex(g.nt, g.nx):
+        for it, ix in np.ndindex(g.nt, g.half_nx):
             mode = grids.closure_sums(g, spectral[:, it, ix], mus[:, it, ix])
             for got, want in zip(mode, mesh):
                 assert np.array_equal(got, want[:, it, ix])
