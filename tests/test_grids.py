@@ -330,7 +330,10 @@ class TestNorms:
         u = rng.standard_normal((16, 16))
         assert weighted_norm(u, g, s + 0.5) >= weighted_norm(u, g, s) * (1.0 - 1e-12)
 
-    @pytest.mark.parametrize("shape", [(4, 8, 2), (32, 16, 8), (64, 8, 24), (8, 1, 8), (8, 2, 8)])
+    @pytest.mark.parametrize(
+        "shape", [(4, 8, 2), (32, 16, 8), (64, 8, 24), (8, 1, 8), (8, 2, 8)],
+        ids=["4x8x2", "32x16x8", "64x8x24", "8x1x8", "8x2x8"],
+    )
     @pytest.mark.parametrize("s", [0.0, 1.5])
     def test_half_line_norm_is_the_full_mesh_sum(self, shape, s):
         # the half mesh, weighted by column counts, against one np.sum over the full mesh it stands for
