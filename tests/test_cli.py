@@ -404,8 +404,7 @@ Ly = 14.0
             outputs.append([(tmp_path / "out" / name).read_bytes() for name in artifacts])
         assert outputs[0] == outputs[1]
 
-    # sha256 of the solve and sweep artifacts on a 32x32x16 grid, computed with real sources
-    # transformed onto the half mesh
+    # sha256 of the solve and sweep artifacts on a 32x32x16 grid
     PINNED = {
         "bin": {
             "front.bin": "7d388adf18081bcb70972df533573617ba29b560d6507484cc0eac39eeb5144f",
@@ -428,7 +427,7 @@ Ly = 14.0
         """A seeded source pair written to files; returns the [solve] lines that name them.
 
         Each side is a Gaussian envelope in (t, x1, x2) times 1 + 0.1 noise.  The noise is real, or
-        with ``imaginary`` complex: the pair the digests below were pinned on before sources were real.
+        with ``imaginary`` complex, which a source may not be.
         """
         rng = np.random.default_rng(5)
         t, x, (y, _) = grid.t(), grid.x1(), grid.quadrature()
@@ -460,7 +459,7 @@ Ly = 14.0
     @pytest.mark.parametrize("suffix", [".bin", ".csv"])
     @pytest.mark.parametrize("study", ["solve", "sweep"])
     def test_a_complex_source_file_is_a_one_line_usage_error(self, tmp_path, capsys, study, suffix):
-        # the complex pair the digests were first pinned on; the plus side is read, and named, first
+        # the plus side is read, and named, first
         cfg = _write(tmp_path, "complex.cfg", self.PIN_CFG + self._seeded_pair(tmp_path, self.PIN_GRID, True, suffix))
         assert main([study, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.splitlines() == [
