@@ -171,7 +171,7 @@ def _study_roots(cfg: RunConfig) -> int:
         row["closed_form"] = closed = c * root_constants(params)
         if not closed > 0.0:
             # the relative error below has no scale
-            raise ValueError(f"roots: mach={mach:g}: the closed-form root cancels to {closed:g} in double precision")
+            raise ValueError(f"roots: mach={mach:g}: the closed-form root underflows to 0 in double precision")
         try:
             located = locate_roots(params, tolerance=cfg.roots["tolerance"])
         except NoRootFound as exc:

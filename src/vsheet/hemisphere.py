@@ -318,7 +318,8 @@ def sample_hemisphere(
         _check_points(block[:, start:stop].reshape(3, -1), gamma_floor)
 
     map_chunks(chunk, block.shape[1], _CHUNK // (tubes + zones))
-    return HemisphereSample(freqs=Frequency(*block.reshape(3, -1)[:, :n]), gamma_floor=gamma_floor)
+    # _check_points has passed every point, which is more than Frequency's own checks ask
+    return HemisphereSample(freqs=Frequency._trusted(*block.reshape(3, -1)[:, :n]), gamma_floor=gamma_floor)
 
 
 def _check_points(points: np.ndarray, gamma_floor: float) -> None:
@@ -374,11 +375,11 @@ def _in_root_tubes(freqs: Frequency, params: PhysicalParams) -> np.ndarray:
 
     The largest of the four dot products is ``|delta| d0 + |eta| e0``, bit
     for bit: ``gamma * 0`` adds an exact 0.0, sign flips are exact and
-    rounding is symmetric and monotone.
+    rounding is symmetric and monotone.  The angle is at most TUBE_RADIUS
+    where that dot product is at least cos(TUBE_RADIUS).
     """
     _, d0, e0 = root_points(params)[0]
-    dots = np.abs(freqs.delta) * d0 + np.abs(freqs.eta) * e0
-    return np.arccos(np.clip(dots, -1.0, 1.0)) <= TUBE_RADIUS
+    return np.abs(freqs.delta) * d0 + np.abs(freqs.eta) * e0 >= math.cos(TUBE_RADIUS)
 
 
 def _power_of_two_scalings(count: int, seed: int) -> np.ndarray:

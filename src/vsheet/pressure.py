@@ -69,14 +69,13 @@ def solve_half_space(
         A+ - A-             = I- - I+
         mu+ A+ + mu- A-     = mu+ I+ + mu- I- + 4 v tau i eta fhat / c^2
 
-    where I+- are the particular boundary values, and mu+- the grid's symbol
-    table at the mode, as :func:`front.build_g` used them; a mode past
-    column nx/2 takes its sources from the conjugated mirror on the half
-    mesh (:meth:`GridSpec.mirror`); the system's
-    determinant is mu+ + mu-, nonzero for gamma >= 1.  Raises ValueError for a
-    non-finite ``fhat`` or source sample at the mode, and DecayViolated when
-    the resulting profile is not negligible at the truncation depth (or not
-    finite).
+    where I+- are the particular boundary values and mu+- the grid's symbol
+    table at the mode, as :func:`front.build_g` used them.  The system's
+    determinant is mu+ + mu-, nonzero for gamma >= 1.  A mode past column
+    nx/2 takes its sources from the conjugated mirror on the half mesh
+    (:meth:`GridSpec.mirror`).  Raises ValueError for a non-finite ``fhat``
+    or source sample at the mode, and DecayViolated when the resulting
+    profile is not negligible at the truncation depth (or not finite).
     """
     if not np.isfinite(fhat):
         raise ValueError(f"fhat must be finite, got {fhat!r}")

@@ -165,11 +165,15 @@ class Frequency:
         return Frequency(k * self.gamma, k * self.delta, k * self.eta)
 
     def __getitem__(self, idx) -> "Frequency":
-        # every point of a validated batch is admissible: skip __post_init__
-        part = object.__new__(Frequency)
-        for name in ("gamma", "delta", "eta"):
-            object.__setattr__(part, name, np.asarray(getattr(self, name)[idx]))
-        return part
+        return Frequency._trusted(self.gamma[idx], self.delta[idx], self.eta[idx])
+
+    @classmethod
+    def _trusted(cls, gamma, delta, eta) -> "Frequency":
+        """A batch of points known to be admissible, such as a validated batch's, built without ``__post_init__``."""
+        freq = object.__new__(cls)
+        for name, value in zip(("gamma", "delta", "eta"), (gamma, delta, eta)):
+            object.__setattr__(freq, name, np.asarray(value))
+        return freq
 
 
 def _mu_branch(gamma, delta, eta, v, c, sign):
@@ -242,26 +246,22 @@ def big_sigma(freq: Frequency, params: PhysicalParams):
 def root_constants(params: PhysicalParams) -> float:
     """The positive root constant of the symbol for the current regime.
 
-    Elliptic (mach < sqrt(2)):      Y1 = sqrt(sqrt(4 M^2 + 1) - (M^2 + 1)),
-    root of Sigma at real tau = c * Y1 * |eta|.
-    Weakly stable (mach > sqrt(2)): Y2 = sqrt(M^2 + 1 - sqrt(4 M^2 + 1)),
-    simple roots at tau = +-i * c * Y2 * eta.
-
-    ValueError where M^2 overflows a double (M above ~1e153).  Below
-    M ~ 1e-8 the elliptic square cancels, and Y1 is 0.
+    Elliptic (mach < sqrt(2)): Y1, root of Sigma at real tau = c * Y1 * |eta|;
+    weakly stable: Y2, simple roots at tau = +-i * c * Y2 * eta.  Both are
+    Y^2 = M^2 * (|M^2 - 2| / (M^2 + 1 + sqrt(4 M^2 + 1))), the conjugate form of
+    |sqrt(4 M^2 + 1) - (M^2 + 1)|, which cancels; dividing first keeps it from
+    overflowing.  ValueError where sqrt(4 M^2 + 1) overflows (M above ~7e153).
     """
-    regime = params.regime()
-    if regime is Regime.DEGENERATE:
+    if params.regime() is Regime.DEGENERATE:
         raise ValueError("root constant is not defined at mach = sqrt(2)")
     try:
         m2 = params.mach**2
     except OverflowError:
         m2 = math.inf
     disc = math.sqrt(4.0 * m2 + 1.0)
-    square = disc - (m2 + 1.0) if regime is Regime.ELLIPTIC else m2 + 1.0 - disc
-    if not math.isfinite(square):
+    if not math.isfinite(disc):
         raise ValueError(f"the root constant at mach {params.mach:g} overflows double precision")
-    return math.sqrt(square)
+    return math.sqrt(m2 * (abs(m2 - 2.0) / (m2 + 1.0 + disc)))
 
 
 def weight_sigma(freq: Frequency, params: PhysicalParams):

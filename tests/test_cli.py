@@ -224,17 +224,28 @@ machs = {SQRT2!r}
         assert err == ["roots: mach=1.41421: degenerate regime (mach = sqrt(2)); no root to locate"]
 
     def test_a_mach_whose_square_overflows_is_a_one_line_usage_error(self, tmp_path, capsys):
-        assert main(["roots", "--config", self._roots_cfg(tmp_path, "2.0 1e300")]) == 2
-        assert capsys.readouterr().err.splitlines() == ["vfs: the root constant at mach 1e+300 overflows double precision"]
-        assert not (tmp_path / "roots_out" / "roots.json").exists()
+        # at 1e154 M^2 is finite and only 4 M^2 overflows: the root constant must not read 0 there
+        for mach in ("1e+300", "1e+154"):
+            assert main(["roots", "--config", self._roots_cfg(tmp_path, f"2.0 {mach}")]) == 2
+            assert capsys.readouterr().err.splitlines() == [f"vfs: the root constant at mach {mach} overflows double precision"]
+            assert not (tmp_path / "roots_out" / "roots.json").exists()
 
     def test_a_mach_whose_root_cancels_to_zero_is_a_one_line_usage_error(self, tmp_path, capsys):
         # the relative error of the located root would divide by zero
         assert main(["roots", "--config", self._roots_cfg(tmp_path, "2.0 1e-300")]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            "vfs: roots: mach=1e-300: the closed-form root cancels to 0 in double precision"
+            "vfs: roots: mach=1e-300: the closed-form root underflows to 0 in double precision"
         ]
         assert not (tmp_path / "roots_out" / "roots.json").exists()
+
+    def test_tiny_machs_locate_their_closed_form_root(self, tmp_path):
+        # sqrt(4 M^2 + 1) - (M^2 + 1) cancels at these machs; the closed form must not
+        machs = [1e-8, 1e-6, 1e-3, 0.5, 2.0]
+        assert main(["roots", "--config", self._roots_cfg(tmp_path, " ".join(map(repr, machs)))]) == 0
+        rows = json.loads((tmp_path / "roots_out" / "roots.json").read_text())
+        assert [r["mach"] for r in rows] == machs
+        for r in rows:
+            assert r["ok"] and r["rel_error"] < 1e-8, r
 
     def test_csv_writes_nan_where_json_writes_null(self, tmp_path):
         main(["roots", "--config", self._roots_cfg(tmp_path, f"2.0 {SQRT2!r}")])

@@ -301,16 +301,33 @@ class TestRootTubeMask:
     def _sample(mach: float) -> HemisphereSample:
         return sample_hemisphere(10**6, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6, PhysicalParams(v=mach, c=1.0), seed=1)
 
+    @staticmethod
+    def _across_the_boundary(params: PhysicalParams) -> np.ndarray:
+        """(3, 64 R) points at angular distance TUBE_RADIUS * (1 - 1e-9), then (1 + 1e-9), from each root point."""
+        alpha = np.linspace(0.0, np.pi, 32)[:, None]
+        points = []
+        for radius in TUBE_RADIUS * np.array([1.0 - 1e-9, 1.0 + 1e-9]):
+            for root in root_points(params):
+                # a unit tangent at the root in each direction with gamma >= 0 (roots have gamma = 0)
+                e1 = np.cross(root, [1.0, 0.0, 0.0])
+                tangent = np.cos(alpha) * e1 / np.linalg.norm(e1) + np.sin(alpha) * [1.0, 0.0, 0.0]
+                points.append(np.cos(radius) * root + np.sin(radius) * tangent)
+        return np.concatenate(points).T
+
     @pytest.mark.parametrize("mach", [1.415, 2.0, 3.0])
     def test_equals_the_arccos_of_the_largest_dot_product(self, mach, monkeypatch):
         params, sample = PhysicalParams(v=mach, c=1.0), self._sample(mach)
-        g, d, e = _rows(sample)
+        across = self._across_the_boundary(params)
+        g, d, e = np.concatenate([np.stack(_rows(sample)), across], axis=1)
+        freqs = Frequency(g, d, e)
         dots = functools.reduce(np.maximum, (g * r[0] + d * r[1] + e * r[2] for r in root_points(params)))
         angle = np.arccos(np.clip(dots, -1.0, 1.0))
+        # the points just inside a tube are in it
+        assert np.all(hemisphere._in_root_tubes(freqs, params)[len(sample) :][: across.shape[1] // 2])
         # the tube radius, then radii that put sample points exactly on the boundary of the tube
         for radius in [TUBE_RADIUS, *np.quantile(angle, [0.01, 0.1, 0.25], method="nearest")]:
             monkeypatch.setattr(hemisphere, "TUBE_RADIUS", radius)
-            mask = hemisphere._in_root_tubes(sample.freqs, params)
+            mask = hemisphere._in_root_tubes(freqs, params)
             np.testing.assert_array_equal(mask, angle <= radius)
             assert 0 < np.count_nonzero(mask) < len(mask)
 

@@ -1,11 +1,13 @@
 """Pointwise symbol layer: branches, regimes, homogeneity, frozen oracles.
 
 High-precision reference values were generated once with mpmath at 40
-significant digits and are frozen here as literals.
+significant digits and are frozen here as literals; the root constants are
+also checked against mpmath oracles computed in the test.
 """
 
 import pathlib
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -280,6 +282,18 @@ class TestRootConstants:
         for mach, y1 in Y1_ORACLE.items():
             got = root_constants(PhysicalParams(v=mach, c=1.0))
             assert abs(got - y1) < 1e-14, f"Y1({mach}) = {got}"
+
+    @pytest.mark.parametrize("mach", [1e-8, 1e-6, 1e-3, 1.4142, 1.415, 1e100])
+    def test_mpmath_oracles_to_rounding(self, mach):
+        # the oracle is taken from the exact binary mach; near sqrt(2) the bound is the
+        # conditioning of M^2 - 2 itself, elsewhere a few rounding errors
+        with mpmath.workdps(60):
+            m2 = mpmath.mpf(mach) ** 2
+            oracle = mpmath.sqrt(m2 * abs(m2 - 2) / (m2 + 1 + mpmath.sqrt(4 * m2 + 1)))
+            eps = np.finfo(np.float64).eps
+            bound = 2 * eps * mach**2 / abs(mach**2 - 2) if abs(mach - SQRT2) < 0.01 else 4e-16
+            got = root_constants(PhysicalParams(v=mach, c=1.0))
+            assert abs(got - oracle) <= bound * oracle, f"Y({mach}) = {got!r}, oracle {oracle}"
 
     def test_degenerate_raises(self):
         with pytest.raises(ValueError):
