@@ -285,11 +285,11 @@ class TestRootConstants:
 
     @pytest.mark.parametrize("mach", [1e-8, 1e-6, 1e-3, 1.4142, 1.415, 1e100])
     def test_mpmath_oracles_to_rounding(self, mach):
-        # the oracle is taken from the exact binary mach; near sqrt(2) the bound is the
-        # conditioning of M^2 - 2 itself, elsewhere a few rounding errors
+        # the defining difference, from the exact binary mach: at 60 digits its cancellation
+        # leaves over 40; near sqrt(2) the bound is the conditioning of M^2 - 2 itself
         with mpmath.workdps(60):
             m2 = mpmath.mpf(mach) ** 2
-            oracle = mpmath.sqrt(m2 * abs(m2 - 2) / (m2 + 1 + mpmath.sqrt(4 * m2 + 1)))
+            oracle = mpmath.sqrt(abs(mpmath.sqrt(4 * m2 + 1) - (m2 + 1)))
             eps = np.finfo(np.float64).eps
             bound = 2 * eps * mach**2 / abs(mach**2 - 2) if abs(mach - SQRT2) < 0.01 else 4e-16
             got = root_constants(PhysicalParams(v=mach, c=1.0))
