@@ -33,6 +33,7 @@ import dataclasses
 import enum
 import math
 import pathlib
+import sys
 
 from .grids import GridSpec
 from .hemisphere import SampleStrategy
@@ -80,6 +81,11 @@ _EXPECTED = {int: "an integer", float: "a number", tuple: "a list of numbers"}
 
 # A [diagram] range of more steps than this is rejected, before any mach is made.
 _MAX_DIAGRAM_STEPS = 1_000_000
+
+# The smallest [roots] mach whose square is a normal double.  Below it M^2 is
+# subnormal, and both the closed-form root constant and the located root lose
+# digits (at 1e-160 they differ by 3.7e-4 relative).
+_MIN_ROOTS_MACH = math.sqrt(sys.float_info.min)
 
 
 def mach_ladder(m_min: float, m_max: float, m_step: float) -> list[float]:
@@ -216,6 +222,11 @@ def load_config(
         value = sections[section][key]
         if not ok(value):
             raise ValueError(f"{path}: [{section}] {key} must be {requirement}, got {value!r}")
+    for mach in sections["roots"]["machs"]:
+        if mach < _MIN_ROOTS_MACH:
+            raise ValueError(
+                f"{path}: [roots] machs must be at least {_MIN_ROOTS_MACH!r}, where M^2 turns subnormal, got {mach!r}"
+            )
     if seed_override is not None and seed_override < 0:
         raise ValueError(f"--seed must be nonnegative, got {seed_override!r}")
     return RunConfig(

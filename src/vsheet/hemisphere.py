@@ -17,7 +17,10 @@ sample is a run of strata, made chunk by chunk on the worker pool, each
 chunk from its own slice of the sequence.  A stratum of a stratified sample
 is one root-tube point and three zone points, taken from two prefixes of one
 sequence; the other strategies have strata of one zone point.
-One rule, :func:`_passes`, decides every certificate, and one constructor,
+The certificate scans take the same chunks and evaluate each in fixed
+blocks through one helper, :func:`_scan`, so a scan holds the sample plus a
+bounded scratch of a few block-sized temporaries per worker.  One rule,
+:func:`_passes`, decides every certificate, and one constructor,
 :func:`_certificate`, turns the extrema of a sample scan into its record.
 Certificates are evidence obtained by dense sampling, not proofs.
 """
@@ -68,8 +71,11 @@ TUBE_RADIUS = 0.05
 # of one sequence, so neither aliases with the other's positions
 _STRATUM_EVERY = 4
 
-# sample points per chunk of a certificate scan and of the sampler
+# sample points per chunk of the sampler and of a certificate scan; a scan
+# evaluates each chunk in blocks of _BLOCK points, whose temporaries (0.5 MB
+# each in complex128) are its only scratch
 _CHUNK = 2**17
+_BLOCK = 2**15
 
 # low digits of the scrambled sequence tabulated per base: 2**17 and 3**11 entries
 _TABLE_DIGITS = {2: 17, 3: 11}
@@ -338,9 +344,27 @@ def _extrema(values: np.ndarray, where=True) -> tuple[int, float, float]:
 
 
 def _merge(parts) -> tuple[int, float, float]:
-    """Combine per-chunk extrema; a NaN anywhere propagates, as in np.min."""
+    """Combine per-block or per-chunk extrema; a NaN anywhere propagates, as in np.min."""
     counts, mins, maxs = zip(*parts)
     return int(sum(counts)), float(np.min(mins)), float(np.max(maxs))
+
+
+def _scan(sample: HemisphereSample, evaluate) -> list:
+    """For each part that ``evaluate`` returns, its per-chunk extrema over the sample.
+
+    ``evaluate(freqs)`` returns a tuple of :func:`_extrema` for a block of
+    the sample.  Each :data:`_CHUNK` of the sample runs on the worker pool
+    and is evaluated in blocks of :data:`_BLOCK` points, so a worker holds
+    one block's temporaries at a time.  The block edges depend only on the
+    sample size, and merging extrema is exact, so the result depends only on
+    the sample.
+    """
+
+    def chunk(start: int, stop: int):
+        blocks = (evaluate(sample.freqs[lo : min(lo + _BLOCK, stop)]) for lo in range(start, stop, _BLOCK))
+        return [_merge(part) for part in zip(*blocks)]
+
+    return list(zip(*map_chunks(chunk, len(sample), _CHUNK)))
 
 
 def _passes(vmin: float, vmax: float, bound: float = math.inf, limit: float | None = None) -> bool:
@@ -424,12 +448,11 @@ def certify_sandwich(
     if params.regime() is not Regime.WEAKLY_STABLE:
         raise ValueError("the sandwich bound is certified in the weakly stable regime only")
 
-    def chunk(start: int, stop: int):
-        freqs = sample.freqs[start:stop]
+    def evaluate(freqs: Frequency):
         ratio = sandwich_ratio(freqs, params)
         return _extrema(ratio), _extrema(ratio, _in_root_tubes(freqs, params))
 
-    whole, near = zip(*map_chunks(chunk, len(sample), _CHUNK))
+    whole, near = _scan(sample, evaluate)
     cert = _certificate("abs_sigma_big_over_weight_lambda", whole, sample, params, limit=explosion_threshold)
     near_count, near_min, near_max = _merge(near)
     cert.extras = {"near_root_count": near_count}
@@ -464,8 +487,7 @@ def certify_weight_bounds(
     if params.regime() is not Regime.WEAKLY_STABLE:
         raise ValueError("weight bounds are defined in the weakly stable regime only")
 
-    def chunk(start: int, stop: int):
-        freqs = sample.freqs[start:stop]
+    def evaluate(freqs: Frequency):
         wabs = np.abs(weight_sigma(freqs, params))
         near = _in_root_tubes(freqs, params)
         dist = _root_factor_distance(freqs, params)
@@ -475,7 +497,7 @@ def certify_weight_bounds(
             over_dist = wabs / dist
         return _extrema(over_gamma), _extrema(over_lam), _extrema(over_dist, near), _extrema(over_lam, ~near)
 
-    over_gamma, over_lam, over_dist, over_lam_far = zip(*map_chunks(chunk, len(sample), _CHUNK))
+    over_gamma, over_lam, over_dist, over_lam_far = _scan(sample, evaluate)
     return [
         _certificate("weight_over_gamma", over_gamma, sample, params),
         _certificate(

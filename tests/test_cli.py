@@ -217,12 +217,31 @@ machs = {SQRT2!r}
             assert not (tmp_path / "roots_out" / "roots.json").exists()
 
     def test_a_mach_whose_root_cancels_to_zero_is_a_one_line_usage_error(self, tmp_path, capsys):
-        # the relative error of the located root would divide by zero
-        assert main(["roots", "--config", self._roots_cfg(tmp_path, "2.0 1e-300")]) == 2
+        # M^2 underflows to 0 here, below the subnormal limit of the next test
+        cfg = self._roots_cfg(tmp_path, "2.0 1e-300")
+        assert main(["roots", "--config", cfg]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            "vfs: roots: mach=1e-300: the closed-form root underflows to 0 in double precision"
+            f"vfs: {cfg}: [roots] machs must be at least 1.4916681462400413e-154, where M^2 turns subnormal, got 1e-300"
         ]
         assert not (tmp_path / "roots_out" / "roots.json").exists()
+
+    def test_a_mach_whose_square_is_subnormal_is_a_one_line_usage_error(self, tmp_path, capsys):
+        # at 1e-160 the located root (1.00036e-160) and the closed form (9.99994e-161) both lose digits
+        cfg = self._roots_cfg(tmp_path, "2.0 1e-160")
+        assert main(["roots", "--config", cfg]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"vfs: {cfg}: [roots] machs must be at least 1.4916681462400413e-154, where M^2 turns subnormal, got 1e-160"
+        ]
+        assert not (tmp_path / "roots_out" / "roots.json").exists()
+
+    def test_the_smallest_mach_with_a_normal_square_locates_its_root(self, tmp_path):
+        limit = math.sqrt(sys.float_info.min)
+        assert math.nextafter(limit, 0.0) ** 2 < sys.float_info.min <= limit**2
+        machs = [limit, math.nextafter(limit, 1.0), 2e-154]
+        assert main(["roots", "--config", self._roots_cfg(tmp_path, " ".join(map(repr, machs)))]) == 0
+        rows = json.loads((tmp_path / "roots_out" / "roots.json").read_text())
+        assert [r["mach"] for r in rows] == machs
+        assert all(r["ok"] and r["rel_error"] < 1e-8 for r in rows)
 
     def test_csv_writes_nan_where_json_writes_null(self, tmp_path):
         main(["roots", "--config", self._roots_cfg(tmp_path, f"2.0 {SQRT2!r}")])

@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import json
 import warnings
 
 import numpy as np
@@ -418,6 +419,34 @@ class TestStreamingPass:
             cert = certify_sandwich(sample, M2)
             certify_weight_bounds(sample, M2)
         assert cert.passed
+
+
+class TestScanBlocks:
+    """The block size inside a scan chunk moves no certificate."""
+
+    N = 2**17 + 4321  # two chunks
+
+    @staticmethod
+    @functools.cache
+    def _sample() -> HemisphereSample:
+        return sample_hemisphere(TestScanBlocks.N, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6, M2, seed=7)
+
+    @staticmethod
+    def _records(sample: HemisphereSample) -> list[dict]:
+        return [c.to_json_dict() for c in [certify_sandwich(sample, M2, seed=7), *certify_weight_bounds(sample, M2)]]
+
+    # 1000 and 777 are not multiples of R = 4, so blocks start inside strata
+    @pytest.mark.parametrize("block", [1000, 777])
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_certificates_equal_the_default_blocks(self, block, threads, monkeypatch):
+        sample = self._sample()
+        default = self._records(sample)
+        monkeypatch.setattr(hemisphere, "_BLOCK", block)
+        monkeypatch.setenv("VFS_THREADS", threads)
+        blocked = self._records(sample)
+        # repr round-trips every double, so equal dumps are equal bits
+        assert json.dumps(blocked) == json.dumps(default)
+        assert len(blocked) == 5 and all(c["pass"] for c in blocked)
 
 
 class TestWeightBounds:

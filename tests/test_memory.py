@@ -1,4 +1,6 @@
-"""Memory of the sweep path: sources kept at file precision, one rung of spectral fields.
+"""Memory of the sweep path and of the certify scans.
+
+The sweep keeps its sources at file precision and one rung of spectral fields.
 
 The peak bound below was set from the measured tracemalloc peak of one
 three-rung sweep on a 128x128x16 grid (numpy 2.4, one or two worker
@@ -15,6 +17,15 @@ a rung builds it before its source fields and frees its solution, with the
 grid and table, before the next rung: 2.67 (one thread) to 2.85 (two).
 Keeping the previous rung's solution while the next rung is built gave 3.21
 to 3.34.
+
+A certify scan holds the sample plus a scratch of block-sized temporaries
+per worker.  The scan bound below was set from the measured tracemalloc
+peaks on a stratified sample of 4 * 2**17 points (numpy 2.4), in complex
+block arrays (``_BLOCK`` points of 16 bytes) per thread: the sandwich pass
+8.15 to 8.27 and the weight pass 5.81 to 6.01, at one or two threads.
+Scanning each whole 2**17-point chunk at once peaked at 29.1 to 32.3 (sandwich)
+and 23.1 to 24.0 (weight) blocks per thread, 16.9 MB for the sandwich at one
+thread.
 """
 
 import math
@@ -23,16 +34,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vsheet import fileio
+from vsheet import fileio, hemisphere
 from vsheet.cli import builtin_sources
 from vsheet.front import estimate_sweep
 from vsheet.grids import GridSpec
+from vsheet.hemisphere import SampleStrategy, certify_sandwich, certify_weight_bounds, sample_hemisphere
 from vsheet.symbols import PhysicalParams
 
 M2 = PhysicalParams(v=2.0, c=1.0)
 
 # spectral fields that one sweep may hold at its peak, beyond the sources themselves
 PEAK_FIELDS = 3.2
+
+# complex block arrays that one certify scan may hold at its peak, per worker thread
+SCAN_BLOCKS = 10
 
 
 def _grid(nt=128, nx=128, ny=16):
@@ -73,3 +88,18 @@ def test_a_sweep_holds_one_rung_of_spectral_fields(tmp_path, monkeypatch, thread
     finally:
         tracemalloc.stop()
     assert peak < sources + PEAK_FIELDS * field, (peak - sources) / field
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_certify_scan_holds_a_few_blocks_per_thread(monkeypatch, threads):
+    monkeypatch.setenv("VFS_THREADS", str(threads))
+    sample = sample_hemisphere(4 * hemisphere._CHUNK, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6, M2, seed=0)
+    block = hemisphere._BLOCK * np.dtype(np.complex128).itemsize
+    for scan in (certify_sandwich, certify_weight_bounds):
+        tracemalloc.start()
+        try:
+            scan(sample, M2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < threads * SCAN_BLOCKS * block, (scan.__name__, peak / (threads * block))
