@@ -12,6 +12,7 @@ tripped; codes 2 and 3 come with one ``vfs: ...`` line on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -106,17 +107,36 @@ def emit_heatmap(
 
 
 def _load_sources(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, GridSpec]:
-    """The configured (raw_plus, raw_minus, grid); ``builtin`` sides come from one builtin pair."""
+    """The configured (raw_plus, raw_minus, grid); ``builtin`` sides come from one builtin pair.
+
+    A source file's header sets the grid, unless the config has a ``[grid]``
+    section: then a header that differs from it is a ValueError naming the
+    file and the differing fields.
+    """
     specs = (cfg.solve["source_plus"], cfg.solve["source_minus"])
     builtin = builtin_sources(cfg.grid) if "builtin" in specs else (None, None)
     (raw_p, grid_p), (raw_m, grid_m) = (
-        (raw, cfg.grid) if spec == "builtin" else fileio.read_source(spec)
+        (raw, cfg.grid) if spec == "builtin" else _read_source(spec, cfg)
         for spec, raw in zip(specs, builtin)
     )
     if grid_p != grid_m:
         raise ValueError("plus and minus sources disagree on the grid")
     # read_source has rejected a non-zero imaginary part; the real parts are views
     return raw_p.real, raw_m.real, grid_p
+
+
+def _read_source(path: str, cfg: RunConfig) -> tuple[np.ndarray, GridSpec]:
+    """:func:`fileio.read_source`, with the header checked against a ``[grid]`` section when the config has one."""
+    raw, grid = fileio.read_source(path)
+    if cfg.grid_given and grid != cfg.grid:
+        fields = (f.name for f in dataclasses.fields(GridSpec))
+        differ = ", ".join(
+            f"{name.lower()} {getattr(grid, name)!r} (header) != {getattr(cfg.grid, name)!r} ([grid])"
+            for name in fields
+            if getattr(grid, name) != getattr(cfg.grid, name)
+        )
+        raise ValueError(f"source file {path}: its header differs from the config's [grid] in {differ}")
+    return raw, grid
 
 
 def _study_certify(cfg: RunConfig) -> int:

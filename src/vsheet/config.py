@@ -116,6 +116,8 @@ class RunConfig:
     diagram: dict
     heatmap: dict | None
     simple_root: dict
+    # whether the file has a [grid] section, which source file headers must then match
+    grid_given: bool
 
 
 def _convert(kind: type, raw: str):
@@ -244,4 +246,5 @@ def load_config(
         diagram=diagram,
         heatmap=heatmap if "heatmap" in present else None,
         simple_root=sections["simple_root"],
+        grid_given="grid" in present,
     )

@@ -14,7 +14,7 @@ import enum
 
 import numpy as np
 
-from .chunks import map_chunks
+from .chunks import BLOCK, CHUNK, map_chunks, scan_extrema
 from .grids import (
     GridSpec,
     Space,
@@ -25,7 +25,7 @@ from .grids import (
     real_source,
     weighted_norm,
 )
-from .symbols import NumericalGuard, PhysicalParams, Regime, big_sigma, mu_pm  # big_sigma, mu_pm: kept for perfbench/tracing.py
+from .symbols import Frequency, NumericalGuard, PhysicalParams, Regime, big_sigma, mu_pm  # big_sigma, mu_pm: kept for perfbench/tracing.py
 
 __all__ = [
     "Side",
@@ -165,6 +165,24 @@ def build_g(fplus: SourceField, fminus: SourceField, params: PhysicalParams) -> 
     return -(table.mup * table.mum / (table.mup + table.mum)) * (terms[0] - terms[1])
 
 
+def _check_order(s: float, grid: GridSpec) -> None:
+    """ValueError unless ``s`` is finite and the squared weight Lambda^(2(s+1)) of the order-(s+1) norms is finite on ``grid``.
+
+    Lambda >= gamma >= 1 on the mesh, so only a large positive ``s`` can
+    overflow, at the mesh's largest Lambda: the corner (nt/2, nx/2), where
+    fftfreq puts the largest |delta| and |eta|.
+    """
+    if not np.isfinite(s):
+        raise ValueError(f"s must be finite, got {s!r}")
+    lam = float(Frequency(grid.gamma, grid.delta()[grid.nt // 2], grid.eta()[grid.nx // 2]).lam)
+    try:
+        lam ** (2.0 * (s + 1.0))
+    except OverflowError:
+        raise ValueError(
+            f"s = {s!r} overflows the norm weight Lambda^(2(s+1)) at the grid's largest Lambda = {lam:.6g}"
+        ) from None
+
+
 @dataclasses.dataclass(frozen=True)
 class FrontSolution:
     """Front in both representations, its norms and a ``report`` of diagnostics."""
@@ -191,19 +209,21 @@ def solve_front(
     s+1 is reported together with the plain norms and the ratio against
     the plain norm of g (the shape of the closed estimate).  In the
     elliptic regime only plain norms are reported and the run is tagged.
-    Raises ValueError for a non-finite ``s`` and SymbolTooSmall when
-    |Sigma| < sigma_floor * Lambda^2 anywhere on the grid.
+    Raises ValueError for an ``s`` that :func:`_check_order` refuses and
+    SymbolTooSmall when |Sigma| < sigma_floor * Lambda^2 anywhere on the
+    grid; the least ratio and where it sits come from one
+    :func:`chunks.scan_extrema` over the mesh.
     """
-    if not np.isfinite(s):
-        raise ValueError(f"s must be finite, got {s!r}")
+    _check_order(s, grid)
     g_hat = np.asarray(g_hat, dtype=np.complex128)
     if g_hat.shape != (grid.nt, grid.nx):
         raise ValueError(f"expected g_hat of shape ({grid.nt}, {grid.nx}), got {g_hat.shape}")
     table = grid.symbol_table(params)
-    floor_ratio = np.abs(table.sigma_big) / grid.freq_mesh().lam**2
-    worst = float(np.min(floor_ratio))
+    sigma, lam = table.sigma_big.reshape(-1), grid.freq_mesh().lam.reshape(-1)
+    [floor] = scan_extrema(lambda lo, hi: [np.abs(sigma[lo:hi]) / lam[lo:hi] ** 2], sigma.size, CHUNK, BLOCK)
+    worst = floor.min
     if worst < sigma_floor:
-        idx = np.unravel_index(int(np.argmin(floor_ratio)), floor_ratio.shape)
+        idx = np.unravel_index(floor.argmin, table.sigma_big.shape)
         raise SymbolTooSmall(
             f"|Sigma|/Lambda^2 = {worst:.3e} < floor {sigma_floor:g} at "
             f"(delta, eta) = ({grid.delta()[idx[0]]:.6g}, {grid.eta()[idx[1]]:.6g})"
@@ -257,11 +277,16 @@ def estimate_sweep(
 
     The sources are real; a complex one is taken as its real part when
     its imaginary part is zero and is a ValueError naming the side otherwise.
+    An ``s`` that :func:`_check_order` refuses on the largest gamma's grid,
+    where Lambda is largest, is a ValueError before any rung is built, and
+    so is a rung whose source norm is 0 (all-zero sources, or Lambda^(2s)
+    underflowing), where the ratios are undefined.
     """
     if len(gammas) < 2:
         raise ValueError("a sweep needs at least two gamma values")
     if any(g < 1.0 for g in gammas):
         raise ValueError("sweep gammas must be >= 1")
+    _check_order(s, dataclasses.replace(grid, gamma=float(max(gammas))))
     weakly_stable = params.regime() is Regime.WEAKLY_STABLE
     # each source is checked and viewed as real once, not once per rung
     raw_plus = real_source(raw_plus, "plus-side source")
@@ -274,6 +299,10 @@ def estimate_sweep(
         fm = transform_source(raw_minus, Side.MINUS, g_grid)
         g_hat = build_g(fp, fm, params)
         rhs = sum(half_line_norm(field.spectral, g_grid, s) ** 2 for field in (fp, fm))
+        if rhs == 0.0:
+            raise ValueError(
+                f"the source norm sum ||F||^2_(L2 H^s) is 0 at gamma = {gamma!r}, s = {s!r}; the sweep ratios are undefined"
+            )
         # one rung's spectral fields at a time: freed before the front is solved and the next rung built
         del fp, fm
         sol = solve_front(g_hat, g_grid, params, s=s)

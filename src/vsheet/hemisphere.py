@@ -18,10 +18,12 @@ chunk from its own slice of the sequence.  A stratum of a stratified sample
 is one root-tube point and three zone points, taken from two prefixes of one
 sequence; the other strategies have strata of one zone point.
 The certificate scans take the same chunks and evaluate each in fixed
-blocks through one helper, :func:`_scan`, so a scan holds the sample plus a
-bounded scratch of a few block-sized temporaries per worker.  One rule,
-:func:`_passes`, decides every certificate, and one constructor,
-:func:`_certificate`, turns the extrema of a sample scan into its record.
+blocks through the one extremum scan, :func:`chunks.scan_extrema`, so a
+scan holds the sample plus a bounded scratch of a few block-sized
+temporaries per worker.  One rule, :func:`_passes`, decides every
+certificate, and one constructor, :func:`_certificate`, turns the located
+extrema of a sample scan into its record, with the sample points where its
+minimum and maximum sit.
 Certificates are evidence obtained by dense sampling, not proofs.
 """
 
@@ -35,7 +37,7 @@ import math
 
 import numpy as np
 
-from .chunks import map_chunks
+from .chunks import BLOCK, CHUNK, Extrema, extrema, map_chunks, scan_extrema
 from .symbols import (
     Frequency,
     InternalCheckFailed,
@@ -71,11 +73,9 @@ TUBE_RADIUS = 0.05
 # of one sequence, so neither aliases with the other's positions
 _STRATUM_EVERY = 4
 
-# sample points per chunk of the sampler and of a certificate scan; a scan
-# evaluates each chunk in blocks of _BLOCK points, whose temporaries (0.5 MB
-# each in complex128) are its only scratch
-_CHUNK = 2**17
-_BLOCK = 2**15
+# sample points per chunk of the sampler and of a certificate scan, and per
+# block of a scan: the scan's own cut (see chunks), which the sampler shares
+_CHUNK, _BLOCK = CHUNK, BLOCK
 
 # low digits of the scrambled sequence tabulated per base: 2**17 and 3**11 entries
 _TABLE_DIGITS = {2: 17, 3: 11}
@@ -137,13 +137,17 @@ class BoundCertificate:
     mach: float
     passed: bool
     extras: dict = dataclasses.field(default_factory=dict)
+    # the sample points [gamma, delta, eta] where the minimum and the maximum sit
+    min_point: list | None = None
+    max_point: list | None = None
 
     def to_json_dict(self) -> dict:
-        """The fields as a dict, ``passed`` written as ``pass``; empty ``extras`` are left out."""
+        """The fields as a dict, ``passed`` written as ``pass``; empty ``extras`` and absent points are left out."""
         rec = dataclasses.asdict(self)
         rec["pass"] = rec.pop("passed")
-        if not self.extras:
-            del rec["extras"]
+        for key in ("extras", "min_point", "max_point"):
+            if not rec[key]:
+                del rec[key]
         return rec
 
 
@@ -337,36 +341,6 @@ def _check_points(points: np.ndarray, gamma_floor: float) -> None:
         raise InternalCheckFailed(f"the hemisphere sampler made a point below gamma_floor = {gamma_floor!r}")
 
 
-def _extrema(values: np.ndarray, where=True) -> tuple[int, float, float]:
-    """(count, min, max) of ``values`` where ``where`` holds; empty gives (0, inf, -inf)."""
-    count = values.size if where is True else int(np.count_nonzero(where))
-    return count, np.min(values, where=where, initial=np.inf), np.max(values, where=where, initial=-np.inf)
-
-
-def _merge(parts) -> tuple[int, float, float]:
-    """Combine per-block or per-chunk extrema; a NaN anywhere propagates, as in np.min."""
-    counts, mins, maxs = zip(*parts)
-    return int(sum(counts)), float(np.min(mins)), float(np.max(maxs))
-
-
-def _scan(sample: HemisphereSample, evaluate) -> list:
-    """For each part that ``evaluate`` returns, its per-chunk extrema over the sample.
-
-    ``evaluate(freqs)`` returns a tuple of :func:`_extrema` for a block of
-    the sample.  Each :data:`_CHUNK` of the sample runs on the worker pool
-    and is evaluated in blocks of :data:`_BLOCK` points, so a worker holds
-    one block's temporaries at a time.  The block edges depend only on the
-    sample size, and merging extrema is exact, so the result depends only on
-    the sample.
-    """
-
-    def chunk(start: int, stop: int):
-        blocks = (evaluate(sample.freqs[lo : min(lo + _BLOCK, stop)]) for lo in range(start, stop, _BLOCK))
-        return [_merge(part) for part in zip(*blocks)]
-
-    return list(zip(*map_chunks(chunk, len(sample), _CHUNK)))
-
-
 def _passes(vmin: float, vmax: float, bound: float = math.inf, limit: float | None = None) -> bool:
     """The pass rule of every certificate: ``min > 0`` and ``max <= bound``.
 
@@ -377,14 +351,17 @@ def _passes(vmin: float, vmax: float, bound: float = math.inf, limit: float | No
 
 
 def _certificate(
-    name: str, parts, sample: HemisphereSample, params: PhysicalParams, bound: float = math.inf, limit: float | None = None
+    name: str, found: Extrema, sample: HemisphereSample, params: PhysicalParams, bound: float = math.inf, limit: float | None = None
 ) -> BoundCertificate:
-    """The certificate of merged per-chunk ``(count, min, max)`` under :func:`_passes`; an empty stratum FAILs."""
-    count, vmin, vmax = _merge(parts)
+    """The certificate of a sample scan's extrema under :func:`_passes`; an empty stratum FAILs."""
+    count, vmin, imin, vmax, imax = found
     floor, mach = sample.gamma_floor, params.mach
     if count == 0:
         return BoundCertificate(name, math.nan, math.nan, 0, floor, mach, False, {"reason": "empty stratum"})
-    return BoundCertificate(name, vmin, vmax, count, floor, mach, _passes(vmin, vmax, bound, limit))
+    f = sample.freqs
+    min_point, max_point = ([float(f.gamma[i]), float(f.delta[i]), float(f.eta[i])] for i in (imin, imax))
+    passed = _passes(vmin, vmax, bound, limit)
+    return BoundCertificate(name, vmin, vmax, count, floor, mach, passed, min_point=min_point, max_point=max_point)
 
 
 def _root_factor_distance(freqs: Frequency, params: PhysicalParams) -> np.ndarray:
@@ -448,23 +425,23 @@ def certify_sandwich(
     if params.regime() is not Regime.WEAKLY_STABLE:
         raise ValueError("the sandwich bound is certified in the weakly stable regime only")
 
-    def evaluate(freqs: Frequency):
+    def evaluate(lo: int, hi: int):
+        freqs = sample.freqs[lo:hi]
         ratio = sandwich_ratio(freqs, params)
-        return _extrema(ratio), _extrema(ratio, _in_root_tubes(freqs, params))
+        return ratio, (ratio, _in_root_tubes(freqs, params))
 
-    whole, near = _scan(sample, evaluate)
+    whole, near = scan_extrema(evaluate, len(sample), _CHUNK, _BLOCK)
     cert = _certificate("abs_sigma_big_over_weight_lambda", whole, sample, params, limit=explosion_threshold)
-    near_count, near_min, near_max = _merge(near)
-    cert.extras = {"near_root_count": near_count}
-    if near_count:
+    cert.extras = {"near_root_count": near.count}
+    if near.count:
         # a subset of the sample: its band lies inside the whole band, so it needs no check of its own
-        cert.extras.update(near_root_min=near_min, near_root_max=near_max)
+        cert.extras.update(near_root_min=near.min, near_root_max=near.max)
     if cert.passed:
         probe = sample.freqs[:_HOMOGENEITY_PROBE]
         scalings = _power_of_two_scalings(_N_SCALINGS, seed)
         ratio = sandwich_ratio(probe, params)
         rescaled = sandwich_ratio(probe.scaled(scalings[np.arange(probe.size) % _N_SCALINGS]), params)
-        dev = float(np.max(np.abs(rescaled - ratio) / ratio))
+        dev = extrema(np.abs(rescaled - ratio) / ratio).max
         cert.extras["homogeneity_deviation"] = dev
         cert.passed = dev <= 1e-12
     return cert
@@ -487,7 +464,8 @@ def certify_weight_bounds(
     if params.regime() is not Regime.WEAKLY_STABLE:
         raise ValueError("weight bounds are defined in the weakly stable regime only")
 
-    def evaluate(freqs: Frequency):
+    def evaluate(lo: int, hi: int):
+        freqs = sample.freqs[lo:hi]
         wabs = np.abs(weight_sigma(freqs, params))
         near = _in_root_tubes(freqs, params)
         dist = _root_factor_distance(freqs, params)
@@ -495,9 +473,9 @@ def certify_weight_bounds(
             over_gamma = wabs / freqs.gamma
             over_lam = wabs / freqs.lam
             over_dist = wabs / dist
-        return _extrema(over_gamma), _extrema(over_lam), _extrema(over_dist, near), _extrema(over_lam, ~near)
+        return over_gamma, over_lam, (over_dist, near), (over_lam, ~near)
 
-    over_gamma, over_lam, over_dist, over_lam_far = _scan(sample, evaluate)
+    over_gamma, over_lam, over_dist, over_lam_far = scan_extrema(evaluate, len(sample), _CHUNK, _BLOCK)
     return [
         _certificate("weight_over_gamma", over_gamma, sample, params),
         _certificate(
@@ -590,8 +568,8 @@ def certify_simple_root(
 
     def band(r: float) -> tuple[float, float]:
         freqs = Frequency(r * np.cos(phi), delta0 + r * np.sin(phi), np.full_like(phi, eta0))
-        q = np.abs(big_sigma(freqs, params)) / r
-        return float(np.min(q)), float(np.max(q))
+        found = extrema(np.abs(big_sigma(freqs, params)) / r)
+        return found.min, found.max
 
     qmin, qmax = band(radius)
     smin, smax = band(radius * _SHRINK)

@@ -131,7 +131,8 @@ n_eta = 3
 
     def test_ratio_heatmap_and_certificates_are_pinned(self, tmp_path):
         # sha256 of both artifacts at seed 3, n = 3001, stratified; certificates.json
-        # without the sandwich's former duplicate key weight_over_lambda_max
+        # without the sandwich's former duplicate key weight_over_lambda_max, and
+        # hashed with the located points min_point and max_point set aside
         cfg = _certify_cfg(
             tmp_path,
             n=3001,
@@ -148,9 +149,17 @@ n_eta = 31
 """,
         )
         assert main(["certify", "--config", cfg, "--seed", "3"]) == 0
+        out = tmp_path / "cert_out"
+        records = json.loads((out / "certificates.json").read_text())
+        # the five sample certificates locate their extrema; the simple-root arcs are not a sample
+        assert [("min_point" in r, "max_point" in r) for r in records] == [(True, True)] * 5 + [(False, False)]
+        for record in records:
+            record.pop("min_point", None), record.pop("max_point", None)
+        # the rest is written as fileio.write_json writes it
+        stripped = (json.dumps(records, indent=2, sort_keys=True) + "\n").encode()
         digests = {
-            name: hashlib.sha256((tmp_path / "cert_out" / name).read_bytes()).hexdigest()
-            for name in ("heatmap.csv", "certificates.json")
+            "heatmap.csv": hashlib.sha256((out / "heatmap.csv").read_bytes()).hexdigest(),
+            "certificates.json": hashlib.sha256(stripped).hexdigest(),
         }
         assert digests == {
             "heatmap.csv": "fcc8cc242cc5002549dd85016e2d0fd84fb5556ffdccf3ece017f4bf4b6dda71",
@@ -474,6 +483,51 @@ Ly = 14.0
         ]
         assert not any((tmp_path / "out").iterdir())
 
+    @pytest.mark.parametrize("edit, differ", [
+        ("gamma = 3.0\n", "gamma 1.0 (header) != 3.0 ([grid])"),
+        ("nt = 64\n", "nt 32 (header) != 64 ([grid])"),
+    ])
+    @pytest.mark.parametrize("study", ["solve", "sweep"])
+    def test_a_source_header_that_differs_from_grid_is_a_one_line_usage_error(self, tmp_path, capsys, study, edit, differ):
+        solve = self._seeded_pair(tmp_path, self.PIN_GRID)
+        config = self.PIN_CFG.replace("nt = 32\n", "") + edit
+        cfg = _write(tmp_path, "differ.cfg", config.replace("[solve]\n", "") + "\n[solve]\n" + solve)
+        assert main([study, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        if edit.startswith("nt"):
+            assert capsys.readouterr().err.splitlines() == [
+                f"vfs: source file {tmp_path / 'plus.bin'}: its header differs from the config's [grid] in {differ}"
+            ]
+        else:
+            # an nt left out of [grid] is its default 64, which the header differs from as well
+            assert capsys.readouterr().err.splitlines() == [
+                f"vfs: source file {tmp_path / 'plus.bin'}: its header differs from the config's [grid] in "
+                f"nt 32 (header) != 64 ([grid]), {differ}"
+            ]
+        assert not any((tmp_path / "out").iterdir())
+
+    def test_without_grid_a_source_header_sets_the_grid(self, tmp_path):
+        cfg = _write(tmp_path, "header.cfg", "[params]\nv = 2.0\nc = 1.0\n\n[solve]\n" + self._seeded_pair(tmp_path, self.PIN_GRID))
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert json.loads((tmp_path / "out" / "front.json").read_text())["grid"]["nt"] == 32
+
+    @pytest.mark.parametrize("trigger", ["zero files", "s = -400"])
+    def test_a_zero_source_norm_is_a_one_line_usage_error(self, tmp_path, capsys, trigger):
+        if trigger == "zero files":
+            fileio.write_source_bin(tmp_path / "zero.bin", np.zeros((32, 32, 16)), self.PIN_GRID)
+            solve = f"source_plus = {tmp_path / 'zero.bin'}\nsource_minus = {tmp_path / 'zero.bin'}\n"
+            where = "gamma = 1.0, s = 0.0"
+        else:
+            # Lambda^(2s) underflows to 0 at every mode from the gamma = 4 rung on, where Lambda >= 4
+            solve, where = "[sweep]\ns = -400\n", "gamma = 4.0, s = -400.0"
+        cfg = _write(tmp_path, "zero.cfg", self.PIN_CFG + solve)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"vfs: the source norm sum ||F||^2_(L2 H^s) is 0 at {where}; the sweep ratios are undefined"
+        ]
+        assert not any((tmp_path / "out").iterdir())
+
 
 class TestDiagram:
     def test_flip_at_sqrt2_cell(self, tmp_path):
@@ -731,6 +785,8 @@ class TestExitCodes:
             ("solve", "solve", "s = inf"),
             ("sweep", "sweep", "s = nan"),
             ("sweep", "sweep", "s = -inf"),
+            ("solve", "solve", "s = 400"),
+            ("sweep", "sweep", "s = 400"),
         ],
     )
     def test_an_out_of_range_number_is_one_vfs_line(self, tmp_path, capsys, study, section, line):
@@ -742,8 +798,11 @@ class TestExitCodes:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main([study, "--config", cfg]) == 2
-        key = line.split(" = ")[0]
-        named = "s must be finite, got" if key == "s" else f"[{section}] {key} must be"
+        key, value = line.split(" = ")
+        if value == "400":
+            named = "s = 400.0 overflows the norm weight Lambda^(2(s+1))"
+        else:
+            named = "s must be finite, got" if key == "s" else f"[{section}] {key} must be"
         assert named in self._one_vfs_line(capsys)
 
     def test_certify_below_sqrt2_is_one_vfs_line(self, tmp_path, capsys):

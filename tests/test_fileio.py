@@ -301,7 +301,9 @@ class TestReadmeFileFormats:
     def test_certificate_keys(self):
         documented = re.search(r"\*\*Certificates `\.json`\*\* — a list of records `\{([^}]*)\}`", self._section())
         keys = documented.group(1).split(", ")
-        cert = BoundCertificate("r", 0.5, 2.0, 10, 1e-6, 2.0, True, extras={"radius": 1e-3})
+        points = dict(min_point=[1.0, 0.0, 0.0], max_point=[0.0, 0.6, 0.8])
+        cert = BoundCertificate("r", 0.5, 2.0, 10, 1e-6, 2.0, True, extras={"radius": 1e-3}, **points)
         assert sorted(cert.to_json_dict()) == sorted(keys)
+        # empty extras and absent points are left out
         bare = BoundCertificate("r", 0.5, 2.0, 10, 1e-6, 2.0, True)
-        assert sorted(bare.to_json_dict()) == sorted(set(keys) - {"extras"})
+        assert sorted(bare.to_json_dict()) == sorted(set(keys) - {"extras", *points})

@@ -353,6 +353,37 @@ class TestSolveFront:
         with pytest.raises(SymbolTooSmall):
             solve_front(build_g(fp, fm, M2), g, M2, sigma_floor=10.0)
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_the_floor_message_names_the_reference_argmin(self, threads, monkeypatch):
+        # 4096 mesh points in chunks of 1000 and blocks of 777; |Sigma| is even in delta and
+        # eta, so the least ratio is tied at mirrored modes and the first in C order is named
+        monkeypatch.setattr(front, "CHUNK", 1000)
+        monkeypatch.setattr(front, "BLOCK", 777)
+        monkeypatch.setenv("VFS_THREADS", threads)
+        g = _grid(nt=64, nx=64, ny=16, Ly=14.0)
+        ratio = np.abs(g.symbol_table(M2).sigma_big) / g.freq_mesh().lam ** 2
+        it, ix = np.unravel_index(np.argmin(ratio), ratio.shape)
+        assert np.count_nonzero(ratio == ratio.min()) > 1
+        with pytest.raises(SymbolTooSmall) as trip:
+            solve_front(np.zeros((64, 64)), g, M2, sigma_floor=10.0)
+        assert str(trip.value) == (
+            f"|Sigma|/Lambda^2 = {ratio.min():.3e} < floor 10 at (delta, eta) = ({g.delta()[it]:.6g}, {g.eta()[ix]:.6g})"
+        )
+        # the report's floor is the same least ratio
+        assert solve_front(np.zeros((64, 64)), g, M2).report["symbol_floor"] == ratio.min()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_an_s_whose_norm_weight_overflows_is_refused(self):
+        g = _grid()
+        fp, fm = _exp_pair(g)
+        g_hat = build_g(fp, fm, M2)
+        with pytest.raises(ValueError, match=r"^s = 400\.0 overflows the norm weight Lambda\^\(2\(s\+1\)\)"):
+            solve_front(g_hat, g, M2, s=400.0)
+        # Lambda reaches sqrt(1 + 8^2 + 8^2) = 11.36 here, whose 2(s + 1)-th power overflows from s = 145.05 on
+        solve_front(g_hat, g, M2, s=145.0)
+        with pytest.raises(ValueError):
+            solve_front(g_hat, g, M2, s=145.1)
+
     def test_solution_solves_equation(self):
         g = _grid()
         fp, fm = _exp_pair(g)
@@ -404,3 +435,30 @@ class TestSweep:
         raw = _band_limited_real(g, seed=12)
         with pytest.raises(ValueError):
             estimate_sweep(raw, raw, g, M2, gammas=(0.5, 1.0))
+
+    def test_zero_sources_are_refused_naming_gamma_and_s(self):
+        g = _grid()
+        zero = np.zeros((g.nt, g.nx, g.ny))
+        with pytest.raises(ValueError, match=r"^the source norm .* is 0 at gamma = 1\.0, s = 0\.0;"):
+            estimate_sweep(zero, zero, g, M2, gammas=(1.0, 2.0))
+
+    def test_an_underflowing_source_norm_is_refused(self):
+        # Lambda^(2s) underflows to 0 at every mode of the gamma = 4 rung, where Lambda >= 4
+        g = _grid()
+        raw = _band_limited_real(g, seed=13)
+        with pytest.raises(ValueError, match=r"is 0 at gamma = 4\.0, s = -400\.0;"):
+            estimate_sweep(raw, raw, g, M2, gammas=(1.0, 4.0), s=-400.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_an_s_whose_norm_weight_overflows_is_refused(self, monkeypatch):
+        g = _grid()
+        raw = _band_limited_real(g, seed=14)
+        built = []
+        monkeypatch.setattr(front, "transform_source", lambda *args: built.append(args) or transform_source(*args))
+        with pytest.raises(ValueError, match=r"^s = 400\.0 overflows"):
+            estimate_sweep(raw, raw, g, M2, gammas=(1.0, 2.0), s=400.0)
+        # the largest gamma sets the largest Lambda, and no rung is built before the refusal
+        with pytest.raises(ValueError, match=r"^s = 130\.0 overflows .* Lambda = 15\.0997"):
+            estimate_sweep(raw, raw, g, M2, gammas=(1.0, 10.0), s=130.0)
+        assert not built
+        assert estimate_sweep(raw, raw, g, M2, gammas=(1.0, 2.0), s=130.0).rows

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from vsheet import hemisphere, symbols
+from vsheet import chunks, hemisphere, symbols
 from vsheet.hemisphere import (
     TUBE_RADIUS,
     HemisphereSample,
@@ -367,31 +367,40 @@ class TestSandwich:
 class TestStreamingPass:
     """The chunked single pass against an unchunked NumPy reference."""
 
-    def test_extrema_match_unchunked_reference(self, monkeypatch):
-        monkeypatch.setattr(hemisphere, "_CHUNK", 1000)  # four full chunks and a partial one
-        sample = sample_hemisphere(4321, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6, M2, seed=5)
+    @staticmethod
+    def _reference(sample: HemisphereSample) -> tuple[dict, np.ndarray]:
+        """Each sample certificate's values, unchunked, with the sample indices they sit at; and the tube mask."""
         f = sample.freqs
         g, d, e = np.asarray(f.gamma), np.asarray(f.delta), np.asarray(f.eta)
-        wabs = np.abs(weight_sigma(f, M2))
+        # the module's symbols, so that a test's patch reaches the reference too
+        wabs = np.abs(hemisphere.weight_sigma(f, M2))
         lam = np.asarray(f.lam)
-        ratio = np.abs(big_sigma(f, M2)) / (wabs * lam)
         dots = np.column_stack([g, d, e]) @ root_points(M2).T
         near = np.arccos(np.clip(dots.max(axis=1), -1.0, 1.0)) <= TUBE_RADIUS
         cy = M2.c * root_constants(M2)
         tau = g + 1j * d
         dist = np.minimum(np.abs(tau - 1j * cy * e), np.abs(tau + 1j * cy * e))
-        expected = {
-            "abs_sigma_big_over_weight_lambda": ratio,
-            "weight_over_gamma": wabs / g,
-            "weight_over_lambda": wabs / lam,
-            "weight_over_root_distance": wabs[near] / dist[near],
-            "weight_over_lambda_far": (wabs / lam)[~near],
-        }
+        every = np.arange(len(sample))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.abs(hemisphere.big_sigma(f, M2)) / (wabs * lam)
+            return {
+                "abs_sigma_big_over_weight_lambda": (ratio, every),
+                "weight_over_gamma": (wabs / g, every),
+                "weight_over_lambda": (wabs / lam, every),
+                "weight_over_root_distance": (wabs[near] / dist[near], every[near]),
+                "weight_over_lambda_far": ((wabs / lam)[~near], every[~near]),
+            }, near
+
+    def test_extrema_match_unchunked_reference(self, monkeypatch):
+        monkeypatch.setattr(hemisphere, "_CHUNK", 1000)  # four full chunks and a partial one
+        sample = sample_hemisphere(4321, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6, M2, seed=5)
+        expected, near = self._reference(sample)
+        ratio = expected["abs_sigma_big_over_weight_lambda"][0]
         sandwich = certify_sandwich(sample, M2)
         certs = [sandwich] + certify_weight_bounds(sample, M2)
         assert [c.ratio_name for c in certs] == list(expected)
         for cert in certs:
-            values = expected[cert.ratio_name]
+            values, _ = expected[cert.ratio_name]
             assert cert.empirical_min == np.min(values), cert.ratio_name
             assert cert.empirical_max == np.max(values), cert.ratio_name
             assert cert.sample_size == values.size, cert.ratio_name
@@ -401,6 +410,62 @@ class TestStreamingPass:
         # the largest |sigma| / Lambda is the weight_over_lambda certificate's maximum, checked above
         assert "weight_over_lambda_max" not in sandwich.extras
         assert sandwich.extras["homogeneity_deviation"] == 0.0
+
+    @pytest.mark.parametrize("plant", ["none", "ties", "nan"])
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_each_recorded_point_is_the_reference_argmin_or_argmax(self, plant, threads, monkeypatch):
+        sample = sample_hemisphere(4321, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6, M2, seed=5)
+        # a tube point and a zone point outside the tubes, so that each stratum holds a NaN
+        marked = sample.freqs.gamma[[1500, 2702]]
+        if plant == "ties":
+            # ties at 0 for the least ratios, and at inf for the largest, spread over every chunk
+            monkeypatch.setattr(
+                hemisphere, "big_sigma", lambda freqs, params: np.where(freqs.eta > 0.5, 0.0, symbols.big_sigma(freqs, params))
+            )
+            zero = lambda freqs: (freqs.delta < -0.6) & (freqs.eta < 0.0)  # noqa: E731, apart from the zeros of Sigma
+            _patched_weight(monkeypatch, lambda freqs, w: np.where(freqs.delta > 0.6, np.inf, np.where(zero(freqs), 0.0, w)))
+        elif plant == "nan":
+            _patched_weight(monkeypatch, lambda freqs, w: np.where(np.isin(freqs.gamma, marked), np.nan, w))
+        monkeypatch.setattr(hemisphere, "_CHUNK", 1000)
+        monkeypatch.setattr(hemisphere, "_BLOCK", 777)
+        monkeypatch.setenv("VFS_THREADS", threads)
+        expected, _ = self._reference(sample)
+        certs = [certify_sandwich(sample, M2)] + certify_weight_bounds(sample, M2)
+        points = np.column_stack(_rows(sample))
+        for cert in certs:
+            values, index = expected[cert.ratio_name]
+            if plant == "ties":
+                assert np.count_nonzero(values == np.min(values)) > 1 or np.count_nonzero(values == np.max(values)) > 1
+            if plant == "nan":
+                assert np.isnan(cert.empirical_min) and np.isnan(cert.empirical_max), cert.ratio_name
+            # each recorded point is the sample point at the reference index, bit for bit
+            for key, arg in (("min_point", np.argmin), ("max_point", np.argmax)):
+                assert getattr(cert, key) == points[index[arg(values)]].tolist(), (cert.ratio_name, key)
+            record = cert.to_json_dict()
+            assert record["min_point"] == cert.min_point and record["max_point"] == cert.max_point
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_the_scan_locates_like_numpy_with_ties_and_a_nan(self, threads, monkeypatch):
+        monkeypatch.setenv("VFS_THREADS", threads)
+        rng = np.random.default_rng(4)
+        # 40 distinct values over 4321 points: every extremum is tied across chunks and blocks
+        values = rng.integers(0, 40, 4321).astype(float)
+        mask = rng.random(values.size) < 0.3
+        none = np.zeros(values.size, dtype=bool)
+        for planted in (values, np.where(np.isin(np.arange(values.size), [2100, 3333]), np.nan, values)):
+            whole, masked, empty = chunks.scan_extrema(
+                lambda lo, hi: [planted[lo:hi], (planted[lo:hi], mask[lo:hi]), (planted[lo:hi], none[lo:hi])],
+                values.size, 1000, 777,
+            )
+            sub, at = planted[mask], np.flatnonzero(mask)
+            assert whole.argmin == np.argmin(planted) and whole.argmax == np.argmax(planted)
+            assert masked.argmin == at[np.argmin(sub)] and masked.argmax == at[np.argmax(sub)]
+            assert (whole.count, masked.count) == (values.size, np.count_nonzero(mask))
+            # min and max are the values at their indices, a NaN included
+            for found, ref in ((whole, planted), (masked, sub)):
+                np.testing.assert_array_equal([found.min, found.max], [np.min(ref), np.max(ref)])
+            # an empty part has no location
+            assert empty == (0, np.inf, None, -np.inf, None)
 
     def test_homogeneity_defect_fails_the_sandwich(self, monkeypatch):
         def skewed(freq, params):
@@ -422,7 +487,7 @@ class TestStreamingPass:
 
 
 class TestScanBlocks:
-    """The block size inside a scan chunk moves no certificate."""
+    """The block size inside a scan chunk moves no certificate and no located point."""
 
     N = 2**17 + 4321  # two chunks
 
@@ -444,9 +509,9 @@ class TestScanBlocks:
         monkeypatch.setattr(hemisphere, "_BLOCK", block)
         monkeypatch.setenv("VFS_THREADS", threads)
         blocked = self._records(sample)
-        # repr round-trips every double, so equal dumps are equal bits
+        # repr round-trips every double, so equal dumps are equal bits, the located points included
         assert json.dumps(blocked) == json.dumps(default)
-        assert len(blocked) == 5 and all(c["pass"] for c in blocked)
+        assert len(blocked) == 5 and all(c["pass"] and "min_point" in c and "max_point" in c for c in blocked)
 
 
 class TestWeightBounds:
