@@ -422,8 +422,11 @@ class TestStreamingPass:
             monkeypatch.setattr(
                 hemisphere, "big_sigma", lambda freqs, params: np.where(freqs.eta > 0.5, 0.0, symbols.big_sigma(freqs, params))
             )
-            zero = lambda freqs: (freqs.delta < -0.6) & (freqs.eta < 0.0)  # noqa: E731, apart from the zeros of Sigma
-            _patched_weight(monkeypatch, lambda freqs, w: np.where(freqs.delta > 0.6, np.inf, np.where(zero(freqs), 0.0, w)))
+            # the weight is inf at delta > 0.6 and 0 at delta < -0.6, eta < 0, away from the zeros of Sigma
+            _patched_weight(
+                monkeypatch,
+                lambda f, w: np.where(f.delta > 0.6, np.inf, np.where((f.delta < -0.6) & (f.eta < 0.0), 0.0, w)),
+            )
         elif plant == "nan":
             _patched_weight(monkeypatch, lambda freqs, w: np.where(np.isin(freqs.gamma, marked), np.nan, w))
         monkeypatch.setattr(hemisphere, "_CHUNK", 1000)
