@@ -23,8 +23,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-# points per chunk of a scan on the worker pool, and per block inside a chunk;
-# a block's temporaries (0.5 MB each in complex128) are a worker's only scratch
+# points per chunk of a scan (and of the hemisphere sampler) on the worker pool,
+# and per block inside a chunk; a block's temporaries (0.5 MB each in
+# complex128) are a worker's only scratch.  Read at call time, so a test may patch them.
 CHUNK = 2**17
 BLOCK = 2**15
 
@@ -113,15 +114,15 @@ def _join_all(parts) -> list[Extrema]:
     return functools.reduce(lambda acc, found: [_join(a, b) for a, b in zip(acc, found)], parts)
 
 
-def scan_extrema(evaluate, size: int, chunk: int, block: int) -> list[Extrema]:
+def scan_extrema(evaluate, size: int) -> list[Extrema]:
     """For each part that ``evaluate`` returns, its :class:`Extrema` over the flat indices ``range(size)``.
 
     ``evaluate(lo, hi)`` returns a sequence of parts for the indices
     ``[lo, hi)``: each a 1-d array of ``hi - lo`` values, or a pair
     ``(values, where)`` whose extrema are taken over the subset ``where``
-    holds.  The indices are cut into chunks of ``chunk`` on the worker
+    holds.  The indices are cut into chunks of :data:`CHUNK` on the worker
     pool (:func:`map_chunks`), and each chunk is evaluated in blocks of
-    ``block``, so a worker holds one block's temporaries at a time.  The
+    :data:`BLOCK`, so a worker holds one block's temporaries at a time.  The
     extrema are joined in index order, so the result, its indices
     included, is the same for any ``VFS_THREADS``, chunk or block size.
     ``size`` must be positive.
@@ -131,6 +132,6 @@ def scan_extrema(evaluate, size: int, chunk: int, block: int) -> list[Extrema]:
         return [extrema(*(part if isinstance(part, tuple) else (part,)), offset=lo) for part in evaluate(lo, hi)]
 
     def run(start: int, stop: int) -> list[Extrema]:
-        return _join_all(parts(lo, min(lo + block, stop)) for lo in range(start, stop, block))
+        return _join_all(parts(lo, min(lo + BLOCK, stop)) for lo in range(start, stop, BLOCK))
 
-    return _join_all(map_chunks(run, size, chunk))
+    return _join_all(map_chunks(run, size, CHUNK))

@@ -5,8 +5,8 @@ Every subcommand takes ``--config FILE`` plus optional ``--out DIR`` and
 output directory and prints a short human-readable summary.  Outputs are
 deterministic for a fixed config and seed.  Exit codes: 0 pass, 1 a
 certificate or check failed, 2 usage or config error (an ``OSError`` on an
-output or source path included), 3 a numerical guard or internal check
-tripped; codes 2 and 3 come with one ``vfs: ...`` line on stderr.
+output or source path and a ``MemoryError`` included), 3 a numerical guard or
+internal check tripped; codes 2 and 3 come with one ``vfs: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -286,6 +286,10 @@ def main(argv=None) -> int:
         return run(cfg)
     except (ValueError, OSError) as exc:
         print(f"vfs: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # an input too large for this machine, such as a [sample] n of 1e12
+        print(f"vfs: out of memory: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     except NumericalGuard as exc:
         print(f"vfs: {type(exc).__name__}: {exc}", file=sys.stderr)

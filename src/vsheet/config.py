@@ -16,14 +16,15 @@ Example::
     strategy = stratified_near_roots   ; or uniform_angular, quasi_random
     gamma_floor = 1e-6
 
-``SCHEMA`` is the one list of sections and keys.  Each key's default fixes
-its type; a bare type marks a required key.  An unknown section or key, a
-non-empty ``[DEFAULT]``, a value that does not parse, a missing required key
-and a malformed file are each rejected with one ``ValueError`` naming the
-file and the ``[section] key``; a ``[params]`` or ``[grid]`` value that
-``PhysicalParams`` or ``GridSpec`` refuses is reported with the file and
-the section.  ``#`` and ``;`` start comments, also after a value; every
-other character, ``%`` included, is taken literally.
+``SCHEMA`` is the one list of sections and keys.  Each key's default fixes its
+type; a bare type marks a required key.  A key with a range declares it beside
+its default, as a rule and the words that name it.  An unknown section or key,
+a non-empty ``[DEFAULT]``, a value that does not parse or is out of its key's
+range, a missing required key and a malformed file are each rejected with one
+``ValueError`` naming the file and the ``[section] key``; a ``[params]`` or
+``[grid]`` value that ``PhysicalParams`` or ``GridSpec`` refuses is reported
+with the file and the section.  ``#`` and ``;`` start comments, also after a
+value; every other character, ``%`` included, is taken literally.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import enum
 import math
 import pathlib
 import sys
+from typing import Callable, NamedTuple
 
 from .grids import GridSpec
 from .hemisphere import SampleStrategy
@@ -52,40 +54,72 @@ class HeatmapField(str, enum.Enum):
     RATIO = "ratio"
 
 
+class _Ranged(NamedTuple):
+    """A key's default and its range: a given value must pass ``ok``, which ``words`` state."""
+
+    default: object
+    ok: Callable[[object], bool]
+    words: str
+
+    def check(self, value, name: str) -> None:
+        """ValueError ``<name> must be <words>, got <value>`` unless ``value`` is in range."""
+        if not self.ok(value):
+            raise ValueError(f"{name} must be {self.words}, got {value!r}")
+
+
+class _Section(dict):
+    """A section's keys and their defaults; ``ranges`` holds the :class:`_Ranged` rule of each key that has one."""
+
+    def __init__(self, **keys):
+        super().__init__((key, spec.default if isinstance(spec, _Ranged) else spec) for key, spec in keys.items())
+        self.ranges = {key: spec for key, spec in keys.items() if isinstance(spec, _Ranged)}
+
+
+# The smallest [roots] mach whose square is a normal double.  Below it M^2 is subnormal, and both the
+# closed-form root constant and the located root lose digits (at 1e-160 they differ by 3.7e-4 relative).
+_MIN_ROOTS_MACH = math.sqrt(sys.float_info.min)
+
+# each range is written as "in range", which is False for NaN, so NaN is out of every range
+_FINITE = (lambda x: -math.inf < x < math.inf, "finite")
+_POSITIVE = (lambda x: 0.0 < x < math.inf, "finite and positive")
+_AT_LEAST_1 = (lambda x: x >= 1, "at least 1")
+
 SCHEMA = {
-    "run": {"study": "", "seed": 0, "out": "out"},
-    "params": {"v": float, "c": float},
-    "sample": {
-        "n": 20000,
-        "strategy": SampleStrategy.STRATIFIED_NEAR_ROOTS,
-        "gamma_floor": 1e-6,
-        "explosion_threshold": 1e8,
-    },
-    "grid": {
-        "nt": 64, "nx": 64, "ny": 32,
-        "lt": math.tau, "lx": math.tau, "ly": 20.0, "gamma": 1.0,
-    },
-    "solve": {"s": 0.0, "sigma_floor": 1e-12, "source_plus": "builtin", "source_minus": "builtin"},
-    "sweep": {"gammas": (1.0, 2.0, 4.0, 8.0), "s": 0.0, "slack": 0.1},
-    "roots": {"machs": (0.5, 1.0, 1.5, 2.0, 3.0), "tolerance": 1e-8},
-    "diagram": {"m_min": 0.5, "m_max": 3.5, "m_step": 0.05},
-    "heatmap": {
-        "field": HeatmapField.RATIO, "gamma": 1.0,
-        "delta_min": -3.0, "delta_max": 3.0, "n_delta": 41,
-        "eta_min": -3.0, "eta_max": 3.0, "n_eta": 41,
-    },
-    "simple_root": {"radius": 1e-3, "n_points": 360},
+    "run": _Section(study="", seed=_Ranged(0, lambda x: x >= 0, "nonnegative"), out="out"),
+    "params": _Section(v=float, c=float),
+    "sample": _Section(
+        n=_Ranged(20000, *_AT_LEAST_1), strategy=SampleStrategy.STRATIFIED_NEAR_ROOTS,
+        gamma_floor=_Ranged(1e-6, lambda x: 0.0 <= x < 1.0, "in [0, 1)"),
+        explosion_threshold=_Ranged(1e8, lambda x: x >= 1.0, "at least 1 (inf allowed)"),
+    ),
+    "grid": _Section(nt=64, nx=64, ny=32, lt=math.tau, lx=math.tau, ly=20.0, gamma=1.0),
+    "solve": _Section(
+        s=0.0, sigma_floor=_Ranged(1e-12, lambda x: 0.0 <= x < math.inf, "finite and nonnegative"),
+        source_plus="builtin", source_minus="builtin",
+    ),
+    "sweep": _Section(
+        gammas=_Ranged((1.0, 2.0, 4.0, 8.0), lambda x: len(x) >= 2 and all(1.0 <= g < math.inf for g in x),
+                       "a list of at least two values, each finite and at least 1"),
+        s=0.0, slack=_Ranged(0.1, lambda x: -1.0 < x < math.inf, "finite and greater than -1"),
+    ),
+    "roots": _Section(
+        machs=_Ranged((0.5, 1.0, 1.5, 2.0, 3.0), lambda x: len(x) >= 1 and all(_MIN_ROOTS_MACH <= m < math.inf for m in x),
+                      f"a list of at least one value, each finite and at least {_MIN_ROOTS_MACH!r} (the least mach with a normal M^2)"),
+        tolerance=_Ranged(1e-8, *_POSITIVE),
+    ),
+    "diagram": _Section(m_min=_Ranged(0.5, *_FINITE), m_max=_Ranged(3.5, *_FINITE), m_step=_Ranged(0.05, *_POSITIVE)),
+    "heatmap": _Section(
+        field=HeatmapField.RATIO, gamma=_Ranged(1.0, *_POSITIVE),
+        delta_min=_Ranged(-3.0, *_FINITE), delta_max=_Ranged(3.0, *_FINITE), n_delta=_Ranged(41, *_AT_LEAST_1),
+        eta_min=_Ranged(-3.0, *_FINITE), eta_max=_Ranged(3.0, *_FINITE), n_eta=_Ranged(41, *_AT_LEAST_1),
+    ),
+    "simple_root": _Section(radius=_Ranged(1e-3, *_POSITIVE), n_points=_Ranged(360, *_AT_LEAST_1)),
 }
 
 _EXPECTED = {int: "an integer", float: "a number", tuple: "a list of numbers"}
 
 # A [diagram] range of more steps than this is rejected, before any mach is made.
 _MAX_DIAGRAM_STEPS = 1_000_000
-
-# The smallest [roots] mach whose square is a normal double.  Below it M^2 is
-# subnormal, and both the closed-form root constant and the located root lose
-# digits (at 1e-160 they differ by 3.7e-4 relative).
-_MIN_ROOTS_MACH = math.sqrt(sys.float_info.min)
 
 
 def mach_ladder(m_min: float, m_max: float, m_step: float) -> list[float]:
@@ -118,12 +152,6 @@ class RunConfig:
     simple_root: dict
     # whether the file has a [grid] section, which source file headers must then match
     grid_given: bool
-
-
-def _convert(kind: type, raw: str):
-    if kind is tuple:
-        return tuple(float(tok) for tok in raw.replace(",", " ").split())
-    return kind(raw)
 
 
 def _read(path: pathlib.Path) -> tuple[dict, set]:
@@ -159,10 +187,13 @@ def _read(path: pathlib.Path) -> tuple[dict, set]:
                 values[section][key] = default
                 continue
             try:
-                values[section][key] = _convert(kind, raw)
+                value = tuple(float(tok) for tok in raw.replace(",", " ").split()) if kind is tuple else kind(raw)
             except ValueError:
                 expected = _EXPECTED.get(kind) or "one of " + ", ".join(m.value for m in kind)
                 raise ValueError(f"{path}: [{section}] {key} = {raw!r} is not {expected}") from None
+            if key in keys.ranges:
+                keys.ranges[key].check(value, f"{path}: [{section}] {key}")
+            values[section][key] = value
     return values, set(given)
 
 
@@ -183,8 +214,6 @@ def load_config(
     if chosen not in STUDIES:
         raise ValueError(f"study must be one of {STUDIES}, got {chosen!r}")
     diagram = sections["diagram"]
-    if not (diagram["m_step"] > 0 and all(map(math.isfinite, diagram.values()))):
-        raise ValueError(f"{path}: [diagram] m_min, m_max and m_step must be finite, m_step positive")
     if not 0.0 < diagram["m_max"] >= diagram["m_min"]:
         # such a range gives no row with mach > 0
         raise ValueError(
@@ -199,38 +228,8 @@ def load_config(
             f"{path}: [diagram] the ladder m_min + i * m_step has no positive mach up to m_max, "
             f"got m_min = {diagram['m_min']!r}, m_max = {diagram['m_max']!r}, m_step = {diagram['m_step']!r}"
         )
-    heatmap = sections["heatmap"]
-    ranges = [heatmap[key] for key in ("gamma", "delta_min", "delta_max", "eta_min", "eta_max")]
-    if not (all(map(math.isfinite, ranges)) and heatmap["gamma"] > 0):
-        raise ValueError(f"{path}: [heatmap] gamma and the delta and eta ranges must be finite, gamma positive")
-    if min(heatmap["n_delta"], heatmap["n_eta"]) < 1:
-        raise ValueError(f"{path}: [heatmap] n_delta and n_eta must be at least 1")
-    # a comparison written as "in range" is False for NaN, so NaN is rejected with the rest
-    for section, key, ok, requirement in (
-        ("run", "seed", lambda x: x >= 0, "nonnegative"),
-        ("sample", "n", lambda x: x >= 1, "at least 1"),
-        ("sample", "gamma_floor", lambda x: 0.0 <= x < 1.0, "in [0, 1)"),
-        ("sample", "explosion_threshold", lambda x: x >= 1.0, "at least 1 (inf allowed)"),
-        ("solve", "sigma_floor", lambda x: 0.0 <= x < math.inf, "finite and nonnegative"),
-        ("sweep", "gammas", lambda x: len(x) >= 2 and all(1.0 <= g < math.inf for g in x),
-         "a list of at least two values, each finite and at least 1"),
-        ("sweep", "slack", lambda x: -1.0 < x < math.inf, "finite and greater than -1"),
-        ("roots", "machs", lambda x: len(x) >= 1 and all(0.0 < m < math.inf for m in x),
-         "a list of at least one value, each finite and positive"),
-        ("roots", "tolerance", lambda x: 0.0 < x < math.inf, "finite and positive"),
-        ("simple_root", "radius", lambda x: 0.0 < x < math.inf, "finite and positive"),
-        ("simple_root", "n_points", lambda x: x >= 1, "at least 1"),
-    ):
-        value = sections[section][key]
-        if not ok(value):
-            raise ValueError(f"{path}: [{section}] {key} must be {requirement}, got {value!r}")
-    for mach in sections["roots"]["machs"]:
-        if mach < _MIN_ROOTS_MACH:
-            raise ValueError(
-                f"{path}: [roots] machs must be at least {_MIN_ROOTS_MACH!r}, where M^2 turns subnormal, got {mach!r}"
-            )
-    if seed_override is not None and seed_override < 0:
-        raise ValueError(f"--seed must be nonnegative, got {seed_override!r}")
+    if seed_override is not None:
+        SCHEMA["run"].ranges["seed"].check(seed_override, "--seed")
     return RunConfig(
         study=chosen,
         seed=run["seed"] if seed_override is None else seed_override,
@@ -244,7 +243,7 @@ def load_config(
         sweep=sections["sweep"],
         roots=sections["roots"],
         diagram=diagram,
-        heatmap=heatmap if "heatmap" in present else None,
+        heatmap=sections["heatmap"] if "heatmap" in present else None,
         simple_root=sections["simple_root"],
         grid_given="grid" in present,
     )

@@ -14,7 +14,7 @@ import enum
 
 import numpy as np
 
-from .chunks import BLOCK, CHUNK, map_chunks, scan_extrema
+from .chunks import map_chunks, scan_extrema
 from .grids import (
     GridSpec,
     Space,
@@ -209,7 +209,9 @@ def solve_front(
     s+1 is reported together with the plain norms and the ratio against
     the plain norm of g (the shape of the closed estimate).  In the
     elliptic regime only plain norms are reported and the run is tagged.
-    Raises ValueError for an ``s`` that :func:`_check_order` refuses and
+    Raises ValueError for an ``s`` that :func:`_check_order` refuses or
+    for a non-zero ``g_hat`` whose norm underflows to 0 (Lambda^s below the
+    smallest double at every mode), and
     SymbolTooSmall when |Sigma| < sigma_floor * Lambda^2 anywhere on the
     grid; the least ratio and where it sits come from one
     :func:`chunks.scan_extrema` over the mesh.
@@ -218,9 +220,15 @@ def solve_front(
     g_hat = np.asarray(g_hat, dtype=np.complex128)
     if g_hat.shape != (grid.nt, grid.nx):
         raise ValueError(f"expected g_hat of shape ({grid.nt}, {grid.nx}), got {g_hat.shape}")
+    g_norm = weighted_norm(g_hat, grid, s, Space.PLAIN)
+    if g_norm == 0.0 and np.any(g_hat):
+        raise ValueError(
+            f"the norm ||g||_(H^s) of a non-zero g underflows to 0 at gamma = {grid.gamma!r}, s = {s!r}; "
+            "the reported norms would read 0"
+        )
     table = grid.symbol_table(params)
     sigma, lam = table.sigma_big.reshape(-1), grid.freq_mesh().lam.reshape(-1)
-    [floor] = scan_extrema(lambda lo, hi: [np.abs(sigma[lo:hi]) / lam[lo:hi] ** 2], sigma.size, CHUNK, BLOCK)
+    [floor] = scan_extrema(lambda lo, hi: [np.abs(sigma[lo:hi]) / lam[lo:hi] ** 2], sigma.size)
     worst = floor.min
     if worst < sigma_floor:
         idx = np.unravel_index(floor.argmin, table.sigma_big.shape)
@@ -232,7 +240,6 @@ def solve_front(
     f = inverse_transform(f_hat, grid)
     regime = params.regime()
     norms = {(order, Space.PLAIN): weighted_norm(f_hat, grid, order) for order in (s, s + 1.0)}
-    g_norm = weighted_norm(g_hat, grid, s, Space.PLAIN)
     report = {"g_plain_norm": g_norm, "symbol_floor": worst}
     if regime is Regime.WEAKLY_STABLE:
         aniso = weighted_norm(f_hat, grid, s + 1.0, Space.ANISOTROPIC, params)

@@ -37,7 +37,8 @@ import math
 
 import numpy as np
 
-from .chunks import BLOCK, CHUNK, Extrema, extrema, map_chunks, scan_extrema
+from . import chunks
+from .chunks import Extrema, extrema, map_chunks, scan_extrema
 from .symbols import (
     Frequency,
     InternalCheckFailed,
@@ -72,10 +73,6 @@ TUBE_RADIUS = 0.05
 # root-tube point, the rest are zone points; the two kinds are two prefixes
 # of one sequence, so neither aliases with the other's positions
 _STRATUM_EVERY = 4
-
-# sample points per chunk of the sampler and of a certificate scan, and per
-# block of a scan: the scan's own cut (see chunks), which the sampler shares
-_CHUNK, _BLOCK = CHUNK, BLOCK
 
 # low digits of the scrambled sequence tabulated per base: 2**17 and 3**11 entries
 _TABLE_DIGITS = {2: 17, 3: 11}
@@ -327,7 +324,8 @@ def sample_hemisphere(
             np.stack(tube, out=block[:, start:stop, 0])
         _check_points(block[:, start:stop].reshape(3, -1), gamma_floor)
 
-    map_chunks(chunk, block.shape[1], _CHUNK // (tubes + zones))
+    # chunks.CHUNK sample points per chunk, as in the certificate scans
+    map_chunks(chunk, block.shape[1], chunks.CHUNK // (tubes + zones))
     # _check_points has passed every point, which is more than Frequency's own checks ask
     return HemisphereSample(freqs=Frequency._trusted(*block.reshape(3, -1)[:, :n]), gamma_floor=gamma_floor)
 
@@ -430,7 +428,7 @@ def certify_sandwich(
         ratio = sandwich_ratio(freqs, params)
         return ratio, (ratio, _in_root_tubes(freqs, params))
 
-    whole, near = scan_extrema(evaluate, len(sample), _CHUNK, _BLOCK)
+    whole, near = scan_extrema(evaluate, len(sample))
     cert = _certificate("abs_sigma_big_over_weight_lambda", whole, sample, params, limit=explosion_threshold)
     cert.extras = {"near_root_count": near.count}
     if near.count:
@@ -475,7 +473,7 @@ def certify_weight_bounds(
             over_dist = wabs / dist
         return over_gamma, over_lam, (over_dist, near), (over_lam, ~near)
 
-    over_gamma, over_lam, over_dist, over_lam_far = scan_extrema(evaluate, len(sample), _CHUNK, _BLOCK)
+    over_gamma, over_lam, over_dist, over_lam_far = scan_extrema(evaluate, len(sample))
     return [
         _certificate("weight_over_gamma", over_gamma, sample, params),
         _certificate(

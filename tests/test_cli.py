@@ -23,7 +23,8 @@ import vsheet
 from vsheet import cli, fileio, front, grids, hemisphere, symbols
 from vsheet.cli import main
 from vsheet.grids import GridSpec
-from vsheet.hemisphere import _CHUNK, NoRootFound
+from vsheet.chunks import CHUNK
+from vsheet.hemisphere import NoRootFound
 from vsheet.symbols import SQRT2, Frequency, PhysicalParams, big_sigma, weight_sigma
 
 M2 = PhysicalParams(v=2.0, c=1.0)
@@ -89,7 +90,7 @@ class TestCertify:
 
     def test_thread_count_does_not_change_output(self, tmp_path, monkeypatch):
         # several full chunks plus a partial one
-        cfg = _certify_cfg(tmp_path, n=2 * _CHUNK + 17)
+        cfg = _certify_cfg(tmp_path, n=2 * CHUNK + 17)
         outputs = []
         for threads in ("1", "2"):
             monkeypatch.setenv("VFS_THREADS", threads)
@@ -230,7 +231,8 @@ machs = {SQRT2!r}
         cfg = self._roots_cfg(tmp_path, "2.0 1e-300")
         assert main(["roots", "--config", cfg]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            f"vfs: {cfg}: [roots] machs must be at least 1.4916681462400413e-154, where M^2 turns subnormal, got 1e-300"
+            f"vfs: {cfg}: [roots] machs must be a list of at least one value, each finite and at least "
+            f"1.4916681462400413e-154 (the least mach with a normal M^2), got (2.0, 1e-300)"
         ]
         assert not (tmp_path / "roots_out" / "roots.json").exists()
 
@@ -239,7 +241,8 @@ machs = {SQRT2!r}
         cfg = self._roots_cfg(tmp_path, "2.0 1e-160")
         assert main(["roots", "--config", cfg]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            f"vfs: {cfg}: [roots] machs must be at least 1.4916681462400413e-154, where M^2 turns subnormal, got 1e-160"
+            f"vfs: {cfg}: [roots] machs must be a list of at least one value, each finite and at least "
+            f"1.4916681462400413e-154 (the least mach with a normal M^2), got (2.0, 1e-160)"
         ]
         assert not (tmp_path / "roots_out" / "roots.json").exists()
 
@@ -528,6 +531,18 @@ Ly = 14.0
         ]
         assert not any((tmp_path / "out").iterdir())
 
+    def test_an_underflowed_solve_norm_is_a_one_line_usage_error(self, tmp_path, capsys):
+        # Lambda >= gamma = 4 at every mode, so the builtin pair's ||g||_(H^-400) underflows to 0
+        cfg = _write(tmp_path, "under.cfg", f"[params]\nv = 2.0\nc = 1.0\n{GRID_BLOCK}gamma = 4.0\n[solve]\ns = -400\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "vfs: the norm ||g||_(H^s) of a non-zero g underflows to 0 at gamma = 4.0, s = -400.0; "
+            "the reported norms would read 0"
+        ]
+        assert not any((tmp_path / "out").iterdir())
+
 
 class TestDiagram:
     def test_flip_at_sqrt2_cell(self, tmp_path):
@@ -804,6 +819,20 @@ class TestExitCodes:
         else:
             named = "s must be finite, got" if key == "s" else f"[{section}] {key} must be"
         assert named in self._one_vfs_line(capsys)
+
+    def test_running_out_of_memory_is_one_vfs_line(self, tmp_path, capsys, monkeypatch):
+        # the sampler is patched, so nothing of this size is ever allocated
+        told = "Unable to allocate 21.8 TiB for an array with shape (3, 250000000000, 4) and data type float64"
+
+        def too_large(n, *args, **kwargs):
+            assert n == 10**12
+            raise MemoryError(told)
+
+        monkeypatch.setattr(cli, "sample_hemisphere", too_large)
+        cfg = _write(tmp_path, "big.cfg", "[params]\nv = 2.0\nc = 1.0\n[sample]\nn = 1000000000000\n")
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert self._one_vfs_line(capsys) == f"vfs: out of memory: {told}"
+        assert not any((tmp_path / "o").iterdir())
 
     def test_certify_below_sqrt2_is_one_vfs_line(self, tmp_path, capsys):
         cfg = _write(tmp_path, "ell.cfg", f"[run]\nout = {tmp_path / 'o'}\n\n[params]\nv = 1.0\nc = 1.0\n")

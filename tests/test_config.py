@@ -95,9 +95,9 @@ CERTIFY = "[run]\nstudy = certify\n[params]\nv = 2.0\nc = 1.0\n[sample]\nn = 500
         ("field = bogus", "[heatmap] field = 'bogus' is not one of abs_sigma_big, abs_weight_sigma, ratio"),
         ("gamma = 0", "[heatmap] gamma"),
         ("gamma = nan", "[heatmap] gamma"),
-        ("delta_max = inf", "[heatmap] gamma and the delta and eta ranges must be finite"),
-        ("n_delta = -1", "[heatmap] n_delta and n_eta must be at least 1"),
-        ("n_eta = 0", "[heatmap] n_delta and n_eta must be at least 1"),
+        ("delta_max = inf", "[heatmap] delta_max must be finite, got inf"),
+        ("n_delta = -1", "[heatmap] n_delta must be at least 1, got -1"),
+        ("n_eta = 0", "[heatmap] n_eta must be at least 1, got 0"),
     ],
     ids=["bogus_field", "zero_gamma", "nan_gamma", "infinite_range", "negative_n_delta", "zero_n_eta"],
 )
@@ -140,11 +140,19 @@ def test_malformed_file_names_the_file_in_one_line(tmp_path, text, match):
     assert str(path) in str(err.value) and "\n" not in str(err.value)
 
 
-@pytest.mark.parametrize("line", ["m_max = inf", "m_step = 0", "m_step = nan"])
-def test_diagram_range_must_be_finite(tmp_path, line):
+@pytest.mark.parametrize(
+    "line, named",
+    [
+        ("m_max = inf", "m_max must be finite, got inf"),
+        ("m_step = 0", "m_step must be finite and positive, got 0.0"),
+        ("m_step = nan", "m_step must be finite and positive, got nan"),
+    ],
+)
+def test_diagram_range_must_be_finite(tmp_path, line, named):
     path = _write(tmp_path, f"[params]\nv = 2.0\nc = 1.0\n[diagram]\n{line}\n")
-    with pytest.raises(ValueError, match=r"\[diagram\] m_min, m_max and m_step must be finite"):
+    with pytest.raises(ValueError) as err:
         load_config(path, study="diagram")
+    assert str(err.value) == f"{path}: [diagram] {named}"
 
 
 @pytest.mark.parametrize(
@@ -227,6 +235,32 @@ def test_readme_reference_gives_every_default():
                 assert math.isclose(float(cell.strip("`")), default, rel_tol=0, abs_tol=0), row
             elif isinstance(default, (int, SampleStrategy)) or default:
                 assert cell.strip("`") == str(getattr(default, "value", default)), row
+
+
+def test_readme_reference_states_each_range_in_the_schema_words():
+    rows = {line.split("|")[1].strip(): line.split("|")[4] for line in _reference().splitlines() if line.startswith("| `[")}
+    checked = []
+    for section, keys in SCHEMA.items():
+        for key, rule in keys.ranges.items():
+            row = rows[f"`[{section}] {key}`"]
+            assert rule.words in row.replace("`", ""), (section, key, rule.words, row)
+            checked.append(key)
+    assert len(checked) == 21
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [(section, key) for section, keys in SCHEMA.items() for key in keys.ranges],
+    ids=lambda name: name,
+)
+def test_each_range_is_refused_in_its_words(tmp_path, section, key):
+    # NaN is outside every float range; -5 is outside every int range
+    raw = "-5" if isinstance(SCHEMA[section][key], int) else "nan"
+    path = _write(tmp_path, f"[params]\nv = 2.0\nc = 1.0\n[{section}]\n{key} = {raw}\n")
+    with pytest.raises(ValueError) as err:
+        load_config(path, study="roots")
+    value = int(raw) if raw == "-5" else (math.nan,) if isinstance(SCHEMA[section][key], tuple) else math.nan
+    assert str(err.value) == f"{path}: [{section}] {key} must be {SCHEMA[section].ranges[key].words}, got {value!r}"
 
 
 def test_readme_example_config_loads(tmp_path):

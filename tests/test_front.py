@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import half_mus, half_zeros, source_from_spectral
-from vsheet import front, grids, symbols
+from vsheet import chunks, front, grids, symbols
 from vsheet.front import (
     QuadratureUnderResolved,
     Side,
@@ -357,8 +357,8 @@ class TestSolveFront:
     def test_the_floor_message_names_the_reference_argmin(self, threads, monkeypatch):
         # 4096 mesh points in chunks of 1000 and blocks of 777; |Sigma| is even in delta and
         # eta, so the least ratio is tied at mirrored modes and the first in C order is named
-        monkeypatch.setattr(front, "CHUNK", 1000)
-        monkeypatch.setattr(front, "BLOCK", 777)
+        monkeypatch.setattr(chunks, "CHUNK", 1000)
+        monkeypatch.setattr(chunks, "BLOCK", 777)
         monkeypatch.setenv("VFS_THREADS", threads)
         g = _grid(nt=64, nx=64, ny=16, Ly=14.0)
         ratio = np.abs(g.symbol_table(M2).sigma_big) / g.freq_mesh().lam ** 2
@@ -383,6 +383,20 @@ class TestSolveFront:
         solve_front(g_hat, g, M2, s=145.0)
         with pytest.raises(ValueError):
             solve_front(g_hat, g, M2, s=145.1)
+
+    def test_a_non_zero_g_whose_norm_underflows_is_refused(self):
+        # Lambda >= gamma = 4 at every mode, so Lambda^-400 underflows to 0 there
+        g = _grid(gamma=4.0)
+        g_hat = build_g(*_exp_pair(g), M2)
+        assert np.any(g_hat) and weighted_norm(g_hat, g, -400.0) == 0.0
+        with pytest.raises(ValueError) as err:
+            solve_front(g_hat, g, M2, s=-400.0)
+        assert str(err.value) == (
+            "the norm ||g||_(H^s) of a non-zero g underflows to 0 at gamma = 4.0, s = -400.0; the reported norms would read 0"
+        )
+        # a g that is zero has a norm of 0 that is no underflow, and still solves
+        assert solve_front(np.zeros_like(g_hat), g, M2, s=-400.0).report["g_plain_norm"] == 0.0
+        assert solve_front(g_hat, g, M2, s=-40.0).report["g_plain_norm"] > 0.0
 
     def test_solution_solves_equation(self):
         g = _grid()

@@ -79,7 +79,7 @@ class TestSampling:
         b = sample_hemisphere(64, SampleStrategy.QUASI_RANDOM, 1e-6, M2, seed=1)
         assert not np.allclose(np.asarray(a.freqs.delta), np.asarray(b.freqs.delta))
 
-    @pytest.mark.parametrize("shape", [(), (2, hemisphere._CHUNK // 2 + 5)], ids=["0-d", "2-d"])
+    @pytest.mark.parametrize("shape", [(), (2, chunks.CHUNK // 2 + 5)], ids=["0-d", "2-d"])
     def test_a_sample_is_a_one_dimensional_batch(self, shape):
         # a 0-d or 2-D batch would be chunked along an axis that does not count its points
         freqs = Frequency(np.ones(shape), np.zeros(shape), np.zeros(shape))
@@ -157,7 +157,7 @@ class TestOwnedSequence:
         # 1000 and 777 give stratified chunks of 250 and 194 strata, whose offsets are not multiples of R = 4
         n = 10_007
         reference = _rows(sample_hemisphere(n, strategy, 1e-6, M2, seed=102))
-        monkeypatch.setattr(hemisphere, "_CHUNK", chunk)
+        monkeypatch.setattr(chunks, "CHUNK", chunk)
         for a, b in zip(reference, _rows(sample_hemisphere(n, strategy, 1e-6, M2, seed=102))):
             np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
@@ -392,7 +392,7 @@ class TestStreamingPass:
             }, near
 
     def test_extrema_match_unchunked_reference(self, monkeypatch):
-        monkeypatch.setattr(hemisphere, "_CHUNK", 1000)  # four full chunks and a partial one
+        monkeypatch.setattr(chunks, "CHUNK", 1000)  # four full chunks and a partial one
         sample = sample_hemisphere(4321, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6, M2, seed=5)
         expected, near = self._reference(sample)
         ratio = expected["abs_sigma_big_over_weight_lambda"][0]
@@ -429,8 +429,8 @@ class TestStreamingPass:
             )
         elif plant == "nan":
             _patched_weight(monkeypatch, lambda freqs, w: np.where(np.isin(freqs.gamma, marked), np.nan, w))
-        monkeypatch.setattr(hemisphere, "_CHUNK", 1000)
-        monkeypatch.setattr(hemisphere, "_BLOCK", 777)
+        monkeypatch.setattr(chunks, "CHUNK", 1000)
+        monkeypatch.setattr(chunks, "BLOCK", 777)
         monkeypatch.setenv("VFS_THREADS", threads)
         expected, _ = self._reference(sample)
         certs = [certify_sandwich(sample, M2)] + certify_weight_bounds(sample, M2)
@@ -450,6 +450,8 @@ class TestStreamingPass:
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_the_scan_locates_like_numpy_with_ties_and_a_nan(self, threads, monkeypatch):
         monkeypatch.setenv("VFS_THREADS", threads)
+        monkeypatch.setattr(chunks, "CHUNK", 1000)
+        monkeypatch.setattr(chunks, "BLOCK", 777)
         rng = np.random.default_rng(4)
         # 40 distinct values over 4321 points: every extremum is tied across chunks and blocks
         values = rng.integers(0, 40, 4321).astype(float)
@@ -458,7 +460,7 @@ class TestStreamingPass:
         for planted in (values, np.where(np.isin(np.arange(values.size), [2100, 3333]), np.nan, values)):
             whole, masked, empty = chunks.scan_extrema(
                 lambda lo, hi: [planted[lo:hi], (planted[lo:hi], mask[lo:hi]), (planted[lo:hi], none[lo:hi])],
-                values.size, 1000, 777,
+                values.size,
             )
             sub, at = planted[mask], np.flatnonzero(mask)
             assert whole.argmin == np.argmin(planted) and whole.argmax == np.argmax(planted)
@@ -494,6 +496,27 @@ class TestScanBlocks:
 
     N = 2**17 + 4321  # two chunks
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_the_scan_and_the_sampler_cut_at_the_sizes_in_chunks(self, threads, monkeypatch):
+        # chunks.CHUNK and BLOCK are read at call time, so the patched sizes are the ones cut
+        monkeypatch.setenv("VFS_THREADS", threads)
+        monkeypatch.setattr(chunks, "CHUNK", 1000)
+        monkeypatch.setattr(chunks, "BLOCK", 777)
+        spans = []
+        chunks.scan_extrema(lambda lo, hi: spans.append((lo, hi)) or [np.zeros(hi - lo)], 2500)
+        assert sorted(spans) == [(0, 777), (777, 1000), (1000, 1777), (1777, 2000), (2000, 2500)]
+        cuts, map_chunks = [], hemisphere.map_chunks
+
+        def spy(fn, size, chunk):
+            cuts.append(chunk)
+            return map_chunks(fn, size, chunk)
+
+        monkeypatch.setattr(hemisphere, "map_chunks", spy)
+        sample_hemisphere(5000, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6, M2, seed=0)
+        sample_hemisphere(5000, SampleStrategy.QUASI_RANDOM, 1e-6, M2, seed=0)
+        # 1000 points per chunk: 250 strata of four points, or 1000 strata of one
+        assert cuts == [250, 1000]
+
     @staticmethod
     @functools.cache
     def _sample() -> HemisphereSample:
@@ -509,7 +532,7 @@ class TestScanBlocks:
     def test_certificates_equal_the_default_blocks(self, block, threads, monkeypatch):
         sample = self._sample()
         default = self._records(sample)
-        monkeypatch.setattr(hemisphere, "_BLOCK", block)
+        monkeypatch.setattr(chunks, "BLOCK", block)
         monkeypatch.setenv("VFS_THREADS", threads)
         blocked = self._records(sample)
         # repr round-trips every double, so equal dumps are equal bits, the located points included

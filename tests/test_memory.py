@@ -21,8 +21,8 @@ to 3.34.
 A certify scan holds the sample plus a scratch of block-sized temporaries
 per worker.  The scan bound below was set from the measured tracemalloc
 peaks on a stratified sample of 4 * 2**17 points (numpy 2.4), in complex
-block arrays (``_BLOCK`` points of 16 bytes) per thread: the sandwich pass
-8.15 to 8.27 and the weight pass 5.81 to 6.01, at one or two threads.
+block arrays (``chunks.BLOCK`` points of 16 bytes) per thread: the sandwich
+pass 8.15 to 8.27 and the weight pass 5.81 to 6.01, at one or two threads.
 Locating the extrema, which copies a stratum's values and their indices out
 of each block, left them at 7.37 to 8.27 and 5.81 to 6.03.
 Scanning each whole 2**17-point chunk at once peaked at 29.1 to 32.3 (sandwich)
@@ -36,7 +36,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vsheet import fileio, hemisphere
+from vsheet import chunks, fileio
 from vsheet.cli import builtin_sources
 from vsheet.front import estimate_sweep
 from vsheet.grids import GridSpec
@@ -95,8 +95,8 @@ def test_a_sweep_holds_one_rung_of_spectral_fields(tmp_path, monkeypatch, thread
 @pytest.mark.parametrize("threads", [1, 2])
 def test_a_certify_scan_holds_a_few_blocks_per_thread(monkeypatch, threads):
     monkeypatch.setenv("VFS_THREADS", str(threads))
-    sample = sample_hemisphere(4 * hemisphere._CHUNK, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6, M2, seed=0)
-    block = hemisphere._BLOCK * np.dtype(np.complex128).itemsize
+    sample = sample_hemisphere(4 * chunks.CHUNK, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6, M2, seed=0)
+    block = chunks.BLOCK * np.dtype(np.complex128).itemsize
     for scan in (certify_sandwich, certify_weight_bounds):
         tracemalloc.start()
         try:
