@@ -148,11 +148,7 @@ def _study_certify(cfg: RunConfig) -> int:
     )
     certs = [certify_sandwich(sample, params, cfg.sample["explosion_threshold"], seed=cfg.seed)]
     certs.extend(certify_weight_bounds(sample, params, cfg.sample["explosion_threshold"]))
-    certs.append(
-        certify_simple_root(
-            params, radius=cfg.simple_root["radius"], n_points=cfg.simple_root["n_points"]
-        )
-    )
+    certs.append(certify_simple_root(params))
     fileio.write_json(cfg.out_dir / "certificates.json", [c.to_json_dict() for c in certs])
     if cfg.heatmap is not None:
         hm = cfg.heatmap

@@ -39,7 +39,7 @@ from typing import Callable, NamedTuple
 
 from .grids import GridSpec
 from .hemisphere import SampleStrategy
-from .symbols import PhysicalParams
+from .symbols import Frequency, PhysicalParams
 
 __all__ = ["RunConfig", "load_config", "mach_ladder", "HeatmapField", "SCHEMA", "STUDIES"]
 
@@ -113,7 +113,6 @@ SCHEMA = {
         delta_min=_Ranged(-3.0, *_FINITE), delta_max=_Ranged(3.0, *_FINITE), n_delta=_Ranged(41, *_AT_LEAST_1),
         eta_min=_Ranged(-3.0, *_FINITE), eta_max=_Ranged(3.0, *_FINITE), n_eta=_Ranged(41, *_AT_LEAST_1),
     ),
-    "simple_root": _Section(radius=_Ranged(1e-3, *_POSITIVE), n_points=_Ranged(360, *_AT_LEAST_1)),
 }
 
 _EXPECTED = {int: "an integer", float: "a number", tuple: "a list of numbers"}
@@ -149,7 +148,6 @@ class RunConfig:
     roots: dict
     diagram: dict
     heatmap: dict | None
-    simple_root: dict
     # whether the file has a [grid] section, which source file headers must then match
     grid_given: bool
 
@@ -228,6 +226,11 @@ def load_config(
             f"{path}: [diagram] the ladder m_min + i * m_step has no positive mach up to m_max, "
             f"got m_min = {diagram['m_min']!r}, m_max = {diagram['m_max']!r}, m_step = {diagram['m_step']!r}"
         )
+    heatmap = sections["heatmap"] if "heatmap" in present else None
+    if heatmap is not None:
+        # the scan's largest modulus sits at a corner of its (delta, eta) rectangle
+        corner = {axis: max(abs(heatmap[f"{axis}_min"]), abs(heatmap[f"{axis}_max"])) for axis in ("delta", "eta")}
+        _build(path, "heatmap", Frequency, dict(corner, gamma=heatmap["gamma"]))
     if seed_override is not None:
         SCHEMA["run"].ranges["seed"].check(seed_override, "--seed")
     return RunConfig(
@@ -243,7 +246,6 @@ def load_config(
         sweep=sections["sweep"],
         roots=sections["roots"],
         diagram=diagram,
-        heatmap=sections["heatmap"] if "heatmap" in present else None,
-        simple_root=sections["simple_root"],
+        heatmap=heatmap,
         grid_given="grid" in present,
     )

@@ -25,7 +25,7 @@ from .grids import (
     real_source,
     weighted_norm,
 )
-from .symbols import Frequency, NumericalGuard, PhysicalParams, Regime, big_sigma, mu_pm  # big_sigma, mu_pm: kept for perfbench/tracing.py
+from .symbols import NumericalGuard, PhysicalParams, Regime, big_sigma, mu_pm  # big_sigma, mu_pm: kept for perfbench/tracing.py
 
 __all__ = [
     "Side",
@@ -53,7 +53,7 @@ class QuadratureUnderResolved(NumericalGuard, RuntimeError):
 
 
 class SymbolTooSmall(NumericalGuard, ArithmeticError):
-    """|Sigma| dipped below the safety floor somewhere on the frequency grid."""
+    """|Sigma| dipped below the safety floor somewhere on the frequency grid, or is not finite there."""
 
 
 class Side(enum.Enum):
@@ -133,7 +133,7 @@ def build_g(fplus: SourceField, fminus: SourceField, params: PhysicalParams) -> 
     (see :attr:`GridSpec.nyquist_row`).  Raises ValueError when a source is
     not finite or has not decayed at the truncation depth Ly, and
     QuadratureUnderResolved when the neglected tail at Ly is not small
-    relative to a side's term.
+    relative to a side's term, or when either is not finite.
     """
     grid = _source_grid(fplus, fminus)
     fields = (fplus, fminus)
@@ -155,11 +155,13 @@ def build_g(fplus: SourceField, fminus: SourceField, params: PhysicalParams) -> 
         edge = grid.expand(np.abs(field.spectral[..., -1]))
         tail_num = float(np.max(np.exp(-grid.Ly * mu.real) * edge / np.abs(mu)))
         term_scale = float(np.max(np.abs(term)))
-        if tail_num > TAIL_TOL * term_scale:
-            rel_tail = tail_num / term_scale if term_scale > 0.0 else np.inf
+        # in range, so a NaN tail fails it; a zero tail passes even where TAIL_TOL * 0 is NaN
+        if not (tail_num == 0.0 or tail_num <= TAIL_TOL * term_scale):
+            rel_tail = tail_num / term_scale if term_scale != 0.0 else np.inf
+            # the source is finite here, so a NaN comes from the decay exponents
+            fix = "increase Ly or the source decay" if not np.isnan(rel_tail) else "mu+- is not finite at some mode"
             raise QuadratureUnderResolved(
-                f"half-line truncation tail ~{rel_tail:.3e} (relative) exceeds tolerance {TAIL_TOL:g}; "
-                "increase Ly or the source decay"
+                f"half-line truncation tail ~{rel_tail:.3e} (relative) is not within tolerance {TAIL_TOL:g}; {fix}"
             )
     # Re mu+- >= gamma/c >= 1/c on the grid, so the denominator is safe.
     return -(table.mup * table.mum / (table.mup + table.mum)) * (terms[0] - terms[1])
@@ -169,12 +171,11 @@ def _check_order(s: float, grid: GridSpec) -> None:
     """ValueError unless ``s`` is finite and the squared weight Lambda^(2(s+1)) of the order-(s+1) norms is finite on ``grid``.
 
     Lambda >= gamma >= 1 on the mesh, so only a large positive ``s`` can
-    overflow, at the mesh's largest Lambda: the corner (nt/2, nx/2), where
-    fftfreq puts the largest |delta| and |eta|.
+    overflow, at the mesh's largest Lambda: :meth:`GridSpec.corner`.
     """
     if not np.isfinite(s):
         raise ValueError(f"s must be finite, got {s!r}")
-    lam = float(Frequency(grid.gamma, grid.delta()[grid.nt // 2], grid.eta()[grid.nx // 2]).lam)
+    lam = float(grid.corner().lam)
     try:
         lam ** (2.0 * (s + 1.0))
     except OverflowError:
@@ -209,18 +210,23 @@ def solve_front(
     s+1 is reported together with the plain norms and the ratio against
     the plain norm of g (the shape of the closed estimate).  In the
     elliptic regime only plain norms are reported and the run is tagged.
-    Raises ValueError for an ``s`` that :func:`_check_order` refuses or
-    for a non-zero ``g_hat`` whose norm underflows to 0 (Lambda^s below the
-    smallest double at every mode), and
-    SymbolTooSmall when |Sigma| < sigma_floor * Lambda^2 anywhere on the
-    grid; the least ratio and where it sits come from one
-    :func:`chunks.scan_extrema` over the mesh.
+    Raises ValueError for an ``s`` that :func:`_check_order` refuses, for
+    a ``g_hat`` or a norm of it that is not finite, or for a non-zero
+    ``g_hat`` whose norm underflows to 0 (Lambda^s below the smallest
+    double at every mode), and SymbolTooSmall unless
+    |Sigma| >= sigma_floor * Lambda^2 everywhere on the grid and
+    |Sigma| / Lambda^2 is finite; the least and largest ratios and where
+    they sit come from one :func:`chunks.scan_extrema` over the mesh.
     """
     _check_order(s, grid)
     g_hat = np.asarray(g_hat, dtype=np.complex128)
     if g_hat.shape != (grid.nt, grid.nx):
         raise ValueError(f"expected g_hat of shape ({grid.nt}, {grid.nx}), got {g_hat.shape}")
     g_norm = weighted_norm(g_hat, grid, s, Space.PLAIN)
+    if not np.isfinite(g_norm):
+        if not np.all(np.isfinite(g_hat)):
+            raise ValueError("g_hat is not finite")
+        raise ValueError(f"the norm ||g||_(H^s) overflows at gamma = {grid.gamma!r}, s = {s!r}")
     if g_norm == 0.0 and np.any(g_hat):
         raise ValueError(
             f"the norm ||g||_(H^s) of a non-zero g underflows to 0 at gamma = {grid.gamma!r}, s = {s!r}; "
@@ -230,10 +236,13 @@ def solve_front(
     sigma, lam = table.sigma_big.reshape(-1), grid.freq_mesh().lam.reshape(-1)
     [floor] = scan_extrema(lambda lo, hi: [np.abs(sigma[lo:hi]) / lam[lo:hi] ** 2], sigma.size)
     worst = floor.min
-    if worst < sigma_floor:
-        idx = np.unravel_index(floor.argmin, table.sigma_big.shape)
+    # in range, so a NaN fails it; a NaN is the least and the largest ratio, so it is named as not finite
+    if not (worst >= sigma_floor and np.isfinite(floor.max)):
+        low = worst < sigma_floor
+        at, value = (floor.argmin, worst) if low else (floor.argmax, floor.max)
+        idx = np.unravel_index(at, table.sigma_big.shape)
         raise SymbolTooSmall(
-            f"|Sigma|/Lambda^2 = {worst:.3e} < floor {sigma_floor:g} at "
+            f"|Sigma|/Lambda^2 = {value:.3e} {f'< floor {sigma_floor:g}' if low else 'is not finite'} at "
             f"(delta, eta) = ({grid.delta()[idx[0]]:.6g}, {grid.eta()[idx[1]]:.6g})"
         )
     f_hat = g_hat / table.sigma_big
@@ -284,8 +293,9 @@ def estimate_sweep(
 
     The sources are real; a complex one is taken as its real part when
     its imaginary part is zero and is a ValueError naming the side otherwise.
-    An ``s`` that :func:`_check_order` refuses on the largest gamma's grid,
-    where Lambda is largest, is a ValueError before any rung is built, and
+    A largest gamma whose grid :class:`GridSpec` refuses (its corner
+    Lambda overflows) and an ``s`` that :func:`_check_order` refuses on that
+    grid, where Lambda is largest, are ValueErrors before any rung is built, and
     so is a rung whose source norm is 0 (all-zero sources, or Lambda^(2s)
     underflowing), where the ratios are undefined.
     """

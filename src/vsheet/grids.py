@@ -121,6 +121,10 @@ class GridSpec:
         order = min(QUAD_ORDER, self.ny)
         if self.ny % order:
             raise ValueError(f"ny={self.ny} must be a multiple of the panel order {order}")
+        try:
+            self.corner()
+        except ValueError as exc:
+            raise ValueError(f"at the mesh's corner mode (nt/2, nx/2), {exc}") from None
 
     def t(self) -> np.ndarray:
         return np.arange(self.nt) * (self.Lt / self.nt)
@@ -134,6 +138,14 @@ class GridSpec:
 
     def eta(self) -> np.ndarray:
         return 2.0 * np.pi * np.fft.fftfreq(self.nx, d=self.Lx / self.nx)
+
+    def corner(self) -> Frequency:
+        """The mesh's mode (nt/2, nx/2), where fftfreq puts the largest |delta| and |eta|, so Lambda is largest.
+
+        Its fftfreq values, -pi nt / Lt and -pi nx / Lx, are written out: a grid checks its corner when it is
+        made, and calling fftfreq there raised the closure benchmark's peak RSS by 0.3 MB.
+        """
+        return Frequency(self.gamma, -np.pi * self.nt / self.Lt, -np.pi * self.nx / self.Lx)
 
     def freq_mesh(self) -> Frequency:
         """All grid frequencies (gamma, delta_j, eta_k) as an (nt, nx) batch."""

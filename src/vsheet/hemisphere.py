@@ -45,6 +45,7 @@ from .symbols import (
     PhysicalParams,
     Regime,
     big_sigma,
+    glancing_gap,
     root_constants,
     weight_bound_constant,
     weight_sigma,
@@ -81,7 +82,8 @@ _TABLE_DIGITS = {2: 17, 3: 11}
 _N_SCALINGS = 10
 _HOMOGENEITY_PROBE = 4096
 
-# golden-section bracket (relative half width) and x tolerance of the root search
+# golden-section bracket (relative half width, at most half the glancing gap when weakly stable)
+# and x tolerance of the root search
 _BRACKET_FRAC = 0.2
 _ROOT_XTOL = 1e-12
 
@@ -91,7 +93,13 @@ _ZERO_THRESHOLD = 1e-6
 # relative rounding allowed above a closed-form bound that the sample attains
 _BOUND_ROUNDING = 1e-12
 
-# simple-root certificate: inner/outer arc radius, largest band max/min, level drift
+# simple-root certificate: largest outer arc radius, its share of the glancing gap, points per arc,
+# largest rounding of delta0 as a share of the inner radius, inner/outer arc radius, largest band
+# max/min, level drift
+_ARC_RADIUS = 1e-3
+_ARC_GAP_FRAC = 0.25
+_ARC_POINTS = 360
+_ARC_ROUNDING = 1e-2
 _SHRINK = 0.5
 _BAND_LIMIT = 2.0
 _DRIFT_LIMIT = 0.05
@@ -510,7 +518,9 @@ def locate_roots(
     """Find the root of |Sigma| at eta = 1 by bracketed golden section.
 
     Weakly stable regime: searches delta around the closed form c*Y2 on the
-    boundary gamma = 0 and returns the root coordinate delta*.  Elliptic
+    boundary gamma = 0 and returns the root coordinate delta*; the bracket
+    reaches at most half the :func:`~vsheet.symbols.glancing_gap` from c*Y2,
+    so it holds one minimum of |Sigma| and no glancing point.  Elliptic
     regime: searches the real axis delta = 0 and returns the root abscissa
     gamma* near c*Y1.  Raises NoRootFound when the bracketed minimum is not
     an actual zero or disagrees with the closed form beyond ``tolerance``
@@ -521,14 +531,17 @@ def locate_roots(
         raise ValueError("roots are not isolated at mach = sqrt(2)")
     cy = params.c * root_constants(params)
 
+    half_width = _BRACKET_FRAC * cy
     if regime is Regime.WEAKLY_STABLE:
+        half_width = min(half_width, 0.5 * glancing_gap(params))
+
         def objective(x: float) -> float:
             return abs(big_sigma(Frequency(0.0, x, 1.0), params))
     else:
         def objective(x: float) -> float:
             return abs(big_sigma(Frequency(x, 0.0, 1.0), params))
 
-    lo, hi = (1.0 - _BRACKET_FRAC) * cy, (1.0 + _BRACKET_FRAC) * cy
+    lo, hi = cy - half_width, cy + half_width
     best = _golden_section(objective, lo, hi, _ROOT_XTOL * cy)
     lam2 = best * best + 1.0
     if objective(best) > _ZERO_THRESHOLD * lam2:
@@ -544,25 +557,38 @@ def locate_roots(
     return best
 
 
-def certify_simple_root(
-    params: PhysicalParams,
-    radius: float = 1e-3,
-    n_points: int = 360,
-) -> BoundCertificate:
+def certify_simple_root(params: PhysicalParams) -> BoundCertificate:
     """Certify that the marginal root of Sigma is simple.
 
     Evaluates the quotient |Sigma| / |tau - i c Y2 eta| on arcs of radius
-    ``radius`` and ``radius / 2`` around the root point
+    ``r`` and ``r / 2``, 360 points each, around the root point
     (0, c Y2, 1) / sqrt(1 + (c Y2)^2) on the unit sphere (restricted to the
-    admissible half-plane gamma >= 0).  A simple root keeps the
-    quotient inside a narrow band whose level does not move as the radius
-    shrinks; a higher-order zero drags the level down proportionally to the
-    radius, which fails the drift check.
+    admissible half-plane gamma >= 0), in the plane of its eta0.  A simple
+    root keeps the quotient inside a narrow band whose level does not move
+    as the radius shrinks; a higher-order zero drags the level down
+    proportionally to the radius, which fails the drift check.
+
+    ``r = min(1e-3, gap * eta0 / 4)``, with gap the
+    :func:`~vsheet.symbols.glancing_gap`: the arcs stay clear of the
+    glancing point delta = (v - c) eta0, where |Sigma| has a kink.  The
+    quotient then depends on M only through r / gap.  Where half an ulp of
+    delta0 exceeds 1 % of the inner radius, double precision does not
+    resolve the arcs, and the certificate FAILs with that reason, unevaluated.
     """
     if params.regime() is not Regime.WEAKLY_STABLE:
         raise ValueError("the imaginary root pair exists in the weakly stable regime only")
     _, delta0, eta0 = root_points(params)[0]
-    phi = np.linspace(-0.5 * np.pi, 0.5 * np.pi, n_points)
+    radius = min(_ARC_RADIUS, _ARC_GAP_FRAC * glancing_gap(params) * eta0)
+    rounding = 0.5 * math.ulp(delta0)
+    if rounding > _ARC_ROUNDING * _SHRINK * radius:
+        reason = (
+            f"unresolved arcs: radius {radius:.3e} is below double resolution at delta0 = {delta0:.17g}, "
+            f"whose half ulp {rounding:.3e} exceeds {_ARC_ROUNDING:.0%} of the inner radius"
+        )
+        return BoundCertificate(
+            "simple_root_quotient", math.nan, math.nan, 0, 0.0, params.mach, False, {"radius": radius, "reason": reason}
+        )
+    phi = np.linspace(-0.5 * np.pi, 0.5 * np.pi, _ARC_POINTS)
 
     def band(r: float) -> tuple[float, float]:
         freqs = Frequency(r * np.cos(phi), delta0 + r * np.sin(phi), np.full_like(phi, eta0))
@@ -571,7 +597,7 @@ def certify_simple_root(
 
     qmin, qmax = band(radius)
     smin, smax = band(radius * _SHRINK)
-    record = functools.partial(BoundCertificate, "simple_root_quotient", qmin, qmax, 2 * n_points, 0.0, params.mach)
+    record = functools.partial(BoundCertificate, "simple_root_quotient", qmin, qmax, 2 * _ARC_POINTS, 0.0, params.mach)
     for r, low in ((radius, qmin), (radius * _SHRINK, smin)):
         if low == 0.0:
             return record(False, {"radius": radius, "reason": f"zero band: |Sigma| vanishes on the arc of radius {r:g}"})

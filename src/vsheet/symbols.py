@@ -38,6 +38,7 @@ __all__ = [
     "big_sigma",
     "weight_sigma",
     "root_constants",
+    "glancing_gap",
     "weight_bound_constant",
 ]
 
@@ -132,9 +133,13 @@ class Frequency:
         object.__setattr__(self, "eta", e)
         if np.any(g < 0):
             raise ValueError("gamma must be nonnegative")
-        lam2 = g**2 + d**2 + e**2
+        with np.errstate(over="ignore"):
+            lam2 = g**2 + d**2 + e**2
         if not np.all(np.isfinite(lam2)):
-            raise ValueError("frequency components must be finite")
+            if not all(np.all(np.isfinite(x)) for x in (g, d, e)):
+                raise ValueError("frequency components must be finite")
+            largest = max(float(np.max(np.abs(x))) for x in (g, d, e))
+            raise ValueError(f"the frequency modulus overflows double precision: the largest component is {largest:.6g}")
         if np.any(lam2 == 0.0):
             raise ValueError("the origin (0, 0, 0) is not an admissible frequency")
 
@@ -264,6 +269,20 @@ def root_constants(params: PhysicalParams) -> float:
     return math.sqrt(m2 * (abs(m2 - 2.0) / (m2 + 1.0 + disc)))
 
 
+def glancing_gap(params: PhysicalParams) -> float:
+    """The distance (v - c) - c Y2 per unit eta from the weakly stable root to the nearest glancing point.
+
+    At gamma = 0 the root sits at delta = c Y2 eta and mu- vanishes at the glancing point
+    delta = (v - c) eta, where Sigma is not smooth.  From Y2^2 = M^2 + 1 - sqrt(4 M^2 + 1),
+    (M - 1)^2 - Y2^2 = 1 / (sqrt(4 M^2 + 1) + 2M), so the gap is
+    c / (sqrt(4 M^2 + 1) + 2M) / (M - 1 + Y2) = c^2 / ((sqrt(4 M^2 + 1) + 2M)(v - c + c Y2)),
+    with no cancellation; it shrinks like c / (8 M^2).  Weakly stable regime only.
+    """
+    _require_weakly_stable(params, "glancing_gap")
+    mach, y2 = params.mach, root_constants(params)
+    return params.c / (math.sqrt(4.0 * mach * mach + 1.0) + 2.0 * mach) / (mach - 1.0 + y2)
+
+
 def weight_sigma(freq: Frequency, params: PhysicalParams):
     """Degree-one weight vanishing exactly at the marginal roots of Sigma.
 
@@ -275,9 +294,9 @@ def weight_sigma(freq: Frequency, params: PhysicalParams):
     return freq.lam * _weight_unit(*freq.unit, params)
 
 
-def _require_weakly_stable(params: PhysicalParams) -> None:
+def _require_weakly_stable(params: PhysicalParams, what: str = "weight_sigma") -> None:
     if params.regime() is not Regime.WEAKLY_STABLE:
-        raise ValueError("weight_sigma requires the weakly stable regime (mach > sqrt(2))")
+        raise ValueError(f"{what} requires the weakly stable regime (mach > sqrt(2))")
 
 
 def _weight_unit(g, d, e, params: PhysicalParams):

@@ -84,7 +84,8 @@ def test_criterion_01_root_location():
 
 
 def test_criterion_02_simple_root_band():
-    cert = certify_simple_root(M2, radius=1e-3, n_points=360)
+    cert = certify_simple_root(M2)
+    assert cert.extras["radius"] == 1e-3 and cert.sample_size == 720
     band = cert.extras["band_ratio"]
     shrunk = cert.extras["shrunk_band_ratio"]
     drift = cert.extras["center_drift"]

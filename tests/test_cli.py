@@ -68,6 +68,22 @@ Ly = 14.0
 
 
 class TestCertify:
+    @pytest.mark.parametrize("v", ["3", "5", "8", "15", "50", "100"])
+    def test_passes_across_the_weakly_stable_range(self, tmp_path, capsys, v):
+        # from v = 8 on the fixed simple-root radius 1e-3 enclosed the glancing point and the run exited 1
+        cfg = _certify_cfg(tmp_path, n=20000)
+        pathlib.Path(cfg).write_text(pathlib.Path(cfg).read_text().replace("v = 2.0", f"v = {v}"))
+        assert main(["certify", "--config", cfg]) == 0
+        assert capsys.readouterr().out.count(": PASS") == 6
+
+    def test_an_unresolved_simple_root_is_a_check_failure(self, tmp_path, capsys):
+        cfg = _certify_cfg(tmp_path)
+        pathlib.Path(cfg).write_text(pathlib.Path(cfg).read_text().replace("v = 2.0", "v = 1e5"))
+        assert main(["certify", "--config", cfg]) == 1
+        assert "certificate simple_root_quotient: FAIL (min=nan, max=nan, n=0)" in capsys.readouterr().out
+        recs = json.loads((tmp_path / "cert_out" / "certificates.json").read_text(), parse_constant=_reject_constant)
+        assert recs[-1]["extras"]["reason"].startswith("unresolved arcs: radius 3.125e-17 is below double resolution")
+
     def test_pass_run(self, tmp_path, capsys):
         cfg = _certify_cfg(tmp_path)
         assert main(["certify", "--config", cfg]) == 0
@@ -213,6 +229,14 @@ machs = {SQRT2!r}
             f"[run]\nstudy = roots\nout = {tmp_path / 'roots_out'}\n\n[params]\nv = 2.0\nc = 1.0\n\n"
             f"[roots]\nmachs = {machs}\n",
         )
+
+    def test_machs_near_their_glancing_points_locate_their_roots(self, tmp_path, capsys):
+        # the fixed +-20 % bracket let golden section stop at delta = v + c: exit 1 at all but 1e10,
+        # which returned 1e10 + 1 inside the tolerance
+        assert main(["roots", "--config", self._roots_cfg(tmp_path, "15 20 50 1000 1e5 1e6 1e7 1e10")]) == 0
+        assert capsys.readouterr().err == ""
+        rows = json.loads((tmp_path / "roots_out" / "roots.json").read_text())
+        assert max(r["rel_error"] for r in rows) <= 1e-10 and rows[-1]["located"] == 1e10 - 1
 
     def test_degenerate_mach_says_why_on_stderr(self, tmp_path, capsys):
         assert main(["roots", "--config", self._roots_cfg(tmp_path, repr(SQRT2))]) == 1
@@ -750,6 +774,44 @@ class TestExitCodes:
         assert main(["roots", "--config", cfg]) == 1
         assert capsys.readouterr().err.splitlines() == ["roots: mach=2: bracket exhausted"]
 
+    # numpy prints RuntimeWarnings on the way to these guards (the symbol overflows, and NaNs follow)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "v, c, named",
+        [
+            ("1e-300", "1e-300", "vfs: QuadratureUnderResolved: half-line truncation tail ~nan (relative)"),
+            ("1e153", "1", "vfs: SymbolTooSmall: |Sigma|/Lambda^2 = inf is not finite at (delta, eta) = "),
+        ],
+        ids=["nan_symbol", "overflowing_symbol"],
+    )
+    def test_a_non_finite_symbol_never_reaches_front_json(self, tmp_path, capsys, v, c, named):
+        # both used to exit 0 with null or nan norms in front.json
+        cfg = _write(tmp_path, "r.cfg", f"[run]\nout = {tmp_path / 'o'}\n\n[params]\nv = {v}\nc = {c}\n{GRID_BLOCK}")
+        assert main(["solve", "--config", cfg]) == 3
+        assert self._one_vfs_line(capsys).startswith(named)
+        assert not list((tmp_path / "o").glob("front.*"))
+
+    @pytest.mark.parametrize(
+        "study, section, line",
+        [
+            ("certify", "heatmap", "delta_max = 1e200"),
+            ("certify", "heatmap", "gamma = 1e200"),
+            ("solve", "grid", "gamma = 1e200"),
+            ("solve", "grid", "lt = 1e-300"),
+            ("sweep", "sweep", "gammas = 1 1e300"),
+        ],
+    )
+    def test_an_overflowing_frequency_modulus_is_named(self, tmp_path, capsys, study, section, line):
+        # each printed an overflow RuntimeWarning, then "frequency components must be finite"
+        cfg = _write(tmp_path, "r.cfg", f"[run]\nout = {tmp_path / 'o'}\n\n[params]\nv = 2.0\nc = 1.0\n\n[{section}]\n{line}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([study, "--config", cfg]) == 2
+        err = self._one_vfs_line(capsys)
+        assert "the frequency modulus overflows double precision: the largest component is " in err
+        assert f"[{section}] " in err if section != "sweep" else err.endswith("the largest component is 1e+300")
+        assert not ((tmp_path / "o").exists() and any((tmp_path / "o").iterdir()))
+
     def test_bad_thread_count_names_the_variable(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("VFS_THREADS", "abc")
         assert main(["certify", "--config", _certify_cfg(tmp_path)]) == 2
@@ -773,9 +835,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "study, section, line",
         [
-            ("certify", "simple_root", "radius = 0"),
-            ("certify", "simple_root", "radius = -1"),
-            ("certify", "simple_root", "n_points = 0"),
+            ("certify", "simple_root", "radius = 1e-3"),
             ("certify", "sample", "explosion_threshold = nan"),
             ("certify", "sample", "explosion_threshold = 0.5"),
             ("certify", "sample", "n = 0"),
@@ -816,6 +876,9 @@ class TestExitCodes:
         key, value = line.split(" = ")
         if value == "400":
             named = "s = 400.0 overflows the norm weight Lambda^(2(s+1))"
+        elif section == "simple_root":
+            # the section is gone: the radius is derived from the glancing gap
+            named = "unknown section [simple_root]"
         else:
             named = "s must be finite, got" if key == "s" else f"[{section}] {key} must be"
         assert named in self._one_vfs_line(capsys)
@@ -908,7 +971,7 @@ def _floats(lo, hi):
 # raw values that parse, for the keys the property varies; every other key
 # keeps its default.  Some are rejected after parsing (nt = 6, ny = 12,
 # [grid] gamma = 0.5, [heatmap] field = bogus, gamma = 0, n_delta = -1,
-# explosion_threshold = nan, slack = -1, s = nan, radius = 0, ...).
+# explosion_threshold = nan, slack = -1, s = nan, ...).
 _VALID = {
     "params": {"v": _floats(0.5, 4.0), "c": _floats(0.5, 2.0)},
     "sample": {
@@ -947,7 +1010,6 @@ _VALID = {
         "n_delta": st.sampled_from(["1", "3", "0", "-1"]),
         "n_eta": st.sampled_from(["1", "4", "0"]),
     },
-    "simple_root": {"radius": st.sampled_from(["1e-3", "0", "-1", "nan"]), "n_points": st.sampled_from(["360", "1", "0"])},
 }
 _MALFORMED = st.sampled_from(["many", "", "1..2", "2.5.", "bogus", "1 two"])
 

@@ -1,5 +1,6 @@
 """Run configuration: one schema, strict rejection, README in step with it."""
 
+import inspect
 import math
 import pathlib
 import re
@@ -8,7 +9,8 @@ import pytest
 
 from vsheet.cli import main, stability_diagram
 from vsheet.config import SCHEMA, load_config, mach_ladder
-from vsheet.hemisphere import SampleStrategy
+from vsheet.front import estimate_sweep, solve_front
+from vsheet.hemisphere import SampleStrategy, certify_sandwich, certify_weight_bounds, locate_roots, sample_hemisphere
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -42,7 +44,28 @@ def test_defaults_of_a_minimal_config(tmp_path):
     assert cfg.sweep == {"gammas": (1.0, 2.0, 4.0, 8.0), "s": 0.0, "slack": 0.1}
     assert cfg.roots == {"machs": (0.5, 1.0, 1.5, 2.0, 3.0), "tolerance": 1e-8}
     assert cfg.diagram == {"m_min": 0.5, "m_max": 3.5, "m_step": 0.05}
-    assert cfg.simple_root == {"radius": 1e-3, "n_points": 360}
+
+
+@pytest.mark.parametrize(
+    "function, parameter, section, key",
+    [
+        (sample_hemisphere, "gamma_floor", "sample", "gamma_floor"),
+        (sample_hemisphere, "seed", "run", "seed"),
+        (certify_sandwich, "explosion_threshold", "sample", "explosion_threshold"),
+        (certify_sandwich, "seed", "run", "seed"),
+        (certify_weight_bounds, "explosion_threshold", "sample", "explosion_threshold"),
+        (locate_roots, "tolerance", "roots", "tolerance"),
+        (solve_front, "s", "solve", "s"),
+        (solve_front, "sigma_floor", "solve", "sigma_floor"),
+        (estimate_sweep, "s", "sweep", "s"),
+        (estimate_sweep, "slack", "sweep", "slack"),
+    ],
+    ids=lambda item: getattr(item, "__name__", item),
+)
+def test_library_defaults_are_the_schema_defaults(function, parameter, section, key):
+    # a library call without the keyword behaves as vfs does with a config that leaves the key out
+    default = inspect.signature(function).parameters[parameter].default
+    assert (type(default), default) == (type(SCHEMA[section][key]), SCHEMA[section][key])
 
 
 def test_grid_keys_are_case_insensitive_and_heatmap_defaults(tmp_path):
@@ -245,7 +268,7 @@ def test_readme_reference_states_each_range_in_the_schema_words():
             row = rows[f"`[{section}] {key}`"]
             assert rule.words in row.replace("`", ""), (section, key, rule.words, row)
             checked.append(key)
-    assert len(checked) == 21
+    assert len(checked) == 19
 
 
 @pytest.mark.parametrize(

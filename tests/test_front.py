@@ -372,6 +372,49 @@ class TestSolveFront:
         # the report's floor is the same least ratio
         assert solve_front(np.zeros((64, 64)), g, M2).report["symbol_floor"] == ratio.min()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_symbol_is_named_by_the_floor(self, bad):
+        # a NaN used to pass the floor test, and nothing read the largest ratio
+        g = _grid()
+        g_hat = build_g(*_exp_pair(g), M2)
+        g.symbol_table(M2).sigma_big[3, 5] = bad
+        with pytest.raises(SymbolTooSmall) as trip:
+            solve_front(g_hat, g, M2)
+        assert str(trip.value) == (
+            f"|Sigma|/Lambda^2 = {bad:.3e} is not finite at (delta, eta) = ({g.delta()[3]:.6g}, {g.eta()[5]:.6g})"
+        )
+
+    def test_a_number_below_the_floor_is_named_before_a_non_finite_ratio(self):
+        g = _grid()
+        g.symbol_table(M2).sigma_big[3, 5] = np.inf
+        with pytest.raises(SymbolTooSmall, match=r"< floor 10 at"):
+            solve_front(np.zeros((16, 16)), g, M2, sigma_floor=10.0)
+
+    # the kernel's complex division by a NaN mu warns on the way to the guard
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_a_nan_tail_is_under_resolved(self):
+        g = _grid()
+        fp, fm = _exp_pair(g)
+        g.symbol_table(M2).mup[1, 2] = np.nan
+        with pytest.raises(QuadratureUnderResolved, match=r"tail ~nan \(relative\) is not within tolerance 1e-06; mu\+- is not finite"):
+            build_g(fp, fm, M2)
+
+    def test_a_non_finite_g_is_refused(self):
+        g = _grid()
+        g_hat = build_g(*_exp_pair(g), M2)
+        for bad in (np.nan, np.inf):
+            broken = g_hat.copy()
+            broken[2, 3] = bad
+            with pytest.raises(ValueError, match="^g_hat is not finite$"):
+                solve_front(broken, g, M2)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_a_g_whose_norm_overflows_is_refused(self):
+        g = _grid()
+        g_hat = build_g(*_exp_pair(g), M2)
+        with pytest.raises(ValueError, match=r"^the norm \|\|g\|\|_\(H\^s\) overflows at gamma = 1\.0, s = 0\.0$"):
+            solve_front(g_hat / np.max(np.abs(g_hat)) * 1e300, g, M2)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_an_s_whose_norm_weight_overflows_is_refused(self):
         g = _grid()

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import json
+import math
 import warnings
 
 import numpy as np
@@ -25,6 +26,7 @@ from vsheet.symbols import (
     Frequency,
     PhysicalParams,
     big_sigma,
+    glancing_gap,
     root_constants,
     weight_bound_constant,
     weight_sigma,
@@ -628,6 +630,24 @@ class TestLocateRoots:
         with pytest.raises(NoRootFound):
             locate_roots(M2)
 
+    # machs where a fixed +-20 % bracket holds the glancing point delta = v + c, where |Sigma| = c^2
+    # is not a zero, so golden section could miss the root: vfs roots failed at the first seven, and
+    # at M = 1e10 it returned 1e10 + 1; the rest are the 17 failures of np.geomspace(1.4143, 1e150, 601)
+    GLANCING_MACHS = [
+        15.0, 20.0, 50.0, 1000.0, 1e5, 1e6, 1e7, 1e10,
+        44.569332100666735, 79.21095026448062, 250.19776062305516, 790.2811317346604, 1404.528999434012,
+        4436.381702469082, 14012.870234743166, 24904.40657086394, 78663.7041074654, 248469.214727095,
+        441592.4960586979, 1394825.50396034, 4405731.990155034, 7830097.537979057, 24732349.036607083,
+        78120238.72009593, 138839377.93661264,
+    ]
+
+    @pytest.mark.parametrize("mach", GLANCING_MACHS)
+    def test_the_bracket_stays_clear_of_the_glancing_points(self, mach):
+        params = PhysicalParams(v=mach, c=1.0)
+        cy = root_constants(params)
+        assert abs(locate_roots(params) - cy) <= 1e-8 * cy
+        assert glancing_gap(params) < 0.2 * cy  # so the gap, not the 20 %, sets the bracket
+
     def test_search_really_found_a_zero(self):
         found = locate_roots(M2)
         eta = 1.0 / np.hypot(found, 1.0)
@@ -657,9 +677,34 @@ class TestSimpleRoot:
         with pytest.raises(ValueError):
             certify_simple_root(ELL)
 
-    def test_band_tightens_with_radius(self):
-        wide = certify_simple_root(M2, radius=1e-2)
-        tight = certify_simple_root(M2, radius=1e-3)
+    @pytest.mark.parametrize("mach", [3.0, 4.0, 5.0, 8.0, 15.0, 50.0, 100.0, 1e3, 1e4])
+    def test_certifies_across_the_weakly_stable_range(self, mach):
+        # a radius of a quarter gap keeps the arcs off the glancing point delta = (v - c) eta0;
+        # with the fixed radius 1e-3 the arcs enclosed it from M = 5.65 on and the certificate failed
+        params = PhysicalParams(v=mach, c=1.0)
+        _, _, eta0 = root_points(params)[0]
+        cert = certify_simple_root(params)
+        assert cert.passed and cert.sample_size == 720
+        assert cert.extras["radius"] == min(1e-3, glancing_gap(params) * eta0 / 4)
+        if 4.0 <= mach <= 1e3:
+            # the quotient depends on M only through radius / gap, and here that is 1/4 (at 1e4 rounding shows)
+            assert cert.extras["band_ratio"] == pytest.approx(1.1345, abs=5e-3)
+            assert cert.extras["center_drift"] == pytest.approx(4.5e-3, abs=1e-3)
+
+    def test_an_unresolved_radius_fails_with_its_reason(self):
+        # at M = 1e5 a quarter gap is 3e-17 of delta0, below what a double resolves
+        cert = certify_simple_root(PhysicalParams(v=1e5, c=1.0))
+        assert not cert.passed
+        assert (cert.sample_size, math.isnan(cert.empirical_min), math.isnan(cert.empirical_max)) == (0, True, True)
+        assert cert.extras["radius"] == pytest.approx(3.125e-17, rel=1e-3)
+        assert cert.extras["reason"].startswith("unresolved arcs: radius 3.125e-17 is below double resolution at delta0 = ")
+        assert "band_ratio" not in cert.extras
+
+    def test_band_tightens_with_radius(self, monkeypatch):
+        monkeypatch.setattr(hemisphere, "_ARC_RADIUS", 1e-2)
+        wide = certify_simple_root(M2)
+        monkeypatch.setattr(hemisphere, "_ARC_RADIUS", 1e-3)
+        tight = certify_simple_root(M2)
         assert tight.extras["band_ratio"] <= wide.extras["band_ratio"] + 1e-12
 
 
@@ -786,7 +831,7 @@ class TestPassRule:
     @pytest.mark.parametrize("shrink", [1.0, hemisphere._SHRINK], ids=["outer", "inner"])
     def test_a_zero_simple_root_band_fails_with_a_reason(self, monkeypatch, shrink):
         _vanishing_on_one_arc_point(monkeypatch, 1e-3 * shrink)
-        cert = certify_simple_root(M2, radius=1e-3)
+        cert = certify_simple_root(M2)
         assert not cert.passed
         assert cert.extras == {"radius": 1e-3, "reason": f"zero band: |Sigma| vanishes on the arc of radius {1e-3 * shrink:g}"}
         assert (cert.empirical_min == 0.0) == (shrink == 1.0)

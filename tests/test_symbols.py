@@ -23,6 +23,7 @@ from vsheet.symbols import (
     PhysicalParams,
     Regime,
     big_sigma,
+    glancing_gap,
     mu_pm,
     root_constants,
     weight_bound_constant,
@@ -82,6 +83,14 @@ class TestFrequency:
             Frequency(0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             Frequency(-1.0, 0.0, 1.0)
+
+    def test_an_overflowing_modulus_is_named_without_a_warning(self):
+        # finite components whose squares overflow (the RuntimeWarning filter makes a warning fail the test)
+        with pytest.raises(ValueError, match=r"^the frequency modulus overflows double precision: the largest component is 1e\+200$"):
+            Frequency(1.0, np.array([0.0, -1e200]), 1.0)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="^frequency components must be finite$"):
+                Frequency(1.0, bad, 1.0)
 
     def test_lambda_and_tau(self):
         f = Frequency(3.0, 4.0, 0.0)
@@ -318,6 +327,33 @@ class TestRootConstants:
         y1 = root_constants(params)
         val = big_sigma(Frequency(y1, 0.0, 1.0), params)
         assert abs(val) < 1e-10 * (1.0 + y1 * y1)
+
+
+class TestGlancingGap:
+    @pytest.mark.parametrize("mach", [1.415, 2.0, 15.0, 1e3, 1e8, 1e150])
+    def test_mpmath_oracle_of_the_cancelling_difference(self, mach):
+        # (M - 1) - Y2 ~ 1 / (8 M^2) cancels about 2 log10(M) digits of M; 700 digits cover M = 1e150
+        with mpmath.workdps(700):
+            m = mpmath.mpf(mach)
+            oracle = (m - 1) - mpmath.sqrt(m**2 + 1 - mpmath.sqrt(4 * m**2 + 1))
+            got = glancing_gap(PhysicalParams(v=mach, c=1.0))
+            assert abs(got - oracle) <= 1e-14 * oracle, f"gap({mach}) = {got!r}, oracle {oracle}"
+
+    def test_is_the_distance_from_the_root_to_where_mu_minus_vanishes(self):
+        params = PhysicalParams(v=6.0, c=3.0)
+        cy, gap = params.c * root_constants(params), glancing_gap(params)
+        assert gap == pytest.approx((params.v - params.c) - cy, rel=1e-14)
+        assert gap == pytest.approx(3.0 * glancing_gap(M2), rel=1e-14)
+        _, mum = mu_pm(Frequency(0.0, cy + gap, 1.0), params)
+        assert abs(mum) < 1e-6
+
+    def test_shrinks_like_c_over_8_m_squared(self):
+        assert glancing_gap(PhysicalParams(v=1e8, c=1.0)) == pytest.approx(1.0 / 8e16, rel=1e-7)
+
+    @pytest.mark.parametrize("mach", [1.0, SQRT2])
+    def test_exists_in_the_weakly_stable_regime_only(self, mach):
+        with pytest.raises(ValueError, match="glancing_gap requires the weakly stable regime"):
+            glancing_gap(PhysicalParams(v=mach, c=1.0))
 
 
 class TestWeight:
