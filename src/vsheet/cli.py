@@ -172,6 +172,10 @@ def _study_certify(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
+# a located root agrees with its closed form when their relative difference is at most this
+_ROOT_AGREEMENT = 1e-8
+
+
 def _study_roots(cfg: RunConfig) -> int:
     c = cfg.params.c
     columns = ["mach", "regime", "closed_form", "located", "rel_error", "ok"]
@@ -182,19 +186,27 @@ def _study_roots(cfg: RunConfig) -> int:
         row = dict.fromkeys(columns, math.nan) | {"mach": mach, "regime": regime.value, "ok": False}
         rows.append(row)
         if regime is Regime.DEGENERATE:
-            print(f"roots: mach={mach:g}: degenerate regime (mach = sqrt(2)); no root to locate", file=sys.stderr)
+            print(f"roots: mach={mach!r}: degenerate regime (mach = sqrt(2)); no root to locate", file=sys.stderr)
             continue
         row["closed_form"] = closed = c * root_constants(params)
         try:
-            located = locate_roots(params, tolerance=cfg.roots["tolerance"])
+            located = locate_roots(params)
         except NoRootFound as exc:
-            print(f"roots: mach={mach:g}: {exc}", file=sys.stderr)
+            print(f"roots: mach={mach!r}: {exc}", file=sys.stderr)
             continue
-        row.update(located=located, rel_error=abs(abs(located) - closed) / closed, ok=True)
+        rel_error = abs(abs(located) - closed) / closed
+        # in range, so a NaN error fails
+        row.update(located=located, rel_error=rel_error, ok=rel_error <= _ROOT_AGREEMENT)
+        if not row["ok"]:
+            print(
+                f"roots: mach={mach!r}: located root {located:.15g} disagrees with closed form {closed:.15g} "
+                f"by {rel_error:.3g} relative, above {_ROOT_AGREEMENT:g}",
+                file=sys.stderr,
+            )
     fileio.write_csv(cfg.out_dir / "roots.csv", columns, [list(row.values()) for row in rows])
     fileio.write_json(cfg.out_dir / "roots.json", rows)
     for row in rows:
-        print(f"root mach={row['mach']:g} [{row['regime']}]: located={row['located']:.12g} closed={row['closed_form']:.12g}")
+        print(f"root mach={row['mach']!r} [{row['regime']}]: located={row['located']:.12g} closed={row['closed_form']:.12g}")
     return 0 if all(row["ok"] for row in rows) else 1
 
 

@@ -13,7 +13,7 @@ Example::
 
     [sample]
     n = 100000
-    strategy = stratified_near_roots   ; or uniform_angular, quasi_random
+    strategy = stratified_near_roots   ; or uniform_angular
     gamma_floor = 1e-6
 
 ``SCHEMA`` is the one list of sections and keys.  Each key's default fixes its
@@ -105,7 +105,6 @@ SCHEMA = {
     "roots": _Section(
         machs=_Ranged((0.5, 1.0, 1.5, 2.0, 3.0), lambda x: len(x) >= 1 and all(_MIN_ROOTS_MACH <= m < math.inf for m in x),
                       f"a list of at least one value, each finite and at least {_MIN_ROOTS_MACH!r} (the least mach with a normal M^2)"),
-        tolerance=_Ranged(1e-8, *_POSITIVE),
     ),
     "diagram": _Section(m_min=_Ranged(0.5, *_FINITE), m_max=_Ranged(3.5, *_FINITE), m_step=_Ranged(0.05, *_POSITIVE)),
     "heatmap": _Section(

@@ -47,6 +47,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
+import math
 
 import numpy as np
 
@@ -332,9 +333,11 @@ def _panel_sums(grid: GridSpec, spectral: np.ndarray, mu: np.ndarray):
 def boundary_terms(grid: GridSpec, spectral: np.ndarray, mu) -> np.ndarray:
     """T = (1/mu) int_0^Ly exp(-mu y) F(y) dy on the grid's rule, with the shape of ``mu``.
 
-    ``spectral`` holds F on the rule's nodes, with shape ``mu.shape + (ny,)``.
+    ``spectral`` holds F on the rule's nodes, with shape ``mu.shape + (ny,)``.  A mu that is not
+    finite gives a T that is not, without a warning: ``front.build_g``'s tail guard names it.
     """
-    return _panel_sums(grid, spectral, np.asarray(mu))[0]
+    with np.errstate(invalid="ignore"):
+        return _panel_sums(grid, spectral, np.asarray(mu))[0]
 
 
 def closure_sums(grid: GridSpec, spectral: np.ndarray, mu):
@@ -373,7 +376,8 @@ def weighted_norm(
     PLAIN is the norm with weight Lambda^s, ANISOTROPIC the one with
     |sigma| Lambda^s.  The Riemann sum in frequency absorbs the continuum
     1/(2 pi)^2 so that the s = 0 plain norm equals the L^2 norm of
-    exp(-gamma t) u on the torus (discrete Parseval).
+    exp(-gamma t) u on the torus (discrete Parseval).  A sum of squares
+    that overflows is redone at an exact power of two, :func:`_rescaled`.
     """
     u_hat = np.asarray(u_hat)
     if u_hat.shape != (grid.nt, grid.nx):
@@ -384,7 +388,9 @@ def weighted_norm(
             raise ValueError("the anisotropic norm needs params (the weight depends on mach)")
         _require_weakly_stable(params)
         w = grid.symbol_table(params).abs_weight * w
-    return float(np.sqrt(np.sum((w * np.abs(u_hat)) ** 2, axis=(0, 1)) / (grid.Lt * grid.Lx)))
+    with np.errstate(over="ignore"):
+        values = w * np.abs(u_hat)
+        return _rescaled(lambda k: np.sum(np.ldexp(values, -k) ** 2 if k else values**2, axis=(0, 1)), values.max, grid)
 
 
 def half_line_norm(spectral: np.ndarray, grid: GridSpec, s: float) -> float:
@@ -395,16 +401,44 @@ def half_line_norm(spectral: np.ndarray, grid: GridSpec, s: float) -> float:
     is the full mesh's.  The squares are summed in blocks of
     ``_REDUCE_ROWS`` rows, each one matrix-vector product of the weights
     Lambda^(2s) with the squared real and imaginary parts, so no temporary
-    of the field's size is made.
+    of the field's size is made.  A sum of squares that overflows is redone
+    at an exact power of two, :func:`_rescaled`.
     """
     spectral = np.asarray(spectral)
     shape = (grid.nt, grid.half_nx, grid.ny)
     if spectral.shape != shape:
         raise ValueError(f"expected shape {shape}, got {spectral.shape}")
     weights = grid.half(grid.freq_mesh().lam) ** (2.0 * s) * grid.column_counts
-    total = np.zeros(2 * grid.ny)
-    for start in range(0, grid.nt, _REDUCE_ROWS):
-        parts = np.ascontiguousarray(spectral[start : start + _REDUCE_ROWS], dtype=complex).view(np.float64)
-        total += weights[start : start + _REDUCE_ROWS].ravel() @ (parts * parts).reshape(-1, total.size)
     _, wq = grid.quadrature()
-    return float(np.sqrt(np.dot(wq, total[0::2] + total[1::2]) / (grid.Lt * grid.Lx)))
+    blocks = range(0, grid.nt, _REDUCE_ROWS)
+
+    def squares(k: int) -> float:
+        total = np.zeros(2 * grid.ny)
+        for start in blocks:
+            parts = np.ascontiguousarray(spectral[start : start + _REDUCE_ROWS], dtype=complex).view(np.float64)
+            if k:
+                parts = np.ldexp(parts, -k)
+            total += weights[start : start + _REDUCE_ROWS].ravel() @ (parts * parts).reshape(-1, total.size)
+        return np.dot(wq, total[0::2] + total[1::2])
+
+    def peak() -> float:
+        return max(float(np.max(np.abs(spectral[start : start + _REDUCE_ROWS]))) for start in blocks)
+
+    with np.errstate(over="ignore"):
+        return _rescaled(squares, peak, grid)
+
+
+def _rescaled(squares, peak, grid: GridSpec) -> float:
+    """``sqrt(squares(0) / (Lt Lx))``, where ``squares(k)`` sums the values' squares with the values times 2^-k.
+
+    A sum that is not finite is redone once at the exponent k of ``peak()``,
+    the largest value, which puts every scaled value below 1, and the root
+    is scaled back by 2^k: a power of two scales each rounding step exactly,
+    so a norm that double precision holds reads finite, with the bits of the
+    unscaled sum, while a finite first sum takes no second pass.
+    """
+    total, k = squares(0), 0
+    if not np.isfinite(total):
+        k = math.frexp(peak())[1]
+        total = squares(k)
+    return float(np.ldexp(np.sqrt(total / (grid.Lt * grid.Lx)), k))

@@ -311,6 +311,8 @@ class SymbolTable:
 
     Each branch is evaluated once and Sigma is fed their sum, so every array equals :func:`mu_pm`,
     :func:`big_sigma` or ``abs(weight_sigma)`` on the mesh bit for bit; Lambda is the mesh's own.
+    Overflow and invalid values are left to the solve's guards, which name them: the tail guard of
+    ``front.build_g`` refuses a mu+- that is not finite, the symbol floor a Sigma that is not.
     """
 
     mup: np.ndarray
@@ -321,10 +323,11 @@ class SymbolTable:
     @classmethod
     def on_mesh(cls, mesh: Frequency, params: PhysicalParams) -> "SymbolTable":
         lam = mesh.lam
-        mup, mum = _mu_unit(*mesh.unit, params)
-        sigma_big = lam**2 * _sigma_unit(*mesh.unit, mup + mum, params)
-        abs_weight = np.abs(weight_sigma(mesh, params)) if params.regime() is Regime.WEAKLY_STABLE else None
-        return cls(lam * mup, lam * mum, sigma_big, abs_weight)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mup, mum = _mu_unit(*mesh.unit, params)
+            sigma_big = lam**2 * _sigma_unit(*mesh.unit, mup + mum, params)
+            abs_weight = np.abs(weight_sigma(mesh, params)) if params.regime() is Regime.WEAKLY_STABLE else None
+            return cls(lam * mup, lam * mum, sigma_big, abs_weight)
 
 
 def weight_bound_constant(params: PhysicalParams) -> float:

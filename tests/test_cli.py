@@ -238,10 +238,25 @@ machs = {SQRT2!r}
         rows = json.loads((tmp_path / "roots_out" / "roots.json").read_text())
         assert max(r["rel_error"] for r in rows) <= 1e-10 and rows[-1]["located"] == 1e10 - 1
 
+    def test_a_root_off_its_closed_form_keeps_its_located_value(self, tmp_path, capsys):
+        # just above sqrt(2) the search stops 5.7e-8 and 5.6e-8 from the closed form: those rows read
+        # nan, nan, and both machs were named 1.41421
+        assert main(["roots", "--config", self._roots_cfg(tmp_path, "1.414214 1.414215 1.41422 2")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        for line, mach, error in zip(err, ("1.414214", "1.414215"), ("5.72e-08", "5.61e-08")):
+            assert line.startswith(f"roots: mach={mach}: located root ") and line.endswith(f" by {error} relative, above 1e-08")
+        rows = json.loads((tmp_path / "roots_out" / "roots.json").read_text())
+        assert [r["ok"] for r in rows] == [False, False, True, True]
+        assert all(r["located"] > 0 for r in rows)
+        assert [round(r["rel_error"], 9) for r in rows[:2]] == [5.7e-08, 5.6e-08]
+        with open(tmp_path / "roots_out" / "roots.csv") as f:
+            assert [row["located"] for row in csv.DictReader(f)] == [repr(r["located"]) for r in rows]
+
     def test_degenerate_mach_says_why_on_stderr(self, tmp_path, capsys):
         assert main(["roots", "--config", self._roots_cfg(tmp_path, repr(SQRT2))]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert err == ["roots: mach=1.41421: degenerate regime (mach = sqrt(2)); no root to locate"]
+        assert err == ["roots: mach=1.4142135623730951: degenerate regime (mach = sqrt(2)); no root to locate"]
 
     def test_a_mach_whose_square_overflows_is_a_one_line_usage_error(self, tmp_path, capsys):
         # at 1e154 M^2 is finite and only 4 M^2 overflows: the root constant must not read 0 there
@@ -713,7 +728,7 @@ sys.exit(code)
 """
 
 
-@pytest.mark.parametrize("strategy", ["uniform_angular", "stratified_near_roots", "quasi_random"])
+@pytest.mark.parametrize("strategy", ["uniform_angular", "stratified_near_roots"])
 def test_certify_runs_without_scipy(tmp_path, strategy):
     src = str(pathlib.Path(vsheet.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -766,16 +781,16 @@ class TestExitCodes:
         assert self._one_vfs_line(capsys) == f"vfs: {guard.__name__}: tripped"
 
     def test_no_root_found_stays_a_check_failure(self, tmp_path, capsys, monkeypatch):
-        def no_root(params, tolerance):
+        def no_root(params):
             raise NoRootFound("bracket exhausted")
 
         monkeypatch.setattr(cli, "locate_roots", no_root)
         cfg = _write(tmp_path, "r.cfg", f"[run]\nout = {tmp_path / 'o'}\n\n[params]\nv = 2.0\nc = 1.0\n\n[roots]\nmachs = 2.0\n")
         assert main(["roots", "--config", cfg]) == 1
-        assert capsys.readouterr().err.splitlines() == ["roots: mach=2: bracket exhausted"]
+        assert capsys.readouterr().err.splitlines() == ["roots: mach=2.0: bracket exhausted"]
 
-    # numpy prints RuntimeWarnings on the way to these guards (the symbol overflows, and NaNs follow)
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # the symbol overflows and NaNs follow, which numpy once printed as RuntimeWarnings on the way to the guards
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "v, c, named",
         [
@@ -832,10 +847,22 @@ class TestExitCodes:
         recs = json.loads((tmp_path / "cert_out" / "certificates.json").read_text())
         assert recs[-1]["extras"]["reason"] == "zero band: |Sigma| vanishes on the arc of radius 0.001"
 
+    # options that are gone, and what their one line says
+    RETIRED = {
+        # the simple-root radius is derived from the glancing gap
+        "radius = 1e-3": "unknown section [simple_root]",
+        # vfs roots judges agreement against one fixed bound
+        "tolerance = 1e-8": "unknown key [roots] tolerance",
+        # its zone points are the stratified sample's
+        "strategy = quasi_random": "[sample] strategy = 'quasi_random' is not one of uniform_angular, stratified_near_roots",
+    }
+
     @pytest.mark.parametrize(
         "study, section, line",
         [
             ("certify", "simple_root", "radius = 1e-3"),
+            ("roots", "roots", "tolerance = 1e-8"),
+            ("certify", "sample", "strategy = quasi_random"),
             ("certify", "sample", "explosion_threshold = nan"),
             ("certify", "sample", "explosion_threshold = 0.5"),
             ("certify", "sample", "n = 0"),
@@ -854,8 +881,6 @@ class TestExitCodes:
             ("roots", "roots", "machs = "),
             ("roots", "roots", "machs = 0 2"),
             ("roots", "roots", "machs = 2 nan"),
-            ("roots", "roots", "tolerance = nan"),
-            ("roots", "roots", "tolerance = 0"),
             ("solve", "solve", "s = nan"),
             ("solve", "solve", "s = inf"),
             ("sweep", "sweep", "s = nan"),
@@ -876,9 +901,8 @@ class TestExitCodes:
         key, value = line.split(" = ")
         if value == "400":
             named = "s = 400.0 overflows the norm weight Lambda^(2(s+1))"
-        elif section == "simple_root":
-            # the section is gone: the radius is derived from the glancing gap
-            named = "unknown section [simple_root]"
+        elif line in self.RETIRED:
+            named = self.RETIRED[line]
         else:
             named = "s must be finite, got" if key == "s" else f"[{section}] {key} must be"
         assert named in self._one_vfs_line(capsys)
@@ -976,13 +1000,12 @@ _VALID = {
     "params": {"v": _floats(0.5, 4.0), "c": _floats(0.5, 2.0)},
     "sample": {
         "n": st.integers(1, 2000).map(str),
-        "strategy": st.sampled_from(["stratified_near_roots", "uniform_angular", "quasi_random"]),
+        "strategy": st.sampled_from(["stratified_near_roots", "uniform_angular"]),
         "gamma_floor": st.sampled_from(["0", "1e-6", "0.01", "0.5"]),
         "explosion_threshold": st.sampled_from(["1e8", "100", "1.5", "inf", "nan", "0.5"]),
     },
     "roots": {
         "machs": st.lists(_floats(0.3, 4.0), min_size=1, max_size=3).map(" ".join),
-        "tolerance": st.sampled_from(["1e-8", "nan", "0", "-1"]),
     },
     "diagram": {"m_min": _floats(0.1, 2.0), "m_max": _floats(0.1, 4.0), "m_step": _floats(0.05, 1.0)},
     "grid": {

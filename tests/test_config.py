@@ -10,7 +10,7 @@ import pytest
 from vsheet.cli import main, stability_diagram
 from vsheet.config import SCHEMA, load_config, mach_ladder
 from vsheet.front import estimate_sweep, solve_front
-from vsheet.hemisphere import SampleStrategy, certify_sandwich, certify_weight_bounds, locate_roots, sample_hemisphere
+from vsheet.hemisphere import SampleStrategy, certify_sandwich, certify_weight_bounds, sample_hemisphere
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -42,7 +42,7 @@ def test_defaults_of_a_minimal_config(tmp_path):
     assert g.Lt == g.Lx == 6.283185307179586
     assert cfg.solve == {"s": 0.0, "sigma_floor": 1e-12, "source_plus": "builtin", "source_minus": "builtin"}
     assert cfg.sweep == {"gammas": (1.0, 2.0, 4.0, 8.0), "s": 0.0, "slack": 0.1}
-    assert cfg.roots == {"machs": (0.5, 1.0, 1.5, 2.0, 3.0), "tolerance": 1e-8}
+    assert cfg.roots == {"machs": (0.5, 1.0, 1.5, 2.0, 3.0)}
     assert cfg.diagram == {"m_min": 0.5, "m_max": 3.5, "m_step": 0.05}
 
 
@@ -54,7 +54,6 @@ def test_defaults_of_a_minimal_config(tmp_path):
         (certify_sandwich, "explosion_threshold", "sample", "explosion_threshold"),
         (certify_sandwich, "seed", "run", "seed"),
         (certify_weight_bounds, "explosion_threshold", "sample", "explosion_threshold"),
-        (locate_roots, "tolerance", "roots", "tolerance"),
         (solve_front, "s", "solve", "s"),
         (solve_front, "sigma_floor", "solve", "sigma_floor"),
         (estimate_sweep, "s", "sweep", "s"),
@@ -76,9 +75,9 @@ def test_grid_keys_are_case_insensitive_and_heatmap_defaults(tmp_path):
 
 
 def test_semicolon_and_hash_start_inline_comments(tmp_path):
-    text = "[params]   ; physical\nv = 2.0   # half jump\nc = 1.0 ; sound speed\n[sample]\nstrategy = quasi_random ; or uniform_angular\n"
+    text = "[params]   ; physical\nv = 2.0   # half jump\nc = 1.0 ; sound speed\n[sample]\nstrategy = uniform_angular ; or stratified_near_roots\n"
     cfg = load_config(_write(tmp_path, text), study="certify")
-    assert cfg.params.c == 1.0 and cfg.sample["strategy"] is SampleStrategy.QUASI_RANDOM
+    assert cfg.params.c == 1.0 and cfg.sample["strategy"] is SampleStrategy.UNIFORM_ANGULAR
 
 
 # Each of these loaded (or crashed with a traceback) before the schema existed.
@@ -268,7 +267,7 @@ def test_readme_reference_states_each_range_in_the_schema_words():
             row = rows[f"`[{section}] {key}`"]
             assert rule.words in row.replace("`", ""), (section, key, rule.words, row)
             checked.append(key)
-    assert len(checked) == 19
+    assert len(checked) == 18
 
 
 @pytest.mark.parametrize(

@@ -346,6 +346,30 @@ class TestNorms:
         want = float(np.sqrt(np.dot(g.quadrature()[1], squares)))
         assert half_line_norm(u, g, s) == pytest.approx(want, rel=1e-14)
 
+    # the squares of a 1e300 peak overflow, and both norms read inf for these finite fields
+    @pytest.mark.parametrize("s, space", [(0.0, Space.PLAIN), (1.0, Space.PLAIN), (1.0, Space.ANISOTROPIC)])
+    def test_weighted_norm_of_a_field_whose_squares_overflow_is_finite(self, s, space):
+        g = _grid()
+        rng = np.random.default_rng(7)
+        u = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        u *= 1e300 / np.max(np.abs(u))
+        got = weighted_norm(u, g, s, space, M2)
+        assert np.isfinite(got) and got == 2.0**1000 * weighted_norm(u * 2.0**-1000, g, s, space, M2)
+        assert weighted_norm(np.full((16, 16), 1e300), g, 0.0) == pytest.approx(1e300 * np.sqrt(256 / (g.Lt * g.Lx)), rel=1e-15)
+
+    def test_half_line_norm_of_a_field_whose_squares_overflow_is_finite(self):
+        g = _grid()
+        rng = np.random.default_rng(7)
+        u = rng.standard_normal((16, 9, 8)) + 1j * rng.standard_normal((16, 9, 8))
+        u *= 1e300 / np.max(np.abs(u))
+        got = half_line_norm(u, g, 1.0)
+        assert np.isfinite(got) and got == 2.0**1000 * half_line_norm(u * 2.0**-1000, g, 1.0)
+
+    def test_a_norm_beyond_double_precision_reads_inf(self):
+        g = _grid()
+        assert weighted_norm(np.full((16, 16), 1e308), g, 0.0) == np.inf
+        assert half_line_norm(np.full((16, 9, 8), 1e308), g, 0.0) == np.inf
+
     def test_half_line_norm_combines_layers(self):
         g = _grid(ny=8)
         y, w = g.quadrature()

@@ -76,9 +76,9 @@ class TestSampling:
         )
         np.testing.assert_array_equal(a, b[: len(small)])
 
-    def test_seed_changes_quasi_random(self):
-        a = sample_hemisphere(64, SampleStrategy.QUASI_RANDOM, 1e-6, M2, seed=0)
-        b = sample_hemisphere(64, SampleStrategy.QUASI_RANDOM, 1e-6, M2, seed=1)
+    def test_seed_changes_stratified(self):
+        a = sample_hemisphere(64, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6, M2, seed=0)
+        b = sample_hemisphere(64, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6, M2, seed=1)
         assert not np.allclose(np.asarray(a.freqs.delta), np.asarray(b.freqs.delta))
 
     @pytest.mark.parametrize("shape", [(), (2, chunks.CHUNK // 2 + 5)], ids=["0-d", "2-d"])
@@ -130,7 +130,7 @@ class TestOwnedSequence:
     @pytest.mark.parametrize("seed", [0, 1, 2, 102])
     def test_equals_scipy_halton_bit_for_bit(self, seed, n):
         # a fresh engine's random(n) is the head of its random(10**6): point i depends on i alone
-        got = hemisphere._sequence(SampleStrategy.QUASI_RANDOM, seed)(0, n).T
+        got = hemisphere._sequence(SampleStrategy.STRATIFIED_NEAR_ROOTS, seed)(0, n).T
         ref = self._scipy_points(seed)[:n]
         assert got.shape == (n, 2)
         np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
@@ -142,7 +142,7 @@ class TestOwnedSequence:
             ["0x1.9dafdfdc1c23ep-2", "0x1.cb94b53d7d29ep-8"],
             ["0x1.ced7efee0e11fp-1", "0x1.cab39b31976c5p-1"],
         ]
-        got = hemisphere._sequence(SampleStrategy.QUASI_RANDOM, 1)(0, 4).T
+        got = hemisphere._sequence(SampleStrategy.STRATIFIED_NEAR_ROOTS, 1)(0, 4).T
         assert [[x.hex() for x in row] for row in got.tolist()] == pinned
 
     @pytest.mark.parametrize("n, m", [(2**17 - 1, 2**17 + 1), (3**11 - 1, 3**11 + 2), (5, 2 * 2**17 + 3)])
@@ -251,7 +251,6 @@ class TestPinnedCertifyOutput:
     SAMPLES = {
         SampleStrategy.UNIFORM_ANGULAR: "10e9ef58ac52d6903d0918750c3a9764ea54284d76fab2727936045f197ac701",
         SampleStrategy.STRATIFIED_NEAR_ROOTS: "a03a22d1af512e6f873acdebcd4bc8d6d9713b4394c65bd1b06253304d22b59f",
-        SampleStrategy.QUASI_RANDOM: "5759e7c460b4aa531da9e000ef2c47e3de1e1d4b2a24e2748e6d8be8ee174c09",
     }
 
     # (empirical_min, empirical_max, sample_size) of the five sample certificates;
@@ -270,13 +269,6 @@ class TestPinnedCertifyOutput:
             ("0x1.610b16e63a763p-19", "0x1.ffffffff73447p-1", 131077),
             ("0x1.5c621dd310d8ap+0", "0x1.5eacf3a60c42cp+0", 33022),
             ("0x1.1d40af7a4089fp-4", "0x1.ffffffff73447p-1", 98055),
-        ]),
-        SampleStrategy.QUASI_RANDOM: (331, [
-            ("0x1.3c90a9ebfc64bp-3", "0x1.ef35fca19c083p+2", 131077),
-            ("0x1.00006b8b25719p+0", "0x1.07c6169ee3063p+18", 131077),
-            ("0x1.5bc67d6cf35c4p-8", "0x1.ffffffff73447p-1", 131077),
-            ("0x1.5c621e7cd209bp+0", "0x1.5ea8a5c6141f1p+0", 331),
-            ("0x1.1ab7958ba8444p-4", "0x1.ffffffff73447p-1", 130746),
         ]),
     }
 
@@ -359,7 +351,7 @@ class TestSandwich:
             certify_sandwich(sample, ELL)
 
     def test_json_record_shape(self):
-        sample = sample_hemisphere(128, SampleStrategy.QUASI_RANDOM, 1e-6, M2, seed=0)
+        sample = sample_hemisphere(128, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6, M2, seed=0)
         rec = certify_sandwich(sample, M2).to_json_dict()
         for key in ("ratio_name", "empirical_min", "empirical_max", "sample_size", "gamma_floor", "mach", "pass"):
             assert key in rec, f"missing {key}"
@@ -515,7 +507,7 @@ class TestScanBlocks:
 
         monkeypatch.setattr(hemisphere, "map_chunks", spy)
         sample_hemisphere(5000, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6, M2, seed=0)
-        sample_hemisphere(5000, SampleStrategy.QUASI_RANDOM, 1e-6, M2, seed=0)
+        sample_hemisphere(5000, SampleStrategy.UNIFORM_ANGULAR, 1e-6, M2, seed=0)
         # 1000 points per chunk: 250 strata of four points, or 1000 strata of one
         assert cuts == [250, 1000]
 
