@@ -13,6 +13,7 @@ from vsheet import grids
 from vsheet.grids import (
     GridSpec,
     Space,
+    boundary_terms,
     find_mode,
     forward_transform,
     half_line_norm,
@@ -156,6 +157,19 @@ class TestGridCaches:
             assert np.array_equal(table.abs_weight, np.abs(weight_sigma(mesh, params)))
         else:
             assert table.abs_weight is None
+
+
+    # the two solves whose symbols overflow or turn NaN: the solve's guards name those, not numpy
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("v, c", [(1e-300, 1e-300), (1e153, 1.0)], ids=["nan_symbol", "overflowing_symbol"])
+    def test_a_symbol_table_that_is_not_finite_is_built_without_warnings(self, v, c):
+        table = _grid().symbol_table(PhysicalParams(v=v, c=c))
+        assert not all(np.all(np.isfinite(a)) for a in (table.mup, table.mum, table.sigma_big))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_nan_mu_gives_a_nan_boundary_term_without_warnings(self):
+        got = boundary_terms(_grid(), np.ones((2, 8)), np.array([1.0, np.nan]))
+        assert np.isfinite(got[0]) and np.isnan(got[1])
 
 
 class TestFindMode:
@@ -369,6 +383,30 @@ class TestNorms:
         g = _grid()
         assert weighted_norm(np.full((16, 16), 1e308), g, 0.0) == np.inf
         assert half_line_norm(np.full((16, 9, 8), 1e308), g, 0.0) == np.inf
+
+    # a sum of squares that stays finite is today's, bit for bit: no rescaling and no second pass
+    @pytest.mark.parametrize("s, space", [(0.0, Space.PLAIN), (1.0, Space.PLAIN), (1.0, Space.ANISOTROPIC)])
+    def test_weighted_norm_of_a_finite_sum_keeps_the_unscaled_bits(self, s, space):
+        g = _grid()
+        rng = np.random.default_rng(7)
+        u = 1e150 * (rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
+        w = g.freq_mesh().lam ** s
+        if space is Space.ANISOTROPIC:
+            w = g.symbol_table(M2).abs_weight * w
+        want = float(np.sqrt(np.sum((w * np.abs(u)) ** 2, axis=(0, 1)) / (g.Lt * g.Lx)))
+        assert weighted_norm(u, g, s, space, M2) == want
+
+    def test_half_line_norm_of_a_finite_sum_keeps_the_unscaled_bits(self):
+        g = _grid(nt=32)
+        rng = np.random.default_rng(7)
+        u = 1e150 * (rng.standard_normal((32, 9, 8)) + 1j * rng.standard_normal((32, 9, 8)))
+        weights = g.half(g.freq_mesh().lam) ** 2.0 * g.column_counts
+        total = np.zeros(16)
+        for start in range(0, 32, grids._REDUCE_ROWS):
+            parts = np.ascontiguousarray(u[start : start + grids._REDUCE_ROWS]).view(np.float64)
+            total += weights[start : start + grids._REDUCE_ROWS].ravel() @ (parts * parts).reshape(-1, 16)
+        want = float(np.sqrt(np.dot(g.quadrature()[1], total[0::2] + total[1::2]) / (g.Lt * g.Lx)))
+        assert half_line_norm(u, g, 1.0) == want
 
     def test_half_line_norm_combines_layers(self):
         g = _grid(ny=8)

@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import inspect
 import json
 import math
 import warnings
@@ -80,6 +81,13 @@ class TestSampling:
         a = sample_hemisphere(64, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6, M2, seed=0)
         b = sample_hemisphere(64, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6, M2, seed=1)
         assert not np.allclose(np.asarray(a.freqs.delta), np.asarray(b.freqs.delta))
+
+    def test_uniform_angular_does_not_depend_on_the_seed(self):
+        # its sequence is unscrambled: the seed shuffles only the stratified sample's digits
+        a = sample_hemisphere(1000, SampleStrategy.UNIFORM_ANGULAR, 1e-6, M2, seed=0)
+        b = sample_hemisphere(1000, SampleStrategy.UNIFORM_ANGULAR, 1e-6, M2, seed=1)
+        for x, y in zip(_rows(a), _rows(b)):
+            np.testing.assert_array_equal(x.view(np.uint64), y.view(np.uint64))
 
     @pytest.mark.parametrize("shape", [(), (2, chunks.CHUNK // 2 + 5)], ids=["0-d", "2-d"])
     def test_a_sample_is_a_one_dimensional_batch(self, shape):
@@ -639,6 +647,18 @@ class TestLocateRoots:
         cy = root_constants(params)
         assert abs(locate_roots(params) - cy) <= 1e-8 * cy
         assert glancing_gap(params) < 0.2 * cy  # so the gap, not the 20 %, sets the bracket
+
+    def test_takes_params_alone(self):
+        # agreement with the closed form is judged by vfs roots, against one fixed bound
+        assert list(inspect.signature(locate_roots).parameters) == ["params"]
+
+    # just above sqrt(2) the search stops 5.7e-8 and 5.6e-8 from the closed form: a zero all the same
+    @pytest.mark.parametrize("mach, error", [(1.414214, 5.7e-8), (1.414215, 5.6e-8)])
+    def test_a_zero_off_its_closed_form_is_returned(self, mach, error):
+        params = PhysicalParams(v=mach, c=1.0)
+        found, cy = locate_roots(params), root_constants(params)
+        assert round(abs(found - cy) / cy, 9) == error
+        assert abs(big_sigma(Frequency(0.0, found, 1.0), params)) <= hemisphere._ZERO_THRESHOLD * (found * found + 1.0)
 
     def test_search_really_found_a_zero(self):
         found = locate_roots(M2)
