@@ -97,7 +97,7 @@ def _source_grid(fplus: SourceField, fminus: SourceField) -> GridSpec:
     """The grid of a (plus, minus) source pair; ValueError for the wrong order or two grids."""
     if fplus.side is not Side.PLUS or fminus.side is not Side.MINUS:
         raise ValueError("expected (plus-side, minus-side) source fields in that order")
-    if fplus.grid != fminus.grid:
+    if fplus.grid is not fminus.grid and fplus.grid != fminus.grid:
         raise ValueError("both sources must share one grid")
     return fplus.grid
 

@@ -39,7 +39,10 @@ exp(-mu x_{order-1-j}), the mirrored sums; within a panel the block
 exp(-mu |x_i - x_j|) is taken as it is.  The panel lags form one
 (ny/order)^2 matrix of exp(-mu o_k) per mode.  Since Re mu > 0, every
 factor has modulus at most 1: no exp(+mu y) is formed, and there is no
-ny x ny kernel.
+ny x ny kernel.  A mode's exponentials come from one ``np.exp`` call
+over the grid's exponent vector: the local nodes and panel offsets for
+T, and the distinct in-panel distances too for the closure, whose index
+tables spread them into the lag matrix and the block.
 """
 
 from __future__ import annotations
@@ -228,11 +231,20 @@ class GridSpec:
         return width * np.arange(count), 0.5 * width * (xg + 1.0), 0.5 * width * wg
 
     @functools.cached_property
-    def _panel_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Panel lags max(p - q, 0) and in-panel distances |x_i - x_j|."""
+    def _panel_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The kernel's exponents, and where each exponential of a closure mode goes.
+
+        The exponents are the local nodes x_j, the panel offsets o_p and the distinct in-panel
+        distances |x_i - x_j|, the diagonal's 0 among them.  The two index tables point into the
+        exponentials of that vector followed by one zero: the panel lags, o_{p-q-1} for q < p and
+        the zero on and above the diagonal, and the in-panel block |x_i - x_j|.
+        """
         offsets, local, _ = self._panels
-        lags = np.subtract.outer(np.arange(offsets.size), np.arange(offsets.size))
-        return np.maximum(lags, 0), np.abs(np.subtract.outer(local, local))
+        distances, block = np.unique(np.abs(np.subtract.outer(local, local)), return_inverse=True)
+        exponents = np.concatenate((local, offsets, distances))
+        lags = np.subtract.outer(np.arange(offsets.size), np.arange(offsets.size)) - 1
+        lags = np.where(lags >= 0, local.size + lags, exponents.size)
+        return exponents, lags, local.size + offsets.size + block.reshape(local.size, local.size)
 
     @functools.cached_property
     def _nodes_weights(self) -> tuple[np.ndarray, np.ndarray]:
@@ -314,17 +326,16 @@ def find_mode(grid: GridSpec, freq: Frequency) -> tuple[int, int]:
     return it, ix
 
 
-def _panel_sums(grid: GridSpec, spectral: np.ndarray, mu: np.ndarray):
+def _panel_sums(grid: GridSpec, spectral: np.ndarray, mu: np.ndarray, exponentials: np.ndarray):
     """The step both kernels share, for ``mu`` of any batch shape.
 
-    Returns T, the per-panel sums sum_j exp(-mu x_j) w_j F_pj (shape
-    ``mu.shape + (panels, 1)``), exp(-mu x_j) on the last axis,
-    exp(-mu o_p) on the last axis, and exp(-mu x_j) w_j.  The exponentials
-    come from one ``np.exp`` call.
+    ``exponentials`` starts its last axis with exp(-mu x_j) and then
+    exp(-mu o_p).  Returns T, the per-panel sums sum_j exp(-mu x_j) w_j F_pj
+    (shape ``mu.shape + (panels, 1)``), exp(-mu x_j) on the last axis,
+    exp(-mu o_p) on the last axis, and exp(-mu x_j) w_j.
     """
     offsets, local, weights = grid._panels
-    both = np.exp(-mu[..., None] * np.concatenate((local, offsets)))
-    near, far = both[..., : local.size], both[..., local.size :]
+    near, far = exponentials[..., : local.size], exponentials[..., local.size : local.size + offsets.size]
     weighted = near * weights
     sums = spectral.reshape(mu.shape + (offsets.size, local.size)) @ weighted[..., None]
     return (far[..., None, :] @ sums)[..., 0, 0] / mu, sums, near, far, weighted
@@ -335,9 +346,13 @@ def boundary_terms(grid: GridSpec, spectral: np.ndarray, mu) -> np.ndarray:
 
     ``spectral`` holds F on the rule's nodes, with shape ``mu.shape + (ny,)``.  A mu that is not
     finite gives a T that is not, without a warning: ``front.build_g``'s tail guard names it.
+    One ``np.exp`` call takes the local nodes and the panel offsets, the head of the grid's exponents.
     """
+    mu = np.asarray(mu)
+    offsets, local, _ = grid._panels
     with np.errstate(invalid="ignore"):
-        return _panel_sums(grid, spectral, np.asarray(mu))[0]
+        exponentials = np.exp(-mu[..., None] * grid._panel_tables[0][: local.size + offsets.size])
+        return _panel_sums(grid, spectral, mu, exponentials)[0]
 
 
 def closure_sums(grid: GridSpec, spectral: np.ndarray, mu):
@@ -345,18 +360,23 @@ def closure_sums(grid: GridSpec, spectral: np.ndarray, mu):
 
     ``spectral`` has shape ``mu.shape + (ny,)``; T has the shape of ``mu``,
     the other two that of ``spectral``.  T is :func:`boundary_terms`' value
-    bit for bit.
+    bit for bit.  One ``np.exp`` call takes all the grid's exponents
+    (:attr:`GridSpec._panel_tables`), and its index tables spread the
+    exponentials into the panel lags and the in-panel block.
     """
     mu = np.asarray(mu)
-    terms, sums, near, far, weighted = _panel_sums(grid, spectral, mu)
-    lags, distances = grid._panel_tables
+    exponents, lags, block = grid._panel_tables
+    # the exponentials, then the zero that the lag table points to on and above the diagonal
+    table = np.zeros(mu.shape + (exponents.size + 1,), dtype=complex)
+    np.exp(-mu[..., None] * exponents, out=table[..., :-1])
+    terms, sums, near, far, weighted = _panel_sums(grid, spectral, mu, table)
     panels = spectral.reshape(sums.shape[:-1] + (-1,))
     mirrored = panels @ weighted[..., ::-1, None]
-    # powers[p, q] = exp(-mu o_{p-q-1}) for q < p, 0 on and above the diagonal
-    powers = np.concatenate((np.zeros_like(far[..., :1]), far), axis=-1)[..., lags]
-    block = np.exp(-mu[..., None, None] * distances)
+    # powers[p, q] = exp(-mu o_{p-q-1}) for q < p, 0 on and above the diagonal.  Indexed, not taken:
+    # the indexed array's layout picks numpy's matmul loop below, and with it how the sums round.
+    powers = table[..., lags]
     free = (
-        (panels * grid._panels[2]) @ block
+        (panels * grid._panels[2]) @ np.take(table, block, axis=-1)
         + (powers @ mirrored) * near[..., None, :]
         + (np.swapaxes(powers, -1, -2) @ sums) * near[..., None, ::-1]
     )

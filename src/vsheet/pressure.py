@@ -18,6 +18,8 @@ adaptive quadrature and finite differences, lives in the test suite.
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 
 import numpy as np
 
@@ -43,7 +45,9 @@ class PressureProfile:
 
     ``values = amplitude * exp(-mu xi) + particular`` on the quadrature
     nodes; ``p0``/``dp0`` are the boundary value and the x2-derivative at
-    the sheet (signed in the physical x2 coordinate).
+    the sheet (signed in the physical x2 coordinate).  ``mu``, ``amplitude``,
+    ``p0`` and ``dp0`` are numpy complex128 scalars, a subclass of complex,
+    as the jump system computed them.
     """
 
     side: Side
@@ -53,6 +57,28 @@ class PressureProfile:
     values: np.ndarray
     p0: complex
     dp0: complex
+
+
+def _one_number(value, name: str) -> complex:
+    """``value`` as one finite Python complex; a ValueError naming ``name`` for anything else."""
+    if not (isinstance(value, numbers.Number) or (isinstance(value, np.ndarray) and value.shape == ())):
+        got = f"an array of shape {value.shape}" if isinstance(value, np.ndarray) else repr(value)
+        raise ValueError(f"{name} must be one complex number, got {got}")
+    try:
+        number = complex(value)
+        finite = math.isfinite(number.real) and math.isfinite(number.imag)
+    except OverflowError:  # an integer beyond double precision
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return number
+
+
+def _one_frequency(freq: Frequency) -> tuple[float, float, float]:
+    """gamma, delta and eta of a frequency batch of size 1, such as ``mesh[it, ix]`` or ``mesh[it:it+1, ix:ix+1]``."""
+    if freq.size != 1:
+        raise ValueError(f"freq must be one frequency at a time, got a batch of shape {freq.gamma.shape}")
+    return freq.gamma.item(), freq.delta.item(), freq.eta.item()
 
 
 def solve_half_space(
@@ -71,14 +97,17 @@ def solve_half_space(
 
     where I+- are the particular boundary values and mu+- the grid's symbol
     table at the mode, as :func:`front.build_g` used them.  The system's
-    determinant is mu+ + mu-, nonzero for gamma >= 1.  A mode past column
-    nx/2 takes its sources from the conjugated mirror on the half mesh
-    (:meth:`GridSpec.mirror`).  Raises ValueError for a non-finite ``fhat``
-    or source sample at the mode, and DecayViolated when the resulting
-    profile is not negligible at the truncation depth (or not finite).
+    determinant is mu+ + mu-, nonzero for gamma >= 1.  It is solved on
+    numpy scalars, whose arithmetic rounds as numpy's arrays do.  A mode
+    past column nx/2 takes its sources from the conjugated mirror on the
+    half mesh (:meth:`GridSpec.mirror`).  ``freq`` is a batch of size 1.
+    Raises ValueError for an ``fhat`` that is not one finite number, a
+    ``freq`` batch of another size, or a non-finite source sample at the
+    mode, and DecayViolated when the resulting profile is not
+    negligible at the truncation depth (or not finite).
     """
-    if not np.isfinite(fhat):
-        raise ValueError(f"fhat must be finite, got {fhat!r}")
+    fhat = _one_number(fhat, "fhat")
+    gamma, delta, eta = _one_frequency(freq)
     grid = _source_grid(fplus, fminus)
     it, ix = find_mode(grid, freq)
     half_it, half_ix, conj = grid.mirror(it, ix)
@@ -94,34 +123,31 @@ def solve_half_space(
     mup, mum = table.mup[it, ix], table.mum[it, ix]
     mus = np.array((mup, mum))
     terms, homogeneous, free = closure_sums(grid, sources, mus)
-    ip, im = terms / (2.0 * c * c)
-    coupling = 4.0 * v * freq.tau * 1j * freq.eta * fhat / (c * c)
+    ip, im = terms[0] / (2.0 * c * c), terms[1] / (2.0 * c * c)
+    coupling = 4.0 * v * np.complex128(complex(gamma, delta)) * 1j * eta * fhat / (c * c)
     den = mup + mum
     a_p = ((mup - mum) * ip + 2.0 * mum * im + coupling) / den
     a_m = (2.0 * mup * ip + (mum - mup) * im + coupling) / den
 
-    values = np.array((a_p, a_m))[:, None] * homogeneous + free / (2.0 * mus[:, None] * c * c)
-    peaks = np.abs(values).max(axis=-1)
-    tails = np.abs(values[:, -1])
-    decayed = tails <= DECAY_TOL * peaks  # true for a zero profile (0 <= 0), false for a NaN one
-    if not decayed.all():
+    values = np.array((a_p, a_m))[:, None] * homogeneous
+    values += free / np.array((2.0 * mup * c * c, 2.0 * mum * c * c))[:, None]
+    moduli = np.abs(values)
+    peaks, tails = moduli.max(axis=-1).tolist(), moduli[:, -1].tolist()
+    # true for a zero profile (0 <= 0), false for a NaN one
+    decayed = [tail <= DECAY_TOL * peak for tail, peak in zip(tails, peaks)]
+    if not all(decayed):
         # the jump system couples the sides, so a NaN on one side fails both
         retained = " and ".join(
-            f"{side.value}-side pressure retains {float(tail) / float(peak):.3e}"
+            f"{side.value}-side pressure retains {tail / peak:.3e}"
             for side, tail, peak, ok in zip(Side, tails, peaks, decayed) if not ok
         )
         raise DecayViolated(f"{retained} of its peak at depth Ly = {grid.Ly:g}")
     nodes = grid.quadrature()[0]
     # dp0 is signed in the physical x2 coordinate: mu (I - A) on the plus side, mu (A - I) on the
     # minus side (the sign as the order of the subtraction, so a zero keeps its sign)
-    return tuple(
-        PressureProfile(
-            side=side, mu=complex(mu), amplitude=complex(amp), nodes=nodes, values=vals,
-            p0=complex(amp + i0), dp0=complex(mu * slope),
-        )
-        for side, mu, amp, i0, slope, vals in zip(
-            (Side.PLUS, Side.MINUS), (mup, mum), (a_p, a_m), (ip, im), (ip - a_p, a_m - im), values
-        )
+    return (
+        PressureProfile(Side.PLUS, mup, a_p, nodes, values[0], a_p + ip, mup * (ip - a_p)),
+        PressureProfile(Side.MINUS, mum, a_m, nodes, values[1], a_m + im, mum * (a_m - im)),
     )
 
 
@@ -137,14 +163,19 @@ def front_equation_residual(
     residual = |tau^2 fhat - v^2 eta^2 fhat + (c^2/2)(dP+ + dP-)(0)|
     normalized by Lambda^2 |fhat| plus the moduli of the contributions.
     Zero (to rounding) exactly when fhat, the sources and the pressures
-    are mutually consistent.
+    are mutually consistent.  ``freq`` is a batch of size 1; ValueError
+    for a batch of another size or an ``fhat`` that is not one finite
+    number.
     """
+    fhat = _one_number(fhat, "fhat")
+    gamma, delta, eta = _one_frequency(freq)
     v, c = params.v, params.c
-    tau, eta, lam2 = complex(freq.tau), float(freq.eta), float(freq.lam) ** 2
+    # Lambda^2 as the square of Lambda, which Frequency.lam rounds first
+    tau, lam2 = complex(gamma, delta), math.sqrt(gamma * gamma + delta * delta + eta * eta) ** 2
     terms = (
         tau * tau * fhat,
         -(v * eta) ** 2 * fhat,
-        0.5 * c * c * (prof_plus.dp0 + prof_minus.dp0),
+        0.5 * c * c * complex(prof_plus.dp0 + prof_minus.dp0),
     )
     num = abs(sum(terms))
     den = lam2 * abs(fhat) + sum(abs(t) for t in terms)

@@ -121,7 +121,7 @@ class TestGridCaches:
         g = _grid()
         mesh = weakref.ref(g.freq_mesh())
         rule = weakref.ref(g.quadrature()[0])
-        lags = weakref.ref(g._panel_tables[0])
+        lags = weakref.ref(g._panel_tables[1])
         del g
         gc.collect()
         assert mesh() is None and rule() is None and lags() is None

@@ -1,5 +1,6 @@
 """Half-space pressure reconstruction: jump conditions, ODE residuals."""
 
+import hashlib
 import tracemalloc
 import warnings
 
@@ -221,6 +222,70 @@ class TestSolveHalfSpace:
             solve_half_space(fp, fm, Frequency(1.0, 0.5, 1.0), 1.0, M2)
 
 
+class TestOneModeArguments:
+    """Each function takes one number ``fhat`` and one frequency; anything else is one ValueError naming it."""
+
+    @pytest.fixture
+    def case(self):
+        g = _grid(ny=16, nt=16, nx=16)
+        fp, fm = _exp_fields(g)
+        pair = solve_half_space(fp, fm, g.freq_mesh()[1, 2], 0.3 + 0.1j, M2)
+        return g, fp, fm, pair
+
+    BAD_FHAT = [
+        (np.array([0.3, 0.1j]), r"^fhat must be one complex number, got an array of shape \(2,\)$"),
+        (np.ones((2, 2)), r"^fhat must be one complex number, got an array of shape \(2, 2\)$"),
+        ("0.3+0.1j", r"^fhat must be one complex number, got '0\.3\+0\.1j'$"),
+        (None, r"^fhat must be one complex number, got None$"),
+        (10**400, r"^fhat must be finite, got 1000"),
+    ]
+
+    @pytest.mark.parametrize("fhat, message", BAD_FHAT, ids=["vector", "matrix", "string", "none", "huge_int"])
+    def test_fhat_that_is_not_one_finite_number(self, case, fhat, message):
+        g, fp, fm, pair = case
+        freq = g.freq_mesh()[1, 2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                solve_half_space(fp, fm, freq, fhat, M2)
+            with pytest.raises(ValueError, match=message):
+                front_equation_residual(*pair, freq, fhat, M2)
+
+    @pytest.mark.parametrize("fhat", [0.3 + 0.1j, np.complex128(0.3 + 0.1j), np.array(0.3 + 0.1j)],
+                             ids=["complex", "complex128", "0d_array"])
+    def test_fhat_may_be_any_complex_scalar(self, case, fhat):
+        g, fp, fm, pair = case
+        freq = g.freq_mesh()[1, 2]
+        got = solve_half_space(fp, fm, freq, fhat, M2)
+        for a, b in zip(got, pair):
+            assert np.array_equal(a.values, b.values) and a.dp0 == b.dp0
+        assert front_equation_residual(*got, freq, fhat, M2) == front_equation_residual(*pair, freq, 0.3 + 0.1j, M2)
+
+    def test_a_size_one_frequency_batch_is_its_mode(self, case):
+        g, fp, fm, pair = case
+        mesh = g.freq_mesh()
+        got = solve_half_space(fp, fm, mesh[1:2, 2:3], 0.3 + 0.1j, M2)
+        for a, b in zip(got, pair):
+            assert np.array_equal(a.values, b.values) and (a.amplitude, a.p0, a.dp0) == (b.amplitude, b.p0, b.dp0)
+        residual = front_equation_residual(*pair, mesh[1:2, 2:3], 0.3 + 0.1j, M2)
+        assert isinstance(residual, float)
+        assert residual == front_equation_residual(*pair, mesh[1, 2], 0.3 + 0.1j, M2)
+
+    @pytest.mark.parametrize("rows, cols, shape", [
+        (slice(1, 3), slice(2, 4), r"\(2, 2\)"),
+        (1, slice(2, 5), r"\(3,\)"),
+        (slice(1, 1), 2, r"\(0,\)"),
+    ], ids=["square", "row", "empty"])
+    def test_a_batch_of_other_size_is_refused(self, case, rows, cols, shape):
+        g, fp, fm, pair = case
+        freq = g.freq_mesh()[rows, cols]
+        message = rf"^freq must be one frequency at a time, got a batch of shape {shape}$"
+        with pytest.raises(ValueError, match=message):
+            solve_half_space(fp, fm, freq, 0.3 + 0.1j, M2)
+        with pytest.raises(ValueError, match=message):
+            front_equation_residual(*pair, freq, 0.3 + 0.1j, M2)
+
+
 def _random_fields(grid, seed):
     """Seeded complex sources on every mode of the half mesh, under a Gaussian depth envelope."""
     rng = np.random.default_rng(seed)
@@ -290,7 +355,7 @@ class TestParticularSolution:
 
 
 class TestSharedKernel:
-    @pytest.mark.parametrize("ny", [32, 96])
+    @pytest.mark.parametrize("ny", [8, 16, 32, 96])
     def test_mesh_call_equals_mode_calls_and_half_line_terms(self, ny):
         g = _grid(ny=ny, nt=16, nx=8)
         fields = _random_fields(g, ny)
@@ -304,6 +369,90 @@ class TestSharedKernel:
             mode = grids.closure_sums(g, spectral[:, it, ix], mus[:, it, ix])
             for got, want in zip(mode, mesh):
                 assert np.array_equal(got, want[:, it, ix])
+
+    # sha256 of T's bytes on the half mesh of a sweep rung, 256 x 256 x 32 at gamma = 1
+    RUNG_TERMS = "a757706957399a74a6ac4f7d23473f3b8fcd50904c802d4a34d1939e56168639"
+
+    def test_boundary_terms_at_the_sweep_rung_shape_are_pinned(self):
+        g = GridSpec(nt=256, nx=256, ny=32, Lt=2 * np.pi, Lx=2 * np.pi, Ly=14.0)
+        rng = np.random.default_rng(256)
+        y, _ = g.quadrature()
+        shape = (g.nt, g.half_nx, g.ny)
+        spectral = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.exp(-(((y - 3.0) / 1.5) ** 2))
+        terms = grids.boundary_terms(g, spectral, g.half(g.symbol_table(M2).mup))
+        assert terms.shape == (g.nt, g.half_nx)
+        assert hashlib.sha256(terms.tobytes()).hexdigest() == self.RUNG_TERMS
+
+
+class TestPinnedClosure:
+    """The closure's kernel sums, profiles and residuals, bit for bit, on a seeded 16x16x96 grid.
+
+    sha256 of the values' bytes, mode after mode in row-major order: the one-mode ``closure_sums`` on every
+    half-mesh mode, and ``solve_half_space`` and ``front_equation_residual`` on every full-mesh mode at the
+    front solved from the same seeded sources.
+    """
+
+    PINNED = {
+        "terms": "32325b363b82603ab4c190df8ff44a6ce1b59427f8eb32292447057da13b05e3",
+        "homogeneous": "25add479c0673334bae953067a3005befb90bcc893fa06e8425b691be5958f7c",
+        "free": "66c9f295324b9f42180fb179f091a52ae63adfb9bf70fa41fc0c09489d9b7973",
+        "profiles": "5917136bd7e72de3d787549732f0ebf49b3202b7345121c038ed0b7bd4530db8",
+        "residuals": "7cb4d25a954b590c468957da8766000e3caf9053136e621577bda6a6a4c05e2c",
+    }
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        from vsheet.front import build_g, solve_front
+
+        g = _grid(ny=96, Ly=30.0, nt=16, nx=16)
+        fields = _random_fields(g, 30)
+        return g, fields, solve_front(build_g(*fields, M2), g, M2).f_hat
+
+    def test_closure_sums_are_pinned(self, case):
+        g, fields, _ = case
+        table = g.symbol_table(M2)
+        digests = {name: hashlib.sha256() for name in ("terms", "homogeneous", "free")}
+        for it, ix in np.ndindex(g.nt, g.half_nx):
+            sources = np.array([field.spectral[it, ix] for field in fields])
+            parts = grids.closure_sums(g, sources, np.array((table.mup[it, ix], table.mum[it, ix])))
+            for digest, part in zip(digests.values(), parts):
+                digest.update(np.ascontiguousarray(part, dtype=complex).tobytes())
+        assert {name: digest.hexdigest() for name, digest in digests.items()} == {
+            name: self.PINNED[name] for name in digests
+        }
+
+    @staticmethod
+    def _profile_and_residual_digests(g, fields, f_hat, params):
+        mesh = g.freq_mesh()
+        profiles, residuals = hashlib.sha256(), np.empty((g.nt, g.nx))
+        for it, ix in np.ndindex(g.nt, g.nx):
+            fhat = complex(f_hat[it, ix])
+            pair = solve_half_space(*fields, mesh[it, ix], fhat, params)
+            for prof in pair:
+                scalars = np.array((prof.mu, prof.amplitude, prof.p0, prof.dp0), dtype=complex)
+                profiles.update(scalars.tobytes() + np.ascontiguousarray(prof.values, dtype=complex).tobytes())
+            residuals[it, ix] = front_equation_residual(*pair, mesh[it, ix], fhat, params)
+        assert np.max(residuals) <= 1e-12
+        return {"profiles": profiles.hexdigest(), "residuals": hashlib.sha256(residuals.tobytes()).hexdigest()}
+
+    def test_profiles_and_residuals_are_pinned(self, case):
+        digests = self._profile_and_residual_digests(*case, M2)
+        assert digests == {name: self.PINNED[name] for name in digests}
+
+    # the same at c = 1.3, where dividing by c^2 rounds differently in Python and in numpy
+    PINNED_C13 = {
+        "profiles": "ba29e1891b104de12cf94a97f059a3ec8e94c67e9055277e042112102a9321f1",
+        "residuals": "2da67f6c59e8a568ece85733731b2e97aad3781c731eee356d03dc8458f45726",
+    }
+
+    def test_profiles_and_residuals_are_pinned_at_another_sound_speed(self):
+        from vsheet.front import build_g, solve_front
+
+        params = PhysicalParams(v=2.6, c=1.3)
+        g = _grid(ny=96, Ly=30.0, nt=16, nx=16)
+        fields = _random_fields(g, 31)
+        f_hat = solve_front(build_g(*fields, params), g, params).f_hat
+        assert self._profile_and_residual_digests(g, fields, f_hat, params) == self.PINNED_C13
 
 
 class TestOdeResidual:
