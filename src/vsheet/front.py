@@ -18,6 +18,8 @@ from .chunks import map_chunks, scan_extrema
 from .grids import (
     GridSpec,
     Space,
+    _exponentials,
+    _terms,
     boundary_terms,
     forward_transform,
     half_line_norm,
@@ -44,8 +46,12 @@ __all__ = [
 DECAY_TOL = 1e-6
 TAIL_TOL = 1e-6
 
-# first-axis rows per chunk of the mesh half-line kernel and per block of a source's peak
-_KERNEL_ROWS = 12
+# mirror pairs of rows per task of the mesh half-line kernel: 12 rows, whose exponentials
+# are a task's largest temporaries
+_KERNEL_PAIRS = 6
+
+# rows per task of a source's peak scan
+_PEAK_ROWS = 12
 
 
 class QuadratureUnderResolved(NumericalGuard, RuntimeError):
@@ -108,19 +114,55 @@ def half_line_terms(fplus: SourceField, fminus: SourceField, mup: np.ndarray, mu
     ``mup``/``mum`` hold mu+- on the grid's half mesh, e.g. ``grid.half``
     of the symbol table's.  The front moment is T+ - T-, the pressure
     boundary values are T+- / (2 c^2).  Each side is
-    :func:`grids.boundary_terms`, run on the rows of the first axis in
-    fixed chunks on the ``VFS_THREADS`` pool.
+    :func:`grids.boundary_terms` bit for bit.  The rows run on the
+    ``VFS_THREADS`` pool in fixed tasks of ``_KERNEL_PAIRS`` mirror pairs:
+    row it with row -it mod nt (rows 0 and nt/2 are their own mirrors).
+    Since mu-(delta, eta) = conj mu+(-delta, eta), one ``np.exp`` call
+    serves a pair: where ``mum`` on a row is the conjugate of ``mup`` on
+    its mirror, the minus side's exp(-mu- x) is read as the conjugate of
+    the plus side's at the mirror.  Elsewhere it is taken directly: on the
+    Nyquist row nt/2, whose delta is its mirror's, and wherever mu+- are
+    not one symbol's (or not finite).
     """
     grid = _source_grid(fplus, fminus)
-    pairs = ((fplus.spectral, np.asarray(mup)), (fminus.spectral, np.asarray(mum)))
-    terms = tuple(np.empty(mu.shape, dtype=complex) for _, mu in pairs)
+    mup, mum = np.asarray(mup), np.asarray(mum)
+    terms = (np.empty(mup.shape, dtype=complex), np.empty(mum.shape, dtype=complex))
+    arrays = (fplus.spectral, fminus.spectral, mup, mum) + terms
+    last = grid.nt // 2
 
-    def rows(start: int, stop: int) -> None:
-        for (spectral, mu), term in zip(pairs, terms):
-            term[start:stop] = boundary_terms(grid, spectral[start:stop], mu[start:stop])
+    def pairs(start: int, stop: int) -> None:
+        # pair k is row k and row nt - k, which is row k - 1 of the rows reversed
+        inner = slice(max(start, 1), min(stop, last))
+        if inner.start < inner.stop:
+            flipped = slice(inner.start - 1, inner.stop - 1)
+            _mirror_pair(grid, [a[inner] for a in arrays], [a[::-1][flipped] for a in arrays])
+        for k in sorted({0, last}.intersection(range(start, stop))):
+            rows = [a[k : k + 1] for a in arrays]
+            _mirror_pair(grid, rows, rows)
 
-    map_chunks(rows, len(terms[0]), _KERNEL_ROWS)
+    map_chunks(pairs, last + 1, _KERNEL_PAIRS)
     return terms
+
+
+def _mirror_pair(grid: GridSpec, rows: list, mirrors: list) -> None:
+    """T+- on a block of rows and on their mirror rows, in place.
+
+    Each is a list of views (F+, F-, mu+, mu-, T+, T-) of the same rows, the mirrors in pair order;
+    a block of rows that are their own mirrors passes the same list twice.
+    """
+    blocks = [rows] if mirrors is rows else [rows, mirrors]
+    with np.errstate(invalid="ignore"):
+        tables = []
+        for fp, _, mup, _, tp, _ in blocks:
+            tables.append(_exponentials(grid, mup))
+            tp[...] = _terms(grid, fp, mup, tables[-1])
+        # the plus side's table at each block's mirror block
+        for (_, fm, _, mum, _, tm), mirror, table in zip(blocks, blocks[::-1], tables[::-1]):
+            if np.array_equal(mum, np.conj(mirror[2])):
+                np.conjugate(table, out=table)
+            else:
+                table = _exponentials(grid, mum)
+            tm[...] = _terms(grid, fm, mum, table)
 
 
 def build_g(fplus: SourceField, fminus: SourceField, params: PhysicalParams) -> np.ndarray:
@@ -138,9 +180,9 @@ def build_g(fplus: SourceField, fminus: SourceField, params: PhysicalParams) -> 
     grid = _source_grid(fplus, fminus)
     fields = (fplus, fminus)
     for field in fields:
-        # max |F| in row blocks, so no temporary of the field's size is made
-        blocks = range(0, len(field.spectral), _KERNEL_ROWS)
-        peak = float(np.max([np.max(np.abs(field.spectral[i : i + _KERNEL_ROWS])) for i in blocks]))
+        # max |F| in row blocks on the pool, so no temporary of the field's size is made
+        spectral = field.spectral
+        peak = float(np.max(map_chunks(lambda lo, hi: np.max(np.abs(spectral[lo:hi])), len(spectral), _PEAK_ROWS)))
         if not np.isfinite(peak):
             raise ValueError(f"{field.side.value}-side source is not finite")
         if float(np.max(np.abs(field.spectral[..., -1]))) > DECAY_TOL * peak:

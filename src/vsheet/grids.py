@@ -12,7 +12,9 @@ there.  The forward transform takes a real field, multiplies it by
 exp(-gamma*t) and applies a real FFT calibrated to the continuum transform
 with kernel exp(-i(delta*t + eta*x1)), so discrete norms approximate the
 continuum weighted norms (with their 1/(2*pi) normalization) by plain
-Riemann sums in frequency.
+Riemann sums in frequency.  That FFT is numpy's rfft2 bit for bit, taken
+as its two passes on the worker pool: an rfft in x1 over blocks of whole t
+rows, then an fft in t over blocks of half-mesh columns.
 
 The transform of a real field is Hermitian, F(-delta, -eta) = conj
 F(delta, eta), so it is kept on the half mesh: all nt rows and the first
@@ -42,7 +44,12 @@ factor has modulus at most 1: no exp(+mu y) is formed, and there is no
 ny x ny kernel.  A mode's exponentials come from one ``np.exp`` call
 over the grid's exponent vector: the local nodes and panel offsets for
 T, and the distinct in-panel distances too for the closure, whose index
-tables spread them into the lag matrix and the block.
+tables spread them into the lag matrix and the block.  Since
+mu-(delta, eta) = conj mu+(-delta, eta), exp(-mu- x) at row it of the mesh
+is the conjugate of exp(-mu+ x) at the mirrored row -it mod nt (not on row
+nt/2, whose delta is its own mirror's), so ``front.half_line_terms`` makes
+one table per mirror pair of rows from :func:`_exponentials` and sums it
+with :func:`_terms`.
 """
 
 from __future__ import annotations
@@ -73,10 +80,14 @@ __all__ = [
 # Gauss-Legendre nodes per panel of the half-line rule
 QUAD_ORDER = 8
 
-# trailing-axis columns per task of forward_transform: 128 bytes of each
-# complex128 output row, so neighbouring tasks do not keep writing into one
-# cache line
-_FFT_COLUMNS = 8
+# forward_transform runs in two passes of tasks on the worker pool.  A row task damps
+# whole t rows at full depth and takes their rfft in x1: at most _FFT_ROWS rows, and
+# fewer when the depth is large, so that its float64 buffer holds no more than
+# nt * nx * _FFT_DEPTH doubles (one row at least).  A column task then takes the fft
+# in t of _FFT_LINES half-mesh columns (an (ix, depth) pair each), in place.
+_FFT_ROWS = 16
+_FFT_DEPTH = 8
+_FFT_LINES = 256
 
 # leading-axis rows per block of the weighted sum over a source field, so that
 # no temporary of the field's size is made
@@ -273,13 +284,17 @@ def forward_transform(raw: np.ndarray, grid: GridSpec) -> np.ndarray:
     Values approximate the continuum transform with kernel
     exp(-i(delta t + eta x1)) at the half mesh's frequencies; the result
     has shape (nt, nx/2 + 1) + the trailing axes, which (e.g. the x2 node
-    axis) ride along untouched.  The 2-D transform of each trailing index
-    is independent, so they run in fixed slices on the ``VFS_THREADS``
-    pool; the result does not depend on the slicing.  Each task damps its
-    own slice, with the cell measure folded into the damping, and writes
-    its ``rfft2`` into its slice of the output, so the largest temporary
-    is one slice of the real field; a float32 ``raw`` is upcast exactly as
-    it is damped.  ValueError for a complex ``raw``: see :func:`real_source`.
+    axis) ride along untouched.  ``rfft2`` over (t, x1) is an ``rfft`` in
+    x1 and then an ``fft`` in t, and the two passes run as fixed tasks on
+    the ``VFS_THREADS`` pool, so the result is ``rfft2``'s bit for bit and
+    does not depend on the thread count.  A row task damps a block of
+    whole t rows, with the cell measure folded into the damping, and
+    writes their ``rfft`` into those rows of the output; a float32 ``raw``
+    is upcast exactly as it is damped, and the buffer is at most
+    nt * nx * 8 doubles unless one row is larger (see ``_FFT_ROWS``).  A
+    column task then runs the ``fft`` in t in place on a block of
+    half-mesh columns.  ValueError for a complex ``raw``: see
+    :func:`real_source`.
     """
     raw = np.asarray(raw)
     if np.iscomplexobj(raw):
@@ -289,12 +304,18 @@ def forward_transform(raw: np.ndarray, grid: GridSpec) -> np.ndarray:
     damp = grid.cell * np.exp(-grid.gamma * grid.t())[:, None, None]
     layers = raw.reshape(grid.nt, grid.nx, -1)
     out = np.empty((grid.nt, grid.half_nx, layers.shape[2]), dtype=complex)
+    columns = out.reshape(grid.nt, -1)
 
-    def transform(start: int, stop: int) -> None:
-        damped = np.multiply(damp, layers[..., start:stop], dtype=np.float64)
-        np.fft.rfft2(damped, axes=(0, 1), out=out[..., start:stop])
+    def transform_rows(start: int, stop: int) -> None:
+        damped = np.multiply(damp[start:stop], layers[start:stop], dtype=np.float64)
+        np.fft.rfft(damped, axis=1, out=out[start:stop])
 
-    map_chunks(transform, layers.shape[2], _FFT_COLUMNS)
+    def transform_columns(start: int, stop: int) -> None:
+        block = columns[:, start:stop]
+        np.fft.fft(block, axis=0, out=block)
+
+    map_chunks(transform_rows, grid.nt, max(1, min(_FFT_ROWS, grid.nt * _FFT_DEPTH // layers.shape[2])))
+    map_chunks(transform_columns, columns.shape[1], _FFT_LINES)
     return out.reshape((grid.nt, grid.half_nx) + raw.shape[2:])
 
 
@@ -341,6 +362,17 @@ def _panel_sums(grid: GridSpec, spectral: np.ndarray, mu: np.ndarray, exponentia
     return (far[..., None, :] @ sums)[..., 0, 0] / mu, sums, near, far, weighted
 
 
+def _exponentials(grid: GridSpec, mu: np.ndarray) -> np.ndarray:
+    """exp(-mu x_j) and then exp(-mu o_p) on a new last axis: one ``np.exp`` call over the head of the grid's exponents."""
+    offsets, local, _ = grid._panels
+    return np.exp(-mu[..., None] * grid._panel_tables[0][: local.size + offsets.size])
+
+
+def _terms(grid: GridSpec, spectral: np.ndarray, mu: np.ndarray, exponentials: np.ndarray) -> np.ndarray:
+    """T of :func:`boundary_terms` from the exponentials of :func:`_exponentials`."""
+    return _panel_sums(grid, spectral, mu, exponentials)[0]
+
+
 def boundary_terms(grid: GridSpec, spectral: np.ndarray, mu) -> np.ndarray:
     """T = (1/mu) int_0^Ly exp(-mu y) F(y) dy on the grid's rule, with the shape of ``mu``.
 
@@ -349,10 +381,8 @@ def boundary_terms(grid: GridSpec, spectral: np.ndarray, mu) -> np.ndarray:
     One ``np.exp`` call takes the local nodes and the panel offsets, the head of the grid's exponents.
     """
     mu = np.asarray(mu)
-    offsets, local, _ = grid._panels
     with np.errstate(invalid="ignore"):
-        exponentials = np.exp(-mu[..., None] * grid._panel_tables[0][: local.size + offsets.size])
-        return _panel_sums(grid, spectral, mu, exponentials)[0]
+        return _terms(grid, spectral, mu, _exponentials(grid, mu))
 
 
 def closure_sums(grid: GridSpec, spectral: np.ndarray, mu):

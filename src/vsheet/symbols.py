@@ -170,14 +170,24 @@ class Frequency:
         return Frequency(k * self.gamma, k * self.delta, k * self.eta)
 
     def __getitem__(self, idx) -> "Frequency":
-        return Frequency._trusted(self.gamma[idx], self.delta[idx], self.eta[idx])
+        """The points at ``idx``, indexed as numpy indexes each field.
+
+        A trailing ``...`` makes integer indices, such as ``mesh[it, ix]``,
+        give 0-d views rather than numpy scalars that would need converting.
+        """
+        key = idx if isinstance(idx, tuple) else (idx,)
+        if type(Ellipsis) not in map(type, key):
+            key += (Ellipsis,)
+        return Frequency._trusted(self.gamma[key], self.delta[key], self.eta[key])
 
     @classmethod
     def _trusted(cls, gamma, delta, eta) -> "Frequency":
-        """A batch of points known to be admissible, such as a validated batch's, built without ``__post_init__``."""
+        """A batch of points known to be admissible, as float64 arrays of one shape, such as a validated batch's.
+
+        It is built without ``__post_init__`` and without converting the fields.
+        """
         freq = object.__new__(cls)
-        for name, value in zip(("gamma", "delta", "eta"), (gamma, delta, eta)):
-            object.__setattr__(freq, name, np.asarray(value))
+        vars(freq).update(gamma=gamma, delta=delta, eta=eta)
         return freq
 
 

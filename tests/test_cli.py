@@ -431,9 +431,11 @@ gammas = 1 2 4
         ("sweep", ("sweep.json", "sweep.csv")),
     ])
     def test_thread_count_does_not_change_output(self, tmp_path, monkeypatch, study, artifacts):
-        # 32 mesh rows are half-line kernel chunks of 12, 12 and 8 rows;
-        # 24 depth nodes are three source-transform slices
-        assert 32 % front._KERNEL_ROWS and 24 // grids._FFT_COLUMNS == 3
+        # Each pass runs in at least two tasks: the transform's 32 t rows in tasks of at most
+        # 32 * 8 / 24 = 10 whole-depth rows, its 17 * 24 half-mesh columns in tasks of
+        # _FFT_LINES, and the kernel's 17 mirror pairs of rows in tasks of _KERNEL_PAIRS
+        assert min(grids._FFT_ROWS, 32 * grids._FFT_DEPTH // 24) < 32
+        assert grids._FFT_LINES < 17 * 24 and front._KERNEL_PAIRS < 17
         sweep = "[sweep]\ngammas = 1 2 4\n" if study == "sweep" else ""
         cfg = _write(
             tmp_path,
@@ -449,7 +451,7 @@ c = 1.0
 
 [grid]
 nt = 32
-nx = 16
+nx = 32
 ny = 24
 Ly = 14.0
 

@@ -241,11 +241,11 @@ def _random_pair(grid, seed):
 
 class TestHalfLineLayer:
     # ny = 4 is a single panel of four nodes; 32 and 96 are 4 and 12 panels of eight.
-    # The 64 mesh rows are six kernel chunks, the last one short.
+    # The 64 mesh rows are 33 mirror pairs, six kernel tasks, the last one short.
     @pytest.mark.parametrize("ny", [4, 32, 96])
     def test_panel_kernel_matches_the_oracle_on_the_mesh(self, ny):
         g = _grid(nt=64, nx=16, ny=ny)
-        assert g.nt % front._KERNEL_ROWS
+        assert (g.nt // 2 + 1) % front._KERNEL_PAIRS
         fp, fm = _random_pair(g, seed=ny)
         mus = half_mus(g, M2)
         for got, (want, scale) in zip(half_line_terms(fp, fm, *mus), _oracle_terms(g, (fp.spectral, fm.spectral), *mus)):
@@ -269,6 +269,48 @@ class TestHalfLineLayer:
             for got, (want, scale) in zip(terms[:, it, ix], oracle):
                 assert np.ndim(got) == 0
                 assert abs(got - want) <= 1e-14 * scale
+
+    @staticmethod
+    def _lattice_case(params):
+        """A 32 x 16 x 32 pair with zeroed rows, and mu+- of ``params`` on its half mesh.
+
+        With Lt = Lx = 2 pi the lattice holds modes delta = +-v eta (v = 2: eta = 8 meets the
+        Nyquist row's delta = -16; v = 0.8: eta = 5, delta = +-4), where mu+- have exactly zero
+        imaginary parts.  Rows 3 and 29 (a mirror pair), 5 and the Nyquist row 16 are zero on both
+        sides, so that a slip in the sign of a zero would show in T's bytes.
+        """
+        g = _grid(nt=32, nx=16, ny=32)
+        fp, fm = _random_pair(g, seed=31)
+        for field in (fp, fm):
+            field.spectral[[3, 29, 5, 16]] = 0.0
+        mus = half_mus(g, params)
+        assert all(np.any(mu[:, 1:].imag == 0.0) for mu in mus)
+        return g, fp, fm, mus
+
+    @pytest.mark.parametrize("params", [M2, PhysicalParams(v=0.8, c=1.0)], ids=["M2", "M0.8"])
+    def test_mirror_pairs_give_each_sides_boundary_terms_bit_for_bit(self, params, monkeypatch):
+        g, fp, fm, mus = self._lattice_case(params)
+        want = [grids.boundary_terms(g, field.spectral, mu) for field, mu in zip((fp, fm), mus)]
+        for threads in ("1", "2"):
+            monkeypatch.setenv("VFS_THREADS", threads)
+            for got, side in zip(half_line_terms(fp, fm, *mus), want):
+                assert got.tobytes() == side.tobytes()
+
+    def test_one_exponential_table_per_mirror_pair(self, monkeypatch):
+        # nt rows and the Nyquist row's minus side, whose delta is its mirror's, are exponentiated
+        g, fp, fm, mus = self._lattice_case(M2)
+        rows = []
+        original = front._exponentials
+        monkeypatch.setattr(front, "_exponentials", lambda grid, mu: rows.append(len(mu)) or original(grid, mu))
+        half_line_terms(fp, fm, *mus)
+        assert sum(rows) == g.nt + 1
+
+    def test_mu_that_are_not_one_symbols_are_exponentiated_per_side(self):
+        # a minus-side mu that is not the conjugate of the plus side's at the mirror row takes its own table
+        g, fp, fm, (mup, mum) = self._lattice_case(M2)
+        mum = mum * 1.5
+        for got, field, mu in zip(half_line_terms(fp, fm, mup, mum), (fp, fm), (mup, mum)):
+            assert got.tobytes() == grids.boundary_terms(g, field.spectral, mu).tobytes()
 
     @pytest.mark.parametrize("pair, message", [
         ("swapped", "in that order"),

@@ -247,24 +247,51 @@ class TestTransforms:
         assert np.max(np.abs(back - raw)) < 1e-13
 
     @pytest.mark.parametrize(
-        "trailing, dtype",
-        [(shape, dtype) for dtype in (np.float64, np.float32) for shape in ((13,), (3, 5), ())],
-        ids=["13", "3x5", "none", "13-float32", "3x5-float32", "none-float32"],
+        "nt, nx, trailing, dtype",
+        [
+            (16, 16, (13,), np.float64),
+            (16, 16, (3, 5), np.float64),
+            (16, 16, (), np.float64),
+            (16, 16, (13,), np.float32),
+            (16, 16, (3, 5), np.float32),
+            (16, 16, (), np.float32),
+            (16, 64, (24,), np.float64),
+            (16, 64, (24,), np.float32),
+            (2, 16, (24,), np.float64),
+            (4, 16, (24,), np.float32),
+            (16, 2, (24,), np.float64),
+        ],
+        ids=["13", "3x5", "none", "13-float32", "3x5-float32", "none-float32", "16x64x24", "16x64x24-float32",
+             "nt2", "nt4-float32", "nx2"],
     )
-    def test_slices_match_one_transform(self, trailing, dtype, monkeypatch):
-        # 13 trailing columns are slices of 8 and 5; (3, 5) collapses to 15 columns.
+    def test_the_two_passes_match_one_transform(self, nt, nx, trailing, dtype, monkeypatch):
+        # At 16 x 64 x 24 the row pass is four tasks of 16 * 8 // 24 = 5 rows (the last one short)
+        # and the column pass four tasks of the 33 * 24 half-mesh columns; at nt = 2 and 4 the
+        # row pass is one task.  (3, 5) collapses to 15 columns, and a 2-d field to one.
         # A float32 source transforms bit for bit as its float64 cast.
-        g = _grid()
-        rng = np.random.default_rng(3)
-        shape = (16, 16) + trailing
-        raw = rng.standard_normal(shape).astype(dtype)
-        damp = g.cell * np.exp(-g.gamma * g.t()).reshape((16,) + (1,) * (raw.ndim - 1))
+        g = _grid(nt=nt, nx=nx)
+        if (nt, nx) == (16, 64):
+            assert -(-nt // min(grids._FFT_ROWS, nt * grids._FFT_DEPTH // 24)) == 4
+            assert -(-33 * 24 // grids._FFT_LINES) == 4
+        raw = np.random.default_rng(3).standard_normal((nt, nx) + trailing).astype(dtype)
+        damp = g.cell * np.exp(-g.gamma * g.t()).reshape((nt,) + (1,) * (raw.ndim - 1))
         want = np.fft.rfft2(damp * raw.astype(np.float64), axes=(0, 1))
         for threads in ("1", "2"):
             monkeypatch.setenv("VFS_THREADS", threads)
             got = forward_transform(raw, g)
-            assert got.shape == (16, 9) + trailing and got.dtype == np.complex128
+            assert got.shape == (nt, nx // 2 + 1) + trailing and got.dtype == np.complex128
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("nt, depth", [(16, 96), (64, 32), (64, 4), (2, 24)])
+    def test_a_row_task_damps_at_most_nt_nx_8_doubles(self, nt, depth, monkeypatch):
+        # whole-depth rows, at most _FFT_ROWS of them, and one row when a row alone is larger
+        seen = []
+        original = grids.map_chunks
+        monkeypatch.setattr(grids, "map_chunks", lambda fn, size, chunk: seen.append((size, chunk)) or original(fn, size, chunk))
+        forward_transform(np.ones((nt, 16, depth)), _grid(nt=nt))
+        (size, rows), (columns, lines) = seen
+        assert size == nt and 1 <= rows <= grids._FFT_ROWS and rows * depth <= max(nt * 8, depth)
+        assert columns == 9 * depth and lines == grids._FFT_LINES
 
     def test_a_complex_field_is_rejected(self):
         g = _grid()

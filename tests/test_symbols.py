@@ -151,6 +151,17 @@ class TestFrequency:
         assert point == Frequency(mesh.gamma[3, 1], mesh.delta[3, 1], mesh.eta[3, 1])
         assert row.size == 4 and np.array_equal(row.eta, mesh.eta[2])
 
+    def test_a_mesh_point_is_a_view_of_the_mesh(self):
+        mesh = GridSpec(nt=8, nx=4, ny=8, Lt=1.0, Lx=1.0, Ly=1.0).freq_mesh()
+        point = mesh[3, 1]
+        for x, full in zip((point.gamma, point.delta, point.eta), (mesh.gamma, mesh.delta, mesh.eta)):
+            assert type(x) is np.ndarray and x.shape == () and np.shares_memory(x, full)
+            assert x == full[3, 1]
+        # an index that holds its own Ellipsis, a fancy index and a mask still index as numpy does
+        assert mesh[..., 1].size == 8 and mesh[3, ...].size == 4 and mesh[3, 1, ...].delta.shape == ()
+        assert np.array_equal(mesh[[1, 5], 2].delta, mesh.delta[[1, 5], 2])
+        assert np.array_equal(mesh[mesh.delta > 0].eta, mesh.eta[mesh.delta > 0])
+
     def test_fields_are_float64_arrays(self):
         mesh = GridSpec(nt=8, nx=4, ny=8, Lt=1.0, Lx=1.0, Ly=1.0).freq_mesh()
         batch = Frequency(np.ones(4), np.arange(4), -1)
