@@ -146,7 +146,7 @@ def _study_certify(cfg: RunConfig) -> int:
     sample = sample_hemisphere(
         cfg.sample["n"], cfg.sample["strategy"], cfg.sample["gamma_floor"], params, seed=cfg.seed
     )
-    certs = [certify_sandwich(sample, params, cfg.sample["explosion_threshold"], seed=cfg.seed)]
+    certs = [certify_sandwich(sample, params, cfg.sample["explosion_threshold"])]
     certs.extend(certify_weight_bounds(sample, params, cfg.sample["explosion_threshold"]))
     certs.append(certify_simple_root(params))
     fileio.write_json(cfg.out_dir / "certificates.json", [c.to_json_dict() for c in certs])

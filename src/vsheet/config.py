@@ -98,8 +98,9 @@ SCHEMA = {
         source_plus="builtin", source_minus="builtin",
     ),
     "sweep": _Section(
-        gammas=_Ranged((1.0, 2.0, 4.0, 8.0), lambda x: len(x) >= 2 and all(1.0 <= g < math.inf for g in x),
-                       "a list of at least two values, each finite and at least 1"),
+        gammas=_Ranged((1.0, 2.0, 4.0, 8.0),
+                       lambda x: len(x) >= 2 and all(1.0 <= g < math.inf for g in x) and all(a < b for a, b in zip(x, x[1:])),
+                       "a strictly increasing list of at least two values, each finite and at least 1"),
         s=0.0, slack=_Ranged(0.1, lambda x: -1.0 < x < math.inf, "finite and greater than -1"),
     ),
     "roots": _Section(

@@ -325,9 +325,10 @@ def estimate_sweep(
 ) -> SweepResult:
     """Re-solve the front problem along a gamma sweep and report estimate ratios.
 
-    For each gamma the three dimensionless ratios below are recorded; the
-    sweep PASSes when every available series stays finite with no
-    consecutive growth beyond ``slack``:
+    ``gammas`` is a strictly increasing ladder of at least two values, each
+    at least 1.  For each gamma the three dimensionless ratios below are
+    recorded; the sweep PASSes when every available series stays finite
+    with no growth beyond ``slack`` from one gamma to the next:
 
       front_aniso   gamma   * ||f||^2_{s+1, aniso} / sum ||F||^2_{L2 H^s}
       g_over_f      gamma   * ||g||^2_{s}          / sum ||F||^2_{L2 H^s}
@@ -343,9 +344,11 @@ def estimate_sweep(
     """
     if len(gammas) < 2:
         raise ValueError("a sweep needs at least two gamma values")
-    if any(g < 1.0 for g in gammas):
+    if not all(a < b for a, b in zip(gammas, gammas[1:])):
+        raise ValueError("sweep gammas must strictly increase")
+    if gammas[0] < 1.0:
         raise ValueError("sweep gammas must be >= 1")
-    _check_order(s, dataclasses.replace(grid, gamma=float(max(gammas))))
+    _check_order(s, dataclasses.replace(grid, gamma=float(gammas[-1])))
     weakly_stable = params.regime() is Regime.WEAKLY_STABLE
     # each source is checked and viewed as real once, not once per rung
     raw_plus = real_source(raw_plus, "plus-side source")

