@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
+import math
 
 import numpy as np
 
@@ -74,7 +76,9 @@ class SourceField:
     ``spectral`` holds the weighted transform of each x2 slice on the
     (t, x1, x2-node) grid, on the grid's half mesh: shape
     (nt, nx/2 + 1, ny), see :meth:`GridSpec.mirror` for the other columns.
-    For the MINUS side node j stands for the depth x2 = -y_j.
+    For the MINUS side node j stands for the depth x2 = -y_j.  The field's
+    depth scan is kept from its first check, so ``spectral`` is not to
+    change after that.
     """
 
     side: Side
@@ -85,6 +89,19 @@ class SourceField:
         shape = (self.grid.nt, self.grid.half_nx, self.grid.ny)
         if self.spectral.shape != shape:
             raise ValueError(f"spectral shape {self.spectral.shape} does not match the grid's half mesh {shape}")
+
+    @functools.cached_property
+    def _depth_scan(self) -> tuple[float, float, np.ndarray]:
+        """max |F|, max |F(Ly)| and the |F(Ly)| table: one scan in row blocks on the pool, kept from first use."""
+        spectral, edge = self.spectral, np.empty(self.spectral.shape[:-1])
+
+        def scan(lo: int, hi: int) -> float:
+            moduli = np.abs(spectral[lo:hi])
+            edge[lo:hi] = moduli[..., -1]
+            return np.max(moduli)
+
+        peak = float(np.max(map_chunks(scan, len(spectral), _PEAK_ROWS)))
+        return peak, float(np.max(edge)), edge
 
 
 def transform_source(raw: np.ndarray, side: Side, grid: GridSpec) -> SourceField:
@@ -106,6 +123,22 @@ def _source_grid(fplus: SourceField, fminus: SourceField) -> GridSpec:
     if fplus.grid is not fminus.grid and fplus.grid != fminus.grid:
         raise ValueError("both sources must share one grid")
     return fplus.grid
+
+
+def _check_pair(fplus: SourceField, fminus: SourceField) -> GridSpec:
+    """The grid of a (plus, minus) pair that ``build_g`` and the closure accept; a ValueError saying what fails otherwise.
+
+    In that order, on one grid, each side (plus first) finite and decayed: max |F(Ly)| <= DECAY_TOL max |F|.
+    """
+    grid = _source_grid(fplus, fminus)
+    for field in (fplus, fminus):
+        peak, tail, _ = field._depth_scan
+        if not math.isfinite(peak):
+            it, ix, node = np.argwhere(~np.isfinite(np.abs(field.spectral)))[0]
+            raise ValueError(f"{field.side.value}-side source is not finite at mode ({it}, {ix}), node {node}")
+        if tail > DECAY_TOL * peak:
+            raise ValueError(f"{field.side.value}-side source has not decayed at the truncation depth Ly")
+    return grid
 
 
 def half_line_terms(fplus: SourceField, fminus: SourceField, mup: np.ndarray, mum: np.ndarray):
@@ -172,21 +205,13 @@ def build_g(fplus: SourceField, fminus: SourceField, params: PhysicalParams) -> 
     :func:`half_line_terms`.  T+- are computed on the half mesh and
     expanded by :meth:`GridSpec.expand`; past column nx/2 the Nyquist row,
     which the mirror does not carry, is computed from the mirrored sources
-    (see :attr:`GridSpec.nyquist_row`).  Raises ValueError when a source is
-    not finite or has not decayed at the truncation depth Ly, and
+    (see :attr:`GridSpec.nyquist_row`).  Raises the ValueError of
+    :func:`_check_pair` for a pair the closure refuses too, and
     QuadratureUnderResolved when the neglected tail at Ly is not small
     relative to a side's term, or when either is not finite.
     """
-    grid = _source_grid(fplus, fminus)
+    grid = _check_pair(fplus, fminus)
     fields = (fplus, fminus)
-    for field in fields:
-        # max |F| in row blocks on the pool, so no temporary of the field's size is made
-        spectral = field.spectral
-        peak = float(np.max(map_chunks(lambda lo, hi: np.max(np.abs(spectral[lo:hi])), len(spectral), _PEAK_ROWS)))
-        if not np.isfinite(peak):
-            raise ValueError(f"{field.side.value}-side source is not finite")
-        if float(np.max(np.abs(field.spectral[..., -1]))) > DECAY_TOL * peak:
-            raise ValueError(f"{field.side.value}-side source has not decayed at the truncation depth Ly")
     table = grid.symbol_table(params)
     mus = (table.mup, table.mum)
     terms = [grid.expand(term) for term in half_line_terms(fplus, fminus, *map(grid.half, mus))]
@@ -194,7 +219,7 @@ def build_g(fplus: SourceField, fminus: SourceField, params: PhysicalParams) -> 
     for field, mu, term in zip(fields, mus, terms):
         term[row, rest] = boundary_terms(grid, grid.expand(field.spectral, [row])[0, rest], mu[row, rest])
         # the neglected tail is of the order of the integrand at the cutoff
-        edge = grid.expand(np.abs(field.spectral[..., -1]))
+        edge = grid.expand(field._depth_scan[2])
         tail_num = float(np.max(np.exp(-grid.Ly * mu.real) * edge / np.abs(mu)))
         term_scale = float(np.max(np.abs(term)))
         # in range, so a NaN tail fails it; a zero tail passes even where TAIL_TOL * 0 is NaN

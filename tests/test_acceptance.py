@@ -212,8 +212,9 @@ def test_criterion_09_end_to_end_residual():
         pp, pm = solve_half_space(fp, fm, freq, fhat, M2)
         worst = max(worst, front_equation_residual(pp, pm, freq, fhat, M2))
     ok = worst <= 1e-8
+    # the residual compares the discrete operator with itself: a consistency check, not an accuracy check
     _report(9, "front-equation residual over 50 single-mode cases", ok,
-            f"worst {worst:.3e}")
+            f"worst {worst:.3e}; consistency of the closure with the solve, not accuracy")
     assert ok, f"worst end-to-end residual {worst:.3e}"
 
 

@@ -1,15 +1,17 @@
-"""The names the benchmark patches stay in the library.
+"""The names the benchmark patches or reads stay in the library.
 
 ``perfbench/tracing.py`` wraps module attributes of vsheet for its traced
-runs.  The benchmark's own self-tests are not part of this suite, so a
-change that deletes or renames one of those attributes is caught here.
+runs, and the workloads and their self-tests read a few more names.  The
+benchmark's own self-tests are not part of this suite, so a change that
+deletes or renames one of those names is caught here.
 """
 
 import importlib.util
+import inspect
 import pathlib
 
-from vsheet import hemisphere
-from vsheet.symbols import Frequency, PhysicalParams
+from vsheet import hemisphere, pressure
+from vsheet.symbols import Frequency, NumericalGuard, PhysicalParams
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -34,3 +36,11 @@ def test_every_shimmed_name_resolves_and_is_restored():
     assert tracer.counts["symbols.big_sigma_points"] == 1
     for module, attr, fn in originals:
         assert getattr(module, attr) is fn, f"{module.__name__}.{attr} was not restored"
+
+
+def test_the_names_the_benchmark_reads_resolve():
+    # the closure workload counts an injected DecayViolated as a failed mode, as it does any guard
+    assert issubclass(pressure.DecayViolated, NumericalGuard)
+    assert hemisphere.SampleStrategy.UNIFORM_ANGULAR in hemisphere.SampleStrategy
+    seed = inspect.signature(hemisphere.certify_sandwich).parameters["seed"]
+    assert seed.kind in (seed.POSITIONAL_OR_KEYWORD, seed.KEYWORD_ONLY)

@@ -1,6 +1,7 @@
 """Front equation right-hand side, solver, and estimate sweeps."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -216,7 +217,8 @@ class TestBuildG:
         raw[3, 4, 5] = np.nan
         fp = transform_source(raw, Side.PLUS, g)
         fm = transform_source(np.zeros_like(raw), Side.MINUS, g)
-        with pytest.raises(ValueError, match="^plus-side source is not finite$"):
+        # the NaN spreads over every mode at node 5; the first non-finite sample is named
+        with pytest.raises(ValueError, match=r"^plus-side source is not finite at mode \(0, 0\), node 5$"):
             build_g(fp, fm, M2)
 
 
@@ -315,16 +317,25 @@ class TestHalfLineLayer:
     @pytest.mark.parametrize("pair, message", [
         ("swapped", "in that order"),
         ("mismatched", "share one grid"),
+        ("undecayed", "minus-side source has not decayed at the truncation depth Ly"),
+        ("non-finite", "plus-side source is not finite at mode (1, 2), node 3"),
     ])
     @pytest.mark.parametrize("caller", ["build_g", "solve_half_space"])
     def test_pair_check_is_shared(self, caller, pair, message):
+        # one check of the pair, so both callers refuse it with the same line, which ends in ``message``
         g = _grid()
         fp, fm = _exp_pair(g)
         if pair == "swapped":
             fp, fm = fm, fp
-        else:
+        elif pair == "mismatched":
             fm = source_from_spectral(half_zeros(_grid(ny=32)), Side.MINUS, _grid(ny=32))
-        with pytest.raises(ValueError, match=message):
+        elif pair == "undecayed":
+            fm = source_from_spectral(np.ones_like(fm.spectral), Side.MINUS, g)
+        else:
+            spectral = fp.spectral.copy()
+            spectral[1, 2, 3] = np.nan
+            fp = source_from_spectral(spectral, Side.PLUS, g)
+        with pytest.raises(ValueError, match=f"{re.escape(message)}$"):
             if caller == "build_g":
                 build_g(fp, fm, M2)
             else:
