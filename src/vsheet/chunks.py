@@ -4,7 +4,8 @@ The certificate scans, the source transforms and the half-line kernel split
 their work into chunks whose boundaries depend only on the size being
 split, never on the number of threads, and collect the results in chunk
 order.  Whatever a caller computes from them is therefore the same for any
-``VFS_THREADS``.
+``VFS_THREADS``.  The pool is one per process and worker count, made on
+first use and kept, so a call pays for no threads of its own.
 
 :func:`scan_extrema` is the one place an extremum over a frequency batch is
 taken: the certificates over a hemisphere sample and the symbol floor over
@@ -18,7 +19,8 @@ import functools
 import math
 import operator
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import NamedTuple
 
 import numpy as np
@@ -44,11 +46,36 @@ def worker_count() -> int | None:
     return count
 
 
+# one pool per worker count, made on first use and kept for the process; a forked child
+# has none of the parent's worker threads, so it forgets their pools
+_POOLS: dict = {}
+_POOLS_LOCK = threading.Lock()
+_WORKER = threading.local()
+os.register_at_fork(after_in_child=_POOLS.clear)
+
+
+def _mark_worker() -> None:
+    _WORKER.active = True
+
+
+def _pool(workers: int | None) -> ThreadPoolExecutor:
+    """The process's pool of ``workers`` threads (the executor's default for None)."""
+    with _POOLS_LOCK:
+        if workers not in _POOLS:
+            _POOLS[workers] = ThreadPoolExecutor(max_workers=workers, initializer=_mark_worker)
+        return _POOLS[workers]
+
+
 def map_chunks(fn, size: int, chunk: int) -> list:
     """``[fn(start, stop) for each [start, stop) of range(size) cut every chunk]``, on the worker pool.
 
-    One chunk, or ``VFS_THREADS=1``, runs inline; otherwise the chunks run
-    on a pool made for this call.  The results come back in chunk order.
+    One chunk, ``VFS_THREADS=1`` or a call from inside a pool task runs
+    inline: nested work sent to the shared pool could wait on workers that
+    are all waiting on it.  Otherwise the chunks run on the process's pool
+    for the ``VFS_THREADS`` read at this call, made on first use and kept.
+    Every chunk has finished before the results come back, in chunk order,
+    or before the first exception in chunk order is raised, so no task
+    still writes into the caller's arrays.
     """
     starts = range(0, size, chunk)
 
@@ -56,10 +83,12 @@ def map_chunks(fn, size: int, chunk: int) -> list:
         return fn(start, min(start + chunk, size))
 
     workers = worker_count()
-    if len(starts) <= 1 or workers == 1:
+    if len(starts) <= 1 or workers == 1 or getattr(_WORKER, "active", False):
         return [run(start) for start in starts]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, starts))
+    pool = _pool(workers)
+    futures = [pool.submit(run, start) for start in starts]
+    wait(futures)
+    return [future.result() for future in futures]
 
 
 class Extrema(NamedTuple):

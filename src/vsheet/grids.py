@@ -208,7 +208,12 @@ class GridSpec:
         return counts
 
     def symbol_table(self, params: PhysicalParams) -> SymbolTable:
-        """mu+-, Sigma and |sigma| of ``params`` on the frequency mesh, built on first use."""
+        """mu+-, Sigma and |sigma| of ``params`` on the frequency mesh, built on first use.
+
+        mu+- and Sigma are evaluated on the mesh's quarter, rows 0 .. nt/2 by
+        columns 0 .. nx/2, and unfolded onto the rest bit for bit; |sigma| on
+        the whole mesh (see :class:`symbols.SymbolTable`).
+        """
         if params not in self._tables:
             self._tables[params] = SymbolTable.on_mesh(self._mesh, params)
         return self._tables[params]
@@ -320,14 +325,23 @@ def forward_transform(raw: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 def inverse_transform(spectral: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Inverse of :func:`forward_transform`, including the exp(+gamma t) reweighting."""
+    """Inverse of :func:`forward_transform`, including the exp(+gamma t) reweighting, as complex128.
+
+    One buffer: the division by the cell measure makes it, and ``ifft2``'s
+    two passes (an ``ifft`` in x1, then in t) and the growth factor act on
+    it in place.  ``numpy.fft.ifft2`` itself ignores ``out=``.
+    """
     spectral = np.asarray(spectral)
     if spectral.shape[:2] != (grid.nt, grid.nx):
         raise ValueError(
             f"leading axes {spectral.shape[:2]} do not match the grid ({grid.nt}, {grid.nx})"
         )
     grow = np.exp(grid.gamma * grid.t()).reshape((grid.nt,) + (1,) * (spectral.ndim - 1))
-    return grow * np.fft.ifft2(spectral / grid.cell, axes=(0, 1))
+    out = np.asarray(spectral / grid.cell, dtype=complex)
+    for axis in (1, 0):
+        np.fft.ifft(out, axis=axis, out=out)
+    out *= grow
+    return out
 
 
 def find_mode(grid: GridSpec, freq: Frequency) -> tuple[int, int]:

@@ -317,12 +317,19 @@ def _weight_unit(g, d, e, params: PhysicalParams):
 
 @dataclasses.dataclass(frozen=True)
 class SymbolTable:
-    """mu+-, Sigma and |sigma| (None unless weakly stable) on one mesh, one per grid and params.
+    """mu+-, Sigma and |sigma| (None unless weakly stable) on a grid's mesh, one per grid and params.
 
-    Each branch is evaluated once and Sigma is fed their sum, so every array equals :func:`mu_pm`,
-    :func:`big_sigma` or ``abs(weight_sigma)`` on the mesh bit for bit; Lambda is the mesh's own.
-    Overflow and invalid values are left to the solve's guards, which name them: the tail guard of
-    ``front.build_g`` refuses a mu+- that is not finite, the symbol floor a Sigma that is not.
+    mu+- and Sigma are evaluated on the mesh's quarter, rows 0 .. nt/2 by columns 0 .. nx/2 (the
+    negative Nyquist row and column among them), and unfolded onto the rest by the symmetries of
+    the arithmetic: mu+-(gamma, delta, -eta) = mu-+(gamma, delta, eta), mu+-(gamma, -delta, eta) =
+    conj mu-+(gamma, delta, eta), and Sigma is even in eta and conjugate in delta.  ``conj`` makes
+    -0 of the exactly zero imaginary parts at the lattice modes delta = +-v eta, where the direct
+    evaluation gives +0; adding +0 restores them.  So every array equals :func:`mu_pm`,
+    :func:`big_sigma` or ``abs(weight_sigma)`` on the mesh bit for bit.  |sigma| is evaluated on
+    the whole mesh: its mirror image differs from it in the last bit at some modes.  Lambda is the
+    mesh's own.  Overflow and invalid values are left to the solve's guards, which name them: the
+    tail guard of ``front.build_g`` refuses a mu+- that is not finite, the symbol floor a Sigma
+    that is not.
     """
 
     mup: np.ndarray
@@ -332,12 +339,36 @@ class SymbolTable:
 
     @classmethod
     def on_mesh(cls, mesh: Frequency, params: PhysicalParams) -> "SymbolTable":
-        lam = mesh.lam
+        """The table on ``mesh``, a grid's (nt, nx) frequency mesh in fftfreq order (``GridSpec.freq_mesh``)."""
+        nt, nx = mesh.gamma.shape
+        quarter = mesh[: nt // 2 + 1, : nx // 2 + 1]
+        lam = quarter.lam
         with np.errstate(over="ignore", invalid="ignore"):
-            mup, mum = _mu_unit(*mesh.unit, params)
-            sigma_big = lam**2 * _sigma_unit(*mesh.unit, mup + mum, params)
+            mup, mum = _mu_unit(*quarter.unit, params)
+            sigma_big = lam**2 * _sigma_unit(*quarter.unit, mup + mum, params)
             abs_weight = np.abs(weight_sigma(mesh, params)) if params.regime() is Regime.WEAKLY_STABLE else None
-            return cls(lam * mup, lam * mum, sigma_big, abs_weight)
+            mup, mum = _unfold((lam * mup, lam * mum), (1, 0), nt, nx)
+            [sigma_big] = _unfold((sigma_big,), (0,), nt, nx)
+            return cls(mup, mum, sigma_big, abs_weight)
+
+
+def _unfold(quarters: tuple, partners: tuple, nt: int, nx: int) -> list:
+    """(nt, nx) arrays from their quarters (rows 0 .. nt/2, columns 0 .. nx/2) of an fftfreq mesh.
+
+    Array k at (delta, -eta) is array ``partners[k]`` at (delta, eta), and at (-delta, eta) its
+    conjugate there; the imaginary parts of the conjugated rows get +0, which turns conj's -0 back
+    into +0 and changes no other value.
+    """
+    rows, columns = nt // 2 + 1, nx // 2 + 1
+    full = [np.empty((nt, nx), dtype=complex) for _ in quarters]
+    for out, quarter, partner in zip(full, quarters, partners):
+        out[:rows, :columns] = quarter
+        out[:rows, columns:] = quarters[partner][:, columns - 2 : 0 : -1]
+    for out, partner in zip(full, partners):
+        mirrored = out[rows:]
+        np.conjugate(full[partner][rows - 2 : 0 : -1], out=mirrored)
+        mirrored.imag += 0.0
+    return full
 
 
 def weight_bound_constant(params: PhysicalParams) -> float:

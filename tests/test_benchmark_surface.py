@@ -10,7 +10,9 @@ import importlib.util
 import inspect
 import pathlib
 
-from vsheet import hemisphere, pressure
+import numpy as np
+
+from vsheet import GridSpec, cli, front, hemisphere, pressure
 from vsheet.symbols import Frequency, NumericalGuard, PhysicalParams
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -44,3 +46,25 @@ def test_the_names_the_benchmark_reads_resolve():
     assert hemisphere.SampleStrategy.UNIFORM_ANGULAR in hemisphere.SampleStrategy
     seed = inspect.signature(hemisphere.certify_sandwich).parameters["seed"]
     assert seed.kind in (seed.POSITIONAL_OR_KEYWORD, seed.KEYWORD_ONLY)
+
+
+def test_a_sweep_reaches_the_traced_front_spans_once_per_rung(monkeypatch):
+    # the traced sweep report reads the front.solve_front and grids.inverse_transform spans, which the
+    # shims open around front.solve_front and front.inverse_transform: the sweep must look both up there
+    calls = []
+
+    def counted(name):
+        original = getattr(front, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("solve_front", "inverse_transform"):
+        monkeypatch.setattr(front, name, counted(name))
+    grid = GridSpec(nt=16, nx=16, ny=16, Lt=2 * np.pi, Lx=2 * np.pi, Ly=14.0)
+    gammas = (1.0, 2.0, 4.0)
+    front.estimate_sweep(*cli.builtin_sources(grid), grid, PhysicalParams(v=2.0, c=1.0), gammas)
+    assert calls == ["solve_front", "inverse_transform"] * len(gammas)

@@ -159,6 +159,39 @@ class TestGridCaches:
             assert table.abs_weight is None
 
 
+    # 16 x 16 and 32 x 16 at M = 2 and 32 x 32 at v = 3, c = 1.5 carry lattice modes delta = +-v eta whose
+    # mu+- have exactly zero imaginary parts in the mirrored rows; nt or nx of 1 or 2 leave nothing to mirror
+    @pytest.mark.parametrize(
+        "nt, nx, v, c",
+        [
+            (16, 16, 2.0, 1.0),
+            (32, 16, 2.0, 1.0),
+            (32, 32, 3.0, 1.5),
+            (1, 16, 2.0, 1.0),
+            (2, 16, 2.0, 1.0),
+            (16, 1, 2.0, 1.0),
+            (16, 2, 2.0, 1.0),
+            (2, 1, 2.0, 1.0),
+            (16, 16, 0.8, 1.0),
+            (32, 64, 1.5, 1.0),
+            (64, 32, 3.0, 1.0),
+        ],
+        ids=["16x16", "32x16", "v3-c1.5", "nt1", "nt2", "nx1", "nx2", "nt2-nx1", "M0.8", "M1.5", "M3"],
+    )
+    def test_the_quarter_table_unfolds_to_the_kernels_byte_for_byte(self, nt, nx, v, c):
+        g, params = _grid(nt=nt, nx=nx, gamma=1.5), PhysicalParams(v=v, c=c)
+        table, mesh = g.symbol_table(params), g.freq_mesh()
+        mup, mum = mu_pm(mesh, params)
+        assert table.mup.tobytes() == mup.tobytes() and table.mum.tobytes() == mum.tobytes()
+        assert table.sigma_big.tobytes() == big_sigma(mesh, params).tobytes()
+        if params.regime() is Regime.WEAKLY_STABLE:
+            assert table.abs_weight.tobytes() == np.abs(weight_sigma(mesh, params)).tobytes()
+        else:
+            assert table.abs_weight is None
+        if (nt, nx, v) in [(16, 16, 2.0), (32, 16, 2.0), (32, 32, 3.0)]:
+            # the signed zeros that conj flips are there to restore
+            assert np.count_nonzero(table.mup[nt // 2 + 1 :].imag == 0.0) >= 3
+
     # the two solves whose symbols overflow or turn NaN: the solve's guards name those, not numpy
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("v, c", [(1e-300, 1e-300), (1e153, 1.0)], ids=["nan_symbol", "overflowing_symbol"])
@@ -245,6 +278,16 @@ class TestTransforms:
         raw = rng.standard_normal((16, 16, 5))
         back = inverse_transform(g.expand(forward_transform(raw, g)), g)
         assert np.max(np.abs(back - raw)) < 1e-13
+
+    @pytest.mark.parametrize("nt, nx, trailing", [(16, 16, ()), (16, 8, (5,)), (1, 4, ()), (8, 1, (2, 3))])
+    def test_the_inverse_is_one_ifft2_bit_for_bit(self, nt, nx, trailing):
+        g = _grid(nt=nt, nx=nx, gamma=2.0)
+        rng = np.random.default_rng(4)
+        spectral = rng.standard_normal((nt, nx) + trailing) + 1j * rng.standard_normal((nt, nx) + trailing)
+        grow = np.exp(g.gamma * g.t()).reshape((nt,) + (1,) * len(trailing) + (1,))
+        want = grow * np.fft.ifft2(spectral / g.cell, axes=(0, 1))
+        got = inverse_transform(spectral, g)
+        assert got.dtype == np.complex128 and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "nt, nx, trailing, dtype",
