@@ -1,10 +1,11 @@
 """Resolution of the front equation from two-sided interior sources.
 
 Pipeline: transform the sources (Laplace weight in t, FFT in (t, x1)),
-collapse them to the scalar moment M by the weighted half-line integrals,
-assemble the right-hand side g of the front equation, and divide by the
-symbol to obtain the front.  Norm reports and the gamma-sweep used to
-check the a priori estimates live here as well.
+check the pair, collapse it to the scalar moment M = T+ - T- by the
+half-line kernel (:func:`grids.mesh_terms`, which owns the kernel),
+assemble the right-hand side g of the front equation from M and the
+symbol table, and divide by the symbol to obtain the front.  Norm reports
+and the gamma-sweep used to check the a priori estimates live here as well.
 """
 
 from __future__ import annotations
@@ -20,12 +21,10 @@ from .chunks import map_chunks, scan_extrema
 from .grids import (
     GridSpec,
     Space,
-    _exponentials,
-    _terms,
-    boundary_terms,
     forward_transform,
     half_line_norm,
     inverse_transform,
+    mesh_terms,
     real_source,
     weighted_norm,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "QuadratureUnderResolved",
     "SymbolTooSmall",
     "transform_source",
-    "half_line_terms",
     "build_g",
     "solve_front",
     "estimate_sweep",
@@ -47,10 +45,6 @@ __all__ = [
 
 DECAY_TOL = 1e-6
 TAIL_TOL = 1e-6
-
-# mirror pairs of rows per task of the mesh half-line kernel: 12 rows, whose exponentials
-# are a task's largest temporaries
-_KERNEL_PAIRS = 6
 
 # rows per task of a source's peak scan
 _PEAK_ROWS = 12
@@ -116,21 +110,15 @@ def transform_source(raw: np.ndarray, side: Side, grid: GridSpec) -> SourceField
     return SourceField(side=side, spectral=forward_transform(raw, grid), grid=grid)
 
 
-def _source_grid(fplus: SourceField, fminus: SourceField) -> GridSpec:
-    """The grid of a (plus, minus) source pair; ValueError for the wrong order or two grids."""
-    if fplus.side is not Side.PLUS or fminus.side is not Side.MINUS:
-        raise ValueError("expected (plus-side, minus-side) source fields in that order")
-    if fplus.grid is not fminus.grid and fplus.grid != fminus.grid:
-        raise ValueError("both sources must share one grid")
-    return fplus.grid
-
-
 def _check_pair(fplus: SourceField, fminus: SourceField) -> GridSpec:
     """The grid of a (plus, minus) pair that ``build_g`` and the closure accept; a ValueError saying what fails otherwise.
 
     In that order, on one grid, each side (plus first) finite and decayed: max |F(Ly)| <= DECAY_TOL max |F|.
     """
-    grid = _source_grid(fplus, fminus)
+    if fplus.side is not Side.PLUS or fminus.side is not Side.MINUS:
+        raise ValueError("expected (plus-side, minus-side) source fields in that order")
+    if fplus.grid is not fminus.grid and fplus.grid != fminus.grid:
+        raise ValueError("both sources must share one grid")
     for field in (fplus, fminus):
         peak, tail, _ = field._depth_scan
         if not math.isfinite(peak):
@@ -138,86 +126,22 @@ def _check_pair(fplus: SourceField, fminus: SourceField) -> GridSpec:
             raise ValueError(f"{field.side.value}-side source is not finite at mode ({it}, {ix}), node {node}")
         if tail > DECAY_TOL * peak:
             raise ValueError(f"{field.side.value}-side source has not decayed at the truncation depth Ly")
-    return grid
-
-
-def half_line_terms(fplus: SourceField, fminus: SourceField, mup: np.ndarray, mum: np.ndarray):
-    """(T+, T-) = (1/mu+-) int_0^Ly exp(-mu+- y) F+-(., +-y) dy on the half mesh of a (plus, minus) pair.
-
-    ``mup``/``mum`` hold mu+- on the grid's half mesh, e.g. ``grid.half``
-    of the symbol table's.  The front moment is T+ - T-, the pressure
-    boundary values are T+- / (2 c^2).  Each side is
-    :func:`grids.boundary_terms` bit for bit.  The rows run on the
-    ``VFS_THREADS`` pool in fixed tasks of ``_KERNEL_PAIRS`` mirror pairs:
-    row it with row -it mod nt (rows 0 and nt/2 are their own mirrors).
-    Since mu-(delta, eta) = conj mu+(-delta, eta), one ``np.exp`` call
-    serves a pair: where ``mum`` on a row is the conjugate of ``mup`` on
-    its mirror, the minus side's exp(-mu- x) is read as the conjugate of
-    the plus side's at the mirror.  Elsewhere it is taken directly: on the
-    Nyquist row nt/2, whose delta is its mirror's, and wherever mu+- are
-    not one symbol's (or not finite).
-    """
-    grid = _source_grid(fplus, fminus)
-    mup, mum = np.asarray(mup), np.asarray(mum)
-    terms = (np.empty(mup.shape, dtype=complex), np.empty(mum.shape, dtype=complex))
-    arrays = (fplus.spectral, fminus.spectral, mup, mum) + terms
-    last = grid.nt // 2
-
-    def pairs(start: int, stop: int) -> None:
-        # pair k is row k and row nt - k, which is row k - 1 of the rows reversed
-        inner = slice(max(start, 1), min(stop, last))
-        if inner.start < inner.stop:
-            flipped = slice(inner.start - 1, inner.stop - 1)
-            _mirror_pair(grid, [a[inner] for a in arrays], [a[::-1][flipped] for a in arrays])
-        for k in sorted({0, last}.intersection(range(start, stop))):
-            rows = [a[k : k + 1] for a in arrays]
-            _mirror_pair(grid, rows, rows)
-
-    map_chunks(pairs, last + 1, _KERNEL_PAIRS)
-    return terms
-
-
-def _mirror_pair(grid: GridSpec, rows: list, mirrors: list) -> None:
-    """T+- on a block of rows and on their mirror rows, in place.
-
-    Each is a list of views (F+, F-, mu+, mu-, T+, T-) of the same rows, the mirrors in pair order;
-    a block of rows that are their own mirrors passes the same list twice.
-    """
-    blocks = [rows] if mirrors is rows else [rows, mirrors]
-    with np.errstate(invalid="ignore"):
-        tables = []
-        for fp, _, mup, _, tp, _ in blocks:
-            tables.append(_exponentials(grid, mup))
-            tp[...] = _terms(grid, fp, mup, tables[-1])
-        # the plus side's table at each block's mirror block
-        for (_, fm, _, mum, _, tm), mirror, table in zip(blocks, blocks[::-1], tables[::-1]):
-            if np.array_equal(mum, np.conj(mirror[2])):
-                np.conjugate(table, out=table)
-            else:
-                table = _exponentials(grid, mum)
-            tm[...] = _terms(grid, fm, mum, table)
+    return fplus.grid
 
 
 def build_g(fplus: SourceField, fminus: SourceField, params: PhysicalParams) -> np.ndarray:
     """Right-hand side of the front equation on the grid's full (nt, nx) frequency mesh.
 
     g = -(mu+ mu- / (mu+ + mu-)) M, with the source moment M = T+ - T- of
-    :func:`half_line_terms`.  T+- are computed on the half mesh and
-    expanded by :meth:`GridSpec.expand`; past column nx/2 the Nyquist row,
-    which the mirror does not carry, is computed from the mirrored sources
-    (see :attr:`GridSpec.nyquist_row`).  Raises the ValueError of
-    :func:`_check_pair` for a pair the closure refuses too, and
-    QuadratureUnderResolved when the neglected tail at Ly is not small
+    :func:`grids.mesh_terms` on the grid's symbol table.  Raises the
+    ValueError of :func:`_check_pair` for a pair the closure refuses too,
+    and QuadratureUnderResolved when the neglected tail at Ly is not small
     relative to a side's term, or when either is not finite.
     """
     grid = _check_pair(fplus, fminus)
-    fields = (fplus, fminus)
     table = grid.symbol_table(params)
-    mus = (table.mup, table.mum)
-    terms = [grid.expand(term) for term in half_line_terms(fplus, fminus, *map(grid.half, mus))]
-    row, rest = grid.nyquist_row, slice(grid.half_nx, None)
-    for field, mu, term in zip(fields, mus, terms):
-        term[row, rest] = boundary_terms(grid, grid.expand(field.spectral, [row])[0, rest], mu[row, rest])
+    terms = mesh_terms(grid, fplus.spectral, fminus.spectral, table)
+    for field, mu, term in zip((fplus, fminus), (table.mup, table.mum), terms):
         # the neglected tail is of the order of the integrand at the cutoff
         edge = grid.expand(field._depth_scan[2])
         tail_num = float(np.max(np.exp(-grid.Ly * mu.real) * edge / np.abs(mu)))

@@ -26,9 +26,10 @@ column multiplicities and the expansion of a half array to the full mesh.
 
 The half-line kernel exp(-mu y) on the half-line rule lives here and only
 here.  :func:`boundary_terms` gives T = (1/mu) int_0^Ly exp(-mu y) F(y)
-dy, which the front moment and the pressure boundary values are made of,
-and :func:`closure_sums` adds what the pressure closure needs: the
-homogeneous profile exp(-mu y_i) and the free-space sums
+dy, which the front moment (:func:`mesh_terms`, for a source pair on the
+whole mesh) and the pressure boundary values are made of, and
+:func:`closure_sums` adds what the pressure closure needs: the homogeneous
+profile exp(-mu y_i) and the free-space sums
 sum_j exp(-mu |y_i - y_j|) w_j F_j.  Node ``p * order + j`` of the rule is
 o_p + x_j (panel offset plus local node), so the kernel factors per panel,
 exp(-mu y) = exp(-mu o_p) exp(-mu x_j): one mode takes panels + order
@@ -46,10 +47,11 @@ over the grid's exponent vector: the local nodes and panel offsets for
 T, and the distinct in-panel distances too for the closure, whose index
 tables spread them into the lag matrix and the block.  Since
 mu-(delta, eta) = conj mu+(-delta, eta), exp(-mu- x) at row it of the mesh
-is the conjugate of exp(-mu+ x) at the mirrored row -it mod nt (not on row
-nt/2, whose delta is its own mirror's), so ``front.half_line_terms`` makes
-one table per mirror pair of rows from :func:`_exponentials` and sums it
-with :func:`_terms`.
+is the conjugate of exp(-mu+ x) at the mirrored row -it mod nt, so
+:func:`mesh_terms` makes one table per mirror pair of rows of a grid's
+:class:`symbols.SymbolTable`, whose rows are conjugate mirrors by
+construction.  Row nt/2, whose delta is its own mirror's, takes a table
+per side on all nx columns: past column nx/2 the half mesh does not carry it.
 """
 
 from __future__ import annotations
@@ -74,6 +76,7 @@ __all__ = [
     "weighted_norm",
     "half_line_norm",
     "boundary_terms",
+    "mesh_terms",
     "closure_sums",
 ]
 
@@ -88,6 +91,10 @@ QUAD_ORDER = 8
 _FFT_ROWS = 16
 _FFT_DEPTH = 8
 _FFT_LINES = 256
+
+# mirror pairs of rows per task of mesh_terms: 12 rows, whose exponentials are a task's
+# largest temporaries
+_KERNEL_PAIRS = 6
 
 # leading-axis rows per block of the weighted sum over a source field, so that
 # no temporary of the field's size is made
@@ -382,11 +389,6 @@ def _exponentials(grid: GridSpec, mu: np.ndarray) -> np.ndarray:
     return np.exp(-mu[..., None] * grid._panel_tables[0][: local.size + offsets.size])
 
 
-def _terms(grid: GridSpec, spectral: np.ndarray, mu: np.ndarray, exponentials: np.ndarray) -> np.ndarray:
-    """T of :func:`boundary_terms` from the exponentials of :func:`_exponentials`."""
-    return _panel_sums(grid, spectral, mu, exponentials)[0]
-
-
 def boundary_terms(grid: GridSpec, spectral: np.ndarray, mu) -> np.ndarray:
     """T = (1/mu) int_0^Ly exp(-mu y) F(y) dy on the grid's rule, with the shape of ``mu``.
 
@@ -396,7 +398,65 @@ def boundary_terms(grid: GridSpec, spectral: np.ndarray, mu) -> np.ndarray:
     """
     mu = np.asarray(mu)
     with np.errstate(invalid="ignore"):
-        return _terms(grid, spectral, mu, _exponentials(grid, mu))
+        return _panel_sums(grid, spectral, mu, _exponentials(grid, mu))[0]
+
+
+def mesh_terms(grid: GridSpec, plus: np.ndarray, minus: np.ndarray, table: SymbolTable) -> tuple[np.ndarray, np.ndarray]:
+    """(T+, T-) of a (plus, minus) source pair on the grid's full (nt, nx) mesh.
+
+    ``plus`` and ``minus`` are the sources' half meshes, shape (nt, nx/2 + 1,
+    ny), and ``table`` is the grid's symbol table (:meth:`GridSpec.symbol_table`).
+    The front moment is T+ - T-, the pressure boundary values are T+- / (2 c^2).
+    Each side is :func:`boundary_terms`' value at every mode, bit for bit: on
+    the half mesh, expanded by :meth:`GridSpec.expand`, and past column nx/2
+    of the Nyquist row, which the mirror does not carry
+    (:attr:`GridSpec.nyquist_row`), from the mirrored sources.  The rows run
+    on the ``VFS_THREADS`` pool in fixed tasks of ``_KERNEL_PAIRS`` mirror
+    pairs: row it with row -it mod nt.  The table's rows are conjugate
+    mirrors, mu-(delta, eta) = conj mu+(-delta, eta) (see
+    :class:`symbols.SymbolTable`), so one ``np.exp`` call serves a pair: the
+    minus side's exp(-mu- x) on a row is the conjugate of the plus side's on
+    its mirror, and on row 0 of the plus side's on row 0.  The Nyquist row
+    nt/2, whose delta is its mirror's, takes its own exponentials on each side.
+    """
+    last, mus = grid.nyquist_row, (table.mup, table.mum)
+    halves = tuple(np.empty((grid.nt, grid.half_nx), dtype=complex) for _ in mus)
+    nyquist = np.empty((2, 1, grid.nx), dtype=complex)
+    arrays = (plus, minus) + tuple(map(grid.half, mus)) + halves
+
+    def terms(rows: list, mirrors: list) -> None:
+        # rows and mirrors are views (F+, F-, mu+, mu-, T+, T-) of a block of rows and of its mirror
+        # rows in pair order; a block of rows that are their own mirrors passes the same list twice
+        blocks = [rows] if mirrors is rows else [rows, mirrors]
+        tables = [_exponentials(grid, mup) for _, _, mup, _, _, _ in blocks]
+        for (fp, _, mup, _, tp, _), table in zip(blocks, tables):
+            tp[...] = _panel_sums(grid, fp, mup, table)[0]
+        # the plus side's table at each block's mirror block
+        for (_, fm, _, mum, _, tm), table in zip(blocks, tables[::-1]):
+            tm[...] = _panel_sums(grid, fm, mum, np.conjugate(table, out=table))[0]
+
+    def pairs(start: int, stop: int) -> None:
+        # errstate is thread-local, so each task sets it: a mu that is not finite gives a T that is not
+        with np.errstate(invalid="ignore"):
+            # pair k is row k and row nt - k, which is row k - 1 of the rows reversed
+            inner = slice(max(start, 1), min(stop, last))
+            if inner.start < inner.stop:
+                flipped = slice(inner.start - 1, inner.stop - 1)
+                terms([a[inner] for a in arrays], [a[::-1][flipped] for a in arrays])
+            if start == 0 < last:
+                rows = [a[:1] for a in arrays]
+                terms(rows, rows)
+            if start <= last < stop:
+                for source, mu, row, half in zip((plus, minus), mus, nyquist, halves):
+                    row_mu = mu[last : last + 1]
+                    row[...] = _panel_sums(grid, grid.expand(source, [last]), row_mu, _exponentials(grid, row_mu))[0]
+                    half[last] = row[0, : grid.half_nx]
+
+    map_chunks(pairs, last + 1, _KERNEL_PAIRS)
+    full = tuple(map(grid.expand, halves))
+    for term, row in zip(full, nyquist):
+        term[last] = row[0]
+    return full
 
 
 def closure_sums(grid: GridSpec, spectral: np.ndarray, mu):

@@ -11,8 +11,8 @@ import pytest
 
 from conftest import source_from_spectral
 from vsheet.cli import stability_diagram
-from vsheet.front import Side, build_g, estimate_sweep, half_line_terms, solve_front
-from vsheet.grids import GridSpec, Space, weighted_norm
+from vsheet.front import Side, build_g, estimate_sweep, solve_front
+from vsheet.grids import GridSpec, Space, mesh_terms, weighted_norm
 from vsheet.hemisphere import (
     SampleStrategy,
     certify_sandwich,
@@ -140,7 +140,7 @@ def test_criterion_06_source_moment_closed_form():
     fminus = source_from_spectral(np.zeros_like(spec), Side.MINUS, grid)
     freq = grid.freq_mesh()[1, 2]
     mp, _ = mu_pm(freq, M2)
-    t_plus, t_minus = half_line_terms(fplus, fminus, *map(grid.half, mu_pm(grid.freq_mesh(), M2)))
+    t_plus, t_minus = mesh_terms(grid, fplus.spectral, fminus.spectral, grid.symbol_table(M2))
     got = (t_plus - t_minus)[1, 2]
     want = 1.0 / (mp * (mp + a))
     err = abs(got - want) / abs(want)

@@ -11,6 +11,7 @@ import inspect
 import pathlib
 
 import numpy as np
+import pytest
 
 from vsheet import GridSpec, cli, front, hemisphere, pressure
 from vsheet.symbols import Frequency, NumericalGuard, PhysicalParams
@@ -48,23 +49,45 @@ def test_the_names_the_benchmark_reads_resolve():
     assert seed.kind in (seed.POSITIONAL_OR_KEYWORD, seed.KEYWORD_ONLY)
 
 
+def _counted(monkeypatch, module, names, calls):
+    """Replace each of ``module``'s ``names`` with a wrapper that appends (name, the first argument) to ``calls``."""
+    for name in names:
+        original = getattr(module, name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            calls.append((_name, args[0] if args else None))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+
+@pytest.mark.parametrize("heatmap", [False, True], ids=["plain", "heatmap"])
+def test_a_certify_reaches_every_traced_span_once_and_counts_its_evaluations(tmp_path, monkeypatch, heatmap):
+    # the traced certify report reads the four hemisphere spans with no default (span_total_s[...]), which
+    # the shims open around the cli names; the symbol counters count the points of hemisphere.big_sigma and
+    # hemisphere.weight_sigma.  n + 720 and 2n points (the 720 of the simple-root arcs), and a 41 x 41
+    # [heatmap] of the ratio adds 1681 to each: 22 401 and 41 681 at n = 20 000 with it.
+    n = 20_000
+    calls, points = [], []
+    _counted(monkeypatch, cli, ("sample_hemisphere", "certify_sandwich", "certify_weight_bounds", "certify_simple_root"), calls)
+    _counted(monkeypatch, hemisphere, ("big_sigma", "weight_sigma"), points)
+    cfg = tmp_path / "certify.cfg"
+    cfg.write_text(f"[params]\nv = 2.0\nc = 1.0\n\n[sample]\nn = {n}\n" + ("\n[heatmap]\nfield = ratio\n" if heatmap else ""))
+    assert cli.main(["certify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert [name for name, _ in calls] == ["sample_hemisphere", "certify_sandwich", "certify_weight_bounds", "certify_simple_root"]
+    extra = 41 * 41 if heatmap else 0
+    for name, want in (("big_sigma", n + 720 + extra), ("weight_sigma", 2 * n + extra)):
+        assert sum(freq.size for called, freq in points if called == name) == want, name
+
+
 def test_a_sweep_reaches_the_traced_front_spans_once_per_rung(monkeypatch):
-    # the traced sweep report reads the front.solve_front and grids.inverse_transform spans, which the
-    # shims open around front.solve_front and front.inverse_transform: the sweep must look both up there
+    # the traced sweep report reads these five spans with no default (span_median_s[...]), which the shims open
+    # around front's names: the sweep must look each up there, the transform once per side, the rest once
     calls = []
-
-    def counted(name):
-        original = getattr(front, name)
-
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return original(*args, **kwargs)
-
-        return wrapper
-
-    for name in ("solve_front", "inverse_transform"):
-        monkeypatch.setattr(front, name, counted(name))
+    names = ("transform_source", "forward_transform", "build_g", "solve_front", "inverse_transform")
+    _counted(monkeypatch, front, names, calls)
     grid = GridSpec(nt=16, nx=16, ny=16, Lt=2 * np.pi, Lx=2 * np.pi, Ly=14.0)
     gammas = (1.0, 2.0, 4.0)
     front.estimate_sweep(*cli.builtin_sources(grid), grid, PhysicalParams(v=2.0, c=1.0), gammas)
-    assert calls == ["solve_front", "inverse_transform"] * len(gammas)
+    rung = ["transform_source", "forward_transform"] * 2 + ["build_g", "solve_front", "inverse_transform"]
+    assert [name for name, _ in calls] == rung * len(gammas)

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vsheet
-from vsheet import cli, fileio, front, grids, hemisphere, symbols
+from vsheet import cli, fileio, grids, hemisphere, symbols
 from vsheet.cli import main
 from vsheet.grids import GridSpec
 from vsheet.chunks import CHUNK
@@ -436,7 +436,7 @@ gammas = 1 2 4
         # 32 * 8 / 24 = 10 whole-depth rows, its 17 * 24 half-mesh columns in tasks of
         # _FFT_LINES, and the kernel's 17 mirror pairs of rows in tasks of _KERNEL_PAIRS
         assert min(grids._FFT_ROWS, 32 * grids._FFT_DEPTH // 24) < 32
-        assert grids._FFT_LINES < 17 * 24 and front._KERNEL_PAIRS < 17
+        assert grids._FFT_LINES < 17 * 24 and grids._KERNEL_PAIRS < 17
         sweep = "[sweep]\ngammas = 1 2 4\n" if study == "sweep" else ""
         cfg = _write(
             tmp_path,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import half_mus, half_zeros, source_from_spectral
+from conftest import half_zeros, manufactured_solution, source_from_spectral
 from vsheet import chunks, front, grids, symbols
 from vsheet.front import (
     QuadratureUnderResolved,
@@ -15,7 +15,6 @@ from vsheet.front import (
     SymbolTooSmall,
     build_g,
     estimate_sweep,
-    half_line_terms,
     solve_front,
     transform_source,
 )
@@ -44,9 +43,15 @@ def _exp_pair(grid, a=0.9, b=0.7, it=1, ix=2):
     )
 
 
+def _terms(fplus, fminus, params=M2):
+    """T+- of a (plus, minus) pair on the grid's full mesh."""
+    g = fplus.grid
+    return grids.mesh_terms(g, fplus.spectral, fminus.spectral, g.symbol_table(params))
+
+
 def _moment(fplus, fminus, params=M2):
-    """The source moment M = T+ - T- on the grid's half mesh."""
-    t_plus, t_minus = half_line_terms(fplus, fminus, *half_mus(fplus.grid, params))
+    """The source moment M = T+ - T- on the grid's full mesh."""
+    t_plus, t_minus = _terms(fplus, fminus, params)
     return t_plus - t_minus
 
 
@@ -159,7 +164,8 @@ class TestSourceMoment:
         # one mode of g is mesh indexing; it is -(mu+ mu- / (mu+ + mu-)) (T+ - T-) with mu on the mesh
         g = _grid()
         fp, fm = _exp_pair(g)
-        mup, mum = half_mus(g, M2)
+        table = g.symbol_table(M2)
+        mup, mum = table.mup, table.mum
         val = build_g(fp, fm, M2)[1, 2]
         assert val == (-(mup * mum / (mup + mum)) * _moment(fp, fm))[1, 2] and np.isfinite(val)
 
@@ -247,11 +253,13 @@ class TestHalfLineLayer:
     @pytest.mark.parametrize("ny", [4, 32, 96])
     def test_panel_kernel_matches_the_oracle_on_the_mesh(self, ny):
         g = _grid(nt=64, nx=16, ny=ny)
-        assert (g.nt // 2 + 1) % front._KERNEL_PAIRS
+        assert (g.nt // 2 + 1) % grids._KERNEL_PAIRS
         fp, fm = _random_pair(g, seed=ny)
-        mus = half_mus(g, M2)
-        for got, (want, scale) in zip(half_line_terms(fp, fm, *mus), _oracle_terms(g, (fp.spectral, fm.spectral), *mus)):
-            assert got.shape == (g.nt, g.half_nx)
+        table = g.symbol_table(M2)
+        # the oracle runs on the full mesh of the pair, the Nyquist row past column nx/2 among it
+        spectra = (g.expand(fp.spectral), g.expand(fm.spectral))
+        for got, (want, scale) in zip(_terms(fp, fm), _oracle_terms(g, spectra, table.mup, table.mum)):
+            assert got.shape == (g.nt, g.nx)
             assert np.all(np.abs(got - want) <= 1e-14 * scale)
 
     @pytest.mark.parametrize("ny", [4, 32, 96])
@@ -273,46 +281,50 @@ class TestHalfLineLayer:
                 assert abs(got - want) <= 1e-14 * scale
 
     @staticmethod
-    def _lattice_case(params):
-        """A 32 x 16 x 32 pair with zeroed rows, and mu+- of ``params`` on its half mesh.
+    def _lattice_case(params, nt=32):
+        """A nt x 16 x 32 pair, and the grid's symbol table of ``params``.
 
-        With Lt = Lx = 2 pi the lattice holds modes delta = +-v eta (v = 2: eta = 8 meets the
-        Nyquist row's delta = -16; v = 0.8: eta = 5, delta = +-4), where mu+- have exactly zero
-        imaginary parts.  Rows 3 and 29 (a mirror pair), 5 and the Nyquist row 16 are zero on both
-        sides, so that a slip in the sign of a zero would show in T's bytes.
+        At nt = 32, with Lt = Lx = 2 pi, the lattice holds modes delta = +-v eta (v = 2: eta = 8
+        meets the Nyquist row's delta = -16; v = 0.8: eta = 5, delta = +-4), where mu+- have exactly
+        zero imaginary parts.  Rows 3 and 29 (a mirror pair), 5 and the Nyquist row 16 are zero on
+        both sides there, so that a slip in the sign of a zero would show in T's bytes.  At nt = 2
+        the mesh is row 0 and the Nyquist row only; at nt = 4 one inner mirror pair joins them.
         """
-        g = _grid(nt=32, nx=16, ny=32)
+        g = _grid(nt=nt, nx=16, ny=32)
         fp, fm = _random_pair(g, seed=31)
-        for field in (fp, fm):
-            field.spectral[[3, 29, 5, 16]] = 0.0
-        mus = half_mus(g, params)
-        assert all(np.any(mu[:, 1:].imag == 0.0) for mu in mus)
-        return g, fp, fm, mus
+        table = g.symbol_table(params)
+        if nt == 32:
+            for field in (fp, fm):
+                field.spectral[[3, 29, 5, 16]] = 0.0
+            assert all(np.any(g.half(mu)[:, 1:].imag == 0.0) for mu in (table.mup, table.mum))
+        return g, fp, fm, table
 
     @pytest.mark.parametrize("params", [M2, PhysicalParams(v=0.8, c=1.0)], ids=["M2", "M0.8"])
     def test_mirror_pairs_give_each_sides_boundary_terms_bit_for_bit(self, params, monkeypatch):
-        g, fp, fm, mus = self._lattice_case(params)
-        want = [grids.boundary_terms(g, field.spectral, mu) for field, mu in zip((fp, fm), mus)]
-        for threads in ("1", "2"):
-            monkeypatch.setenv("VFS_THREADS", threads)
-            for got, side in zip(half_line_terms(fp, fm, *mus), want):
-                assert got.tobytes() == side.tobytes()
+        # every mode of the full mesh: the half mesh and, past column nx/2, the mirror of its conjugate,
+        # except on the Nyquist row, which boundary_terms takes from the mirrored sources
+        for nt in (2, 4, 32):
+            g, fp, fm, table = self._lattice_case(params, nt)
+            row = g.nyquist_row
+            want = []
+            for field, mu in zip((fp, fm), (table.mup, table.mum)):
+                side = g.expand(grids.boundary_terms(g, field.spectral, g.half(mu)))
+                side[row] = grids.boundary_terms(g, g.expand(field.spectral, [row])[0], mu[row])
+                want.append(side)
+            for threads in ("1", "2"):
+                monkeypatch.setenv("VFS_THREADS", threads)
+                for got, side in zip(grids.mesh_terms(g, fp.spectral, fm.spectral, table), want):
+                    assert got.tobytes() == side.tobytes(), nt
 
     def test_one_exponential_table_per_mirror_pair(self, monkeypatch):
         # nt rows and the Nyquist row's minus side, whose delta is its mirror's, are exponentiated
-        g, fp, fm, mus = self._lattice_case(M2)
-        rows = []
-        original = front._exponentials
-        monkeypatch.setattr(front, "_exponentials", lambda grid, mu: rows.append(len(mu)) or original(grid, mu))
-        half_line_terms(fp, fm, *mus)
-        assert sum(rows) == g.nt + 1
-
-    def test_mu_that_are_not_one_symbols_are_exponentiated_per_side(self):
-        # a minus-side mu that is not the conjugate of the plus side's at the mirror row takes its own table
-        g, fp, fm, (mup, mum) = self._lattice_case(M2)
-        mum = mum * 1.5
-        for got, field, mu in zip(half_line_terms(fp, fm, mup, mum), (fp, fm), (mup, mum)):
-            assert got.tobytes() == grids.boundary_terms(g, field.spectral, mu).tobytes()
+        original = grids._exponentials
+        for nt in (2, 4, 32):
+            g, fp, fm, table = self._lattice_case(M2, nt)
+            rows = []
+            monkeypatch.setattr(grids, "_exponentials", lambda grid, mu: rows.append(len(mu)) or original(grid, mu))
+            grids.mesh_terms(g, fp.spectral, fm.spectral, table)
+            assert sum(rows) == g.nt + 1, nt
 
     @pytest.mark.parametrize("pair, message", [
         ("swapped", "in that order"),
@@ -349,13 +361,39 @@ class TestHalfLineLayer:
         fp, _ = _exp_pair(g, it=2, ix=3)
         fm = source_from_spectral(np.zeros_like(fp.spectral), Side.MINUS, g)
         mup, mum = mu_pm(g.freq_mesh(), params)
-        t_plus, t_minus = half_line_terms(fp, fm, g.half(mup), g.half(mum))
+        t_plus, t_minus = _terms(fp, fm, params)
         assert np.all(t_minus == 0.0)
-        assert np.array_equal(build_g(fp, fm, params), -(mup * mum / (mup + mum)) * g.expand(t_plus))
+        assert np.array_equal(build_g(fp, fm, params), -(mup * mum / (mup + mum)) * t_plus)
         pp, _ = solve_half_space(fp, fm, g.freq_mesh()[2, 3], 0.0, params)
         # the pressure takes scalar mu: scalar and ufunc paths may differ by an ulp
         want = t_plus[2, 3] / (2.0 * params.c**2)
         assert abs((pp.p0 - pp.amplitude) - want) <= 1e-14 * abs(want)
+
+
+class TestManufacturedSolution:
+    """The front of an exact solution (``conftest.manufactured_solution``: M = 2, Ly = 20, w = 2, kmax = 2).
+
+    Its g is Sigma fhat exactly, so the error is the depth rule's and the cut's alone.  The raw
+    fields reach 1e43 at gamma = 16, so they stay float64 in process.  The front is zero on the
+    Nyquist row, so ``tests/test_half_mesh.py`` covers that row, not this class.
+    """
+
+    @staticmethod
+    def _front_error(ny, gamma):
+        g = _grid(nt=32, nx=32, ny=ny, Ly=20.0, gamma=gamma)
+        fhat, _, raw = manufactured_solution(g, M2)
+        fp, fm = (transform_source(field, side, g) for field, side in zip(raw, Side))
+        f_hat = solve_front(build_g(fp, fm, M2), g, M2).f_hat
+        return np.linalg.norm(f_hat - fhat) / np.linalg.norm(fhat)
+
+    @pytest.mark.parametrize("gamma", [1.0, 16.0])
+    def test_the_front_is_exact_where_the_depth_rule_resolves_the_kernel(self, gamma):
+        # measured 1.9e-15 at gamma 1 and 1.3e-11 at gamma 16
+        assert self._front_error(512, gamma) <= 1e-10
+
+    def test_the_default_depth_rule_misses_the_front(self):
+        # four panels of width 5 at ny = 32, the first node at y = 0.099: measured 2.2
+        assert self._front_error(32, 1.0) > 1.0
 
 
 class TestSolveFront:

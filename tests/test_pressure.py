@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import half_mus, half_zeros, source_from_spectral
+from conftest import half_mus, half_zeros, manufactured_solution, source_from_spectral
 from vsheet import cli, grids, pressure
-from vsheet.front import Side, build_g, half_line_terms, solve_front, transform_source
+from vsheet.front import Side, build_g, solve_front, transform_source
 from vsheet.grids import GridSpec
 from vsheet.pressure import DecayViolated, front_equation_residual, solve_half_space
 from vsheet.symbols import Frequency, PhysicalParams, mu_pm
@@ -399,17 +399,33 @@ class TestParticularSolution:
         assert peak < 8_000_000, f"one mode at ny = 2048 peaked at {peak / 1e6:.2f} MB"
 
 
+class TestManufacturedSolution:
+    def test_boundary_values_are_the_exact_profiles(self):
+        # conftest.manufactured_solution at 32 x 32 x 512, Ly = 20, gamma = 1: p0 = P(0) = fhat on both
+        # sides, and dp0 = +-P'(0), signed in x2; (2, 31) is read through its mirror.  The worst of these
+        # measured 1.7e-14 relative.
+        g = GridSpec(nt=32, nx=32, ny=512, Lt=2 * np.pi, Lx=2 * np.pi, Ly=20.0)
+        fhat, (bp, bm), raw = manufactured_solution(g, M2)
+        fp, fm = (transform_source(field, side, g) for field, side in zip(raw, Side))
+        mesh = g.freq_mesh()
+        for mode in ((0, 0), (0, 1), (1, 0), (1, 2), (31, 1), (2, 31)):
+            pp, pm = solve_half_space(fp, fm, mesh[mode], fhat[mode], M2)
+            for got, want in ((pp.p0, fhat[mode]), (pm.p0, fhat[mode]), (pp.dp0, bp[mode]), (pm.dp0, -bm[mode])):
+                assert abs(got - want) <= 1e-12 * abs(want), mode
+
+
 class TestSharedKernel:
     @pytest.mark.parametrize("ny", [8, 16, 32, 96])
     def test_mesh_call_equals_mode_calls_and_half_line_terms(self, ny):
+        # the half-line terms of a source pair on the mesh are grids.mesh_terms'
         g = _grid(ny=ny, nt=16, nx=8)
         fields = _random_fields(g, ny)
         spectral = np.array([field.spectral for field in fields])
         mus = np.array(half_mus(g, M2))
         mesh = grids.closure_sums(g, spectral, mus)
         assert [part.shape for part in mesh] == [mus.shape, spectral.shape, spectral.shape]
-        for got, want in zip(mesh[0], half_line_terms(*fields, *mus)):
-            assert np.array_equal(got, want)
+        for got, want in zip(mesh[0], grids.mesh_terms(g, *spectral, g.symbol_table(M2))):
+            assert np.array_equal(got, g.half(want))
         for it, ix in np.ndindex(g.nt, g.half_nx):
             mode = grids.closure_sums(g, spectral[:, it, ix], mus[:, it, ix])
             for got, want in zip(mode, mesh):
