@@ -121,8 +121,8 @@ def _load_sources(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, GridSpec]:
     )
     if grid_p != grid_m:
         raise ValueError("plus and minus sources disagree on the grid")
-    # read_source has rejected a non-zero imaginary part; the real parts are views
-    return raw_p.real, raw_m.real, grid_p
+    # real arrays: read_source returns a file's real samples, after rejecting a non-zero imaginary part
+    return raw_p, raw_m, grid_p
 
 
 def _read_source(path: str, cfg: RunConfig) -> tuple[np.ndarray, GridSpec]:

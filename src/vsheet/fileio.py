@@ -7,7 +7,8 @@ order with t as the leading (major) axis, of shape (nt, nx, ny) for a
 source and (nt, nx) for a solution.  The CSV source keeps the source
 record on a leading ``# vfs-source`` comment line and one
 ``it,ix,iy,re,im`` row per sample; a solution's JSON sidecar holds it as
-``"grid"``.
+``"grid"``.  Payloads are written, and sources read, a block of whole
+leading-axis rows (about ``_BLOCK_BYTES``) at a time through one buffer.
 """
 
 from __future__ import annotations
@@ -15,11 +16,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import pathlib
 
 import numpy as np
 
-from .grids import GridSpec, real_source
+from .grids import GridSpec
 
 __all__ = [
     "write_source_bin",
@@ -39,36 +41,71 @@ _HEADER = np.dtype(
 )
 _SOLUTION_HEADER = np.dtype([("nt", "<i4"), ("nx", "<i4"), ("Lt", "<f8"), ("Lx", "<f8"), ("gamma", "<f8")])
 _CSV_COLUMNS = ["it", "ix", "iy", "re", "im"]
+# payload bytes that a block read or write moves through its buffer: whole leading-axis rows, at least one
+_BLOCK_BYTES = 1 << 20
 
 
 def _record(grid: GridSpec, header: np.dtype) -> dict:
     return {name: getattr(grid, name) for name in header.names}
 
 
+def _block_buffer(shape: tuple) -> np.ndarray:
+    """An empty complex64 block of whole leading-axis rows of ``shape``: about ``_BLOCK_BYTES``, at least one row."""
+    rows = max(1, _BLOCK_BYTES // (math.prod(shape[1:]) * np.dtype("<c8").itemsize))
+    return np.empty((rows,) + tuple(shape[1:]), dtype="<c8")
+
+
 def _write_packed(path, header: np.dtype, grid: GridSpec, payload: np.ndarray) -> None:
-    """The grid record packed as ``header``, then ``payload`` as complex64 in C order."""
+    """The grid record packed as ``header``, then ``payload`` as complex64 in C order.
+
+    The payload is cast and written a block of whole leading-axis rows at a
+    time through one reused buffer, so no payload-sized copy is made.
+    """
+    payload = np.asarray(payload)
+    buffer = _block_buffer(payload.shape)
     with open(path, "wb") as fh:
         fh.write(np.array([tuple(_record(grid, header).values())], dtype=header).tobytes())
-        fh.write(np.ascontiguousarray(payload, dtype=np.complex64).tobytes())
+        for start in range(0, len(payload), len(buffer)):
+            block = buffer[: len(payload) - start]
+            block[...] = payload[start : start + len(block)]
+            fh.write(block)
 
 
-def _read_packed(path, header: np.dtype, kind: str) -> tuple[dict, np.ndarray]:
-    """The header record as a dict and the read-only complex64 payload, shaped by the record's int fields.
+def _read_record(fh, path, header: np.dtype, kind: str) -> tuple[dict, tuple]:
+    """The header record of the open packed file ``fh`` as a dict, and the payload shape its int fields give.
 
-    A file whose size does not match its header is rejected in one line naming ``kind`` and the path.
+    Leaves ``fh`` at the payload.  A file whose size does not match its
+    header is rejected in one line naming ``kind`` and the path.
     """
-    blob = pathlib.Path(path).read_bytes()
+    length = os.fstat(fh.fileno()).st_size
     size = header.itemsize
-    if len(blob) < size:
-        raise ValueError(f"{kind} file {path} holds {len(blob)} bytes, shorter than its {size}-byte header")
-    record = np.frombuffer(blob[:size], dtype=header)[0]
+    if length < size:
+        raise ValueError(f"{kind} file {path} holds {length} bytes, shorter than its {size}-byte header")
+    record = np.frombuffer(fh.read(size), dtype=header)[0]
     fields = {name: record[name].item() for name in header.names}
     shape = {name: value for name, value in fields.items() if header[name].kind == "i"}
     expected = size + math.prod(shape.values()) * np.dtype("<c8").itemsize
-    if min(shape.values()) < 0 or len(blob) != expected:
+    if min(shape.values()) < 0 or length != expected:
         dims = ", ".join(f"{name}={n}" for name, n in shape.items())
-        raise ValueError(f"{kind} file {path} holds {len(blob)} bytes, expected {expected} for {dims}")
-    return fields, np.frombuffer(blob, dtype="<c8", offset=size).reshape(tuple(shape.values()))
+        raise ValueError(f"{kind} file {path} holds {length} bytes, expected {expected} for {dims}")
+    return fields, tuple(shape.values())
+
+
+def _fill(fh, array: np.ndarray, path, kind: str) -> np.ndarray:
+    """``array`` read in place from ``fh``; a file cut after its size was checked is rejected."""
+    if fh.readinto(array) != array.nbytes:
+        raise ValueError(f"{kind} file {path} was cut while it was read")
+    return array
+
+
+def _read_packed(path, header: np.dtype, kind: str) -> tuple[dict, np.ndarray]:
+    """The header record as a dict and the complex64 payload, shaped by the record's int fields.
+
+    A file whose size does not match its header is rejected in one line naming ``kind`` and the path.
+    """
+    with open(path, "rb") as fh:
+        fields, shape = _read_record(fh, path, header, kind)
+        return fields, _fill(fh, np.empty(shape, dtype="<c8"), path, kind)
 
 
 def write_source_bin(path, raw: np.ndarray, grid: GridSpec) -> None:
@@ -79,7 +116,7 @@ def write_source_bin(path, raw: np.ndarray, grid: GridSpec) -> None:
 
 
 def read_source_bin(path) -> tuple[np.ndarray, GridSpec]:
-    """Read a binary source file as its stored read-only complex64 payload, without a copy.
+    """Read a binary source file as its stored complex64 payload, read straight into the array.
 
     A file whose size does not match its header is rejected.
     """
@@ -142,16 +179,50 @@ def read_source_csv(path) -> tuple[np.ndarray, GridSpec]:
 
 
 def read_source(path) -> tuple[np.ndarray, GridSpec]:
-    """Dispatch on extension: .csv for text (complex128), anything else binary (read-only complex64).
+    """The real samples of a source file and its grid: float32 from ``.bin``, float64 from ``.csv``.
 
-    Rejects non-finite samples and, since sources are real, a non-zero
-    imaginary part; the stored complex payload is returned as it is.
+    Dispatches on extension: .csv for text, anything else binary.  A
+    ``.bin`` payload is read a block of whole t rows at a time into one
+    reused complex64 buffer, whose real parts fill the returned array, so
+    the file's complex payload is never held whole.  In this order, a file
+    whose size or header is wrong, one that holds a non-finite sample and,
+    since sources are real, one with a non-zero imaginary part anywhere are
+    each rejected in one line naming the file.
     """
-    raw, grid = read_source_csv(path) if str(path).endswith(".csv") else read_source_bin(path)
-    if not np.all(np.isfinite(raw)):
-        raise ValueError(f"source file {path} holds non-finite samples")
-    real_source(raw, f"source file {path}")
-    return raw, grid
+    if str(path).endswith(".csv"):
+        raw, grid = read_source_csv(path)
+        return _real_part(path, [raw], np.empty(raw.shape)), grid
+    with open(path, "rb") as fh:
+        fields, shape = _read_record(fh, path, _HEADER, "source")
+        grid = GridSpec(**fields)
+        buffer = _block_buffer(shape)
+        blocks = (
+            _fill(fh, buffer[: shape[0] - start], path, "source") for start in range(0, shape[0], len(buffer))
+        )
+        return _real_part(path, blocks, np.empty(shape, dtype=np.float32)), grid
+
+
+def _real_part(path, blocks, out: np.ndarray) -> np.ndarray:
+    """``out`` filled, block after block of leading-axis rows, with the real parts of complex ``blocks``.
+
+    A non-finite sample is rejected as soon as its block is read; a
+    non-zero imaginary part only once every block has been found finite.
+    """
+    start, imaginary = 0, False
+    for block in blocks:
+        # down the block's rows, the least and greatest of each part (real parts at even places,
+        # imaginary ones at odd); a NaN is both, so the block is finite where these are, and real
+        # where the imaginary ones are 0
+        parts = block.view(block.real.dtype).reshape(len(block), -1)
+        low, high = parts.min(axis=0), parts.max(axis=0)
+        if not (np.isfinite(low).all() and np.isfinite(high).all()):
+            raise ValueError(f"source file {path} holds non-finite samples")
+        imaginary = imaginary or bool(np.any(low[1::2] < 0) or np.any(high[1::2] > 0))
+        out[start : start + len(block)] = block.real
+        start += len(block)
+    if imaginary:
+        raise ValueError(f"source file {path} has a non-zero imaginary part; sources are real")
+    return out
 
 
 def write_front_solution(prefix, solution) -> tuple[pathlib.Path, pathlib.Path]:
@@ -179,7 +250,7 @@ def read_front_solution(prefix) -> tuple[dict, np.ndarray]:
     (nt, nx).  A file whose size does not match its header is rejected.
     """
     header, data = _read_packed(pathlib.Path(prefix).with_suffix(".bin"), _SOLUTION_HEADER, "solution")
-    return header, data.astype(np.complex64)
+    return header, data.astype(np.complex64, copy=False)
 
 
 def _strict(obj):

@@ -102,15 +102,33 @@ class TestCsvFormat:
 class TestSourceFilesAreWhole:
     """A cut or partial source file is rejected in one line naming the path."""
 
-    @pytest.mark.parametrize("keep", [20, -8])
+    @pytest.mark.parametrize("keep", [20, 44, -8])
     def test_truncated_binary_names_the_path(self, tmp_path, keep):
         g = _grid()
         path = tmp_path / "cut.bin"
-        fileio.write_source_bin(path, _raw(g), g)
+        raw = _raw(g)
+        raw[0, 0, 0] = np.nan  # the size is named before the non-finite sample
+        fileio.write_source_bin(path, raw, g)
         path.write_bytes(path.read_bytes()[:keep])
-        with pytest.raises(ValueError) as err:
+        length = path.stat().st_size
+        if keep == 20:
+            message = f"source file {path} holds 20 bytes, shorter than its 44-byte header"
+        else:
+            message = f"source file {path} holds {length} bytes, expected {44 + 8 * 8 * 16 * 8} for nt=8, nx=8, ny=16"
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}\Z"):
             fileio.read_source(path)
-        assert str(path) in str(err.value) and "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("read", [fileio.read_source, fileio.read_source_bin])
+    def test_a_binary_cut_after_its_size_was_checked_is_rejected(self, tmp_path, monkeypatch, read):
+        g = _grid()
+        path = tmp_path / "cut.bin"
+        fileio.write_source_bin(path, _raw(g), g)
+        whole = path.stat()
+        path.write_bytes(path.read_bytes()[:-8])
+        # the size check saw the whole file; the payload then ends early
+        monkeypatch.setattr(fileio.os, "fstat", lambda fd: whole)
+        with pytest.raises(ValueError, match=rf"^source file {re.escape(str(path))} was cut while it was read\Z"):
+            read(path)
 
     def _csv_lines(self, tmp_path):
         g = _grid(ny=8)
@@ -154,6 +172,67 @@ class TestSourceFilesAreWhole:
         assert main(["solve", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("vfs: source file ") and str(path) in err[0]
+
+
+class TestSourceChecksKeepTheirOrder:
+    """``read_source``'s checks after the size (see above), each with its full message: non-finite, then imaginary."""
+
+    # 256 t rows of 64 x 16 complex64 samples: a 2 MB payload, more than one read block
+    BIG = GridSpec(nt=256, nx=64, ny=16, Lt=2 * np.pi, Lx=2 * np.pi, Ly=12.0, gamma=1.0)
+
+    @staticmethod
+    def _raises(path, message):
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}\Z"):
+            fileio.read_source(path)
+
+    @pytest.mark.parametrize(
+        "value", [np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(0.0, -np.inf)],
+        ids=["nan", "inf", "-inf", "inf-imaginary", "-inf-imaginary"],
+    )
+    def test_a_non_finite_last_block_is_named_before_an_imaginary_first_block(self, tmp_path, value):
+        g = self.BIG
+        raw = _raw(g).astype(complex)
+        raw[0, 0, 0] += 1j
+        raw[-1, -1, -1] = value
+        path = tmp_path / "late_nan.bin"
+        fileio.write_source_bin(path, raw, g)
+        assert path.stat().st_size > 2 * 1024**2
+        self._raises(path, f"source file {path} holds non-finite samples")
+
+    @pytest.mark.parametrize("where", [(0, 0, 0), (-1, -1, -1)], ids=["first-row", "last-row"])
+    def test_an_imaginary_part_in_any_block_is_named(self, tmp_path, where):
+        g = self.BIG
+        raw = _raw(g).astype(complex)
+        raw[where] += 1e-30j
+        path = tmp_path / "imaginary.bin"
+        fileio.write_source_bin(path, raw, g)
+        self._raises(path, f"source file {path} has a non-zero imaginary part; sources are real")
+
+    def test_a_negative_zero_imaginary_part_is_real(self, tmp_path):
+        g = _grid()
+        raw = _raw(g).astype(complex)
+        raw.imag[...] = -0.0
+        path = tmp_path / "signed_zero.bin"
+        fileio.write_source_bin(path, raw, g)
+        back, _ = fileio.read_source(path)
+        assert np.array_equal(back, raw.real.astype(np.float32))
+
+    def test_a_csv_imaginary_part_keeps_its_message(self, tmp_path):
+        g = _grid(ny=8)
+        raw = _raw(g).astype(complex)
+        raw[3, 4, 5] += 0.5j
+        path = tmp_path / "imaginary.csv"
+        fileio.write_source_csv(path, raw, g)
+        self._raises(path, f"source file {path} has a non-zero imaginary part; sources are real")
+
+    def test_a_csv_non_finite_sample_is_named_before_an_imaginary_one(self, tmp_path):
+        g = _grid(ny=8)
+        raw = _raw(g).astype(complex)
+        raw[0, 0, 0] += 0.5j
+        raw[-1, -1, -1] = -np.inf
+        path = tmp_path / "late_inf.csv"
+        fileio.write_source_csv(path, raw, g)
+        self._raises(path, f"source file {path} holds non-finite samples")
 
 
 class TestSolutionFiles:

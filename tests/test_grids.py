@@ -325,6 +325,14 @@ class TestTransforms:
             assert got.shape == (nt, nx // 2 + 1) + trailing and got.dtype == np.complex128
             assert got.tobytes() == want.tobytes()
 
+    def test_a_contiguous_source_transforms_as_the_real_view_it_copies(self):
+        # read_source returns a file's real parts as their own float32 array, not as a view of its complex payload
+        g = _grid(nt=16, nx=64)
+        stored = np.random.default_rng(5).standard_normal((16, 64, 24, 2)).astype(np.float32).view(np.complex64)[..., 0]
+        assert not stored.real.flags.c_contiguous
+        got = forward_transform(np.ascontiguousarray(stored.real), g)
+        assert got.tobytes() == forward_transform(stored.real, g).tobytes()
+
     @pytest.mark.parametrize("nt, depth", [(16, 96), (64, 32), (64, 4), (2, 24)])
     def test_a_row_task_damps_at_most_nt_nx_8_doubles(self, nt, depth, monkeypatch):
         # whole-depth rows, at most _FFT_ROWS of them, and one row when a row alone is larger

@@ -1,6 +1,18 @@
-"""Memory of the sweep path and of the certify scans.
+"""Memory of the source files, the sweep path and the certify scans.
 
-The sweep keeps its sources at file precision and one rung of spectral fields.
+A source file is read and written a row block (about 1 MB) at a time, and
+read as its real parts; the sweep keeps those and one rung of spectral
+fields.
+
+On a 128x128x16 grid (numpy 2.4) reading a ``.bin`` source peaked, under
+tracemalloc, at 2.07 MB: its 1 MB float32 result, the one 1 MB row block
+and 4.5 rows for the block's least and greatest parts and the interpreter
+(2.25 MB when the file was read whole and its 2 MB complex64 payload was
+returned, and then kept by the sweep).  Writing one peaked at 1.005 MB, the row block's
+buffer (4.0 MB when the payload was cast whole and then copied to bytes).
+The sweep below peaked at 1.77 to 1.80 spectral fields beyond its float32
+sources, whose term in the bound is now their arrays' size rather than
+that of the files (twice as large).
 
 The peak bound below was set from the measured tracemalloc peak of one
 three-rung sweep on a 128x128x16 grid (numpy 2.4, one or two worker
@@ -30,6 +42,7 @@ and 23.1 to 24.0 (weight) blocks per thread, 16.9 MB for the sandwich at one
 thread.
 """
 
+import hashlib
 import math
 import tracemalloc
 
@@ -63,16 +76,52 @@ def _write_pair(tmp_path, grid):
     return paths
 
 
-def test_a_bin_source_is_read_as_its_payload_without_a_copy(tmp_path):
-    grid = _grid(nt=8, nx=8, ny=8)
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def _block_bytes(shape):
+    """Bytes of one row block of a complex64 payload of ``shape``, and of one of its rows."""
+    buffer = fileio._block_buffer(shape)
+    return buffer.nbytes, buffer[0].nbytes
+
+
+def test_a_bin_source_is_read_as_the_real_parts_of_its_payload(tmp_path):
+    grid = _grid()
     path = _write_pair(tmp_path, grid)[0]
-    raw, back = fileio.read_source(path)
-    assert back == grid and raw.dtype == np.complex64 and not raw.flags.writeable
-    owner = raw
-    while isinstance(owner, np.ndarray):
-        owner = owner.base
-    # the array is a view of the bytes read from the file
-    assert isinstance(owner, bytes) and len(owner) == path.stat().st_size
+    shape = (grid.nt, grid.nx, grid.ny)
+    block, row = _block_bytes(shape)
+    (raw, back), peak = _traced_peak(lambda: fileio.read_source(path))
+    assert back == grid and raw.dtype == np.float32 and raw.flags.c_contiguous
+    # the real parts of the stored payload, bit for bit
+    stored = np.frombuffer(path.read_bytes(), dtype="<c8", offset=fileio._HEADER.itemsize).reshape(shape)
+    assert raw.tobytes() == np.ascontiguousarray(stored.real).tobytes()
+    # the payload spans two row blocks; one block's buffer is held, plus a few rows of
+    # its least and greatest parts and of the interpreter's own
+    assert raw.nbytes == block == 2 ** 20
+    assert peak <= raw.nbytes + block + 8 * row, (peak - raw.nbytes) / block
+
+
+def test_a_bin_source_is_written_a_row_block_at_a_time(tmp_path):
+    grid = _grid()
+    shape = (grid.nt, grid.nx, grid.ny)
+    k = np.arange(math.prod(shape)).reshape(shape)
+    # a complex128 input that every platform builds alike, each part rounding to complex64
+    raw = ((k % 1013) - 506) / 7.0 + 1j * ((k % 89) / 3.0)
+    path = tmp_path / "fixed.bin"
+    block, _ = _block_bytes(shape)
+    _, peak = _traced_peak(lambda: fileio.write_source_bin(path, raw, grid))
+    # the 2 MB complex64 payload is two row blocks
+    assert block == 2 ** 20 and peak <= 2 * block, peak / block
+    # the bytes the writer wrote when it cast the whole payload at once
+    digest = "a9f842bce5a4a077581926d4741176b1861b656725fe4ac4ba0fe3fb5d93ecd0"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -81,7 +130,6 @@ def test_a_sweep_holds_one_rung_of_spectral_fields(tmp_path, monkeypatch, thread
     grid = _grid()
     paths = _write_pair(tmp_path, grid)
     field = grid.nt * grid.nx * grid.ny * np.dtype(np.complex128).itemsize
-    sources = sum(path.stat().st_size for path in paths)
     tracemalloc.start()
     try:
         (raw_p, _), (raw_m, _) = (fileio.read_source(path) for path in paths)
@@ -89,6 +137,7 @@ def test_a_sweep_holds_one_rung_of_spectral_fields(tmp_path, monkeypatch, thread
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    sources = raw_p.nbytes + raw_m.nbytes
     assert peak < sources + PEAK_FIELDS * field, (peak - sources) / field
 
 

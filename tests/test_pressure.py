@@ -416,7 +416,7 @@ class TestManufacturedSolution:
 
 class TestSharedKernel:
     @pytest.mark.parametrize("ny", [8, 16, 32, 96])
-    def test_mesh_call_equals_mode_calls_and_half_line_terms(self, ny):
+    def test_mesh_call_equals_mode_calls_and_mesh_terms(self, ny):
         # the half-line terms of a source pair on the mesh are grids.mesh_terms'
         g = _grid(ny=ny, nt=16, nx=8)
         fields = _random_fields(g, ny)
