@@ -89,7 +89,7 @@ SCHEMA = {
     "params": _Section(v=float, c=float),
     "sample": _Section(
         n=_Ranged(20000, *_AT_LEAST_1), strategy=SampleStrategy.STRATIFIED_NEAR_ROOTS,
-        gamma_floor=_Ranged(1e-6, lambda x: 0.0 <= x < 1.0, "in [0, 1)"),
+        gamma_floor=_Ranged(1e-6, lambda x: 0.0 < x < 1.0, "in (0, 1)"),
         explosion_threshold=_Ranged(1e8, lambda x: x >= 1.0, "at least 1 (inf allowed)"),
     ),
     "grid": _Section(nt=64, nx=64, ny=32, lt=math.tau, lx=math.tau, ly=20.0, gamma=1.0),

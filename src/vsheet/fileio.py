@@ -164,7 +164,7 @@ def read_source_csv(path) -> tuple[np.ndarray, GridSpec]:
             try:
                 it, ix, iy, re_part, im_part = row
                 index = (int(it), int(ix), int(iy))
-                value = float(re_part) + 1j * float(im_part)
+                value = complex(float(re_part), float(im_part))
             except ValueError:
                 raise ValueError(f"source file {path} line {reader.line_num + 1}: malformed row {row}") from None
             if not all(0 <= i < n for i, n in zip(index, shape)):

@@ -7,23 +7,22 @@ enough to check them on the compact hemisphere
 
     Xi_1 = { gamma^2 + delta^2 + eta^2 = 1,  gamma >= 0 }.
 
-This module samples that hemisphere (optionally stratifying near the
-marginal root curves, which is where the comparisons are delicate),
-evaluates the ratios on the sample and packages the empirical extrema as
-certificates.  The sample points come from low-discrepancy sequences
-computed here: the Owen-scrambled Halton sequence in bases 2 and 3, or the
-base-2 van der Corput sequence beside the golden-ratio sequence.  Every
-sample is a run of strata, made chunk by chunk on the worker pool, each
-chunk from its own slice of the sequence.  A stratum of a stratified sample
-is one root-tube point and three zone points, taken from two prefixes of one
-sequence; a uniform-angular sample has strata of one zone point.
-The certificate scans take the same chunks and evaluate each in fixed
-blocks through the one extremum scan, :func:`chunks.scan_extrema`, so a
-scan holds the sample plus a bounded scratch of a few block-sized
-temporaries per worker.  One rule, :func:`_passes`, decides every
-certificate, and one constructor, :func:`_certificate`, turns the located
-extrema of a sample scan into its record, with the sample points where its
-minimum and maximum sit.
+The symbols are even in eta (mu+ and mu- trading places) and
+conjugate-symmetric in delta, so every ratio certified here takes the same
+values on the quadrant delta, eta >= 0 as on the whole hemisphere.  This
+module samples that quadrant on one nested grid: rows in gamma from the
+floor, graded toward gamma = 0, and columns in azimuth that hold the root
+azimuth and both glancing azimuths exactly.  Each level of the grid doubles
+the rows and the azimuth intervals of the one before and lists only its new
+points, so the first n points of any sample are the n-point sample.  A
+sample keeps the row and column tables alone, and builds any block of its
+points as products of their entries.  The certificate scans build one
+block at a time through the one extremum scan, :func:`chunks.scan_extrema`,
+so a scan holds a bounded scratch of a few block-sized temporaries per
+worker and no array of the whole sample.  One rule, :func:`_passes`,
+decides every certificate, and one constructor, :func:`_certificate`, turns
+the located extrema of a sample scan into its record, with the sample
+points where its minimum and maximum sit.
 Certificates are evidence obtained by dense sampling, not proofs.
 """
 
@@ -32,13 +31,12 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
-import itertools
 import math
 
 import numpy as np
 
 from . import chunks
-from .chunks import Extrema, extrema, map_chunks, scan_extrema
+from .chunks import Extrema, extrema, scan_extrema
 from .symbols import (
     Frequency,
     InternalCheckFailed,
@@ -65,18 +63,9 @@ __all__ = [
     "certify_simple_root",
 ]
 
-GOLDEN_FRAC = (math.sqrt(5.0) - 1.0) / 2.0
-
-# angular radius of the tubes around the root curves used for stratification
+# angular radius of the tubes around the root points, the sandwich's near-root band and the
+# weight's root-distance stratum
 TUBE_RADIUS = 0.05
-
-# a stratified sample comes in strata of this many positions: the first is a
-# root-tube point, the rest are zone points; the two kinds are two prefixes
-# of one sequence, so neither aliases with the other's positions
-_STRATUM_EVERY = 4
-
-# low digits of the scrambled sequence tabulated per base: 2**17 and 3**11 entries
-_TABLE_DIGITS = {2: 17, 3: 11}
 
 # golden-section bracket (relative half width, at most half the glancing gap when weakly stable)
 # and x tolerance of the root search
@@ -106,23 +95,79 @@ class NoRootFound(RuntimeError):
 
 
 class SampleStrategy(enum.Enum):
+    """The accepted names of the sampling scheme; both select the one quadrant grid."""
+
     UNIFORM_ANGULAR = "uniform_angular"
     STRATIFIED_NEAR_ROOTS = "stratified_near_roots"
 
 
-@dataclasses.dataclass(frozen=True)
+def _runs(a: int, b: int, width: int):
+    """Rectangles ``(row, row stop, column, column stop)`` covering the run ``[a, b)`` of rows of ``width`` points.
+
+    A run of row-major points is a partial first row, whole rows and a
+    partial last row; each comes out as one rectangle, in order.
+    """
+    i, j = divmod(a, width)
+    k, m = divmod(b, width)
+    if i == k:
+        yield i, i + 1, j, m
+        return
+    if j:
+        yield i, i + 1, j, width
+        i += 1
+    if k > i:
+        yield i, k, 0, width
+    if m:
+        yield k, k + 1, 0, m
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
 class HemisphereSample:
-    """A batch of unit-modulus frequencies with gamma >= gamma_floor."""
+    """The first ``size`` points of the nested quadrant grid (:func:`sample_hemisphere`), made on demand.
 
-    freqs: Frequency
+    ``rows`` holds each grid row's gamma and radius sqrt(1 - gamma^2),
+    ``cols`` each column's cosine and sine of azimuth, both in nested
+    order; ``rects`` lists the rectangles ``(offset, row, row stop,
+    column, column stop)`` of the tables whose points, row by row, are the
+    sample's from ``offset`` on.
+    """
+
+    size: int
     gamma_floor: float
-
-    def __post_init__(self) -> None:
-        if self.freqs.gamma.ndim != 1:
-            raise ValueError(f"a hemisphere sample is a 1-d batch of frequencies, got shape {self.freqs.gamma.shape}")
+    rows: np.ndarray
+    cols: np.ndarray
+    rects: tuple
 
     def __len__(self) -> int:
-        return self.freqs.size
+        return self.size
+
+    def points(self, lo: int, hi: int) -> Frequency:
+        """Sample points ``lo, ..., hi - 1``: (gamma, radius cos, radius sin) of each one's row and column.
+
+        A point's bits depend on its row and column alone, so every cut of
+        the sample into blocks makes the same points.  Raises
+        ``InternalCheckFailed`` unless each point is a unit vector with
+        ``gamma >= gamma_floor``.
+        """
+        out, at = np.empty((3, hi - lo)), 0
+        for offset, r0, r1, c0, c1 in self.rects:
+            width = c1 - c0
+            a, b = max(lo, offset) - offset, min(hi, offset + (r1 - r0) * width) - offset
+            for i, k, j, m in _runs(a, b, width) if a < b else ():
+                g, d, e = (x[at : at + (k - i) * (m - j)].reshape(k - i, m - j) for x in out)
+                gamma, radius = self.rows[:, r0 + i : r0 + k, None]
+                cos, sin = self.cols[:, c0 + j : c0 + m]
+                g[...] = gamma
+                np.multiply(radius, cos, out=d)
+                np.multiply(radius, sin, out=e)
+                at += g.size
+        _check_points(out, self.gamma_floor)
+        return Frequency._trusted(*out)
+
+    @functools.cached_property
+    def freqs(self) -> Frequency:
+        """Every point of the sample as one batch, made on first use; the certificate scans never ask for it."""
+        return self.points(0, self.size)
 
 
 @dataclasses.dataclass
@@ -151,90 +196,6 @@ class BoundCertificate:
         return rec
 
 
-def _digit_sums(perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(table, tail)`` of the radical inverse whose digit ``j`` is scrambled by ``perms[j]``.
-
-    Digit ``j`` of an index adds ``perms[j, digit] * b**-(j + 1)``, the power
-    rounded as ``1/b`` divided by ``b`` ``j`` times; the terms are summed from
-    0.0 in digit order.  ``table`` holds these sums over the low ``k`` digits
-    (:data:`_TABLE_DIGITS`) of each index below ``b**k``; ``tail[j, d]`` is the
-    term of digit ``d`` at position ``k + j``.
-    """
-    base, k = perms.shape[1], _TABLE_DIGITS[perms.shape[1]]
-    powers = list(itertools.accumulate(range(len(perms)), lambda x, _: x / base, initial=1.0))[1:]
-    terms = perms * np.array(powers)[:, None]
-    table = np.zeros(1)
-    for row in terms[:k]:
-        table = np.concatenate([table + term for term in row])
-    return table, terms[k:]
-
-
-def _radical_inverse(sums: tuple[np.ndarray, np.ndarray], first: int, out: np.ndarray) -> None:
-    """Fill ``out`` with the points of indices ``first, first + 1, ...`` under :func:`_digit_sums`.
-
-    A run of indices sharing their digits above the table starts from one
-    table slice and adds the remaining terms one at a time, in digit order;
-    adding a 0.0 term is exact, so it is skipped.
-    """
-    table, tail = sums
-    size, base = len(table), tail.shape[1]
-    stop = first + len(out)
-    for high in range(first // size, (stop - 1) // size + 1):
-        lo, hi = max(first, high * size), min(stop, (high + 1) * size)
-        run = out[lo - first : hi - first]
-        run[:] = table[lo - high * size : hi - high * size]
-        digits = high
-        for row in tail:
-            digits, digit = divmod(digits, base)
-            if row[digit]:
-                run += row[digit]
-
-
-def _sequence(strategy: SampleStrategy, seed: int):
-    """``draw(first, count)``: the (2, count) points of indices ``first, ..., first + count - 1``.
-
-    Point i depends only on i and the seed, so any slice of the sequence can
-    be made on its own.  STRATIFIED_NEAR_ROOTS takes the
-    Owen-scrambled Halton sequence in bases 2 and 3 from index 0;
-    ``default_rng(seed)`` shuffles the digit permutations of base 2, then of
-    base 3.  UNIFORM_ANGULAR pairs the plain base-2 sequence from index 1
-    with ``i * GOLDEN_FRAC mod 1``.
-    """
-    uniform = strategy is SampleStrategy.UNIFORM_ANGULAR
-    # one arange(b) per digit position k with b**-k > 2**-54, the digits a double resolves
-    perms = [np.repeat(np.arange(b)[None], math.ceil(54 / math.log2(b)) - 1, axis=0) for b in (2, 3)]
-    if not uniform:
-        rng = np.random.default_rng(seed)
-        for row in (*perms[0], *perms[1]):
-            rng.shuffle(row)
-    offset, axes = (1, [_digit_sums(perms[0])]) if uniform else (0, [_digit_sums(p) for p in perms])
-
-    def draw(first: int, count: int) -> np.ndarray:
-        first += offset
-        u = np.empty((2, count))
-        for row, sums in zip(u, axes):
-            _radical_inverse(sums, first, row)
-        if uniform:
-            np.mod(np.arange(first, first + count, dtype=np.float64) * GOLDEN_FRAC, 1.0, out=u[1])
-        return u
-
-    return draw
-
-
-def _zone_points(u: np.ndarray, gamma_floor: float, out: np.ndarray) -> np.ndarray:
-    """Map unit-square points, the last axis of ``u``, to the spherical zone gamma in [floor, 1] in ``out``.
-
-    ``out[0]``, ``out[1]`` and ``out[2]`` receive gamma, delta and eta.  The
-    rows share one block: three separately allocated coordinate arrays kept
-    the freed temporaries of the map resident under them, raising the peak
-    RSS of a 1e6-point certify by about 15 %.
-    """
-    z = gamma_floor + (1.0 - gamma_floor) * u[..., 0]
-    r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-    phi = 2.0 * np.pi * u[..., 1]
-    return np.stack([z, r * np.cos(phi), r * np.sin(phi)], out=out)
-
-
 def root_points(params: PhysicalParams) -> np.ndarray:
     """Intersections of the symbol's root curves with the unit hemisphere.
 
@@ -260,24 +221,23 @@ def root_points(params: PhysicalParams) -> np.ndarray:
     return np.array([[g0, 0.0, eta0], [g0, 0.0, -eta0]])
 
 
-def _near_root_points(
-    u: np.ndarray, roots: np.ndarray, gamma_floor: float, first: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(gamma, delta, eta) within angular distance TUBE_RADIUS of the root points; point i goes to root (first + i) mod R."""
-    # orthonormal tangent frame at each root point; the gamma axis is never parallel to one
-    e1 = np.cross(roots, [1.0, 0.0, 0.0])
-    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
-    e2 = np.cross(roots, e1)
-    k = np.arange(first, first + u.shape[0]) % len(roots)
-    rho = TUBE_RADIUS * np.sqrt(u[:, 0])
-    alpha = 2.0 * np.pi * u[:, 1]
-    cos_rho, sin_rho, cos_alpha, sin_alpha = np.cos(rho), np.sin(rho), np.cos(alpha), np.sin(alpha)
-    g, d, e = (cos_rho * roots[k, i] + sin_rho * (cos_alpha * e1[k, i] + sin_alpha * e2[k, i]) for i in range(3))
-    # enforce the gamma floor, then put the point back on the sphere by
-    # rescaling the (delta, eta) block
-    g = np.clip(g, gamma_floor, None)
-    scale = np.sqrt(np.clip(1.0 - g * g, 0.0, None)) / np.sqrt(d**2 + e**2)
-    return g, d * scale, e * scale
+def _nested(level: int, head: list) -> np.ndarray:
+    """``head``, then the odd multiples of ``2**-l`` below 1 for ``l = 1, ..., level``: dyadic fractions in nested order."""
+    return np.concatenate([head] + [np.arange(1, 2**l, 2) / 2**l for l in range(1, level + 1)])
+
+
+def _row_table(level: int, gamma_floor: float) -> np.ndarray:
+    """(gamma, radius) of the grid's ``2**level`` rows, in nested order: ``gamma = floor + (1 - floor) sin(pi t^2 / 2)``."""
+    t = _nested(level, [0.0])
+    gamma = gamma_floor + (1.0 - gamma_floor) * np.sin(0.5 * np.pi * t * t)
+    return np.stack([gamma, np.sqrt((1.0 - gamma) * (1.0 + gamma))])
+
+
+def _column_table(level: int, slopes: np.ndarray) -> np.ndarray:
+    """(cos, sin) of the grid's azimuths, in nested order: those of ``delta / eta = slopes``, then ``pi/2 * j / 2**level``."""
+    phi = 0.5 * np.pi * _nested(level, [0.0, 1.0])
+    special = np.stack([slopes, np.ones_like(slopes)]) / np.hypot(slopes, 1.0)
+    return np.concatenate([special, [np.cos(phi), np.sin(phi)]], axis=1)
 
 
 def sample_hemisphere(
@@ -287,50 +247,46 @@ def sample_hemisphere(
     params: PhysicalParams | None = None,
     seed: int = 0,
 ) -> HemisphereSample:
-    """Draw ``n`` unit-modulus frequencies with ``gamma >= gamma_floor``.
+    """The first ``n`` points of the nested grid on the quadrant delta, eta >= 0 with ``gamma >= gamma_floor``.
 
-    Prefixes are nested: for a fixed strategy and seed, the first n points
-    of a 2n-point sample are the n-point sample, so refining can only widen
-    empirical ranges.  Every strategy fills strata, chunk by chunk.  For
-    UNIFORM_ANGULAR, stratum ``q`` is zone point ``q``, made from sequence
-    point ``q``.  STRATIFIED_NEAR_ROOTS needs ``params``
-    and draws two prefixes of one sequence: position ``4q`` is tube point
-    ``q``, inside the angular-0.05 tube around root ``q mod R`` and made
-    from sequence point ``q // R``, and position ``4q + r`` (r = 1, 2, 3)
-    is zone point ``m = 3q + r - 1``, made from sequence point ``m``.  Each
-    root thus gets the sequence from its start, and so does the zone.
-    Every chunk checks that its points are unit vectors with
-    ``gamma >= gamma_floor``, and raises ``InternalCheckFailed`` if one is not.
+    Level ``L`` of the grid has the ``2**L`` rows
+    ``gamma = floor + (1 - floor) sin(pi t^2 / 2)``, ``t = i / 2**L``, the
+    first at the floor and the rest graded toward gamma = 0.  Its columns
+    are the azimuths ``pi/2 * j / 2**L``, ``j = 0, ..., 2**L``, and, for
+    weakly stable ``params``, the root azimuth ``delta = c Y2 eta`` and
+    the glancing azimuths ``delta = (v +- c) eta``.  A point is (gamma,
+    radius cos, radius sin) of its row and azimuth, with radius
+    ``sqrt(1 - gamma^2)``.  Level 0 is the floor row; level ``L`` lists its
+    new columns on the rows of level ``L - 1``, then its new rows whole,
+    each row by row.  So the first n points of a larger sample are the
+    n-point sample, and 10**6 points are level 9 and most of level 10, some
+    1000 rows by 1000 columns.  The sample keeps only the row and column
+    tables; :meth:`HemisphereSample.points` makes any block of its points.
+
+    Both strategies select the grid, and ``seed`` is unused; the benchmark
+    harness still passes both, so they stay until it drops them.
     """
     if n < 1:
         raise ValueError("sample size must be positive")
-    if not (0.0 <= gamma_floor < 1.0):
-        raise ValueError("gamma_floor must lie in [0, 1)")
-    strategy = SampleStrategy(strategy)
-    draw = _sequence(strategy, seed)
-    # a stratum is `tubes` tube points (one or none), then `zones` zone points
-    tubes, zones = (1, _STRATUM_EVERY - 1) if strategy is SampleStrategy.STRATIFIED_NEAR_ROOTS else (0, 1)
-    if tubes:
-        if params is None:
-            raise ValueError("stratified sampling needs params to locate the root curves")
-        roots = root_points(params)
-    block = np.empty((3, -(-n // (tubes + zones)), tubes + zones))
-
-    def chunk(start: int, stop: int) -> None:
-        # strata q = start..stop-1: zone points zones*q.., then any tube point q, made from sequence point q // R
-        u = draw(zones * start, zones * (stop - start))
-        _zone_points(u.T.reshape(stop - start, zones, 2), gamma_floor, block[:, start:stop, tubes:])
-        if tubes:
-            lo = start // len(roots)
-            u = draw(lo, (stop - 1) // len(roots) + 1 - lo)
-            tube = _near_root_points(u.T[np.arange(start, stop) // len(roots) - lo], roots, gamma_floor, start)
-            np.stack(tube, out=block[:, start:stop, 0])
-        _check_points(block[:, start:stop].reshape(3, -1), gamma_floor)
-
-    # chunks.CHUNK sample points per chunk, as in the certificate scans
-    map_chunks(chunk, block.shape[1], chunks.CHUNK // (tubes + zones))
-    # _check_points has passed every point, which is more than Frequency's own checks ask
-    return HemisphereSample(freqs=Frequency._trusted(*block.reshape(3, -1)[:, :n]), gamma_floor=gamma_floor)
+    if not 0.0 < gamma_floor < 1.0:
+        raise ValueError("gamma_floor must lie in (0, 1)")
+    SampleStrategy(strategy)
+    weakly_stable = params is not None and params.regime() is Regime.WEAKLY_STABLE
+    # delta / eta of the root azimuth and of the two glancing azimuths
+    slopes = np.array([params.c * root_constants(params), params.v + params.c, params.v - params.c] if weakly_stable else [])
+    level = 0
+    while 2**level * (2**level + 1 + slopes.size) < n:
+        level += 1
+    rects, offset = [], 0
+    for lev in range(level + 1):
+        # level lev: its new columns on the old rows, then its new rows
+        nrows, ncols = 2**lev, 2**lev + 1 + slopes.size
+        old = nrows // 2 if lev else 0
+        for r0, r1, c0 in ((0, old, ncols - old), (old, nrows, 0)):
+            if offset < n and r1 > r0:
+                rects.append((offset, r0, r1, c0, ncols))
+                offset += (r1 - r0) * (ncols - c0)
+    return HemisphereSample(n, gamma_floor, _row_table(level, gamma_floor), _column_table(level, slopes), tuple(rects))
 
 
 def _check_points(points: np.ndarray, gamma_floor: float) -> None:
@@ -359,10 +315,26 @@ def _certificate(
     floor, mach = sample.gamma_floor, params.mach
     if count == 0:
         return BoundCertificate(name, math.nan, math.nan, 0, floor, mach, False, {"reason": "empty stratum"})
-    f = sample.freqs
-    min_point, max_point = ([float(f.gamma[i]), float(f.delta[i]), float(f.eta[i])] for i in (imin, imax))
+    # rebuilt from the tables, so they are the bits the scan evaluated
+    located = [sample.points(i, i + 1) for i in (imin, imax)]
+    min_point, max_point = ([float(f.gamma[0]), float(f.delta[0]), float(f.eta[0])] for f in located)
     passed = _passes(vmin, vmax, bound, limit)
     return BoundCertificate(name, vmin, vmax, count, floor, mach, passed, min_point=min_point, max_point=max_point)
+
+
+def _scan(evaluate, sample: HemisphereSample) -> list[Extrema]:
+    """:func:`chunks.scan_extrema` of ``evaluate`` over the sample, once a buffer of eight complex blocks is freed.
+
+    glibc returns the free top of a thread's heap to the system once it
+    exceeds a trim threshold, which starts at 128 KB and rises to twice the
+    largest mapped buffer freed so far.  A scan block's temporaries are
+    about 4.7 MB, so below that they come back as fresh pages in every
+    block: 0.1 M minor faults a certify at 10**6 points, and a fifth of its
+    throughput.  The buffer is never written, so it costs no resident
+    memory; a (3, n) sample's own temporaries used to raise the threshold.
+    """
+    np.empty(8 * chunks.BLOCK, dtype=np.complex128)
+    return scan_extrema(evaluate, len(sample))
 
 
 def _root_factor_distance(freqs: Frequency, params: PhysicalParams) -> np.ndarray:
@@ -414,11 +386,11 @@ def certify_sandwich(
         raise ValueError("the sandwich bound is certified in the weakly stable regime only")
 
     def evaluate(lo: int, hi: int):
-        freqs = sample.freqs[lo:hi]
+        freqs = sample.points(lo, hi)
         ratio = sandwich_ratio(freqs, params)
         return ratio, (ratio, _in_root_tubes(freqs, params))
 
-    whole, near = scan_extrema(evaluate, len(sample))
+    whole, near = _scan(evaluate, sample)
     cert = _certificate("abs_sigma_big_over_weight_lambda", whole, sample, params, limit=explosion_threshold)
     cert.extras = {"near_root_count": near.count}
     if near.count:
@@ -440,12 +412,16 @@ def certify_weight_bounds(
     relative rounding allowance of 1e-12), |sigma|/dist near the root tubes
     (dist the distance to the nearest root line), and |sigma|/Lambda away
     from the tubes (bounded above and below: sigma is elliptic there).
+    |sigma|/Lambda over the whole sample carries no band limit: it vanishes
+    at the roots like gamma, so its minimum only says how near the sample
+    comes to them (about 2 gamma_floor on the grid's floor row at the root
+    azimuth, a band of (c Y2)^2 / (2 gamma_floor) at large M).
     """
     if params.regime() is not Regime.WEAKLY_STABLE:
         raise ValueError("weight bounds are defined in the weakly stable regime only")
 
     def evaluate(lo: int, hi: int):
-        freqs = sample.freqs[lo:hi]
+        freqs = sample.points(lo, hi)
         wabs = np.abs(weight_sigma(freqs, params))
         near = _in_root_tubes(freqs, params)
         dist = _root_factor_distance(freqs, params)
@@ -455,13 +431,10 @@ def certify_weight_bounds(
             over_dist = wabs / dist
         return over_gamma, over_lam, (over_dist, near), (over_lam, ~near)
 
-    over_gamma, over_lam, over_dist, over_lam_far = scan_extrema(evaluate, len(sample))
+    over_gamma, over_lam, over_dist, over_lam_far = _scan(evaluate, sample)
     return [
         _certificate("weight_over_gamma", over_gamma, sample, params),
-        _certificate(
-            "weight_over_lambda", over_lam, sample, params,
-            weight_bound_constant(params) * (1.0 + _BOUND_ROUNDING), explosion_threshold,
-        ),
+        _certificate("weight_over_lambda", over_lam, sample, params, weight_bound_constant(params) * (1.0 + _BOUND_ROUNDING)),
         _certificate("weight_over_root_distance", over_dist, sample, params, limit=explosion_threshold),
         _certificate("weight_over_lambda_far", over_lam_far, sample, params, limit=explosion_threshold),
     ]
@@ -469,18 +442,19 @@ def certify_weight_bounds(
 
 def _golden_section(fn, lo: float, hi: float, xtol: float) -> float:
     """Minimize a unimodal scalar function on [lo, hi] by golden section."""
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
-    c = b - GOLDEN_FRAC * (b - a)
-    d = a + GOLDEN_FRAC * (b - a)
+    c = b - shrink * (b - a)
+    d = a + shrink * (b - a)
     fc, fd = fn(c), fn(d)
     while (b - a) > xtol:
         if fc < fd:
             b, d, fd = d, c, fc
-            c = b - GOLDEN_FRAC * (b - a)
+            c = b - shrink * (b - a)
             fc = fn(c)
         else:
             a, c, fc = c, d, fd
-            d = a + GOLDEN_FRAC * (b - a)
+            d = a + shrink * (b - a)
             fd = fn(d)
     return 0.5 * (a + b)
 

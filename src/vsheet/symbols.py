@@ -40,6 +40,7 @@ __all__ = [
     "root_constants",
     "glancing_gap",
     "weight_bound_constant",
+    "sandwich_band",
 ]
 
 SQRT2 = math.sqrt(2.0)
@@ -255,7 +256,9 @@ def big_sigma(freq: Frequency, params: PhysicalParams):
     """
     # the branches are freed once summed, before Sigma's temporaries are made
     den = np.add(*_mu_unit(*freq.unit, params))
-    return freq.lam**2 * _sigma_unit(*freq.unit, den, params)
+    # the unit symbol before lam^2, so that lam^2 is not held while it is made
+    sigma = _sigma_unit(*freq.unit, den, params)
+    return freq.lam**2 * sigma
 
 
 def root_constants(params: PhysicalParams) -> float:
@@ -379,3 +382,18 @@ def weight_bound_constant(params: PhysicalParams) -> float:
     """
     return max(1.0, (params.c * root_constants(params)) ** 2)
 
+
+def sandwich_band(params: PhysicalParams) -> tuple[float, float]:
+    """The closed band ``(sqrt(4 M^2 + 1) - 2M, sqrt(4 M^2 + 1) + 2M)`` of |Sigma| / (|sigma| Lambda).
+
+    At a glancing point on gamma = 0, where mu+ or mu- vanishes, Sigma =
+    -c^2 eta^2 exactly, and |tau^2 + (c Y2 eta)^2| = c^2 eta^2 |sqrt(4 M^2 + 1) -+ 2M|:
+    the ratio is the upper end at delta = (v - c) eta and the lower end at
+    delta = (v + c) eta.  The two ends are reciprocal and depend on M alone.
+    That they bound the ratio everywhere is what the sandwich certificate
+    tests.  The lower end is taken as the reciprocal of the upper, which
+    does not cancel.  Weakly stable regime only.
+    """
+    _require_weakly_stable(params, "sandwich_band")
+    upper = math.sqrt(4.0 * params.mach**2 + 1.0) + 2.0 * params.mach
+    return 1.0 / upper, upper

@@ -235,6 +235,20 @@ class TestSourceChecksKeepTheirOrder:
         self._raises(path, f"source file {path} holds non-finite samples")
 
 
+    def test_a_csv_infinite_imaginary_part_is_read_as_written(self, tmp_path):
+        # float("0.0") + 1j * float("inf") is (nan+infj): 1j * inf has a 0 * inf real part
+        g = _grid(ny=8)
+        raw = _raw(g).astype(complex)
+        raw[7, 7, 7] = complex(0.0, np.inf)
+        path = tmp_path / "inf_imaginary.csv"
+        fileio.write_source_csv(path, raw, g)
+        assert "7,7,7,0.0,inf" in path.read_text().splitlines()
+        back, _ = fileio.read_source_csv(path)
+        assert back[7, 7, 7].real == 0.0 and back[7, 7, 7].imag == np.inf
+        np.testing.assert_array_equal(back, raw)
+        self._raises(path, f"source file {path} holds non-finite samples")
+
+
 class TestSolutionFiles:
     def _solution(self, params=M2):
         g = _grid()

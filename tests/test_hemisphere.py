@@ -5,7 +5,6 @@ import hashlib
 import inspect
 import json
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -54,17 +53,6 @@ class TestSampling:
         sample = sample_hemisphere(512, strategy, floor, M2, seed=1)
         assert np.min(np.asarray(sample.freqs.gamma)) >= floor * (1.0 - 1e-12)
 
-    def test_stratified_fraction_near_roots(self):
-        sample = sample_hemisphere(2000, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6, M2, seed=0)
-        g = np.asarray(sample.freqs.gamma)
-        d = np.asarray(sample.freqs.delta)
-        e = np.asarray(sample.freqs.eta)
-        near = 0
-        for root in root_points(M2):
-            dist = np.sqrt((g - root[0]) ** 2 + (d - root[1]) ** 2 + (e - root[2]) ** 2)
-            near += int(np.sum(dist < 0.1))
-        assert near >= 0.25 * len(sample), f"only {near} of {len(sample)} near roots"
-
     @pytest.mark.parametrize("strategy", list(SampleStrategy))
     def test_monotone_refinement(self, strategy):
         small = sample_hemisphere(256, strategy, 1e-6, M2, seed=7)
@@ -77,29 +65,25 @@ class TestSampling:
         )
         np.testing.assert_array_equal(a, b[: len(small)])
 
-    def test_seed_changes_stratified(self):
-        a = sample_hemisphere(64, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6, M2, seed=0)
-        b = sample_hemisphere(64, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6, M2, seed=1)
-        assert not np.allclose(np.asarray(a.freqs.delta), np.asarray(b.freqs.delta))
-
-    def test_uniform_angular_does_not_depend_on_the_seed(self):
-        # its sequence is unscrambled: the seed shuffles only the stratified sample's digits
+    def test_the_strategy_and_the_seed_select_the_same_grid(self):
+        # both names of [sample] strategy select the grid, and no point reads the seed
         a = sample_hemisphere(1000, SampleStrategy.UNIFORM_ANGULAR, 1e-6, M2, seed=0)
-        b = sample_hemisphere(1000, SampleStrategy.UNIFORM_ANGULAR, 1e-6, M2, seed=1)
+        b = sample_hemisphere(1000, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6, M2, seed=1)
         for x, y in zip(_rows(a), _rows(b)):
             np.testing.assert_array_equal(x.view(np.uint64), y.view(np.uint64))
 
-    @pytest.mark.parametrize("shape", [(), (2, chunks.CHUNK // 2 + 5)], ids=["0-d", "2-d"])
-    def test_a_sample_is_a_one_dimensional_batch(self, shape):
-        # a 0-d or 2-D batch would be chunked along an axis that does not count its points
-        freqs = Frequency(np.ones(shape), np.zeros(shape), np.zeros(shape))
-        with pytest.raises(ValueError, match=rf"1-d batch of frequencies, got shape \({shape[0] if shape else ''}") as err:
-            HemisphereSample(freqs, 1e-6)
-        assert "\n" not in str(err.value)
-
-    def test_stratified_needs_params(self):
-        with pytest.raises(ValueError):
-            sample_hemisphere(64, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6, None)
+    def test_the_floor_row_opens_with_the_root_and_glancing_azimuths(self):
+        sample = sample_hemisphere(5, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6, M2)
+        g, d, e = _rows(sample)
+        assert np.all(g == 1e-6)
+        slopes = [M2.c * root_constants(M2), M2.v + M2.c, M2.v - M2.c]
+        np.testing.assert_allclose(d[:3] / e[:3], slopes, rtol=4e-16)
+        # then the edges of the quadrant, eta = 0 and delta = 0
+        assert e[3] == 0.0 and d[4] < 1e-16
+        # without params, or outside the weakly stable regime, the grid has the edge azimuths alone
+        for params in (None, ELL):
+            plain = sample_hemisphere(2, SampleStrategy.UNIFORM_ANGULAR, 1e-6, params)
+            np.testing.assert_array_equal(np.stack(_rows(plain)), np.stack(_rows(sample))[:, 3:])
 
     def test_root_points_weakly_stable(self):
         pts = root_points(M2)
@@ -117,133 +101,76 @@ class TestSampling:
             assert abs(g - Y1_M1 * abs(e)) < 1e-12
 
 
-class TestOwnedSequence:
-    """The scrambled sequence is scipy's ``qmc.Halton(d=2, scramble=True, seed=seed)``, computed in numpy."""
+class TestNestedGrid:
+    """One grid, listed level by level: any prefix is a sample, and any cut of it into blocks makes the same points."""
 
-    # both table widths (2**17 in base 2, 3**11 in base 3) and the chunk seams
-    SIZES = [1, 7, 2**17 - 1, 2**17, 2**17 + 1, 3**11 + 1, 4 * 2**17 + 5, 10**6]
-
-    @staticmethod
-    @functools.cache
-    def _scipy_points(seed: int) -> np.ndarray:
-        from scipy.stats import qmc
-
-        try:
-            engine = qmc.Halton(d=2, scramble=True, seed=seed)
-        except TypeError:
-            pytest.skip("scipy's qmc.Halton no longer accepts seed=, the keyword whose points are reproduced")
-        return engine.random(max(TestOwnedSequence.SIZES))
-
-    @pytest.mark.parametrize("n", SIZES)
-    @pytest.mark.parametrize("seed", [0, 1, 2, 102])
-    def test_equals_scipy_halton_bit_for_bit(self, seed, n):
-        # a fresh engine's random(n) is the head of its random(10**6): point i depends on i alone
-        got = hemisphere._sequence(SampleStrategy.STRATIFIED_NEAR_ROOTS, seed)(0, n).T
-        ref = self._scipy_points(seed)[:n]
-        assert got.shape == (n, 2)
-        np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
-
-    def test_first_points_are_pinned(self):
-        pinned = [
-            ["0x1.3b5fbfb83847cp-3", "0x1.58ec7ebfd04fep-1"],
-            ["0x1.4ed7efee0e11fp-1", "0x1.5c83a82a4b49ep-2"],
-            ["0x1.9dafdfdc1c23ep-2", "0x1.cb94b53d7d29ep-8"],
-            ["0x1.ced7efee0e11fp-1", "0x1.cab39b31976c5p-1"],
-        ]
-        got = hemisphere._sequence(SampleStrategy.STRATIFIED_NEAR_ROOTS, 1)(0, 4).T
-        assert [[x.hex() for x in row] for row in got.tolist()] == pinned
-
-    @pytest.mark.parametrize("n, m", [(2**17 - 1, 2**17 + 1), (3**11 - 1, 3**11 + 2), (5, 2 * 2**17 + 3)])
-    @pytest.mark.parametrize("strategy", list(SampleStrategy))
-    def test_prefixes_are_nested_across_the_seams(self, strategy, n, m):
-        small = sample_hemisphere(n, strategy, 1e-6, M2, seed=2)
-        big = sample_hemisphere(m, strategy, 1e-6, M2, seed=2)
+    # level L holds 2**L (2**L + 4) points at M = 2: level 9 ends at 264192 and level 10 at 1052672
+    @pytest.mark.parametrize(
+        "n, m", [(2**17 - 1, 2**17 + 1), (264191, 264193), (5, 2 * 2**17 + 3), (1, 10**6)],
+    )
+    def test_prefixes_are_nested_across_chunk_and_level_seams(self, n, m):
+        small = sample_hemisphere(n, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6, M2)
+        big = sample_hemisphere(m, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6, M2)
         for a, b in zip(_rows(small), _rows(big)):
             np.testing.assert_array_equal(a.view(np.uint64), b[:n].view(np.uint64))
 
-    @pytest.mark.parametrize("chunk", [1000, 777], ids=["chunk1000", "chunk777"])
-    @pytest.mark.parametrize("strategy", list(SampleStrategy))
-    def test_samples_do_not_depend_on_the_chunk(self, strategy, chunk, monkeypatch):
-        # 1000 and 777 give stratified chunks of 250 and 194 strata, whose offsets are not multiples of R = 4
-        n = 10_007
-        reference = _rows(sample_hemisphere(n, strategy, 1e-6, M2, seed=102))
-        monkeypatch.setattr(chunks, "CHUNK", chunk)
-        for a, b in zip(reference, _rows(sample_hemisphere(n, strategy, 1e-6, M2, seed=102))):
-            np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+    @pytest.mark.parametrize("cut", [1, 777, 1000, chunks.BLOCK])
+    def test_blocks_make_the_points_of_the_whole(self, cut):
+        sample = sample_hemisphere(10_007, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6, M2)
+        pieces = [sample.points(lo, min(lo + cut, len(sample))) for lo in range(0, len(sample), cut)]
+        for k, whole in enumerate(_rows(sample)):
+            joined = np.concatenate([(p.gamma, p.delta, p.eta)[k] for p in pieces])
+            np.testing.assert_array_equal(joined.view(np.uint64), whole.view(np.uint64))
 
-    @pytest.mark.parametrize("strategy", list(SampleStrategy))
-    def test_samples_do_not_depend_on_the_thread_count(self, strategy, monkeypatch):
-        n = 3 * 2**17 + 3**11 + 1
-        samples = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("VFS_THREADS", threads)
-            samples.append(_rows(sample_hemisphere(n, strategy, 1e-6, M2, seed=102)))
-        for a, b in zip(*samples):
-            np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+    def test_a_level_is_every_row_at_every_column(self):
+        # level 3 at M = 3: 8 rows of gamma, graded toward 0, times 8 + 1 + 3 azimuths, each point once
+        # (at M = 2 the glancing azimuth delta = (v - c) eta is the grid's pi/4 azimuth, up to rounding)
+        sample = sample_hemisphere(8 * 12, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6, PhysicalParams(v=3.0, c=1.0))
+        g, d, e = _rows(sample)
+        rows = np.unique(g)
+        assert rows.size == 8 and rows[0] == 1e-6 and rows[-1] < 1.0
+        # the steps in latitude grow away from gamma = 0
+        assert np.all(np.diff(np.arcsin(rows), 2) > 0)
+        assert np.unique(np.round(np.arctan2(e, d), 12)).size == 12
+        assert np.unique(np.stack([g, d, e]), axis=1).shape[1] == len(sample)
+        assert np.min(d) >= 0.0 and np.min(e) >= 0.0
+
+    def test_the_sample_holds_tables_not_points(self):
+        # a 10**6-point sample keeps about 1000 rows and 1000 columns, and makes no batch until asked
+        sample = sample_hemisphere(10**6, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6, M2)
+        assert sample.rows.shape == (2, 1024) and sample.cols.shape == (2, 1028)
+        assert "freqs" not in vars(sample)
 
 
 class TestSampleCheck:
-    """Each sampler chunk raises on a point off the unit sphere or below the floor, also under python -O."""
+    """Every block of points raises on a point off the unit sphere or below the floor, also under python -O."""
+
+    # a whole level, so that the last row and the last column hold points of the sample
+    N = 32 * 36
 
     @pytest.mark.parametrize(
-        "edit, message",
+        "table, edit, message",
         [
-            (lambda g, d, e: (1.01 * g, 1.01 * d, 1.01 * e), "off the unit sphere"),
-            (lambda g, d, e: (-g, d, e), "below gamma_floor"),
+            ("_row_table", lambda gamma, radius: (gamma, 1.01 * radius), "off the unit sphere"),
+            ("_row_table", lambda gamma, radius: (-gamma, radius), "below gamma_floor"),
+            ("_column_table", lambda cos, sin: (1.01 * cos, 1.01 * sin), "off the unit sphere"),
         ],
-        ids=["off-sphere", "below-floor"],
+        ids=["row-off-sphere", "row-below-floor", "column-off-sphere"],
     )
-    @pytest.mark.parametrize(
-        "strategy, mapper",
-        [(s, "_zone_points") for s in SampleStrategy] + [(SampleStrategy.STRATIFIED_NEAR_ROOTS, "_near_root_points")],
-    )
-    def test_a_bad_point_raises(self, strategy, mapper, edit, message, monkeypatch):
-        real = getattr(hemisphere, mapper)
+    def test_a_bad_point_raises(self, table, edit, message, monkeypatch):
+        real = getattr(hemisphere, table)
 
-        def zone(u, floor, out):
-            real(u, floor, out)
-            out[:, -1, -1] = edit(*out[:, -1, -1])
+        def edited(*args):
+            out = real(*args)
+            out[:, -1] = edit(*out[:, -1])
             return out
 
-        def tube(*args):
-            g, d, e = (np.array(x) for x in real(*args))
-            g[-1], d[-1], e[-1] = edit(g[-1], d[-1], e[-1])
-            return g, d, e
-
-        monkeypatch.setattr(hemisphere, mapper, zone if mapper == "_zone_points" else tube)
-        with pytest.raises(RuntimeError, match=message):
-            sample_hemisphere(1001, strategy, 1e-6, M2, seed=0)
-
-
-class TestStratifiedCoverage:
-    """Tube and zone points are two prefixes of one sequence, so neither aliases with the stride of 4."""
-
-    N = 200_000
-
-    @staticmethod
-    @functools.cache
-    def _sample(seed: int, mach: float) -> HemisphereSample:
-        return sample_hemisphere(TestStratifiedCoverage.N, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6,
-                                 PhysicalParams(v=mach, c=1.0), seed=seed)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2, 102])
-    def test_zone_points_fill_every_gamma_band(self, seed):
-        # gamma is the zone map of the base-2 coordinate; a zone drawn at every
-        # 4th index but one would leave whole eighths of [0, 1] empty
-        zone = np.ones(self.N, dtype=bool)
-        zone[:: hemisphere._STRATUM_EVERY] = False
-        counts, _ = np.histogram(self._sample(seed, 2.0).freqs.gamma[zone], bins=8, range=(0.0, 1.0))
-        assert np.all(np.abs(counts - counts.mean()) <= 0.1 * counts.mean()), counts
-
-    @pytest.mark.parametrize("mach", [2.0, 1.0], ids=["weakly_stable", "elliptic"])
-    @pytest.mark.parametrize("seed", [0, 1, 2, 102])
-    def test_each_root_tube_is_filled_out_to_its_radius(self, seed, mach):
-        sample, roots = self._sample(seed, mach), root_points(PhysicalParams(v=mach, c=1.0))
-        tube = np.column_stack([row[:: hemisphere._STRATUM_EVERY] for row in _rows(sample)])
-        owner = np.arange(len(tube)) % len(roots)
-        rho = np.arccos(np.clip(np.sum(tube * roots[owner], axis=1), -1.0, 1.0)) / TUBE_RADIUS
-        reach = [float(np.max(rho[owner == k])) for k in range(len(roots))]
-        assert min(reach) > 0.95, reach
+        monkeypatch.setattr(hemisphere, table, edited)
+        sample = sample_hemisphere(self.N, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6, M2)
+        assert sample.rows.shape[1] * sample.cols.shape[1] == len(sample)
+        for scan in (lambda: sample.freqs, lambda: certify_sandwich(sample, M2), lambda: certify_weight_bounds(sample, M2)):
+            with pytest.raises(RuntimeError, match=message):
+                scan()
 
 
 def _rows(sample: HemisphereSample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -251,34 +178,23 @@ def _rows(sample: HemisphereSample) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class TestPinnedCertifyOutput:
-    """Samples and sample certificates at n = 2**17 + 5, seed 3, M = 2, pinned bit for bit."""
+    """The sample and its certificates at n = 2**17 + 5, M = 2, pinned bit for bit; both strategies select the grid."""
 
     N = 2**17 + 5
 
     # sha256 of the gamma, delta and eta bytes, in that order
-    SAMPLES = {
-        SampleStrategy.UNIFORM_ANGULAR: "10e9ef58ac52d6903d0918750c3a9764ea54284d76fab2727936045f197ac701",
-        SampleStrategy.STRATIFIED_NEAR_ROOTS: "a03a22d1af512e6f873acdebcd4bc8d6d9713b4394c65bd1b06253304d22b59f",
-    }
+    SAMPLE = "410020fa3e8fcd685d43042e67e1da4d17a26493be239afb35df2c39b1f02fa0"
 
     # (empirical_min, empirical_max, sample_size) of the five sample certificates;
     # the sandwich's near_root_count is listed separately
-    CERTS = {
-        SampleStrategy.UNIFORM_ANGULAR: (325, [
-            ("0x1.9029400346cb8p-3", "0x1.e65d9739f9dd4p+2", 131077),
-            ("0x1.0000684bb7d4fp+0", "0x1.4fab053fb841ep+17", 131077),
-            ("0x1.84304418be7f8p-9", "0x1.ffffffff8dee0p-1", 131077),
-            ("0x1.5c69708d1ec7ep+0", "0x1.5eab0992d0b83p+0", 325),
-            ("0x1.1df1cd01d8a63p-4", "0x1.ffffffff8dee0p-1", 130752),
-        ]),
-        SampleStrategy.STRATIFIED_NEAR_ROOTS: (33022, [
-            ("0x1.3c90a9ebfc64bp-3", "0x1.03b47ccc649d6p+3", 131077),
-            ("0x1.00006b8b25719p+0", "0x1.6ca81788d118cp+16", 131077),
-            ("0x1.610b16e63a763p-19", "0x1.ffffffff73447p-1", 131077),
-            ("0x1.5c621dd310d8ap+0", "0x1.5eacf3a60c42cp+0", 33022),
-            ("0x1.1d40af7a4089fp-4", "0x1.ffffffff73447p-1", 98055),
-        ]),
-    }
+    NEAR_COUNT = 1394
+    CERTS = [
+        ("0x1.fca70560a8cccp-4", "0x1.031107e6f17adp+3", 131077),
+        ("0x1.0003b49f47524p+0", "0x1.e848000000000p+19", 131077),
+        ("0x1.6ef6d0647ffedp-20", "0x1.0000000000002p+0", 131077),
+        ("0x1.5c7a5d292da42p+0", "0x1.5eaa788d298dap+0", 1394),
+        ("0x1.1bb393e83462dp-4", "0x1.0000000000002p+0", 129683),
+    ]
 
     @pytest.mark.parametrize("strategy", list(SampleStrategy))
     def test_sample_and_certificates_are_pinned(self, strategy):
@@ -286,13 +202,28 @@ class TestPinnedCertifyOutput:
         digest = hashlib.sha256()
         for row in _rows(sample):
             digest.update(np.ascontiguousarray(row).tobytes())
-        assert digest.hexdigest() == self.SAMPLES[strategy]
+        assert digest.hexdigest() == self.SAMPLE
         sandwich = certify_sandwich(sample, M2, seed=3)
         certs = [sandwich] + certify_weight_bounds(sample, M2)
-        near_count, pinned = self.CERTS[strategy]
-        assert [(c.empirical_min.hex(), c.empirical_max.hex(), c.sample_size) for c in certs] == pinned
+        assert [(c.empirical_min.hex(), c.empirical_max.hex(), c.sample_size) for c in certs] == self.CERTS
         assert all(c.passed for c in certs)
-        assert sandwich.extras["near_root_count"] == near_count
+        assert sandwich.extras["near_root_count"] == self.NEAR_COUNT
+
+
+class TestClosedBand:
+    """The sandwich band of 10**6 grid points against the closed band sqrt(4M^2 + 1) -+ 2M."""
+
+    @pytest.mark.parametrize("mach", [1.5, 2.0, 3.0])
+    def test_the_band_stays_inside_and_reaches_within_two_percent(self, mach):
+        # the stratified Halton sample of 10**6 points (seed 0) read 0.1642 at M = 2, 33.4 % above the low end 0.1231
+        params = PhysicalParams(v=mach, c=1.0)
+        low, high = symbols.sandwich_band(params)
+        cert = certify_sandwich(sample_hemisphere(10**6, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6, params), params)
+        assert cert.empirical_min >= low * (1.0 - 1e-7) and cert.empirical_max <= high * (1.0 + 1e-7)
+        assert cert.empirical_min <= 1.02 * low and cert.empirical_max >= high / 1.02
+        # each end sits on the floor row, at its glancing azimuth: delta = (v + c) eta for the low end
+        for point, slope in ((cert.min_point, mach + 1.0), (cert.max_point, mach - 1.0)):
+            assert point[0] == 1e-6 and point[1] / point[2] == pytest.approx(slope, rel=1e-15)
 
 
 class TestRootTubeMask:
@@ -338,7 +269,7 @@ class TestSandwich:
     def test_trivial_direction(self):
         # at (1,0,0): Sigma = 1, weight = 1, Lambda = 1 -> ratio exactly 1
         sample = sample_hemisphere(1, SampleStrategy.UNIFORM_ANGULAR, 1e-6, M2, seed=0)
-        object.__setattr__(sample, "freqs", Frequency([1.0], [0.0], [0.0]))
+        object.__setattr__(sample, "points", lambda lo, hi: Frequency([1.0], [0.0], [0.0]))
         cert = certify_sandwich(sample, M2)
         assert cert.empirical_min == pytest.approx(1.0, rel=1e-12)
         assert cert.empirical_max == pytest.approx(1.0, rel=1e-12)
@@ -420,20 +351,25 @@ class TestStreamingPass:
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_each_recorded_point_is_the_reference_argmin_or_argmax(self, plant, threads, monkeypatch):
         sample = sample_hemisphere(4321, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6, M2, seed=5)
-        # a tube point and a zone point outside the tubes, so that each stratum holds a NaN
-        marked = sample.freqs.gamma[[1500, 2702]]
+        # a point in the root tube and a point outside it, so that each stratum holds a NaN
+        near = hemisphere._in_root_tubes(sample.freqs, M2)
+        marked = [np.flatnonzero(near)[-1], np.flatnonzero(~near)[-1]]
+        marked_g, marked_d = sample.freqs.gamma[marked], sample.freqs.delta[marked]
         if plant == "ties":
             # ties at 0 for the least ratios, and at inf for the largest, spread over every chunk
             monkeypatch.setattr(
                 hemisphere, "big_sigma", lambda freqs, params: np.where(freqs.eta > 0.5, 0.0, symbols.big_sigma(freqs, params))
             )
-            # the weight is inf at delta > 0.6 and 0 at delta < -0.6, eta < 0, away from the zeros of Sigma
+            # the weight is inf at delta > 0.6 and 0 at delta, eta < 0.2, away from the zeros of Sigma
             _patched_weight(
                 monkeypatch,
-                lambda f, w: np.where(f.delta > 0.6, np.inf, np.where((f.delta < -0.6) & (f.eta < 0.0), 0.0, w)),
+                lambda f, w: np.where(f.delta > 0.6, np.inf, np.where((f.delta < 0.2) & (f.eta < 0.2), 0.0, w)),
             )
         elif plant == "nan":
-            _patched_weight(monkeypatch, lambda freqs, w: np.where(np.isin(freqs.gamma, marked), np.nan, w))
+            _patched_weight(
+                monkeypatch,
+                lambda f, w: np.where(np.isin(f.gamma, marked_g) & np.isin(f.delta, marked_d), np.nan, w),
+            )
         monkeypatch.setattr(chunks, "CHUNK", 1000)
         monkeypatch.setattr(chunks, "BLOCK", 777)
         monkeypatch.setenv("VFS_THREADS", threads)
@@ -477,22 +413,20 @@ class TestStreamingPass:
             # an empty part has no location
             assert empty == (0, np.inf, None, -np.inf, None)
 
-    def test_gamma_floor_zero_is_warning_free(self):
-        sample = sample_hemisphere(20_000, SampleStrategy.STRATIFIED_NEAR_ROOTS, 0.0, M2, seed=0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            cert = certify_sandwich(sample, M2)
-            certify_weight_bounds(sample, M2)
-        assert cert.passed
+    @pytest.mark.parametrize("floor", [0.0, 1.0, -1e-6, math.nan])
+    def test_gamma_floor_zero_is_rejected(self, floor):
+        # at gamma_floor = 0 the floor row would hold the root itself, where |Sigma| / (|sigma| Lambda) is 0/0
+        with pytest.raises(ValueError, match=r"gamma_floor must lie in \(0, 1\)"):
+            sample_hemisphere(64, SampleStrategy.STRATIFIED_NEAR_ROOTS, floor, M2)
 
 
 class TestScanBlocks:
-    """The block size inside a scan chunk moves no certificate and no located point."""
+    """The chunk and block sizes of a scan move no certificate and no located point."""
 
     N = 2**17 + 4321  # two chunks
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_the_scan_and_the_sampler_cut_at_the_sizes_in_chunks(self, threads, monkeypatch):
+    def test_the_scan_cuts_and_builds_at_the_sizes_in_chunks(self, threads, monkeypatch):
         # chunks.CHUNK and BLOCK are read at call time, so the patched sizes are the ones cut
         monkeypatch.setenv("VFS_THREADS", threads)
         monkeypatch.setattr(chunks, "CHUNK", 1000)
@@ -500,17 +434,16 @@ class TestScanBlocks:
         spans = []
         chunks.scan_extrema(lambda lo, hi: spans.append((lo, hi)) or [np.zeros(hi - lo)], 2500)
         assert sorted(spans) == [(0, 777), (777, 1000), (1000, 1777), (1777, 2000), (2000, 2500)]
-        cuts, map_chunks = [], hemisphere.map_chunks
-
-        def spy(fn, size, chunk):
-            cuts.append(chunk)
-            return map_chunks(fn, size, chunk)
-
-        monkeypatch.setattr(hemisphere, "map_chunks", spy)
-        sample_hemisphere(5000, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6, M2, seed=0)
-        sample_hemisphere(5000, SampleStrategy.UNIFORM_ANGULAR, 1e-6, M2, seed=0)
-        # 1000 points per chunk: 250 strata of four points, or 1000 strata of one
-        assert cuts == [250, 1000]
+        # each scan builds exactly its blocks of sample points, and nothing more
+        sample = sample_hemisphere(2500, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6, M2)
+        built, points = [], sample.points
+        object.__setattr__(sample, "points", lambda lo, hi: built.append((lo, hi)) or points(lo, hi))
+        certify_sandwich(sample, M2)
+        certify_weight_bounds(sample, M2)
+        # the blocks of each scan, and one point for each located minimum and maximum of its certificates
+        located = [(lo, hi) for lo, hi in built if hi - lo == 1]
+        assert sorted(set(built) - set(located)) == sorted(spans) and len(built) == 2 * len(spans) + len(located)
+        assert len(located) == 2 * 5
 
     @staticmethod
     @functools.cache
@@ -521,12 +454,13 @@ class TestScanBlocks:
     def _records(sample: HemisphereSample) -> list[dict]:
         return [c.to_json_dict() for c in [certify_sandwich(sample, M2, seed=7), *certify_weight_bounds(sample, M2)]]
 
-    # 1000 and 777 are not multiples of R = 4, so blocks start inside strata
-    @pytest.mark.parametrize("block", [1000, 777])
+    # blocks and chunks that start inside grid rows and across the grid's rectangles
+    @pytest.mark.parametrize("chunk, block", [(2**17, 1000), (2**17, 777), (5000, 777)])
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_certificates_equal_the_default_blocks(self, block, threads, monkeypatch):
+    def test_certificates_equal_the_default_blocks(self, chunk, block, threads, monkeypatch):
         sample = self._sample()
         default = self._records(sample)
+        monkeypatch.setattr(chunks, "CHUNK", chunk)
         monkeypatch.setattr(chunks, "BLOCK", block)
         monkeypatch.setenv("VFS_THREADS", threads)
         blocked = self._records(sample)

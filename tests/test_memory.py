@@ -30,16 +30,20 @@ grid and table, before the next rung: 2.67 (one thread) to 2.85 (two).
 Keeping the previous rung's solution while the next rung is built gave 3.21
 to 3.34.
 
-A certify scan holds the sample plus a scratch of block-sized temporaries
-per worker.  The scan bound below was set from the measured tracemalloc
-peaks on a stratified sample of 4 * 2**17 points (numpy 2.4), in complex
-block arrays (``chunks.BLOCK`` points of 16 bytes) per thread: the sandwich
-pass 8.15 to 8.27 and the weight pass 5.81 to 6.01, at one or two threads.
-Locating the extrema, which copies a stratum's values and their indices out
-of each block, left them at 7.37 to 8.27 and 5.81 to 6.03.
-Scanning each whole 2**17-point chunk at once peaked at 29.1 to 32.3 (sandwich)
-and 23.1 to 24.0 (weight) blocks per thread, 16.9 MB for the sandwich at one
-thread.
+A certify run holds no array of its sample: the sample is a grid's row and
+column tables, and each scan builds its points a block at a time.  The scan
+bound below was set from the measured tracemalloc peaks of the sampler and
+both scans, traced together, at 4 * 2**17 points (numpy 2.4), in complex
+block arrays (``chunks.BLOCK`` points of 16 bytes) per thread: 9.33 at one
+thread and 9.18 at two.  The sampler alone peaked at 0.15; the sandwich pass
+peaked at 9.34 and 8.69, and the weight pass at 7.58 and 7.55.  A block's
+points are 1.5 of those blocks; with a (3, n) sample the scans read views
+of it, and peaked at 8.15 to 8.27 (sandwich) and 5.81 to 6.01 (weight), but
+the sample alone was 24 blocks here (12.6 MB).  Making Sigma's unit symbol
+before lam^2, so that lam^2 is not held while it is made, took the sandwich
+pass from 9.84 to 9.34 at one thread.  Scanning each whole 2**17-point
+chunk at once peaked at 29.1 to 32.3 (sandwich) and 23.1 to 24.0 (weight)
+blocks per thread, 16.9 MB for the sandwich at one thread.
 """
 
 import hashlib
@@ -144,13 +148,14 @@ def test_a_sweep_holds_one_rung_of_spectral_fields(tmp_path, monkeypatch, thread
 @pytest.mark.parametrize("threads", [1, 2])
 def test_a_certify_scan_holds_a_few_blocks_per_thread(monkeypatch, threads):
     monkeypatch.setenv("VFS_THREADS", str(threads))
-    sample = sample_hemisphere(4 * chunks.CHUNK, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6, M2, seed=0)
-    block = chunks.BLOCK * np.dtype(np.complex128).itemsize
-    for scan in (certify_sandwich, certify_weight_bounds):
-        tracemalloc.start()
-        try:
-            scan(sample, M2)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < threads * SCAN_BLOCKS * block, (scan.__name__, peak / (threads * block))
+    n, block = 4 * chunks.CHUNK, chunks.BLOCK * np.dtype(np.complex128).itemsize
+
+    def certify():
+        sample = sample_hemisphere(n, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6, M2, seed=0)
+        return [certify_sandwich(sample, M2), *certify_weight_bounds(sample, M2)]
+
+    certs, peak = _traced_peak(certify)
+    assert all(c.sample_size > 0 for c in certs) and certs[0].sample_size == n
+    # a (3, n) float64 sample alone would be 24 blocks here
+    assert 3 * n * 8 == 24 * block
+    assert peak < threads * SCAN_BLOCKS * block, peak / (threads * block)

@@ -26,6 +26,7 @@ from vsheet.symbols import (
     glancing_gap,
     mu_pm,
     root_constants,
+    sandwich_band,
     weight_bound_constant,
     weight_sigma,
 )
@@ -365,6 +366,34 @@ class TestGlancingGap:
     def test_exists_in_the_weakly_stable_regime_only(self, mach):
         with pytest.raises(ValueError, match="glancing_gap requires the weakly stable regime"):
             glancing_gap(PhysicalParams(v=mach, c=1.0))
+
+
+class TestSandwichBand:
+    @pytest.mark.parametrize("v, c", [(1.5, 1.0), (2.0, 1.0), (3.0, 1.0), (5.0, 1.0), (3.0, 1.5)])
+    def test_is_the_ratio_at_the_glancing_points(self, v, c):
+        # Sigma = -c^2 eta^2 where mu+ or mu- vanishes; at delta = (v + c) eta the radicand of mu+
+        # cancels, so the symbols agree there only to ~1e-7
+        params = PhysicalParams(v=v, c=c)
+        low, high = sandwich_band(params)
+        for slope, end in ((v + c, low), (v - c, high)):
+            freq = Frequency(0.0, slope, 1.0)
+            ratio = abs(big_sigma(freq, params)) / (abs(weight_sigma(freq, params)) * freq.lam)
+            assert ratio == pytest.approx(end, rel=1e-6)
+
+    @pytest.mark.parametrize("mach", [1.5, 2.0, 1e3, 1e8])
+    def test_ends_are_reciprocal_and_depend_on_mach_alone(self, mach):
+        low, high = sandwich_band(PhysicalParams(v=mach, c=1.0))
+        assert (low, high) == sandwich_band(PhysicalParams(v=3.0 * mach, c=3.0))
+        assert low * high == pytest.approx(1.0, rel=1e-15)
+        # sqrt(4 M^2 + 1) - 2M, without its cancellation: about 1 / (4M) for large M
+        with mpmath.workdps(60):
+            m = mpmath.mpf(mach)
+            assert low == pytest.approx(float(mpmath.sqrt(4 * m**2 + 1) - 2 * m), rel=1e-15)
+
+    @pytest.mark.parametrize("mach", [1.0, SQRT2])
+    def test_exists_in_the_weakly_stable_regime_only(self, mach):
+        with pytest.raises(ValueError, match="sandwich_band requires the weakly stable regime"):
+            sandwich_band(PhysicalParams(v=mach, c=1.0))
 
 
 class TestWeight:
