@@ -963,23 +963,30 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "study, point",
-        [("certify", "_row_table"), ("solve", "_mu_branch")],
+        [("certify", "_row_table"), ("certify", "_column_table"), ("solve", "_mu_branch")],
     )
     def test_a_failed_internal_check_is_exit_3(self, tmp_path, capsys, monkeypatch, study, point):
-        row_table, branch = hemisphere._row_table, symbols._mu_branch
+        row_table, column_table, branch = hemisphere._row_table, hemisphere._column_table, symbols._mu_branch
 
         def below_floor(level, floor):
             rows = row_table(level, floor)
             rows[0, 0] = -rows[0, 0]
             return rows
 
+        def off_sphere(level, slopes):
+            cols = column_table(level, slopes)
+            cols[:, 0] *= 1.01
+            return cols
+
         if point == "_row_table":
             monkeypatch.setattr(hemisphere, point, below_floor)
+        elif point == "_column_table":
+            monkeypatch.setattr(hemisphere, point, off_sphere)
         else:
             monkeypatch.setattr(symbols, point, lambda *args: -branch(*args) - 1e-3)
         cfg = _write(tmp_path, "c.cfg", f"[params]\nv = 2.0\nc = 1.0\n{GRID_BLOCK}\n[sample]\nn = 100\n")
         assert main([study, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
-        message = "a point below gamma_floor" if study == "certify" else "a negative real part"
+        message = {"_row_table": "a point below gamma_floor", "_column_table": "a point off the unit sphere"}.get(point, "a negative real part")
         line = self._one_vfs_line(capsys)
         assert line.startswith("vfs: InternalCheckFailed: ") and message in line
 

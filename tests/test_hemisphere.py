@@ -25,6 +25,7 @@ from vsheet.hemisphere import (
 from vsheet.symbols import (
     Frequency,
     PhysicalParams,
+    Regime,
     big_sigma,
     glancing_gap,
     root_constants,
@@ -72,11 +73,13 @@ class TestSampling:
         for x, y in zip(_rows(a), _rows(b)):
             np.testing.assert_array_equal(x.view(np.uint64), y.view(np.uint64))
 
-    def test_the_floor_row_opens_with_the_root_and_glancing_azimuths(self):
-        sample = sample_hemisphere(5, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6, M2)
+    @pytest.mark.parametrize("mach", [1.5, 2.0, 3.0])
+    def test_the_floor_row_opens_with_the_root_and_glancing_azimuths(self, mach):
+        params = PhysicalParams(v=mach, c=1.0)
+        sample = sample_hemisphere(5, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6, params)
         g, d, e = _rows(sample)
         assert np.all(g == 1e-6)
-        slopes = [M2.c * root_constants(M2), M2.v + M2.c, M2.v - M2.c]
+        slopes = [params.c * root_constants(params), params.v + params.c, params.v - params.c]
         np.testing.assert_allclose(d[:3] / e[:3], slopes, rtol=4e-16)
         # then the edges of the quadrant, eta = 0 and delta = 0
         assert e[3] == 0.0 and d[4] < 1e-16
@@ -108,11 +111,33 @@ class TestNestedGrid:
     @pytest.mark.parametrize(
         "n, m", [(2**17 - 1, 2**17 + 1), (264191, 264193), (5, 2 * 2**17 + 3), (1, 10**6)],
     )
-    def test_prefixes_are_nested_across_chunk_and_level_seams(self, n, m):
-        small = sample_hemisphere(n, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6, M2)
-        big = sample_hemisphere(m, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6, M2)
+    @pytest.mark.parametrize("strategy", list(SampleStrategy))
+    def test_prefixes_are_nested_across_chunk_and_level_seams(self, strategy, n, m):
+        small = sample_hemisphere(n, strategy, 1e-6, M2)
+        big = sample_hemisphere(m, strategy, 1e-6, M2)
         for a, b in zip(_rows(small), _rows(big)):
             np.testing.assert_array_equal(a.view(np.uint64), b[:n].view(np.uint64))
+
+    @pytest.mark.parametrize("chunk", [1000, 777], ids=["chunk1000", "chunk777"])
+    @pytest.mark.parametrize("strategy", list(SampleStrategy))
+    def test_samples_do_not_depend_on_the_chunk(self, strategy, chunk, monkeypatch):
+        # chunk and block sizes that cut grid rows and rectangles at no common seam
+        n = 10_007
+        reference = _rows(sample_hemisphere(n, strategy, 1e-6, M2))
+        monkeypatch.setattr(chunks, "CHUNK", chunk)
+        monkeypatch.setattr(chunks, "BLOCK", chunk // 3)
+        for a, b in zip(reference, _rows(sample_hemisphere(n, strategy, 1e-6, M2))):
+            np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    @pytest.mark.parametrize("strategy", list(SampleStrategy))
+    def test_samples_do_not_depend_on_the_thread_count(self, strategy, monkeypatch):
+        n = 264193  # two points into level 10
+        samples = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("VFS_THREADS", threads)
+            samples.append(_rows(sample_hemisphere(n, strategy, 1e-6, M2)))
+        for a, b in zip(*samples):
+            np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
     @pytest.mark.parametrize("cut", [1, 777, 1000, chunks.BLOCK])
     def test_blocks_make_the_points_of_the_whole(self, cut):
@@ -157,12 +182,14 @@ class TestSampleCheck:
         ],
         ids=["row-off-sphere", "row-below-floor", "column-off-sphere"],
     )
-    def test_a_bad_point_raises(self, table, edit, message, monkeypatch):
+    # the first row and column (the floor row, the root azimuth) open the sample; the last ones close it
+    @pytest.mark.parametrize("at", [0, -1], ids=["first", "last"])
+    def test_a_bad_point_raises(self, at, table, edit, message, monkeypatch):
         real = getattr(hemisphere, table)
 
         def edited(*args):
             out = real(*args)
-            out[:, -1] = edit(*out[:, -1])
+            out[:, at] = edit(*out[:, at])
             return out
 
         monkeypatch.setattr(hemisphere, table, edited)
@@ -213,7 +240,7 @@ class TestPinnedCertifyOutput:
 class TestClosedBand:
     """The sandwich band of 10**6 grid points against the closed band sqrt(4M^2 + 1) -+ 2M."""
 
-    @pytest.mark.parametrize("mach", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("mach", [1.42, 1.5, 2.0, 2.5, 3.0])
     def test_the_band_stays_inside_and_reaches_within_two_percent(self, mach):
         # the stratified Halton sample of 10**6 points (seed 0) read 0.1642 at M = 2, 33.4 % above the low end 0.1231
         params = PhysicalParams(v=mach, c=1.0)
@@ -224,6 +251,37 @@ class TestClosedBand:
         # each end sits on the floor row, at its glancing azimuth: delta = (v + c) eta for the low end
         for point, slope in ((cert.min_point, mach + 1.0), (cert.max_point, mach - 1.0)):
             assert point[0] == 1e-6 and point[1] / point[2] == pytest.approx(slope, rel=1e-15)
+
+
+class TestGridCoverage:
+    """The grid's points reach every band of gamma and azimuth, and fill each root tube out to its radius."""
+
+    @pytest.mark.parametrize("n", [1000, 10**4, 2**17 + 5, 10**6])
+    def test_points_fill_every_gamma_and_azimuth_band(self, n):
+        g, d, e = _rows(sample_hemisphere(n, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6, M2))
+        rows, _ = np.histogram(np.unique(g), bins=8, range=(0.0, 1.0))
+        azimuths, _ = np.histogram(np.unique(np.round(np.arctan2(e, d), 12)), bins=8, range=(0.0, 0.5 * np.pi))
+        assert np.all(rows > 0) and np.all(azimuths > 0), (rows, azimuths)
+        # the rows are graded toward gamma = 0: the eighth at the floor holds the most
+        assert rows[0] == rows.max()
+
+    @pytest.mark.parametrize("mach", [1.5, 2.0, 3.0, 1.0], ids=["1.5", "2.0", "3.0", "elliptic"])
+    @pytest.mark.parametrize("n", [10**4, 2**17 + 5, 10**6])
+    def test_each_root_tube_is_filled_out_to_its_radius(self, n, mach):
+        params = PhysicalParams(v=mach, c=1.0)
+        sample = sample_hemisphere(n, SampleStrategy.STRATIFIED_NEAR_ROOTS, 1e-6, params)
+        # the quadrant's root point, and the angular distance of each sample point from it
+        root = root_points(params)[0]
+        # (from the chord, which resolves distances near gamma_floor that an arccos of the dot product cannot)
+        rho = 2.0 * np.arcsin(0.5 * np.linalg.norm(np.stack(_rows(sample)) - root[:, None], axis=0))
+        rho = rho[rho <= TUBE_RADIUS] / TUBE_RADIUS
+        assert rho.max() > 0.99
+        if params.regime() is Regime.WEAKLY_STABLE:
+            # the floor row at the root azimuth: the nearest point sits gamma_floor from the root
+            assert rho.min() * TUBE_RADIUS == pytest.approx(1e-6, rel=1e-9)
+        # every eighth of the radius beyond the nearest point holds points
+        counts, _ = np.histogram(rho, bins=8, range=(0.0, 1.0))
+        assert np.all(counts[int(8 * rho.min()) :] > 0), counts
 
 
 class TestRootTubeMask:
