@@ -46,7 +46,6 @@ from .symbols import (
     big_sigma,
     mu_pm,
     root_constants,
-    sandwich_band,
     weight_bound_constant,
     weight_sigma,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "mu_pm",
     "root_constants",
     "sample_hemisphere",
-    "sandwich_band",
     "solve_front",
     "solve_half_space",
     "transform_source",

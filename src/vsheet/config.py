@@ -38,7 +38,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from .grids import GridSpec
-from .hemisphere import SampleStrategy
+from .hemisphere import MAX_SAMPLE, SampleStrategy
 from .symbols import Frequency, PhysicalParams
 
 __all__ = ["RunConfig", "load_config", "mach_ladder", "HeatmapField", "SCHEMA", "STUDIES"]
@@ -88,7 +88,8 @@ SCHEMA = {
     "run": _Section(study="", seed=_Ranged(0, lambda x: x >= 0, "nonnegative"), out="out"),
     "params": _Section(v=float, c=float),
     "sample": _Section(
-        n=_Ranged(20000, *_AT_LEAST_1), strategy=SampleStrategy.STRATIFIED_NEAR_ROOTS,
+        n=_Ranged(20000, lambda x: 1 <= x <= MAX_SAMPLE, f"from 1 to {MAX_SAMPLE}"),
+        strategy=SampleStrategy.STRATIFIED_NEAR_ROOTS,
         gamma_floor=_Ranged(1e-6, lambda x: 0.0 < x < 1.0, "in (0, 1)"),
         explosion_threshold=_Ranged(1e8, lambda x: x >= 1.0, "at least 1 (inf allowed)"),
     ),

@@ -180,7 +180,7 @@ n_eta = 31
         }
         assert digests == {
             "heatmap.csv": "fcc8cc242cc5002549dd85016e2d0fd84fb5556ffdccf3ece017f4bf4b6dda71",
-            "certificates.json": "0824c0be03cd838582e5a1b8652793129b06ef6491e76d24fe695a9c2c81443c",
+            "certificates.json": "68f297f524d5beb866d4fcb9553df47bd0b337b1a0e703349030b710bc75687e",
         }
 
     def test_the_seed_override_is_accepted_and_changes_nothing(self, tmp_path):
@@ -870,6 +870,8 @@ class TestExitCodes:
             ("certify", "sample", "explosion_threshold = 0.5"),
             ("certify", "sample", "n = 0"),
             ("certify", "sample", "n = -3"),
+            # the largest sample is 10**9 points, some minutes of scans; a (3, n) sample ran out of memory here
+            ("certify", "sample", "n = 1000000000000"),
             ("certify", "sample", "gamma_floor = nan"),
             ("certify", "sample", "gamma_floor = 0"),
             ("certify", "sample", "gamma_floor = 1"),
@@ -915,14 +917,14 @@ class TestExitCodes:
 
     def test_running_out_of_memory_is_one_vfs_line(self, tmp_path, capsys, monkeypatch):
         # the sampler is patched, so nothing of this size is ever allocated
-        told = "Unable to allocate 21.8 TiB for an array with shape (3, 250000000000, 4) and data type float64"
+        told = "Unable to allocate 22.4 GiB for an array with shape (3, 1000000000) and data type float64"
 
         def too_large(n, *args, **kwargs):
-            assert n == 10**12
+            assert n == 10**9
             raise MemoryError(told)
 
         monkeypatch.setattr(cli, "sample_hemisphere", too_large)
-        cfg = _write(tmp_path, "big.cfg", "[params]\nv = 2.0\nc = 1.0\n[sample]\nn = 1000000000000\n")
+        cfg = _write(tmp_path, "big.cfg", "[params]\nv = 2.0\nc = 1.0\n[sample]\nn = 1000000000\n")
         assert main(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert self._one_vfs_line(capsys) == f"vfs: out of memory: {told}"
         assert not any((tmp_path / "o").iterdir())
@@ -968,13 +970,13 @@ class TestExitCodes:
     def test_a_failed_internal_check_is_exit_3(self, tmp_path, capsys, monkeypatch, study, point):
         row_table, column_table, branch = hemisphere._row_table, hemisphere._column_table, symbols._mu_branch
 
-        def below_floor(level, floor):
-            rows = row_table(level, floor)
+        def below_floor(*args):
+            rows = row_table(*args)
             rows[0, 0] = -rows[0, 0]
             return rows
 
-        def off_sphere(level, slopes):
-            cols = column_table(level, slopes)
+        def off_sphere(*args):
+            cols = column_table(*args)
             cols[:, 0] *= 1.01
             return cols
 

@@ -30,13 +30,14 @@ grid and table, before the next rung: 2.67 (one thread) to 2.85 (two).
 Keeping the previous rung's solution while the next rung is built gave 3.21
 to 3.34.
 
-A certify run holds no array of its sample: the sample is a grid's row and
-column tables, and each scan builds its points a block at a time.  The scan
-bound below was set from the measured tracemalloc peaks of the sampler and
-both scans, traced together, at 4 * 2**17 points (numpy 2.4), in complex
-block arrays (``chunks.BLOCK`` points of 16 bytes) per thread: 9.33 at one
-thread and 9.18 at two.  The sampler alone peaked at 0.15; the sandwich pass
-peaked at 9.34 and 8.69, and the weight pass at 7.58 and 7.55.  A block's
+A certify run holds no array of its sample: the sample is its grids' row
+and column tables, and each scan builds its points a block at a time.  The
+scan bound below was set from the measured tracemalloc peaks of the sampler
+and both scans, traced together, at 4 * 2**17 points (numpy 2.4), in
+complex block arrays (``chunks.BLOCK`` points of 16 bytes) per thread: 9.33
+at one thread and 9.18 at two, and 9.40 and 9.21 once the grid gained its
+root grid.  The sampler alone now peaks at 0.23; the sandwich pass at 9.27
+and 8.66, and the weight pass at 8.00 and 7.52.  A block's
 points are 1.5 of those blocks; with a (3, n) sample the scans read views
 of it, and peaked at 8.15 to 8.27 (sandwich) and 5.81 to 6.01 (weight), but
 the sample alone was 24 blocks here (12.6 MB).  Making Sigma's unit symbol
@@ -44,15 +45,30 @@ before lam^2, so that lam^2 is not held while it is made, took the sandwich
 pass from 9.84 to 9.34 at one thread.  Scanning each whole 2**17-point
 chunk at once peaked at 29.1 to 32.3 (sandwich) and 23.1 to 24.0 (weight)
 blocks per thread, 16.9 MB for the sandwich at one thread.
+
+A scan must also reuse its scratch rather than fault it in afresh in every
+block.  glibc returns the free top of a thread's heap to the system when it
+exceeds a trim threshold, which starts at 128 KB and rises only when a
+mapped buffer is freed; each scan frees one untouched buffer first
+(``hemisphere._scan``).  In a new process at 2**19 points (glibc 2.36) the
+two scans made 1.1 k minor faults at one thread and 2.5 k at two; without
+that buffer, 50 k and 52 k.
 """
 
 import hashlib
 import math
+import os
+import pathlib
+import platform
+import resource
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import vsheet
 from vsheet import chunks, fileio
 from vsheet.cli import builtin_sources
 from vsheet.front import estimate_sweep
@@ -159,3 +175,28 @@ def test_a_certify_scan_holds_a_few_blocks_per_thread(monkeypatch, threads):
     # a (3, n) float64 sample alone would be 24 blocks here
     assert 3 * n * 8 == 24 * block
     assert peak < threads * SCAN_BLOCKS * block, peak / (threads * block)
+
+
+# the two scans of a new process at 16 blocks, printing the minor faults they make
+_FAULTS = """
+import resource
+from vsheet import chunks, hemisphere
+from vsheet.symbols import PhysicalParams
+params = PhysicalParams(v=2.0, c=1.0)
+sample = hemisphere.sample_hemisphere(16 * chunks.BLOCK, "stratified_near_roots", 1e-6, params)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+hemisphere.certify_sandwich(sample, params)
+hemisphere.certify_weight_bounds(sample, params)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the trim threshold is glibc's")
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_certify_scan_does_not_fault_its_scratch_in_every_block(threads):
+    src = str(pathlib.Path(vsheet.__file__).resolve().parents[1])
+    env = dict(os.environ, VFS_THREADS=str(threads), PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _FAULTS], env=env, capture_output=True, text=True, check=True, timeout=120)
+    pages = chunks.BLOCK * np.dtype(np.complex128).itemsize / resource.getpagesize()
+    # each thread's scratch faulted in at most twice over both scans, where every block did it before
+    assert int(out.stdout) < 2 * threads * SCAN_BLOCKS * pages, int(out.stdout) / (threads * SCAN_BLOCKS * pages)
