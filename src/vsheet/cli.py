@@ -121,7 +121,7 @@ def _load_sources(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray, GridSpec]:
     )
     if grid_p != grid_m:
         raise ValueError("plus and minus sources disagree on the grid")
-    # real arrays: read_source returns a file's real samples, after rejecting a non-zero imaginary part
+    # real arrays: a source file stores real samples, which read_source returns as stored
     return raw_p, raw_m, grid_p
 
 

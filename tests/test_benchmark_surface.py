@@ -9,11 +9,12 @@ deletes or renames one of those names is caught here.
 import importlib.util
 import inspect
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
 
-from vsheet import GridSpec, cli, front, hemisphere, pressure
+from vsheet import GridSpec, cli, fileio, front, hemisphere, pressure
 from vsheet.symbols import Frequency, NumericalGuard, PhysicalParams
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -91,3 +92,17 @@ def test_a_sweep_reaches_the_traced_front_spans_once_per_rung(monkeypatch):
     front.estimate_sweep(*cli.builtin_sources(grid), grid, PhysicalParams(v=2.0, c=1.0), gammas)
     rung = ["transform_source", "forward_transform"] * 2 + ["build_g", "solve_front", "inverse_transform"]
     assert [name for name, _ in calls] == rung * len(gammas)
+
+
+def test_a_complex_source_with_a_zero_imaginary_part_is_written_as_its_real_part(tmp_path):
+    # the workloads' seeded_sources hands write_source_bin complex128 fields cast from real ones; a
+    # -0.0 imaginary part is zero too, and the cast to the float32 payload must not warn
+    grid = GridSpec(nt=16, nx=16, ny=16, Lt=2 * np.pi, Lx=2 * np.pi, Ly=14.0)
+    real = cli.builtin_sources(grid)[0]
+    raw = real.astype(np.complex128)
+    raw.imag[::3] = -0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fileio.write_source_bin(tmp_path / "complex.bin", raw, grid)
+    fileio.write_source_bin(tmp_path / "real.bin", real, grid)
+    assert (tmp_path / "complex.bin").read_bytes() == (tmp_path / "real.bin").read_bytes()

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -370,7 +371,7 @@ source_minus = {tmp_path / 'm.csv'}
         builtin_run = _write(tmp_path, "solve_b.cfg", cfg_text)
         main(["solve", "--config", builtin_run])
         meta_b = json.loads((tmp_path / "solve_files" / "front.json").read_text())
-        # complex64 file quantization: norms agree to single precision
+        # float32 file quantization: norms agree to single precision
         for key, val in meta["norms"].items():
             assert val == pytest.approx(meta_b["norms"][key], rel=1e-5)
 
@@ -518,13 +519,26 @@ Ly = 14.0
         assert digests == self.PINNED[source]
 
     @pytest.mark.parametrize("suffix", [".bin", ".csv"])
+    def test_a_complex_source_is_refused_by_the_writer_naming_the_path(self, tmp_path, suffix):
+        # the plus side is written, and named, first
+        path = tmp_path / f"plus{suffix}"
+        message = f"source file {path} has a non-zero imaginary part; sources are real"
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}\Z"):
+            self._seeded_pair(tmp_path, self.PIN_GRID, True, suffix)
+        assert not path.exists()
+
     @pytest.mark.parametrize("study", ["solve", "sweep"])
-    def test_a_complex_source_file_is_a_one_line_usage_error(self, tmp_path, capsys, study, suffix):
-        # the plus side is read, and named, first
-        cfg = _write(tmp_path, "complex.cfg", self.PIN_CFG + self._seeded_pair(tmp_path, self.PIN_GRID, True, suffix))
+    def test_a_complex64_source_file_is_a_one_line_usage_error(self, tmp_path, capsys, study):
+        # the layout before sources were stored as float32: the same header, then twice the payload bytes
+        cfg = _write(tmp_path, "old.cfg", self.PIN_CFG + self._seeded_pair(tmp_path, self.PIN_GRID))
+        path = tmp_path / "plus.bin"
+        data = path.read_bytes()
+        raw = np.frombuffer(data, dtype="<f4", offset=44)
+        path.write_bytes(data[:44] + raw.astype("<c8").tobytes())
         assert main([study, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            f"vfs: source file {tmp_path / f'plus{suffix}'} has a non-zero imaginary part; sources are real"
+            f"vfs: source file {path} holds a complex64 payload for nt=32, nx=32, ny=16: "
+            "the layout from before sources were stored as float32"
         ]
         assert not any((tmp_path / "out").iterdir())
 

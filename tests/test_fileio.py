@@ -36,8 +36,24 @@ class TestBinaryFormat:
         fileio.write_source_bin(path, raw, g)
         back, g2 = fileio.read_source_bin(path)
         assert g2 == g
-        # payload is stored complex64: quantization at single precision
-        assert np.max(np.abs(back - raw)) < 1e-6 * np.max(np.abs(raw))
+        # the payload is stored as float32: the float64 samples rounded once
+        assert back.dtype == np.float32 and np.array_equal(back, raw.astype(np.float32))
+        assert path.stat().st_size == 44 + 4 * g.nt * g.nx * g.ny
+
+    @pytest.mark.parametrize("read", [fileio.read_source, fileio.read_source_bin])
+    def test_a_complex64_payload_is_named_as_the_old_layout(self, tmp_path, read):
+        # the layout before sources were stored as float32: the same header, then complex64 samples
+        g = _grid()
+        path = tmp_path / "old.bin"
+        fileio.write_source_bin(path, _raw(g), g)
+        header = path.read_bytes()[:44]
+        path.write_bytes(header + _raw(g).astype(np.complex64).tobytes())
+        message = (
+            f"source file {path} holds a complex64 payload for nt=8, nx=8, ny=16: "
+            "the layout from before sources were stored as float32"
+        )
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}\Z"):
+            read(path)
 
     def test_write_is_deterministic(self, tmp_path):
         g = _grid()
@@ -60,13 +76,18 @@ class TestBinaryFormat:
 class TestCsvFormat:
     def test_round_trip_exact(self, tmp_path):
         g = _grid(ny=8)
-        raw = _raw(g, seed=2).astype(complex)
+        raw = _raw(g, seed=2)
         path = tmp_path / "src.csv"
         fileio.write_source_csv(path, raw, g)
         back, g2 = fileio.read_source_csv(path)
         assert g2 == g
         # repr round-trips doubles exactly
+        assert back.dtype == np.float64
         np.testing.assert_array_equal(back, raw)
+        # one value a row, after the metadata line and the column names
+        lines = path.read_text().splitlines()
+        assert lines[1] == "it,ix,iy,value" and lines[2] == f"0,0,0,{float(raw[0, 0, 0])!r}"
+        assert len(lines) == 2 + raw.size
 
     def test_header_line(self, tmp_path):
         g = _grid(ny=8)
@@ -114,7 +135,7 @@ class TestSourceFilesAreWhole:
         if keep == 20:
             message = f"source file {path} holds 20 bytes, shorter than its 44-byte header"
         else:
-            message = f"source file {path} holds {length} bytes, expected {44 + 8 * 8 * 16 * 8} for nt=8, nx=8, ny=16"
+            message = f"source file {path} holds {length} bytes, expected {44 + 8 * 8 * 16 * 4} for nt=8, nx=8, ny=16"
         with pytest.raises(ValueError, match=rf"^{re.escape(message)}\Z"):
             fileio.read_source(path)
 
@@ -142,7 +163,8 @@ class TestSourceFilesAreWhole:
             (lambda lines: lines[:100], "holds 98 of 512 samples"),
             (lambda lines: lines + lines[2:3], "line 515: sample \\(0, 0, 0\\) appears twice"),
             (lambda lines: lines[:2] + ["-1" + lines[-1][lines[-1].index(","):]] + lines[2:-1], "outside the grid"),
-            (lambda lines: lines[:5] + ["0,0,x,1.0,0.0\n"] + lines[5:], "line 6: malformed row"),
+            (lambda lines: lines[:5] + ["0,0,x,1.0\n"] + lines[5:], "line 6: malformed row"),
+            (lambda lines: lines[:5] + ["0,0,0,1.0,0.0\n"] + lines[5:], r"line 6: malformed row \['0', '0', '0', '1.0', '0.0'\]"),
             (lambda lines: lines[:1], "unexpected CSV columns"),
             (lambda lines: ["# vfs-source nt=8\n"] + lines[1:], "bad metadata line"),
         ],
@@ -174,79 +196,51 @@ class TestSourceFilesAreWhole:
         assert len(err) == 1 and err[0].startswith("vfs: source file ") and str(path) in err[0]
 
 
-class TestSourceChecksKeepTheirOrder:
-    """``read_source``'s checks after the size (see above), each with its full message: non-finite, then imaginary."""
-
-    # 256 t rows of 64 x 16 complex64 samples: a 2 MB payload, more than one read block
-    BIG = GridSpec(nt=256, nx=64, ny=16, Lt=2 * np.pi, Lx=2 * np.pi, Ly=12.0, gamma=1.0)
+class TestSourcesAreReal:
+    """Sources are real: the writers store the real part, or refuse the file; a reader names a non-finite sample."""
 
     @staticmethod
-    def _raises(path, message):
+    def _raises(call, path, message):
         with pytest.raises(ValueError, match=rf"^{re.escape(message)}\Z"):
-            fileio.read_source(path)
+            call(path)
 
-    @pytest.mark.parametrize(
-        "value", [np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(0.0, -np.inf)],
-        ids=["nan", "inf", "-inf", "inf-imaginary", "-inf-imaginary"],
-    )
-    def test_a_non_finite_last_block_is_named_before_an_imaginary_first_block(self, tmp_path, value):
-        g = self.BIG
-        raw = _raw(g).astype(complex)
-        raw[0, 0, 0] += 1j
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_a_non_finite_sample_in_the_last_row_is_named(self, tmp_path, value):
+        g = _grid()
+        raw = _raw(g)
         raw[-1, -1, -1] = value
         path = tmp_path / "late_nan.bin"
         fileio.write_source_bin(path, raw, g)
-        assert path.stat().st_size > 2 * 1024**2
-        self._raises(path, f"source file {path} holds non-finite samples")
+        self._raises(fileio.read_source, path, f"source file {path} holds non-finite samples")
 
-    @pytest.mark.parametrize("where", [(0, 0, 0), (-1, -1, -1)], ids=["first-row", "last-row"])
-    def test_an_imaginary_part_in_any_block_is_named(self, tmp_path, where):
-        g = self.BIG
-        raw = _raw(g).astype(complex)
-        raw[where] += 1e-30j
-        path = tmp_path / "imaginary.bin"
-        fileio.write_source_bin(path, raw, g)
-        self._raises(path, f"source file {path} has a non-zero imaginary part; sources are real")
-
-    def test_a_negative_zero_imaginary_part_is_real(self, tmp_path):
-        g = _grid()
-        raw = _raw(g).astype(complex)
-        raw.imag[...] = -0.0
-        path = tmp_path / "signed_zero.bin"
-        fileio.write_source_bin(path, raw, g)
-        back, _ = fileio.read_source(path)
-        assert np.array_equal(back, raw.real.astype(np.float32))
-
-    def test_a_csv_imaginary_part_keeps_its_message(self, tmp_path):
+    @pytest.mark.parametrize("name", ["first-row.bin", "last-row.bin", "first-row.csv", "last-row.csv"])
+    def test_the_writers_refuse_an_imaginary_part_and_name_the_file(self, tmp_path, name):
         g = _grid(ny=8)
         raw = _raw(g).astype(complex)
-        raw[3, 4, 5] += 0.5j
-        path = tmp_path / "imaginary.csv"
-        fileio.write_source_csv(path, raw, g)
-        self._raises(path, f"source file {path} has a non-zero imaginary part; sources are real")
+        raw[(0, 0, 0) if name.startswith("first") else (-1, -1, -1)] += 1e-30j
+        path = tmp_path / name
+        write = fileio.write_source_csv if name.endswith(".csv") else fileio.write_source_bin
+        self._raises(lambda p: write(p, raw, g), path, f"source file {path} has a non-zero imaginary part; sources are real")
+        assert not path.exists()
 
-    def test_a_csv_non_finite_sample_is_named_before_an_imaginary_one(self, tmp_path):
+    def test_a_zero_imaginary_part_is_written_as_the_real_part(self, tmp_path):
+        # the .bin writer's case is tests/test_benchmark_surface.py's, whose workloads write complex128 sources
         g = _grid(ny=8)
         raw = _raw(g).astype(complex)
-        raw[0, 0, 0] += 0.5j
-        raw[-1, -1, -1] = -np.inf
-        path = tmp_path / "late_inf.csv"
-        fileio.write_source_csv(path, raw, g)
-        self._raises(path, f"source file {path} holds non-finite samples")
+        raw.imag[::2] = -0.0
+        fileio.write_source_csv(tmp_path / "real.csv", raw.real.copy(), g)
+        fileio.write_source_csv(tmp_path / "signed_zero.csv", raw, g)
+        assert (tmp_path / "signed_zero.csv").read_bytes() == (tmp_path / "real.csv").read_bytes()
 
-
-    def test_a_csv_infinite_imaginary_part_is_read_as_written(self, tmp_path):
-        # float("0.0") + 1j * float("inf") is (nan+infj): 1j * inf has a 0 * inf real part
+    def test_a_csv_infinite_value_is_written_as_inf_and_named_on_reading(self, tmp_path):
         g = _grid(ny=8)
-        raw = _raw(g).astype(complex)
-        raw[7, 7, 7] = complex(0.0, np.inf)
-        path = tmp_path / "inf_imaginary.csv"
+        raw = _raw(g)
+        raw[7, 7, 7] = np.inf
+        path = tmp_path / "inf.csv"
         fileio.write_source_csv(path, raw, g)
-        assert "7,7,7,0.0,inf" in path.read_text().splitlines()
-        back, _ = fileio.read_source_csv(path)
-        assert back[7, 7, 7].real == 0.0 and back[7, 7, 7].imag == np.inf
-        np.testing.assert_array_equal(back, raw)
-        self._raises(path, f"source file {path} holds non-finite samples")
+        assert "7,7,7,inf" in path.read_text().splitlines()
+        for read in (fileio.read_source, fileio.read_source_csv):
+            self._raises(read, path, f"source file {path} holds non-finite samples")
 
 
 class TestSolutionFiles:
@@ -381,6 +375,21 @@ class TestReadmeFileFormats:
         assert documented == [(name, header[name].name) for name in header.names]
         assert all(header[name].str[0] == "<" for name in header.names)
         assert int(entry.group(2)) == header.itemsize
+
+    @pytest.mark.parametrize(
+        "label, count, payload",
+        [("Source", "nt*nx*ny", fileio._PAYLOAD), ("Solution", "nt*nx", fileio._SOLUTION_PAYLOAD)],
+        ids=["source", "solution"],
+    )
+    def test_payload_types(self, label, count, payload):
+        pattern = rf"\*\*{label} `\.bin`\*\* — .*? bytes\), then the `{re.escape(count)}` samples as little-endian (\w+)"
+        entry = re.search(pattern, self._section())
+        assert entry, f"README gives no payload type for {label} .bin"
+        assert entry.group(1) == payload.name and payload.str[0] == "<"
+
+    def test_csv_columns(self):
+        documented = re.search(r"then `([a-z,]+)` rows", self._section())
+        assert documented and documented.group(1).split(",") == fileio._CSV_COLUMNS
 
     def test_csv_first_line(self, tmp_path):
         g = _grid(ny=8)

@@ -1,18 +1,18 @@
 """Memory of the source files, the sweep path and the certify scans.
 
-A source file is read and written a row block (about 1 MB) at a time, and
-read as its real parts; the sweep keeps those and one rung of spectral
-fields.
+A source file stores its real samples: a ``.bin`` file's float32 payload
+is written a row block (about 1 MB) at a time and read straight into the
+returned array; the sweep keeps those and one rung of spectral fields.
 
 On a 128x128x16 grid (numpy 2.4) reading a ``.bin`` source peaked, under
-tracemalloc, at 2.07 MB: its 1 MB float32 result, the one 1 MB row block
-and 4.5 rows for the block's least and greatest parts and the interpreter
-(2.25 MB when the file was read whole and its 2 MB complex64 payload was
-returned, and then kept by the sweep).  Writing one peaked at 1.005 MB, the row block's
-buffer (4.0 MB when the payload was cast whole and then copied to bytes).
-The sweep below peaked at 1.77 to 1.80 spectral fields beyond its float32
-sources, whose term in the bound is now their arrays' size rather than
-that of the files (twice as large).
+tracemalloc, at its 1 MB float32 result and 1.4 of its 8 KB rows (2.07 MB
+while the file held a complex64 payload that was read through a 1 MB row
+block).  Writing one at 256x128x16 peaked at 1.005 MB, from float64 or
+from complex128 with a zero imaginary part: the 1 MB row block's buffer
+(4.0 MB when the payload was cast whole and then copied to bytes).  The
+sweep below peaked at 1.77 to 1.80 spectral fields beyond its float32
+sources, whose term in the bound is their arrays' size, which is now also
+that of the files' payloads.
 
 The peak bound below was set from the measured tracemalloc peak of one
 three-rung sweep on a 128x128x16 grid (numpy 2.4, one or two worker
@@ -106,42 +106,34 @@ def _traced_peak(call):
     return result, peak
 
 
-def _block_bytes(shape):
-    """Bytes of one row block of a complex64 payload of ``shape``, and of one of its rows."""
-    buffer = fileio._block_buffer(shape)
-    return buffer.nbytes, buffer[0].nbytes
-
-
-def test_a_bin_source_is_read_as_the_real_parts_of_its_payload(tmp_path):
+def test_a_bin_source_is_read_straight_into_its_array(tmp_path):
     grid = _grid()
     path = _write_pair(tmp_path, grid)[0]
-    shape = (grid.nt, grid.nx, grid.ny)
-    block, row = _block_bytes(shape)
     (raw, back), peak = _traced_peak(lambda: fileio.read_source(path))
     assert back == grid and raw.dtype == np.float32 and raw.flags.c_contiguous
-    # the real parts of the stored payload, bit for bit
-    stored = np.frombuffer(path.read_bytes(), dtype="<c8", offset=fileio._HEADER.itemsize).reshape(shape)
-    assert raw.tobytes() == np.ascontiguousarray(stored.real).tobytes()
-    # the payload spans two row blocks; one block's buffer is held, plus a few rows of
-    # its least and greatest parts and of the interpreter's own
-    assert raw.nbytes == block == 2 ** 20
-    assert peak <= raw.nbytes + block + 8 * row, (peak - raw.nbytes) / block
+    # the stored payload, bit for bit
+    assert raw.tobytes() == path.read_bytes()[fileio._HEADER.itemsize :]
+    # the 1 MB result, plus less than a few of its rows for the header and the interpreter's own
+    row = raw[0].nbytes
+    assert raw.nbytes == 2 ** 20
+    assert peak <= raw.nbytes + 4 * row, (peak - raw.nbytes) / row
 
 
-def test_a_bin_source_is_written_a_row_block_at_a_time(tmp_path):
-    grid = _grid()
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_a_bin_source_is_written_a_row_block_at_a_time(tmp_path, dtype):
+    grid = _grid(nt=256)
     shape = (grid.nt, grid.nx, grid.ny)
     k = np.arange(math.prod(shape)).reshape(shape)
-    # a complex128 input that every platform builds alike, each part rounding to complex64
-    raw = ((k % 1013) - 506) / 7.0 + 1j * ((k % 89) / 3.0)
+    # an input that every platform builds alike; as complex128 its imaginary part is zero
+    raw = (((k % 1013) - 506) / 7.0).astype(dtype)
     path = tmp_path / "fixed.bin"
-    block, _ = _block_bytes(shape)
+    block = fileio._BLOCK_BYTES
     _, peak = _traced_peak(lambda: fileio.write_source_bin(path, raw, grid))
-    # the 2 MB complex64 payload is two row blocks
-    assert block == 2 ** 20 and peak <= 2 * block, peak / block
-    # the bytes the writer wrote when it cast the whole payload at once
-    digest = "a9f842bce5a4a077581926d4741176b1861b656725fe4ac4ba0fe3fb5d93ecd0"
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    # the 2 MB float32 payload is two row blocks, of which the writer holds one
+    assert 4 * raw.size == 2 * block and peak <= 1.05 * block, peak / block
+    # the bytes of the header and the payload cast whole
+    payload = np.asarray(raw.real, dtype="<f4").tobytes()
+    assert path.read_bytes()[fileio._HEADER.itemsize :] == payload
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
