@@ -1,4 +1,4 @@
-"""Command-line front end: ``vfs certify|roots|solve|sweep|diagram``.
+"""Command-line front end: ``vfs certify|roots|solve|sweep``.
 
 Every subcommand takes ``--config FILE`` plus optional ``--out DIR`` and
 ``--seed N`` overrides, writes its artifacts (JSON/CSV/binary) into the
@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 
 import numpy as np
 
 from . import fileio
-from .config import HeatmapField, RunConfig, STUDIES, load_config, mach_ladder
+from .config import HeatmapField, RunConfig, STUDIES, load_config
 from .front import Side, build_g, estimate_sweep, solve_front, transform_source
 from .grids import GridSpec
 from .hemisphere import (
@@ -27,6 +28,7 @@ from .hemisphere import (
     certify_sandwich,
     certify_simple_root,
     certify_weight_bounds,
+    count_zeros_right,
     locate_roots,
     sample_hemisphere,
     sandwich_ratio,
@@ -41,7 +43,7 @@ from .symbols import (
     weight_sigma,
 )
 
-__all__ = ["main", "run", "emit_heatmap", "stability_diagram", "builtin_sources"]
+__all__ = ["main", "run", "emit_heatmap", "builtin_sources"]
 
 
 def builtin_sources(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -55,24 +57,6 @@ def builtin_sources(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     yy = np.exp(-(((y - 0.12 * grid.Ly) / (0.06 * grid.Ly)) ** 2))[None, None, :]
     yy2 = np.exp(-(((y - 0.18 * grid.Ly) / (0.08 * grid.Ly)) ** 2))[None, None, :]
     return tt * xx * yy, 0.7 * tt2 * xx2 * yy2
-
-
-_DIAGRAM_COLUMNS = ["mach", "regime", "root_constant"]
-
-
-def stability_diagram(c: float, m_min: float, m_max: float, m_step: float) -> list[dict]:
-    """One row per mach of a sweep at fixed sound speed, keyed by ``_DIAGRAM_COLUMNS``.
-
-    The machs are :func:`~vsheet.config.mach_ladder`'s.  The root constant is
-    nan in the degenerate regime (mach = sqrt(2)).
-    """
-    rows = []
-    for mach in mach_ladder(m_min, m_max, m_step):
-        params = PhysicalParams(v=mach * c, c=c)
-        regime = params.regime()
-        root = math.nan if regime is Regime.DEGENERATE else root_constants(params)
-        rows.append(dict(zip(_DIAGRAM_COLUMNS, (mach, regime.value, root))))
-    return rows
 
 
 def emit_heatmap(
@@ -178,35 +162,41 @@ _ROOT_AGREEMENT = 1e-8
 
 def _study_roots(cfg: RunConfig) -> int:
     c = cfg.params.c
-    columns = ["mach", "regime", "closed_form", "located", "rel_error", "ok"]
+    columns = ["mach", "regime", "closed_form", "located", "rel_error", "zeros_right", "ok"]
     rows = []
     for mach in cfg.roots["machs"]:
+        # one stderr line for each way the row fails
+        complain = functools.partial(print, f"roots: mach={mach!r}:", file=sys.stderr)
         params = PhysicalParams(v=mach * c, c=c)
         regime = params.regime()
         row = dict.fromkeys(columns, math.nan) | {"mach": mach, "regime": regime.value, "ok": False}
         rows.append(row)
         if regime is Regime.DEGENERATE:
-            print(f"roots: mach={mach!r}: degenerate regime (mach = sqrt(2)); no root to locate", file=sys.stderr)
+            complain("degenerate regime (mach = sqrt(2)); no root to locate")
             continue
         row["closed_form"] = closed = c * root_constants(params)
         try:
-            located = locate_roots(params)
+            row["located"] = located = locate_roots(params)
+            row["rel_error"] = rel_error = abs(abs(located) - closed) / closed
+            row["zeros_right"] = zeros = count_zeros_right(params)
         except NoRootFound as exc:
-            print(f"roots: mach={mach!r}: {exc}", file=sys.stderr)
+            complain(exc)
             continue
-        rel_error = abs(abs(located) - closed) / closed
+        # Sigma's zeros with Re tau > 0: the real root when elliptic, none when weakly stable
+        expected = int(regime is Regime.ELLIPTIC)
         # in range, so a NaN error fails
-        row.update(located=located, rel_error=rel_error, ok=rel_error <= _ROOT_AGREEMENT)
-        if not row["ok"]:
-            print(
-                f"roots: mach={mach!r}: located root {located:.15g} disagrees with closed form {closed:.15g} "
-                f"by {rel_error:.3g} relative, above {_ROOT_AGREEMENT:g}",
-                file=sys.stderr,
-            )
+        row["ok"] = zeros == expected and rel_error <= _ROOT_AGREEMENT
+        if zeros != expected:
+            complain(f"the argument principle counts {zeros} zeros of Sigma with Re tau > 0, "
+                     f"where the {regime.value} regime has {expected}")
+        if not rel_error <= _ROOT_AGREEMENT:
+            complain(f"located root {located:.15g} disagrees with closed form {closed:.15g} "
+                     f"by {rel_error:.3g} relative, above {_ROOT_AGREEMENT:g}")
     fileio.write_csv(cfg.out_dir / "roots.csv", columns, [list(row.values()) for row in rows])
     fileio.write_json(cfg.out_dir / "roots.json", rows)
     for row in rows:
-        print(f"root mach={row['mach']!r} [{row['regime']}]: located={row['located']:.12g} closed={row['closed_form']:.12g}")
+        print(f"root mach={row['mach']!r} [{row['regime']}]: located={row['located']:.12g} "
+              f"closed={row['closed_form']:.12g} zeros_right={row['zeros_right']}")
     return 0 if all(row["ok"] for row in rows) else 1
 
 
@@ -245,20 +235,11 @@ def _study_sweep(cfg: RunConfig) -> int:
     return 0 if result.passed else 1
 
 
-def _study_diagram(cfg: RunConfig) -> int:
-    rows = stability_diagram(cfg.params.c, **cfg.diagram)
-    fileio.write_csv(cfg.out_dir / "diagram.csv", _DIAGRAM_COLUMNS, [list(row.values()) for row in rows])
-    flips = [(a["mach"], b["mach"]) for a, b in zip(rows, rows[1:]) if a["regime"] != b["regime"]]
-    print(f"diagram: {len(rows)} rows, regime changes at {flips}")
-    return 0
-
-
 _RUNNERS = {
     "certify": _study_certify,
     "roots": _study_roots,
     "solve": _study_solve,
     "sweep": _study_sweep,
-    "diagram": _study_diagram,
 }
 
 
@@ -279,7 +260,7 @@ def _make_out_dir(path, origin: str) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="vfs",
-        description="Vortex-sheet front toolkit: certificates, roots, solves, sweeps, diagrams.",
+        description="Vortex-sheet front toolkit: certificates, roots, solves, sweeps.",
     )
     sub = parser.add_subparsers(dest="study", required=True)
     for study in STUDIES:

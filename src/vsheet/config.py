@@ -41,9 +41,9 @@ from .grids import GridSpec
 from .hemisphere import MAX_SAMPLE, SampleStrategy
 from .symbols import Frequency, PhysicalParams
 
-__all__ = ["RunConfig", "load_config", "mach_ladder", "HeatmapField", "SCHEMA", "STUDIES"]
+__all__ = ["RunConfig", "load_config", "HeatmapField", "SCHEMA", "STUDIES"]
 
-STUDIES = ("certify", "roots", "solve", "sweep", "diagram")
+STUDIES = ("certify", "roots", "solve", "sweep")
 
 
 class HeatmapField(str, enum.Enum):
@@ -81,7 +81,6 @@ _MIN_ROOTS_MACH = math.sqrt(sys.float_info.min)
 
 # each range is written as "in range", which is False for NaN, so NaN is out of every range
 _FINITE = (lambda x: -math.inf < x < math.inf, "finite")
-_POSITIVE = (lambda x: 0.0 < x < math.inf, "finite and positive")
 _AT_LEAST_1 = (lambda x: x >= 1, "at least 1")
 
 SCHEMA = {
@@ -108,25 +107,14 @@ SCHEMA = {
         machs=_Ranged((0.5, 1.0, 1.5, 2.0, 3.0), lambda x: len(x) >= 1 and all(_MIN_ROOTS_MACH <= m < math.inf for m in x),
                       f"a list of at least one value, each finite and at least {_MIN_ROOTS_MACH!r} (the least mach with a normal M^2)"),
     ),
-    "diagram": _Section(m_min=_Ranged(0.5, *_FINITE), m_max=_Ranged(3.5, *_FINITE), m_step=_Ranged(0.05, *_POSITIVE)),
     "heatmap": _Section(
-        field=HeatmapField.RATIO, gamma=_Ranged(1.0, *_POSITIVE),
+        field=HeatmapField.RATIO, gamma=_Ranged(1.0, lambda x: 0.0 < x < math.inf, "finite and positive"),
         delta_min=_Ranged(-3.0, *_FINITE), delta_max=_Ranged(3.0, *_FINITE), n_delta=_Ranged(41, *_AT_LEAST_1),
         eta_min=_Ranged(-3.0, *_FINITE), eta_max=_Ranged(3.0, *_FINITE), n_eta=_Ranged(41, *_AT_LEAST_1),
     ),
 }
 
 _EXPECTED = {int: "an integer", float: "a number", tuple: "a list of numbers"}
-
-# A [diagram] range of more steps than this is rejected, before any mach is made.
-_MAX_DIAGRAM_STEPS = 1_000_000
-
-
-def mach_ladder(m_min: float, m_max: float, m_step: float) -> list[float]:
-    """The positive machs ``m_min + i * m_step``, ``i = 0 .. round((m_max - m_min) / m_step)``, of a diagram."""
-    machs = (m_min + i * m_step for i in range(int(round((m_max - m_min) / m_step)) + 1))
-    return [mach for mach in machs if mach > 0]
-
 
 def _build(path: pathlib.Path, section: str, make, fields: dict):
     """``make(**fields)``, whose ValueError is reported with the file and ``[section]``."""
@@ -147,7 +135,6 @@ class RunConfig:
     solve: dict
     sweep: dict
     roots: dict
-    diagram: dict
     heatmap: dict | None
     # whether the file has a [grid] section, which source file headers must then match
     grid_given: bool
@@ -212,21 +199,6 @@ def load_config(
     chosen = study or cfg_study
     if chosen not in STUDIES:
         raise ValueError(f"study must be one of {STUDIES}, got {chosen!r}")
-    diagram = sections["diagram"]
-    if not 0.0 < diagram["m_max"] >= diagram["m_min"]:
-        # such a range gives no row with mach > 0
-        raise ValueError(
-            f"{path}: [diagram] m_max must be positive and at least m_min, "
-            f"got m_min = {diagram['m_min']!r}, m_max = {diagram['m_max']!r}"
-        )
-    if not (diagram["m_max"] - diagram["m_min"]) / diagram["m_step"] <= _MAX_DIAGRAM_STEPS:
-        raise ValueError(f"{path}: [diagram] (m_max - m_min) / m_step must be at most {_MAX_DIAGRAM_STEPS}")
-    if not mach_ladder(**diagram):
-        # m_max > 0, but the ladder's last rung rounds to a mach <= 0
-        raise ValueError(
-            f"{path}: [diagram] the ladder m_min + i * m_step has no positive mach up to m_max, "
-            f"got m_min = {diagram['m_min']!r}, m_max = {diagram['m_max']!r}, m_step = {diagram['m_step']!r}"
-        )
     heatmap = sections["heatmap"] if "heatmap" in present else None
     if heatmap is not None:
         # the scan's largest modulus sits at a corner of its (delta, eta) rectangle
@@ -246,7 +218,6 @@ def load_config(
         solve=sections["solve"],
         sweep=sections["sweep"],
         roots=sections["roots"],
-        diagram=diagram,
         heatmap=heatmap,
         grid_given="grid" in present,
     )

@@ -123,11 +123,15 @@ def write_source_bin(path, raw: np.ndarray, grid: GridSpec) -> None:
 def read_source_bin(path) -> tuple[np.ndarray, GridSpec]:
     """A binary source file's float32 samples, read straight into the returned array, and its grid.
 
-    A file whose size does not match its header, then one that holds a
-    non-finite sample, is rejected in one line naming the file.
+    A file whose size does not match its header, then one whose header ``GridSpec``
+    refuses, then one that holds a non-finite sample, is rejected in one line naming the file.
     """
     fields, raw = _read_packed(path, _HEADER, _PAYLOAD, "source")
-    return _finite(path, raw, GridSpec(**fields))
+    try:
+        grid = GridSpec(**fields)
+    except ValueError as exc:
+        raise ValueError(f"source file {path}: {exc}") from None
+    return _finite(path, raw, grid)
 
 
 def write_source_csv(path, raw: np.ndarray, grid: GridSpec) -> None:

@@ -61,6 +61,7 @@ __all__ = [
     "certify_sandwich",
     "certify_weight_bounds",
     "locate_roots",
+    "count_zeros_right",
     "certify_simple_root",
 ]
 
@@ -79,6 +80,10 @@ _ROOT_XTOL = 1e-12
 # a located minimum counts as a root when |Sigma| <= this times Lambda^2
 _ZERO_THRESHOLD = 1e-6
 
+# zero count: points on the line before bisection, and the most points after it
+_COUNT_POINTS = 4096
+_COUNT_CAP = 1 << 14
+
 # relative rounding allowed above a closed-form bound that the sample attains
 _BOUND_ROUNDING = 1e-12
 
@@ -95,7 +100,7 @@ _DRIFT_LIMIT = 0.05
 
 
 class NoRootFound(RuntimeError):
-    """The bracketed search did not produce a zero of the symbol."""
+    """The bracketed search did not produce a zero of the symbol, or the zero count was refused."""
 
 
 class SampleStrategy(enum.Enum):
@@ -519,6 +524,42 @@ def locate_roots(params: PhysicalParams) -> float:
             f"is above the zero threshold {_ZERO_THRESHOLD * lam2:.3e}"
         )
     return best
+
+
+def count_zeros_right(params: PhysicalParams) -> int:
+    """The number of zeros of Sigma(tau, 1) with Re tau > epsilon, by the argument principle.
+
+    ``epsilon = 1e-3 c``, and at most half the elliptic root's abscissa ``c Y1``.
+    The count is the winding of Sigma(epsilon + i s, 1) as s falls from +inf to
+    -inf, plus one turn for the large arc, where Sigma ~ tau^2.  The line starts
+    at ``s = (v + c) tan(theta)``, theta uniform, so its ends reach that regime
+    at every mach, and each step of arg Sigma above pi/4 is bisected in s.
+    Sigma is evaluated at ``(epsilon + i s, 1) / (v + c)``, of the same argument
+    by homogeneity, so it does not overflow.  NoRootFound where Sigma vanishes
+    or is not finite on the line, or where bisection would pass ``_COUNT_CAP``
+    points or meets an interval that no longer halves (from M ~ 1e13 the
+    doubles near s = v lie farther apart than epsilon).
+    """
+    # root_constants is a ValueError at the degenerate mach, where no count is defined
+    c, scale, y = params.c, params.v + params.c, root_constants(params)
+    epsilon = min(1e-3 * c, 0.5 * c * y) if params.regime() is Regime.ELLIPTIC else 1e-3 * c
+    t = np.tan(np.pi * (0.5 - (np.arange(_COUNT_POINTS) + 0.5) / _COUNT_POINTS))
+    values = big_sigma(Frequency(epsilon / scale, t, 1.0 / scale), params)
+    while np.all(np.isfinite(values) & (values != 0.0)):
+        steps = np.angle(values[1:] / values[:-1])
+        wide = np.flatnonzero(np.abs(steps) > math.pi / 4)
+        if not wide.size:
+            return round(float(np.sum(steps)) / math.tau) + 1
+        mid = 0.5 * (t[wide] + t[wide + 1])
+        why = f"the cap of {_COUNT_CAP} points" if t.size + wide.size > _COUNT_CAP else None
+        if why or np.any((mid == t[wide]) | (mid == t[wide + 1])):
+            raise NoRootFound(
+                f"zero count refused: {wide.size} steps of arg Sigma above pi/4 remain at {t.size} points on "
+                f"Re tau = {epsilon:.3g}, and bisecting them meets {why or 'an interval that no longer halves'}"
+            )
+        t = np.insert(t, wide + 1, mid)
+        values = np.insert(values, wide + 1, big_sigma(Frequency(epsilon / scale, mid, 1.0 / scale), params))
+    raise NoRootFound(f"zero count refused: Sigma vanishes or is not finite on the line Re tau = {epsilon:.3g}")
 
 
 def certify_simple_root(params: PhysicalParams) -> BoundCertificate:

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from conftest import source_from_spectral
-from vsheet.cli import stability_diagram
 from vsheet.front import Side, build_g, estimate_sweep, solve_front
 from vsheet.grids import GridSpec, Space, mesh_terms, weighted_norm
 from vsheet.hemisphere import (
@@ -18,6 +17,7 @@ from vsheet.hemisphere import (
     certify_sandwich,
     certify_simple_root,
     certify_weight_bounds,
+    count_zeros_right,
     locate_roots,
     sample_hemisphere,
 )
@@ -240,13 +240,14 @@ def test_criterion_10_embedding_chain(dense_certificates):
 
 
 def test_criterion_11_dichotomy_flip():
-    rows = stability_diagram(1.0, 0.5, 3.5, 0.05)
-    flips = [
-        (rows[i]["mach"], rows[i + 1]["mach"])
-        for i in range(len(rows) - 1)
-        if rows[i]["regime"] != rows[i + 1]["regime"]
-    ]
-    ok = len(flips) == 1 and flips[0][0] < SQRT2 <= flips[0][1]
-    detail = f"flip cell ({flips[0][0]:.2f}, {flips[0][1]:.2f}]" if flips else "no flip found"
+    # the zeros of Sigma with Re tau > 0, counted by the argument principle on a ladder of machs
+    machs = [0.5 + 0.05 * i for i in range(61)]
+    counts = [count_zeros_right(PhysicalParams(v=mach, c=1.0)) for mach in machs]
+    flips = [(a, b, m, n) for a, b, m, n in zip(machs, machs[1:], counts, counts[1:]) if m != n]
+    ok = len(flips) == 1 and flips[0][2:] == (1, 0) and flips[0][0] < SQRT2 <= flips[0][1]
+    detail = (
+        f"zeros with Re tau > 0 flip {flips[0][2]} -> {flips[0][3]} in ({flips[0][0]:.2f}, {flips[0][1]:.2f}]"
+        if len(flips) == 1 else f"{len(flips)} flips: {[(round(a, 2), m, n) for a, _, m, n in flips]}"
+    )
     _report(11, "regime dichotomy at sqrt(2)", ok, detail)
     assert ok, detail

@@ -204,6 +204,7 @@ class TestRoots:
             assert {r["regime"] for r in rows} == {"Elliptic", "WeaklyStable"}
             for r in rows:
                 assert r["ok"] and r["rel_error"] < 1e-8, r
+                assert r["zeros_right"] == (r["regime"] == "Elliptic"), r
 
     def test_degenerate_mach_fails_run(self, tmp_path):
         cfg = _write(
@@ -239,6 +240,7 @@ machs = {SQRT2!r}
         assert capsys.readouterr().err == ""
         rows = json.loads((tmp_path / "roots_out" / "roots.json").read_text())
         assert max(r["rel_error"] for r in rows) <= 1e-10 and rows[-1]["located"] == 1e10 - 1
+        assert [r["zeros_right"] for r in rows] == [0] * 8
 
     def test_a_root_off_its_closed_form_keeps_its_located_value(self, tmp_path, capsys):
         # just above sqrt(2) the search stops 5.7e-8 and 5.6e-8 from the closed form: those rows read
@@ -294,7 +296,31 @@ machs = {SQRT2!r}
         assert main(["roots", "--config", self._roots_cfg(tmp_path, " ".join(map(repr, machs)))]) == 0
         rows = json.loads((tmp_path / "roots_out" / "roots.json").read_text())
         assert [r["mach"] for r in rows] == machs
-        assert all(r["ok"] and r["rel_error"] < 1e-8 for r in rows)
+        assert all(r["ok"] and r["rel_error"] < 1e-8 and r["zeros_right"] == 1 for r in rows)
+
+    def test_a_refused_zero_count_fails_its_row_in_one_line(self, tmp_path, capsys, monkeypatch):
+        # M = 2 needs 4100 points after bisection; a cap at the 4096 starting points refuses the count
+        monkeypatch.setattr(hemisphere, "_COUNT_CAP", 4096)
+        assert main(["roots", "--config", self._roots_cfg(tmp_path, "0.5 2.0")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "roots: mach=2.0: zero count refused: 4 steps of arg Sigma above pi/4 remain at 4096 points "
+            "on Re tau = 0.001, and bisecting them meets the cap of 4096 points"
+        ]
+        rows = json.loads((tmp_path / "roots_out" / "roots.json").read_text())
+        assert [(r["ok"], r["zeros_right"]) for r in rows] == [(True, 1), (False, None)]
+        assert rows[1]["zeros_right_nonfinite"] == "nan" and rows[1]["rel_error"] < 1e-8
+
+    @pytest.mark.parametrize("mach, count", [("0.5", 0), ("2.0", 1), ("3.0", 2)])
+    def test_a_wrong_zero_count_fails_its_row_in_one_line(self, tmp_path, capsys, monkeypatch, mach, count):
+        monkeypatch.setattr(cli, "count_zeros_right", lambda params: count)
+        regime, right = ("Elliptic", 1) if mach == "0.5" else ("WeaklyStable", 0)
+        assert main(["roots", "--config", self._roots_cfg(tmp_path, mach)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"roots: mach={mach}: the argument principle counts {count} zeros of Sigma with Re tau > 0, "
+            f"where the {regime} regime has {right}"
+        ]
+        [row] = json.loads((tmp_path / "roots_out" / "roots.json").read_text())
+        assert row["zeros_right"] == count and row["rel_error"] < 1e-8 and not row["ok"]
 
     def test_csv_writes_nan_where_json_writes_null(self, tmp_path):
         main(["roots", "--config", self._roots_cfg(tmp_path, f"2.0 {SQRT2!r}")])
@@ -303,11 +329,12 @@ machs = {SQRT2!r}
         with open(out / "roots.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == len(records) == 2
-        numeric = ("mach", "closed_form", "located", "rel_error")
+        numeric = ("mach", "closed_form", "located", "rel_error", "zeros_right")
         for row, record in zip(rows, records):
             for key in numeric:
                 assert math.isnan(float(row[key])) == (record[key] is None), key
-        assert [key for key in numeric if records[1][key] is None] == ["closed_form", "located", "rel_error"]
+        assert [key for key in numeric if records[1][key] is None] == ["closed_form", "located", "rel_error", "zeros_right"]
+        assert records[1]["zeros_right_nonfinite"] == "nan" and records[0]["zeros_right"] == 0
         assert not any(records[0][key] is None for key in numeric)
 
 
@@ -600,42 +627,6 @@ Ly = 14.0
         assert not any((tmp_path / "out").iterdir())
 
 
-class TestDiagram:
-    def test_flip_at_sqrt2_cell(self, tmp_path):
-        cfg = _write(
-            tmp_path,
-            "diag.cfg",
-            f"""
-[run]
-study = diagram
-out = {tmp_path / 'diag_out'}
-
-[params]
-v = 2.0
-c = 1.0
-
-[diagram]
-m_min = 0.5
-m_max = 3.5
-m_step = 0.05
-""",
-        )
-        assert main(["diagram", "--config", cfg]) == 0
-        lines = (tmp_path / "diag_out" / "diagram.csv").read_text().splitlines()[1:]
-        rows = [line.split(",") for line in lines]
-        flips = [
-            (float(rows[i][0]), float(rows[i + 1][0]))
-            for i in range(len(rows) - 1)
-            if rows[i][1] != rows[i + 1][1]
-        ]
-        assert len(flips) == 1
-        lo, hi = flips[0]
-        assert lo < SQRT2 <= hi, f"flip at ({lo}, {hi}] misses sqrt(2)"
-        # root constants populated and positive on both sides of the flip
-        for mach, regime, y in rows:
-            assert float(y) > 0
-
-
 def _reject_constant(token):
     raise ValueError(f"non-standard JSON token {token}")
 
@@ -676,6 +667,12 @@ class TestUsageErrors:
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit):
             main(["frobnicate", "--config", "x"])
+
+    def test_diagram_is_no_longer_a_subcommand(self, capsys):
+        # vfs roots writes each mach's regime, root constant and zero count
+        with pytest.raises(SystemExit) as stop:
+            main(["diagram", "--config", "x"])
+        assert stop.value.code == 2 and "invalid choice: 'diagram'" in capsys.readouterr().err
 
     def test_bad_params_reported(self, tmp_path, capsys):
         cfg = _write(
@@ -1036,7 +1033,6 @@ _VALID = {
     "roots": {
         "machs": st.lists(_floats(0.3, 4.0), min_size=1, max_size=3).map(" ".join),
     },
-    "diagram": {"m_min": _floats(0.1, 2.0), "m_max": _floats(0.1, 4.0), "m_step": _floats(0.05, 1.0)},
     "grid": {
         "nt": st.sampled_from(["4", "8", "6"]),
         "nx": st.sampled_from(["4", "8"]),
@@ -1078,7 +1074,6 @@ _CLEAN = {
         "explosion_threshold": st.just("1e8"),
     },
     "roots": {"machs": st.lists(st.one_of(_floats(0.3, 1.3), _floats(1.5, 4.0)), min_size=1, max_size=3).map(" ".join)},
-    "diagram": {"m_min": _floats(0.1, 2.0), "m_max": _floats(2.0, 4.0), "m_step": _floats(0.05, 1.0)},
     "grid": {
         "nt": st.sampled_from(["4", "8"]),
         "nx": st.sampled_from(["4", "8"]),
@@ -1108,7 +1103,7 @@ def _cli_configs(draw):
     }
     # the study is a hash of the drawn entries: drawn directly, it would cluster
     # on a few studies (hypothesis favours early choices and mutates old examples)
-    studies = ["roots", "diagram", "certify", "solve", "sweep"]
+    studies = ["roots", "certify", "solve", "sweep"]
     study = studies[zlib.crc32(repr(sections).encode()) % len(studies)]
     sections = {"run": {"study": study}, **sections}
     sections["params"].setdefault("v", "2.0")

@@ -7,8 +7,8 @@ import re
 
 import pytest
 
-from vsheet.cli import main, stability_diagram
-from vsheet.config import SCHEMA, load_config, mach_ladder
+from vsheet.cli import main
+from vsheet.config import SCHEMA, STUDIES, load_config
 from vsheet.front import estimate_sweep, solve_front
 from vsheet.hemisphere import SampleStrategy, certify_sandwich, certify_weight_bounds, sample_hemisphere
 
@@ -43,7 +43,6 @@ def test_defaults_of_a_minimal_config(tmp_path):
     assert cfg.solve == {"s": 0.0, "sigma_floor": 1e-12, "source_plus": "builtin", "source_minus": "builtin"}
     assert cfg.sweep == {"gammas": (1.0, 2.0, 4.0, 8.0), "s": 0.0, "slack": 0.1}
     assert cfg.roots == {"machs": (0.5, 1.0, 1.5, 2.0, 3.0)}
-    assert cfg.diagram == {"m_min": 0.5, "m_max": 3.5, "m_step": 0.05}
 
 
 @pytest.mark.parametrize(
@@ -162,61 +161,16 @@ def test_malformed_file_names_the_file_in_one_line(tmp_path, text, match):
     assert str(path) in str(err.value) and "\n" not in str(err.value)
 
 
-@pytest.mark.parametrize(
-    "line, named",
-    [
-        ("m_max = inf", "m_max must be finite, got inf"),
-        ("m_step = 0", "m_step must be finite and positive, got 0.0"),
-        ("m_step = nan", "m_step must be finite and positive, got nan"),
-    ],
-)
-def test_diagram_range_must_be_finite(tmp_path, line, named):
-    path = _write(tmp_path, f"[params]\nv = 2.0\nc = 1.0\n[diagram]\n{line}\n")
+def test_a_diagram_section_is_an_unknown_section(tmp_path, capsys):
+    # vfs diagram and its [diagram] m_min, m_max and m_step are gone; vfs roots counts the zeros
+    path = _write(tmp_path, "[params]\nv = 2.0\nc = 1.0\n[diagram]\nm_min = 0.5\n")
+    told = f"{path}: unknown section [diagram]; known sections: run, params, sample, grid, solve, sweep, roots, heatmap"
     with pytest.raises(ValueError) as err:
-        load_config(path, study="diagram")
-    assert str(err.value) == f"{path}: [diagram] {named}"
-
-
-@pytest.mark.parametrize(
-    "lines, given",
-    [("m_min = 3\nm_max = 1", "m_min = 3.0, m_max = 1.0"), ("m_min = -2\nm_max = 0", "m_min = -2.0, m_max = 0.0")],
-    ids=["reversed", "nonpositive"],
-)
-def test_a_diagram_range_with_no_row_is_rejected(tmp_path, lines, given):
-    path = _write(tmp_path, f"[params]\nv = 2.0\nc = 1.0\n[diagram]\n{lines}\n")
-    with pytest.raises(ValueError) as err:
-        load_config(path, study="diagram")
-    assert str(err.value) == (
-        f"{path}: [diagram] m_max must be positive and at least m_min, got {given}"
-    )
-
-
-def test_a_rounded_mach_ladder_with_no_positive_mach_is_rejected(tmp_path):
-    # m_max > 0, but the ladder rounds to the machs -1 and 0
-    path = _write(tmp_path, "[params]\nv = 2.0\nc = 1.0\n[diagram]\nm_min = -1\nm_max = 0.1\nm_step = 1\n")
-    assert mach_ladder(-1.0, 0.1, 1.0) == []
-    with pytest.raises(ValueError) as err:
-        load_config(path, study="diagram")
-    assert str(err.value) == (
-        f"{path}: [diagram] the ladder m_min + i * m_step has no positive mach up to m_max, "
-        "got m_min = -1.0, m_max = 0.1, m_step = 1.0"
-    )
-
-
-@pytest.mark.parametrize("step", ["1e-7", "1e-310"])
-def test_a_diagram_range_of_too_many_steps_is_rejected(tmp_path, step):
-    path = _write(tmp_path, f"[params]\nv = 2.0\nc = 1.0\n[diagram]\nm_step = {step}\n")
-    with pytest.raises(ValueError, match=r"\[diagram\] \(m_max - m_min\) / m_step must be at most 1000000$"):
-        load_config(path, study="diagram")
-
-
-def test_the_diagram_rows_are_the_mach_ladder(tmp_path):
-    path = _write(tmp_path, "[params]\nv = 2.0\nc = 1.0\n[diagram]\nm_min = -0.3\n")
-    diagram = load_config(path, study="diagram").diagram
-    machs = mach_ladder(**diagram)
-    # rungs -0.3 + i * 0.05 up to m_max = 3.5, the nonpositive ones dropped
-    assert machs == [m for m in (-0.3 + i * 0.05 for i in range(77)) if m > 0]
-    assert [row["mach"] for row in stability_diagram(1.0, **diagram)] == machs
+        load_config(path, study="roots")
+    assert str(err.value) == told
+    assert main(["roots", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"vfs: {told}"]
+    assert "diagram" not in STUDIES and len(SCHEMA) == 8 and sum(map(len, SCHEMA.values())) == 32
 
 
 def test_an_infinite_explosion_threshold_loads(tmp_path):
@@ -267,7 +221,7 @@ def test_readme_reference_states_each_range_in_the_schema_words():
             row = rows[f"`[{section}] {key}`"]
             assert rule.words in row.replace("`", ""), (section, key, rule.words, row)
             checked.append(key)
-    assert len(checked) == 18
+    assert len(checked) == 15
 
 
 @pytest.mark.parametrize(

@@ -196,6 +196,42 @@ class TestSourceFilesAreWhole:
         assert len(err) == 1 and err[0].startswith("vfs: source file ") and str(path) in err[0]
 
 
+class TestSourceHeaders:
+    """A ``.bin`` header that ``GridSpec`` refuses is rejected in one line naming the file."""
+
+    CASES = {
+        "negative_Ly": ((8, 8, 16, 2 * np.pi, 2 * np.pi, -12.0, 1.0), "Ly must be positive and finite, got -12.0"),
+        # a 44-byte file: the size check accepts its empty payload
+        "zero_nt": ((0, 8, 16, 2 * np.pi, 2 * np.pi, 12.0, 1.0), "nt and nx must be powers of two, got 0, 8"),
+    }
+
+    def _write(self, path, record):
+        nt, nx, ny = record[:3]
+        path.write_bytes(np.array([record], dtype=fileio._HEADER).tobytes() + bytes(4 * nt * nx * ny))
+        return path
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_read_source_names_the_file(self, tmp_path, case):
+        record, told = self.CASES[case]
+        path = self._write(tmp_path / "bad.bin", record)
+        with pytest.raises(ValueError, match=rf"^{re.escape(f'source file {path}: {told}')}\Z"):
+            fileio.read_source(path)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_vfs_solve_is_one_line_exit_2(self, tmp_path, capsys, case):
+        from vsheet.cli import main
+
+        record, told = self.CASES[case]
+        path = self._write(tmp_path / "bad.bin", record)
+        cfg = tmp_path / "solve.cfg"
+        cfg.write_text(
+            f"[run]\nstudy = solve\nout = {tmp_path / 'o'}\n\n[params]\nv = 2.0\nc = 1.0\n\n"
+            f"[solve]\nsource_plus = {path}\n"
+        )
+        assert main(["solve", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"vfs: source file {path}: {told}"]
+
+
 class TestSourcesAreReal:
     """Sources are real: the writers store the real part, or refuse the file; a reader names a non-finite sample."""
 

@@ -353,6 +353,18 @@ class TestHalfLineLayer:
             else:
                 solve_half_space(fp, fm, g.freq_mesh()[1, 2], 0.5, M2)
 
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_a_tail_of_1e_4_of_the_peak_has_not_decayed(self, side):
+        # a profile that falls to 1e-4 of its peak at Ly: above DECAY_TOL, so refused
+        g = _grid()
+        fp, fm = _exp_pair(g)
+        spectral = (fp if side == "plus" else fm).spectral.copy()
+        spectral[..., -1] = 1e-4 * np.max(np.abs(spectral))
+        field = source_from_spectral(spectral, Side(side), g)
+        fp, fm = (field, fm) if side == "plus" else (fp, field)
+        with pytest.raises(ValueError, match=f"^{side}-side source has not decayed at the truncation depth Ly$"):
+            build_g(fp, fm, M2)
+
     def test_moment_and_pressure_share_the_plus_term(self):
         # zero minus-side source: M = T+ in g, and the plus-side particular
         # boundary value p0 - A+ is T+ / (2 c^2)

@@ -379,6 +379,14 @@ class TestNorms:
         g = _grid()
         assert weighted_norm(np.zeros((16, 16)), g, 1.0) == 0.0
 
+    def test_s_zero_is_parseval_on_a_box_with_lt_other_than_lx(self):
+        # the Riemann sum divides by Lt Lx: on a square box Lt Lt would read the same
+        g = GridSpec(nt=16, nx=8, ny=8, Lt=2 * np.pi, Lx=6 * np.pi, Ly=10.0, gamma=1.0)
+        raw = np.random.default_rng(4).standard_normal((16, 8))
+        windowed = np.exp(-g.gamma * g.t())[:, None] * raw
+        hat = g.expand(forward_transform(raw, g))
+        assert weighted_norm(hat, g, 0.0) == pytest.approx(np.sqrt(np.sum(windowed**2) * g.cell), rel=1e-13)
+
     def test_s_zero_is_plancherel(self):
         g = _grid()
         rng = np.random.default_rng(3)

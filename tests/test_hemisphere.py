@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,11 +19,13 @@ from vsheet.hemisphere import (
     certify_sandwich,
     certify_simple_root,
     certify_weight_bounds,
+    count_zeros_right,
     locate_roots,
     root_points,
     sample_hemisphere,
 )
 from vsheet.symbols import (
+    SQRT2,
     Frequency,
     PhysicalParams,
     Regime,
@@ -709,6 +712,62 @@ class TestLocateRoots:
         eta = 1.0 / np.hypot(found, 1.0)
         val = big_sigma(Frequency(0.0, found * eta, eta), M2)
         assert abs(val) < 1e-8
+
+    @pytest.mark.parametrize("params", [M2, ELL], ids=["weakly_stable", "elliptic"])
+    def test_a_minimum_above_the_zero_threshold_is_no_root(self, params, monkeypatch):
+        # Sigma is real on either searched axis, so an offset of 1e-4 Lambda^2 at a right angle lifts its minimum
+        monkeypatch.setattr(hemisphere, "big_sigma", lambda freqs, p: big_sigma(freqs, p) + 1e-4j * freqs.lam**2)
+        with pytest.raises(NoRootFound, match="is above the zero threshold"):
+            locate_roots(params)
+
+
+class TestZeroCount:
+    """The zeros of Sigma(tau, 1) with Re tau > epsilon, by the argument principle along Re tau = epsilon."""
+
+    # both sides of sqrt(2), 2e-9 from it; the machs of CI's [roots] runs; the least mach with a normal M^2
+    MACHS = [
+        math.sqrt(sys.float_info.min), 1e-8, 1e-6, 1e-3, 0.5, 1.0, 1.41, 1.4142, SQRT2 - 2e-9,
+        SQRT2 + 2e-9, 1.4143, 1.415, 1.5, 2.0, 3.0, 15.0, 20.0, 50.0, 1000.0, 1e6, 1e10,
+    ]
+
+    @pytest.mark.parametrize("mach", MACHS)
+    def test_the_count_is_the_regimes(self, mach):
+        params = PhysicalParams(v=mach, c=1.0)
+        assert count_zeros_right(params) == {Regime.ELLIPTIC: 1, Regime.WEAKLY_STABLE: 0}[params.regime()]
+
+    @pytest.mark.parametrize("mach, count", [(0.5, 1), (2.0, 0)])
+    def test_the_count_does_not_depend_on_the_sound_speed(self, mach, count):
+        for c in (1e-6, 3.0, 1e6):
+            assert count_zeros_right(PhysicalParams(v=mach * c, c=c)) == count
+
+    def test_a_symbol_with_7_for_8_keeps_a_real_root_above_sqrt2(self, monkeypatch):
+        def seven(g, d, e, den, params):
+            tau = g + 1j * d
+            ratio = (tau / params.c) / den
+            return tau * tau + (params.v * e) ** 2 * (7.0 * ratio * ratio - 1.0)
+
+        monkeypatch.setattr(symbols, "_sigma_unit", seven)
+        assert [count_zeros_right(PhysicalParams(v=mach, c=1.0)) for mach in (1.4143, 1.5, 1.8)] == [1, 1, 0]
+
+    def test_the_cap_refuses_the_count(self, monkeypatch):
+        monkeypatch.setattr(hemisphere, "_COUNT_CAP", 4096)
+        with pytest.raises(NoRootFound, match=r"^zero count refused: .* meets the cap of 4096 points$"):
+            count_zeros_right(M2)
+
+    def test_an_interval_that_no_longer_halves_refuses_the_count(self):
+        # near s = v = 1e13 the doubles are 2e-3 apart, wider than epsilon = 1e-3
+        with pytest.raises(NoRootFound, match=r"^zero count refused: .* meets an interval that no longer halves$"):
+            count_zeros_right(PhysicalParams(v=1e13, c=1.0))
+
+    @pytest.mark.parametrize("value", [0.0, np.nan])
+    def test_a_symbol_that_vanishes_or_is_not_finite_on_the_line_refuses_the_count(self, value, monkeypatch):
+        monkeypatch.setattr(hemisphere, "big_sigma", lambda freqs, p: np.where(freqs.delta > 0, value, big_sigma(freqs, p)))
+        with pytest.raises(NoRootFound, match=r"^zero count refused: Sigma vanishes or is not finite on the line Re tau = 0.001$"):
+            count_zeros_right(M2)
+
+    def test_the_degenerate_mach_has_no_count(self):
+        with pytest.raises(ValueError, match=r"^root constant is not defined at mach = sqrt\(2\)$"):
+            count_zeros_right(PhysicalParams(v=SQRT2, c=1.0))
 
 
 class TestSimpleRoot:
