@@ -2,13 +2,13 @@
 
 ``_HEADER`` declares the source grid record and ``_SOLUTION_HEADER`` the
 solution's: field names, little-endian types and order.  A ``.bin`` file is
-its packed record (44 and 32 bytes) followed by its samples in C order with
-t as the leading (major) axis: a source's real (nt, nx, ny) samples as
-``_PAYLOAD`` (float32) and a solution's (nt, nx) front as
-``_SOLUTION_PAYLOAD`` (complex64).  The CSV source keeps the source record
-on a leading ``# vfs-source`` comment line and one ``it,ix,iy,value`` row
-per sample; a solution's JSON sidecar holds it as ``"grid"``.  Sources are
-real: the writers pass their input through :func:`grids.real_source`.
+its packed record (44 and 32 bytes) followed by its real samples as
+``_PAYLOAD`` (float32) in C order with t as the leading (major) axis: a
+source's (nt, nx, ny) samples and a solution's (nt, nx) front.  The CSV
+source keeps the source record on a leading ``# vfs-source`` comment line
+and one ``it,ix,iy,value`` row per sample; a solution's JSON sidecar holds
+it as ``"grid"``.  Sources are real: the writers pass their input through
+:func:`grids.real_source`.
 Payloads are written a block of whole leading-axis rows (about
 ``_BLOCK_BYTES``) at a time through one buffer, and read straight into the
 returned array.
@@ -44,8 +44,6 @@ _HEADER = np.dtype(
 )
 _SOLUTION_HEADER = np.dtype([("nt", "<i4"), ("nx", "<i4"), ("Lt", "<f8"), ("Lx", "<f8"), ("gamma", "<f8")])
 _PAYLOAD = np.dtype("<f4")
-# the front is not exactly real: g is not Hermitian on the Nyquist row and column
-_SOLUTION_PAYLOAD = np.dtype("<c8")
 _CSV_COLUMNS = ["it", "ix", "iy", "value"]
 # payload bytes that a block write moves through its buffer: whole leading-axis rows, at least one
 _BLOCK_BYTES = 1 << 20
@@ -55,15 +53,15 @@ def _record(grid: GridSpec, header: np.dtype) -> dict:
     return {name: getattr(grid, name) for name in header.names}
 
 
-def _write_packed(path, header: np.dtype, grid: GridSpec, payload: np.ndarray, dtype: np.dtype) -> None:
-    """The grid record packed as ``header``, then ``payload`` as ``dtype`` in C order.
+def _write_packed(path, header: np.dtype, grid: GridSpec, payload: np.ndarray) -> None:
+    """The grid record packed as ``header``, then ``payload`` as ``_PAYLOAD`` in C order.
 
     The payload is cast and written a block of whole leading-axis rows at a
     time through one reused buffer, so no payload-sized copy is made.
     """
     payload = np.asarray(payload)
-    rows = max(1, _BLOCK_BYTES // (math.prod(payload.shape[1:]) * dtype.itemsize))
-    buffer = np.empty((rows,) + payload.shape[1:], dtype=dtype)
+    rows = max(1, _BLOCK_BYTES // (math.prod(payload.shape[1:]) * _PAYLOAD.itemsize))
+    buffer = np.empty((rows,) + payload.shape[1:], dtype=_PAYLOAD)
     with open(path, "wb") as fh:
         fh.write(np.array([tuple(_record(grid, header).values())], dtype=header).tobytes())
         for start in range(0, len(payload), len(buffer)):
@@ -72,13 +70,13 @@ def _write_packed(path, header: np.dtype, grid: GridSpec, payload: np.ndarray, d
             fh.write(block)
 
 
-def _read_packed(path, header: np.dtype, dtype: np.dtype, kind: str) -> tuple[dict, np.ndarray]:
-    """The header record as a dict and the ``dtype`` payload, shaped by the record's int fields.
+def _read_packed(path, header: np.dtype, kind: str) -> tuple[dict, np.ndarray]:
+    """The header record as a dict and the ``_PAYLOAD`` payload, shaped by the record's int fields.
 
     The payload is read straight into the returned array.  A file whose
     size does not match its header, or that is cut while it is read, is
     rejected in one line naming ``kind`` and the path; so is a float32
-    payload stored as complex64, twice its size, as sources were once.
+    payload stored as complex64, twice its size, as sources and fronts were once.
     """
     with open(path, "rb") as fh:
         length = os.fstat(fh.fileno()).st_size
@@ -88,14 +86,14 @@ def _read_packed(path, header: np.dtype, dtype: np.dtype, kind: str) -> tuple[di
         record = np.frombuffer(fh.read(size), dtype=header)[0]
         fields = {name: record[name].item() for name in header.names}
         shape = {name: value for name, value in fields.items() if header[name].kind == "i"}
-        payload = math.prod(shape.values()) * dtype.itemsize
+        payload = math.prod(shape.values()) * _PAYLOAD.itemsize
         if min(shape.values()) < 0 or length != size + payload:
             dims = ", ".join(f"{name}={n}" for name, n in shape.items())
-            if dtype.kind == "f" and length == size + 2 * payload:
-                old = "the layout from before sources were stored as float32"
+            if length == size + 2 * payload:
+                old = f"the layout from before {kind}s were stored as float32"
                 raise ValueError(f"{kind} file {path} holds a complex64 payload for {dims}: {old}")
             raise ValueError(f"{kind} file {path} holds {length} bytes, expected {size + payload} for {dims}")
-        data = np.empty(tuple(shape.values()), dtype=dtype)
+        data = np.empty(tuple(shape.values()), dtype=_PAYLOAD)
         if fh.readinto(data) != data.nbytes:
             raise ValueError(f"{kind} file {path} was cut while it was read")
     return fields, data
@@ -117,7 +115,7 @@ def _finite(path, raw: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, GridSpec
 
 
 def write_source_bin(path, raw: np.ndarray, grid: GridSpec) -> None:
-    _write_packed(path, _HEADER, grid, _source(path, raw, grid), _PAYLOAD)
+    _write_packed(path, _HEADER, grid, _source(path, raw, grid))
 
 
 def read_source_bin(path) -> tuple[np.ndarray, GridSpec]:
@@ -126,7 +124,7 @@ def read_source_bin(path) -> tuple[np.ndarray, GridSpec]:
     A file whose size does not match its header, then one whose header ``GridSpec``
     refuses, then one that holds a non-finite sample, is rejected in one line naming the file.
     """
-    fields, raw = _read_packed(path, _HEADER, _PAYLOAD, "source")
+    fields, raw = _read_packed(path, _HEADER, "source")
     try:
         grid = GridSpec(**fields)
     except ValueError as exc:
@@ -197,10 +195,10 @@ def read_source(path) -> tuple[np.ndarray, GridSpec]:
 
 
 def write_front_solution(prefix, solution) -> tuple[pathlib.Path, pathlib.Path]:
-    """Dump f as complex64 binary plus a JSON sidecar; returns both paths."""
+    """Dump the real front f as float32 binary plus a JSON sidecar; returns both paths."""
     prefix = pathlib.Path(prefix)
     bin_path = prefix.with_suffix(".bin")
-    _write_packed(bin_path, _SOLUTION_HEADER, solution.grid, solution.f, _SOLUTION_PAYLOAD)
+    _write_packed(bin_path, _SOLUTION_HEADER, solution.grid, solution.f)
     sidecar = {
         "s": solution.s,
         "regime": solution.regime.value,
@@ -217,10 +215,11 @@ def read_front_solution(prefix) -> tuple[dict, np.ndarray]:
     """Read back ``PREFIX.bin`` as written by :func:`write_front_solution`.
 
     Returns the header as a dict (``nt``, ``nx``, ``Lt``, ``Lx``, ``gamma``)
-    and the physical-space front ``f`` as a complex64 array of shape
-    (nt, nx).  A file whose size does not match its header is rejected.
+    and the real physical-space front ``f`` as a float32 array of shape
+    (nt, nx).  A file whose size does not match its header is rejected, and
+    so is a front in the complex64 layout from before fronts were real.
     """
-    return _read_packed(pathlib.Path(prefix).with_suffix(".bin"), _SOLUTION_HEADER, _SOLUTION_PAYLOAD, "solution")
+    return _read_packed(pathlib.Path(prefix).with_suffix(".bin"), _SOLUTION_HEADER, "solution")
 
 
 def _strict(obj):

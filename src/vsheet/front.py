@@ -69,10 +69,10 @@ class SourceField:
 
     ``spectral`` holds the weighted transform of each x2 slice on the
     (t, x1, x2-node) grid, on the grid's half mesh: shape
-    (nt, nx/2 + 1, ny), see :meth:`GridSpec.mirror` for the other columns.
-    For the MINUS side node j stands for the depth x2 = -y_j.  The field's
-    depth scan is kept from its first check, so ``spectral`` is not to
-    change after that.
+    (nt, nx/2 + 1, ny), see :meth:`GridSpec.mirror` for the other columns,
+    and zero on row nt/2 and column nx/2 (:func:`transform_source`).  For
+    the MINUS side node j stands for the depth x2 = -y_j.  The field's depth
+    scan is kept from its first check, so ``spectral`` is not to change after that.
     """
 
     side: Side
@@ -83,6 +83,11 @@ class SourceField:
         shape = (self.grid.nt, self.grid.half_nx, self.grid.ny)
         if self.spectral.shape != shape:
             raise ValueError(f"spectral shape {self.spectral.shape} does not match the grid's half mesh {shape}")
+        if any(np.any(self.spectral[line]) for line in _nyquist_lines(self.grid)):
+            raise ValueError(
+                f"{self.side.value}-side spectral field has content on the Nyquist row nt/2 or column nx/2, "
+                "where a real source's transform is zero"
+            )
 
     @functools.cached_property
     def _depth_scan(self) -> tuple[float, float, np.ndarray]:
@@ -98,16 +103,26 @@ class SourceField:
         return peak, float(np.max(edge)), edge
 
 
+def _nyquist_lines(grid: GridSpec) -> list:
+    """Indices of the half mesh's row nt/2 and column nx/2; an axis of length 1 has none."""
+    return [line for n, line in ((grid.nt, np.s_[grid.nt // 2]), (grid.nx, np.s_[:, grid.nx // 2])) if n > 1]
+
+
 def transform_source(raw: np.ndarray, side: Side, grid: GridSpec) -> SourceField:
     """Build a SourceField from real raw (t, x1, x2-node) samples of any real dtype.
 
     A complex ``raw`` is taken as its real part when the imaginary part is
     zero and is a ValueError naming the side otherwise.  The spectral field
     is complex128 on the half mesh; ``raw`` is not copied or upcast as a whole.
+    Its Nyquist row nt/2 and column nx/2 are set to 0: their fftfreq -pi n / L stands for +pi n / L
+    too, so no symbol is Hermitian there.  So every g and f_hat is Hermitian, and the front real.
     """
     side = Side(side)
     raw = real_source(raw, f"{side.value}-side source")
-    return SourceField(side=side, spectral=forward_transform(raw, grid), grid=grid)
+    spectral = forward_transform(raw, grid)
+    for line in _nyquist_lines(grid):
+        spectral[line] = 0.0
+    return SourceField(side=side, spectral=spectral, grid=grid)
 
 
 def _check_pair(fplus: SourceField, fminus: SourceField) -> GridSpec:
@@ -177,7 +192,7 @@ def _check_order(s: float, grid: GridSpec) -> None:
 
 @dataclasses.dataclass(frozen=True)
 class FrontSolution:
-    """Front in both representations, its norms and a ``report`` of diagnostics."""
+    """Front in both representations (``f_hat`` on the full mesh, ``f`` real), its norms and a ``report``."""
 
     f_hat: np.ndarray
     f: np.ndarray
@@ -208,6 +223,7 @@ def solve_front(
     |Sigma| >= sigma_floor * Lambda^2 everywhere on the grid and
     |Sigma| / Lambda^2 is finite; the least and largest ratios and where
     they sit come from one :func:`chunks.scan_extrema` over the mesh.
+    ``f`` is the inverse of f_hat's half mesh: all of f_hat's when g_hat is Hermitian, as build_g's is.
     """
     _check_order(s, grid)
     g_hat = np.asarray(g_hat, dtype=np.complex128)
@@ -237,7 +253,7 @@ def solve_front(
             f"(delta, eta) = ({grid.delta()[idx[0]]:.6g}, {grid.eta()[idx[1]]:.6g})"
         )
     f_hat = g_hat / table.sigma_big
-    f = inverse_transform(f_hat, grid)
+    f = inverse_transform(grid.half(f_hat), grid)
     regime = params.regime()
     norms = {(order, Space.PLAIN): weighted_norm(f_hat, grid, order) for order in (s, s + 1.0)}
     report = {"g_plain_norm": g_norm, "symbol_floor": worst}

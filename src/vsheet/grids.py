@@ -50,8 +50,7 @@ mu-(delta, eta) = conj mu+(-delta, eta), exp(-mu- x) at row it of the mesh
 is the conjugate of exp(-mu+ x) at the mirrored row -it mod nt, so
 :func:`mesh_terms` makes one table per mirror pair of rows of a grid's
 :class:`symbols.SymbolTable`, whose rows are conjugate mirrors by
-construction.  Row nt/2, whose delta is its own mirror's, takes a table
-per side on all nx columns: past column nx/2 the half mesh does not carry it.
+construction.
 """
 
 from __future__ import annotations
@@ -178,16 +177,6 @@ class GridSpec:
         """Columns of the half mesh: eta_0 .. eta_{nx/2}, the last at fftfreq's eta = -pi nx / Lx."""
         return self.nx // 2 + 1
 
-    @property
-    def nyquist_row(self) -> int:
-        """Row nt/2, whose delta = -pi nt / Lt is also its mirror's.
-
-        Past column nx/2 a mode of this row mirrors a mode of the same
-        delta, not its negated frequency, so what the symbols make there
-        (the front's right-hand side, say) is not its mirror's conjugate.
-        """
-        return self.nt // 2
-
     def half(self, full: np.ndarray) -> np.ndarray:
         """The half-mesh columns of an (nt, nx, ...) array, as a view."""
         return full[:, : self.half_nx]
@@ -198,14 +187,13 @@ class GridSpec:
             return it, ix, False
         return -it % self.nt, self.nx - ix, True
 
-    def expand(self, half: np.ndarray, rows=slice(None)) -> np.ndarray:
-        """Rows ``rows`` of the full (nt, nx, ...) mesh of a Hermitian field, from its half mesh.
+    def expand(self, half: np.ndarray) -> np.ndarray:
+        """The full (nt, nx, ...) mesh of a Hermitian field, from its half mesh.
 
         Column ix > nx/2 of row it is the conjugate of (-it mod nt, nx - ix).
         """
-        its = np.arange(self.nt)[rows]
-        mirrored = np.conj(half[-its % self.nt, self.half_nx - 2 : 0 : -1])
-        return np.concatenate((half[its], mirrored), axis=1)
+        mirrored = np.conj(half[-np.arange(self.nt) % self.nt, self.half_nx - 2 : 0 : -1])
+        return np.concatenate((half, mirrored), axis=1)
 
     @functools.cached_property
     def column_counts(self) -> np.ndarray:
@@ -332,23 +320,24 @@ def forward_transform(raw: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 def inverse_transform(spectral: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Inverse of :func:`forward_transform`, including the exp(+gamma t) reweighting, as complex128.
+    """Inverse of :func:`forward_transform`, including the exp(+gamma t) reweighting: a real float64 field.
 
-    One buffer: the division by the cell measure makes it, and ``ifft2``'s
-    two passes (an ``ifft`` in x1, then in t) and the growth factor act on
-    it in place.  ``numpy.fft.ifft2`` itself ignores ``out=``.
+    ``spectral`` is a Hermitian field's half mesh, shape (nt, nx/2 + 1) +
+    the trailing axes.  The division by the cell measure makes a complex
+    buffer, on which the ``ifft`` in t acts in place; the ``irfft`` in x1
+    then makes the real field, which the growth factor scales in place.
     """
     spectral = np.asarray(spectral)
-    if spectral.shape[:2] != (grid.nt, grid.nx):
+    if spectral.shape[:2] != (grid.nt, grid.half_nx):
         raise ValueError(
-            f"leading axes {spectral.shape[:2]} do not match the grid ({grid.nt}, {grid.nx})"
+            f"leading axes {spectral.shape[:2]} do not match the grid's half mesh ({grid.nt}, {grid.half_nx})"
         )
     grow = np.exp(grid.gamma * grid.t()).reshape((grid.nt,) + (1,) * (spectral.ndim - 1))
     out = np.asarray(spectral / grid.cell, dtype=complex)
-    for axis in (1, 0):
-        np.fft.ifft(out, axis=axis, out=out)
-    out *= grow
-    return out
+    np.fft.ifft(out, axis=0, out=out)
+    field = np.fft.irfft(out, n=grid.nx, axis=1)
+    field *= grow
+    return field
 
 
 def find_mode(grid: GridSpec, freq: Frequency) -> tuple[int, int]:
@@ -404,24 +393,19 @@ def boundary_terms(grid: GridSpec, spectral: np.ndarray, mu) -> np.ndarray:
 def mesh_terms(grid: GridSpec, plus: np.ndarray, minus: np.ndarray, table: SymbolTable) -> tuple[np.ndarray, np.ndarray]:
     """(T+, T-) of a (plus, minus) source pair on the grid's full (nt, nx) mesh.
 
-    ``plus`` and ``minus`` are the sources' half meshes, shape (nt, nx/2 + 1,
-    ny), and ``table`` is the grid's symbol table (:meth:`GridSpec.symbol_table`).
-    The front moment is T+ - T-, the pressure boundary values are T+- / (2 c^2).
-    Each side is :func:`boundary_terms`' value at every mode, bit for bit: on
-    the half mesh, expanded by :meth:`GridSpec.expand`, and past column nx/2
-    of the Nyquist row, which the mirror does not carry
-    (:attr:`GridSpec.nyquist_row`), from the mirrored sources.  The rows run
-    on the ``VFS_THREADS`` pool in fixed tasks of ``_KERNEL_PAIRS`` mirror
-    pairs: row it with row -it mod nt.  The table's rows are conjugate
-    mirrors, mu-(delta, eta) = conj mu+(-delta, eta) (see
-    :class:`symbols.SymbolTable`), so one ``np.exp`` call serves a pair: the
-    minus side's exp(-mu- x) on a row is the conjugate of the plus side's on
-    its mirror, and on row 0 of the plus side's on row 0.  The Nyquist row
-    nt/2, whose delta is its mirror's, takes its own exponentials on each side.
+    ``plus`` and ``minus`` are the sources' half meshes, shape (nt, nx/2 + 1, ny), zero on row
+    nt/2 and column nx/2 (see :class:`front.SourceField`), and ``table`` is the grid's symbol
+    table (:meth:`GridSpec.symbol_table`).  The front moment is T+ - T-, the pressure boundary
+    values are T+- / (2 c^2).  Each side is :func:`boundary_terms`' value at every half-mesh
+    mode, bit for bit, expanded by :meth:`GridSpec.expand`.  The rows run on the ``VFS_THREADS``
+    pool in fixed tasks of ``_KERNEL_PAIRS`` mirror pairs: row it with row -it mod nt.  The
+    table's rows are conjugate mirrors, mu-(delta, eta) = conj mu+(-delta, eta) (see
+    :class:`symbols.SymbolTable`), so one ``np.exp`` call serves a pair: the minus side's
+    exp(-mu- x) on a row is the conjugate of the plus side's on its mirror.  Rows 0 and nt/2
+    are their own mirrors.
     """
-    last, mus = grid.nyquist_row, (table.mup, table.mum)
+    last, mus = grid.nt // 2, (table.mup, table.mum)
     halves = tuple(np.empty((grid.nt, grid.half_nx), dtype=complex) for _ in mus)
-    nyquist = np.empty((2, 1, grid.nx), dtype=complex)
     arrays = (plus, minus) + tuple(map(grid.half, mus)) + halves
 
     def terms(rows: list, mirrors: list) -> None:
@@ -443,20 +427,12 @@ def mesh_terms(grid: GridSpec, plus: np.ndarray, minus: np.ndarray, table: Symbo
             if inner.start < inner.stop:
                 flipped = slice(inner.start - 1, inner.stop - 1)
                 terms([a[inner] for a in arrays], [a[::-1][flipped] for a in arrays])
-            if start == 0 < last:
-                rows = [a[:1] for a in arrays]
+            for row in {0, last}.intersection(range(start, stop)):
+                rows = [a[row : row + 1] for a in arrays]
                 terms(rows, rows)
-            if start <= last < stop:
-                for source, mu, row, half in zip((plus, minus), mus, nyquist, halves):
-                    row_mu = mu[last : last + 1]
-                    row[...] = _panel_sums(grid, grid.expand(source, [last]), row_mu, _exponentials(grid, row_mu))[0]
-                    half[last] = row[0, : grid.half_nx]
 
     map_chunks(pairs, last + 1, _KERNEL_PAIRS)
-    full = tuple(map(grid.expand, halves))
-    for term, row in zip(full, nyquist):
-        term[last] = row[0]
-    return full
+    return tuple(map(grid.expand, halves))
 
 
 def closure_sums(grid: GridSpec, spectral: np.ndarray, mu):

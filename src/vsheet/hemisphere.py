@@ -529,7 +529,8 @@ def locate_roots(params: PhysicalParams) -> float:
 def count_zeros_right(params: PhysicalParams) -> int:
     """The number of zeros of Sigma(tau, 1) with Re tau > epsilon, by the argument principle.
 
-    ``epsilon = 1e-3 c``, and at most half the elliptic root's abscissa ``c Y1``.
+    ``epsilon = 1e-3 c``, at most half the elliptic root's abscissa ``c Y1`` and, weakly stable, at
+    least ``64 ulp(v + c)``, a width that doubles resolve near s = v (it takes over at v + c >= 2^37).
     The count is the winding of Sigma(epsilon + i s, 1) as s falls from +inf to
     -inf, plus one turn for the large arc, where Sigma ~ tau^2.  The line starts
     at ``s = (v + c) tan(theta)``, theta uniform, so its ends reach that regime
@@ -537,12 +538,12 @@ def count_zeros_right(params: PhysicalParams) -> int:
     Sigma is evaluated at ``(epsilon + i s, 1) / (v + c)``, of the same argument
     by homogeneity, so it does not overflow.  NoRootFound where Sigma vanishes
     or is not finite on the line, or where bisection would pass ``_COUNT_CAP``
-    points or meets an interval that no longer halves (from M ~ 1e13 the
-    doubles near s = v lie farther apart than epsilon).
+    points or meets an interval that no longer halves.
     """
     # root_constants is a ValueError at the degenerate mach, where no count is defined
     c, scale, y = params.c, params.v + params.c, root_constants(params)
-    epsilon = min(1e-3 * c, 0.5 * c * y) if params.regime() is Regime.ELLIPTIC else 1e-3 * c
+    elliptic = params.regime() is Regime.ELLIPTIC
+    epsilon = min(1e-3 * c, 0.5 * c * y) if elliptic else max(1e-3 * c, 64.0 * math.ulp(scale))
     t = np.tan(np.pi * (0.5 - (np.arange(_COUNT_POINTS) + 0.5) / _COUNT_POINTS))
     values = big_sigma(Frequency(epsilon / scale, t, 1.0 / scale), params)
     while np.all(np.isfinite(values) & (values != 0.0)):

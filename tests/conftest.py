@@ -19,6 +19,20 @@ def source_from_spectral(spectral, side, grid) -> SourceField:
     return SourceField(side=Side(side), spectral=np.asarray(spectral, dtype=np.complex128), grid=grid)
 
 
+def off_nyquist(spectral, grid) -> np.ndarray:
+    """A complex128 copy of a half-mesh field with its Nyquist row nt/2 and column nx/2 set to zero.
+
+    Those are the lines that ``front.transform_source`` zeroes and ``SourceField`` keeps empty;
+    an axis of length 1 has none.
+    """
+    spectral = np.array(spectral, dtype=np.complex128)
+    if grid.nt > 1:
+        spectral[grid.nt // 2] = 0.0
+    if grid.nx > 1:
+        spectral[:, grid.nx // 2] = 0.0
+    return spectral
+
+
 def half_zeros(grid) -> np.ndarray:
     """A zero spectral field on the grid's half mesh, shape (nt, nx/2 + 1, ny)."""
     return np.zeros((grid.nt, grid.half_nx, grid.ny), dtype=complex)
@@ -60,5 +74,5 @@ def manufactured_solution(grid, params, w=2.0, kmax=2.0, seed=21):
     for mu, b in zip((table.mup, table.mum), slopes):
         line = fhat[..., None] + b[..., None] * xi
         profile, curvature = line * gauss, 2.0 * b[..., None] * dgauss + line * d2gauss
-        raw.append(inverse_transform(c * c * (mu[..., None] ** 2 * profile - curvature), grid).real)
+        raw.append(inverse_transform(grid.half(c * c * (mu[..., None] ** 2 * profile - curvature)), grid))
     return fhat, slopes, tuple(raw)

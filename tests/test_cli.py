@@ -493,19 +493,19 @@ Ly = 14.0
             outputs.append([(tmp_path / "out" / name).read_bytes() for name in artifacts])
         assert outputs[0] == outputs[1]
 
-    # sha256 of the solve and sweep artifacts on a 32x32x16 grid
+    # sha256 of the solve and sweep artifacts on a 32x32x16 grid; front.bin holds the real front as float32
     PINNED = {
         "bin": {
-            "front.bin": "7d388adf18081bcb70972df533573617ba29b560d6507484cc0eac39eeb5144f",
-            "front.json": "c1c4744cd16f41d989a318c2b6ba580f4f2d8ed959bf4484082ad014119895bc",
-            "sweep.json": "0d6e05fe01aab8a3c01a9aaaab69eb0e3b23f6d01a957cd239a1848091571a5d",
-            "sweep.csv": "c765cf8e334307bb9fb77d71e9e64dd696dcc31fda72672b625f43f79f3f1db6",
+            "front.bin": "4bb08f249699f086db0fc3cf600d8fbf66ffdd645f0adf2ec43deb60bbafce9d",
+            "front.json": "91e9e645b2b6d8e34d2da3d92ed6a7ac463982c12d5d633c568690ed6ce51387",
+            "sweep.json": "516a30453f82bc6b176126e3607f0efb04e4deaf24a738d7335559398eae303d",
+            "sweep.csv": "4f173621a9c8c9416955ee78b54a6b9fcadbb9e6d95f33c9617bd5c1d5b367a2",
         },
         "builtin": {
-            "front.bin": "a6f2d3e142b136ee2cb5969e5f566748c37652d4b44c06b265fe570f475b020b",
-            "front.json": "646fd98c35cd120f2862619cac5ac69c24ac13ca841b47a2891c7458df55b23a",
-            "sweep.json": "186be090beb5c3e011e1c9d66b3c00f110244d0968346600d313104dbc44e9fb",
-            "sweep.csv": "bd6d7fd011c0949aef6c2723eed522301d96e006fe18cc070499c52374ae5e7d",
+            "front.bin": "3725a57fd20600b3c15e1d1c40210660a33801aa80d9b6fc7d3061b59ac9950f",
+            "front.json": "9f7bbae221d9e5fba4160ace63da8cee97c609a91b895d92f330a44a148a16ce",
+            "sweep.json": "a1e55b0915c258156a9e6dd80cff76047e48b7295a5b9799faa1911a8b80785f",
+            "sweep.csv": "3882201691af372ecca70a54e8d00c9340e1202e98d246df949bdeb37fd3d389",
         },
     }
     PIN_GRID = GridSpec(nt=32, nx=32, ny=16, Lt=2 * math.pi, Lx=2 * math.pi, Ly=14.0)

@@ -314,7 +314,7 @@ class TestSolutionFiles:
         assert set(meta["grid"]) == set(fileio._HEADER.names)
         assert "front_aniso_over_g" in meta["report"]
 
-    def test_binary_holds_the_physical_front_as_complex64(self, tmp_path):
+    def test_binary_holds_the_physical_front_as_float32(self, tmp_path):
         sol = self._solution()
         bin_path, _ = fileio.write_front_solution(tmp_path / "front", sol)
         blob = bin_path.read_bytes()
@@ -325,8 +325,9 @@ class TestSolutionFiles:
         g = sol.grid
         assert (int(header["nt"]), int(header["nx"])) == (g.nt, g.nx)
         assert (float(header["Lt"]), float(header["Lx"]), float(header["gamma"])) == (g.Lt, g.Lx, g.gamma)
-        payload = np.frombuffer(blob[header_dtype.itemsize :], dtype="<c8").reshape(g.nt, g.nx)
-        assert np.array_equal(payload, sol.f.astype(np.complex64))
+        assert len(blob) == 32 + 4 * g.nt * g.nx
+        payload = np.frombuffer(blob[header_dtype.itemsize :], dtype="<f4").reshape(g.nt, g.nx)
+        assert np.array_equal(payload, sol.f.astype(np.float32))
 
     def test_read_front_solution_round_trip(self, tmp_path):
         sol = self._solution()
@@ -334,8 +335,20 @@ class TestSolutionFiles:
         header, f = fileio.read_front_solution(tmp_path / "front")
         g = sol.grid
         assert header == {"nt": g.nt, "nx": g.nx, "Lt": g.Lt, "Lx": g.Lx, "gamma": g.gamma}
-        assert f.dtype == np.complex64 and f.shape == (g.nt, g.nx)
-        assert np.array_equal(f, sol.f.astype(np.complex64))
+        assert f.dtype == np.float32 and f.shape == (g.nt, g.nx)
+        assert np.array_equal(f, sol.f.astype(np.float32))
+
+    def test_a_complex64_front_is_named_as_the_old_layout(self, tmp_path):
+        # the layout before fronts were real: the same header, then complex64 samples, twice the payload
+        sol = self._solution()
+        bin_path, _ = fileio.write_front_solution(tmp_path / "front", sol)
+        bin_path.write_bytes(bin_path.read_bytes()[:32] + sol.f.astype(np.complex64).tobytes())
+        message = (
+            f"solution file {bin_path} holds a complex64 payload for nt=8, nx=8: "
+            "the layout from before solutions were stored as float32"
+        )
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}\Z"):
+            fileio.read_front_solution(tmp_path / "front")
 
     @pytest.mark.parametrize("keep", [20, -8])
     def test_read_front_solution_rejects_truncated_file(self, tmp_path, keep):
@@ -414,7 +427,7 @@ class TestReadmeFileFormats:
 
     @pytest.mark.parametrize(
         "label, count, payload",
-        [("Source", "nt*nx*ny", fileio._PAYLOAD), ("Solution", "nt*nx", fileio._SOLUTION_PAYLOAD)],
+        [("Source", "nt*nx*ny", fileio._PAYLOAD), ("Solution", "nt*nx", fileio._PAYLOAD)],
         ids=["source", "solution"],
     )
     def test_payload_types(self, label, count, payload):

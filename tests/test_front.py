@@ -1,14 +1,16 @@
 """Front equation right-hand side, solver, and estimate sweeps."""
 
 import dataclasses
+import hashlib
 import re
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import half_zeros, manufactured_solution, source_from_spectral
+from conftest import half_zeros, manufactured_solution, off_nyquist, source_from_spectral
 from vsheet import chunks, front, grids, symbols
+from vsheet.cli import builtin_sources
 from vsheet.front import (
     QuadratureUnderResolved,
     Side,
@@ -18,7 +20,7 @@ from vsheet.front import (
     solve_front,
     transform_source,
 )
-from vsheet.grids import GridSpec, Space, forward_transform, weighted_norm
+from vsheet.grids import GridSpec, Space, forward_transform, inverse_transform, weighted_norm
 from vsheet.pressure import solve_half_space
 from vsheet.symbols import PhysicalParams, Regime, big_sigma, mu_pm
 
@@ -96,11 +98,32 @@ class TestSourceField:
             with pytest.raises(ValueError, match=f"^{side}-side source has not decayed at the truncation depth Ly$"):
                 g_of(plus, minus)
 
-    def test_transform_matches_grid_transform(self):
-        g = _grid()
-        raw = _band_limited_real(g, seed=0)
-        field = transform_source(raw, Side.MINUS, g)
-        np.testing.assert_allclose(field.spectral, forward_transform(raw, g), atol=1e-12)
+    @pytest.mark.parametrize("nt, nx", [(16, 16), (2, 8), (16, 2), (1, 8), (8, 1), (1, 1)])
+    def test_transform_source_zeroes_the_nyquist_lines_and_nothing_else(self, nt, nx):
+        # row nt/2 and column nx/2 of the half mesh are zero, every other mode is forward_transform's bits,
+        # and an axis of length 1 has no Nyquist line
+        g = _grid(nt=nt, nx=nx, ny=8, Ly=10.0)
+        raw = np.random.default_rng(nt * 17 + nx).standard_normal((nt, nx, 8))
+        want = forward_transform(raw, g)
+        got = transform_source(raw, Side.MINUS, g).spectral
+        lines = np.zeros(want.shape[:2], dtype=bool)
+        lines[nt // 2 if nt > 1 else slice(0)] = True
+        lines[:, nx // 2 if nx > 1 else slice(0)] = True
+        assert np.all(got[lines] == 0.0) and np.all(want[lines] != 0.0)
+        assert got[~lines].tobytes() == want[~lines].tobytes()
+
+    @pytest.mark.parametrize("mode", [(8, 3, 0), (5, 8, 7), (8, 8, 2)], ids=["row", "column", "corner"])
+    @pytest.mark.parametrize("value", [1e-300, np.nan], ids=["tiny", "nan"])
+    def test_a_field_with_content_on_a_nyquist_line_is_refused(self, mode, value):
+        g = _grid(nt=16, nx=16, ny=8, Ly=10.0)
+        spectral = half_zeros(g)
+        spectral[mode] = value
+        message = (
+            "minus-side spectral field has content on the Nyquist row nt/2 or column nx/2, "
+            "where a real source's transform is zero"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            source_from_spectral(spectral, Side.MINUS, g)
 
 
 class TestSourceMoment:
@@ -158,6 +181,27 @@ class TestSourceMoment:
         assert np.all(np.isfinite(build_g(fp, fm, M2)))
         monkeypatch.setattr(front, "TAIL_TOL", 1e-10)
         with pytest.raises(QuadratureUnderResolved):
+            build_g(fp, fm, M2)
+
+    def test_a_tail_between_tail_tol_and_1e3_tail_tol_raises(self):
+        # mode (1, 1) holds exp(-8 y) - k exp(-16 y), which passes the decay gate (|F(Ly)| ~ 1.5e-7 of its
+        # peak); k makes T cancel down to eps T(exp(-8 y)), with eps set so that the relative tail is 3e-5:
+        # above TAIL_TOL, and within a tail test loosened 1e3 times
+        g = _grid(ny=8, Ly=2.0)
+        y, _ = g.quadrature()
+        mu = g.symbol_table(M2).mup[1, 1]
+        t8, t16 = (grids.boundary_terms(g, np.exp(-a * y), mu) for a in (8.0, 16.0))
+        tail = np.exp(-g.Ly * mu.real) * np.exp(-8.0 * y[-1]) / abs(mu)
+        eps = tail / (3e-5 * abs(t8))
+        spec = half_zeros(g)
+        spec[1, 1] = np.exp(-8.0 * y) - t8 / t16 * (1.0 - eps) * np.exp(-16.0 * y)
+        fp = source_from_spectral(spec, Side.PLUS, g)
+        fm = source_from_spectral(np.zeros_like(spec), Side.MINUS, g)
+        assert abs(spec[1, 1, -1]) <= front.DECAY_TOL * np.max(np.abs(spec))
+        rel = np.exp(-g.Ly * mu.real) * abs(spec[1, 1, -1]) / abs(mu) / np.max(np.abs(_terms(fp, fm)[0]))
+        assert front.TAIL_TOL < rel <= 1e3 * front.TAIL_TOL
+        message = r"^half-line truncation tail ~3\.0\d\de-05 \(relative\) is not within tolerance 1e-06; increase Ly"
+        with pytest.raises(QuadratureUnderResolved, match=message):
             build_g(fp, fm, M2)
 
     def test_single_mode_from_the_mesh(self):
@@ -239,11 +283,14 @@ def _oracle_terms(grid, spectra, mup, mum, index=...):
 
 
 def _random_pair(grid, seed):
-    """Random complex half-mesh spectral sources with an exp(-y/2) depth profile."""
+    """Random complex half-mesh spectral sources, zero on the Nyquist lines, with an exp(-y/2) depth profile."""
     rng = np.random.default_rng(seed)
     y, _ = grid.quadrature()
     shape = (grid.nt, grid.half_nx, grid.ny)
-    spectra = [(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.exp(-0.5 * y) for _ in range(2)]
+    spectra = [
+        off_nyquist((rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.exp(-0.5 * y), grid)
+        for _ in range(2)
+    ]
     return source_from_spectral(spectra[0], Side.PLUS, grid), source_from_spectral(spectra[1], Side.MINUS, grid)
 
 
@@ -256,7 +303,7 @@ class TestHalfLineLayer:
         assert (g.nt // 2 + 1) % grids._KERNEL_PAIRS
         fp, fm = _random_pair(g, seed=ny)
         table = g.symbol_table(M2)
-        # the oracle runs on the full mesh of the pair, the Nyquist row past column nx/2 among it
+        # the oracle runs on the full mesh of the pair
         spectra = (g.expand(fp.spectral), g.expand(fm.spectral))
         for got, (want, scale) in zip(_terms(fp, fm), _oracle_terms(g, spectra, table.mup, table.mum)):
             assert got.shape == (g.nt, g.nx)
@@ -286,45 +333,43 @@ class TestHalfLineLayer:
 
         At nt = 32, with Lt = Lx = 2 pi, the lattice holds modes delta = +-v eta (v = 2: eta = 8
         meets the Nyquist row's delta = -16; v = 0.8: eta = 5, delta = +-4), where mu+- have exactly
-        zero imaginary parts.  Rows 3 and 29 (a mirror pair), 5 and the Nyquist row 16 are zero on
-        both sides there, so that a slip in the sign of a zero would show in T's bytes.  At nt = 2
-        the mesh is row 0 and the Nyquist row only; at nt = 4 one inner mirror pair joins them.
+        zero imaginary parts.  Rows 3 and 29 (a mirror pair) and 5 are zero on both sides there, as
+        the Nyquist row 16 is, so that a slip in the sign of a zero would show in T's bytes.  At
+        nt = 2 the mesh is row 0 and the Nyquist row only; at nt = 4 one inner mirror pair joins them.
         """
         g = _grid(nt=nt, nx=16, ny=32)
         fp, fm = _random_pair(g, seed=31)
         table = g.symbol_table(params)
         if nt == 32:
             for field in (fp, fm):
-                field.spectral[[3, 29, 5, 16]] = 0.0
+                field.spectral[[3, 29, 5]] = 0.0
             assert all(np.any(g.half(mu)[:, 1:].imag == 0.0) for mu in (table.mup, table.mum))
         return g, fp, fm, table
 
     @pytest.mark.parametrize("params", [M2, PhysicalParams(v=0.8, c=1.0)], ids=["M2", "M0.8"])
     def test_mirror_pairs_give_each_sides_boundary_terms_bit_for_bit(self, params, monkeypatch):
         # every mode of the full mesh: the half mesh and, past column nx/2, the mirror of its conjugate,
-        # except on the Nyquist row, which boundary_terms takes from the mirrored sources
+        # the Nyquist row among them
         for nt in (2, 4, 32):
             g, fp, fm, table = self._lattice_case(params, nt)
-            row = g.nyquist_row
-            want = []
-            for field, mu in zip((fp, fm), (table.mup, table.mum)):
-                side = g.expand(grids.boundary_terms(g, field.spectral, g.half(mu)))
-                side[row] = grids.boundary_terms(g, g.expand(field.spectral, [row])[0], mu[row])
-                want.append(side)
+            want = [
+                g.expand(grids.boundary_terms(g, field.spectral, g.half(mu)))
+                for field, mu in zip((fp, fm), (table.mup, table.mum))
+            ]
             for threads in ("1", "2"):
                 monkeypatch.setenv("VFS_THREADS", threads)
                 for got, side in zip(grids.mesh_terms(g, fp.spectral, fm.spectral, table), want):
                     assert got.tobytes() == side.tobytes(), nt
 
     def test_one_exponential_table_per_mirror_pair(self, monkeypatch):
-        # nt rows and the Nyquist row's minus side, whose delta is its mirror's, are exponentiated
+        # nt half-mesh rows are exponentiated, the self-mirrored rows 0 and nt/2 once each
         original = grids._exponentials
         for nt in (2, 4, 32):
             g, fp, fm, table = self._lattice_case(M2, nt)
             rows = []
             monkeypatch.setattr(grids, "_exponentials", lambda grid, mu: rows.append(len(mu)) or original(grid, mu))
             grids.mesh_terms(g, fp.spectral, fm.spectral, table)
-            assert sum(rows) == g.nt + 1, nt
+            assert sum(rows) == g.nt, nt
 
     @pytest.mark.parametrize("pair, message", [
         ("swapped", "in that order"),
@@ -342,7 +387,7 @@ class TestHalfLineLayer:
         elif pair == "mismatched":
             fm = source_from_spectral(half_zeros(_grid(ny=32)), Side.MINUS, _grid(ny=32))
         elif pair == "undecayed":
-            fm = source_from_spectral(np.ones_like(fm.spectral), Side.MINUS, g)
+            fm = source_from_spectral(off_nyquist(np.ones_like(fm.spectral), g), Side.MINUS, g)
         else:
             spectral = fp.spectral.copy()
             spectral[1, 2, 3] = np.nan
@@ -359,7 +404,7 @@ class TestHalfLineLayer:
         g = _grid()
         fp, fm = _exp_pair(g)
         spectral = (fp if side == "plus" else fm).spectral.copy()
-        spectral[..., -1] = 1e-4 * np.max(np.abs(spectral))
+        spectral[1, 2, -1] = 1e-4 * np.max(np.abs(spectral))
         field = source_from_spectral(spectral, Side(side), g)
         fp, fm = (field, fm) if side == "plus" else (fp, field)
         with pytest.raises(ValueError, match=f"^{side}-side source has not decayed at the truncation depth Ly$"):
@@ -409,6 +454,20 @@ class TestManufacturedSolution:
 
 
 class TestSolveFront:
+    # sha256 of f_hat's bytes off the Nyquist lines, in row-major order, for the builtin pair on the default
+    # 64x64x32 grid (Ly = 20, M = 2), as the code gave them before transform_source zeroed those lines:
+    # the kernel works mode by mode, so the rule moves no other mode
+    F_HAT_OFF_THE_LINES = "ed8a65ad3d8d8698c80832c24ce552bf4db09d51bd544426b920db493033487f"
+
+    def test_f_hat_off_the_nyquist_lines_keeps_its_bits(self):
+        g = GridSpec(nt=64, nx=64, ny=32, Lt=2 * np.pi, Lx=2 * np.pi, Ly=20.0)
+        fp, fm = (transform_source(raw, side, g) for raw, side in zip(builtin_sources(g), Side))
+        f_hat = solve_front(build_g(fp, fm, M2), g, M2).f_hat
+        lines = np.zeros(f_hat.shape, dtype=bool)
+        lines[32] = lines[:, 32] = True
+        assert np.all(f_hat[lines] == 0.0)
+        assert hashlib.sha256(f_hat[~lines].tobytes()).hexdigest() == self.F_HAT_OFF_THE_LINES
+
     def test_manufactured_recovery(self):
         g = _grid(nt=32, nx=32)
         mesh = g.freq_mesh()
@@ -420,17 +479,19 @@ class TestSolveFront:
         err = np.max(np.abs(sol.f_hat - f0)) / np.max(np.abs(f0))
         assert err < 1e-12, f"manufactured recovery error {err}"
 
-    def test_physical_field_is_real_for_real_source(self):
-        # compensate the exp(-gamma t) window so the transformed data is
-        # exactly band-limited: conjugate symmetry then survives the
-        # multipliers and the recovered front is real to rounding
-        g = _grid(nt=32, nx=32)
-        grow = np.exp(g.gamma * g.t())[:, None, None]
-        raw = grow * _band_limited_real(g, seed=4)
+    @pytest.mark.parametrize("nt, nx", [(32, 32), (16, 8), (1, 8), (8, 1)])
+    def test_the_front_is_real_and_its_transform_is_f_hat(self, nt, nx):
+        # without the Nyquist lines f_hat is Hermitian on the full mesh, so the real float64 front
+        # transforms back to all of it, the columns past nx/2 included
+        g = _grid(nt=nt, nx=nx)
+        raw = _band_limited_real(g, seed=4)
         fp = transform_source(raw, Side.PLUS, g)
         fm = transform_source(0.5 * raw, Side.MINUS, g)
         sol = solve_front(build_g(fp, fm, M2), g, M2)
-        assert np.max(np.abs(sol.f.imag)) < 1e-12 * np.max(np.abs(sol.f.real))
+        assert sol.f.dtype == np.float64 and sol.f.shape == (nt, nx)
+        assert sol.f.tobytes() == inverse_transform(g.half(sol.f_hat), g).tobytes()
+        back = g.expand(forward_transform(sol.f, g))
+        assert np.max(np.abs(back - sol.f_hat)) <= 1e-13 * np.max(np.abs(sol.f_hat))
 
     def test_norm_bookkeeping(self):
         g = _grid()

@@ -724,10 +724,13 @@ class TestLocateRoots:
 class TestZeroCount:
     """The zeros of Sigma(tau, 1) with Re tau > epsilon, by the argument principle along Re tau = epsilon."""
 
-    # both sides of sqrt(2), 2e-9 from it; the machs of CI's [roots] runs; the least mach with a normal M^2
+    # both sides of sqrt(2), 2e-9 from it; the machs of CI's [roots] runs; the least mach with a normal M^2;
+    # from 1e12 on (v + c >= 2^37) epsilon is 64 ulp(v + c), and from 1e13 on 1e-3 c is narrower than the
+    # doubles near s = v, so the count was refused there
     MACHS = [
         math.sqrt(sys.float_info.min), 1e-8, 1e-6, 1e-3, 0.5, 1.0, 1.41, 1.4142, SQRT2 - 2e-9,
         SQRT2 + 2e-9, 1.4143, 1.415, 1.5, 2.0, 3.0, 15.0, 20.0, 50.0, 1000.0, 1e6, 1e10,
+        1e11, 1e12, 1e13, 1e15, 1e50, 1e100, 1e150, 6.7e153,
     ]
 
     @pytest.mark.parametrize("mach", MACHS)
@@ -735,7 +738,7 @@ class TestZeroCount:
         params = PhysicalParams(v=mach, c=1.0)
         assert count_zeros_right(params) == {Regime.ELLIPTIC: 1, Regime.WEAKLY_STABLE: 0}[params.regime()]
 
-    @pytest.mark.parametrize("mach, count", [(0.5, 1), (2.0, 0)])
+    @pytest.mark.parametrize("mach, count", [(0.5, 1), (2.0, 0), (1e15, 0)])
     def test_the_count_does_not_depend_on_the_sound_speed(self, mach, count):
         for c in (1e-6, 3.0, 1e6):
             assert count_zeros_right(PhysicalParams(v=mach * c, c=c)) == count
@@ -754,10 +757,21 @@ class TestZeroCount:
         with pytest.raises(NoRootFound, match=r"^zero count refused: .* meets the cap of 4096 points$"):
             count_zeros_right(M2)
 
-    def test_an_interval_that_no_longer_halves_refuses_the_count(self):
-        # near s = v = 1e13 the doubles are 2e-3 apart, wider than epsilon = 1e-3
-        with pytest.raises(NoRootFound, match=r"^zero count refused: .* meets an interval that no longer halves$"):
-            count_zeros_right(PhysicalParams(v=1e13, c=1.0))
+    def test_an_interval_that_no_longer_halves_refuses_the_count(self, monkeypatch):
+        # a sign flip of Sigma at s = (v + c) / 2 is a step of pi that bisection narrows down to two adjacent doubles
+        monkeypatch.setattr(hemisphere, "big_sigma", lambda freqs, p: np.where(freqs.delta > 0.5, -1.0, 1.0) * big_sigma(freqs, p))
+        with pytest.raises(NoRootFound, match=r"^zero count refused: 1 steps .* meets an interval that no longer halves$"):
+            count_zeros_right(M2)
+
+    @pytest.mark.parametrize(
+        "mach, epsilon", [(1e11, 1e-3), (2.0**37 - 2.0, 1e-3), (2.0**37 - 1.0, 2.0**-9), (1e15, 64.0 * 0.125)]
+    )
+    def test_epsilon_is_1e_3_c_unless_64_ulp_of_v_plus_c_is_wider(self, mach, epsilon, monkeypatch):
+        # 64 ulp(v + c) passes 1e-3 c only at v + c = 2^37 (c = 1), so no count below it moves
+        seen = []
+        monkeypatch.setattr(hemisphere, "big_sigma", lambda freqs, p: seen.append(freqs.gamma) or big_sigma(freqs, p))
+        assert count_zeros_right(PhysicalParams(v=mach, c=1.0)) == 0
+        assert set(np.concatenate([np.ravel(g) for g in seen]).tolist()) == {epsilon / (mach + 1.0)}
 
     @pytest.mark.parametrize("value", [0.0, np.nan])
     def test_a_symbol_that_vanishes_or_is_not_finite_on_the_line_refuses_the_count(self, value, monkeypatch):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import half_mus, half_zeros, manufactured_solution, source_from_spectral
+from conftest import half_mus, half_zeros, manufactured_solution, off_nyquist, source_from_spectral
 from vsheet import cli, grids, pressure
 from vsheet.front import Side, build_g, solve_front, transform_source
 from vsheet.grids import GridSpec
@@ -331,13 +331,13 @@ class TestOneModeArguments:
 
 
 def _random_fields(grid, seed):
-    """Seeded complex sources on every mode of the half mesh, under a Gaussian depth envelope."""
+    """Seeded complex sources on every mode of the half mesh off its Nyquist lines, under a Gaussian depth envelope."""
     rng = np.random.default_rng(seed)
     y, _ = grid.quadrature()
     envelope = np.exp(-(((y - 0.15 * grid.Ly) / (0.06 * grid.Ly)) ** 2))
     shape = (grid.nt, grid.half_nx, grid.ny)
     return tuple(
-        source_from_spectral((rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * envelope, side, grid)
+        source_from_spectral(off_nyquist((rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * envelope, grid), side, grid)
         for side in (Side.PLUS, Side.MINUS)
     )
 
@@ -366,7 +366,7 @@ class TestParticularSolution:
         g = _grid(ny=96, Ly=30.0, nt=8, nx=16)
         fields = _random_fields(g, seed)
         mesh = g.freq_mesh()
-        for mode in [(0, 0), (1, 2), (3, 5), (4, 8), (7, 15)]:
+        for mode in [(0, 0), (1, 2), (3, 5), (5, 7), (7, 15)]:
             pair = solve_half_space(*fields, mesh[mode], 0.3 - 0.7j, M2)
             _assert_matches_dense(pair, fields, mode)
 
@@ -375,7 +375,7 @@ class TestParticularSolution:
         slow = PhysicalParams(v=0.5, c=1.0)
         g = _grid(ny=96, Ly=40.0, nt=4, nx=64)
         fields = _random_fields(g, 7)
-        mode = (1, 32)
+        mode = (1, 31)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -387,8 +387,8 @@ class TestParticularSolution:
         # at ny = 2048 the dense complex kernel alone would take 64 MiB; the panel lag matrix takes
         # (ny/8)^2 complex entries a side, so the peak grows quadratically in the panel count
         g = _grid(ny=2048, Ly=30.0, nt=4, nx=4)
-        fp, fm = _exp_fields(g, it=1, ix=2)
-        freq = g.freq_mesh()[1, 2]
+        fp, fm = _exp_fields(g, it=1, ix=1)
+        freq = g.freq_mesh()[1, 1]
         g.quadrature()  # fill the grid's cached rule outside the traced call
         tracemalloc.start()
         try:
@@ -450,15 +450,16 @@ class TestPinnedClosure:
 
     sha256 of the values' bytes, mode after mode in row-major order: the one-mode ``closure_sums`` on every
     half-mesh mode, and ``solve_half_space`` and ``front_equation_residual`` on every full-mesh mode at the
-    front solved from the same seeded sources.
+    front solved from the same seeded sources.  The sources are zero on the Nyquist lines; the code from
+    before the rule that zeroes them gives the same bytes on these sources.
     """
 
     PINNED = {
-        "terms": "32325b363b82603ab4c190df8ff44a6ce1b59427f8eb32292447057da13b05e3",
+        "terms": "a9eb75476f78774af3531bffcab2eb6d7abb75ade4947f719c391fc179ab3d21",
         "homogeneous": "25add479c0673334bae953067a3005befb90bcc893fa06e8425b691be5958f7c",
-        "free": "66c9f295324b9f42180fb179f091a52ae63adfb9bf70fa41fc0c09489d9b7973",
-        "profiles": "5917136bd7e72de3d787549732f0ebf49b3202b7345121c038ed0b7bd4530db8",
-        "residuals": "7cb4d25a954b590c468957da8766000e3caf9053136e621577bda6a6a4c05e2c",
+        "free": "24779d4578a93e9af211360c2f868b927afdef814264019f17e6a903fff6f1ef",
+        "profiles": "27bfd7ebb761f1d41a83a3f20b035a4864005f93acd1f139f22c7ddd3cc20781",
+        "residuals": "fc24fbfcd9601c29140a7a8addc0bcb94d5f2fecf53e99a45604b4ad7c605e50",
     }
 
     @pytest.fixture(scope="class")
@@ -502,8 +503,8 @@ class TestPinnedClosure:
 
     # the same at c = 1.3, where dividing by c^2 rounds differently in Python and in numpy
     PINNED_C13 = {
-        "profiles": "ba29e1891b104de12cf94a97f059a3ec8e94c67e9055277e042112102a9321f1",
-        "residuals": "2da67f6c59e8a568ece85733731b2e97aad3781c731eee356d03dc8458f45726",
+        "profiles": "e17c3a1cd5752ae86d4ee89ed67ac69e9e42bde5097dcf002d7100880b353a60",
+        "residuals": "7c9e3e87d687e39d18120ce75c3b086df1ef25e454160df6f52a4e0315ddcef4",
     }
 
     def test_profiles_and_residuals_are_pinned_at_another_sound_speed(self):
